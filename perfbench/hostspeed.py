@@ -67,5 +67,15 @@ class SpeedTrack:
         """``end - start`` at the reference host speed."""
         return (end - start) / self.slowdown(start, end)
 
+    def idle_slowdown(self, count: int) -> List[float]:
+        """``count`` probes back to back, as slowdowns: the host speed right
+        now, around a single long unit (a set-up step) or between chunks of
+        load that runs in another process, whose probes taken while it
+        works would time the contention with it, not the host.
+        """
+        for _ in range(count):
+            self.probe()
+        return [seconds / REFERENCE_SECONDS for seconds in self.seconds[-count:]]
+
     def median_slowdown(self) -> float:
         return statistics.median(self.seconds) / REFERENCE_SECONDS

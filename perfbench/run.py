@@ -15,7 +15,7 @@ counters.  The exit code is 0 only when every check passed.
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload pfc_sweep --seed 20260808 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload pfc_sweep --seed 20260808 --seconds 15 --trace 0
 """
 
 from __future__ import annotations
@@ -44,14 +44,21 @@ WORKLOADS = ("pfc_sweep", "corpus_mix", "serve_zipf")
 DEFAULT_SEED = 20260808
 
 #: Set-up steps are repeated this often and their median is reported.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 7
+#: Host-speed probes before and after each set-up step.
+SETUP_PROBES = 5
+#: The parts of this run's set-up time, for the ``detail:`` line.
+SETUP_PARTS: Dict[str, float] = {}
 
 # Work per second of --seconds, so that one run lasts about that long on a
 # 2-core container.  The work is fixed by (seed, seconds), never by the clock,
 # so the exact counters repeat.
 PASSES = 3
-PFC_SYSTEMS_PER_S = 5
-CORPUS_SYSTEMS_PER_S = 12
+PFC_PASSES = 2
+PFC_SYSTEMS_PER_S = 7
+#: corpus_mix runs each system once: its median moves with the sample more
+#: than with the host, so a run spends its time on more systems instead
+CORPUS_SYSTEMS_PER_S = 36
 CORPUS_SECONDS_PER_VERDICT = 10
 SERVE_PROGRAMS_PER_S = 12.5
 SERVE_REQUESTS_PER_S = 50
@@ -131,13 +138,17 @@ def start_and_import() -> None:
 
 
 def timed(step: Callable[[], object], track: SpeedTrack) -> Tuple[float, object]:
-    """Seconds ``step`` took at the reference host speed, and its result."""
-    track.probe()
+    """Seconds ``step`` took at the reference host speed, and its result.
+
+    One step is a single long unit: its slowdown is the median of probes
+    taken right before and after it, not of the probes of other units.
+    """
+    slowdowns = track.idle_slowdown(SETUP_PROBES)
     started = time.perf_counter()
     result = step()
     ended = time.perf_counter()
-    track.probe()
-    return track.scaled(started, ended), result
+    slowdowns += track.idle_slowdown(SETUP_PROBES)
+    return (ended - started) / statistics.median(slowdowns), result
 
 
 def timed_setup(generate: Callable[[], object], track: SpeedTrack) -> Tuple[float, object]:
@@ -147,6 +158,7 @@ def timed_setup(generate: Callable[[], object], track: SpeedTrack) -> Tuple[floa
     for _ in range(SETUP_REPEATS):
         seconds, inputs = timed(generate, track)
         generation.append(seconds)
+    SETUP_PARTS.update(imports_s=imports, generation_s=statistics.median(generation))
     return imports + statistics.median(generation), inputs
 
 
@@ -300,7 +312,7 @@ def in_process_workload(name: str, seed: int, seconds: int, tracer, track) -> Di
         verdicts = max(1, round(seconds / CORPUS_SECONDS_PER_VERDICT))
         generate = lambda: corpus_inputs(seed, count, verdicts)  # noqa: E731
     setup, systems = timed_setup(generate, track)
-    run = run_systems(systems, tracer, track, PASSES, seed)
+    run = run_systems(systems, tracer, track, PFC_PASSES if name == "pfc_sweep" else 1, seed)
     outcomes = run["outcomes"]
     tasks = [o.seconds for s, o in zip(systems, outcomes) if s.schedulable]
     verdicts = [o.seconds for s, o in zip(systems, outcomes) if not s.schedulable]
@@ -349,19 +361,38 @@ def in_process_workload(name: str, seed: int, seconds: int, tracer, track) -> Di
 # ---------------------------------------------------------------------------
 
 
+def zipf_sequence(population: list, requests: int, rng: random.Random) -> list:
+    """``requests`` items, each as often as its zipf share says, in ``rng``'s order.
+
+    Counts are the shares rounded by largest remainder rather than drawn:
+    drawn counts move the median with the sample, since the median request
+    sits where the fast cached answers give way to the slower ones.
+    """
+    weights = [1.0 / (rank + 1) ** ZIPF_EXPONENT for rank in range(len(population))]
+    shares = [requests * weight / sum(weights) for weight in weights]
+    counts = [int(share) for share in shares]
+    by_remainder = sorted(range(len(shares)), key=lambda i: counts[i] - shares[i])
+    for index in by_remainder[:requests - sum(counts)]:
+        counts[index] += 1
+    sequence = [item for item, count in zip(population, counts) for _ in range(count)]
+    rng.shuffle(sequence)
+    return sequence
+
+
 def serve_workload(seed: int, seconds: int, tracer, track) -> Dict[str, object]:
-    from repro.corpus.generator import generate_corpus
     from repro.scheduling.ep import find_all_schedules
     from repro.scheduling.serialize import schedule_fingerprint
     from repro.serve import protocol
     from serve_load import Request, cold_pass
-    from systems import corpus_system, serve_nets
+    from systems import corpus_specs, corpus_system, serve_nets
 
     programs = max(10, round(SERVE_PROGRAMS_PER_S * seconds))
     requests = max(20, round(SERVE_REQUESTS_PER_S * seconds))
 
     def generate():
-        specs = generate_corpus(programs, seed=seed)
+        # the population is the same for every seed: which items are hot
+        # decides the median, so the seed draws only the request sequence
+        specs = corpus_specs(DEFAULT_SEED, programs)
         return serve_nets(), [corpus_system(spec, None) for spec in specs]
 
     setup, (nets, systems) = timed_setup(generate, track)
@@ -381,14 +412,12 @@ def serve_workload(seed: int, seconds: int, tracer, track) -> Dict[str, object]:
         line = protocol.encode_line({"op": "schedule", "net": protocol.net_to_dict(net)})
         population.append(Request(name, line, reference))
     track.probe()
-    setup += track.scaled(started, time.perf_counter())
+    SETUP_PARTS["reference_s"] = track.scaled(started, time.perf_counter())
+    setup += SETUP_PARTS["reference_s"]
     # zipf ranks: the nets hot-to-cold in their fixed order, then the
-    # programs in a seeded order, so the hot head is the same for every seed
-    rng = random.Random(seed)
-    rng.shuffle(programs)
+    # programs in their drawn order
     population += programs
-    weights = [1.0 / (rank + 1) ** ZIPF_EXPONENT for rank in range(len(population))]
-    sequence = rng.choices(population, weights=weights, k=requests)
+    sequence = zipf_sequence(population, requests, random.Random(seed))
 
     # the same sequence against PASSES fresh daemons: a request's time is the
     # median of its answers, in each of which it met the same cache state
@@ -399,7 +428,8 @@ def serve_workload(seed: int, seconds: int, tracer, track) -> Dict[str, object]:
             passes.append(cold_pass(ROOT, cache_dir, sequence, track, tracer))
         finally:
             shutil.rmtree(cache_dir, ignore_errors=True)
-    setup += statistics.median(p.ready_seconds for p in passes)
+    SETUP_PARTS["ready_s"] = statistics.median(p.ready_seconds for p in passes)
+    setup += SETUP_PARTS["ready_s"]
     answered = [
         statistics.median(times) for times in zip(*(p.latencies for p in passes))
         if None not in times
@@ -421,7 +451,7 @@ def serve_workload(seed: int, seconds: int, tracer, track) -> Dict[str, object]:
     if tracer.enabled:
         layers = layer_metrics(tracer, run, track.median_slowdown())
         layers["proc.cpu_per_wall"] = (
-            sum(p.cpu_seconds for p in passes) / sum(p.load.ended - p.load.started for p in passes)
+            sum(p.cpu_seconds for p in passes) / sum(p.load.busy for p in passes)
         )
         layers.update(serve_metrics(passes))
     return {
@@ -440,6 +470,7 @@ def serve_workload(seed: int, seconds: int, tracer, track) -> Dict[str, object]:
                 statistics.median(t) for t in zip(*(p.raw for p in passes)) if None not in t
             ) * 1e3,
             "slowdown": track.median_slowdown(),
+            "pass_slowdowns": [p.slowdown for p in passes],
             "population": len(population),
             "windows": [p.window for p in passes],
         },
@@ -489,7 +520,7 @@ def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=int, default=20, help="work is sized to last about this long")
+    parser.add_argument("--seconds", type=int, default=15, help="work is sized to last about this long")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -521,6 +552,7 @@ def main(argv: Sequence[str] = None) -> int:
         "error_rate": failed / attempted,
         "counters": result["counters"],
         "end_to_end": end_to_end,
+        "setup_parts": SETUP_PARTS,
         **result["extra"],
     }
     print("detail: " + json.dumps(detail, sort_keys=True))

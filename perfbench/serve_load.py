@@ -1,9 +1,11 @@
 """The scheduling daemon as a benchmark subject.
 
-:class:`Daemon` starts ``python -m repro.serve`` and waits for its ready
-line; :func:`closed_loop` drives it from persistent connections, each sending
-its next request only after the previous reply arrived (callers of a
-scheduling daemon, such as build tools, wait for each reply).
+:class:`Daemon` starts the daemon of ``python -m repro.serve`` on a Unix
+socket (``serve_unix.py``: a sandbox without a network has no loopback) and
+waits for its ready line; :func:`closed_loop` drives it from persistent
+connections, each sending its next request only after the previous reply
+arrived (callers of a scheduling daemon, such as build tools, wait for each
+reply).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -23,12 +26,24 @@ from repro.serve import protocol
 from hostspeed import SpeedTrack
 from tracing import Tracer
 
+HERE = Path(__file__).resolve().parent
+
 #: Counters of the ``stats`` op whose change over the measured window is kept.
 STATS_COUNTERS = ("requests", "errors", "bad_requests", "timeouts", "coalesced",
                   "l1_hits", "disk_hits", "live_searches")
 PHASES = ("parse", "build", "search", "total")
-#: Seconds between two host-speed probes of the closed-loop clients.
-PROBE_INTERVAL = 0.2
+#: L1 entries of the daemon (its default is 256).  A run requests fewer
+#: distinct keys than that; with this many, the L1 evicts and the disk L2
+#: serves some hits, as in a daemon that has run for long.
+L1_CAPACITY = 128
+#: Closed-loop connections.  With two, a request's time depends on what the
+#: other connection's request does in the daemon at the time (the two share
+#: its GIL), which moves the median from run to run.
+CONNECTIONS = 1
+#: A pass runs its sequence in this many chunks (see closed_loop) ...
+CHUNKS = 10
+#: ... and probes the host speed this often between two.
+IDLE_PROBES = 10
 
 
 @dataclass
@@ -49,28 +64,35 @@ class LoadResult:
     problems: List[str] = field(default_factory=list)
     #: positions whose answer was missing or wrong
     failed: Set[int] = field(default_factory=set)
+    #: the host's slowdown around each request (see closed_loop)
+    slowdowns: List[Optional[float]] = field(default_factory=list)
     started: float = 0.0
     ended: float = 0.0
+    #: seconds the clients spent in requests, as measured and at reference speed
+    busy: float = 0.0
+    scaled_busy: float = 0.0
 
 
 class Daemon:
-    """A spawned ``python -m repro.serve`` process with its disk L2."""
+    """A spawned daemon process (``serve_unix.py``) with its disk L2."""
 
     def __init__(self, root: Path, cache_dir: Path, workers: int = 2):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        # a socket path holds about 100 bytes: name it relative to here
+        self.socket = os.path.relpath(cache_dir.with_suffix(".sock"))
         self.started_at = time.perf_counter()
         self.process = subprocess.Popen(
-            [sys.executable, "-m", "repro.serve", "--port", "0",
-             "--workers", str(workers), "--cache-dir", str(cache_dir)],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env, cwd=root,
+            [sys.executable, str(HERE / "serve_unix.py"), "--socket", self.socket,
+             "--workers", str(workers), "--l1-capacity", str(L1_CAPACITY),
+             "--cache-dir", str(cache_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
         )
         line = self.process.stdout.readline()
         self.ready_at = time.perf_counter()
-        if not line:
+        if not line or json.loads(line).get("event") != "ready":
             self.stop()
             raise RuntimeError("daemon exited before its ready line")
-        self.port = json.loads(line)["port"]
 
     def status(self) -> Dict[str, int]:
         """Peak resident set (kB) and CPU ticks of the daemon so far."""
@@ -86,7 +108,7 @@ class Daemon:
         """Ask for a graceful shutdown, then wait (kill as the last resort)."""
         try:
             if self.process.poll() is None:
-                asyncio.run(rpc(self.port, {"op": "shutdown"}))
+                asyncio.run(rpc(self.socket, {"op": "shutdown"}))
                 self.process.wait(timeout=30)
         except (OSError, ValueError, subprocess.TimeoutExpired):
             pass
@@ -95,11 +117,13 @@ class Daemon:
                 self.process.kill()
             self.process.wait()
             self.process.stdout.close()
+            if os.path.exists(self.socket):
+                os.unlink(self.socket)
 
 
-async def rpc(port: int, payload: Dict[str, object]) -> Dict[str, object]:
+async def rpc(socket: str, payload: Dict[str, object]) -> Dict[str, object]:
     """One request on a fresh connection."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port, limit=protocol.MAX_LINE_BYTES)
+    reader, writer = await asyncio.open_unix_connection(socket, limit=protocol.MAX_LINE_BYTES)
     writer.write(protocol.encode_line(payload))
     await writer.drain()
     line = await reader.readline()
@@ -132,65 +156,80 @@ def _verdict(request: Request, body: bytes) -> tuple:
     return problem, all(r["from_cache"] for r in results)
 
 
-async def _closed_loop(port: int, sequence: Sequence[Request], connections: int,
-                       tracer: Tracer, track: SpeedTrack) -> LoadResult:
-    result = LoadResult(intervals=[None] * len(sequence), from_cache=[None] * len(sequence))
+async def _closed_loop(socket: str, sequence: Sequence[Request], tracer: Tracer,
+                       track: SpeedTrack) -> LoadResult:
+    result = LoadResult(intervals=[None] * len(sequence), from_cache=[None] * len(sequence),
+                        slowdowns=[None] * len(sequence))
     verdicts: Dict[bytes, tuple] = {}
-    position = iter(range(len(sequence)))
 
-    async def client() -> None:
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", port, limit=protocol.MAX_LINE_BYTES
-        )
-        try:
-            for index in position:
-                request = sequence[index]
-                if time.perf_counter() - track.at[-1] >= PROBE_INTERVAL:
-                    track.probe()
-                with tracer.span("serve.request", index):
-                    started = time.perf_counter()
-                    writer.write(request.line)
-                    await writer.drain()
-                    body = await reader.readline()
-                    ended = time.perf_counter()
-                if not body:
-                    result.problems.append(f"{request.name}: connection closed")
-                    result.failed.add(index)
-                    return
-                # identical response bytes get identical verdicts: parse once
-                verdict = verdicts.get(body)
-                if verdict is None:
-                    verdict = verdicts[body] = _verdict(request, body)
-                problem, result.from_cache[index] = verdict
-                if problem is not None:
-                    result.problems.append(problem)
-                    result.failed.add(index)
-                result.intervals[index] = (started, ended)
-        finally:
+    async def client(reader, writer, position) -> None:
+        for index in position:
+            request = sequence[index]
+            with tracer.span("serve.request", index):
+                started = time.perf_counter()
+                writer.write(request.line)
+                await writer.drain()
+                body = await reader.readline()
+                ended = time.perf_counter()
+            if not body:
+                result.problems.append(f"{request.name}: connection closed")
+                result.failed.add(index)
+                return
+            # identical response bytes get identical verdicts: parse once
+            verdict = verdicts.get(body)
+            if verdict is None:
+                verdict = verdicts[body] = _verdict(request, body)
+            problem, result.from_cache[index] = verdict
+            if problem is not None:
+                result.problems.append(problem)
+                result.failed.add(index)
+            result.intervals[index] = (started, ended)
+
+    streams = [
+        await asyncio.open_unix_connection(socket, limit=protocol.MAX_LINE_BYTES)
+        for _ in range(CONNECTIONS)
+    ]
+    try:
+        before = track.idle_slowdown(IDLE_PROBES)
+        result.started = time.perf_counter()
+        for chunk in range(CHUNKS):
+            first, last = (len(sequence) * n // CHUNKS for n in (chunk, chunk + 1))
+            position = iter(range(first, last))
+            started = time.perf_counter()
+            await asyncio.gather(*(client(reader, writer, position) for reader, writer in streams))
+            ended = time.perf_counter()
+            after = track.idle_slowdown(IDLE_PROBES)
+            slowdown = statistics.median(before + after)
+            result.slowdowns[first:last] = [slowdown] * (last - first)
+            result.busy += ended - started
+            result.scaled_busy += (ended - started) / slowdown
+            before = after
+        result.ended = time.perf_counter()
+    finally:
+        for _, writer in streams:
             writer.close()
             await writer.wait_closed()
-
-    track.probe()
-    result.started = time.perf_counter()
-    await asyncio.gather(*(client() for _ in range(connections)))
-    result.ended = time.perf_counter()
-    track.probe()
     return result
 
 
-def closed_loop(daemon: Daemon, sequence: Sequence[Request], track: SpeedTrack, *,
-                connections: int = 2, tracer: Optional[Tracer] = None) -> tuple:
-    """Run ``sequence`` through ``connections`` closed-loop clients.
+def closed_loop(daemon: Daemon, sequence: Sequence[Request], track: SpeedTrack,
+                tracer: Optional[Tracer] = None) -> tuple:
+    """Run ``sequence`` through :data:`CONNECTIONS` closed-loop clients.
+
+    The sequence runs in :data:`CHUNKS` consecutive chunks.  Between two the
+    daemon is idle while the host speed is probed: probes taken while it
+    works would time the contention with it, not the host.  A request's
+    slowdown is the median of the probes around its chunk.
 
     Returns the :class:`LoadResult`, the ``stats`` deltas over the window and
     the daemon's CPU ticks spent in it.
     """
     tracer = tracer or Tracer(False)
-    before = asyncio.run(rpc(daemon.port, {"op": "stats"}))["stats"]
+    before = asyncio.run(rpc(daemon.socket, {"op": "stats"}))["stats"]
     ticks = daemon.status()["cpu_ticks"]
-    result = asyncio.run(_closed_loop(daemon.port, sequence, connections, tracer, track))
+    result = asyncio.run(_closed_loop(daemon.socket, sequence, tracer, track))
     ticks = daemon.status()["cpu_ticks"] - ticks
-    after = asyncio.run(rpc(daemon.port, {"op": "stats"}))["stats"]
+    after = asyncio.run(rpc(daemon.socket, {"op": "stats"}))["stats"]
     return result, stats_window(before, after), ticks
 
 
@@ -198,8 +237,8 @@ def closed_loop(daemon: Daemon, sequence: Sequence[Request], track: SpeedTrack, 
 class Pass:
     """One closed-loop pass against a freshly started daemon.
 
-    Durations are at the reference host speed (see hostspeed); ``raw`` has
-    the request latencies as measured.
+    Durations are at the reference host speed (see hostspeed and
+    :func:`closed_loop`); ``raw`` has the request latencies as measured.
     """
 
     load: LoadResult
@@ -210,26 +249,42 @@ class Pass:
     cpu_seconds: float
     ready_seconds: float
     peak_rss_mb: float
+    slowdown: float
 
 
 def cold_pass(root: Path, cache_dir: Path, sequence: Sequence[Request], track: SpeedTrack,
               tracer: Optional[Tracer] = None) -> Pass:
-    """Start a daemon with an empty L2 in ``cache_dir``, run, stop it."""
-    track.probe()
-    daemon = Daemon(root, cache_dir)
-    track.probe()
+    """Start a daemon with an empty L2 in ``cache_dir``, run, stop it.
+
+    This thread and the daemon, which inherits its mask, run on one CPU.
+    The closed loop keeps one of them busy at a time, so they lose no
+    parallelism, and the host-speed probes time the CPU the daemon runs on:
+    the CPUs of a shared host slow down apart from each other.
+    """
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(mask)})
     try:
-        load, window, ticks = closed_loop(daemon, sequence, track, tracer=tracer)
-        status = daemon.status()
+        daemon = Daemon(root, cache_dir)
+        try:
+            load, window, ticks = closed_loop(daemon, sequence, track, tracer)
+            status = daemon.status()
+        finally:
+            daemon.stop()
     finally:
-        daemon.stop()
+        os.sched_setaffinity(0, mask)
+    slowdown = statistics.median(load.slowdowns)
+    raw = [span[1] - span[0] if span else None for span in load.intervals]
     return Pass(
         load=load,
-        latencies=[track.scaled(*span) if span else None for span in load.intervals],
-        raw=[span[1] - span[0] if span else None for span in load.intervals],
-        seconds=track.scaled(load.started, load.ended),
+        latencies=[
+            seconds / slowdown if seconds is not None else None
+            for seconds, slowdown in zip(raw, load.slowdowns)
+        ],
+        raw=raw,
+        seconds=load.scaled_busy,
         window=window,
         cpu_seconds=ticks / os.sysconf("SC_CLK_TCK"),
-        ready_seconds=track.scaled(daemon.started_at, daemon.ready_at),
+        ready_seconds=(daemon.ready_at - daemon.started_at) / slowdown,
         peak_rss_mb=status["vmhwm_kb"] / 1024,
+        slowdown=slowdown,
     )

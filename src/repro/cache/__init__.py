@@ -17,8 +17,8 @@ What is persisted, and under which key:
   source_transition)`` -- the options fingerprint covers every
   :class:`~repro.scheduling.ep.SchedulerOptions` field that can change the
   outcome or its accounting, including the EP backend;
-* T-invariant bases under ``(schema_version, incidence_fingerprint,
-  max_rows)``.
+* complete T-invariant bases under ``(schema_version, incidence_fingerprint,
+  max_rows)``; a basis cut at its row cap is never written.
 
 Integrity contract (see ``docs/architecture.md``):
 

@@ -8,8 +8,8 @@ The paper models the linked network of FlowC processes as a single Petri net
 * :mod:`repro.petrinet.analysis` -- equal conflict sets, choice-place
   classification, place degrees, unique-choice checks.
 * :mod:`repro.petrinet.reachability` -- reachability graph / tree exploration.
-* :mod:`repro.petrinet.invariants` -- incidence matrix and non-negative
-  T-invariant basis (Farkas algorithm).
+* :mod:`repro.petrinet.invariants` -- incidence matrix and the exact
+  minimal-support T-invariant basis (sparse Farkas elimination).
 * :mod:`repro.petrinet.covering` -- heuristic binate covering solver used by
   the candidate-invariant selection of Section 5.5.2.
 * :mod:`repro.petrinet.indexed` -- the integer-dense core the hot paths run
@@ -49,7 +49,9 @@ from repro.petrinet.reachability import (
     reachable_marking_matrix,
 )
 from repro.petrinet.invariants import (
+    InvariantBasis,
     incidence_matrix,
+    invariant_basis,
     t_invariant_basis,
     is_t_invariant,
 )
@@ -70,6 +72,7 @@ __all__ = [
     "BinateCoveringProblem",
     "ChoiceKind",
     "IndexedNet",
+    "InvariantBasis",
     "Marking",
     "MarkingStore",
     "PetriNet",
@@ -90,6 +93,7 @@ __all__ = [
     "compute_ecs_partition",
     "incidence_fingerprint",
     "incidence_matrix",
+    "invariant_basis",
     "is_t_invariant",
     "place_degree",
     "reachable_marking_matrix",

@@ -2,20 +2,38 @@
 
 Section 5.5.2 of the paper uses a non-negative basis of T-invariants (vectors
 ``x >= 0`` with ``C x = 0`` where ``C`` is the incidence matrix) to guide the
-selection of ECSs during scheduling, and uses the *absence* of such a basis as
-a sufficient condition for non-schedulability.
+selection of ECSs during scheduling, and uses the *absence* of an invariant
+firing the source as a sufficient condition for non-schedulability.
 
-We compute minimal-support non-negative integer invariants with the classical
-Farkas / Fourier-Motzkin elimination algorithm: start from ``[C^T | I]`` and
-eliminate the columns of ``C^T`` one at a time by taking positive combinations
-of rows with opposite signs, dropping rows whose support is a superset of
-another row's support.
+The basis is the set of minimal-support T-semiflows, computed by the classical
+elimination of Martínez and Silva (1982): start from the tableau ``[C^T | I]``
+and cancel one place column at a time by positive combinations of rows with
+opposite signs, keeping only rows of minimal support.  The elimination here is
+sparse and exact:
+
+* rows are sparse maps of Python integers, so entries never wrap, and every
+  new row is divided by the gcd of its entries;
+* a column -> rows index finds the rows a column touches, and the next column
+  is the one with the fewest positive x negative row pairs, its count kept up
+  to date as rows come and go;
+* only the rows a column creates are tested for minimality, against the rows
+  the column leaves alone and against each other, on support bitsets.  That is
+  enough: the rows that survive a step have pairwise incomparable supports,
+  and a new row's support contains its parents', so no new row can dominate
+  an old one.
+
+Each minimal support carries one invariant up to scale, so the basis does not
+depend on the column order.  It is complete unless the tableau outgrows
+``max_rows``; then the cut is reported by a ``RuntimeWarning`` and by
+:attr:`InvariantBasis.complete`.
 """
 
 from __future__ import annotations
 
+import heapq
+import warnings
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -24,16 +42,25 @@ from repro.petrinet.fingerprint import incidence_fingerprint
 from repro.petrinet.net import PetriNet
 from repro.util import BoundedLRU
 
+
+class InvariantBasis(NamedTuple):
+    """A T-invariant basis and whether it holds every minimal-support invariant."""
+
+    invariants: List[Dict[str, int]]
+    complete: bool
+
+
 # Warm-start store for computed bases, keyed on the *incidence fingerprint*
 # (the basis depends on nothing else).  The per-snapshot analysis_cache dies
 # whenever a config sweep rebuilds a structurally identical net object; this
-# store survives and replays the basis instead of re-running the Farkas
+# store survives and replays the basis instead of re-running the
 # elimination.  Bounded LRU so long property-test runs cannot grow it.
 # When the disk cache is active (repro.cache.activate / REPRO_CACHE=1) the
 # same key additionally hits the persistent store, so the elimination is
 # skipped across *processes*; loaded bases are re-verified against C x = 0
-# before being trusted.
-_BASIS_WARM_STORE: "BoundedLRU[Tuple[str, int], List[Dict[str, int]]]" = BoundedLRU(32)
+# before being trusted.  Only complete bases go to disk: its entries carry no
+# completeness flag.  Cached bases are never handed out, only copies.
+_BASIS_WARM_STORE: "BoundedLRU[Tuple[str, int], InvariantBasis]" = BoundedLRU(32)
 
 
 def incidence_matrix(net: PetriNet) -> Tuple[np.ndarray, List[str], List[str]]:
@@ -52,146 +79,216 @@ def incidence_matrix(net: PetriNet) -> Tuple[np.ndarray, List[str], List[str]]:
     return matrix, places, transitions
 
 
-def _normalise_row(row: np.ndarray) -> np.ndarray:
-    """Divide a non-negative integer row by the gcd of its entries."""
-    nonzero = [int(v) for v in row if v != 0]
-    if not nonzero:
-        return row
-    divisor = 0
-    for value in nonzero:
-        divisor = gcd(divisor, abs(value))
-    if divisor > 1:
-        return row // divisor
-    return row
+def _combine(
+    left: Dict[int, int], left_factor: int, right: Dict[int, int], right_factor: int
+) -> Dict[int, int]:
+    """``left_factor * left + right_factor * right`` as a sparse map without zeros."""
+    out = {key: left_factor * value for key, value in left.items()}
+    for key, value in right.items():
+        total = out.get(key, 0) + right_factor * value
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    return out
 
 
-def _drop_non_minimal(rows: List[np.ndarray], width: int) -> List[np.ndarray]:
-    """Remove rows whose invariant-part support strictly contains another's.
+def _contains_any(support: int, others: Sequence[int]) -> bool:
+    """Does ``support`` contain one of the ``others`` supports?"""
+    outside = ~support
+    for other in others:
+        if not other & outside:
+            return True
+    return False
 
-    This is the hot loop of the Farkas elimination, so the all-pairs subset
-    test runs as one dense boolean matrix product: ``support_j  support_i``
-    iff support_j hits no column outside support_i.
+
+def _minimal(candidates: List[Tuple[int, int, int]]) -> List[Tuple[int, int, int]]:
+    """The ``(support, ...)`` candidates whose support contains no other's.
+
+    Of equal supports the first is kept.  Candidates are visited by support
+    size, so a candidate need only be tested against those already kept: a
+    strict subset is smaller, and a dropped one has a kept subset of its own.
     """
-    n = len(rows)
-    if n <= 1:
-        return list(rows)
-    supports = np.array([row[-width:] != 0 for row in rows])
-    # contained[j, i] True iff support_j is a subset of support_i; float32
-    # matmul routes through BLAS and is exact for these small counts
-    contained = (supports.astype(np.float32) @ (~supports).astype(np.float32).T) == 0
-    equal = contained & contained.T
-    strict = contained & ~contained.T
-    # drop row i when a strict subset exists, or an equal support came earlier
-    # (triu(k=1)[j, i] is True exactly for j < i)
-    earlier = np.triu(np.ones((n, n), dtype=bool), 1)
-    dominated = (strict | (equal & earlier)).any(axis=0)
-    return [row for row, drop in zip(rows, dominated) if not drop]
+    kept: List[Tuple[int, int, int]] = []
+    supports: List[int] = []
+    for candidate in sorted(candidates, key=lambda c: c[0].bit_count()):
+        if not _contains_any(candidate[0], supports):
+            kept.append(candidate)
+            supports.append(candidate[0])
+    return kept
 
 
-def t_invariant_basis(net: PetriNet, *, max_rows: int = 4096) -> List[Dict[str, int]]:
-    """Minimal-support non-negative T-invariants of ``net``.
+def _eliminate(
+    delta: Sequence[Sequence[Tuple[int, int]]], n_places: int, max_rows: int
+) -> Tuple[List[Dict[int, int]], bool]:
+    """Minimal-support T-semiflows as sparse ``{tid: count}`` maps, and
+    whether they are all of them (False when the ``max_rows`` cap cut rows).
 
-    Returns a list of sparse vectors (transition name -> positive count).  The
-    empty list means the net admits no non-trivial T-invariant, which by the
-    argument of Section 5.5.2 implies no cyclic schedule exists.
-
-    ``max_rows`` caps the intermediate tableau to keep the elimination from
-    exploding on pathological nets; when the cap is hit the result is still a
-    set of valid invariants but may not contain every minimal one.
-
-    The basis is cached at two levels: on the net's indexed snapshot (so
-    repeated calls for the same structural version -- one per scheduled
-    source transition -- pay the elimination only once), and in a
-    process-wide warm-start store keyed on the incidence fingerprint, so a
-    structurally identical net *rebuilt* by a config sweep replays the basis
-    instead of re-eliminating.
+    ``delta`` holds each transition's nonzero ``(pid, C[pid, tid])`` entries.
+    A row is ``(c, x, support)``: the not yet eliminated entries of ``C x``,
+    the combination ``x`` itself and its support as a bitset of tids.
     """
-    cache_key = ("t_invariant_basis", max_rows)
-    cache = net.indexed().analysis_cache
-    cached = cache.get(cache_key)
-    if cached is not None:
-        return [dict(invariant) for invariant in cached]
+    rows: Dict[int, Tuple[Dict[int, int], Dict[int, int], int]] = {}
+    positive: List[Set[int]] = [set() for _ in range(n_places)]
+    negative: List[Set[int]] = [set() for _ in range(n_places)]
+
+    def add_row(row_id: int, c: Dict[int, int], x: Dict[int, int], support: int) -> None:
+        rows[row_id] = (c, x, support)
+        for pid, value in c.items():
+            (positive if value > 0 else negative)[pid].add(row_id)
+
+    for tid, entries in enumerate(delta):
+        add_row(tid, {pid: value for pid, value in entries}, {tid: 1}, 1 << tid)
+    next_id = len(delta)
+    complete = True
+    eliminated = [False] * n_places
+    # (positive x negative pairs, pid); stale entries are skipped on pop
+    queue = [(len(positive[pid]) * len(negative[pid]), pid) for pid in range(n_places)]
+    heapq.heapify(queue)
+    while queue:
+        pairs, column = heapq.heappop(queue)
+        if eliminated[column] or pairs != len(positive[column]) * len(negative[column]):
+            continue
+        eliminated[column] = True
+        pos_ids, neg_ids = sorted(positive[column]), sorted(negative[column])
+        parents = {}
+        touched: Set[int] = set()
+        for row_id in pos_ids + neg_ids:
+            parents[row_id] = row = rows.pop(row_id)
+            for pid, value in row[0].items():
+                (positive if value > 0 else negative)[pid].discard(row_id)
+                touched.add(pid)
+        if pairs:
+            untouched = [support for _c, _x, support in rows.values()]
+            candidates = []
+            for i in pos_ids:
+                support_i = parents[i][2]
+                for j in neg_ids:
+                    support = support_i | parents[j][2]
+                    if not _contains_any(support, untouched):
+                        candidates.append((support, i, j))
+            candidates = _minimal(candidates)
+            room = max(max_rows - len(rows), 0)
+            if len(candidates) > room:
+                complete = False
+                candidates = candidates[:room]
+            for support, i, j in candidates:
+                c_i, x_i, _ = parents[i]
+                c_j, x_j, _ = parents[j]
+                a, b = c_i[column], -c_j[column]
+                common = gcd(a, b)
+                factor_i, factor_j = b // common, a // common
+                c = _combine(c_i, factor_i, c_j, factor_j)
+                x = _combine(x_i, factor_i, x_j, factor_j)
+                divisor = gcd(*c.values(), *x.values())
+                if divisor > 1:
+                    c = {key: value // divisor for key, value in c.items()}
+                    x = {key: value // divisor for key, value in x.items()}
+                add_row(next_id, c, x, support)
+                next_id += 1
+                touched.update(c)
+        for pid in touched:
+            if not eliminated[pid]:
+                heapq.heappush(queue, (len(positive[pid]) * len(negative[pid]), pid))
+    return [x for _c, x, _support in rows.values()], complete
+
+
+def _compute_basis(net: PetriNet, max_rows: int) -> InvariantBasis:
+    """The basis from the warm store, the disk store or a fresh elimination."""
     incidence_fp = incidence_fingerprint(net)
     warm_key = (incidence_fp, max_rows)
     warmed = _BASIS_WARM_STORE.get(warm_key)
     if warmed is not None:
-        cache[cache_key] = [dict(invariant) for invariant in warmed]
-        return [dict(invariant) for invariant in warmed]
+        return warmed
     disk = artifact_cache.active_store()
     if disk is not None:
         loaded = artifact_cache.load_invariant_basis(
             disk, net, incidence_fp=incidence_fp, max_rows=max_rows
         )
         if loaded is not None:
-            _BASIS_WARM_STORE.put(warm_key, [dict(inv) for inv in loaded])
-            cache[cache_key] = [dict(inv) for inv in loaded]
-            return loaded
-    matrix, _places, transitions = incidence_matrix(net)
-    n_places, n_transitions = matrix.shape
-    if n_transitions == 0:
-        return []
-    # tableau rows: [C^T row | identity row]
-    tableau = np.hstack([matrix.T, np.eye(n_transitions, dtype=np.int64)])
-    rows: List[np.ndarray] = [tableau[i].copy() for i in range(n_transitions)]
-
-    for column in range(n_places):
-        positive = [row for row in rows if row[column] > 0]
-        negative = [row for row in rows if row[column] < 0]
-        zero = [row for row in rows if row[column] == 0]
-        combined: List[np.ndarray] = list(zero)
-        for prow in positive:
-            for nrow in negative:
-                a = int(prow[column])
-                b = -int(nrow[column])
-                factor = a * b // gcd(a, b)
-                new_row = (factor // a) * prow + (factor // b) * nrow
-                new_row = _normalise_row(new_row)
-                combined.append(new_row)
-                if len(combined) > max_rows:
-                    break
-            if len(combined) > max_rows:
-                break
-        rows = _drop_non_minimal(combined, n_transitions)
-        if len(rows) > max_rows:
-            rows = rows[:max_rows]
-
-    invariants: List[Dict[str, int]] = []
-    seen = set()
-    for row in rows:
-        invariant_part = row[-n_transitions:]
-        if np.all(invariant_part == 0):
-            continue
-        if np.any(invariant_part < 0):
-            continue
-        key = tuple(int(v) for v in invariant_part)
-        if key in seen:
-            continue
-        seen.add(key)
-        invariants.append(
-            {transitions[i]: int(v) for i, v in enumerate(invariant_part) if v != 0}
-        )
+            entry = InvariantBasis(loaded, True)
+            _BASIS_WARM_STORE.put(warm_key, entry)
+            return entry
+    indexed = net.indexed()
+    vectors, complete = _eliminate(indexed.delta, len(indexed.place_names), max_rows)
+    names = indexed.transition_names
+    invariants = [{names[tid]: x[tid] for tid in sorted(x)} for x in vectors]
     invariants.sort(key=lambda inv: (len(inv), sorted(inv.items())))
-    cache[cache_key] = [dict(invariant) for invariant in invariants]
-    _BASIS_WARM_STORE.put(warm_key, [dict(invariant) for invariant in invariants])
-    if disk is not None:
+    if not complete:
+        warnings.warn(
+            f"T-invariant basis of net {net.name!r} cut at max_rows={max_rows}: "
+            "it may miss minimal invariants, so it cannot show that no "
+            "invariant fires a source",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    entry = InvariantBasis(invariants, complete)
+    _BASIS_WARM_STORE.put(warm_key, entry)
+    if disk is not None and complete:
         artifact_cache.store_invariant_basis(
             disk, incidence_fp=incidence_fp, max_rows=max_rows, basis=invariants
         )
-    return invariants
+    return entry
+
+
+def invariant_basis(net: PetriNet, *, max_rows: int = 4096) -> InvariantBasis:
+    """:func:`t_invariant_basis` together with whether it is complete.
+
+    ``complete`` is False only when the tableau outgrew ``max_rows`` and rows
+    were cut; an incomplete basis still holds valid invariants, but not
+    necessarily every minimal one, so it cannot prove that no invariant fires
+    a given transition.
+    """
+    cache_key = ("t_invariant_basis", max_rows)
+    cache = net.indexed().analysis_cache
+    cached = cache.get(cache_key)
+    if cached is None:
+        cached = cache[cache_key] = _compute_basis(net, max_rows)
+    return InvariantBasis([dict(invariant) for invariant in cached.invariants], cached.complete)
+
+
+def t_invariant_basis(net: PetriNet, *, max_rows: int = 4096) -> List[Dict[str, int]]:
+    """Minimal-support non-negative T-invariants of ``net``.
+
+    Returns a list of sparse vectors (transition name -> positive count),
+    each divided by the gcd of its entries, ordered by support size and then
+    by their sorted items.  Entries are exact Python integers of any size.
+    Unless a ``RuntimeWarning`` says otherwise, the basis is complete: it
+    holds every minimal-support invariant, and every T-semiflow is a
+    non-negative combination of them.  The empty list then means the net
+    admits no non-trivial T-invariant, which by the argument of Section 5.5.2
+    implies no cyclic schedule exists.
+
+    ``max_rows`` caps the elimination tableau to keep it from exploding on
+    pathological nets.  When the cap cuts rows, one ``RuntimeWarning`` naming
+    it is emitted and the result is a set of valid invariants that may miss
+    minimal ones; :func:`invariant_basis` reports this as ``complete=False``,
+    and such a basis is never written to the disk cache.
+
+    The basis is cached at three levels: on the net's indexed snapshot (so
+    repeated calls for the same structural version -- one per scheduled
+    source transition -- pay the elimination only once), in a process-wide
+    warm-start store keyed on the incidence fingerprint, so a structurally
+    identical net *rebuilt* by a config sweep replays the basis instead of
+    re-eliminating, and in the disk store when one is active.
+    """
+    return invariant_basis(net, max_rows=max_rows).invariants
 
 
 def is_t_invariant(net: PetriNet, vector: Dict[str, int]) -> bool:
-    """Check that ``vector`` (transition -> count) satisfies ``C x = 0``."""
-    matrix, _places, transitions = incidence_matrix(net)
-    x = np.zeros(len(transitions), dtype=np.int64)
-    index = {t: i for i, t in enumerate(transitions)}
+    """Check that ``vector`` (transition -> count) satisfies ``C x = 0``.
+
+    Exact at any magnitude: the products are Python integers.
+    """
+    indexed = net.indexed()
+    totals: Dict[int, int] = {}
     for transition, count in vector.items():
-        if transition not in index:
+        tid = indexed.transition_index.get(transition)
+        if tid is None or count < 0:
             return False
-        if count < 0:
-            return False
-        x[index[transition]] = count
-    return bool(np.all(matrix @ x == 0))
+        for pid, delta in indexed.delta[tid]:
+            totals[pid] = totals.get(pid, 0) + delta * count
+    return not any(totals.values())
 
 
 def invariant_support(invariant: Dict[str, int]) -> frozenset:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
 
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.covering import build_candidate_invariant_problem, solve_binate_covering
-from repro.petrinet.invariants import combine_invariants, t_invariant_basis
+from repro.petrinet.invariants import combine_invariants, invariant_basis
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 
@@ -168,6 +168,10 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
     necessary fireability condition of Theorem 5.3 (every pseudo-enabled ECS
     of a process appearing in the vector contributes a transition), using the
     binate-covering formulation.
+
+    A caller-supplied ``invariants`` list guides the ordering but never proves
+    non-schedulability: only a complete basis computed here can (see
+    :meth:`source_is_coverable`).
     """
 
     def __init__(
@@ -181,7 +185,10 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
         self.net = net
         self.analysis = analysis
         self.source_transition = source_transition
-        self.base = invariants if invariants is not None else t_invariant_basis(net)
+        if invariants is None:
+            self.base, self.base_complete = invariant_basis(net)
+        else:
+            self.base, self.base_complete = invariants, False
         self.tie_break = TieBreakOrdering(analysis)
         self._candidate = self._select_candidate_invariant()
         # dense view of the candidate invariant (tids / counts), built lazily
@@ -189,6 +196,8 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
         self._dense_for: Optional[object] = None
         self._candidate_tids = None
         self._candidate_counts = None
+        # exact bases can hold counts beyond int64; those take the dict path
+        self._candidate_fits_int64 = all(count < 2**63 for count in self._candidate.values())
 
     # -- candidate invariant -------------------------------------------------
     def _select_candidate_invariant(self) -> Dict[str, int]:
@@ -239,7 +248,15 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
 
     def source_is_coverable(self) -> bool:
         """False when no T-invariant fires the source transition, a sufficient
-        condition for non-schedulability (Section 5.5.2)."""
+        condition for non-schedulability (Section 5.5.2).
+
+        Only a complete basis can show that: every T-semiflow is a non-negative
+        combination of minimal-support ones, so when none of those fires the
+        source, none does.  From an incomplete basis (cut at its row cap, or
+        supplied by the caller) the answer is True and the search decides.
+        """
+        if not self.base_complete:
+            return True
         return any(self.source_transition in invariant for invariant in self.base)
 
     # -- promising vector ------------------------------------------------------
@@ -295,7 +312,7 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
         """
         candidate = self._candidate
         fired = context.fired_by_tid
-        if not candidate or fired is None:
+        if not candidate or fired is None or not self._candidate_fits_int64:
             vector = self.promising_vector(context.path_firings)
             if not vector:
                 return lambda ecs: True

@@ -8,7 +8,9 @@ serving layer's contract under load:
 * **zipf** -- a measured pass of many requests zipf-distributed (s ~ 1.1)
   over a corpus of nets against a warm daemon must be answered almost
   entirely by the caches (``coalesced + cache_hits > 0.9 * requests``) with
-  zero errors;
+  zero errors; repeated request lines are answered from the request memo
+  (``memo_hits``, which ``--smoke`` requires to be non-zero; memo hits also
+  count as ``l1_hits``);
 * **verification** -- every response's per-source schedule fingerprint must
   be byte-identical to a serial :func:`repro.scheduling.ep.find_all_schedules`
   run over the same corpus.
@@ -194,6 +196,7 @@ async def run_phase(
             "disk_hits",
             "cache_hits",
             "live_searches",
+            "memo_hits",
         )
     }
     latencies.sort()
@@ -335,6 +338,8 @@ def evaluate(section: Dict[str, object], clean: bool, *, smoke: bool) -> List[st
         problems.append(f"{len(mismatches)} fingerprint mismatches: {mismatches[:3]}")
     if totals["coalesced"] < 1:
         problems.append("no request ever coalesced (single-flight had no effect)")
+    if smoke and totals["memo_hits"] < 1:
+        problems.append("no repeated request was answered from the request memo")
     if not clean:
         problems.append("daemon shutdown did not drain cleanly")
     if not smoke and warm <= 0.9 * totals["requests"]:
@@ -418,7 +423,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     totals = section["totals"]
     print(
         f"requests={totals['requests']} coalesced={totals['coalesced']} "
-        f"cache_hits={totals['cache_hits']} live_searches={totals['live_searches']} "
+        f"cache_hits={totals['cache_hits']} memo_hits={totals['memo_hits']} "
+        f"live_searches={totals['live_searches']} "
         f"errors={totals['errors']} warm_ratio={section['warm_ratio']} "
         f"clean_shutdown={section['clean_shutdown']}"
     )

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import repro.cache as artifact_cache
 from repro.petrinet.fingerprint import structural_fingerprint
@@ -291,6 +291,27 @@ class ScheduleWarmStartCache:
             with self._lock:
                 self.stats.disk_rejected += store.stats.quarantined - quarantined_before
         return None, None
+
+    def replay_hits(
+        self, bindings: Sequence[Tuple[Tuple, Mapping[str, object]]]
+    ) -> bool:
+        """Count an L1 hit per ``(key, record)`` pair if every key still holds it.
+
+        ``key`` is the L1 key of a lookup (``(fingerprint, source,
+        options_cache_key)``) and ``record`` the object that lookup
+        returned.  Each key is read in order, refreshing its recency as
+        :meth:`lookup_record_with_origin` does; the first key that is gone
+        or holds another record (evicted, then searched or loaded again)
+        answers ``False`` and counts nothing.  The serving daemon's request
+        memo replays a response only when this answers ``True``, so a memo
+        hit is always an L1 hit on the records the response was built from.
+        """
+        for key, record in bindings:
+            if self._l1.get(key) is not record:
+                return False
+        with self._lock:
+            self.stats.hits += len(bindings)
+        return True
 
     def store_record(
         self,

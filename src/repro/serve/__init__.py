@@ -13,7 +13,9 @@ package wires them behind a listener:
   options, source)`` key into one in-flight EP search, in front of the
   warm-start L1 and the persistent disk L2, with searches running on a
   bounded thread pool, per-waiter timeouts, and hit/miss/coalesce metrics
-  plus per-phase latency histograms;
+  plus per-phase latency histograms; a request memo in front of the map
+  answers a repeated request line with the bytes it got before, while the
+  L1 still holds the records they were built from;
 * :mod:`repro.serve.server` -- the asyncio TCP transport with an
   introspection (``stats``) endpoint and graceful shutdown draining.
 

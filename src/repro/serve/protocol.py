@@ -83,6 +83,8 @@ def decode_line(line: bytes) -> Dict[str, object]:
         obj = json.loads(line.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as error:
         raise ProtocolError("bad-json", f"request is not valid JSON: {error}")
+    except RecursionError:
+        raise ProtocolError("bad-json", "request nests too deeply to decode")
     if not isinstance(obj, dict):
         raise ProtocolError("bad-request", "request must be a JSON object")
     return obj
@@ -287,6 +289,16 @@ WIRE_OPTION_FIELDS = (
     "candidate_limit",
 )
 
+#: Wire options that must be JSON booleans: anything else would reach the
+#: cache key as a distinct (or unhashable) value.
+BOOLEAN_OPTION_FIELDS = (
+    "single_source",
+    "use_invariant_heuristic",
+    "validate",
+    "invariant_precheck",
+    "defer_sources",
+)
+
 
 def options_from_dict(data: Optional[Mapping[str, object]]) -> SchedulerOptions:
     """Whitelisted :class:`SchedulerOptions` from a request's ``options``.
@@ -313,7 +325,14 @@ def options_from_dict(data: Optional[Mapping[str, object]]) -> SchedulerOptions:
         raise ProtocolError("bad-options", f"unknown backend {options.backend!r}")
     if options.kernel_tier not in (None, "compiled", "numpy"):
         raise ProtocolError("bad-options", f"unknown kernel tier {options.kernel_tier!r}")
-    if not isinstance(options.max_nodes, int) or options.max_nodes < 1:
+    for name in BOOLEAN_OPTION_FIELDS:
+        if not isinstance(getattr(options, name), bool):
+            raise ProtocolError("bad-options", f"{name} must be a JSON boolean")
+    if (
+        not isinstance(options.max_nodes, int)
+        or isinstance(options.max_nodes, bool)
+        or options.max_nodes < 1
+    ):
         raise ProtocolError("bad-options", "max_nodes must be a positive integer")
     if (
         not isinstance(options.intra_workers, int)

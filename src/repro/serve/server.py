@@ -7,6 +7,14 @@ where coalescing, caching and the executor live.  Requests on one
 connection are processed in order; concurrency comes from concurrent
 connections.
 
+Every request line is digested (SHA-256 of its raw bytes) before it is
+decoded.  A line the service's request memo recognises is answered on the
+event loop with the bytes it got before, skipping decode, net build,
+fingerprinting, the executor and response encoding; any other line takes
+the full path, and a ``schedule`` response whose every source came from a
+cache is remembered for the next repeat.  While draining, the memo is not
+consulted, so a repeated line gets ``shutting-down`` like any other.
+
 Lifecycle: :meth:`start` binds (port 0 picks a free port, reported by
 :attr:`port`), :meth:`shutdown` drains gracefully -- the listener closes
 first so no new work is admitted, in-flight requests get ``drain_deadline``
@@ -19,9 +27,12 @@ daemon they spawned.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.petrinet.fingerprint import structural_fingerprint
+from repro.petrinet.net import PetriNet
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError
 from repro.serve.service import SchedulingService
@@ -157,15 +168,27 @@ class ScheduleServer:
     async def _handle_line(self, line: bytes, writer) -> bool:
         """Process one request line; True means "close this connection"."""
         started = time.perf_counter()
+        metrics = self.service.metrics
+        digest = hashlib.sha256(line).digest()
+        if not self._draining:
+            remembered = self.service.recall(digest)
+            if remembered is not None:
+                metrics.bump("requests")
+                metrics.bump("responses")
+                writer.write(remembered)
+                elapsed = time.perf_counter() - started
+                metrics.phases["memo"].observe(elapsed)
+                metrics.phases["total"].observe(elapsed)
+                await writer.drain()
+                return False
         request_id = None
+        bindings = None
         try:
             parse_started = time.perf_counter()
             request = protocol.decode_line(line)
             request_id = request.get("id")
             op = request.get("op", "schedule")
-            self.service.metrics.phases["parse"].observe(
-                time.perf_counter() - parse_started
-            )
+            metrics.phases["parse"].observe(time.perf_counter() - parse_started)
             if op == "ping":
                 response = self._envelope(request_id, pong=True)
             elif op == "stats":
@@ -181,31 +204,44 @@ class ScheduleServer:
                 self.shutdown_requested.set()
                 return True
             elif op == "schedule":
-                response = await self._handle_schedule(request, request_id)
-                self.service.metrics.phases["total"].observe(
-                    time.perf_counter() - started
-                )
+                response, bindings = await self._handle_schedule(request, request_id)
+                metrics.phases["total"].observe(time.perf_counter() - started)
             else:
                 raise ProtocolError("bad-request", f"unknown op {op!r}")
         except ProtocolError as error:
             bucket = "bad_requests" if error.kind.startswith("bad-") else "errors"
-            self.service.metrics.bump(bucket)
+            metrics.bump(bucket)
             response = protocol.error_response(request_id, error)
         except Exception as error:  # noqa: BLE001 - never tear the connection down
-            self.service.metrics.bump("errors")
+            metrics.bump("errors")
             response = protocol.error_response(
                 request_id, ProtocolError("internal", f"unexpected failure: {error!r}")
             )
-        writer.write(protocol.encode_line(response))
+        try:
+            body = protocol.encode_line(response)
+        except RecursionError:
+            # the echoed id decoded, but encoding takes a few more frames
+            metrics.bump("bad_requests")
+            error = ProtocolError("bad-json", "request id nests too deeply to echo")
+            body = protocol.encode_line(protocol.error_response(None, error))
+            bindings = None
+        if bindings is not None:
+            # every source came from a cache: a repeat of this exact line
+            # gets these bytes while the L1 still holds those records
+            self.service.remember(digest, body, bindings)
+        writer.write(body)
         await writer.drain()
         return False
 
-    async def _handle_schedule(self, request, request_id) -> Dict[str, object]:
+    async def _handle_schedule(
+        self, request, request_id
+    ) -> Tuple[Dict[str, object], Optional[Tuple]]:
+        """One ``schedule`` response, and its bindings when it may be remembered."""
         if self._draining:
             raise ProtocolError("shutting-down", "server is draining; retry elsewhere")
         self.service.metrics.bump("requests")
         build_started = time.perf_counter()
-        net = await self._build_net(request)
+        net, fingerprint = await self._build_net(request)
         options = protocol.options_from_dict(request.get("options"))
         sources = protocol.resolve_sources(net, request.get("sources"))
         self.service.metrics.phases["build"].observe(
@@ -214,33 +250,36 @@ class ScheduleServer:
         timeout = request.get("timeout")
         if timeout is not None and not isinstance(timeout, (int, float)):
             raise ProtocolError("bad-request", "'timeout' must be a number of seconds")
-        payloads = await self.service.schedule_net(
+        payloads, bindings = await self.service.schedule_net_bound(
             net,
             sources,
             options,
+            fingerprint=fingerprint,
             **({"timeout": float(timeout)} if timeout is not None else {}),
         )
         self.service.metrics.bump("responses")
-        return self._envelope(
-            request_id,
-            net_fingerprint=payloads[0]["net_fingerprint"] if payloads else None,
-            results=payloads,
+        response = self._envelope(
+            request_id, net_fingerprint=fingerprint, results=payloads
         )
+        return response, bindings
 
-    async def _build_net(self, request):
-        """Materialize the request's net (serialized or FlowC), off-loop."""
-        loop = asyncio.get_running_loop()
+    async def _build_net(self, request) -> Tuple[PetriNet, str]:
+        """The request's net (serialized or FlowC) and its structural fingerprint.
+
+        Both are computed in one executor call, off the event loop.
+        """
         if "net" in request:
             data = request["net"]
-            return await loop.run_in_executor(
-                self.service._executor, protocol.net_from_dict, data
-            )
-        if "flowc" in request:
+
+            def build():
+                return protocol.net_from_dict(data)
+
+        elif "flowc" in request:
             spec = request["flowc"]
             if not isinstance(spec, dict):
                 raise ProtocolError("bad-flowc", "'flowc' must be a JSON object")
 
-            def compile_and_link():
+            def build():
                 from repro.flowc.linker import link
 
                 network = protocol.network_from_spec(spec)
@@ -251,8 +290,18 @@ class ScheduleServer:
                 except Exception as error:
                     raise ProtocolError("bad-flowc", f"compile/link failed: {error}")
 
-            return await loop.run_in_executor(self.service._executor, compile_and_link)
-        raise ProtocolError("bad-request", "schedule request needs 'net' or 'flowc'")
+        else:
+            raise ProtocolError(
+                "bad-request", "schedule request needs 'net' or 'flowc'"
+            )
+
+        def build_and_fingerprint():
+            net = build()
+            return net, structural_fingerprint(net)
+
+        return await asyncio.get_running_loop().run_in_executor(
+            self.service._executor, build_and_fingerprint
+        )
 
     @staticmethod
     def _envelope(request_id, **fields) -> Dict[str, object]:

@@ -11,6 +11,12 @@ This is the daemon's engine, independent of any transport.  One
   ``(structural_fingerprint, source, options_key)`` coalesce onto one
   in-flight future, so a stampede of N identical requests costs exactly one
   EP search (the other N-1 *await* it and receive the same record);
+* the **request memo** in front of that map: a bounded LRU (sized like
+  the L1) from a digest of a request line to the response bytes it got,
+  bound to the L1 records they were built from.  A repeated line is
+  answered with those bytes while every record is still the one its L1
+  key holds (``ScheduleWarmStartCache.replay_hits``), counted as the L1
+  hits it stands for;
 * the metrics the introspection endpoint reports: hit/miss/coalesce
   counters, queue depth and per-phase latency histograms.
 
@@ -50,6 +56,7 @@ from repro.scheduling.warmstart import (
     record_live_search,
 )
 from repro.serve.protocol import ProtocolError
+from repro.util import BoundedLRU
 
 _UNSET = object()
 
@@ -117,16 +124,21 @@ class ServeMetrics:
         "disk_hits",
         "live_searches",
         "uncacheable",
+        "memo_hits",
     )
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         for name in self.COUNTERS:
             setattr(self, name, 0)
+        # a request answered from the memo records "memo" and "total" only;
+        # any other schedule request records parse, build, search per source
+        # and total
         self.phases: Dict[str, LatencyHistogram] = {
             "parse": LatencyHistogram(),
             "build": LatencyHistogram(),
             "search": LatencyHistogram(),
+            "memo": LatencyHistogram(),
             "total": LatencyHistogram(),
         }
 
@@ -153,9 +165,9 @@ class SchedulingService:
     behind it is unbounded -- admission control is the transport's job);
     ``search_timeout`` is the default per-*waiter* deadline in seconds
     (``None`` waits forever); ``l1_capacity`` sizes the in-memory record
-    LRU; ``store`` pins a disk store (default: the process-wide active
-    store, i.e. ``repro.cache.activate()`` / ``REPRO_CACHE=1``; ``False``
-    keeps the service memory-only).
+    LRU and the request memo; ``store`` pins a disk store (default: the
+    process-wide active store, i.e. ``repro.cache.activate()`` /
+    ``REPRO_CACHE=1``; ``False`` keeps the service memory-only).
 
     Example::
 
@@ -180,6 +192,10 @@ class SchedulingService:
         self.search_timeout = search_timeout
         self.metrics = ServeMetrics()
         self.cache = ScheduleWarmStartCache(l1_capacity, store=store)
+        # request digest -> (response line, ((L1 key, record), ...))
+        self._memo: "BoundedLRU[bytes, Tuple[bytes, Tuple]]" = BoundedLRU(
+            l1_capacity
+        )
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
@@ -213,7 +229,38 @@ class SchedulingService:
             "queue": self.queue_depth(),
             "warmstart": self.cache.stats.as_dict(),
             "l1_entries": len(self.cache),
+            "memo_entries": len(self._memo),
         }
+
+    # -- request memo -------------------------------------------------------
+    def recall(self, digest: bytes) -> Optional[bytes]:
+        """The response line remembered for a request digest, or ``None``.
+
+        The entry answers only while every record it is bound to is still
+        the one its L1 key holds; that check refreshes the keys' recency
+        and counts their L1 hits (``l1_hits`` and the warm-start ``hits``)
+        exactly as the lookups it replaces would.  A stale entry is dropped
+        and the request takes the full path.
+        """
+        entry = self._memo.get(digest)
+        if entry is None:
+            return None
+        response, bindings = entry
+        if not self.cache.replay_hits(bindings):
+            self._memo.discard(digest)
+            return None
+        self.metrics.bump("l1_hits", len(bindings))
+        self.metrics.bump("memo_hits")
+        return response
+
+    def remember(self, digest: bytes, response: bytes, bindings: Tuple) -> None:
+        """Keep ``response`` for the next request line with ``digest``.
+
+        ``bindings`` is what :meth:`schedule_net_bound` returned for the
+        request: one ``(L1 key, record)`` pair per source, every record
+        from a cache.  Callers remember only such ``schedule`` responses.
+        """
+        self._memo.put(digest, (response, bindings))
 
     # -- core ---------------------------------------------------------------
     async def schedule_net(
@@ -222,28 +269,52 @@ class SchedulingService:
         sources: Sequence[str],
         options: Optional[SchedulerOptions],
         *,
+        fingerprint: Optional[str] = None,
         timeout=_UNSET,
     ) -> List[Dict[str, object]]:
         """Schedule ``sources`` of ``net``, returning per-source payloads.
 
         Sources are processed sequentially (see the module docstring); each
         one independently coalesces with any identical request currently in
-        flight anywhere in the process.
+        flight anywhere in the process.  ``fingerprint`` is the net's
+        structural fingerprint when the caller already has it.
+        """
+        payloads, _bindings = await self.schedule_net_bound(
+            net, sources, options, fingerprint=fingerprint, timeout=timeout
+        )
+        return payloads
+
+    async def schedule_net_bound(
+        self,
+        net: PetriNet,
+        sources: Sequence[str],
+        options: Optional[SchedulerOptions],
+        *,
+        fingerprint: Optional[str] = None,
+        timeout=_UNSET,
+    ) -> Tuple[List[Dict[str, object]], Optional[Tuple]]:
+        """:meth:`schedule_net`, plus the records its payloads were built from.
+
+        The second item holds one ``(L1 key, record)`` pair per source when
+        every source's record came from a cache (``from_cache: true``), and
+        is ``None`` otherwise: only such a response may be remembered.
         """
         options = options or SchedulerOptions()
-        loop = asyncio.get_running_loop()
-        # fingerprinting walks the whole net: off the event loop
-        fingerprint = await loop.run_in_executor(
-            self._executor, structural_fingerprint, net
-        )
-        payloads = []
-        for source in sources:
-            payloads.append(
-                await self.schedule_source(
-                    net, source, options, fingerprint=fingerprint, timeout=timeout
-                )
+        if fingerprint is None:
+            # fingerprinting walks the whole net: off the event loop
+            fingerprint = await asyncio.get_running_loop().run_in_executor(
+                self._executor, structural_fingerprint, net
             )
-        return payloads
+        payloads, bindings = [], []
+        for source in sources:
+            payload, binding = await self._schedule_source(
+                net, source, options, fingerprint, timeout
+            )
+            payloads.append(payload)
+            bindings.append(binding)
+        if bindings and all(binding is not None for binding in bindings):
+            return payloads, tuple(bindings)
+        return payloads, None
 
     async def schedule_source(
         self,
@@ -258,6 +329,16 @@ class SchedulingService:
 
         Raises :class:`ProtocolError` (kind ``timeout``) when the waiter
         deadline expires first; the underlying search is *not* cancelled.
+        """
+        payload, _binding = await self._schedule_source(
+            net, source, options, fingerprint, timeout
+        )
+        return payload
+
+    async def _schedule_source(self, net, source, options, fingerprint, timeout):
+        """:meth:`schedule_source`'s payload and its ``(L1 key, record)``.
+
+        The pair is ``None`` unless the record came from a cache.
         """
         if self._closed:
             raise ProtocolError("shutting-down", "service is draining")
@@ -276,7 +357,8 @@ class SchedulingService:
             record, origin = await loop.run_in_executor(
                 self._executor, self._compute, net, source, options, fingerprint
             )
-            return self._payload(source, fingerprint, record, origin)
+            return self._payload(source, fingerprint, record, origin), None
+        # the single-flight key is also the record's L1 key
         key = (fingerprint, source, opts_key)
         future = self._inflight.get(key)
         if future is None:
@@ -305,7 +387,8 @@ class SchedulingService:
                 f"scheduling {source!r} did not finish within {timeout}s "
                 "(the search continues for other waiters)",
             )
-        return self._payload(source, fingerprint, record, origin)
+        payload = self._payload(source, fingerprint, record, origin)
+        return payload, ((key, record) if payload["from_cache"] else None)
 
     async def _drive_search(
         self, key, future, net, source, options, fingerprint

@@ -19,10 +19,11 @@ class BoundedLRU(Generic[K, V]):
 
     ``on_evict`` (optional) is called with ``(key, value)`` for every entry
     the store lets go of -- LRU displacement, overwrite of an existing key,
-    and :meth:`clear` -- so values owning external resources (e.g. attached
-    shared-memory views in a scheduling worker) can release them
-    deterministically instead of waiting for garbage collection.  Exceptions
-    raised by the callback propagate to the mutating call.
+    :meth:`discard` and :meth:`clear` -- so values owning external
+    resources (e.g. attached shared-memory views in a scheduling worker)
+    can release them deterministically instead of waiting for garbage
+    collection.  Exceptions raised by the callback propagate to the
+    mutating call.
 
     All operations are thread-safe: the scheduling-as-a-service executor
     runs ``lookup``/``store`` from many threads against one shared L1, and
@@ -70,6 +71,14 @@ class BoundedLRU(Generic[K, V]):
                 # (and re-evict) a value whose callback has not finished
                 for evicted_key, evicted_value in displaced:
                     self.on_evict(evicted_key, evicted_value)
+
+    def discard(self, key: K) -> None:
+        """Drop ``key`` if present (``on_evict`` fires for its value)."""
+        with self._lock:
+            if key in self._store:
+                value = self._store.pop(key)
+                if self.on_evict:
+                    self.on_evict(key, value)
 
     def clear(self) -> None:
         with self._lock:

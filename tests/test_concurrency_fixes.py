@@ -76,8 +76,11 @@ def test_lru_on_evict_fires_once_per_displaced_value():
     lru.put("c", 3)  # capacity: "b" displaced ("a" is fresher)
     assert released == ["a", "b"]
     assert lru.get("a") == 10 and lru.get("c") == 3 and "b" not in lru
+    lru.discard("c")  # dropped on request
+    lru.discard("b")  # absent: nothing to release
+    assert released == ["a", "b", "c"] and "c" not in lru
     lru.clear()
-    assert released == ["a", "b", "a", "c"]
+    assert released == ["a", "b", "c", "a"]
     assert len(lru) == 0
 
 

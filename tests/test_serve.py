@@ -10,13 +10,19 @@ The load-bearing contracts pinned here:
   results;
 * a cancelled or timed-out waiter never tears down the shared in-flight
   search;
-* graceful shutdown drains in-flight requests before the listener dies.
+* graceful shutdown drains in-flight requests before the listener dies;
+* the request memo is a pure shortcut: a repeated line gets the bytes the
+  full path would give it, with the same cache state and counters, and
+  only while the L1 still holds the records those bytes were built from.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
+import random
+import sys
 import time
 
 import pytest
@@ -24,10 +30,11 @@ import pytest
 from repro.apps import paper_nets
 from repro.apps.divisors import DIVISORS_SOURCE
 from repro.apps.workloads import producer_consumer_source, random_choice_net
+from repro.cache import SqliteStore
 from repro.petrinet.fingerprint import structural_fingerprint
 from repro.scheduling.ep import SchedulerOptions, find_schedule
 from repro.scheduling.serialize import schedule_fingerprint
-from repro.scheduling.warmstart import LIVE_SEARCH_COUNTERS
+from repro.scheduling.warmstart import LIVE_SEARCH_COUNTERS, ScheduleWarmStartCache
 from repro.serve import (
     ProtocolError,
     SchedulingService,
@@ -37,12 +44,15 @@ from repro.serve import (
     start_server,
 )
 from repro.serve.protocol import (
+    BOOLEAN_OPTION_FIELDS,
+    MAX_LINE_BYTES,
     canonical_json,
     decode_line,
     network_from_spec,
     resolve_sources,
 )
 from repro.serve.service import LatencyHistogram
+from repro.util import BoundedLRU
 
 
 async def _request(port: int, payload: dict) -> dict:
@@ -68,6 +78,36 @@ def _slow(delay: float):
         return find_schedule(net, source, **kwargs)
 
     return wrapper
+
+
+def _line(payload: dict) -> bytes:
+    """One request line, as :func:`_request` sends it."""
+    return (json.dumps(payload) + "\n").encode()
+
+
+class _Connection:
+    """One client connection that sends a line and waits for its answer."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+
+    @classmethod
+    async def open(cls, port: int) -> "_Connection":
+        return cls(
+            *await asyncio.open_connection("127.0.0.1", port, limit=MAX_LINE_BYTES)
+        )
+
+    async def ask(self, line: bytes) -> bytes:
+        """The raw response line to ``line``."""
+        self.writer.write(line)
+        await self.writer.drain()
+        answer = await self.reader.readline()
+        assert answer, "server closed the connection without answering"
+        return answer
+
+    async def close(self) -> None:
+        self.writer.close()
+        await self.writer.wait_closed()
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +180,21 @@ def test_options_from_dict_defaults_and_whitelist():
         options_from_dict({"max_nodes": -1})
 
 
+@pytest.mark.parametrize("field", BOOLEAN_OPTION_FIELDS)
+def test_options_from_dict_requires_json_booleans(field):
+    assert getattr(options_from_dict({field: False}), field) is False
+    for value in (0, 1, "no", None, [1]):
+        with pytest.raises(ProtocolError) as excinfo:
+            options_from_dict({field: value})
+        assert excinfo.value.kind == "bad-options"
+
+
+def test_options_from_dict_rejects_a_boolean_budget():
+    with pytest.raises(ProtocolError) as excinfo:
+        options_from_dict({"max_nodes": True})
+    assert excinfo.value.kind == "bad-options"
+
+
 def test_resolve_sources_validation():
     net = paper_nets.figure_5()
     assert resolve_sources(net, None) == net.uncontrollable_sources()
@@ -165,6 +220,12 @@ def test_decode_line_rejects_non_json():
     assert excinfo.value.kind == "bad-json"
     with pytest.raises(ProtocolError):
         decode_line(b'"a bare string"')
+
+
+def test_decode_line_maps_deep_nesting_to_bad_json():
+    with pytest.raises(ProtocolError) as excinfo:
+        decode_line(b"[" * 50000 + b"]" * 50000)
+    assert excinfo.value.kind == "bad-json"
 
 
 def test_latency_histogram_buckets():
@@ -281,14 +342,36 @@ def test_server_error_envelopes():
     assert unknown_source["error"]["type"] == "unknown-source"
 
 
+def test_wrong_typed_options_answer_bad_options():
+    net = net_to_dict(paper_nets.figure_6())
+    lines = [
+        _line({"op": "schedule", "net": net, "options": options})
+        for options in ({"single_source": [1]}, {"validate": "no"}, {"max_nodes": True})
+    ]
+
+    async def scenario():
+        server = await start_server(max_workers=1)
+        client = await _Connection.open(server.port)
+        try:
+            return [json.loads(await client.ask(line)) for line in lines]
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    for response in asyncio.run(scenario()):
+        assert not response["ok"] and response["error"]["type"] == "bad-options"
+
+
 def test_stats_endpoint_reports_counters_and_histograms():
     async def scenario():
         server = await start_server(max_workers=1)
         try:
-            await _request(
-                server.port,
-                {"op": "schedule", "net": net_to_dict(paper_nets.figure_5())},
-            )
+            # a search, then L1 hits, then the request memo
+            for _ in range(3):
+                await _request(
+                    server.port,
+                    {"op": "schedule", "net": net_to_dict(paper_nets.figure_5())},
+                )
             return await _request(server.port, {"op": "stats"})
         finally:
             await server.shutdown()
@@ -302,14 +385,21 @@ def test_stats_endpoint_reports_counters_and_histograms():
         "coalesced",
         "cache_hits",
         "live_searches",
+        "memo_hits",
+        "memo_entries",
         "queue",
         "latency",
         "warmstart",
     ):
         assert key in stats, key
-    assert stats["requests"] == 1 and stats["responses"] == 1
+    assert stats["requests"] == 3 and stats["responses"] == 3
     assert stats["live_searches"] == 2  # figure_5 has two sources
-    assert stats["latency"]["search"]["count"] == 2
+    assert stats["l1_hits"] == 4 and stats["warmstart"]["hits"] == 4
+    assert stats["memo_hits"] == 1 and stats["memo_entries"] == 1
+    latency = stats["latency"]
+    assert latency["search"]["count"] == 4  # the memo hit searched nothing
+    assert latency["memo"]["count"] == 1
+    assert latency["total"]["count"] == 3
     assert stats["queue"]["max_workers"] == 1
     assert response["server"]["draining"] is False
 
@@ -364,14 +454,19 @@ def test_requests_after_completion_hit_l1_not_coalesce():
         try:
             first = await _request(server.port, payload)
             second = await _request(server.port, payload)
+            third = await _request(server.port, payload)
         finally:
             await server.shutdown()
-        return first, second, server.service.snapshot()
+        return first, second, third, server.service.snapshot()
 
-    first, second, stats = asyncio.run(scenario())
+    first, second, third, stats = asyncio.run(scenario())
     assert not first["results"][0]["from_cache"]
     assert second["results"][0]["from_cache"]
-    assert stats["coalesced"] == 0 and stats["l1_hits"] == 1
+    # the third repeat of the line is answered by the request memo, which
+    # counts the L1 hit it stands for
+    assert third == second
+    assert stats["coalesced"] == 0 and stats["l1_hits"] == 2
+    assert stats["memo_hits"] == 1
     assert (
         first["results"][0]["schedule_fingerprint"]
         == second["results"][0]["schedule_fingerprint"]
@@ -539,3 +634,371 @@ def test_shutdown_op_over_the_wire():
     response, clean = asyncio.run(scenario())
     assert response["ok"] and response["shutting_down"]
     assert clean is True
+
+
+# ---------------------------------------------------------------------------
+# the request memo
+# ---------------------------------------------------------------------------
+
+
+class _NeverHits(BoundedLRU):
+    """A request memo that never answers: the server as it is without one."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _numbered_searches():
+    """A search wrapper stamping the n-th live search's ``elapsed_seconds`` n.
+
+    Two servers fed one request sequence then give byte-identical answers
+    only if they ran the same searches in the same order.
+    """
+    count = itertools.count(1)
+
+    def wrapper(net, source, **kwargs):
+        result = find_schedule(net, source, **kwargs)
+        result.elapsed_seconds = float(next(count))
+        return result
+
+    return wrapper
+
+
+def _schedule_line(builder, **fields) -> bytes:
+    return _line({"op": "schedule", "net": net_to_dict(builder()), **fields})
+
+
+def _memo_sequence(seed: int) -> list:
+    """Seeded bursts of repeated lines: figure nets, FlowC, some with an id."""
+    pool = [
+        _schedule_line(builder)
+        for builder in (
+            paper_nets.figure_4a,
+            paper_nets.figure_4b,  # unschedulable: failures are cached too
+            paper_nets.figure_5,
+            paper_nets.figure_8,
+        )
+    ] + [
+        _schedule_line(paper_nets.figure_6, sources=["a"]),
+        _schedule_line(paper_nets.figure_5, id="r1"),
+        _schedule_line(paper_nets.figure_8, id=7),
+        _line({"op": "schedule", "flowc": {"program": DIVISORS_SOURCE}}),
+    ]
+    rng = random.Random(seed)
+    sequence = []
+    for _ in range(30):
+        sequence += [rng.choice(pool)] * rng.randint(1, 4)
+    return sequence
+
+
+def test_memo_answers_match_the_full_path_byte_for_byte(tmp_path):
+    sequence = _memo_sequence(20261017)
+
+    async def run(memo: bool, store):
+        # l1_capacity=2: the L1 evicts, and evicted records return from disk
+        server = await start_server(max_workers=2, l1_capacity=2, store=store)
+        server.service._search_fn = _numbered_searches()
+        if not memo:
+            server.service._memo = _NeverHits(2)
+        client = await _Connection.open(server.port)
+        try:
+            answers = [await client.ask(line) for line in sequence]
+        finally:
+            await client.close()
+            await server.shutdown()
+        return answers, server.service.snapshot()
+
+    stores = [SqliteStore(tmp_path / name) for name in ("memo", "plain")]
+    try:
+        with_memo, memo_stats = asyncio.run(run(True, stores[0]))
+        without, plain_stats = asyncio.run(run(False, stores[1]))
+    finally:
+        for store in stores:
+            store.close()
+    assert with_memo == without
+    for key in ("requests", "responses", "l1_hits", "disk_hits", "live_searches"):
+        assert memo_stats[key] == plain_stats[key], key
+    assert memo_stats["warmstart"] == plain_stats["warmstart"]
+    assert memo_stats["memo_hits"] > 0 and plain_stats["memo_hits"] == 0
+    assert memo_stats["disk_hits"] > 0
+
+
+def test_memo_never_answers_from_a_replaced_record():
+    line = _schedule_line(paper_nets.figure_6, sources=["a"])
+    same_key = _schedule_line(paper_nets.figure_6, sources=["a"], id="other")
+    other_net = _schedule_line(paper_nets.figure_8)
+
+    async def scenario():
+        server = await start_server(max_workers=1, l1_capacity=1)
+        server.service._search_fn = _numbered_searches()
+        client = await _Connection.open(server.port)
+        try:
+            answers = [
+                json.loads(await client.ask(request))
+                for request in (
+                    line,  # search 1
+                    line,  # L1 hit, remembered
+                    line,  # memo hit
+                    other_net,  # search 2 evicts the record
+                    same_key,  # search 3: a new record under the same key
+                    line,  # the memo's record is gone: an L1 hit on the new one
+                    line,  # memo hit, bound to the new record
+                )
+            ]
+        finally:
+            await client.close()
+            await server.shutdown()
+        return answers, server.service.snapshot()
+
+    answers, stats = asyncio.run(scenario())
+    elapsed = [answer["results"][0]["elapsed_seconds"] for answer in answers]
+    from_cache = [answer["results"][0]["from_cache"] for answer in answers]
+    assert elapsed == [1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0]
+    assert from_cache == [False, True, True, False, False, True, True]
+    assert stats["memo_hits"] == 2 and stats["l1_hits"] == 4
+
+
+def test_replay_hits_requires_the_same_record_object():
+    cache = ScheduleWarmStartCache(capacity=2, store=False)
+    net = paper_nets.figure_6()
+    cache.find_schedule(net, "a")
+    (key,) = list(cache._l1)
+    record = cache.lookup_record(net, "a", SchedulerOptions())
+    hits = cache.stats.hits
+    assert cache.replay_hits(((key, record),))
+    assert cache.stats.hits == hits + 1
+    assert not cache.replay_hits(((key, dict(record)),))  # equal, not the same
+    assert not cache.replay_hits(((key, record), (("gone",), record)))
+    assert cache.stats.hits == hits + 1
+
+
+def test_memo_hit_does_not_queue_behind_live_searches():
+    line = _schedule_line(paper_nets.figure_6, sources=["a"])
+
+    async def scenario():
+        server = await start_server(max_workers=2)
+        client = await _Connection.open(server.port)
+        try:
+            await client.ask(line)
+            expected = await client.ask(line)  # remembered from here on
+            server.service._search_fn = _slow(0.5)
+            blockers = [
+                asyncio.create_task(
+                    _request(
+                        server.port,
+                        {"net": net_to_dict(builder()), "sources": ["a"]},
+                    )
+                )
+                for builder in (paper_nets.figure_5, paper_nets.figure_8)
+            ]
+            deadline = time.monotonic() + 5
+            while server.service.queue_depth()["active_searches"] < 2:
+                assert time.monotonic() < deadline, "the slow searches never started"
+                await asyncio.sleep(0.01)
+            started = time.perf_counter()
+            answer = await client.ask(line)
+            waited = time.perf_counter() - started
+            await asyncio.gather(*blockers)
+        finally:
+            await client.close()
+            await server.shutdown()
+        return answer, expected, waited
+
+    answer, expected, waited = asyncio.run(scenario())
+    assert answer == expected
+    assert waited < 0.1
+
+
+def test_memoized_line_is_refused_while_draining():
+    line = _schedule_line(paper_nets.figure_6, sources=["a"])
+
+    async def scenario():
+        server = await start_server(max_workers=1, drain_deadline=5.0)
+        client = await _Connection.open(server.port)
+        try:
+            for _ in range(3):
+                await client.ask(line)
+            assert server.service.metrics.memo_hits == 1
+            server.service._search_fn = _slow(0.3)
+            in_flight = asyncio.create_task(
+                _request(server.port, {"net": net_to_dict(paper_nets.figure_8())})
+            )
+            await asyncio.sleep(0.1)  # admitted: the drain waits for it
+            shutdown = asyncio.create_task(server.shutdown())
+            await asyncio.sleep(0.05)
+            refused = json.loads(await client.ask(line))
+        finally:
+            await client.close()
+        finished, clean = await in_flight, await shutdown
+        return refused, finished, clean, server.service.metrics.memo_hits
+
+    refused, finished, clean, memo_hits = asyncio.run(scenario())
+    assert not refused["ok"] and refused["error"]["type"] == "shutting-down"
+    assert finished["ok"] and clean is True
+    assert memo_hits == 1
+
+
+def test_memo_stores_only_all_cached_schedule_responses():
+    stats_line = _line({"op": "stats"})
+    both_sources = _schedule_line(paper_nets.figure_5)
+    never_stored = [  # (line, times sent)
+        (_line({"op": "ping"}), 3),
+        (stats_line, 3),
+        (b"this is not json\n", 3),
+        (_line({"op": "dance"}), 3),
+        (_schedule_line(paper_nets.figure_5, sources=["ghost"]), 3),
+        # first sight of each key: from_cache false
+        (_schedule_line(paper_nets.figure_6), 1),
+        (_schedule_line(paper_nets.figure_5, sources=["a"]), 1),
+        (both_sources, 1),  # "a" from the L1, "d" searched
+    ]
+
+    async def scenario():
+        server = await start_server(max_workers=1)
+        client = await _Connection.open(server.port)
+        try:
+            for line, times in never_stored:
+                for _ in range(times):
+                    await client.ask(line)
+            before = json.loads(await client.ask(stats_line))["stats"]
+            await client.ask(both_sources)  # now every source is cached
+            after = json.loads(await client.ask(stats_line))["stats"]
+        finally:
+            await client.close()
+            await server.shutdown()
+        return before, after
+
+    before, after = asyncio.run(scenario())
+    assert before["memo_entries"] == 0 and before["memo_hits"] == 0
+    assert after["memo_entries"] == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed lines get typed errors and never reach the memo
+# ---------------------------------------------------------------------------
+
+#: Every error type a malformed request may get (``internal`` is a bug).
+TYPED_ERRORS = {
+    "bad-json",
+    "bad-request",
+    "bad-net",
+    "bad-flowc",
+    "bad-options",
+    "unknown-source",
+}
+
+
+def _fuzz_lines(seed: int, count: int = 100) -> list:
+    """``count`` seeded bad request lines, none of them blank."""
+    rng = random.Random(seed)
+    net = net_to_dict(paper_nets.figure_6())
+    valid = _line({"op": "schedule", "net": net, "sources": ["a"]})
+    wrong_typed = [
+        {"net": 5},
+        {"net": "figure_6"},
+        {"net": [net]},
+        {"net": {"places": 5}},
+        {"net": {**net, "arcs": [["a"]]}},
+        {"net": {**net, "places": [{"tokens": 1}]}},
+        {"flowc": "PROCESS p"},
+        {"flowc": [DIVISORS_SOURCE]},
+        {"flowc": {"program": 7}},
+        {"flowc": {"program": "PROCESS p ((("}},
+        {"flowc": {"program": DIVISORS_SOURCE, "channels": 3}},
+        {"net": net, "options": [1]},
+        {"net": net, "options": {"single_source": [1]}},
+        {"net": net, "options": {"validate": "no"}},
+        {"net": net, "options": {"max_nodes": True}},
+        {"net": net, "options": {"warp": 9}},
+        {"net": net, "sources": "a"},
+        {"net": net, "sources": []},
+        {"net": net, "sources": [["a"]]},
+        {"net": net, "sources": {"a": 1}},
+    ]
+
+    def malformed():
+        text = bytes(rng.choice(b'{}[]":,ab 01') for _ in range(rng.randint(1, 30)))
+        return (text.strip() or b"{") + b"\n"
+
+    def truncated():
+        return valid[: rng.randint(1, len(valid) - 2)] + b"\n"
+
+    def non_utf8():
+        at = rng.randrange(len(valid) - 1)
+        byte = bytes([rng.choice((0x80, 0xC0, 0xFE, 0xFF))])
+        return valid[:at] + byte + valid[at + 1 :]
+
+    def deeply_nested():
+        depth = rng.choice((50, 980, 990, 5000, 50000))
+        opener, leaf, closer = rng.choice(((b"[", b"", b"]"), (b'{"a":', b"1", b"}")))
+        inner = opener * depth + leaf + closer * depth
+        wrapper = rng.choice((b"%s", b'{"net":%s}', b'{"op":"dance","id":%s}'))
+        return wrapper % inner + b"\n"
+
+    def wrong_field():
+        return _line({"op": "schedule", **rng.choice(wrong_typed)})
+
+    makers = (malformed, truncated, non_utf8, deeply_nested, wrong_field)
+    return [rng.choice(makers)() for _ in range(count)]
+
+
+def test_fuzzed_lines_get_typed_errors_and_leave_the_memo_alone():
+    valid = _schedule_line(paper_nets.figure_6, sources=["a"])
+    stats_line = _line({"op": "stats"})
+    lines = _fuzz_lines(20261017)
+    serial = find_schedule(paper_nets.figure_6(), "a", raise_on_failure=True)
+
+    async def scenario():
+        server = await start_server(max_workers=2)
+        client = await _Connection.open(server.port)
+        try:
+            await client.ask(valid)
+            await client.ask(valid)  # remembered
+            before = json.loads(await client.ask(stats_line))["stats"]
+            answers = [await client.ask(line) for line in lines]
+            again = [await client.ask(line) for line in lines[::7]]
+            after = json.loads(await client.ask(stats_line))["stats"]
+            last = json.loads(await client.ask(valid))
+        finally:
+            await client.close()
+            await server.shutdown()
+        return answers, again, before, after, last
+
+    started = time.perf_counter()
+    answers, again, before, after, last = asyncio.run(scenario())
+    assert time.perf_counter() - started < 1.0
+    kinds = [json.loads(answer)["error"]["type"] for answer in answers]
+    assert set(kinds) <= TYPED_ERRORS, sorted(set(kinds) - TYPED_ERRORS)
+    assert again == answers[::7]  # an error is never replayed from the memo
+    assert before["memo_entries"] == after["memo_entries"] == 1
+    assert after["memo_hits"] == before["memo_hits"] == 0
+    assert last["ok"]
+    (result,) = last["results"]
+    assert result["from_cache"]
+    assert result["schedule_fingerprint"] == schedule_fingerprint(serial.schedule)
+
+
+def test_nesting_near_the_recursion_limit_gets_typed_errors():
+    """Around the limit an ``id`` can decode and still be too deep to echo."""
+    limit = sys.getrecursionlimit()
+    lines = [
+        b'{"op":"dance","id":' + b"[" * depth + b"]" * depth + b"}\n"
+        for depth in range(limit - 300, limit + 10)
+    ]
+
+    async def scenario():
+        server = await start_server(max_workers=1)
+        client = await _Connection.open(server.port)
+        try:
+            answers = [json.loads(await client.ask(line)) for line in lines]
+            pong = json.loads(await client.ask(_line({"op": "ping"})))
+        finally:
+            await client.close()
+            await server.shutdown()
+        return answers, pong
+
+    answers, pong = asyncio.run(scenario())
+    kinds = {answer["error"]["type"] for answer in answers}
+    assert kinds <= {"bad-request", "bad-json"}  # unknown op, or too deep
+    assert answers[-1]["error"]["type"] == "bad-json"
+    assert pong["ok"]

@@ -40,6 +40,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.flowc.netlist import Network
 from repro.petrinet.net import PetriNet, SourceKind
 from repro.scheduling.ep import OBJECTIVES, SchedulerOptions
@@ -51,6 +53,17 @@ PROTOCOL_VERSION = 1
 #: tens of thousands of nodes fit comfortably; anything bigger should ship
 #: as FlowC source, which is far denser than an arc list.
 MAX_LINE_BYTES = 32 * 1024 * 1024
+
+#: Deepest array/object nesting a request line may use (a schedule request
+#: needs about six levels).  json's C decoder recurses once per level, and
+#: before Python 3.12 only the interpreter's recursion limit stops it --
+#: which a live EP search raises process-wide to 100 000, deep enough to
+#: overflow the C stack.  Lines nesting deeper are refused before decoding.
+MAX_NESTING = 512
+
+# the bytes that delimit JSON strings and containers; [{ step in, ]} step out
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
 
 
 class ProtocolError(Exception):
@@ -77,8 +90,33 @@ def encode_line(obj: Mapping[str, object]) -> bytes:
     return (canonical_json(obj) + "\n").encode("utf-8")
 
 
+def nesting_depth(line: bytes) -> int:
+    """How deep ``line``'s arrays and objects nest, brackets in strings aside.
+
+    Exact for valid JSON; for invalid JSON, at least the depth a decoder
+    reaches before the first error.  Linear in the line's length.
+    """
+    if b"\\" in line:
+        # drop escape pairs first, so every remaining quote delimits a string
+        line = line.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = line.translate(None, _NOT_MARKS).replace(b'""', b"")
+    if b'"' in marks:  # brackets inside strings: keep the ones outside
+        marks = b"".join(marks.split(b'"')[::2])
+    steps = np.frombuffer(marks.translate(_STEPS), dtype=np.int8)
+    return int(steps.cumsum(dtype=np.int32).max(initial=0))
+
+
 def decode_line(line: bytes) -> Dict[str, object]:
     """Parse one request line into a dict, raising :class:`ProtocolError`."""
+    # counting openers is cheap and bounds the depth; only a line with more
+    # than MAX_NESTING of them is measured exactly
+    if (
+        line.count(b"[") + line.count(b"{") > MAX_NESTING
+        and nesting_depth(line) > MAX_NESTING
+    ):
+        raise ProtocolError(
+            "bad-json", f"request nests deeper than {MAX_NESTING} levels"
+        )
     try:
         obj = json.loads(line.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as error:

@@ -217,14 +217,7 @@ class ScheduleServer:
             response = protocol.error_response(
                 request_id, ProtocolError("internal", f"unexpected failure: {error!r}")
             )
-        try:
-            body = protocol.encode_line(response)
-        except RecursionError:
-            # the echoed id decoded, but encoding takes a few more frames
-            metrics.bump("bad_requests")
-            error = ProtocolError("bad-json", "request id nests too deeply to echo")
-            body = protocol.encode_line(protocol.error_response(None, error))
-            bindings = None
+        body = protocol.encode_line(response)
         if bindings is not None:
             # every source came from a cache: a repeat of this exact line
             # gets these bytes while the L1 still holds those records
@@ -250,11 +243,11 @@ class ScheduleServer:
         timeout = request.get("timeout")
         if timeout is not None and not isinstance(timeout, (int, float)):
             raise ProtocolError("bad-request", "'timeout' must be a number of seconds")
-        payloads, bindings = await self.service.schedule_net_bound(
+        payloads, bindings = await self.service._schedule_net(
             net,
             sources,
             options,
-            fingerprint=fingerprint,
+            fingerprint,
             **({"timeout": float(timeout)} if timeout is not None else {}),
         )
         self.service.metrics.bump("responses")

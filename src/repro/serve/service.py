@@ -256,7 +256,7 @@ class SchedulingService:
     def remember(self, digest: bytes, response: bytes, bindings: Tuple) -> None:
         """Keep ``response`` for the next request line with ``digest``.
 
-        ``bindings`` is what :meth:`schedule_net_bound` returned for the
+        ``bindings`` is what :meth:`_schedule_net` returned for the
         request: one ``(L1 key, record)`` pair per source, every record
         from a cache.  Callers remember only such ``schedule`` responses.
         """
@@ -269,32 +269,26 @@ class SchedulingService:
         sources: Sequence[str],
         options: Optional[SchedulerOptions],
         *,
-        fingerprint: Optional[str] = None,
         timeout=_UNSET,
     ) -> List[Dict[str, object]]:
         """Schedule ``sources`` of ``net``, returning per-source payloads.
 
         Sources are processed sequentially (see the module docstring); each
         one independently coalesces with any identical request currently in
-        flight anywhere in the process.  ``fingerprint`` is the net's
-        structural fingerprint when the caller already has it.
+        flight anywhere in the process.
         """
-        payloads, _bindings = await self.schedule_net_bound(
-            net, sources, options, fingerprint=fingerprint, timeout=timeout
+        payloads, _bindings = await self._schedule_net(
+            net, sources, options, None, timeout
         )
         return payloads
 
-    async def schedule_net_bound(
-        self,
-        net: PetriNet,
-        sources: Sequence[str],
-        options: Optional[SchedulerOptions],
-        *,
-        fingerprint: Optional[str] = None,
-        timeout=_UNSET,
+    async def _schedule_net(
+        self, net, sources, options, fingerprint, timeout=_UNSET
     ) -> Tuple[List[Dict[str, object]], Optional[Tuple]]:
         """:meth:`schedule_net`, plus the records its payloads were built from.
 
+        ``fingerprint`` is the net's structural fingerprint when the caller
+        already has it (the server computes it while building the net).
         The second item holds one ``(L1 key, record)`` pair per source when
         every source's record came from a cache (``from_cache: true``), and
         is ``None`` otherwise: only such a response may be remembered.

@@ -23,7 +23,9 @@ import itertools
 import json
 import random
 import sys
+import threading
 import time
+import types
 
 import pytest
 
@@ -43,11 +45,14 @@ from repro.serve import (
     options_from_dict,
     start_server,
 )
+from repro.serve import protocol
 from repro.serve.protocol import (
     BOOLEAN_OPTION_FIELDS,
     MAX_LINE_BYTES,
+    MAX_NESTING,
     canonical_json,
     decode_line,
+    nesting_depth,
     network_from_spec,
     resolve_sources,
 )
@@ -56,8 +61,6 @@ from repro.util import BoundedLRU
 
 
 async def _request(port: int, payload: dict) -> dict:
-    from repro.serve import protocol
-
     # a schedule response line can exceed asyncio's default 64 KiB limit
     reader, writer = await asyncio.open_connection(
         "127.0.0.1", port, limit=protocol.MAX_LINE_BYTES
@@ -222,10 +225,60 @@ def test_decode_line_rejects_non_json():
         decode_line(b'"a bare string"')
 
 
-def test_decode_line_maps_deep_nesting_to_bad_json():
+def _nested_id(depth: int) -> bytes:
+    """A request line whose ``id`` nests ``depth`` levels (the line: one more)."""
+    return b'{"op":"dance","id":' + b"[" * depth + b"]" * depth + b"}\n"
+
+
+def test_decode_line_refuses_nesting_past_the_cap():
+    assert decode_line(_nested_id(MAX_NESTING - 1))["op"] == "dance"
+    for depth in (MAX_NESTING, 50000):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_line(_nested_id(depth))
+        assert excinfo.value.kind == "bad-json"
+
+
+def test_decode_line_maps_recursion_error_to_bad_json(monkeypatch):
+    def too_deep(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(protocol, "json", types.SimpleNamespace(loads=too_deep))
     with pytest.raises(ProtocolError) as excinfo:
-        decode_line(b"[" * 50000 + b"]" * 50000)
+        decode_line(b"[[[]]]")
     assert excinfo.value.kind == "bad-json"
+
+
+def _depth(obj) -> int:
+    if isinstance(obj, (dict, list)):
+        children = obj.values() if isinstance(obj, dict) else obj
+        return 1 + max(map(_depth, children), default=0)
+    return 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        r'{"a": "[[[{{{", "b": [1, [2]]}',  # brackets in a string do not nest
+        r'{"a": "\"]]]", "b": [[[]]]}',  # nor after an escaped quote
+        r'{"a": "\\", "b": [[[]]]}',  # an escaped backslash ends no string
+        r'{"a": "[", "b": "]", "c": {}}',
+        r'{"a": "\\\"{", "b": [{"c": [{}]}]}',
+        "[]",
+        '"x"',
+        "5",
+    ],
+)
+def test_nesting_depth_matches_the_decoded_structure(text):
+    assert nesting_depth(text.encode()) == _depth(json.loads(text))
+
+
+def test_nesting_depth_of_request_lines():
+    lines = [
+        _line({"op": "schedule", "flowc": {"program": DIVISORS_SOURCE}}),
+        _line({"op": "schedule", "net": net_to_dict(paper_nets.figure_7(3))}),
+    ]
+    for line in lines:
+        assert nesting_depth(line) == _depth(json.loads(line))
 
 
 def test_latency_histogram_buckets():
@@ -772,16 +825,28 @@ def test_replay_hits_requires_the_same_record_object():
     assert cache.stats.hits == hits + 1
 
 
+def _held_searches(release: threading.Event):
+    """A search wrapper that holds its executor worker until ``release``."""
+
+    def wrapper(net, source, **kwargs):
+        release.wait(60)
+        return find_schedule(net, source, **kwargs)
+
+    return wrapper
+
+
 def test_memo_hit_does_not_queue_behind_live_searches():
     line = _schedule_line(paper_nets.figure_6, sources=["a"])
+    release = threading.Event()
 
     async def scenario():
         server = await start_server(max_workers=2)
         client = await _Connection.open(server.port)
+        blockers = []
         try:
             await client.ask(line)
             expected = await client.ask(line)  # remembered from here on
-            server.service._search_fn = _slow(0.5)
+            server.service._search_fn = _held_searches(release)
             blockers = [
                 asyncio.create_task(
                     _request(
@@ -793,20 +858,22 @@ def test_memo_hit_does_not_queue_behind_live_searches():
             ]
             deadline = time.monotonic() + 5
             while server.service.queue_depth()["active_searches"] < 2:
-                assert time.monotonic() < deadline, "the slow searches never started"
+                assert time.monotonic() < deadline, "the held searches never started"
                 await asyncio.sleep(0.01)
-            started = time.perf_counter()
-            answer = await client.ask(line)
-            waited = time.perf_counter() - started
-            await asyncio.gather(*blockers)
+            # both workers stay held until release: an answer that needed
+            # the executor would wait for them and time out here
+            answer = await asyncio.wait_for(client.ask(line), 5)
+            both_pending = not any(blocker.done() for blocker in blockers)
         finally:
+            release.set()
+            await asyncio.gather(*blockers)
             await client.close()
             await server.shutdown()
-        return answer, expected, waited
+        return answer, expected, both_pending
 
-    answer, expected, waited = asyncio.run(scenario())
+    answer, expected, both_pending = asyncio.run(scenario())
     assert answer == expected
-    assert waited < 0.1
+    assert both_pending
 
 
 def test_memoized_line_is_refused_while_draining():
@@ -929,7 +996,7 @@ def _fuzz_lines(seed: int, count: int = 100) -> list:
         return valid[:at] + byte + valid[at + 1 :]
 
     def deeply_nested():
-        depth = rng.choice((50, 980, 990, 5000, 50000))
+        depth = rng.choice((50, MAX_NESTING - 1, MAX_NESTING, 5000, 50000))
         opener, leaf, closer = rng.choice(((b"[", b"", b"]"), (b'{"a":', b"1", b"}")))
         inner = opener * depth + leaf + closer * depth
         wrapper = rng.choice((b"%s", b'{"net":%s}', b'{"op":"dance","id":%s}'))
@@ -964,9 +1031,7 @@ def test_fuzzed_lines_get_typed_errors_and_leave_the_memo_alone():
             await server.shutdown()
         return answers, again, before, after, last
 
-    started = time.perf_counter()
     answers, again, before, after, last = asyncio.run(scenario())
-    assert time.perf_counter() - started < 1.0
     kinds = [json.loads(answer)["error"]["type"] for answer in answers]
     assert set(kinds) <= TYPED_ERRORS, sorted(set(kinds) - TYPED_ERRORS)
     assert again == answers[::7]  # an error is never replayed from the memo
@@ -978,19 +1043,15 @@ def test_fuzzed_lines_get_typed_errors_and_leave_the_memo_alone():
     assert result["schedule_fingerprint"] == schedule_fingerprint(serial.schedule)
 
 
-def test_nesting_near_the_recursion_limit_gets_typed_errors():
-    """Around the limit an ``id`` can decode and still be too deep to echo."""
-    limit = sys.getrecursionlimit()
-    lines = [
-        b'{"op":"dance","id":' + b"[" * depth + b"]" * depth + b"}\n"
-        for depth in range(limit - 300, limit + 10)
-    ]
+def test_nesting_around_the_cap_gets_typed_errors():
+    """An ``id`` within the cap is echoed; one level deeper is ``bad-json``."""
+    depths = range(MAX_NESTING - 3, MAX_NESTING + 3)
 
     async def scenario():
         server = await start_server(max_workers=1)
         client = await _Connection.open(server.port)
         try:
-            answers = [json.loads(await client.ask(line)) for line in lines]
+            answers = [json.loads(await client.ask(_nested_id(d))) for d in depths]
             pong = json.loads(await client.ask(_line({"op": "ping"})))
         finally:
             await client.close()
@@ -998,7 +1059,56 @@ def test_nesting_near_the_recursion_limit_gets_typed_errors():
         return answers, pong
 
     answers, pong = asyncio.run(scenario())
-    kinds = {answer["error"]["type"] for answer in answers}
-    assert kinds <= {"bad-request", "bad-json"}  # unknown op, or too deep
-    assert answers[-1]["error"]["type"] == "bad-json"
+    for depth, answer in zip(depths, answers):
+        if depth < MAX_NESTING:  # the line nests depth + 1 levels
+            assert answer["error"]["type"] == "bad-request"  # unknown op
+            assert canonical_json(answer["id"]) == "[" * depth + "]" * depth
+        else:
+            assert answer["error"]["type"] == "bad-json"
+            assert "id" not in answer
     assert pong["ok"]
+
+
+def test_deep_line_is_refused_while_a_search_holds_the_raised_limit():
+    """A live EP search raises the process-wide recursion limit to 100 000.
+
+    Before Python 3.12 that limit alone bounds json's C decoder, so without
+    the cap a deep enough line would overflow the C stack.
+    """
+    release = threading.Event()
+    hold = _held_searches(release)
+
+    def holding_raised_limit(net, source, **kwargs):
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(old_limit, 100_000))  # as ep.py does
+        try:
+            return hold(net, source, **kwargs)
+        finally:
+            sys.setrecursionlimit(old_limit)
+
+    async def scenario():
+        server = await start_server(max_workers=1)
+        server.service._search_fn = holding_raised_limit
+        search = asyncio.create_task(
+            _request(server.port, {"net": net_to_dict(paper_nets.figure_6())})
+        )
+        client = await _Connection.open(server.port)
+        try:
+            deadline = time.monotonic() + 5
+            while sys.getrecursionlimit() < 100_000:
+                assert time.monotonic() < deadline, "the search never started"
+                await asyncio.sleep(0.01)
+            answers = [
+                json.loads(await client.ask(_nested_id(depth)))
+                for depth in (MAX_NESTING, 5000)
+            ]
+        finally:
+            release.set()
+            searched = await search
+            await client.close()
+            await server.shutdown()
+        return answers, searched
+
+    answers, searched = asyncio.run(scenario())
+    assert [answer["error"]["type"] for answer in answers] == ["bad-json"] * 2
+    assert searched["ok"] and searched["results"][0]["success"]

@@ -364,17 +364,20 @@ class _TaskSynthesizer:
         lines.append("")
         if self.intra_task_channels:
             lines.append("/* intra-task channels become circular buffers (Section 6.3) */")
+            place_bounds = self.schedule.place_bounds()
             for channel in self.intra_task_channels:
-                bound = self._channel_bound(channel)
+                bound = self._channel_bound(channel, place_bounds)
                 lines.append(f"int buf_{channel}[{max(bound, 1)}];")
                 lines.append(f"int buf_{channel}_head, buf_{channel}_count;")
         return "\n".join(lines)
 
-    def _channel_bound(self, channel: str) -> int:
+    def _channel_bound(self, channel: str, place_bounds: Dict[str, int]) -> int:
+        """Buffer size of an intra-task channel: its place's bound over the
+        schedule (``Schedule.place_bounds``, computed once per task)."""
         place = self.system.channel_places.get(channel)
         if place is None:
             return 1
-        return max(self.schedule.place_bounds().get(place, 1), 1)
+        return max(place_bounds.get(place, 1), 1)
 
     # -- initialisation ------------------------------------------------------------
     def _initialisation(self) -> str:

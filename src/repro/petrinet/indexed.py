@@ -144,7 +144,6 @@ class IndexedNet:
         "deltas_by_name",
         "consumers_of_place",
         "producers_of_place",
-        "affected_by",
         "initial_vec",
         "analysis_cache",
     )
@@ -203,7 +202,7 @@ class IndexedNet:
         }
 
     def _init_adjacency(self) -> None:
-        """Derive adjacency (consumers/producers/affected) from the sparse form."""
+        """Derive adjacency (consumers/producers) from the sparse form."""
         consumers: List[List[Tuple[int, int]]] = [[] for _ in self.place_names]
         producers: List[List[Tuple[int, int]]] = [[] for _ in self.place_names]
         for tid, vec in enumerate(self.consume):
@@ -218,16 +217,6 @@ class IndexedNet:
         self.producers_of_place: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
             tuple(entries) for entries in producers
         )
-
-        # Transitions whose enabledness can change when ``tid`` fires: the
-        # consumers of every place whose count actually changes.
-        affected: List[Tuple[int, ...]] = []
-        for tid, sparse in enumerate(self.delta):
-            touched = set()
-            for pid, _d in sparse:
-                touched.update(t for t, _w in self.consumers_of_place[pid])
-            affected.append(tuple(sorted(touched)))
-        self.affected_by: Tuple[Tuple[int, ...], ...] = tuple(affected)
 
         # Scratch space for analyses keyed to this structural snapshot (e.g.
         # the T-invariant basis); dies with the snapshot on net mutation.
@@ -361,20 +350,27 @@ class IndexedNet:
         """Enabled set after firing ``tid``, updated incrementally.
 
         ``prev_enabled`` must be the enabled set of the marking ``tid`` was
-        fired at; only the transitions adjacent to places whose count changed
-        are re-checked.  Source transitions (empty preset) are never adjacent
-        to anything and stay enabled forever, which the update preserves.
+        fired at.  Only a consumer of a changed place whose arc weight the
+        change crossed can change: a count falling below the weight disables
+        it, a count rising to the weight re-checks its other input places.
+        Source transitions (empty preset) consume nothing and stay enabled
+        forever, which the update preserves.
         """
-        affected = self.affected_by[tid]
-        if not affected:
-            return prev_enabled
-        updated = set(prev_enabled)
-        for other in affected:
-            if self.is_enabled_vec(other, new_vec):
-                updated.add(other)
-            else:
-                updated.discard(other)
-        return frozenset(updated)
+        updated = None
+        for pid, d in self.delta[tid]:
+            count = new_vec[pid]
+            before = count - d
+            for other, weight in self.consumers_of_place[pid]:
+                if d < 0:
+                    if count < weight <= before:
+                        if updated is None:
+                            updated = set(prev_enabled)
+                        updated.discard(other)
+                elif before < weight <= count and self.is_enabled_vec(other, new_vec):
+                    if updated is None:
+                        updated = set(prev_enabled)
+                    updated.add(other)
+        return prev_enabled if updated is None else frozenset(updated)
 
     # ------------------------------------------------------------------
     # convenience

@@ -46,7 +46,7 @@ from __future__ import annotations
 import os
 import warnings
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 try:  # the fused tiers need NumPy; the incremental checker never does
     import numpy as np
@@ -235,20 +235,25 @@ class IncrementalIrrelevance:
         path_index: Dict[Tuple[int, ...], int],
         total_counts: Dict[int, int],
         total: int,
+        over: Optional[Sequence[int]] = None,
     ) -> Optional[bool]:
         """Is ``vec`` irrelevant w.r.t. some marking in ``path_index``?
 
         ``path_index`` maps each marking on the current DFS path to a node,
         ``total_counts`` is the multiset of their total token counts (both
         maintained by ``SchedulingTree`` push/pop), ``total`` the token
-        total of ``vec``.  Equal-marking path entries are never witnesses
+        total of ``vec``.  ``over`` lists the places where ``vec`` exceeds
+        its degree in ascending order -- a scheduling-tree node carries them,
+        derived from its parent's -- and is found by scanning ``vec`` when
+        omitted.  Equal-marking path entries are never witnesses
         (Definition 4.5 requires ``A != C``; the search closes a cycle there
         instead), which the enumeration guarantees structurally: every
         candidate except the identity has a strictly smaller total.
         """
         self.children_checked += 1
         degrees = self.degrees
-        over = [p for p, count in enumerate(vec) if count > degrees[p]]
+        if over is None:
+            over = [p for p, count in enumerate(vec) if count > degrees[p]]
         if not over:
             # no place exceeds its degree: condition (c) can never hold
             self.decided_by_degree_filter += 1
@@ -301,25 +306,20 @@ class ExpansionKernel:
     """One search's fused expand + terminate pipeline over int64 buffers.
 
     Built per :class:`~repro.scheduling.ep._EPSearch` from the search's
-    :class:`~repro.scheduling.termination.FrontierSplit`.  The four built-in
-    maskable conditions are folded into kernel inputs -- irrelevance into
-    the incremental path check, place/channel bounds into one ``(pid,
-    bound)`` array, max-depth into a single threshold; any *other* maskable
-    condition (user-defined subclasses included) is still evaluated through
-    the public ``frontier_mask`` protocol against the dense path matrix, so
-    custom conditions keep the fused backend.  Admission stays with the
-    caller (``add_child`` / ``intern_many``) so the interned-marking set is
-    identical to the scalar backend's.
+    :class:`~repro.scheduling.termination.FoldedTermination`.  The four
+    built-in maskable conditions arrive folded into kernel inputs --
+    irrelevance into the incremental path check, place/channel bounds into
+    one ``(pid, bound)`` array, max-depth into a single threshold; any
+    *other* maskable condition (user-defined subclasses included) is still
+    evaluated through the public ``frontier_mask`` protocol against the
+    dense path matrix, so custom conditions keep the fused backend.  Node
+    budgets (a child's index is only known when it is created) and
+    admission (``add_child`` / ``intern_many``, so the interned-marking set
+    is identical to the scalar backend's) stay with the caller.
     """
 
-    def __init__(self, inet, split, *, tier: Optional[str] = None):
+    def __init__(self, inet, fold, *, tier: Optional[str] = None):
         from repro.petrinet.batched import delta_matrix
-        from repro.scheduling.termination import (
-            IrrelevanceCriterion,
-            MaxDepthCondition,
-            PlaceBoundCondition,
-            UserBoundCondition,
-        )
 
         self.inet = inet
         # re-resolving an explicit "compiled" pin re-checks availability, so a
@@ -334,33 +334,21 @@ class ExpansionKernel:
         self._delta = delta_matrix(inet)
         self._token_delta = inet.token_delta
 
-        self.criterion = None
+        self.criterion = fold.irrelevance
         self.incremental: Optional[IncrementalIrrelevance] = None
-        self._degrees_np = None
-        bounds: List[Tuple[int, int]] = []
-        depth_cut: Optional[int] = None
-        self.extra = []  # conditions evaluated via the frontier_mask protocol
-        for condition in split.maskable:
-            kind = type(condition)
-            if kind is IrrelevanceCriterion:
-                self.criterion = condition
-                self.incremental = condition.incremental_for(inet)
-                self._degrees_np = np.asarray(
-                    condition.degrees_vec(inet), dtype=np.int64
-                )
-            elif kind is PlaceBoundCondition or kind is UserBoundCondition:
-                bounds.extend(condition._bounded_pids(inet))
-            elif kind is MaxDepthCondition:
-                cut = condition.max_depth
-                depth_cut = cut if depth_cut is None else min(depth_cut, cut)
-            else:
-                self.extra.append(condition)
-        self._bound_pids = np.asarray([p for p, _ in bounds], dtype=np.int64)
-        self._bound_vals = np.asarray([b for _, b in bounds], dtype=np.int64)
-        self._depth_cut = depth_cut
-        if self._degrees_np is None:
+        if self.criterion is not None:
+            self.incremental = self.criterion.incremental_for(inet)
+            self._degrees_np = np.asarray(
+                self.criterion.degrees_vec(inet), dtype=np.int64
+            )
+        else:
             # unused by the ops when check_degrees is False; any int64 row works
             self._degrees_np = np.zeros(len(inet.place_names), dtype=np.int64)
+        self._bound_pids = np.asarray([p for p, _ in fold.bounds], dtype=np.int64)
+        self._bound_vals = np.asarray([b for _, b in fold.bounds], dtype=np.int64)
+        self._depth_cut = fold.depth_cut
+        # conditions evaluated via the frontier_mask protocol
+        self.extra = list(fold.extra)
         # stats of the full-broadcast fallback (cap-exceeded children)
         self.fallback_children = 0
         self.fallback_ancestor_rows = 0

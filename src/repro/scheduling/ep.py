@@ -20,7 +20,13 @@ Three observationally equivalent backends drive the hot loop
 (``SchedulerOptions.backend``):
 
 * ``"scalar"`` walks one transition at a time, exactly as the paper states
-  the algorithm;
+  the algorithm, and keeps every per-node test incremental along the DFS
+  path: each node's over-degree places derive from its parent's, the
+  termination condition is folded once
+  (:func:`~repro.scheduling.termination.fold_termination`) and decided on
+  a node or lookahead probe without rescanning its marking, and the
+  invariant-guided heuristic's promising vector lives in a
+  :class:`~repro.scheduling.heuristics.CycleTracker` updated on push/pop;
 * ``"batched"`` expands a whole node's frontier at once -- the candidate
   transitions of every enabled ECS become one matrix of child markings, the
   marking-dependent termination conditions (irrelevance, place / channel
@@ -41,16 +47,16 @@ Three observationally equivalent backends drive the hot loop
   *incrementally* against the path marking index instead of the O(depth)
   ancestor broadcast.
 
-``"auto"`` (the default) picks the kernel backend whenever the frontier
-machinery applies: the termination condition must decompose into frontier
-masks plus node budgets
+``"auto"`` (the default) resolves to ``"scalar"``, the fastest on the
+measured workloads; ``"batched"`` and ``"kernel"`` run only on request, and
+only when the termination condition decomposes into frontier masks plus
+node budgets
 (:func:`~repro.scheduling.termination.split_frontier_conditions`) and token
-counts must stay safely inside int64 (see :func:`resolve_backend_for`).
+counts stay safely inside int64 (see :func:`resolve_backend_for`).
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -60,6 +66,7 @@ from repro.petrinet.indexed import IndexedNet, MarkingStore, MarkingVec
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 from repro.scheduling.heuristics import (
+    CycleTracker,
     ECSLookahead,
     ECSOrderingHeuristic,
     HeuristicContext,
@@ -68,12 +75,14 @@ from repro.scheduling.heuristics import (
 )
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.termination import (
-    CompositeCondition,
+    FoldedTermination,
     FrontierSplit,
     TerminationCondition,
     default_termination,
+    fold_termination,
     split_frontier_conditions,
 )
+from repro.util import raised_recursion_limit
 
 try:  # the batched backend needs NumPy; the scalar one never touches it
     import numpy as _np
@@ -114,9 +123,9 @@ class SchedulerOptions:
     * ``defer_sources`` -- the Section 4.4 pruning rule: fire source ECSs
       only when nothing else yields an entering point.
     * ``backend`` -- the hot-loop implementation: ``"scalar"``,
-      ``"batched"``, ``"kernel"``, or ``"auto"`` (default; the fused kernel
-      whenever it applies, see :func:`resolve_backend_for`).  Backends are
-      observationally equivalent; the knob trades wall clock only.
+      ``"batched"``, ``"kernel"``, or ``"auto"`` (default; resolves to the
+      incremental scalar walk, see :func:`resolve_backend_for`).  Backends
+      are observationally equivalent; the knob trades wall clock only.
     * ``kernel_tier`` -- pins the kernel backend's execution tier
       (``"compiled"`` | ``"numpy"``); ``None`` resolves automatically
       (compiled when numba is available and ``REPRO_KERNEL`` allows it,
@@ -172,7 +181,7 @@ class SchedulerOptions:
     # Hot-loop implementation: "scalar" | "batched" | "kernel" | "auto".
     # The backends are observationally equivalent (same schedules, same
     # counters modulo the BACKEND_ONLY expansion tallies); "auto" resolves
-    # per search via resolve_backend_for.
+    # to "scalar" via resolve_backend_for.
     backend: str = "auto"
     # Kernel-backend execution tier: "compiled" | "numpy" | None (auto).
     kernel_tier: Optional[str] = None
@@ -258,6 +267,9 @@ class TreeNode:
     equal_ancestor: Optional[int] = None
     marking_cache: Optional[Marking] = None
     enabled: Optional[FrozenSet[int]] = None
+    # places whose count exceeds their degree (ascending IDs); maintained
+    # only while the tree tracks degrees (SchedulingTree.track_over_degree)
+    over: Tuple[int, ...] = ()
 
     @property
     def marking(self) -> Marking:
@@ -273,8 +285,9 @@ class SchedulingTree:
     """The rooted tree grown by EP/EP_ECS, plus the current DFS path state.
 
     Runs entirely on the indexed core: nodes carry interned marking vectors,
-    and each node's enabled transition set is derived incrementally from its
-    parent's (only transitions adjacent to changed places are re-checked).
+    and each node's enabled transition set (and, when tracked, its
+    over-degree places) is derived incrementally from its parent's, from
+    the places the firing changed only.
     """
 
     def __init__(
@@ -295,61 +308,78 @@ class SchedulingTree:
         # (a candidate witness marking can only exist on the path if some
         # path marking carries its exact token total)
         self._path_total_counts: Dict[int, int] = {}
-        self._path_firings: Dict[str, int] = {}
-        # dense mirrors of the path state (markings matrix, per-tid firing
-        # counts), maintained only for the batched backend (enable_path_matrix)
+        # the invariant-guided heuristic's promising vector, kept along the
+        # path (set by the search; None for other heuristics)
+        self.cycle: Optional[CycleTracker] = None
+        # place degrees the nodes' over-degree places are tracked against
+        self._degrees: Optional[Tuple[int, ...]] = None
+        # dense mirror of the path markings, maintained only for the matrix
+        # backends (enable_path_matrix)
         self._path_matrix = None
-        self._fired_by_tid = None
+
+    def track_over_degree(self, degrees: Sequence[int]) -> None:
+        """Give every node from now on its over-degree places (``TreeNode.over``).
+
+        A child's set is derived from its parent's by re-checking only the
+        places its firing changed.  Call before :meth:`add_root`.
+        """
+        assert not self.nodes
+        self._degrees = tuple(degrees)
+
+    def over_after(self, parent: TreeNode, tid: int, vec: MarkingVec) -> Tuple[int, ...]:
+        """Over-degree places of ``vec``, the marking after firing ``tid`` at ``parent``."""
+        degrees = self._degrees
+        before = parent.vec
+        over = parent.over
+        for pid, _d in self.inet.delta[tid]:
+            degree = degrees[pid]
+            if (vec[pid] > degree) != (before[pid] > degree):
+                break
+        else:
+            return over  # no changed place crossed its degree
+        places = set(over)
+        for pid, _d in self.inet.delta[tid]:
+            if vec[pid] > degrees[pid]:
+                places.add(pid)
+            else:
+                places.discard(pid)
+        return tuple(sorted(places))
 
     def enable_path_matrix(self) -> None:
-        """Mirror the DFS-path state into dense int64 arrays.
+        """Mirror the DFS-path markings into a dense int64 array.
 
         The batched backend evaluates termination masks for whole frontiers
-        against the marking matrix (``path_matrix()``) and feeds the per-tid
-        firing counts (``fired_vector()``) to the invariant-guided ordering
-        heuristic; the scalar backend never pays for the bookkeeping.
+        against the marking matrix (``path_matrix()``); the scalar backend
+        never pays for the bookkeeping.
         """
         capacity = max(64, 2 * len(self._path))
         self._path_matrix = _np.zeros(
             (capacity, len(self.inet.place_names)), dtype=_np.int64
         )
-        self._fired_by_tid = _np.zeros(
-            len(self.inet.transition_names), dtype=_np.int64
-        )
         for index, node in enumerate(self._path):
-            tree_node = self.nodes[node]
-            self._path_matrix[index, :] = tree_node.vec
-            if tree_node.tid is not None:
-                self._fired_by_tid[tree_node.tid] += 1
+            self._path_matrix[index, :] = self.nodes[node].vec
 
     def path_matrix(self):
         """Markings on the current DFS path, root first (dense rows)."""
         return self._path_matrix[: len(self._path)]
 
-    def fired_vector(self):
-        """Per-transition-ID firing counts of the current path (live view).
-
-        ``None`` unless :meth:`enable_path_matrix` was called.  Exact dense
-        twin of :meth:`path_firings`; consumers must not hold on to it
-        across tree operations.
-        """
-        return self._fired_by_tid
-
     # -- construction -----------------------------------------------------
     def add_root(self, vec: MarkingVec) -> int:
         assert not self.nodes
         vec = self.store.intern(vec)
-        self.nodes.append(
-            TreeNode(
-                index=0,
-                parent=None,
-                depth=0,
-                vec=vec,
-                tid=None,
-                transition=None,
-                total_tokens=sum(vec),
-            )
+        root = TreeNode(
+            index=0,
+            parent=None,
+            depth=0,
+            vec=vec,
+            tid=None,
+            transition=None,
+            total_tokens=sum(vec),
         )
+        if self._degrees is not None:
+            degrees = self._degrees
+            root.over = tuple(p for p, count in enumerate(vec) if count > degrees[p])
+        self.nodes.append(root)
         return 0
 
     def add_child(self, parent: int, tid: int, vec: MarkingVec) -> int:
@@ -365,6 +395,8 @@ class SchedulingTree:
             transition=self.inet.transition_names[tid],
             total_tokens=parent_node.total_tokens + self.inet.token_delta[tid],
         )
+        if self._degrees is not None:
+            node.over = self.over_after(parent_node, tid, vec)
         self.nodes.append(node)
         parent_node.children.append(index)
         return index
@@ -439,23 +471,17 @@ class SchedulingTree:
                 grown[: self._path_matrix.shape[0]] = self._path_matrix
                 self._path_matrix = grown
             self._path_matrix[row, :] = tree_node.vec
-            if tree_node.tid is not None:
-                self._fired_by_tid[tree_node.tid] += 1
         if tree_node.vec not in self._markings_on_path:
             self._markings_on_path[tree_node.vec] = node
         total = tree_node.total_tokens
         self._path_total_counts[total] = self._path_total_counts.get(total, 0) + 1
-        if tree_node.transition is not None:
-            self._path_firings[tree_node.transition] = (
-                self._path_firings.get(tree_node.transition, 0) + 1
-            )
+        if self.cycle is not None and tree_node.tid is not None:
+            self.cycle.push(tree_node.tid)
 
     def pop(self, node: int) -> None:
         popped = self._path.pop()
         assert popped == node
         tree_node = self.nodes[node]
-        if self._fired_by_tid is not None and tree_node.tid is not None:
-            self._fired_by_tid[tree_node.tid] -= 1
         if self._markings_on_path.get(tree_node.vec) == node:
             del self._markings_on_path[tree_node.vec]
         total = tree_node.total_tokens
@@ -464,21 +490,21 @@ class SchedulingTree:
             self._path_total_counts[total] = remaining
         else:
             del self._path_total_counts[total]
-        if tree_node.transition is not None:
-            self._path_firings[tree_node.transition] -= 1
-            if not self._path_firings[tree_node.transition]:
-                del self._path_firings[tree_node.transition]
+        if self.cycle is not None and tree_node.tid is not None:
+            self.cycle.pop(tree_node.tid)
 
     def path_probe_state(self, node: int):
-        """Path state for the incremental irrelevance check, or ``None``.
+        """Path state for ``IrrelevanceCriterion.holds``, or ``None``.
 
-        Returns ``(marking_index, total_counts)`` -- the vec -> node map and
-        the token-total multiset of the current DFS path -- but only when
-        ``node``'s proper ancestors are exactly the path markings: ``node``
-        is the top of the path (then the path also holds its own marking,
-        which the checker never probes since witnesses differ from the
-        candidate) or a fresh child of the top (a scalar lookahead probe).
-        Any other node gets ``None`` and the caller's ancestor walk.
+        Used where the search falls back to ``termination.holds`` (a
+        condition that does not fold).  Returns ``(marking_index,
+        total_counts)`` -- the vec -> node map and the token-total multiset
+        of the current DFS path -- but only when ``node``'s proper ancestors
+        are exactly the path markings: ``node`` is the top of the path (then
+        the path also holds its own marking, which the checker never probes
+        since witnesses differ from the candidate) or a fresh child of the
+        top (a scalar lookahead probe).  Any other node gets ``None`` and
+        the caller's ancestor walk.
         """
         if not self._path:
             return None
@@ -512,7 +538,13 @@ class SchedulingTree:
         return self._path[depth] == ancestor and depth <= self.nodes[node].depth
 
     def path_firings(self) -> Mapping[str, int]:
-        return dict(self._path_firings)
+        """Firing count per transition along the current DFS path (a fresh dict)."""
+        names = self.inet.transition_names
+        firings: Dict[str, int] = {}
+        for node in self._path[1:]:
+            name = names[self.nodes[node].tid]
+            firings[name] = firings.get(name, 0) + 1
+        return firings
 
 
 @dataclass
@@ -566,13 +598,16 @@ def resolve_backend_for(
 ) -> str:
     """Resolve ``options.backend`` to the concrete backend a search will use.
 
-    ``"batched"`` and ``"kernel"`` apply when NumPy is importable, the
-    termination condition decomposes into frontier masks plus node budgets,
-    and the worst-case token count (initial tokens plus one delta per
-    possible tree node) stays below the int64 guard -- otherwise the search
-    falls back to ``"scalar"``, whose Python-int arithmetic is exact at any
-    magnitude.  ``"auto"`` resolves to ``"kernel"`` (the fused superset of
-    the batched path); which kernel *tier* runs is a separate, per-process
+    ``"auto"`` resolves to ``"scalar"``: with each node costing only what
+    its firing changed (incremental over-degree places, promising vector
+    and irrelevance verdicts), the scalar walk is the fastest backend on
+    the measured corpus and PFC workloads alike.  ``"batched"`` and
+    ``"kernel"`` run only on request, and apply when NumPy is importable,
+    the termination condition decomposes into frontier masks plus node
+    budgets, and the worst-case token count (initial tokens plus one delta
+    per possible tree node) stays below the int64 guard -- otherwise the
+    search falls back to ``"scalar"``, whose Python-int arithmetic is exact
+    at any magnitude.  Which kernel *tier* runs is a separate, per-process
     decision (:func:`repro.petrinet.kernel.resolve_kernel_tier`) that never
     changes results.  The resolution is deterministic in (net structure,
     options), so parallel workers reach the same decision as the caller.
@@ -580,7 +615,7 @@ def resolve_backend_for(
     requested = options.backend
     if requested not in BACKENDS:
         raise ValueError(f"unknown scheduler backend {requested!r}; pick one of {BACKENDS}")
-    if requested == "scalar":
+    if requested in ("scalar", "auto"):
         return "scalar"
     if _np is None:
         return "scalar"
@@ -601,7 +636,7 @@ def resolve_backend_for(
     # add_child), so no marking can exceed this bound along any path.
     if max_initial + (options.max_nodes + 8) * max_delta >= FRONTIER_TOKEN_GUARD:
         return "scalar"
-    return "batched" if requested == "batched" else "kernel"
+    return requested
 
 
 class _Frontier:
@@ -677,6 +712,9 @@ class _EPSearch:
             if ecs & self.other_uncontrollable
         )
         self._source_ecs_ids = self.analysis.source_ecs_ids
+        self._source_ecss = frozenset(
+            self.analysis.partition[ecs_id] for ecs_id in self._source_ecs_ids
+        )
         # per-ECS-ID minimum token delta (tie-break: drain channels first)
         token_delta = self.inet.token_delta
         tindex = self.inet.transition_index
@@ -694,9 +732,16 @@ class _EPSearch:
         self._ecs_id_of = {
             ecs: ecs_id for ecs_id, ecs in enumerate(self.analysis.partition)
         }
+        if isinstance(self.heuristic, InvariantGuidedOrdering):
+            self.tree.cycle = self.heuristic.cycle_tracker(self.inet.transition_index)
         self.backend = resolve_backend_for(net, options, self.termination)
+        fold = fold_termination(self.termination, self.inet)
         self._split: Optional[FrontierSplit] = None
         self._kernel = None
+        # the scalar backend's folded verdict; None falls back to
+        # termination.holds (a leaf that does not fold)
+        self._fold: Optional[FoldedTermination] = None
+        self._incremental = None
         if self.backend in MATRIX_BACKENDS:
             self._split = split_frontier_conditions(self.termination)
             assert self._split is not None  # guaranteed by resolve_backend_for
@@ -705,8 +750,13 @@ class _EPSearch:
                 from repro.petrinet.kernel import ExpansionKernel
 
                 self._kernel = ExpansionKernel(
-                    self.inet, self._split, tier=options.kernel_tier
+                    self.inet, fold, tier=options.kernel_tier
                 )
+        elif not fold.extra:
+            self._fold = fold
+            if fold.irrelevance is not None:
+                self._incremental = fold.irrelevance.incremental_for(self.inet)
+                self.tree.track_over_degree(fold.irrelevance.degrees_vec(self.inet))
 
     def _fire(self, tid: int, vec) -> tuple:
         self.counters.fires += 1
@@ -828,12 +878,8 @@ class _EPSearch:
         child_vec = self._fire(source_tid, initial)
         child = self.tree.add_child(root, source_tid, child_vec)
 
-        # Pure-Python recursion is heap-allocated on CPython >= 3.11, so a deep
-        # schedule (one tree level per fired transition) only needs a higher
-        # recursion limit, not a bigger C stack.
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 100_000))
-        try:
+        # a deep schedule recurses once per tree level (fired transition)
+        with raised_recursion_limit():
             self.tree.push(root)
             child_pruned: Optional[bool] = None
             if self._split is not None:
@@ -846,8 +892,6 @@ class _EPSearch:
             finally:
                 self.tree.pop(child)
                 self.tree.pop(root)
-        finally:
-            sys.setrecursionlimit(old_limit)
 
         self.counters.interned_markings = len(self.tree.store)
         if entering_point != root:
@@ -887,11 +931,14 @@ class _EPSearch:
         maskable termination conditions for ``v`` (its marking was a row of
         the parent's frontier); the node-budget leaves are checked here
         against the node's actual index.  The scalar backend passes ``None``
-        and evaluates the composite condition directly.
+        and evaluates the condition on the node itself.
         """
         self.counters.nodes_expanded += 1
         if pruned is not None:
             if pruned or self._split.budget_holds(v):
+                return UNDEF
+        elif self._fold is not None:
+            if self._node_holds(v):
                 return UNDEF
         elif self.termination.holds(self.tree, v):
             return UNDEF
@@ -937,47 +984,132 @@ class _EPSearch:
             if self._split is not None:
                 frontier, lookahead = self._batched_lookahead(v, enabled_ids, enabled)
             else:
-                vec = self.tree.vec_of(v)
-                on_path = self.tree._markings_on_path
-                tindex = self.inet.transition_index
-                lookahead = {}
-                for ecs_id, ecs in zip(enabled_ids, enabled):
-                    hits = False
-                    closes = False
-                    delta = self._ecs_token_delta[ecs_id]
-                    if ecs_id not in self._source_ecs_ids:
-                        for transition in sorted(ecs):
-                            candidate = self._fire(tindex[transition], vec)
-                            if on_path.get(candidate) is not None:
-                                closes = True
-                                break
-                            probe = self.tree.add_child(v, tindex[transition], candidate)
-                            if self.termination.holds(self.tree, probe):
-                                hits = True
-                            # remove the probe node again (it was only a lookahead)
-                            self.tree.nodes.pop()
-                            self.tree.nodes[v].children.pop()
-                            if hits:
-                                break
-                    lookahead[ecs] = ECSLookahead(
-                        hits_termination=hits, closes_cycle=closes, token_delta=delta
-                    )
+                lookahead = self._scalar_lookahead(v, enabled_ids, enabled)
             context = HeuristicContext(
-                path_firings=self.tree.path_firings(),
                 depth=self.tree.nodes[v].depth,
                 lookahead=lookahead,
                 marking_supplier=lambda: self.tree.marking_of(v),
-                fired_by_tid=self.tree.fired_vector(),
+                path_firings_supplier=self.tree.path_firings,
+                cycle=self.tree.cycle,
             )
             ordered = self.heuristic.order(enabled, context)
 
         if self.options.defer_sources:
-            non_source = [ecs for ecs in ordered if not self.analysis.is_source_ecs(ecs)]
-            source_ecss = [ecs for ecs in ordered if self.analysis.is_source_ecs(ecs)]
+            sources = self._source_ecss
+            non_source = [ecs for ecs in ordered if ecs not in sources]
+            source_ecss = [ecs for ecs in ordered if ecs in sources]
         else:
             non_source = list(ordered)
             source_ecss = []
         return non_source, source_ecss, frontier
+
+    def _scalar_lookahead(
+        self, v: int, enabled_ids: Sequence[int], enabled: Sequence[ECS]
+    ) -> Dict[ECS, ECSLookahead]:
+        """The per-ECS one-step lookahead, one transition at a time.
+
+        Fires each candidate of every enabled non-source ECS in sorted-name
+        order until one closes a cycle on the path or hits the termination
+        condition.  A probe that does not close a cycle is interned, exactly
+        as the child it stands for would be; under a folded condition it is
+        decided on that marking without a probe node.
+        """
+        tree = self.tree
+        node = tree.nodes[v]
+        vec = node.vec
+        on_path = tree._markings_on_path
+        folded = self._fold is not None
+        lookahead: Dict[ECS, ECSLookahead] = {}
+        for ecs_id, ecs in zip(enabled_ids, enabled):
+            hits = False
+            closes = False
+            if ecs_id not in self._source_ecs_ids:
+                for tid in self._ecs_tids[ecs_id]:
+                    candidate = self._fire(tid, vec)
+                    if on_path.get(candidate) is not None:
+                        closes = True
+                        break
+                    if folded:
+                        hits = self._probe_holds(node, tid, tree.store.intern(candidate))
+                    else:
+                        probe = tree.add_child(v, tid, candidate)
+                        hits = self.termination.holds(tree, probe)
+                        # remove the probe node again (it was only a lookahead)
+                        tree.nodes.pop()
+                        node.children.pop()
+                    if hits:
+                        break
+            lookahead[ecs] = ECSLookahead(
+                hits_termination=hits,
+                closes_cycle=closes,
+                token_delta=self._ecs_token_delta[ecs_id],
+            )
+        return lookahead
+
+    def _node_holds(self, v: int) -> bool:
+        """The folded verdict on node ``v``, the top of the DFS path."""
+        node = self.tree.nodes[v]
+        return self._folded_holds(v, node.depth, node.vec, node.total_tokens, node.over)
+
+    def _probe_holds(self, node: TreeNode, tid: int, vec: MarkingVec) -> bool:
+        """The folded verdict on the would-be child of ``node`` (the top of
+        the DFS path) reached by firing ``tid``, whose marking is ``vec``.
+
+        Equal to ``termination.holds`` on a probe node appended to the tree
+        and popped again, which every probe's index shares.
+        """
+        over = ()
+        if self._incremental is not None:
+            over = self.tree.over_after(node, tid, vec)
+        return self._folded_holds(
+            len(self.tree.nodes),
+            node.depth + 1,
+            vec,
+            node.total_tokens + self.inet.token_delta[tid],
+            over,
+        )
+
+    def _folded_holds(
+        self,
+        index: int,
+        depth: int,
+        vec: MarkingVec,
+        total: int,
+        over: Tuple[int, ...],
+    ) -> bool:
+        """``termination.holds`` through the fold, for a node or a probe.
+
+        The node has tree index ``index``, depth ``depth``, marking ``vec``
+        with ``total`` tokens and over-degree places ``over``.  It is the
+        top of the DFS path or a probe child of the top, so the path holds
+        its ancestors (and at most its own marking, which Definition 4.5
+        never counts as a witness).  A marking without an over-degree place
+        is never irrelevant.
+        """
+        fold = self._fold
+        if fold.budget is not None and index >= fold.budget:
+            return True
+        if fold.depth_cut is not None and depth > fold.depth_cut:
+            return True
+        for pid, bound in fold.bounds:
+            if vec[pid] > bound:
+                return True
+        if not over:
+            return False
+        tree = self.tree
+        verdict = self._incremental.check(
+            vec, tree._markings_on_path, tree._path_total_counts, total, over
+        )
+        if verdict is None:
+            # too many candidate witnesses: the exact walk over the path
+            nodes = tree.nodes
+            verdict = fold.irrelevance.witnessed_by(
+                self.inet,
+                vec,
+                total,
+                ((nodes[n].total_tokens, nodes[n].vec) for n in tree._path),
+            )
+        return verdict
 
     def _run_ecs_loop(
         self,
@@ -1161,13 +1293,14 @@ class _EPSearch:
         ]
         seen = {candidates[0][0]}
         if self.options.candidate_limit > 1:
-            for fingerprint, alternative in self._enumerate_alternatives(root):
-                if fingerprint in seen:
-                    continue
-                seen.add(fingerprint)
-                candidates.append((fingerprint, alternative))
-                if len(candidates) >= self.options.candidate_limit:
-                    break
+            with raised_recursion_limit():
+                for fingerprint, alternative in self._enumerate_alternatives(root):
+                    if fingerprint in seen:
+                        continue
+                    seen.add(fingerprint)
+                    candidates.append((fingerprint, alternative))
+                    if len(candidates) >= self.options.candidate_limit:
+                        break
         scored = [
             (score_schedule(candidate), fingerprint, candidate)
             for fingerprint, candidate in candidates
@@ -1224,8 +1357,6 @@ class _EPSearch:
                 if child.transition in node.ecs_choice and child_index not in retained:
                     stack.append(child_index)
 
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 100_000))
         self._enum_serial = True
         try:
             for v in sorted(retained):
@@ -1275,7 +1406,6 @@ class _EPSearch:
                         self.tree.pop(item)
         finally:
             self._enum_serial = False
-            sys.setrecursionlimit(old_limit)
 
 
 def find_schedule(

@@ -39,24 +39,114 @@ class ECSLookahead:
     token_delta: int = 0
 
 
+class CycleTracker:
+    """The promising vector of one search, kept incrementally along its path.
+
+    :meth:`InvariantGuidedOrdering.promising_vector` replays the candidate
+    invariant cyclically: with ``q[t] = fired[t] // count[t]`` per support
+    transition, ``t`` still has firings left in the current repetition
+    exactly when ``q[t]`` equals the minimum quotient.  The tracker holds
+    every quotient and the number of support transitions at each quotient,
+    so a firing pushed onto or popped off the DFS path
+    (``SchedulingTree.push`` / ``pop``) updates one quotient and the minimum
+    in O(1), and an ECS is promising iff one of its support transitions
+    sits at that minimum.  Python ints throughout, so invariant counts of
+    any size stay exact.
+    """
+
+    __slots__ = (
+        "candidate",
+        "minimum",
+        "_tindex",
+        "_count",
+        "_fired",
+        "_quotient",
+        "_at",
+        "_support",
+    )
+
+    def __init__(self, candidate: Mapping[str, int], transition_index: Mapping[str, int]):
+        self.candidate = candidate
+        self._tindex = transition_index
+        size = len(transition_index)
+        # per-tid invariant count (0 outside the support), firings, quotient
+        self._count: List[int] = [0] * size
+        for transition, count in candidate.items():
+            self._count[transition_index[transition]] = count
+        self._fired: List[int] = [0] * size
+        self._quotient: List[int] = [0] * size
+        # how many support transitions sit at each quotient
+        self._at: Dict[int, int] = {0: len(candidate)} if candidate else {}
+        self.minimum = 0
+        # per-ECS support transition IDs, cached on first query
+        self._support: Dict[ECS, Tuple[int, ...]] = {}
+
+    def _move(self, tid: int, fired: int) -> None:
+        count = self._count[tid]
+        self._fired[tid] = fired
+        old = self._quotient[tid]
+        new = fired // count
+        if new == old:
+            return
+        self._quotient[tid] = new
+        at = self._at
+        left = at[old] - 1
+        if left:
+            at[old] = left
+        else:
+            del at[old]
+        at[new] = at.get(new, 0) + 1
+        if new < self.minimum:
+            self.minimum = new
+        elif old == self.minimum and not left:
+            self.minimum = new
+
+    def push(self, tid: int) -> None:
+        """Account one more firing of ``tid`` on the path."""
+        if self._count[tid]:
+            self._move(tid, self._fired[tid] + 1)
+
+    def pop(self, tid: int) -> None:
+        """Undo the latest firing of ``tid`` on the path."""
+        if self._count[tid]:
+            self._move(tid, self._fired[tid] - 1)
+
+    def promising(self, ecs: ECS) -> bool:
+        """True when ``promising_vector(path_firings)`` is positive on ``ecs``."""
+        tids = self._support.get(ecs)
+        if tids is None:
+            tids = self._support[ecs] = tuple(
+                self._tindex[t] for t in ecs if t in self.candidate
+            )
+        quotient = self._quotient
+        minimum = self.minimum
+        for tid in tids:
+            if quotient[tid] == minimum:
+                return True
+        return False
+
+
 class HeuristicContext:
     """Information available to the ordering heuristic at one tree node.
 
-    ``marking`` is materialised lazily: the built-in heuristics rank ECSs
-    from the lookahead masks and the path firing counts alone, and building
-    a facade :class:`Marking` per expanded node is pure overhead in the
-    search hot loop.  The scheduler passes ``marking_supplier`` instead; a
-    heuristic that does read ``context.marking`` pays the conversion only
-    then (and custom callers may still pass ``marking`` directly).
+    ``marking`` and ``path_firings`` are materialised lazily: the built-in
+    heuristics rank ECSs from the lookahead masks and the search's
+    :class:`CycleTracker` alone, and building a facade :class:`Marking` or
+    a firing-count dict per expanded node is pure overhead in the search
+    hot loop.  The scheduler passes ``marking_supplier`` and
+    ``path_firings_supplier`` instead; a heuristic that does read
+    ``context.marking`` or ``context.path_firings`` pays the conversion
+    only then (and custom callers may still pass either directly).
     """
 
     __slots__ = (
         "_marking",
         "_marking_supplier",
-        "path_firings",
+        "_path_firings",
+        "_path_firings_supplier",
         "depth",
         "lookahead",
-        "fired_by_tid",
+        "cycle",
     )
 
     def __init__(
@@ -66,24 +156,34 @@ class HeuristicContext:
         depth: int = 0,
         lookahead: Optional[Mapping[ECS, ECSLookahead]] = None,
         marking_supplier: Optional[Callable[[], Marking]] = None,
-        fired_by_tid: Optional[Sequence[int]] = None,
+        path_firings_supplier: Optional[Callable[[], Mapping[str, int]]] = None,
+        cycle: Optional[CycleTracker] = None,
     ):
         self._marking = marking
         self._marking_supplier = marking_supplier
-        self.path_firings: Mapping[str, int] = path_firings if path_firings is not None else {}
+        if path_firings is None and path_firings_supplier is None:
+            path_firings = {}
+        self._path_firings = path_firings
+        self._path_firings_supplier = path_firings_supplier
         self.depth = depth
         # optional per-ECS one-step lookahead computed by the scheduler
         self.lookahead: Mapping[ECS, ECSLookahead] = lookahead if lookahead is not None else {}
-        # optional dense twin of path_firings (indexed by transition ID); the
-        # invariant-guided ordering uses it to skip a per-node Python scan of
-        # the whole candidate invariant
-        self.fired_by_tid = fired_by_tid
+        # optional incremental promising-vector state of the current path;
+        # the invariant-guided ordering reads it instead of path_firings
+        self.cycle = cycle
 
     @property
     def marking(self) -> Optional[Marking]:
         if self._marking is None and self._marking_supplier is not None:
             self._marking = self._marking_supplier()
         return self._marking
+
+    @property
+    def path_firings(self) -> Mapping[str, int]:
+        """Firing count per transition along the path to the node."""
+        if self._path_firings is None:
+            self._path_firings = self._path_firings_supplier()
+        return self._path_firings
 
     def hits_termination(self, ecs: ECS) -> bool:
         info = self.lookahead.get(ecs)
@@ -129,17 +229,32 @@ class TieBreakOrdering(ECSOrderingHeuristic):
     """
 
     analysis: StructuralAnalysis
+    _static: Dict[ECS, Tuple[bool, bool, List[str]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def static_key(self, ecs: ECS) -> Tuple[bool, bool, List[str]]:
+        """The marking-independent part of an ECS's rank, cached per ECS:
+        (is a source ECS, is a choice, sorted transition names)."""
+        key = self._static.get(ecs)
+        if key is None:
+            key = self._static[ecs] = (
+                bool(self.analysis.is_source_ecs(ecs)),
+                len(ecs) > 1,
+                sorted(ecs),
+            )
+        return key
 
     def order(self, ecss: Sequence[ECS], context: HeuristicContext) -> List[ECS]:
         def key(ecs: ECS) -> Tuple:
-            is_source = self.analysis.is_source_ecs(ecs)
+            is_source, is_choice, names = self.static_key(ecs)
             return (
-                bool(is_source),
+                is_source,
                 not context.closes_cycle(ecs),
                 bool(context.hits_termination(ecs)),
                 context.token_delta(ecs),
-                len(ecs) > 1,
-                sorted(ecs),
+                is_choice,
+                names,
             )
 
         return sorted(ecss, key=key)
@@ -191,13 +306,6 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
             self.base, self.base_complete = invariants, False
         self.tie_break = TieBreakOrdering(analysis)
         self._candidate = self._select_candidate_invariant()
-        # dense view of the candidate invariant (tids / counts), built lazily
-        # per indexed snapshot for the fired_by_tid fast path of order()
-        self._dense_for: Optional[object] = None
-        self._candidate_tids = None
-        self._candidate_counts = None
-        # exact bases can hold counts beyond int64; those take the dict path
-        self._candidate_fits_int64 = all(count < 2**63 for count in self._candidate.values())
 
     # -- candidate invariant -------------------------------------------------
     def _select_candidate_invariant(self) -> Dict[str, int]:
@@ -284,73 +392,50 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
             return dict(self._candidate)
         return remaining
 
-    def _dense_candidate(self, inet):
-        """Candidate invariant as (tid array, count array), cached per snapshot."""
-        if self._dense_for is not inet:
-            import numpy as np
+    def cycle_tracker(self, transition_index: Mapping[str, int]) -> CycleTracker:
+        """A fresh :class:`CycleTracker` of the candidate invariant.
 
-            items = sorted(self._candidate.items())
-            tindex = inet.transition_index
-            self._candidate_tids = np.asarray(
-                [tindex[t] for t, _count in items], dtype=np.intp
-            )
-            self._candidate_counts = np.asarray(
-                [count for _t, count in items], dtype=np.int64
-            )
-            self._dense_for = inet
-        return self._candidate_tids, self._candidate_counts
+        One per search: the scheduler pushes and pops every path firing
+        into it and hands it to :meth:`order` through
+        ``HeuristicContext.cycle``.
+        """
+        return CycleTracker(self._candidate, transition_index)
 
     def _promising_predicate(self, context: HeuristicContext):
         """``ecs -> bool``: does the ECS contain a still-promising transition?
 
-        With a dense ``fired_by_tid`` view the cyclic-replay arithmetic of
-        :meth:`promising_vector` runs as one vector op per node (and one
-        integer check per queried transition) instead of a Python scan over
-        the whole candidate invariant; the two paths agree exactly because
-        ``remaining`` is never empty for a non-empty candidate (the invariant
-        repetition count is the floor-minimum over its support).
+        A :class:`CycleTracker` of this candidate answers in O(|ecs|);
+        without one (a caller-built context) the promising vector is
+        rebuilt from ``context.path_firings``.  Both give the same answer:
+        a support transition has firings left in the current repetition
+        exactly when its quotient ``fired // count`` is the minimum one.
         """
-        candidate = self._candidate
-        fired = context.fired_by_tid
-        if not candidate or fired is None or not self._candidate_fits_int64:
-            vector = self.promising_vector(context.path_firings)
-            if not vector:
-                return lambda ecs: True
-            return lambda ecs: any(vector.get(t, 0) > 0 for t in ecs)
-        tids, counts = self._dense_candidate(self.net.indexed())
-        repetitions = int((fired[tids] // counts).min())
-        tindex = self.net.indexed().transition_index
-
-        def is_promising(ecs: ECS) -> bool:
-            for transition in ecs:
-                count = candidate.get(transition)
-                if count is None:
-                    continue
-                left = count - (int(fired[tindex[transition]]) - repetitions * count)
-                if left > 0:
-                    return True
-            return False
-
-        return is_promising
+        if not self._candidate:
+            return lambda ecs: True
+        tracker = context.cycle
+        if tracker is not None and tracker.candidate is self._candidate:
+            return tracker.promising
+        vector = self.promising_vector(context.path_firings)
+        return lambda ecs: any(vector.get(t, 0) > 0 for t in ecs)
 
     def order(self, ecss: Sequence[ECS], context: HeuristicContext) -> List[ECS]:
         is_promising = self._promising_predicate(context)
+        static_key = self.tie_break.static_key
 
         def key(ecs: ECS) -> Tuple:
-            is_source = self.analysis.is_source_ecs(ecs)
-            promising = is_promising(ecs)
+            is_source, is_choice, names = static_key(ecs)
             # "Fire a source transition only when the system cannot fire
             # anything else" dominates, then cycle-closing moves, then the
             # termination lookahead, the token-consumption preference and the
             # promising-vector preference.
             return (
-                bool(is_source),
+                is_source,
                 not context.closes_cycle(ecs),
                 bool(context.hits_termination(ecs)),
                 context.token_delta(ecs),
-                not promising,
-                len(ecs) > 1,
-                sorted(ecs),
+                not is_promising(ecs),
+                is_choice,
+                names,
             )
 
         return sorted(ecss, key=key)

@@ -69,7 +69,6 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_module
-import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -91,6 +90,7 @@ from repro.scheduling.ep import (
 )
 from repro.scheduling.independence import prefer_disjoint_forks
 from repro.scheduling.termination import split_frontier_conditions
+from repro.util import raised_recursion_limit
 
 # -- tuning knobs ------------------------------------------------------------
 
@@ -194,12 +194,8 @@ def run_subtree_task(
     store_mark = len(tree.store)
     prefix_len = len(task.prefix_tids) + 1
     ecs = frozenset(task.ecs_names)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 100_000))
-    try:
+    with raised_recursion_limit():
         entering = search._ep_ecs(ecs, node, task.target_depth, None)
-    finally:
-        sys.setrecursionlimit(old_limit)
     records = [
         (n.parent, n.tid, n.vec, n.ecs_choice, n.equal_ancestor)
         for n in tree.nodes[prefix_len:]

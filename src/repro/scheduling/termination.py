@@ -19,7 +19,7 @@ unschedulable nets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis, all_place_degrees
 from repro.petrinet.marking import Marking
@@ -234,7 +234,6 @@ class IrrelevanceCriterion(TerminationCondition):
         remains as the exact fallback for capped children and for trees
         without path state.
         """
-        degrees = self.degrees_vec(inet)
         probe_state = getattr(tree, "path_probe_state", None)
         if probe_state is not None:
             state = probe_state(node)
@@ -247,13 +246,26 @@ class IrrelevanceCriterion(TerminationCondition):
                 )
                 if verdict is not None:
                     return verdict
-        vec = tree.vec_of(node)
         totals = tree.total_tokens_of
-        current_total = totals(node)
-        for ancestor in tree.ancestors_of(node):
-            if totals(ancestor) > current_total:
+        return self.witnessed_by(
+            inet,
+            tree.vec_of(node),
+            totals(node),
+            ((totals(a), tree.vec_of(a)) for a in tree.ancestors_of(node)),
+        )
+
+    def witnessed_by(self, inet, vec, total: int, ancestors) -> bool:
+        """Definition 4.5 of ``vec`` against ``(total, vec)`` ancestor pairs.
+
+        The exact O(depth) walk behind the incremental checker: the verdict
+        for children whose candidate count exceeds the enumeration cap, and
+        for trees without path state.  ``total`` is the token total of
+        ``vec``; ancestors holding more tokens cannot be covered.
+        """
+        degrees = self.degrees_vec(inet)
+        for ancestor_total, avec in ancestors:
+            if ancestor_total > total:
                 continue
-            avec = tree.vec_of(ancestor)
             if avec is vec or avec == vec:
                 continue
             irrelevant = True
@@ -527,6 +539,72 @@ def split_frontier_conditions(
         return False
 
     return split if visit(condition) else None
+
+
+@dataclass
+class FoldedTermination:
+    """A termination condition folded into the data EP checks per node.
+
+    The built-in leaves become plain values for one snapshot, read by the
+    scalar search (``_EPSearch``) and by
+    :class:`~repro.petrinet.kernel.ExpansionKernel` alike:
+
+    * ``budget`` -- the smallest :class:`NodeBudget` (prune node indices
+      ``>= budget``);
+    * ``depth_cut`` -- the smallest :class:`MaxDepthCondition` (prune depths
+      ``> depth_cut``);
+    * ``bounds`` -- ``(pid, bound)`` of every :class:`PlaceBoundCondition`
+      and :class:`UserBoundCondition` (prune a count ``> bound``);
+    * ``irrelevance`` -- the :class:`IrrelevanceCriterion`, decided from a
+      node's over-degree places by its shared
+      :meth:`~IrrelevanceCriterion.incremental_for` checker.
+
+    ``extra`` keeps every other leaf: user conditions, subclasses of the
+    mask-folded built-ins and any second irrelevance criterion.  The kernel
+    evaluates those through :meth:`TerminationCondition.frontier_mask`; the
+    scalar search folds only an ``extra``-free condition and otherwise
+    falls back to ``termination.holds``.  The disjunction of every folded
+    leaf and ``extra`` is exactly the original condition.
+    """
+
+    budget: Optional[int] = None
+    depth_cut: Optional[int] = None
+    bounds: Tuple[Tuple[int, int], ...] = ()
+    irrelevance: Optional[IrrelevanceCriterion] = None
+    extra: List[TerminationCondition] = field(default_factory=list)
+
+
+def fold_termination(condition: TerminationCondition, inet) -> FoldedTermination:
+    """Fold ``condition`` for the snapshot ``inet`` (see :class:`FoldedTermination`).
+
+    Composites and node budgets decompose as in
+    :func:`split_frontier_conditions`; the mask-folded built-ins match by
+    exact type, so a subclass overriding ``holds`` keeps its own verdict.
+    """
+    fold = FoldedTermination()
+    bounds: List[Tuple[int, int]] = []
+
+    def visit(cond: TerminationCondition) -> None:
+        kind = type(cond)
+        if isinstance(cond, CompositeCondition):
+            for sub in cond.conditions:
+                visit(sub)
+        elif isinstance(cond, NodeBudget):
+            if fold.budget is None or cond.max_nodes < fold.budget:
+                fold.budget = cond.max_nodes
+        elif kind is MaxDepthCondition:
+            if fold.depth_cut is None or cond.max_depth < fold.depth_cut:
+                fold.depth_cut = cond.max_depth
+        elif kind is PlaceBoundCondition or kind is UserBoundCondition:
+            bounds.extend(cond._bounded_pids(inet))
+        elif kind is IrrelevanceCriterion and fold.irrelevance is None:
+            fold.irrelevance = cond
+        else:
+            fold.extra.append(cond)
+
+    visit(condition)
+    fold.bounds = tuple(bounds)
+    return fold
 
 
 def default_termination(

@@ -126,12 +126,13 @@ def options_cache_key(options: SchedulerOptions) -> Optional[Tuple]:
 def _effective_kernel_tier(options: SchedulerOptions) -> Optional[str]:
     """The kernel tier a search under ``options`` would run, or ``None``.
 
-    ``None`` for searches that can never reach the kernel backend (explicit
-    scalar/batched requests); otherwise the pinned ``options.kernel_tier``
-    or the process-wide resolution (without triggering the fallback
-    warning -- key derivation is not a search).
+    ``None`` for searches that can never reach the kernel backend (scalar,
+    batched and ``auto``, which resolves to scalar); for explicit kernel
+    requests the pinned ``options.kernel_tier`` or the process-wide
+    resolution (without triggering the fallback warning -- key derivation
+    is not a search).
     """
-    if options.backend not in ("auto", "kernel"):
+    if options.backend != "kernel":
         return None
     if options.kernel_tier is not None:
         return options.kernel_tier

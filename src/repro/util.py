@@ -2,12 +2,58 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
+
+_recursion_lock = threading.Lock()
+_recursion_holders = 0
+_recursion_saved = 0
+
+
+@contextmanager
+def raised_recursion_limit(limit: int = 100_000) -> Iterator[None]:
+    """Hold the interpreter's recursion limit at ``limit`` or above.
+
+    EP recurses once per tree level, so a deep schedule needs far more than
+    the default 1000 frames (pure-Python recursion is heap-allocated on
+    CPython >= 3.11, so only the limit has to move).  The limit is
+    process-wide and searches run concurrently on the daemon's executor
+    threads, so holders are counted under a lock: the first one raises the
+    limit and the last one to leave restores the value the first one saw.
+    A holder that leaves early never drops the limit under another's
+    recursion.
+
+    Example::
+
+        >>> import sys
+        >>> before = sys.getrecursionlimit()
+        >>> with raised_recursion_limit(5000):
+        ...     sys.getrecursionlimit() >= 5000
+        True
+        >>> sys.getrecursionlimit() == before
+        True
+    """
+    global _recursion_holders, _recursion_saved
+    with _recursion_lock:
+        current = sys.getrecursionlimit()
+        if _recursion_holders == 0:
+            _recursion_saved = current
+        if current < limit:
+            sys.setrecursionlimit(limit)
+        _recursion_holders += 1
+    try:
+        yield
+    finally:
+        with _recursion_lock:
+            _recursion_holders -= 1
+            if _recursion_holders == 0:
+                sys.setrecursionlimit(_recursion_saved)
 
 
 class BoundedLRU(Generic[K, V]):

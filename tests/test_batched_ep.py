@@ -402,14 +402,20 @@ def test_unknown_backend_is_rejected():
         find_schedule(net, "src", options=SchedulerOptions(backend="vectorised"))
 
 
-def test_auto_resolves_to_kernel_for_default_options():
+def test_auto_resolves_to_scalar_for_default_options():
     net = random_choice_net(2, seed=2)
-    assert resolve_backend_for(net, SchedulerOptions()) == "kernel"
+    assert resolve_backend_for(net, SchedulerOptions()) == "scalar"
     result = find_schedule(net, "src")
-    assert result.counters.kernel_expansions > 0
+    assert result.counters.kernel_expansions == 0
     assert result.counters.batched_expansions == 0
-    # an explicit "batched" request keeps the un-fused reference path
+    kernel = find_schedule(net, "src", options=SchedulerOptions(backend="kernel"))
+    assert kernel.counters.kernel_expansions > 0
+    assert schedule_fingerprint(result.schedule) == schedule_fingerprint(
+        kernel.schedule
+    )
+    # the matrix backends stay selectable on request
     assert resolve_backend_for(net, SchedulerOptions(backend="batched")) == "batched"
+    assert resolve_backend_for(net, SchedulerOptions(backend="kernel")) == "kernel"
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.runtime.channels import PortBinding, EnvironmentSource, EnvironmentSi
 from repro.runtime.cost_model import PROFILES, CostModel, CycleCosts
 from repro.runtime.simulation import MultiTaskSimulation, SingleTaskSimulation
 from repro.scheduling.ep import find_schedule
+from repro.scheduling.schedule import Schedule
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,23 @@ def test_synthesized_code_size_smaller_than_baseline(small_video_system, small_v
     assert baseline_code_size(small_video_system, profile="pfc-O")["total"] < baseline_code_size(
         small_video_system, profile="pfc"
     )["total"]
+
+
+def test_synthesis_computes_the_place_bounds_once(
+    small_video_system, small_video_schedule, monkeypatch
+):
+    calls = []
+    place_bounds = Schedule.place_bounds
+
+    def counting(schedule):
+        calls.append(schedule)
+        return place_bounds(schedule)
+
+    monkeypatch.setattr(Schedule, "place_bounds", counting)
+    task = synthesize_task(small_video_system, small_video_schedule)
+    # every channel of the video system is an intra-task circular buffer
+    assert task.full_source.count("_head, buf_") == 5
+    assert len(calls) == 1
 
 
 def test_baseline_code_size_function_call_variant(small_video_system):

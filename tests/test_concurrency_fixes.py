@@ -12,6 +12,11 @@ daemon, each pinned here:
 * ``SqliteStore`` shared one connection across threads, interleaving
   statement/commit pairs into torn transactions.
 
+A fourth lives in the search itself: every EP search raised the
+process-wide recursion limit and restored the value it saw, so the first of
+two concurrent searches to finish dropped the limit under the other's
+recursion.  ``raised_recursion_limit`` now counts its holders.
+
 The hammers use more threads than cores on purpose -- preemption anywhere
 inside a critical section is what exposed the races.
 """
@@ -19,21 +24,26 @@ inside a critical section is what exposed the races.
 from __future__ import annotations
 
 import os
+import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
 
 from repro.apps import paper_nets
+from repro.apps.video import VideoAppConfig, build_video_system
 from repro.cache.stores import JsonDirStore, SqliteStore, decode_wire
-from repro.scheduling.ep import SearchCounters
+from repro.petrinet.analysis import StructuralAnalysis
+from repro.scheduling.ep import SearchCounters, find_schedule
+from repro.scheduling.heuristics import ECSOrderingHeuristic, make_heuristic
 from repro.scheduling.serialize import schedule_fingerprint
 from repro.scheduling.warmstart import (
     LIVE_SEARCH_COUNTERS,
     ScheduleWarmStartCache,
     record_live_search,
 )
-from repro.util import BoundedLRU
+from repro.util import BoundedLRU, raised_recursion_limit
 
 
 def _run_threads(worker, count: int):
@@ -311,3 +321,115 @@ def test_jsondir_blob_on_disk_is_checksummed(tmp_path):
     store.put("schedule", "k", {"v": 1})
     (path,) = (tmp_path / "json" / "schedule").glob("*.json")
     assert decode_wire(path.read_text()) == {"v": 1}
+
+
+# ---------------------------------------------------------------------------
+# the recursion limit is shared by concurrent searches
+# ---------------------------------------------------------------------------
+
+
+def test_recursion_limit_stays_raised_until_the_last_holder_exits():
+    original = sys.getrecursionlimit()
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    seen = {}
+
+    def first():
+        with raised_recursion_limit(50_000):
+            first_in.set()
+            assert second_in.wait(5)
+        first_out.set()
+
+    def second():
+        assert first_in.wait(5)
+        with raised_recursion_limit(50_000):
+            second_in.set()
+            assert first_out.wait(5)
+            # the first holder left: the limit must not drop under us
+            seen["after_first_exit"] = sys.getrecursionlimit()
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert seen["after_first_exit"] >= 50_000
+    assert sys.getrecursionlimit() == original
+
+
+def test_recursion_limit_holder_hammer_never_drops_a_live_holder():
+    original = sys.getrecursionlimit()
+    dropped = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+
+        def worker(_index):
+            for _ in range(300):
+                with raised_recursion_limit(40_000):
+                    time.sleep(0)  # let the other holders come and go
+                    if sys.getrecursionlimit() < 40_000:
+                        dropped.append(sys.getrecursionlimit())
+
+        _run_threads(worker, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not dropped
+    assert sys.getrecursionlimit() == original
+
+
+class _GateAtDepth(ECSOrderingHeuristic):
+    """The default ordering, blocking once at the first node of ``depth``."""
+
+    def __init__(self, inner, depth: int):
+        self.inner = inner
+        self.depth = depth
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def order(self, ecss, context):
+        if context.depth >= self.depth and not self.reached.is_set():
+            self.reached.set()
+            assert self.release.wait(10)
+        return self.inner.order(ecss, context)
+
+
+def test_deep_search_survives_a_shorter_search_finishing_first():
+    """PFC 10x10 recurses past the default limit of 1000 frames.
+
+    A ``figure_5`` search enters first and finishes while the PFC search
+    waits at depth 200; the PFC search must still complete.
+    """
+    deep_net = build_video_system(VideoAppConfig(10, 10)).net
+    deep_source = "src.controller.init"
+    short_net = paper_nets.figure_5()
+    deep_gate = _GateAtDepth(
+        make_heuristic(deep_net, StructuralAnalysis.of(deep_net), deep_source), 200
+    )
+    short_gate = _GateAtDepth(
+        make_heuristic(short_net, StructuralAnalysis.of(short_net), "a"), 0
+    )
+    results = {}
+
+    def search(name, net, source, gate):
+        try:
+            results[name] = find_schedule(net, source, heuristic=gate)
+        except BaseException as exc:  # a RecursionError must fail the test
+            results[name] = exc
+
+    original = sys.getrecursionlimit()
+    short = threading.Thread(target=search, args=("short", short_net, "a", short_gate))
+    deep = threading.Thread(
+        target=search, args=("deep", deep_net, deep_source, deep_gate)
+    )
+    short.start()
+    assert short_gate.reached.wait(5)
+    deep.start()
+    assert deep_gate.reached.wait(5)
+    short_gate.release.set()
+    short.join(10)
+    deep_gate.release.set()
+    deep.join(10)
+    assert results["short"].success
+    assert not isinstance(results["deep"], BaseException), results["deep"]
+    assert results["deep"].success
+    assert sys.getrecursionlimit() == original

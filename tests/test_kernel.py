@@ -47,6 +47,7 @@ from repro.petrinet.net import PetriNet
 from repro.scheduling.ep import (
     SchedulerOptions,
     SearchCounters,
+    _EPSearch,
     find_schedule,
     resolve_backend_for,
 )
@@ -57,6 +58,7 @@ from repro.scheduling.termination import (
     NodeBudget,
     TerminationCondition,
     default_termination,
+    fold_termination,
 )
 
 ALL_GOLDEN_CASES = [
@@ -178,11 +180,14 @@ def test_options_cache_key_separates_tiers_not_backend_equivalence():
     scalar_key = options_cache_key(SchedulerOptions(backend="scalar"))
     batched_key = options_cache_key(SchedulerOptions(backend="batched"))
     auto_key = options_cache_key(SchedulerOptions())
-    pinned_key = options_cache_key(SchedulerOptions(kernel_tier="numpy"))
-    # scalar/batched searches never reach the kernel: no tier in their key
+    # scalar/batched searches never reach the kernel, and auto resolves to
+    # scalar: no tier in their keys
     assert scalar_key[-1] is None and batched_key[-1] is None
-    # auto keys on the tier the process would actually run
-    assert auto_key[-1] == resolve_kernel_tier(warn=False)
+    assert auto_key[-1] is None
+    # an explicit kernel request keys on the tier the process would run
+    kernel_key = options_cache_key(SchedulerOptions(backend="kernel"))
+    assert kernel_key[-1] == resolve_kernel_tier(warn=False)
+    pinned_key = options_cache_key(SchedulerOptions(backend="kernel", kernel_tier="numpy"))
     assert pinned_key[-1] == "numpy"
     assert len({scalar_key, batched_key, auto_key}) == 3
 
@@ -440,8 +445,10 @@ class TokenCeilingCondition(TerminationCondition):
     def __init__(self, ceiling: int):
         self.ceiling = ceiling
         self.mask_calls = 0
+        self.holds_calls = 0
 
     def holds(self, tree, node) -> bool:
+        self.holds_calls += 1
         vec_of = getattr(tree, "vec_of", None)
         if vec_of is not None:
             return sum(vec_of(node)) > self.ceiling
@@ -494,6 +501,35 @@ def test_user_maskable_condition_agrees_across_all_backends(ceiling):
     assert masked["batched"] > 0 and masked["kernel"] > 0
     assert masked["scalar"] == 0
     assert results["kernel"].counters.kernel_expansions > 0
+
+
+def test_user_condition_takes_the_holds_fallback_on_the_scalar_backend():
+    """A leaf the fold does not know stays in ``extra``: the kernel masks it,
+    and the scalar search evaluates the whole condition through ``holds``
+    on real (probe) nodes instead of the folded verdict."""
+    net = paper_nets.figure_7(3)
+    termination = default_termination(net, extra=[ceiling := TokenCeilingCondition(5)])
+    fold = fold_termination(termination, net.indexed())
+    assert fold.extra == [ceiling] and fold.irrelevance is not None
+    search = _EPSearch(
+        net, "a", SchedulerOptions(backend="scalar", termination=termination)
+    )
+    assert search._fold is None
+    scalar = search.run()
+    assert ceiling.holds_calls > 0 and ceiling.mask_calls == 0
+    kernel = find_schedule(
+        net,
+        "a",
+        options=SchedulerOptions(
+            backend="kernel",
+            termination=default_termination(net, extra=[TokenCeilingCondition(5)]),
+        ),
+    )
+    assert scalar.success == kernel.success
+    if scalar.success:
+        assert schedule_fingerprint(scalar.schedule) == schedule_fingerprint(
+            kernel.schedule
+        )
 
 
 def test_non_maskable_condition_still_forces_scalar():

@@ -57,7 +57,7 @@ from repro.serve.protocol import (
     resolve_sources,
 )
 from repro.serve.service import LatencyHistogram
-from repro.util import BoundedLRU
+from repro.util import BoundedLRU, raised_recursion_limit
 
 
 async def _request(port: int, payload: dict) -> dict:
@@ -1079,12 +1079,8 @@ def test_deep_line_is_refused_while_a_search_holds_the_raised_limit():
     hold = _held_searches(release)
 
     def holding_raised_limit(net, source, **kwargs):
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 100_000))  # as ep.py does
-        try:
+        with raised_recursion_limit():  # as a live EP search does
             return hold(net, source, **kwargs)
-        finally:
-            sys.setrecursionlimit(old_limit)
 
     async def scenario():
         server = await start_server(max_workers=1)

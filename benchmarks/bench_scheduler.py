@@ -5,22 +5,16 @@
 * Ablation: T-invariant-guided ECS ordering vs. the plain tie-break ordering.
 
 Besides the pytest-benchmark harnesses, the module is a CLI that times the
-serial vs. parallel ``find_all_schedules`` paths -- for the scalar, batched
-and fused-kernel EP-search backends -- and writes the comparison to
+serial ``find_all_schedules`` path and writes the report to
 ``BENCH_scheduler.json``:
 
-    PYTHONPATH=src python benchmarks/bench_scheduler.py --workers 4
-    PYTHONPATH=src python benchmarks/bench_scheduler.py --backend kernel
+    PYTHONPATH=src python benchmarks/bench_scheduler.py
     PYTHONPATH=src python benchmarks/bench_scheduler.py --quick   # CI smoke
     PYTHONPATH=src python benchmarks/bench_scheduler.py --profile
 
 With ``--profile`` each case additionally runs once under :mod:`cProfile`
-per backend and the top hot functions (by cumulative time) land in a
-``"profile"`` section of the JSON -- the table that motivated fusing the
-expand/mask/intern sequence into :mod:`repro.petrinet.kernel`.  The
-``"kernel"`` section records which tier (compiled numba loop or the NumPy
-reference) the timings actually exercised; on hosts without numba the
-compiled column is honestly absent rather than silently numpy.
+and the top hot functions (by cumulative time) land in a ``"profile"``
+section of the JSON.
 
 With ``--cache`` the persistent artifact cache (:mod:`repro.cache`) is
 activated first and a cache phase per case records the end-to-end scheduling
@@ -28,8 +22,8 @@ wall clock of *this process* plus the pure disk-replay time (L1 dropped).
 Run the command twice to get the cold-process vs. warm-process comparison:
 the first run's JSON reports ``"mode": "cold"`` (search + persist), the
 second ``"mode": "warm"`` (zero EP search work, disk replay only).  The
-regular backend timings are always measured with the cache deactivated so
-they stay comparable across runs.
+regular timings are always measured with the cache deactivated so they stay
+comparable across runs.
 
     PYTHONPATH=src python benchmarks/bench_scheduler.py --quick --cache
     PYTHONPATH=src python benchmarks/bench_scheduler.py --quick --cache   # warm
@@ -41,11 +35,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.apps.divisors import build_divisors_system
 from repro.apps.video import VideoAppConfig, build_video_system
@@ -112,7 +104,7 @@ def test_divisors_scheduling(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# CLI: serial vs. parallel, scalar vs. batched -> BENCH_scheduler.json
+# CLI: serial find_all_schedules timings -> BENCH_scheduler.json
 # ---------------------------------------------------------------------------
 
 
@@ -123,62 +115,27 @@ def _results_signature(results) -> Dict[str, Optional[str]]:
     }
 
 
-def _bench_case(
-    name, net, *, backends: Sequence[str], workers: int, repeats: int
-) -> Dict[str, object]:
-    """Best-of-``repeats`` wall clock per backend, serial and parallel.
+def _bench_case(name, net, *, repeats: int) -> Dict[str, object]:
+    """Best-of-``repeats`` wall clock of the serial search.
 
-    Every (backend, serial/parallel) combination must produce byte-identical
-    schedules -- ``identical_schedules`` records the cross-check.
+    Every repeat must produce byte-identical schedules --
+    ``identical_schedules`` records the cross-check.
     """
-    per_backend: Dict[str, Dict[str, object]] = {}
+    times: List[float] = []
     signatures = []
-    sources = 0
-    for backend in backends:
-        serial_times: List[float] = []
-        parallel_times: List[float] = []
-        serial = parallel = None
-        for _ in range(repeats):
-            start = time.monotonic()
-            serial = find_all_schedules(net, backend=backend)
-            serial_times.append(time.monotonic() - start)
-            start = time.monotonic()
-            parallel = find_all_schedules(net, workers=workers, backend=backend)
-            parallel_times.append(time.monotonic() - start)
-        signatures.append(_results_signature(serial))
-        signatures.append(_results_signature(parallel))
-        sources = len(serial)
-        best_serial = min(serial_times)
-        best_parallel = min(parallel_times)
-        per_backend[backend] = {
-            "serial_seconds": round(best_serial, 4),
-            "parallel_seconds": round(best_parallel, 4),
-            "parallel_speedup": (
-                round(best_serial / best_parallel, 3) if best_parallel else None
-            ),
-        }
-    row: Dict[str, object] = {
+    results = {}
+    for _ in range(repeats):
+        start = time.monotonic()
+        results = find_all_schedules(net)
+        times.append(time.monotonic() - start)
+        signatures.append(_results_signature(results))
+    return {
         "case": name,
-        "sources": sources,
+        "sources": len(results),
         "repeats": repeats,
-        "backends": per_backend,
+        "serial_seconds": round(min(times), 4),
         "identical_schedules": all(sig == signatures[0] for sig in signatures),
     }
-    if "scalar" in per_backend and "batched" in per_backend:
-        scalar_s = per_backend["scalar"]["serial_seconds"]
-        batched_s = per_backend["batched"]["serial_seconds"]
-        row["batched_speedup"] = round(scalar_s / batched_s, 3) if batched_s else None
-    if "scalar" in per_backend and "kernel" in per_backend:
-        scalar_s = per_backend["scalar"]["serial_seconds"]
-        kernel_s = per_backend["kernel"]["serial_seconds"]
-        row["kernel_speedup"] = round(scalar_s / kernel_s, 3) if kernel_s else None
-    if "batched" in per_backend and "kernel" in per_backend:
-        batched_s = per_backend["batched"]["serial_seconds"]
-        kernel_s = per_backend["kernel"]["serial_seconds"]
-        row["kernel_vs_batched"] = (
-            round(batched_s / kernel_s, 3) if kernel_s else None
-        )
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -188,213 +145,38 @@ def _bench_case(
 PROFILE_TOP_N = 15
 
 
-def _profile_case(name: str, net, *, backends: Sequence[str]) -> Dict[str, object]:
-    """One profiled serial ``find_all_schedules`` run per backend.
+def _profile_case(name: str, net) -> Dict[str, object]:
+    """One profiled serial ``find_all_schedules`` run.
 
     Returns the top :data:`PROFILE_TOP_N` functions by cumulative time --
-    the table that identifies where a backend actually spends its wall
-    clock (this is how the expand/mask/intern dispatch sequence was found
-    worth fusing).
+    the table that identifies where the search actually spends its wall
+    clock.
     """
     import cProfile
     import pstats
 
-    rows = []
-    for backend in backends:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        find_all_schedules(net, backend=backend)
-        profiler.disable()
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative")
-        top = []
-        for func in stats.fcn_list[:PROFILE_TOP_N]:  # (file, line, name)
-            cc, ncalls, tottime, cumtime, _callers = stats.stats[func]
-            filename, line, func_name = func
-            top.append(
-                {
-                    "function": func_name,
-                    "file": os.path.basename(filename) if filename else filename,
-                    "line": line,
-                    "calls": ncalls,
-                    "primitive_calls": cc,
-                    "total_seconds": round(tottime, 6),
-                    "cumulative_seconds": round(cumtime, 6),
-                }
-            )
-        rows.append({"case": name, "backend": backend, "top": top})
-    return rows
-
-
-def _run_profile_phase(cases, *, backends: Sequence[str]) -> List[Dict[str, object]]:
-    rows: List[Dict[str, object]] = []
-    for name, net in cases:
-        rows.extend(_profile_case(name, net, backends=backends))
-    return rows
-
-
-def _kernel_info() -> Dict[str, object]:
-    """Which fused-kernel tier this host's timings exercised, and why."""
-    from repro.petrinet.kernel import (
-        compiled_tier_available,
-        kernel_enabled,
-        resolve_kernel_tier,
-    )
-
-    return {
-        "tier": resolve_kernel_tier(warn=False),
-        "enabled": kernel_enabled(),
-        "compiled_available": compiled_tier_available(),
-    }
-
-
-def _shm_case(name: str, net, *, workers: int) -> Dict[str, object]:
-    """Per-worker attach-vs-rebuild timing for one case's analysis plane.
-
-    Publishes the net's shared-memory plane, then times a cold
-    :func:`~repro.petrinet.shm.attach_net` against a cold
-    unpickle-plus-:class:`StructuralAnalysis` rebuild -- the two transports
-    a scheduling worker actually chooses between -- once per worker.  Each
-    sample runs in its own fresh single-task pool: submitting N quick
-    tasks to one N-wide pool does not guarantee N distinct processes (the
-    first worker can drain every task before a second ever spawns), which
-    would silently report warm-process numbers as per-worker ones.
-    """
-    from repro.petrinet import shm as shm_plane
-
-    plane = shm_plane.acquire_shared_plane(net)
-    if plane is None:
-        return {"case": name, "published": False}
-    payload = pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL)
-    try:
-        samples = []
-        for _ in range(workers):
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                samples.append(
-                    pool.submit(
-                        shm_plane.measure_attach_vs_rebuild, plane.handle, payload
-                    ).result()
-                )
-    finally:
-        plane.release()
-    attach = [sample["attach_seconds"] for sample in samples]
-    rebuild = [sample["rebuild_seconds"] for sample in samples]
-    best_attach = min(attach)
-    best_rebuild = min(rebuild)
-    return {
-        "case": name,
-        "published": True,
-        "workers": workers,
-        "per_worker": [
+    profiler = cProfile.Profile()
+    profiler.enable()
+    find_all_schedules(net)
+    profiler.disable()
+    stats = pstats.Stats(profiler)
+    stats.sort_stats("cumulative")
+    top = []
+    for func in stats.fcn_list[:PROFILE_TOP_N]:  # (file, line, name)
+        cc, ncalls, tottime, cumtime, _callers = stats.stats[func]
+        filename, line, func_name = func
+        top.append(
             {
-                "pid": sample["pid"],
-                "attach_seconds": round(sample["attach_seconds"], 6),
-                "rebuild_seconds": round(sample["rebuild_seconds"], 6),
+                "function": func_name,
+                "file": os.path.basename(filename) if filename else filename,
+                "line": line,
+                "calls": ncalls,
+                "primitive_calls": cc,
+                "total_seconds": round(tottime, 6),
+                "cumulative_seconds": round(cumtime, 6),
             }
-            for sample in samples
-        ],
-        "attach_seconds_best": round(best_attach, 6),
-        "rebuild_seconds_best": round(best_rebuild, 6),
-        "attach_speedup": round(best_rebuild / best_attach, 3) if best_attach else None,
-    }
-
-
-def _run_shm_phase(cases, *, workers: int) -> Dict[str, object]:
-    """The ``shm`` section of the report: plane status + per-case timings."""
-    from repro.petrinet import shm as shm_plane
-
-    enabled = shm_plane.shm_enabled() and shm_plane.shm_available()
-    info: Dict[str, object] = {"enabled": enabled}
-    if not enabled:
-        return info
-    info["cases"] = [_shm_case(name, net, workers=workers) for name, net in cases]
-    return info
-
-
-def _intra_case(
-    name: str, net, *, worker_counts: Sequence[int], repeats: int
-) -> Dict[str, object]:
-    """One single-source case timed at each intra-search worker count.
-
-    Every worker count must reproduce the ``intra_workers=1`` schedule,
-    fingerprint and tree size byte-for-byte (the repro.scheduling.intra
-    determinism contract); ``identical_schedules`` records the cross-check
-    and the per-count ``stats`` expose how much was actually stolen.
-    """
-    from repro.scheduling.serialize import schedule_fingerprint
-
-    source = net.uncontrollable_sources()[0]
-    timings: Dict[str, float] = {}
-    stats: Dict[str, Dict[str, object]] = {}
-    signatures = []
-    for count in worker_counts:
-        options = SchedulerOptions(intra_workers=count)
-        times: List[float] = []
-        result = None
-        for _ in range(repeats):
-            start = time.monotonic()
-            result = find_schedule(net, source, options=options)
-            times.append(time.monotonic() - start)
-        timings[str(count)] = round(min(times), 4)
-        signatures.append(
-            (
-                schedule_to_json(result.schedule) if result.schedule else None,
-                schedule_fingerprint(result.schedule) if result.schedule else None,
-                result.tree_nodes,
-            )
         )
-        if result.intra_stats is not None:
-            stats[str(count)] = {
-                key: value
-                for key, value in result.intra_stats.items()
-                if key != "workers"
-            }
-    base = timings[str(worker_counts[0])]
-    speedups = {
-        str(count): (
-            round(base / timings[str(count)], 3) if timings[str(count)] else None
-        )
-        for count in worker_counts[1:]
-    }
-    return {
-        "case": name,
-        "source": source,
-        "seconds": timings,
-        "intra_speedup": speedups,
-        "stats": stats,
-        "identical_schedules": all(sig == signatures[0] for sig in signatures),
-    }
-
-
-def _run_intra_phase(
-    cases, *, worker_counts: Sequence[int], repeats: int
-) -> Dict[str, object]:
-    """The ``intra`` section: intra-search work stealing on the PFC cases.
-
-    Only the single-source pfc geometries are timed -- they are exactly the
-    nets the per-source fan-out cannot help, which is the gap the intra
-    layer exists to close.
-    """
-    cpu_count = os.cpu_count() or 1
-    info: Dict[str, object] = {
-        "workers_timed": list(worker_counts),
-        "cpu_count": cpu_count,
-        "cases": [
-            _intra_case(name, net, worker_counts=worker_counts, repeats=repeats)
-            for name, net in cases
-            if name.startswith("pfc")
-        ],
-    }
-    if cpu_count < max(worker_counts):
-        # mirror the workers_exceed_cores flag of the per-source section:
-        # identity checks remain meaningful here, the speedups do not
-        info["workers_exceed_cores"] = True
-        info["note"] = (
-            f"cpu_count={cpu_count} is below the largest intra worker count "
-            f"{max(worker_counts)}: helper processes time-share the cores, so "
-            "intra_speedup records determinism overhead, not parallel gain"
-        )
-    return info
+    return {"case": name, "top": top}
 
 
 #: Candidate budget of the bench's enumerate->score->select phase.
@@ -408,63 +190,44 @@ OBJECTIVE_CORPUS_SEED = 20260877
 
 
 def _objective_source_row(
-    net, source: str, *, backends: Sequence[str], candidate_limit: int
+    net, source: str, *, candidate_limit: int
 ) -> Dict[str, object]:
-    """Cost-objective selection for one source, cross-checked per backend.
+    """Cost-objective selection for one source.
 
-    Every backend must enumerate the same candidate set and elect the same
-    winner (score *and* fingerprint); ``identical_selection`` records the
-    check and ``improvement`` is first-found minus selected predicted cycles
+    ``improvement`` is first-found minus selected predicted cycles
     (positive = the cost objective found a strictly cheaper schedule).
     """
-    stats_by_backend: Dict[str, Dict[str, object]] = {}
-    seconds: Dict[str, float] = {}
-    for backend in backends:
-        start = time.monotonic()
-        result = find_schedule(
-            net,
-            source,
-            options=SchedulerOptions(
-                objective="cost",
-                candidate_limit=candidate_limit,
-                backend=backend,
-                max_nodes=200_000,
-            ),
-        )
-        seconds[backend] = round(time.monotonic() - start, 4)
-        stats_by_backend[backend] = dict(result.objective_stats or {})
-    reference = stats_by_backend[backends[0]]
-    identical = all(
-        stats.get("selected_fingerprint") == reference.get("selected_fingerprint")
-        and stats.get("selected_score") == reference.get("selected_score")
-        and stats.get("candidates") == reference.get("candidates")
-        for stats in stats_by_backend.values()
+    start = time.monotonic()
+    result = find_schedule(
+        net,
+        source,
+        options=SchedulerOptions(
+            objective="cost", candidate_limit=candidate_limit, max_nodes=200_000
+        ),
     )
-    first = reference.get("first_score")
-    selected = reference.get("selected_score")
+    seconds = round(time.monotonic() - start, 4)
+    stats = dict(result.objective_stats or {})
+    first = stats.get("first_score")
+    selected = stats.get("selected_score")
     return {
         "source": source,
-        "candidates": reference.get("candidates"),
+        "candidates": stats.get("candidates"),
         "first_score": first,
         "selected_score": selected,
-        "score_min": reference.get("score_min"),
-        "score_max": reference.get("score_max"),
-        "selected_is_first": reference.get("selected_is_first"),
+        "score_min": stats.get("score_min"),
+        "score_max": stats.get("score_max"),
+        "selected_is_first": stats.get("selected_is_first"),
         "improvement": (
             first - selected
             if isinstance(first, int) and isinstance(selected, int)
             else None
         ),
         "seconds": seconds,
-        "identical_selection": identical,
     }
 
 
 def _run_objective_phase(
-    cases,
-    *,
-    backends: Sequence[str],
-    candidate_limit: int = OBJECTIVE_CANDIDATE_LIMIT,
+    cases, *, candidate_limit: int = OBJECTIVE_CANDIDATE_LIMIT
 ) -> Dict[str, object]:
     """The ``objective`` section: enumerate->score->select on PFC + corpus.
 
@@ -483,28 +246,19 @@ def _run_objective_phase(
     timed = [
         (name, net) for name, net in cases if name.startswith("pfc")
     ] + [(corpus_spec.label(), corpus_net)]
-    rows = []
-    for name, net in timed:
-        source_rows = [
-            _objective_source_row(
-                net, source, backends=backends, candidate_limit=candidate_limit
-            )
-            for source in net.uncontrollable_sources()
-        ]
-        rows.append(
-            {
-                "case": name,
-                "sources": source_rows,
-                "identical_selection": all(
-                    row["identical_selection"] for row in source_rows
-                ),
-            }
-        )
+    rows = [
+        {
+            "case": name,
+            "sources": [
+                _objective_source_row(net, source, candidate_limit=candidate_limit)
+                for source in net.uncontrollable_sources()
+            ],
+        }
+        for name, net in timed
+    ]
     return {
         "candidate_limit": candidate_limit,
-        "backends": list(backends),
         "cases": rows,
-        "identical_selection": all(row["identical_selection"] for row in rows),
         "improvement_found": any(
             (source_row.get("improvement") or 0) > 0
             for row in rows
@@ -554,8 +308,8 @@ def _run_cache_phase(
 ) -> Dict[str, object]:
     """Activate the persistent cache, time every case through it, report.
 
-    Deactivates the cache before returning so the regular backend timing
-    loop is never polluted by replays.
+    Deactivates the cache before returning so the regular timing loop is
+    never polluted by replays.
     """
     import repro.cache as artifact_cache
     from repro.scheduling.warmstart import GLOBAL_SCHEDULE_CACHE, LIVE_SEARCH_COUNTERS
@@ -595,20 +349,16 @@ def _run_cache_phase(
 
 def run_cli_bench(
     *,
-    workers: int,
     quick: bool = False,
     repeats: Optional[int] = None,
-    backends: Sequence[str] = ("scalar", "batched", "kernel"),
     cache: bool = False,
     cache_dir: Optional[str] = None,
     cache_clear: bool = False,
     profile: bool = False,
-    intra_workers: int = 4,
 ) -> Dict[str, object]:
     repeats = repeats or (1 if quick else 3)
     cases = [
         ("pfc_4x5", build_video_system(VideoAppConfig(4, 5)).net),
-        # eight independent sources: the shape the per-source fan-out targets
         ("multi_source_8x6", random_multi_source_net(8, 6, seed=1)),
     ]
     if not quick:
@@ -623,87 +373,31 @@ def run_cli_bench(
         store = artifact_cache.open_store(cache_dir)
         store.clear()
         store.close()
-    # The backend timing loop must always measure real EP searches: hide any
-    # active cache (REPRO_CACHE=1 from the environment, or a caller's
-    # activate()) for its duration -- replays would report near-zero
-    # "search" times -- and restore it afterwards.
+    # The timing loop must always measure real EP searches: hide any active
+    # cache (REPRO_CACHE=1 from the environment, or a caller's activate())
+    # for its duration -- replays would report near-zero "search" times --
+    # and restore it afterwards.
     with artifact_cache.suspended():
-        rows = [
-            _bench_case(name, net, backends=backends, workers=workers, repeats=repeats)
-            for name, net in cases
-        ]
-        profile_rows = (
-            _run_profile_phase(cases, backends=backends) if profile else None
-        )
-        intra_counts = sorted(
-            {1}
-            | {count for count in (2, 4) if count <= intra_workers}
-            | ({intra_workers} if intra_workers > 1 else set())
-        )
-        intra_info = (
-            _run_intra_phase(cases, worker_counts=intra_counts, repeats=repeats)
-            if len(intra_counts) > 1
-            else None
-        )
-        objective_info = _run_objective_phase(cases, backends=backends)
-    shm_info = _run_shm_phase(cases, workers=workers)
-    cpu_count = os.cpu_count() or 1
+        rows = [_bench_case(name, net, repeats=repeats) for name, net in cases]
+        profile_rows = [_profile_case(name, net) for name, net in cases] if profile else None
+        objective_info = _run_objective_phase(cases)
     report: Dict[str, object] = {
-        "benchmark": (
-            "find_all_schedules: serial vs parallel, scalar vs batched vs kernel"
-        ),
-        "backends": list(backends),
-        "workers": workers,
-        "cpu_count": cpu_count,
-        "workers_exceed_cores": workers > cpu_count,
+        "benchmark": "find_all_schedules: serial EP search",
+        "cpu_count": os.cpu_count() or 1,
         "python": sys.version.split()[0],
         "quick": quick,
-        "kernel": _kernel_info(),
         "cache": cache_info,
-        "shm": shm_info,
         "cases": rows,
+        "objective": objective_info,
     }
-    if intra_info is not None:
-        report["intra"] = intra_info
-    report["objective"] = objective_info
     if profile_rows is not None:
         report["profile"] = {"top_n": PROFILE_TOP_N, "cases": profile_rows}
-    if workers > cpu_count:
-        # the recorded parallel_speedup < 1 is then a property of the host,
-        # not of the parallel layer; say so next to the numbers
-        report["workers_warning"] = (
-            f"workers={workers} exceeds cpu_count={cpu_count}: parallel "
-            "timings oversubscribe the machine and speedups below 1x are "
-            "expected"
-        )
     return report
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time serial/parallel and scalar/batched find_all_schedules, emit JSON."
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=max(2, os.cpu_count() or 1),
-        help="process-pool width for the parallel path (default: max(2, cpus))",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("scalar", "batched", "kernel", "auto", "both", "all"),
-        default="all",
-        help="EP-search backend to time; 'all' runs scalar, batched and "
-        "kernel and reports the relative speedups; 'both' keeps the "
-        "pre-kernel scalar+batched pair (default: all)",
-    )
-    parser.add_argument(
-        "--intra-workers",
-        type=int,
-        default=4,
-        help="largest intra-search worker count to time on the pfc cases "
-        "(the 'intra' section runs workers 1..N from {1,2,4,N}; 1 disables "
-        "the section; default: 4)",
+        description="Time the serial find_all_schedules path, emit JSON."
     )
     parser.add_argument(
         "--quick",
@@ -738,8 +432,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="additionally run each case once per backend under cProfile and "
-        "record the top hot functions in a 'profile' section of the JSON",
+        help="additionally run each case once under cProfile and record the "
+        "top hot functions in a 'profile' section of the JSON",
     )
     parser.add_argument(
         "--objective-only",
@@ -754,12 +448,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="where to write the JSON report (default: ./BENCH_scheduler.json)",
     )
     args = parser.parse_args(argv)
-    if args.backend == "all":
-        backends = ("scalar", "batched", "kernel")
-    elif args.backend == "both":
-        backends = ("scalar", "batched")
-    else:
-        backends = (args.backend,)
     if args.no_cache:
         import repro.cache as artifact_cache
 
@@ -768,7 +456,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cases = [
             ("pfc_4x5", build_video_system(VideoAppConfig(4, 5)).net),
         ]
-        objective_info = _run_objective_phase(cases, backends=backends)
+        objective_info = _run_objective_phase(cases)
         try:
             with open(args.output) as handle:
                 report = json.load(handle)
@@ -780,34 +468,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             handle.write("\n")
         _print_objective(objective_info)
         print(f"wrote {args.output} (objective section only)")
-        return 0 if objective_info["identical_selection"] else 1
+        return 0
     report = run_cli_bench(
-        workers=args.workers,
         quick=args.quick,
         repeats=args.repeats,
-        backends=backends,
         cache=args.cache and not args.no_cache,
         cache_dir=args.cache_dir,
         cache_clear=args.cache_clear,
         profile=args.profile,
-        intra_workers=args.intra_workers,
     )
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    if "workers_warning" in report:
-        print(f"WARNING: {report['workers_warning']}", file=sys.stderr)
-    shm_info = report["shm"]
-    if shm_info.get("enabled"):
-        for row in shm_info["cases"]:
-            if not row.get("published"):
-                print(f"shm {row['case']:<18} plane not published (fell back)")
-                continue
-            print(
-                f"shm {row['case']:<18} attach={row['attach_seconds_best']:.4f}s "
-                f"rebuild={row['rebuild_seconds_best']:.4f}s "
-                f"speedup={row['attach_speedup']}x over {row['workers']} worker(s)"
-            )
     cache_info = report["cache"]
     if cache_info["enabled"]:
         for row in cache_info["cases"]:
@@ -823,69 +495,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"disk_hits={cache_info['disk_hits']}, "
             f"warm_process={cache_info['warm_process']}"
         )
-    kernel_info = report["kernel"]
-    print(
-        f"kernel tier: {kernel_info['tier']} "
-        f"(compiled_available={kernel_info['compiled_available']})"
-    )
     for row in report["cases"]:
-        timings = " ".join(
-            f"{backend}: serial={data['serial_seconds']:.3f}s "
-            f"parallel[{args.workers}]={data['parallel_seconds']:.3f}s"
-            for backend, data in row["backends"].items()
-        )
-        extra = "".join(
-            f" {key}={row[key]}x"
-            for key in ("batched_speedup", "kernel_speedup", "kernel_vs_batched")
-            if key in row
-        )
         print(
-            f"{row['case']:<18} sources={row['sources']:<3} {timings}"
-            f"{extra} identical={row['identical_schedules']}"
+            f"{row['case']:<18} sources={row['sources']:<3} "
+            f"serial={row['serial_seconds']:.3f}s "
+            f"identical={row['identical_schedules']}"
         )
     if "profile" in report:
         for entry in report["profile"]["cases"]:
             hottest = entry["top"][0] if entry["top"] else None
             if hottest:
                 print(
-                    f"profile {entry['case']:<14} {entry['backend']:<8} "
+                    f"profile {entry['case']:<14} "
                     f"hottest={hottest['function']} "
                     f"cum={hottest['cumulative_seconds']:.3f}s"
                 )
     _print_objective(report["objective"])
-    if "intra" in report:
-        intra_info = report["intra"]
-        if "note" in intra_info:
-            print(f"NOTE: {intra_info['note']}", file=sys.stderr)
-        for row in intra_info["cases"]:
-            timings = " ".join(
-                f"w{count}={seconds:.3f}s"
-                for count, seconds in row["seconds"].items()
-            )
-            speedups = " ".join(
-                f"x{count}={ratio}" for count, ratio in row["intra_speedup"].items()
-            )
-            print(
-                f"intra {row['case']:<16} {timings} {speedups} "
-                f"identical={row['identical_schedules']}"
-            )
     print(f"wrote {args.output}")
     if not all(row["identical_schedules"] for row in report["cases"]):
-        print("ERROR: schedules diverge across backends/parallelism", file=sys.stderr)
-        return 1
-    if "intra" in report and not all(
-        row["identical_schedules"] for row in report["intra"]["cases"]
-    ):
-        print(
-            "ERROR: schedules diverge across intra-search worker counts",
-            file=sys.stderr,
-        )
-        return 1
-    if not report["objective"]["identical_selection"]:
-        print(
-            "ERROR: cost-objective selection diverges across backends",
-            file=sys.stderr,
-        )
+        print("ERROR: schedules diverge across repeats", file=sys.stderr)
         return 1
     return 0
 
@@ -899,12 +527,10 @@ def _print_objective(objective_info: Dict[str, object]) -> None:
                 f"spread=[{source_row['score_min']}, {source_row['score_max']}] "
                 f"first={source_row['first_score']} "
                 f"selected={source_row['selected_score']} "
-                f"improvement={source_row['improvement']} "
-                f"identical={source_row['identical_selection']}"
+                f"improvement={source_row['improvement']}"
             )
     print(
         f"objective: candidate_limit={objective_info['candidate_limit']} "
-        f"identical_selection={objective_info['identical_selection']} "
         f"improvement_found={objective_info['improvement_found']}"
     )
 

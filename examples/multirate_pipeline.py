@@ -6,8 +6,8 @@ Demonstrates multi-rate communication (bursts of several items per port
 operation), the channel bounds the scheduler derives, the independence /
 executability machinery on systems with several pipeline stages, and
 ``find_all_schedules`` -- the entry point that schedules *every*
-uncontrollable input (serially here; pass ``workers=N`` to fan out, set
-``REPRO_CACHE=1`` to persist the outcomes across runs).
+uncontrollable input (set ``REPRO_CACHE=1`` to persist the outcomes across
+runs).
 """
 
 from __future__ import annotations

@@ -1,32 +1,27 @@
 """Quickstart: compile, schedule and synthesize the divisors process (Figure 1).
 
-Run with ``python examples/quickstart.py [scalar|batched|auto]``.
+Run with ``python examples/quickstart.py``.
 
 The example walks the full flow of the paper on its running example:
 FlowC source -> Petri net (Figure 3) -> single-source schedule -> code
 segments -> synthesized C task, and finally executes the synthesized task to
-compute divisors.  It also shows the current API surface: the EP backend
-knob (``SchedulerOptions.backend``), the search counters on the result, and
-the warm-start / persistent cache (set ``REPRO_CACHE=1`` before running to
+compute divisors.  It also shows the search counters on the result and the
+warm-start / persistent cache (set ``REPRO_CACHE=1`` before running to
 persist the schedule under ``.cache/repro/`` -- a second run then replays
 it from disk instead of re-searching).
 """
 
 from __future__ import annotations
 
-import sys
-
 from repro.apps.divisors import DIVISORS_SOURCE, build_divisors_network
 from repro.codegen.synthesis import synthesize_task
 from repro.codegen.task import ExecutableTask
 from repro.flowc.linker import link
 from repro.runtime.channels import EnvironmentSink, EnvironmentSource, PortBinding
-from repro.scheduling.ep import SchedulerOptions, resolve_backend_for
 from repro.scheduling.warmstart import cached_find_schedule
 
 
 def main() -> None:
-    backend = sys.argv[1] if len(sys.argv) > 1 else "auto"
     print("=== FlowC source (Figure 1) ===")
     print(DIVISORS_SOURCE)
 
@@ -40,12 +35,7 @@ def main() -> None:
     # 2. quasi-static scheduling for the uncontrollable input port `in`.
     # cached_find_schedule layers the warm-start caches over find_schedule:
     # in-memory always, plus the disk store when REPRO_CACHE=1 is set.
-    options = SchedulerOptions(backend=backend)
-    print(f"\nrequested backend: {backend!r} "
-          f"-> resolves to {resolve_backend_for(system.net, options)!r}")
-    result = cached_find_schedule(
-        system.net, "src.divisors.in", options=options, raise_on_failure=True
-    )
+    result = cached_find_schedule(system.net, "src.divisors.in", raise_on_failure=True)
     schedule = result.schedule
     print("=== Schedule ===")
     print(

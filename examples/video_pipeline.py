@@ -1,7 +1,7 @@
 """The industrial video application of Section 8 (producer / filter /
 consumer / controller), end to end.
 
-Run with ``python examples/video_pipeline.py [lines pixels frames [backend]]``.
+Run with ``python examples/video_pipeline.py [lines pixels frames]``.
 
 The example builds the four-process network of Figure 18, schedules it into a
 single task triggered by ``init``, and compares the synthesized implementation
@@ -11,7 +11,7 @@ of Table 1 and the code sizes of Table 2.
 Scheduling goes through the warm-start cache, so with ``REPRO_CACHE=1`` in
 the environment a repeated run (e.g. the paper's 10x10 geometry, a few
 seconds of search) replays the schedule from ``.cache/repro/`` instead of
-re-searching; ``backend`` picks the EP hot-loop (scalar / batched / auto).
+re-searching.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ def main() -> None:
     lines = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     pixels = int(sys.argv[2]) if len(sys.argv) > 2 else 5
     frames = int(sys.argv[3]) if len(sys.argv) > 3 else 10
-    backend = sys.argv[4] if len(sys.argv) > 4 else "auto"
     config = VideoAppConfig(lines_per_frame=lines, pixels_per_line=pixels)
     print(f"PFC video application: {lines} lines x {pixels} pixels, {frames} frames")
 
@@ -39,7 +38,7 @@ def main() -> None:
     result = cached_find_schedule(
         system.net,
         "src.controller.init",
-        options=SchedulerOptions(max_nodes=200_000, backend=backend),
+        options=SchedulerOptions(max_nodes=200_000),
         raise_on_failure=True,
     )
     schedule = result.schedule

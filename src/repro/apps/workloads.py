@@ -193,7 +193,7 @@ def random_choice_net(
     The family exercises exactly the scheduler paths the single-ECS marked
     graphs cannot: multi-transition ECSs (EP_ECS must find entering points
     through *both* branches), nodes with several enabled ECSs (the one-step
-    lookahead and its batched frontier form), weighted arcs, and -- when the
+    lookahead), weighted arcs, and -- when the
     drawn emission/consumption counts do not divide evenly -- schedules that
     fail, which the differential harness pins too.  Randomness follows the
     same explicit-``rng`` contract as :func:`random_marked_graph`.
@@ -256,8 +256,8 @@ def random_multi_source_net(
     Every ring is independently single-source schedulable (it is a strongly
     connected marked graph), so the net has exactly ``sources`` uncontrollable
     sources (``r0.src`` .. ``r{sources-1}.src``) whose EP searches share no
-    places -- the shape the parallel scheduler fans out over.  Ring sizes are
-    drawn from the shared ``rng`` so the per-source searches differ in cost.
+    places.  Ring sizes are drawn from the shared ``rng`` so the per-source
+    searches differ in cost.
     """
     if sources < 1:
         raise ValueError("need at least one source")

@@ -16,7 +16,7 @@ What is persisted, and under which key:
   under ``(schema_version, structural_fingerprint, options_fingerprint,
   source_transition)`` -- the options fingerprint covers every
   :class:`~repro.scheduling.ep.SchedulerOptions` field that can change the
-  outcome or its accounting, including the EP backend;
+  outcome or its accounting;
 * complete T-invariant bases under ``(schema_version, incidence_fingerprint,
   max_rows)``; a basis cut at its row cap is never written.
 
@@ -81,7 +81,6 @@ __all__ = [
     "activate",
     "deactivate",
     "active_store",
-    "disable_in_subprocess",
     "suspended",
     "reset_active_store",
     "options_fingerprint",
@@ -158,12 +157,9 @@ def active_store() -> Optional[CacheStore]:
     store, and anything else leaves the disk cache off (the in-memory
     warm-start caches still apply).
 
-    **Fork safety**: the resolution is per PID.  A forked child (e.g. a
-    ``ProcessPoolExecutor`` worker on Linux) never reuses a store inherited
-    from its parent -- sqlite connections must not cross ``fork()`` -- and
-    re-resolves from the environment instead (the scheduling pool workers
-    go further and disable the cache outright, see
-    :func:`disable_in_subprocess`).
+    **Fork safety**: the resolution is per PID.  A forked child never
+    reuses a store inherited from its parent -- sqlite connections must not
+    cross ``fork()`` -- and re-resolves from the environment instead.
     """
     global _ACTIVE, _ACTIVE_PID
     if _ACTIVE is _UNRESOLVED or _ACTIVE_PID != os.getpid():
@@ -205,20 +201,6 @@ def deactivate() -> None:
     _ACTIVE_PID = os.getpid()
 
 
-def disable_in_subprocess() -> None:
-    """Mark the cache off in a worker process, untouched store left behind.
-
-    Called by the scheduling pool workers: the parent does every cache read
-    and write itself, so workers must neither use an inherited connection
-    (unsafe across ``fork()``) nor open their own (N-way contention on one
-    sqlite file).  Unlike :func:`deactivate` this never closes anything --
-    the inherited connection object belongs to the parent.
-    """
-    global _ACTIVE, _ACTIVE_PID
-    _ACTIVE = None
-    _ACTIVE_PID = os.getpid()
-
-
 def reset_active_store() -> None:
     """Forget any resolution so the next :func:`active_store` re-reads the env."""
     global _ACTIVE, _ACTIVE_PID
@@ -231,7 +213,7 @@ def reset_active_store() -> None:
 def suspended():
     """Temporarily hide the active store (``active_store() -> None``) without
     closing it; the previous state is restored on exit.  Used by the
-    benchmark's backend timing loop, which must measure real EP searches
+    benchmark's timing loop, which must measure real EP searches
     even when the caller (or ``REPRO_CACHE=1``) has a cache active."""
     global _ACTIVE, _ACTIVE_PID
     saved, saved_pid = _ACTIVE, _ACTIVE_PID
@@ -255,8 +237,8 @@ def options_fingerprint(opts_key: Tuple) -> str:
 
     The tuple comes from :func:`repro.scheduling.warmstart.options_cache_key`
     and covers every option that can change the search outcome or its
-    accounting (including the EP backend), so two processes running with the
-    same knobs hit the same entries.
+    accounting, so two processes running with the same knobs hit the same
+    entries.
     """
     return hashlib.sha256(repr(opts_key).encode("utf-8")).hexdigest()
 

@@ -3,8 +3,8 @@
 The corpus layer closes the loop the paper draws: not only must the EP
 search find a schedule, the synthesized task code must *behave identically*
 to the original concurrent specification.  Every generated case travels
-FlowC parse -> compile -> link -> EP schedule (all three backends) ->
-codegen -> both simulators, and the per-channel I/O traces are compared.
+FlowC parse -> compile -> link -> EP schedule -> codegen -> both
+simulators, and the per-channel I/O traces are compared.
 
 * :mod:`repro.corpus.topologies` -- pure-data scenario specs and their
   FlowC / netlist / manifest realisations.
@@ -19,7 +19,6 @@ codegen -> both simulators, and the per-channel I/O traces are compared.
 """
 
 from repro.corpus.differential import (
-    BACKENDS,
     STAGES,
     CaseOutcome,
     CorpusReport,
@@ -55,7 +54,6 @@ from repro.corpus.topologies import (
 )
 
 __all__ = [
-    "BACKENDS",
     "STAGES",
     "CaseOutcome",
     "CorpusCase",

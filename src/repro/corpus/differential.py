@@ -1,13 +1,12 @@
 """Whole-pipeline differential execution of corpus cases.
 
 One corpus case travels the *entire* toolchain: FlowC parse -> compile ->
-link -> EP schedule on all three backends (byte-identical fingerprints) ->
-canonical-serialization round-trip -> codegen task synthesis -> the two
-simulators of :mod:`repro.runtime.simulation`.  The property asserted at the
-end is the paper's actual claim: the synthesized quasi-static tasks are
-*observationally equivalent* to the original concurrent specification --
-normalized I/O traces per environment channel match under a shared input
-script, not merely "a schedule was found".
+link -> EP schedule -> canonical-serialization round-trip -> codegen task
+synthesis -> the two simulators of :mod:`repro.runtime.simulation`.  The
+property asserted at the end is the paper's actual claim: the synthesized
+quasi-static tasks are *observationally equivalent* to the original
+concurrent specification -- normalized I/O traces per environment channel
+match under a shared input script, not merely "a schedule was found".
 
 Failures carry the pipeline stage they died in (:data:`STAGES`), which is
 what the shrinker in :mod:`repro.corpus.shrink` preserves while reducing a
@@ -28,10 +27,7 @@ from repro.runtime.simulation import MultiTaskSimulation, SingleTaskSimulation
 from repro.scheduling.ep import SchedulerOptions, find_all_schedules
 from repro.scheduling.objective import SingleTaskPrediction, predict_single_task
 from repro.scheduling.schedule import Schedule
-from repro.scheduling.serialize import schedule_fingerprint, verify_roundtrip
-
-#: The EP backends every case must agree across.
-BACKENDS: Tuple[str, ...] = ("scalar", "batched", "kernel")
+from repro.scheduling.serialize import verify_roundtrip
 
 #: EP node budget per search.  Every schedulable corpus case closes in a few
 #: hundred nodes (the smoke sweep's worst case is ~650), so this is ~30x
@@ -42,7 +38,7 @@ MAX_NODES = 20_000
 #: Pipeline stages in order; failures name the first stage that broke.
 STAGES: Tuple[str, ...] = (
     "build",      # FlowC parse / compile / link / spec validation
-    "schedule",   # EP search, cross-backend identity, serialization round-trip
+    "schedule",   # EP search, serialization round-trip
     "codegen",    # thread extraction / segment synthesis / task construction
     "simulate",   # either simulator raised while executing
     "predict",    # static cost prediction disagrees with the simulated run
@@ -233,57 +229,30 @@ def _fail(
     )
 
 
-def _schedule_all_backends(
+def _schedule(
     linked: LinkedSystem,
     sources: Sequence[str],
     spec: ScenarioSpec,
     started: float,
 ) -> Union[CaseOutcome, Tuple[Dict[str, Schedule], Dict[str, bool]]]:
-    """EP search on every backend; returns schedules or a failure outcome.
+    """One EP search per source; returns schedules or a failure outcome.
 
-    Pins two invariants beyond "found a schedule": per-source success is
-    identical across backends, and successful schedules are byte-identical
-    (fingerprint equality), extending the scheduler's three-backend
-    differential fuzz to generated whole-system nets.
+    Every schedule found must survive the canonical serialization round
+    trip byte for byte.
     """
-    per_backend: Dict[str, Dict[str, Any]] = {}
-    for backend in BACKENDS:
-        per_backend[backend] = find_all_schedules(
-            linked.net,
-            options=SchedulerOptions(backend=backend, max_nodes=MAX_NODES),
-            sources=list(sources),
-            raise_on_failure=False,
-        )
-    reference = per_backend[BACKENDS[0]]
-    success = {source: bool(reference[source].success) for source in sources}
-    for backend in BACKENDS[1:]:
-        other = {s: bool(per_backend[backend][s].success) for s in sources}
-        if other != success:
-            return _fail(
-                spec,
-                "schedule",
-                f"backends disagree on schedulability: scalar={success} {backend}={other}",
-                started,
-            )
-    fingerprints: Dict[str, str] = {}
+    results = find_all_schedules(
+        linked.net,
+        options=SchedulerOptions(max_nodes=MAX_NODES),
+        sources=list(sources),
+    )
+    success = {source: bool(results[source].success) for source in sources}
     schedules: Dict[str, Schedule] = {}
     for source in sources:
         if not success[source]:
             continue
-        prints = {
-            backend: schedule_fingerprint(per_backend[backend][source].schedule)
-            for backend in BACKENDS
-        }
-        if len(set(prints.values())) != 1:
-            return _fail(
-                spec,
-                "schedule",
-                f"backend schedules diverge for {source}: {prints}",
-                started,
-            )
-        schedule = reference[source].schedule
+        schedule = results[source].schedule
         try:
-            fingerprints[source] = verify_roundtrip(schedule)
+            verify_roundtrip(schedule)
         except ValueError as error:
             return _fail(spec, "schedule", str(error), started)
         schedules[source] = schedule
@@ -301,7 +270,7 @@ def run_case(spec: ScenarioSpec, *, max_rounds: int = 1_000_000) -> CaseOutcome:
 
     manifest = case.manifest
     sources = manifest["source_transitions"]
-    outcome = _schedule_all_backends(linked, sources, spec, started)
+    outcome = _schedule(linked, sources, spec, started)
     if isinstance(outcome, CaseOutcome):
         return outcome
     schedules, success = outcome
@@ -317,7 +286,7 @@ def run_case(spec: ScenarioSpec, *, max_rounds: int = 1_000_000) -> CaseOutcome:
             schedulable=all_schedulable,
         )
     if not expect_schedulable:
-        # expected-failure case: all backends agreed it has no schedule, done
+        # expected-failure case: no source has a schedule, done
         return CaseOutcome(
             name=spec.label(),
             family=spec.family,

@@ -329,8 +329,8 @@ def make_unschedulable_spec(seed: int = 0) -> ScenarioSpec:
     channel ``uc2`` on the other, while ``u2`` joins by reading *both* every
     firing.  Whenever the environment keeps resolving the choice one way, the
     other channel starves and the taken one accumulates without bound, so no
-    cyclic finite-memory schedule exists.  All three backends must agree on
-    the failure; the harness pins that instead of trace equivalence.
+    cyclic finite-memory schedule exists.  The harness pins that failure
+    instead of trace equivalence.
 
     Note a merely count-skewed branch (both arms writing the *same* channel,
     different amounts) is NOT sufficient: the scheduler legitimately handles

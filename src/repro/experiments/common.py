@@ -126,9 +126,7 @@ class PfcExperimentSetup:
 
 
 @lru_cache(maxsize=4)
-def _cached_setup(
-    config: VideoAppConfig, max_nodes: int, backend: str
-) -> PfcExperimentSetup:
+def _cached_setup(config: VideoAppConfig, max_nodes: int) -> PfcExperimentSetup:
     system = build_video_system(config)
     # Warm-start by structural fingerprint: a geometry scheduled once in this
     # process (even on a different net object -- tests, benchmarks and the
@@ -137,7 +135,7 @@ def _cached_setup(
     result = cached_find_schedule(
         system.net,
         "src.controller.init",
-        options=SchedulerOptions(max_nodes=max_nodes, backend=backend),
+        options=SchedulerOptions(max_nodes=max_nodes),
         raise_on_failure=True,
     )
     assert result.schedule is not None
@@ -156,15 +154,11 @@ def build_pfc_setup(
     config: VideoAppConfig = FAST_CONFIG,
     *,
     max_nodes: int = 100_000,
-    backend: str = "auto",
 ) -> PfcExperimentSetup:
     """Build (or fetch the cached) experiment setup for a frame geometry.
 
-    ``backend`` selects the EP-search hot-loop implementation (scalar /
-    batched / auto); the resulting schedule is backend-independent, so the
-    knob only matters for the recorded ``scheduling_seconds``.  With the
-    persistent cache active (``REPRO_CACHE=1`` or ``repro.cache.activate()``)
+    With the persistent cache active (``REPRO_CACHE=1`` or ``repro.cache.activate()``)
     the scheduling step replays from disk across processes; the recorded
     ``scheduling_seconds`` then still reports the *original* search cost.
     """
-    return _cached_setup(config, max_nodes, backend)
+    return _cached_setup(config, max_nodes)

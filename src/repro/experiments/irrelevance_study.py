@@ -116,7 +116,7 @@ def run_pruning_sweep(
 ) -> List[PruningSweepRow]:
     """Evaluate the pruning conditions over whole reachable sets at once.
 
-    This is the batched-backend counterpart of :func:`run_irrelevance_study`:
+    This is the batched counterpart of :func:`run_irrelevance_study`:
     instead of replaying the scheduling search per condition, it materialises
     a bounded reachable set as one marking matrix (one row per marking) and
     answers every termination query with vectorized row reductions -- each

@@ -15,14 +15,11 @@ The paper models the linked network of FlowC processes as a single Petri net
 * :mod:`repro.petrinet.indexed` -- the integer-dense core the hot paths run
   on: dense place/transition IDs, tuple markings, precomputed firing deltas
   and incremental enabled-set maintenance (see ``docs/architecture.md``).
-* :mod:`repro.petrinet.batched` -- NumPy marking-matrix backend (one row per
-  marking) for sweeps: batched enabledness, covering, bound and irrelevance
-  queries, frontier-at-a-time reachability.
+* :mod:`repro.petrinet.batched` -- NumPy marking matrices (one row per
+  marking) for sweeps: batched enabledness, bound and irrelevance queries,
+  frontier-at-a-time reachability.
 * :mod:`repro.petrinet.fingerprint` -- stable structural hashes keying the
   warm-start caches across net objects.
-* :mod:`repro.petrinet.shm` -- the shared-memory analysis plane: publish a
-  net's immutable dense analysis once, attach read-only views from every
-  scheduling worker (pickle fallback, refcounted lifecycle).
 """
 
 from repro.petrinet.indexed import IndexedNet, MarkingStore
@@ -56,19 +53,9 @@ from repro.petrinet.invariants import (
     is_t_invariant,
 )
 from repro.petrinet.covering import BinateCoveringProblem, solve_binate_covering
-from repro.petrinet.shm import (
-    AttachedNet,
-    SharedNetHandle,
-    SharedNetPlane,
-    acquire_shared_plane,
-    attach_net,
-    publish_net,
-    shm_enabled,
-)
 
 __all__ = [
     "ArcError",
-    "AttachedNet",
     "BinateCoveringProblem",
     "ChoiceKind",
     "IndexedNet",
@@ -80,15 +67,9 @@ __all__ = [
     "Place",
     "ReachabilityGraph",
     "ReachabilityNode",
-    "SharedNetHandle",
-    "SharedNetPlane",
     "SourceKind",
     "StructuralAnalysis",
     "Transition",
-    "acquire_shared_plane",
-    "attach_net",
-    "publish_net",
-    "shm_enabled",
     "build_reachability_graph",
     "compute_ecs_partition",
     "incidence_fingerprint",

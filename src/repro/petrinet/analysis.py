@@ -191,16 +191,8 @@ class StructuralAnalysis:
     source_ecs_ids: FrozenSet[int] = frozenset()
 
     @classmethod
-    def of(
-        cls, net: PetriNet, *, degrees: Optional[Dict[str, int]] = None
-    ) -> "StructuralAnalysis":
-        """Compute the bundle for ``net``.
-
-        ``degrees`` optionally supplies precomputed place degrees (e.g. the
-        shared-memory analysis plane's published degree row) instead of
-        re-deriving them per place; values must match
-        :func:`all_place_degrees` for the same net.
-        """
+    def of(cls, net: PetriNet) -> "StructuralAnalysis":
+        """Compute the bundle for ``net``."""
         partition = compute_ecs_partition(net)
         by_transition: Dict[str, ECS] = {}
         for ecs in partition:
@@ -218,7 +210,7 @@ class StructuralAnalysis:
             net=net,
             partition=partition,
             ecs_by_transition=by_transition,
-            degrees=dict(degrees) if degrees is not None else all_place_degrees(net),
+            degrees=all_place_degrees(net),
             uncontrollable=frozenset(net.uncontrollable_sources()),
             controllable=frozenset(net.controllable_sources()),
             indexed_net=indexed,

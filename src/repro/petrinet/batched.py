@@ -1,17 +1,16 @@
-"""Batched NumPy reachability / covering backend: one row per marking.
+"""Batched NumPy reachability sweeps: one row per marking.
 
 The facade walks markings one at a time; the experiments that *sweep* many
-markings at once (irrelevance studies, boundedness scans, covering queries
-over a reachable set) were paying a Python-level loop per marking.  This
-module gives them a dense alternative: a marking **matrix** ``M`` of shape
-``(n_markings, n_places)`` with one row per marking, against which
+markings at once (irrelevance studies, boundedness scans over a reachable
+set) were paying a Python-level loop per marking.  This module gives them a
+dense alternative: a marking **matrix** ``M`` of shape ``(n_markings,
+n_places)`` with one row per marking, against which
 
 * enabledness of every transition at every marking is ``n_transitions``
   vectorized comparisons (:func:`enabled_mask`),
 * firing a transition over all rows is one broadcast add (:func:`fire_rows`),
-* covering / place-bound / irrelevance queries are row-wise reductions
-  (:func:`covers_mask`, :func:`bound_violation_mask`,
-  :func:`irrelevance_mask`),
+* place-bound / irrelevance queries are row-wise reductions
+  (:func:`bound_violation_mask`, :func:`irrelevance_mask`),
 * bounded reachability explores a whole BFS frontier per step
   (:func:`reachable_matrix`).
 
@@ -21,34 +20,15 @@ on ``IndexedNet.analysis_cache`` and die with the structural snapshot.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.petrinet.indexed import IndexedNet, MarkingVec
-from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 
 _CONSUME_KEY = ("batched", "consume_matrix")
-_PRODUCE_KEY = ("batched", "produce_matrix")
 _DELTA_KEY = ("batched", "delta_matrix")
-
-#: Element budget for one intermediate of the (children x ancestors x places)
-#: irrelevance broadcast.  :func:`irrelevance_frontier_mask` chunks over the
-#: ancestor axis so no boolean intermediate outgrows this many elements --
-#: deep schedules (one path row per fired transition) would otherwise
-#: materialise an O(children x depth x places) cube per node expansion.
-IRRELEVANCE_CHUNK_ELEMENTS = 1 << 20
-
-#: Token counts at or above this magnitude are rejected by the frontier
-#: primitives: one more firing could leave the exact-int semantics of the
-#: facade and silently wrap in int64 arithmetic.  The scheduling backends
-#: fall back to the (unbounded Python int) scalar path beyond it.
-FRONTIER_TOKEN_GUARD = 2**62
-
-
-class FrontierOverflowError(OverflowError):
-    """A marking holds token counts too large for the int64 matrix backend."""
 
 
 def consumption_matrix(inet: IndexedNet) -> np.ndarray:
@@ -66,21 +46,6 @@ def consumption_matrix(inet: IndexedNet) -> np.ndarray:
     return cached
 
 
-def production_matrix(inet: IndexedNet) -> np.ndarray:
-    """``W+[t, p] = F(t, p)``: tokens transition ``t`` puts into place ``p``."""
-    cached = inet.analysis_cache.get(_PRODUCE_KEY)
-    if cached is None:
-        matrix = np.zeros(
-            (len(inet.transition_names), len(inet.place_names)), dtype=np.int64
-        )
-        for tid, sparse in enumerate(inet.produce):
-            for pid, weight in sparse:
-                matrix[tid, pid] = weight
-        matrix.setflags(write=False)
-        inet.analysis_cache[_PRODUCE_KEY] = cached = matrix
-    return cached
-
-
 def delta_matrix(inet: IndexedNet) -> np.ndarray:
     """``D[t, p]``: marking change at place ``p`` when ``t`` fires."""
     cached = inet.analysis_cache.get(_DELTA_KEY)
@@ -94,69 +59,6 @@ def delta_matrix(inet: IndexedNet) -> np.ndarray:
         matrix.setflags(write=False)
         inet.analysis_cache[_DELTA_KEY] = cached = matrix
     return cached
-
-
-def adopt_dense_analysis(
-    inet: IndexedNet,
-    *,
-    consume: Optional[np.ndarray] = None,
-    produce: Optional[np.ndarray] = None,
-    delta: Optional[np.ndarray] = None,
-) -> None:
-    """Install externally-owned dense matrices into the snapshot's cache.
-
-    The shared-memory analysis plane (:mod:`repro.petrinet.shm`) attaches
-    read-only views over another process's published arrays; adopting them
-    here means :func:`consumption_matrix` / :func:`production_matrix` /
-    :func:`delta_matrix` borrow those views instead of rebuilding the
-    matrices from the sparse structure.  Arrays must be int64 of shape
-    ``(n_transitions, n_places)`` and are forced read-only; shape or dtype
-    mismatches raise ``ValueError`` rather than corrupting the hot loop.
-    """
-    expected = (len(inet.transition_names), len(inet.place_names))
-    for key, array in ((_CONSUME_KEY, consume), (_PRODUCE_KEY, produce), (_DELTA_KEY, delta)):
-        if array is None:
-            continue
-        if tuple(array.shape) != expected or array.dtype != np.int64:
-            raise ValueError(
-                f"cannot adopt {key[1]}: expected int64 {expected}, "
-                f"got {array.dtype} {tuple(array.shape)}"
-            )
-        if array.flags.writeable:
-            array = array.view()
-            array.setflags(write=False)
-        inet.analysis_cache[key] = array
-
-
-def discard_dense_analysis(inet: IndexedNet) -> None:
-    """Drop any (adopted or built) dense matrices from the snapshot's cache.
-
-    Used when a shared-memory attachment is released: the borrowed views
-    must not outlive the mapping they point into, so they are evicted and
-    the next query rebuilds process-local matrices from the sparse form.
-    """
-    for key in (_CONSUME_KEY, _PRODUCE_KEY, _DELTA_KEY):
-        inet.analysis_cache.pop(key, None)
-
-
-def marking_matrix(
-    inet: IndexedNet, markings: Iterable[Mapping[str, int] | MarkingVec]
-) -> np.ndarray:
-    """Stack markings (facade mappings or dense vectors) into one matrix."""
-    rows: List[MarkingVec] = []
-    for marking in markings:
-        if isinstance(marking, tuple):
-            rows.append(marking)
-        else:
-            rows.append(inet.vec_of_marking(marking))
-    if not rows:
-        return np.zeros((0, len(inet.place_names)), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
-
-
-def markings_of_matrix(inet: IndexedNet, matrix: np.ndarray) -> List[Marking]:
-    """Facade markings for every row of the matrix."""
-    return [inet.marking_of_vec(tuple(int(v) for v in row)) for row in matrix]
 
 
 # ---------------------------------------------------------------------------
@@ -184,106 +86,8 @@ def fire_rows(inet: IndexedNet, matrix: np.ndarray, tid: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# frontier expansion (the EP-search hot loop)
+# batched termination queries
 # ---------------------------------------------------------------------------
-
-
-def expand_children(
-    inet: IndexedNet, vec: MarkingVec, tids: Sequence[int]
-) -> np.ndarray:
-    """Child markings of one node for several transitions at once.
-
-    Returns a ``(len(tids), n_places)`` matrix whose row ``i`` is ``vec``
-    after firing ``tids[i]`` -- the whole search frontier of one tree node
-    as a single broadcast add against the dense delta matrix.  The caller
-    guarantees enabledness (for the EP search, candidates come from enabled
-    ECSs whose member transitions share one preset).
-
-    Raises :class:`FrontierOverflowError` when a token count is at or above
-    :data:`FRONTIER_TOKEN_GUARD`, where int64 arithmetic could wrap; callers
-    then take the exact scalar path instead.
-    """
-    base = np.asarray(vec, dtype=np.int64)
-    if base.size and int(np.abs(base).max()) >= FRONTIER_TOKEN_GUARD:
-        raise FrontierOverflowError(
-            "marking holds token counts >= 2**62; use the scalar backend"
-        )
-    return base + delta_matrix(inet)[list(tids)]
-
-
-def _irrelevance_block(
-    children: np.ndarray, ancestors: np.ndarray, degrees: np.ndarray
-) -> np.ndarray:
-    """One broadcast block of :func:`irrelevance_frontier_mask` (any-ancestor)."""
-    ge = children[:, None, :] >= ancestors[None, :, :]
-    gt = children[:, None, :] > ancestors[None, :, :]
-    cover = ge.all(axis=2)
-    # under cover, "differs" is equivalent to "grew somewhere"
-    differs = gt.any(axis=2)
-    unsaturated = ancestors[None, :, :] < degrees[None, None, :]
-    grew_unsaturated = (gt & unsaturated).any(axis=2)
-    return (cover & differs & ~grew_unsaturated).any(axis=1)
-
-
-def irrelevance_frontier_mask(
-    children: np.ndarray,
-    ancestors: np.ndarray,
-    degrees: np.ndarray,
-    *,
-    chunk_elements: Optional[int] = None,
-) -> np.ndarray:
-    """Per child: irrelevant (Definition 4.5) w.r.t. *any* ancestor row.
-
-    ``children`` is the ``(n_children, n_places)`` frontier of one node,
-    ``ancestors`` the ``(depth, n_places)`` markings on the path from the
-    root to that node (any row order), ``degrees`` the dense place-degree
-    vector.  A child is irrelevant w.r.t. an ancestor when it covers it,
-    differs from it, and only grew on places already saturated in the
-    ancestor -- evaluated per (child, ancestor) pair as a broadcast instead
-    of the scalar per-ancestor walk.
-
-    The broadcast is chunked over the ancestor axis so no boolean
-    intermediate holds more than ``chunk_elements`` elements
-    (:data:`IRRELEVANCE_CHUNK_ELEMENTS` by default): the verdict is a
-    disjunction over ancestors, so OR-ing per-chunk verdicts is bitwise
-    identical to the single cube while keeping peak memory flat on
-    depth-thousands schedules.  Children already known irrelevant are
-    dropped from later chunks (another pure-disjunction shortcut).
-    """
-    n_children = children.shape[0]
-    if n_children == 0 or ancestors.shape[0] == 0:
-        return np.zeros(n_children, dtype=bool)
-    budget = chunk_elements if chunk_elements is not None else IRRELEVANCE_CHUNK_ELEMENTS
-    depth = ancestors.shape[0]
-    per_row = max(1, n_children * children.shape[1])
-    chunk_rows = max(1, budget // per_row)
-    if chunk_rows >= depth:
-        return _irrelevance_block(children, ancestors, degrees)
-    result = np.zeros(n_children, dtype=bool)
-    undecided = np.arange(n_children)
-    pending = children
-    for start in range(0, depth, chunk_rows):
-        block = _irrelevance_block(
-            pending, ancestors[start : start + chunk_rows], degrees
-        )
-        if block.any():
-            result[undecided[block]] = True
-            keep = ~block
-            undecided = undecided[keep]
-            if undecided.size == 0:
-                break
-            pending = pending[keep]
-    return result
-
-
-# ---------------------------------------------------------------------------
-# batched covering / termination queries
-# ---------------------------------------------------------------------------
-
-
-def covers_mask(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rows that cover ``target`` (component-wise >=)."""
-    return (matrix >= np.asarray(target, dtype=np.int64)).all(axis=1)
 
 
 def bound_violation_mask(

@@ -28,7 +28,6 @@ structural mutation invalidates the cache.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.petrinet.marking import Marking
@@ -66,31 +65,15 @@ class MarkingStore:
             return vec
         return canonical
 
-    def intern_many(self, vecs: Iterable[MarkingVec]) -> List[MarkingVec]:
-        """Intern a whole frontier in one pass (order preserved).
-
-        Used by the batched EP backend to admit the surviving children of a
-        node expansion together instead of one dict probe per ``add_child``.
-        """
-        store = self._store
-        result: List[MarkingVec] = []
-        for vec in vecs:
-            canonical = store.get(vec)
-            if canonical is None:
-                store[vec] = vec
-                canonical = vec
-            result.append(canonical)
-        return result
-
     def intern_rows(self, matrix) -> List[MarkingVec]:
         """Bulk-intern the rows of a raw int64 buffer (order preserved).
 
         ``matrix`` is anything with NumPy's ``tolist`` ((n, n_places),
-        typically a frontier or reachability matrix); conversion to marking
+        typically a block of reachability successors); conversion to marking
         tuples happens in one C-level pass instead of a Python ``int()``
-        per element, then each row is admitted like :meth:`intern`.  This is
-        the admission step of the fused kernel layer: matrix producers hand
-        their buffer straight to the store and get canonical vectors back.
+        per element, then each row is admitted like :meth:`intern`.  The
+        reachability sweep (:func:`repro.petrinet.batched.reachable_matrix`)
+        hands each successor buffer straight to the store this way.
         """
         store = self._store
         result: List[MarkingVec] = []
@@ -107,20 +90,6 @@ class MarkingStore:
 
     def __contains__(self, vec: MarkingVec) -> bool:
         return vec in self._store
-
-    def vecs_since(self, mark: int) -> List[MarkingVec]:
-        """The canonical vectors admitted after the store held ``mark`` entries.
-
-        Dicts preserve insertion order, so this is the exact admission-ordered
-        delta since a ``len(store)`` snapshot.  The intra-search work-stealing
-        layer ships each stolen subtree's delta back to the parent, which
-        re-interns it so the parent's ``interned_markings`` total matches the
-        serial search's (interning is idempotent; the sets are equal even if
-        the admission order differs).
-        """
-        if mark <= 0:
-            return list(self._store)
-        return list(islice(self._store, mark, None))
 
 
 class IndexedNet:
@@ -149,7 +118,16 @@ class IndexedNet:
     )
 
     def __init__(self, net) -> None:
-        self._init_names(net)
+        # Dense ID assignment: sorted-name order for places and transitions.
+        self.net = net
+        self.place_names: Tuple[str, ...] = tuple(sorted(net.places))
+        self.place_index: Dict[str, int] = {
+            name: pid for pid, name in enumerate(self.place_names)
+        }
+        self.transition_names: Tuple[str, ...] = tuple(sorted(net.transitions))
+        self.transition_index: Dict[str, int] = {
+            name: tid for tid, name in enumerate(self.transition_names)
+        }
 
         consume: List[SparseVec] = []
         produce: List[SparseVec] = []
@@ -187,22 +165,8 @@ class IndexedNet:
         self.initial_vec: MarkingVec = tuple(
             net.initial_tokens.get(name, 0) for name in self.place_names
         )
-        self._init_adjacency()
 
-    def _init_names(self, net) -> None:
-        """Dense ID assignment: sorted-name order for places and transitions."""
-        self.net = net
-        self.place_names: Tuple[str, ...] = tuple(sorted(net.places))
-        self.place_index: Dict[str, int] = {
-            name: pid for pid, name in enumerate(self.place_names)
-        }
-        self.transition_names: Tuple[str, ...] = tuple(sorted(net.transitions))
-        self.transition_index: Dict[str, int] = {
-            name: tid for tid, name in enumerate(self.transition_names)
-        }
-
-    def _init_adjacency(self) -> None:
-        """Derive adjacency (consumers/producers) from the sparse form."""
+        # Adjacency (consumers/producers) derived from the sparse form.
         consumers: List[List[Tuple[int, int]]] = [[] for _ in self.place_names]
         producers: List[List[Tuple[int, int]]] = [[] for _ in self.place_names]
         for tid, vec in enumerate(self.consume):
@@ -221,66 +185,6 @@ class IndexedNet:
         # Scratch space for analyses keyed to this structural snapshot (e.g.
         # the T-invariant basis); dies with the snapshot on net mutation.
         self.analysis_cache: Dict[object, object] = {}
-
-    @classmethod
-    def from_dense(cls, net, consume, produce, delta, initial) -> "IndexedNet":
-        """Build the snapshot from dense int64 arrays instead of the facade dicts.
-
-        ``consume`` / ``produce`` / ``delta`` are ``(n_transitions, n_places)``
-        matrices and ``initial`` the dense initial-marking row, all in
-        sorted-name ID order -- exactly what the shared-memory analysis plane
-        (:mod:`repro.petrinet.shm`) publishes.  The arrays are only *read*
-        (sparse vectors come out of per-row ``nonzero``), never copied or
-        retained, so borrowed read-only shared-memory views are fine; the
-        resulting snapshot is field-for-field identical to ``IndexedNet(net)``.
-
-        Shape mismatches against ``net``'s sorted name spaces raise
-        ``ValueError`` -- the caller (attach) treats that as a stale or
-        foreign block and falls back to rebuilding from the net.
-        """
-        import numpy as np
-
-        self = cls.__new__(cls)
-        self._init_names(net)
-        n_transitions = len(self.transition_names)
-        n_places = len(self.place_names)
-        for label, array, shape in (
-            ("consume", consume, (n_transitions, n_places)),
-            ("produce", produce, (n_transitions, n_places)),
-            ("delta", delta, (n_transitions, n_places)),
-            ("initial", initial, (n_places,)),
-        ):
-            if tuple(array.shape) != shape:
-                raise ValueError(
-                    f"dense {label} array has shape {tuple(array.shape)}, "
-                    f"expected {shape} for net {net.name!r}"
-                )
-        place_names = self.place_names
-
-        def sparse_rows(matrix) -> List[List[Tuple[int, int]]]:
-            # one whole-matrix nonzero (row-major: per-row entries stay in
-            # ascending pid order) instead of one numpy call per transition
-            rows: List[List[Tuple[int, int]]] = [[] for _ in range(n_transitions)]
-            tids, pids = np.nonzero(matrix)
-            values = matrix[tids, pids]
-            for tid, pid, value in zip(tids.tolist(), pids.tolist(), values.tolist()):
-                rows[tid].append((pid, value))
-            return rows
-
-        delta_sparse = sparse_rows(delta)
-        token_delta: List[int] = []
-        deltas_by_name: List[Dict[str, int]] = []
-        for sparse in delta_sparse:
-            token_delta.append(sum(d for _pid, d in sparse))
-            deltas_by_name.append({place_names[pid]: d for pid, d in sparse})
-        self.consume = tuple(tuple(row) for row in sparse_rows(consume))
-        self.produce = tuple(tuple(row) for row in sparse_rows(produce))
-        self.delta = tuple(tuple(row) for row in delta_sparse)
-        self.token_delta = tuple(token_delta)
-        self.deltas_by_name = tuple(deltas_by_name)
-        self.initial_vec = tuple(int(v) for v in initial)
-        self._init_adjacency()
-        return self
 
     # ------------------------------------------------------------------
     # facade conversions

@@ -171,10 +171,9 @@ class PetriNet:
         """Pickle only the value of the net, never the derived caches.
 
         The indexed snapshot and the place adjacency are rebuilt lazily on
-        first use in the receiving process; shipping them would roughly
-        double the payload the parallel scheduler sends to each worker and
-        would drag the ``analysis_cache`` (numpy arrays, invariant bases)
-        across the process boundary.
+        first use after unpickling; shipping them would roughly double the
+        payload and drag the ``analysis_cache`` (numpy arrays, invariant
+        bases) along.
         """
         state = dict(self.__dict__)
         state["_indexed"] = None
@@ -211,21 +210,6 @@ class PetriNet:
             self._indexed = IndexedNet(self)
             self._indexed_version = self._version
         return self._indexed
-
-    def adopt_indexed(self, indexed: "IndexedNet") -> None:
-        """Install a pre-built :class:`IndexedNet` as this net's snapshot.
-
-        Used by the shared-memory analysis plane, which constructs the
-        snapshot from published dense arrays (``IndexedNet.from_dense``)
-        instead of walking the facade dicts; afterwards ``self.indexed()``
-        returns it until the next structural mutation.  The snapshot must
-        have been built *for this net object* -- a foreign snapshot would
-        mix ID spaces, so it is rejected.
-        """
-        if indexed.net is not self:
-            raise ValueError("cannot adopt an IndexedNet built for a different net")
-        self._indexed = indexed
-        self._indexed_version = self._version
 
     def _adjacency(self) -> Tuple[Dict[str, Dict[str, int]], Dict[str, Dict[str, int]]]:
         if self._adjacency_dirty:

@@ -174,9 +174,9 @@ def reachable_marking_matrix(
 ):
     """Bounded reachable set as a dense NumPy matrix (one row per marking).
 
-    Delegates to the batched backend (:mod:`repro.petrinet.batched`), which
+    Delegates to the batched sweep (:mod:`repro.petrinet.batched`), which
     expands a whole BFS frontier per step; use this when the caller sweeps
-    the reachable set with matrix queries (covering, bounds, irrelevance)
+    the reachable set with matrix queries (bounds, irrelevance)
     rather than walking the successor structure edge by edge.
     """
     from repro.petrinet.batched import reachable_matrix
@@ -197,8 +197,8 @@ def is_bounded(
 
     A ``False`` result is definitive (a violating marking was found); a
     ``True`` result is only as strong as the exploration budget.  The sweep
-    runs on the batched backend: one matrix of explored markings, one
-    vectorized comparison against the bound.
+    is batched: one matrix of explored markings, one vectorized comparison
+    against the bound.
     """
     matrix = reachable_marking_matrix(net, max_nodes=max_nodes)
     return not bool((matrix > bound).any())

@@ -12,13 +12,8 @@
   4.3) and executability.
 * :mod:`repro.scheduling.runs` -- runs of a set of schedules against input
   sequences (Definition 4.1) and dynamic executability checking.
-* :mod:`repro.scheduling.parallel` -- per-source EP searches fanned out over
-  a process pool, merged back deterministically.
-* :mod:`repro.scheduling.intra` -- work stealing *within* one EP search:
-  per-ECS subtrees speculatively executed by helper processes and spliced
-  back in canonical order (``SchedulerOptions.intra_workers``).
 * :mod:`repro.scheduling.serialize` -- canonical schedule (de)serialization
-  used by the golden fixtures, the parallel merge and the warm-start cache.
+  used by the golden fixtures, the warm-start cache and the serve daemon.
 * :mod:`repro.scheduling.warmstart` -- schedule replay keyed on structural
   fingerprints, for config sweeps that rebuild identical nets.
 """
@@ -44,11 +39,6 @@ from repro.scheduling.ep import (
     SearchCounters,
     find_all_schedules,
     find_schedule,
-)
-from repro.scheduling.parallel import (
-    aggregate_counters,
-    default_worker_count,
-    find_all_schedules_parallel,
 )
 from repro.scheduling.serialize import (
     schedule_fingerprint,
@@ -88,15 +78,12 @@ __all__ = [
     "SearchCounters",
     "TerminationCondition",
     "UserBoundCondition",
-    "aggregate_counters",
     "are_mutually_independent",
     "build_run",
     "cached_find_schedule",
     "check_executability",
     "default_termination",
-    "default_worker_count",
     "find_all_schedules",
-    "find_all_schedules_parallel",
     "find_schedule",
     "involved_places",
     "involved_transitions",

@@ -16,49 +16,20 @@ After a successful search, post-processing retains only the chosen ECSs and
 closes cycles by merging each leaf with the ancestor carrying the same
 marking, yielding a :class:`~repro.scheduling.schedule.Schedule`.
 
-Three observationally equivalent backends drive the hot loop
-(``SchedulerOptions.backend``):
-
-* ``"scalar"`` walks one transition at a time, exactly as the paper states
-  the algorithm, and keeps every per-node test incremental along the DFS
-  path: each node's over-degree places derive from its parent's, the
-  termination condition is folded once
-  (:func:`~repro.scheduling.termination.fold_termination`) and decided on
-  a node or lookahead probe without rescanning its marking, and the
-  invariant-guided heuristic's promising vector lives in a
-  :class:`~repro.scheduling.heuristics.CycleTracker` updated on push/pop;
-* ``"batched"`` expands a whole node's frontier at once -- the candidate
-  transitions of every enabled ECS become one matrix of child markings, the
-  marking-dependent termination conditions (irrelevance, place / channel
-  bounds, depth) become boolean masks against the dense path-ancestor
-  matrix, and the surviving children are interned in one
-  :class:`MarkingStore` pass.  Node selection, ECS ordering and
-  await-insertion stay scalar and deterministic, so all backends produce
-  byte-identical canonical schedules and identical search counters (modulo
-  the :data:`SearchCounters.BACKEND_ONLY` expansion tallies);
-  ``tests/test_batched_ep.py`` pins the equivalence differentially.
-* ``"kernel"`` keeps the batched orchestration but routes each node
-  expansion through the fused kernel
-  (:class:`~repro.petrinet.kernel.ExpansionKernel`): child rows, bound /
-  depth verdicts and the over-degree pre-filter come from one call over
-  contiguous int64 buffers (a ``numba``-compiled loop when available,
-  ``REPRO_KERNEL=0`` or a missing compiler degrades to the NumPy tier with
-  a ``RuntimeWarning``), and the irrelevance criterion is decided
-  *incrementally* against the path marking index instead of the O(depth)
-  ancestor broadcast.
-
-``"auto"`` (the default) resolves to ``"scalar"``, the fastest on the
-measured workloads; ``"batched"`` and ``"kernel"`` run only on request, and
-only when the termination condition decomposes into frontier masks plus
-node budgets
-(:func:`~repro.scheduling.termination.split_frontier_conditions`) and token
-counts stay safely inside int64 (see :func:`resolve_backend_for`).
+The search walks one transition at a time, exactly as the paper states the
+algorithm, and keeps every per-node test incremental along the DFS path:
+each node's over-degree places derive from its parent's, the termination
+condition is folded once
+(:func:`~repro.scheduling.termination.fold_termination`) and decided on a
+node or lookahead probe without rescanning its marking, and the
+invariant-guided heuristic's promising vector lives in a
+:class:`~repro.scheduling.heuristics.CycleTracker` updated on push/pop.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis
@@ -76,18 +47,11 @@ from repro.scheduling.heuristics import (
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.termination import (
     FoldedTermination,
-    FrontierSplit,
     TerminationCondition,
     default_termination,
     fold_termination,
-    split_frontier_conditions,
 )
 from repro.util import raised_recursion_limit
-
-try:  # the batched backend needs NumPy; the scalar one never touches it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in test dependency
-    _np = None
 
 ECS = FrozenSet[str]
 
@@ -122,27 +86,9 @@ class SchedulerOptions:
       source transition (Section 5.5.2's non-schedulability test).
     * ``defer_sources`` -- the Section 4.4 pruning rule: fire source ECSs
       only when nothing else yields an entering point.
-    * ``backend`` -- the hot-loop implementation: ``"scalar"``,
-      ``"batched"``, ``"kernel"``, or ``"auto"`` (default; resolves to the
-      incremental scalar walk, see :func:`resolve_backend_for`).  Backends
-      are observationally equivalent; the knob trades wall clock only.
-    * ``kernel_tier`` -- pins the kernel backend's execution tier
-      (``"compiled"`` | ``"numpy"``); ``None`` resolves automatically
-      (compiled when numba is available and ``REPRO_KERNEL`` allows it,
-      NumPy otherwise -- see
-      :func:`repro.petrinet.kernel.resolve_kernel_tier`).  Parallel
-      fan-outs pin the resolved tier into the options they ship so every
-      worker runs the coordinator's decision.
-    * ``intra_workers`` -- parallelism *within* one EP search: with a value
-      ``K > 1`` the search forks per-ECS subtrees to ``K - 1`` helper
-      processes and splices their results back in canonical order
-      (:mod:`repro.scheduling.intra`).  Results are byte-identical for
-      every value, so this is a worker-topology knob, not part of the
-      result identity -- the warm-start cache key deliberately ignores it.
     * ``objective`` -- the candidate-selection policy.  ``"first"`` (the
       default) returns the heuristically-first valid schedule, exactly as
-      every release so far -- byte-identical output on every net, backend
-      and worker count.  ``"cost"`` continues the search past the first
+      every release so far.  ``"cost"`` continues the search past the first
       success: untried candidate ECSs at the retained nodes are explored
       with the same backtracking machinery, up to ``candidate_limit``
       distinct valid schedules are collected, each is scored by the static
@@ -150,8 +96,7 @@ class SchedulerOptions:
       await boundaries, communication classified intra- vs inter-task,
       latency/jitter under per-process WCET annotations) and the minimum
       ``(score, fingerprint)`` wins -- the fingerprint tie-break makes
-      selection reproducible across backends, worker counts and
-      enumeration orders.  Unlike ``intra_workers`` this *is* result
+      selection independent of the enumeration order.  This is result
       identity: the warm-start cache key includes it, so ``"first"``
       records never serve ``"cost"`` requests.
     * ``candidate_limit`` -- upper bound on distinct candidate schedules
@@ -160,7 +105,7 @@ class SchedulerOptions:
 
     Example::
 
-        >>> options = SchedulerOptions(max_nodes=50_000, backend="scalar")
+        >>> options = SchedulerOptions(max_nodes=50_000)
         >>> options.single_source
         True
     """
@@ -178,18 +123,6 @@ class SchedulerOptions:
     # entering point.  This keeps schedules small (few await nodes) and
     # avoids deferring part of a reaction to the next environment event.
     defer_sources: bool = True
-    # Hot-loop implementation: "scalar" | "batched" | "kernel" | "auto".
-    # The backends are observationally equivalent (same schedules, same
-    # counters modulo the BACKEND_ONLY expansion tallies); "auto" resolves
-    # to "scalar" via resolve_backend_for.
-    backend: str = "auto"
-    # Kernel-backend execution tier: "compiled" | "numpy" | None (auto).
-    kernel_tier: Optional[str] = None
-    # Intra-search work stealing: total executors for ONE search (the parent
-    # plus intra_workers - 1 helper processes).  1 = the plain serial search.
-    # Observationally a no-op: schedules, fingerprints and tree shapes are
-    # byte-identical at any value (see repro.scheduling.intra).
-    intra_workers: int = 1
     # Candidate-selection policy: "first" (default) returns the
     # heuristically-first valid schedule; "cost" enumerates up to
     # candidate_limit distinct valid schedules and returns the one with the
@@ -210,17 +143,6 @@ class SearchCounters:
     enabled_scans: int = 0
     enabled_updates: int = 0
     interned_markings: int = 0
-    # batched-backend only: whole-frontier expansions (matrix fire + masks).
-    # Every other counter is backend-independent by the equivalence contract.
-    batched_expansions: int = 0
-    # kernel-backend only: whole-frontier expansions through the fused
-    # ExpansionKernel (the kernel's analogue of batched_expansions).
-    kernel_expansions: int = 0
-
-    #: counters that legitimately differ between the scalar, batched and
-    #: kernel backends; everything else must match exactly (the differential
-    #: tests compare ``as_dict`` minus these keys).
-    BACKEND_ONLY = ("batched_expansions", "kernel_expansions")
 
     def as_dict(self) -> Dict[str, int]:
         """Plain ``{counter: value}`` dict (JSON-friendly, cache-stable)."""
@@ -233,12 +155,10 @@ class SearchCounters:
         self.enabled_scans += other.enabled_scans
         self.enabled_updates += other.enabled_updates
         self.interned_markings += other.interned_markings
-        self.batched_expansions += other.batched_expansions
-        self.kernel_expansions += other.kernel_expansions
 
     @classmethod
     def aggregate(cls, counters: "Iterable[SearchCounters]") -> "SearchCounters":
-        """Sum of several searches' counters (e.g. across worker processes)."""
+        """Sum of several searches' counters (e.g. over a system's sources)."""
         total = cls()
         for item in counters:
             total.merge(item)
@@ -313,9 +233,6 @@ class SchedulingTree:
         self.cycle: Optional[CycleTracker] = None
         # place degrees the nodes' over-degree places are tracked against
         self._degrees: Optional[Tuple[int, ...]] = None
-        # dense mirror of the path markings, maintained only for the matrix
-        # backends (enable_path_matrix)
-        self._path_matrix = None
 
     def track_over_degree(self, degrees: Sequence[int]) -> None:
         """Give every node from now on its over-degree places (``TreeNode.over``).
@@ -344,24 +261,6 @@ class SchedulingTree:
             else:
                 places.discard(pid)
         return tuple(sorted(places))
-
-    def enable_path_matrix(self) -> None:
-        """Mirror the DFS-path markings into a dense int64 array.
-
-        The batched backend evaluates termination masks for whole frontiers
-        against the marking matrix (``path_matrix()``); the scalar backend
-        never pays for the bookkeeping.
-        """
-        capacity = max(64, 2 * len(self._path))
-        self._path_matrix = _np.zeros(
-            (capacity, len(self.inet.place_names)), dtype=_np.int64
-        )
-        for index, node in enumerate(self._path):
-            self._path_matrix[index, :] = self.nodes[node].vec
-
-    def path_matrix(self):
-        """Markings on the current DFS path, root first (dense rows)."""
-        return self._path_matrix[: len(self._path)]
 
     # -- construction -----------------------------------------------------
     def add_root(self, vec: MarkingVec) -> int:
@@ -461,16 +360,6 @@ class SchedulingTree:
     def push(self, node: int) -> None:
         tree_node = self.nodes[node]
         self._path.append(node)
-        if self._path_matrix is not None:
-            row = len(self._path) - 1
-            if row >= self._path_matrix.shape[0]:
-                grown = _np.zeros(
-                    (2 * self._path_matrix.shape[0], self._path_matrix.shape[1]),
-                    dtype=_np.int64,
-                )
-                grown[: self._path_matrix.shape[0]] = self._path_matrix
-                self._path_matrix = grown
-            self._path_matrix[row, :] = tree_node.vec
         if tree_node.vec not in self._markings_on_path:
             self._markings_on_path[tree_node.vec] = node
         total = tree_node.total_tokens
@@ -503,7 +392,7 @@ class SchedulingTree:
         are exactly the path markings: ``node`` is the top of the path (then
         the path also holds its own marking, which the checker never probes
         since witnesses differ from the candidate) or a fresh child of the
-        top (a scalar lookahead probe).  Any other node gets ``None`` and
+        top (a lookahead probe).  Any other node gets ``None`` and
         the caller's ancestor walk.
         """
         if not self._path:
@@ -560,19 +449,14 @@ class SchedulerResult:
     # True when the result was replayed from a warm-start cache rather than
     # searched (tree_nodes / counters then describe the original search).
     from_cache: bool = False
-    # Intra-search work-stealing accounting (forks, steals, fallbacks) when
-    # the search ran with intra_workers > 1; None otherwise.  Deliberately
-    # NOT part of result_to_record: worker topology is not result identity,
-    # so cache records and wire responses never carry it.
-    intra_stats: Optional[Dict[str, object]] = None
     # Selection policy that produced the schedule ("first" | "cost"); under
     # "cost" the winning schedule's static objective score travels with the
     # result (and through result_to_record, unlike the enumeration stats).
     objective: str = "first"
     score: Optional[int] = None
     # Cost-mode enumeration accounting (candidates found, score spread,
-    # first-vs-selected).  Like intra_stats this is process-local
-    # diagnostics, not result identity: result_to_record never carries it.
+    # first-vs-selected).  Process-local diagnostics, not result identity:
+    # result_to_record never carries it.
     objective_stats: Optional[Dict[str, object]] = None
 
     @property
@@ -581,83 +465,8 @@ class SchedulerResult:
         return self.schedule is not None
 
 
-BACKENDS = ("auto", "scalar", "batched", "kernel")
-
 #: candidate-selection policies (SchedulerOptions.objective)
 OBJECTIVES = ("first", "cost")
-
-#: backends that run the frontier machinery (dense path matrix, frontier
-#: splits, batched lookahead); "kernel" additionally fuses each expansion.
-MATRIX_BACKENDS = ("batched", "kernel")
-
-
-def resolve_backend_for(
-    net: PetriNet,
-    options: SchedulerOptions,
-    termination: Optional[TerminationCondition] = None,
-) -> str:
-    """Resolve ``options.backend`` to the concrete backend a search will use.
-
-    ``"auto"`` resolves to ``"scalar"``: with each node costing only what
-    its firing changed (incremental over-degree places, promising vector
-    and irrelevance verdicts), the scalar walk is the fastest backend on
-    the measured corpus and PFC workloads alike.  ``"batched"`` and
-    ``"kernel"`` run only on request, and apply when NumPy is importable,
-    the termination condition decomposes into frontier masks plus node
-    budgets, and the worst-case token count (initial tokens plus one delta
-    per possible tree node) stays below the int64 guard -- otherwise the
-    search falls back to ``"scalar"``, whose Python-int arithmetic is exact
-    at any magnitude.  Which kernel *tier* runs is a separate, per-process
-    decision (:func:`repro.petrinet.kernel.resolve_kernel_tier`) that never
-    changes results.  The resolution is deterministic in (net structure,
-    options), so parallel workers reach the same decision as the caller.
-    """
-    requested = options.backend
-    if requested not in BACKENDS:
-        raise ValueError(f"unknown scheduler backend {requested!r}; pick one of {BACKENDS}")
-    if requested in ("scalar", "auto"):
-        return "scalar"
-    if _np is None:
-        return "scalar"
-    if termination is None:
-        termination = options.termination or default_termination(
-            net, max_nodes=options.max_nodes
-        )
-    if split_frontier_conditions(termination) is None:
-        return "scalar"
-    from repro.petrinet.batched import FRONTIER_TOKEN_GUARD
-
-    inet = net.indexed()
-    max_delta = max(
-        (abs(d) for sparse in inet.delta for _pid, d in sparse), default=0
-    )
-    max_initial = max(inet.initial_vec, default=0)
-    # The tree never outgrows options.max_nodes (EP_ECS checks before every
-    # add_child), so no marking can exceed this bound along any path.
-    if max_initial + (options.max_nodes + 8) * max_delta >= FRONTIER_TOKEN_GUARD:
-        return "scalar"
-    return requested
-
-
-class _Frontier:
-    """One node's batched expansion: child vectors plus termination bits.
-
-    ``segments`` maps each expanded ECS to its ``[start, end)`` slice of
-    ``vecs`` / ``pruned`` (candidates are laid out ECS by ECS, transitions in
-    sorted-name order -- the exact order the scalar loop walks).
-    """
-
-    __slots__ = ("vecs", "pruned", "segments")
-
-    def __init__(
-        self,
-        vecs: List[MarkingVec],
-        pruned: List[bool],
-        segments: Dict[ECS, Tuple[int, int]],
-    ):
-        self.vecs = vecs
-        self.pruned = pruned
-        self.segments = segments
 
 
 class _EPSearch:
@@ -681,11 +490,6 @@ class _EPSearch:
             )
         if options.objective == "cost" and options.candidate_limit < 1:
             raise ValueError("candidate_limit must be a positive integer")
-        # True only while run() replays untried candidate ECSs for the
-        # cost objective: the intra-search work-stealing overrides check it
-        # and stay out of the way, so enumeration is strictly serial and
-        # its outcome is independent of the worker topology.
-        self._enum_serial = False
         if analysis is None or analysis.indexed_net is not net.indexed():
             # A caller-supplied analysis built before a structural mutation
             # carries transition IDs of a dead snapshot; rebuild rather than
@@ -722,7 +526,7 @@ class _EPSearch:
             min(token_delta[tindex[t]] for t in ecs)
             for ecs in self.analysis.partition
         )
-        # frontier layout caches: per-ECS sorted transition names and IDs
+        # per-ECS sorted transition names and IDs (the firing order)
         self._sorted_ecs = tuple(
             tuple(sorted(ecs)) for ecs in self.analysis.partition
         )
@@ -734,25 +538,12 @@ class _EPSearch:
         }
         if isinstance(self.heuristic, InvariantGuidedOrdering):
             self.tree.cycle = self.heuristic.cycle_tracker(self.inet.transition_index)
-        self.backend = resolve_backend_for(net, options, self.termination)
         fold = fold_termination(self.termination, self.inet)
-        self._split: Optional[FrontierSplit] = None
-        self._kernel = None
-        # the scalar backend's folded verdict; None falls back to
-        # termination.holds (a leaf that does not fold)
+        # the folded verdict; None falls back to termination.holds (a leaf
+        # that does not fold)
         self._fold: Optional[FoldedTermination] = None
         self._incremental = None
-        if self.backend in MATRIX_BACKENDS:
-            self._split = split_frontier_conditions(self.termination)
-            assert self._split is not None  # guaranteed by resolve_backend_for
-            self.tree.enable_path_matrix()
-            if self.backend == "kernel":
-                from repro.petrinet.kernel import ExpansionKernel
-
-                self._kernel = ExpansionKernel(
-                    self.inet, fold, tier=options.kernel_tier
-                )
-        elif not fold.extra:
+        if not fold.extra:
             self._fold = fold
             if fold.irrelevance is not None:
                 self._incremental = fold.irrelevance.incremental_for(self.inet)
@@ -761,95 +552,6 @@ class _EPSearch:
     def _fire(self, tid: int, vec) -> tuple:
         self.counters.fires += 1
         return self.inet.fire_vec(tid, vec)
-
-    # -- batched frontier expansion -----------------------------------------
-    def _expand(
-        self, vec: MarkingVec, tids: Sequence[int], child_depth: int
-    ) -> Tuple[List[MarkingVec], List[bool]]:
-        """Children of one node for ``tids`` plus their termination bits.
-
-        One broadcast against the delta matrix produces every child marking;
-        the maskable termination conditions are evaluated for the whole
-        frontier against the dense path-ancestor matrix.  The returned
-        ``pruned[i]`` equals ``termination.holds`` on a node carrying
-        ``vecs[i]`` at ``child_depth``, except for the node-budget leaves,
-        which the caller checks per node (:meth:`FrontierSplit.budget_holds`)
-        because a child's index is only known when it is created.
-
-        Under the kernel backend the whole sequence is one fused
-        :meth:`ExpansionKernel.expand` call (same contract, same bits).
-        """
-        if self._kernel is not None:
-            self.counters.kernel_expansions += 1
-            return self._kernel.expand(self.tree, vec, tids, child_depth)
-        from repro.petrinet.batched import expand_children
-
-        self.counters.batched_expansions += 1
-        rows = expand_children(self.inet, vec, tids)
-        ancestors = self.tree.path_matrix()
-        mask = None
-        for condition in self._split.maskable:
-            bits = condition.frontier_mask(self.inet, ancestors, rows, child_depth)
-            mask = bits if mask is None else (mask | bits)
-        vecs = [tuple(row) for row in rows.tolist()]
-        pruned = mask.tolist() if mask is not None else [False] * len(vecs)
-        return vecs, pruned
-
-    def _batched_lookahead(
-        self, v: int, enabled_ids: Sequence[int], enabled: Sequence[ECS]
-    ) -> Tuple[_Frontier, Dict[ECS, ECSLookahead]]:
-        """Frontier-at-a-time version of the per-ECS one-step lookahead.
-
-        Expands the transitions of every enabled non-source ECS as one
-        matrix, then replays the scalar probing semantics (fire, cycle
-        check, termination probe, early exit) over the precomputed rows so
-        the ``fires`` counter and the interned-marking set stay identical to
-        the scalar backend.  Surviving probe markings are interned in one
-        :class:`MarkingStore` pass; the returned frontier is reused by
-        :meth:`_ep_ecs` for the ECSs the search actually descends into.
-        """
-        vec = self.tree.vec_of(v)
-        on_path = self.tree._markings_on_path
-        candidate_tids: List[int] = []
-        segments: Dict[ECS, Tuple[int, int]] = {}
-        for ecs_id, ecs in zip(enabled_ids, enabled):
-            if ecs_id in self._source_ecs_ids:
-                continue
-            start = len(candidate_tids)
-            candidate_tids.extend(self._ecs_tids[ecs_id])
-            segments[ecs] = (start, len(candidate_tids))
-        if candidate_tids:
-            child_depth = self.tree.nodes[v].depth + 1
-            vecs, pruned = self._expand(vec, candidate_tids, child_depth)
-        else:
-            vecs, pruned = [], []
-        # the index a probe node would get (every probe is popped again, so
-        # all probes of this node share it) -- the node-budget verdict
-        probe_budget = self._split.budget_holds(len(self.tree.nodes))
-        lookahead: Dict[ECS, ECSLookahead] = {}
-        survivors: List[MarkingVec] = []
-        for ecs_id, ecs in zip(enabled_ids, enabled):
-            hits = False
-            closes = False
-            segment = segments.get(ecs)
-            if segment is not None:
-                for index in range(segment[0], segment[1]):
-                    self.counters.fires += 1
-                    candidate = vecs[index]
-                    if on_path.get(candidate) is not None:
-                        closes = True
-                        break
-                    survivors.append(candidate)
-                    if pruned[index] or probe_budget:
-                        hits = True
-                        break
-            lookahead[ecs] = ECSLookahead(
-                hits_termination=hits,
-                closes_cycle=closes,
-                token_delta=self._ecs_token_delta[ecs_id],
-            )
-        self.tree.store.intern_many(survivors)
-        return _Frontier(vecs, pruned, segments), lookahead
 
     # -- ancestor ordering helpers -----------------------------------------
     def _closer_to_root(self, a: int, b: int) -> int:
@@ -881,14 +583,9 @@ class _EPSearch:
         # a deep schedule recurses once per tree level (fired transition)
         with raised_recursion_limit():
             self.tree.push(root)
-            child_pruned: Optional[bool] = None
-            if self._split is not None:
-                # the root's one-transition frontier: the source firing
-                _vecs, pruned = self._expand(initial, (source_tid,), 1)
-                child_pruned = pruned[0]
             self.tree.push(child)
             try:
-                entering_point = self._ep(child, root, child_pruned)
+                entering_point = self._ep(child, root)
             finally:
                 self.tree.pop(child)
                 self.tree.pop(root)
@@ -924,20 +621,16 @@ class _EPSearch:
         )
 
     # -- EP ----------------------------------------------------------------
-    def _ep(self, v: int, target: int, pruned: Optional[bool] = None) -> Optional[int]:
-        """EP at node ``v``.
+    def _ep(self, v: int, target: int) -> Optional[int]:
+        """EP at node ``v``: the entering point of its best candidate ECS.
 
-        ``pruned`` is the batched backend's precomputed verdict of the
-        maskable termination conditions for ``v`` (its marking was a row of
-        the parent's frontier); the node-budget leaves are checked here
-        against the node's actual index.  The scalar backend passes ``None``
-        and evaluates the condition on the node itself.
+        Tries every non-source ECS in heuristic order (early exit as soon as
+        an entering point is an ancestor of ``target``, otherwise keep the
+        shallowest), then -- only if none produced an entering point -- the
+        deferred source ECSs (Section 4.4).
         """
         self.counters.nodes_expanded += 1
-        if pruned is not None:
-            if pruned or self._split.budget_holds(v):
-                return UNDEF
-        elif self._fold is not None:
+        if self._fold is not None:
             if self._node_holds(v):
                 return UNDEF
         elif self.termination.holds(self.tree, v):
@@ -947,15 +640,25 @@ class _EPSearch:
             self.tree.nodes[v].equal_ancestor = equal
             return equal
 
-        non_source, source_ecss, frontier = self._candidate_ecss(v)
-        if not non_source and not source_ecss:
-            return UNDEF
-        return self._run_ecs_loop(v, target, non_source, source_ecss, frontier)
+        nodes = self.tree.nodes
+        best: Optional[int] = UNDEF
+        for candidates in self._candidate_ecss(v):
+            for ecs in candidates:
+                entering_point = self._ep_ecs(ecs, v, target)
+                if entering_point is UNDEF:
+                    continue
+                if self.tree.is_ancestor(entering_point, target):
+                    nodes[v].ecs_choice = ecs
+                    return entering_point
+                if best is UNDEF or nodes[entering_point].depth < nodes[best].depth:
+                    nodes[v].ecs_choice = ecs
+                    best = entering_point
+            if best is not UNDEF:
+                return best
+        return best
 
-    def _candidate_ecss(
-        self, v: int
-    ) -> Tuple[List[ECS], List[ECS], Optional[_Frontier]]:
-        """The ordered candidate ECSs of ``v`` plus the shared frontier.
+    def _candidate_ecss(self, v: int) -> Tuple[List[ECS], List[ECS]]:
+        """The ordered candidate ECSs of ``v``: non-source, then source.
 
         The middle of EP, extracted so the cost-mode enumeration can
         recompute a retained node's candidate ordering when it resumes the
@@ -973,18 +676,14 @@ class _EPSearch:
                 if ecs_id not in self._excluded_ecs_ids
             ]
         if not enabled_ids:
-            return [], [], None
+            return [], []
         partition = self.analysis.partition
         enabled = [partition[ecs_id] for ecs_id in enabled_ids]
 
-        frontier: Optional[_Frontier] = None
         if len(enabled) == 1:
             ordered = list(enabled)
         else:
-            if self._split is not None:
-                frontier, lookahead = self._batched_lookahead(v, enabled_ids, enabled)
-            else:
-                lookahead = self._scalar_lookahead(v, enabled_ids, enabled)
+            lookahead = self._lookahead(v, enabled_ids, enabled)
             context = HeuristicContext(
                 depth=self.tree.nodes[v].depth,
                 lookahead=lookahead,
@@ -1001,9 +700,9 @@ class _EPSearch:
         else:
             non_source = list(ordered)
             source_ecss = []
-        return non_source, source_ecss, frontier
+        return non_source, source_ecss
 
-    def _scalar_lookahead(
+    def _lookahead(
         self, v: int, enabled_ids: Sequence[int], enabled: Sequence[ECS]
     ) -> Dict[ECS, ECSLookahead]:
         """The per-ECS one-step lookahead, one transition at a time.
@@ -1111,94 +810,22 @@ class _EPSearch:
             )
         return verdict
 
-    def _run_ecs_loop(
-        self,
-        v: int,
-        target: int,
-        non_source: List[ECS],
-        source_ecss: List[ECS],
-        frontier: Optional[_Frontier],
-    ) -> Optional[int]:
-        """Consume the ordered candidate ECSs of ``v``, serially.
-
-        The tail of EP: try every non-source ECS in heuristic order (early
-        exit as soon as an entering point is an ancestor of ``target``,
-        otherwise keep the shallowest), then -- only if none produced an
-        entering point -- the deferred source ECSs (Section 4.4).  The
-        intra-search work-stealing layer (:mod:`repro.scheduling.intra`)
-        overrides this seam to speculatively fork the per-ECS subtrees while
-        consuming the results in exactly this order.
-        """
-        best: Optional[int] = UNDEF
-        for ecs in non_source:
-            entering_point = self._ecs_entering_point(ecs, v, target, frontier)
-            if entering_point is UNDEF:
-                continue
-            if self.tree.is_ancestor(entering_point, target):
-                self.tree.nodes[v].ecs_choice = ecs
-                return entering_point
-            if best is UNDEF or self.tree.nodes[entering_point].depth < self.tree.nodes[best].depth:
-                self.tree.nodes[v].ecs_choice = ecs
-                best = entering_point
-        if best is not UNDEF:
-            return best
-        for ecs in source_ecss:
-            entering_point = self._ecs_entering_point(ecs, v, target, frontier)
-            if entering_point is UNDEF:
-                continue
-            if self.tree.is_ancestor(entering_point, target):
-                self.tree.nodes[v].ecs_choice = ecs
-                return entering_point
-            if best is UNDEF or self.tree.nodes[entering_point].depth < self.tree.nodes[best].depth:
-                self.tree.nodes[v].ecs_choice = ecs
-                best = entering_point
-        return best
-
-    def _ecs_entering_point(
-        self, ecs: ECS, v: int, target: int, frontier: Optional[_Frontier]
-    ) -> Optional[int]:
-        """Entering point of one candidate ECS (the per-ECS subtree unit)."""
-        return self._ep_ecs(ecs, v, target, frontier)
-
     # -- EP_ECS ---------------------------------------------------------------
-    def _ep_ecs(
-        self,
-        ecs: ECS,
-        v: int,
-        target: int,
-        frontier: Optional[_Frontier] = None,
-    ) -> Optional[int]:
+    def _ep_ecs(self, ecs: ECS, v: int, target: int) -> Optional[int]:
         entering_point: Optional[int] = UNDEF
         current_target = target
         vec = self.tree.vec_of(v)
         ecs_id = self._ecs_id_of[ecs]
         names = self._sorted_ecs[ecs_id]
         tids = self._ecs_tids[ecs_id]
-        child_vecs: Optional[List[MarkingVec]] = None
-        child_pruned: Optional[List[bool]] = None
-        if self._split is not None:
-            segment = frontier.segments.get(ecs) if frontier is not None else None
-            if segment is not None:
-                # the lookahead already fired this ECS's candidates
-                child_vecs = frontier.vecs[segment[0] : segment[1]]
-                child_pruned = frontier.pruned[segment[0] : segment[1]]
-            else:
-                child_depth = self.tree.nodes[v].depth + 1
-                child_vecs, child_pruned = self._expand(vec, tids, child_depth)
         for index, transition in enumerate(names):
             if len(self.tree) >= self.options.max_nodes:
                 return UNDEF
             tid = tids[index]
-            if child_vecs is not None:
-                self.counters.fires += 1
-                child = self.tree.add_child(v, tid, child_vecs[index])
-                pruned: Optional[bool] = child_pruned[index]
-            else:
-                child = self.tree.add_child(v, tid, self._fire(tid, vec))
-                pruned = None
+            child = self.tree.add_child(v, tid, self._fire(tid, vec))
             self.tree.push(child)
             try:
-                child_point = self._ep(child, current_target, pruned)
+                child_point = self._ep(child, current_target)
             finally:
                 self.tree.pop(child)
             if child_point is UNDEF:
@@ -1281,9 +908,8 @@ class _EPSearch:
         candidate is scored by the static objective
         (:func:`repro.scheduling.objective.score_schedule`) and the minimum
         ``(score, fingerprint)`` pair wins -- a total order, so the winner
-        is independent of backend, worker count and enumeration order.
-        Cost-mode counters cover the whole enumeration (still identical
-        across backends modulo ``SearchCounters.BACKEND_ONLY``).
+        is independent of the enumeration order.  Cost-mode counters cover
+        the whole enumeration.
         """
         from repro.scheduling.objective import score_schedule
         from repro.scheduling.serialize import schedule_fingerprint
@@ -1336,9 +962,8 @@ class _EPSearch:
         :meth:`_post_process` and restores the choice, so later nodes
         still perturb the first-found schedule.  Candidates that fail
         Section 4.1 validation are dropped; the node budget keeps bounding
-        the extra exploration.  Enumeration runs strictly serially
-        (``_enum_serial`` parks the intra-search stealing overrides), so
-        the candidate set is a function of (net, source, options) only.
+        the extra exploration.  The candidate set is a function of (net,
+        source, options) only.
         """
         from repro.scheduling.serialize import schedule_fingerprint
 
@@ -1357,55 +982,51 @@ class _EPSearch:
                 if child.transition in node.ecs_choice and child_index not in retained:
                     stack.append(child_index)
 
-        self._enum_serial = True
-        try:
-            for v in sorted(retained):
-                if v == root:
-                    continue  # the root's only move is firing the source
-                node = self.tree.nodes[v]
-                if node.ecs_choice is None:
-                    continue  # merged leaf: no choice was made here
-                path: List[int] = []
-                walk: Optional[int] = v
-                while walk is not None:
-                    path.append(walk)
-                    walk = self.tree.nodes[walk].parent
-                path.reverse()
-                for item in path:
-                    self.tree.push(item)
-                try:
-                    non_source, source_ecss, frontier = self._candidate_ecss(v)
-                    tried = {
-                        self.tree.nodes[child].transition
-                        for child in node.children
-                    }
-                    for ecs in list(non_source) + list(source_ecss):
-                        if ecs & tried:
-                            continue  # the original search explored this one
-                        entering_point = self._ep_ecs(ecs, v, root, frontier)
-                        if entering_point is UNDEF:
-                            continue
-                        if (
-                            not self.tree.is_ancestor(entering_point, v)
-                            or entering_point == v
-                        ):
-                            continue
-                        original_choice = node.ecs_choice
-                        node.ecs_choice = ecs
+        for v in sorted(retained):
+            if v == root:
+                continue  # the root's only move is firing the source
+            node = self.tree.nodes[v]
+            if node.ecs_choice is None:
+                continue  # merged leaf: no choice was made here
+            path: List[int] = []
+            walk: Optional[int] = v
+            while walk is not None:
+                path.append(walk)
+                walk = self.tree.nodes[walk].parent
+            path.reverse()
+            for item in path:
+                self.tree.push(item)
+            try:
+                non_source, source_ecss = self._candidate_ecss(v)
+                tried = {
+                    self.tree.nodes[child].transition
+                    for child in node.children
+                }
+                for ecs in non_source + source_ecss:
+                    if ecs & tried:
+                        continue  # the original search explored this one
+                    entering_point = self._ep_ecs(ecs, v, root)
+                    if entering_point is UNDEF:
+                        continue
+                    if (
+                        not self.tree.is_ancestor(entering_point, v)
+                        or entering_point == v
+                    ):
+                        continue
+                    original_choice = node.ecs_choice
+                    node.ecs_choice = ecs
+                    try:
+                        candidate = self._post_process(root)
                         try:
-                            candidate = self._post_process(root)
-                            try:
-                                candidate.validate(self.analysis)
-                            except Exception:
-                                continue
-                            yield schedule_fingerprint(candidate), candidate
-                        finally:
-                            node.ecs_choice = original_choice
-                finally:
-                    for item in reversed(path):
-                        self.tree.pop(item)
-        finally:
-            self._enum_serial = False
+                            candidate.validate(self.analysis)
+                        except Exception:
+                            continue
+                        yield schedule_fingerprint(candidate), candidate
+                    finally:
+                        node.ecs_choice = original_choice
+            finally:
+                for item in reversed(path):
+                    self.tree.pop(item)
 
 
 def find_schedule(
@@ -1439,17 +1060,9 @@ def find_schedule(
     options = options or SchedulerOptions()
     if source_transition not in net.transitions:
         raise KeyError(f"unknown transition {source_transition!r}")
-    if options.intra_workers > 1:
-        from repro.scheduling.intra import IntraSearch
-
-        search: _EPSearch = IntraSearch(
-            net, source_transition, options, analysis=analysis, heuristic=heuristic
-        )
-    else:
-        search = _EPSearch(
-            net, source_transition, options, analysis=analysis, heuristic=heuristic
-        )
-    result = search.run()
+    result = _EPSearch(
+        net, source_transition, options, analysis=analysis, heuristic=heuristic
+    ).run()
     if raise_on_failure and not result.success:
         raise SchedulingFailure(
             f"no schedule found for {source_transition!r}: {result.failure_reason}"
@@ -1463,27 +1076,11 @@ def find_all_schedules(
     options: Optional[SchedulerOptions] = None,
     sources: Optional[Sequence[str]] = None,
     raise_on_failure: bool = False,
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, SchedulerResult]:
     """Find one schedule per uncontrollable source transition.
 
     ``sources`` may restrict / extend the set of transitions scheduled (e.g.
     to include initially-enabled transitions per Property 4.3).
-
-    With ``workers`` greater than one the independent per-source EP searches
-    fan out over a process pool (see :mod:`repro.scheduling.parallel`); the
-    results are value-identical to the serial path, merged back in the same
-    deterministic source order.  With ``options.intra_workers`` greater than
-    one each search is instead parallelised *internally* (subtree work
-    stealing, :mod:`repro.scheduling.intra`) and sources run sequentially
-    through that one shared pool -- the right shape for nets with few
-    sources; ``intra_workers`` takes precedence over ``workers``.
-
-    ``backend`` overrides ``options.backend`` ("scalar" | "batched" |
-    "kernel" | "auto"); the hot-loop backends produce byte-identical
-    schedules, so the knob only trades wall clock (and the per-backend
-    expansion counters).
 
     When the persistent artifact cache is active (``repro.cache.activate()``
     or ``REPRO_CACHE=1``), each per-source search first consults the
@@ -1500,27 +1097,6 @@ def find_all_schedules(
         [('r0.src', True), ('r1.src', True)]
     """
     options = options or SchedulerOptions()
-    if backend is not None:
-        options = replace(options, backend=backend)
-    # Composition rule for the two parallel layers: with intra_workers > 1
-    # the per-source fan-out is NOT nested on top -- sources run one after
-    # another through the single intra-search worker pool (pools are shared
-    # process-wide per helper count), so sources x subtrees share one pool
-    # instead of multiplying process counts.
-    if (
-        workers is not None
-        and workers > 1
-        and options.intra_workers <= 1
-    ):
-        from repro.scheduling.parallel import find_all_schedules_parallel
-
-        return find_all_schedules_parallel(
-            net,
-            options=options,
-            sources=sources,
-            workers=workers,
-            raise_on_failure=raise_on_failure,
-        )
     analysis = StructuralAnalysis.of(net)
     targets = list(sources) if sources is not None else net.uncontrollable_sources()
     finder = find_schedule

@@ -15,7 +15,7 @@ and guards against misuse of hand-built nets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.scheduling.schedule import Schedule
 
@@ -55,45 +55,6 @@ class IndependenceViolation:
 
 def _await_counts(schedule: Schedule, place: str) -> Tuple[int, ...]:
     return tuple(node.marking[place] for node in schedule.await_nodes())
-
-
-def ecs_place_footprint(net, transitions: Iterable[str]) -> Set[str]:
-    """Places a set of transitions (typically one ECS) reads or writes.
-
-    The structural analogue of :func:`involved_places` for search-time use:
-    no schedule exists yet, only candidate ECSs.  Two ECSs with disjoint
-    footprints fire into provably non-interfering parts of the marking, so
-    the subtrees the EP search grows under them diverge immediately -- the
-    preferred shape for speculative parallel exploration.
-    """
-    places: Set[str] = set()
-    for transition in transitions:
-        places.update(net.preset_of_transition(transition))
-        places.update(net.postset_of_transition(transition))
-    return places
-
-
-def prefer_disjoint_forks(net, ecss: Sequence[Iterable[str]]) -> List[int]:
-    """Order fork candidates so place-disjoint ECSs are forked first.
-
-    Used by the intra-search work-stealing layer when it can only publish a
-    subset of a node's candidate ECSs as subtree tasks: conflicting ECSs
-    (overlapping place footprints) tend to re-explore overlapping markings,
-    so the greedy pass admits the first candidate, then every candidate
-    disjoint from all admitted ones, then the rest in original order.
-    Returns indices into ``ecss``; the order only decides *which* subtrees
-    are offered to workers -- results are consumed in canonical ECS order
-    regardless, so this heuristic can never change a schedule.
-    """
-    footprints = [ecs_place_footprint(net, ecs) for ecs in ecss]
-    admitted: List[int] = []
-    covered: Set[str] = set()
-    for index, footprint in enumerate(footprints):
-        if not admitted or not (footprint & covered):
-            admitted.append(index)
-            covered |= footprint
-    remaining = [index for index in range(len(ecss)) if index not in admitted]
-    return admitted + remaining
 
 
 def find_independence_violation(

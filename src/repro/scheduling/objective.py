@@ -26,8 +26,7 @@ schedule structure alone, without running a simulation:
 The score is an integer and the selection in
 :meth:`repro.scheduling.ep._EPSearch._select_by_cost` breaks ties on the
 canonical schedule fingerprint, so the winner is a pure function of
-(net, source, options) -- independent of backend, worker count and
-enumeration order.
+(net, source, options) -- independent of the enumeration order.
 
 The same machinery powers :func:`predict_single_task`, the predictor checked
 against :class:`~repro.runtime.simulation.SingleTaskSimulation` by the corpus

@@ -6,13 +6,13 @@ transition name.  Byte-for-byte equality of :func:`schedule_to_json` (and
 therefore of :func:`schedule_fingerprint`) is the equality notion used by
 
 * the golden-schedule regression fixtures under ``tests/golden/``,
-* the serial-vs-parallel equivalence tests of ``find_all_schedules``,
+* the folded-vs-fallback equivalence tests of the EP search,
 * the warm-start cache (:mod:`repro.scheduling.warmstart`), which replays
   a schedule for a structurally identical net from its serialized form.
 
 Deserialization rebinds the schedule to a caller-supplied net, so a
-schedule computed in a worker process (against that process's copy of the
-net) merges back referencing the parent's net object.
+schedule computed against one net object (or loaded from disk) comes back
+referencing the caller's.
 """
 
 from __future__ import annotations
@@ -112,10 +112,10 @@ def verify_roundtrip(schedule: Schedule) -> str:
 def result_to_record(result: "SchedulerResult") -> Dict[str, object]:
     """Net-free record of a scheduling outcome.
 
-    The single encoder shared by the warm-start cache and the parallel
-    workers; :func:`result_from_record` is its inverse.  Adding a field to
-    :class:`SchedulerResult` that must survive a cache replay or a process
-    boundary means extending exactly this pair.
+    The single encoder shared by the warm-start cache and the serve
+    daemon; :func:`result_from_record` is its inverse.  Adding a field to
+    :class:`SchedulerResult` that must survive a cache replay or the wire
+    means extending exactly this pair.
     """
     return {
         "schedule": schedule_to_dict(result.schedule) if result.schedule else None,

@@ -14,12 +14,18 @@ function EP returns UNDEF for it).  The paper discusses two conditions:
 
 Conditions are composable; a node budget provides a safety net for genuinely
 unschedulable nets.
+
+Definition 4.5 lives here in full: :class:`IrrelevanceCriterion` states it
+and walks the path exactly, and :class:`IncrementalIrrelevance` decides it
+from a node's over-degree places with hash probes into the path marking
+index, so the EP search pays no O(depth) walk per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Tuple
+from itertools import product
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis, all_place_degrees
 from repro.petrinet.marking import Marking
@@ -46,54 +52,19 @@ class SchedulingTreeView(Protocol):
 class TerminationCondition:
     """Base class: callable on (tree, node) -> bool.
 
-    **Extending** -- subclasses must implement :meth:`holds`.  A condition
-    whose verdict depends only on the candidate marking, its tree depth and
-    the markings on the path to it should *also* implement
-    :meth:`frontier_mask` and set :attr:`supports_frontier_mask`; that pair
-    is the public extension point that keeps the batched and kernel EP
-    backends available (a condition without it forces the scalar backend,
-    see :func:`split_frontier_conditions`).  The contract is pinned by
-    ``tests/test_kernel.py`` and worked through in
+    **Extending** -- subclasses implement :meth:`holds`, which is the whole
+    contract.  The EP search folds the built-in leaves into plain per-node
+    checks (:func:`fold_termination`); any other leaf -- a user condition,
+    or a subclass of a built-in -- makes the search ask ``holds`` on every
+    node and lookahead probe instead.  Worked through in
     ``docs/user_guide.md`` ("Custom termination conditions").
     """
 
     name = "termination"
 
-    #: **Public extension point** (with :meth:`frontier_mask`).  True for
-    #: conditions whose verdict depends only on the candidate marking, its
-    #: depth and the markings on the path to it -- the ones the batched and
-    #: kernel EP backends can evaluate for a whole frontier at once via
-    #: :meth:`frontier_mask`.  Index-dependent conditions
-    #: (:class:`NodeBudget`) and conditions inspecting other tree state must
-    #: leave this False, which restricts searches using them to the scalar
-    #: backend.
-    supports_frontier_mask = False
-
     def holds(self, tree: SchedulingTreeView, node: int) -> bool:
         """True when the search must stop exploring past ``node``."""
         raise NotImplementedError
-
-    def frontier_mask(self, inet, ancestors, children, child_depth: int):
-        """Batched verdicts for a whole frontier (boolean, one per child row).
-
-        **Public extension point** (with :attr:`supports_frontier_mask`):
-        user-defined conditions that implement this pair are evaluated
-        frontier-at-a-time and keep the batched/kernel backends instead of
-        silently forcing the scalar one.
-
-        ``inet`` is the :class:`~repro.petrinet.indexed.IndexedNet`
-        snapshot, ``ancestors`` the ``(depth, n_places)`` int64 matrix of
-        markings on the path from the root to the expanded node (the node
-        included, rows in any order), ``children`` the ``(n_children,
-        n_places)`` candidate child markings, and ``child_depth`` the tree
-        depth every child would have (expanded node's depth + 1).  Returns
-        a boolean array of ``n_children`` verdicts and must agree exactly
-        with :meth:`holds` evaluated on a child node hanging off the
-        expanded node -- the backends' byte-identical-schedule contract
-        rests on that equivalence.  Only called when
-        :attr:`supports_frontier_mask` is True.
-        """
-        raise NotImplementedError(f"{self.name} has no batched form")
 
     def __call__(self, tree: SchedulingTreeView, node: int) -> bool:
         return self.holds(tree, node)
@@ -122,33 +93,17 @@ class IrrelevanceCriterion(TerminationCondition):
 
     degrees: Dict[str, int]
     name: str = "irrelevance"
-    supports_frontier_mask = True
     # cached dense degree vector, keyed by the indexed net it was built for
     _degrees_vec_for: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
     _degrees_vec: tuple = field(default=(), init=False, repr=False, compare=False)
-    _degrees_np: Optional[object] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _incremental_for: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _incremental: Optional[object] = field(
+    _incremental: Optional["IncrementalIrrelevance"] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The dense-degree cache pins an IndexedNet (and through it the whole
-        # net); strip it so shipping a custom termination condition to a
-        # scheduling worker never drags a second copy of the net along.
-        state = dict(self.__dict__)
-        state["_degrees_vec_for"] = None
-        state["_degrees_vec"] = ()
-        state["_degrees_np"] = None
-        state["_incremental_for"] = None
-        state["_incremental"] = None
-        return state
 
     @classmethod
     def for_net(cls, net: PetriNet) -> "IrrelevanceCriterion":
@@ -166,35 +121,21 @@ class IrrelevanceCriterion(TerminationCondition):
             self._degrees_vec = tuple(
                 self.degrees.get(name, 0) for name in inet.place_names
             )
-            self._degrees_np = None
             self._degrees_vec_for = inet
         return self._degrees_vec
 
-    def incremental_for(self, inet):
+    def incremental_for(self, inet) -> "IncrementalIrrelevance":
         """The depth-independent checker for a snapshot (cached, shared).
 
-        One :class:`~repro.petrinet.kernel.IncrementalIrrelevance` per
-        (criterion, snapshot): the scalar ``holds`` fast path and the fused
-        kernel backend share it, so its op counters describe the whole
-        search (the depth-regression tests assert on them).
+        One :class:`IncrementalIrrelevance` per (criterion, snapshot): the
+        folded EP search and the ``holds`` fast path share it, so its op
+        counters describe the whole search (the depth-regression tests
+        assert on them).
         """
         if self._incremental_for is not inet:
-            from repro.petrinet.kernel import IncrementalIrrelevance
-
             self._incremental = IncrementalIrrelevance(self.degrees_vec(inet))
             self._incremental_for = inet
         return self._incremental
-
-    def frontier_mask(self, inet, ancestors, children, child_depth: int):
-        """Batched Definition 4.5 over a whole frontier (one broadcast)."""
-        import numpy as np
-
-        from repro.petrinet.batched import irrelevance_frontier_mask
-
-        degrees = self.degrees_vec(inet)
-        if self._degrees_np is None:
-            self._degrees_np = np.asarray(degrees, dtype=np.int64)
-        return irrelevance_frontier_mask(children, ancestors, self._degrees_np)
 
     def irrelevant_rows(self, inet, matrix, ancestor_vec):
         """Batched form over a marking matrix (one row per marking).
@@ -228,9 +169,9 @@ class IrrelevanceCriterion(TerminationCondition):
         When the tree exposes its path marking index
         (``path_probe_state``), the verdict comes from the incremental
         checker -- O(over-degree places) hash probes instead of an O(depth)
-        ancestor walk, bitwise identical (the witness set enumerated by
-        :class:`~repro.petrinet.kernel.IncrementalIrrelevance` is exactly
-        the set of path markings satisfying Definition 4.5).  The walk
+        ancestor walk, with the same verdict (the witness set enumerated by
+        :class:`IncrementalIrrelevance` is exactly the set of path markings
+        satisfying Definition 4.5).  The walk
         remains as the exact fallback for capped children and for trees
         without path state.
         """
@@ -295,6 +236,119 @@ class IrrelevanceCriterion(TerminationCondition):
         return False
 
 
+#: Maximum number of candidate witness markings
+#: :class:`IncrementalIrrelevance` enumerates per node before the caller
+#: falls back to the exact walk over the path
+#: (:meth:`IrrelevanceCriterion.witnessed_by`).  The cap bounds per-node
+#: work by a constant; in practice (saturated channels a token or two over
+#: degree) counts are single-digit.
+IRRELEVANCE_ENUM_CAP = 64
+
+
+class IncrementalIrrelevance:
+    """Depth-independent Definition 4.5 verdicts via the path marking index.
+
+    Definition 4.5 says a marking ``C`` is irrelevant w.r.t. a path ancestor
+    ``A`` iff ``A != C``, ``A <= C`` component-wise, and every place where
+    ``C`` grew was already saturated in ``A`` (``A[p] >= degree[p]``).  Per
+    place that pins ``A[p]`` to::
+
+        A[p] == C[p]                      when C[p] <= degree[p]
+        A[p] in [degree[p], C[p]]         when C[p] >  degree[p]
+
+    so the only markings that could witness irrelevance are the (usually
+    zero or a handful of) combinations over the over-degree places.
+    Instead of comparing ``C`` against every ancestor, ``check`` enumerates
+    those candidates and hash-probes them against the path's marking index,
+    which :class:`~repro.scheduling.ep.SchedulingTree` maintains on
+    push/pop.  A marking with no over-degree place is never irrelevant.
+
+    One instance accumulates op-count statistics across a search; the
+    depth-regression tests assert bounds on these counters instead of wall
+    clock.  ``check`` returns ``True`` / ``False``, or ``None`` when the
+    candidate-combination count exceeds the enumeration cap and the caller
+    must fall back to the exact walk.
+    """
+
+    __slots__ = (
+        "degrees",
+        "cap",
+        "children_checked",
+        "decided_by_degree_filter",
+        "candidates_probed",
+        "capped_children",
+    )
+
+    def __init__(self, degrees: Sequence[int], cap: int = IRRELEVANCE_ENUM_CAP):
+        self.degrees = tuple(degrees)
+        self.cap = cap
+        self.children_checked = 0
+        self.decided_by_degree_filter = 0
+        self.candidates_probed = 0
+        self.capped_children = 0
+
+    def stats(self) -> Dict[str, int]:
+        """Op counters accumulated so far (plain dict, test-friendly)."""
+        return {
+            "children_checked": self.children_checked,
+            "decided_by_degree_filter": self.decided_by_degree_filter,
+            "candidates_probed": self.candidates_probed,
+            "capped_children": self.capped_children,
+        }
+
+    def check(
+        self,
+        vec: Sequence[int],
+        path_index: Dict[Tuple[int, ...], int],
+        total_counts: Dict[int, int],
+        total: int,
+        over: Optional[Sequence[int]] = None,
+    ) -> Optional[bool]:
+        """Is ``vec`` irrelevant w.r.t. some marking in ``path_index``?
+
+        ``path_index`` maps each marking on the current DFS path to a node,
+        ``total_counts`` is the multiset of their total token counts (both
+        maintained by ``SchedulingTree`` push/pop), ``total`` the token
+        total of ``vec``.  ``over`` lists the places where ``vec`` exceeds
+        its degree in ascending order -- a scheduling-tree node carries them,
+        derived from its parent's -- and is found by scanning ``vec`` when
+        omitted.  Equal-marking path entries are never witnesses
+        (Definition 4.5 requires ``A != C``; the search closes a cycle there
+        instead), which the enumeration guarantees structurally: every
+        candidate except the identity has a strictly smaller total.
+        """
+        self.children_checked += 1
+        degrees = self.degrees
+        if over is None:
+            over = [p for p, count in enumerate(vec) if count > degrees[p]]
+        if not over:
+            # no place exceeds its degree: condition (c) can never hold
+            self.decided_by_degree_filter += 1
+            return False
+        combos = 1
+        for p in over:
+            combos *= vec[p] - degrees[p] + 1
+            if combos > self.cap:
+                self.capped_children += 1
+                return None
+        candidate = list(vec)
+        spans = [range(degrees[p], vec[p] + 1) for p in over]
+        for values in product(*spans):
+            candidate_total = total
+            for p, value in zip(over, values):
+                candidate_total -= vec[p] - value
+            if candidate_total == total:
+                continue  # the identity assignment: A == C is not a witness
+            if candidate_total not in total_counts:
+                continue  # no path marking carries this token total
+            for p, value in zip(over, values):
+                candidate[p] = value
+            self.candidates_probed += 1
+            if tuple(candidate) in path_index:
+                return True
+        return False
+
+
 @dataclass
 class PlaceBoundCondition(TerminationCondition):
     """Stop when any place exceeds a pre-defined bound (the approach of [13]).
@@ -306,7 +360,6 @@ class PlaceBoundCondition(TerminationCondition):
     bounds: Dict[str, int] = field(default_factory=dict)
     default_bound: Optional[int] = None
     name: str = "place-bounds"
-    supports_frontier_mask = True
     _bounds_vec_for: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -316,12 +369,6 @@ class PlaceBoundCondition(TerminationCondition):
     def uniform(cls, net: PetriNet, bound: int) -> "PlaceBoundCondition":
         """The same pre-defined bound on every place (the [13] approach)."""
         return cls(bounds={place: bound for place in net.places})
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_bounds_vec_for"] = None
-        state["_bounds_vec"] = ()
-        return state
 
     def _bounded_pids(self, inet) -> tuple:
         if self._bounds_vec_for is not inet:
@@ -339,9 +386,6 @@ class PlaceBoundCondition(TerminationCondition):
         from repro.petrinet.batched import bound_violation_mask
 
         return bound_violation_mask(matrix, self._bounded_pids(inet))
-
-    def frontier_mask(self, inet, ancestors, children, child_depth: int):
-        return self.violation_rows(inet, children)
 
     def holds(self, tree: SchedulingTreeView, node: int) -> bool:
         vec_of = getattr(tree, "vec_of", None)
@@ -371,7 +415,6 @@ class UserBoundCondition(TerminationCondition):
 
     bounds: Dict[str, int] = field(default_factory=dict)
     name: str = "user-channel-bounds"
-    supports_frontier_mask = True
     _bounds_vec_for: Optional[object] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -385,12 +428,6 @@ class UserBoundCondition(TerminationCondition):
         }
         return cls(bounds=bounds)
 
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        state["_bounds_vec_for"] = None
-        state["_bounds_vec"] = ()
-        return state
-
     def _bounded_pids(self, inet) -> tuple:
         if self._bounds_vec_for is not inet:
             self._bounds_vec = tuple(
@@ -400,15 +437,6 @@ class UserBoundCondition(TerminationCondition):
             )
             self._bounds_vec_for = inet
         return self._bounds_vec
-
-    def violation_rows(self, inet, matrix):
-        """Batched form: rows of a marking matrix exceeding a channel bound."""
-        from repro.petrinet.batched import bound_violation_mask
-
-        return bound_violation_mask(matrix, self._bounded_pids(inet))
-
-    def frontier_mask(self, inet, ancestors, children, child_depth: int):
-        return self.violation_rows(inet, children)
 
     def holds(self, tree: SchedulingTreeView, node: int) -> bool:
         if not self.bounds:
@@ -451,17 +479,13 @@ class MaxDepthCondition(TerminationCondition):
     Boundary contract (pinned by ``tests/test_termination_boundaries.py``):
     a node at ``depth == max_depth`` is **kept** -- it may still close a
     cycle or host an entering point -- and only nodes at ``depth >
-    max_depth`` are pruned.  Both backends implement the same comparison:
-    the scalar path evaluates ``holds`` on the node (its depth equals its
-    proper-ancestor count), the batched path evaluates
-    :meth:`frontier_mask` with ``child_depth`` (the depth every child of
-    the expanded node would have, i.e. parent depth + 1), so the two
-    terminate on the identical node set.
+    max_depth`` are pruned.  The folded search (``depth_cut``) and
+    :meth:`holds` (the node's depth equals its proper-ancestor count) make
+    the same comparison, so both terminate on the identical node set.
     """
 
     max_depth: int
     name: str = "max-depth"
-    supports_frontier_mask = True
 
     def holds(self, tree: SchedulingTreeView, node: int) -> bool:
         depth_of = getattr(tree, "depth_of", None)
@@ -469,11 +493,6 @@ class MaxDepthCondition(TerminationCondition):
             return depth_of(node) > self.max_depth
         depth = sum(1 for _ in tree.ancestors_of(node))
         return depth > self.max_depth
-
-    def frontier_mask(self, inet, ancestors, children, child_depth: int):
-        import numpy as np
-
-        return np.full(children.shape[0], child_depth > self.max_depth, dtype=bool)
 
 
 @dataclass
@@ -491,63 +510,11 @@ class CompositeCondition(TerminationCondition):
 
 
 @dataclass
-class FrontierSplit:
-    """A termination condition decomposed for the batched EP backend.
-
-    ``maskable`` are the marking/path-dependent leaves (evaluated for a whole
-    frontier via :meth:`TerminationCondition.frontier_mask`); ``budgets`` the
-    node-index thresholds of the :class:`NodeBudget` leaves, which the search
-    checks per node at visit time (a child's index is only known then).
-    Together they are the whole condition: ``holds(tree, node)`` equals
-    ``any(mask) or any(node >= b for b in budgets)``.
-    """
-
-    maskable: List[TerminationCondition] = field(default_factory=list)
-    budgets: List[int] = field(default_factory=list)
-
-    def budget_holds(self, node_index: int) -> bool:
-        for budget in self.budgets:
-            if node_index >= budget:
-                return True
-        return False
-
-
-def split_frontier_conditions(
-    condition: TerminationCondition,
-) -> Optional[FrontierSplit]:
-    """Decompose a condition tree for frontier-at-a-time evaluation.
-
-    Returns ``None`` when some leaf is neither frontier-maskable nor a
-    :class:`NodeBudget` -- e.g. an arbitrary user-supplied condition, whose
-    ``holds`` may inspect tree state the batched backend does not
-    materialise.  The scheduler then falls back to the scalar backend.
-    User conditions that *do* implement the
-    :meth:`TerminationCondition.frontier_mask` extension point decompose
-    like the built-ins and keep the batched/kernel backends.
-    """
-    split = FrontierSplit()
-
-    def visit(cond: TerminationCondition) -> bool:
-        if isinstance(cond, CompositeCondition):
-            return all(visit(sub) for sub in cond.conditions)
-        if isinstance(cond, NodeBudget):
-            split.budgets.append(cond.max_nodes)
-            return True
-        if cond.supports_frontier_mask:
-            split.maskable.append(cond)
-            return True
-        return False
-
-    return split if visit(condition) else None
-
-
-@dataclass
 class FoldedTermination:
     """A termination condition folded into the data EP checks per node.
 
     The built-in leaves become plain values for one snapshot, read by the
-    scalar search (``_EPSearch``) and by
-    :class:`~repro.petrinet.kernel.ExpansionKernel` alike:
+    EP search (``_EPSearch``) on every node and lookahead probe:
 
     * ``budget`` -- the smallest :class:`NodeBudget` (prune node indices
       ``>= budget``);
@@ -560,11 +527,10 @@ class FoldedTermination:
       :meth:`~IrrelevanceCriterion.incremental_for` checker.
 
     ``extra`` keeps every other leaf: user conditions, subclasses of the
-    mask-folded built-ins and any second irrelevance criterion.  The kernel
-    evaluates those through :meth:`TerminationCondition.frontier_mask`; the
-    scalar search folds only an ``extra``-free condition and otherwise
-    falls back to ``termination.holds``.  The disjunction of every folded
-    leaf and ``extra`` is exactly the original condition.
+    folded built-ins and any second irrelevance criterion.  The search
+    folds only an ``extra``-free condition and otherwise falls back to
+    ``termination.holds``.  The disjunction of every folded leaf and
+    ``extra`` is exactly the original condition.
     """
 
     budget: Optional[int] = None
@@ -577,9 +543,9 @@ class FoldedTermination:
 def fold_termination(condition: TerminationCondition, inet) -> FoldedTermination:
     """Fold ``condition`` for the snapshot ``inet`` (see :class:`FoldedTermination`).
 
-    Composites and node budgets decompose as in
-    :func:`split_frontier_conditions`; the mask-folded built-ins match by
-    exact type, so a subclass overriding ``holds`` keeps its own verdict.
+    Composites decompose into their leaves and every :class:`NodeBudget`
+    (subclasses included) into the budget; the other folded built-ins match
+    by exact type, so a subclass overriding ``holds`` keeps its own verdict.
     """
     fold = FoldedTermination()
     bounds: List[Tuple[int, int]] = []

@@ -84,10 +84,9 @@ def options_cache_key(options: SchedulerOptions) -> Optional[Tuple]:
     """Hashable identity of the options, or ``None`` when uncacheable.
 
     Covers every :class:`SchedulerOptions` field that can change the search
-    outcome *or its accounting* -- including the EP backend, whose replayed
-    counters differ (``batched_expansions``).  A caller-supplied termination
-    condition is an arbitrary object with no stable fingerprint, so those
-    options are uncacheable.
+    outcome or its accounting.  A caller-supplied termination condition is
+    an arbitrary object with no stable fingerprint, so those options are
+    uncacheable.
     """
     if options.termination is not None:
         return None
@@ -100,45 +99,13 @@ def options_cache_key(options: SchedulerOptions) -> Optional[Tuple]:
         options.validate,
         options.invariant_precheck,
         options.defer_sources,
-        # backends are schedule-equivalent, but the counters they record
-        # differ (batched_expansions / kernel_expansions); keep replayed
-        # records honest
-        options.backend,
         # the objective changes which schedule is selected, so "first"
         # records must never replay for "cost" requests (and vice versa);
         # candidate_limit is dead under "first" -- normalise it to 0 there
         # so it cannot fragment the first-objective key space
         options.objective,
         options.candidate_limit if options.objective == "cost" else 0,
-        # the resolved kernel tier never changes results, but keying on it
-        # keeps each tier's recorded counters/timings attributable (and a
-        # pinned-options fan-out hits the same entries as its workers).
-        # Kept last: tests address the tier entry as key[-1]
-        _effective_kernel_tier(options),
-        # intra_workers is deliberately NOT part of the key: intra-search
-        # work stealing is byte-identical at any worker count (the
-        # repro.scheduling.intra contract), so cache records are keyed on
-        # the result, not the worker topology -- a search at intra_workers=4
-        # warm-starts one at intra_workers=1 and vice versa
     )
-
-
-def _effective_kernel_tier(options: SchedulerOptions) -> Optional[str]:
-    """The kernel tier a search under ``options`` would run, or ``None``.
-
-    ``None`` for searches that can never reach the kernel backend (scalar,
-    batched and ``auto``, which resolves to scalar); for explicit kernel
-    requests the pinned ``options.kernel_tier`` or the process-wide
-    resolution (without triggering the fallback warning -- key derivation
-    is not a search).
-    """
-    if options.backend != "kernel":
-        return None
-    if options.kernel_tier is not None:
-        return options.kernel_tier
-    from repro.petrinet.kernel import resolve_kernel_tier
-
-    return resolve_kernel_tier(warn=False)
 
 
 @dataclass
@@ -224,7 +191,7 @@ class ScheduleWarmStartCache:
             return self._store
         return artifact_cache.active_store()
 
-    # -- record-level API (shared with the parallel scheduler) --------------
+    # -- record-level API (shared with the serve daemon) ---------------------
     def lookup_record(
         self,
         net: PetriNet,

@@ -25,7 +25,7 @@ Example -- run the daemon::
 
 and talk to it one JSON object per line::
 
-    {"op": "schedule", "net": {...}, "options": {"backend": "auto"}}
+    {"op": "schedule", "net": {...}, "options": {"max_nodes": 50000}}
     {"op": "stats"}
 
 ``benchmarks/bench_serve.py`` drives thousands of concurrent clients

@@ -47,7 +47,9 @@ from repro.petrinet.net import PetriNet, SourceKind
 from repro.scheduling.ep import OBJECTIVES, SchedulerOptions
 
 #: Version stamped into every response envelope; bump on breaking changes.
-PROTOCOL_VERSION = 1
+#: Version 2 dropped the EP backend, kernel-tier and intra-search worker
+#: options and the two per-backend expansion counters of the responses.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one request line (and the asyncio stream limit).  Nets of
 #: tens of thousands of nodes fit comfortably; anything bigger should ship
@@ -316,11 +318,6 @@ WIRE_OPTION_FIELDS = (
     "validate",
     "invariant_precheck",
     "defer_sources",
-    "backend",
-    "kernel_tier",
-    # worker-topology knob, not result identity: responses and cache
-    # records are byte-identical at any value (repro.scheduling.intra)
-    "intra_workers",
     # enumerate->score->select: "first" replays the classic search, "cost"
     # enumerates up to candidate_limit schedules and keeps the cheapest
     "objective",
@@ -359,10 +356,6 @@ def options_from_dict(data: Optional[Mapping[str, object]]) -> SchedulerOptions:
         options = SchedulerOptions(**{key: data[key] for key in data})
     except Exception as error:
         raise ProtocolError("bad-options", f"invalid options: {error}")
-    if options.backend not in ("auto", "scalar", "batched", "kernel"):
-        raise ProtocolError("bad-options", f"unknown backend {options.backend!r}")
-    if options.kernel_tier not in (None, "compiled", "numpy"):
-        raise ProtocolError("bad-options", f"unknown kernel tier {options.kernel_tier!r}")
     for name in BOOLEAN_OPTION_FIELDS:
         if not isinstance(getattr(options, name), bool):
             raise ProtocolError("bad-options", f"{name} must be a JSON boolean")
@@ -372,14 +365,6 @@ def options_from_dict(data: Optional[Mapping[str, object]]) -> SchedulerOptions:
         or options.max_nodes < 1
     ):
         raise ProtocolError("bad-options", "max_nodes must be a positive integer")
-    if (
-        not isinstance(options.intra_workers, int)
-        or isinstance(options.intra_workers, bool)
-        or not 1 <= options.intra_workers <= 64
-    ):
-        raise ProtocolError(
-            "bad-options", "intra_workers must be an integer between 1 and 64"
-        )
     if options.objective not in OBJECTIVES:
         raise ProtocolError(
             "bad-options",

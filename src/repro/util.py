@@ -59,16 +59,15 @@ def raised_recursion_limit(limit: int = 100_000) -> Iterator[None]:
 class BoundedLRU(Generic[K, V]):
     """A dictionary with least-recently-used eviction beyond ``capacity``.
 
-    Backs the process-wide warm-start stores (materialised nets in the
-    scheduling workers, T-invariant bases, serialized schedules): ``get``
-    refreshes recency, ``put`` inserts and evicts the stalest entries.
+    Backs the process-wide warm-start stores (T-invariant bases, serialized
+    schedules) and the daemon's request memo: ``get`` refreshes recency,
+    ``put`` inserts and evicts the stalest entries.
 
     ``on_evict`` (optional) is called with ``(key, value)`` for every entry
     the store lets go of -- LRU displacement, overwrite of an existing key,
     :meth:`discard` and :meth:`clear` -- so values owning external
-    resources (e.g. attached shared-memory views in a scheduling worker)
-    can release them deterministically instead of waiting for garbage
-    collection.  Exceptions raised by the callback propagate to the
+    resources can release them deterministically instead of waiting for
+    garbage collection.  Exceptions raised by the callback propagate to the
     mutating call.
 
     All operations are thread-safe: the scheduling-as-a-service executor

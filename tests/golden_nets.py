@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.apps import paper_nets
 from repro.apps.video import VideoAppConfig, build_video_system
 from repro.petrinet.net import PetriNet
-from repro.scheduling.ep import SchedulerOptions, find_schedule
+from repro.scheduling.ep import find_schedule
 from repro.scheduling.serialize import (
     schedule_fingerprint,
     schedule_summary,
@@ -54,21 +54,11 @@ def fixture_path(net_name: str, source: str) -> Path:
     return GOLDEN_DIR / f"{net_name}__{source}.json"
 
 
-def derive_case(
-    net_name: str, source: str, backend: Optional[str] = None
-) -> Dict[str, object]:
-    """Run the (serial) search and package the golden record.
-
-    ``backend`` pins an EP backend; the default (auto) is what fixture
-    regeneration uses.  The record carries no backend information, so the
-    backends' byte-identical-schedule contract means every choice must
-    reproduce the committed fixture bytes exactly
-    (``tests/test_kernel.py`` sweeps all of them).
-    """
+def derive_case(net_name: str, source: str) -> Dict[str, object]:
+    """Run the search with default options and package the golden record."""
     builder, _sources = GOLDEN_CASES[net_name]
     net = builder()
-    options = SchedulerOptions(backend=backend) if backend else None
-    result = find_schedule(net, source, options=options)
+    result = find_schedule(net, source)
     record: Dict[str, object] = {
         "net": net_name,
         "source": source,

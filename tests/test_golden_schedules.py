@@ -14,7 +14,6 @@ If a scheduler change intentionally alters schedules, regenerate with
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -71,44 +70,3 @@ def test_regenerating_fixture_is_a_byte_level_noop(net_name, source):
     path = fixture_path(net_name, source)
     regenerated = render_case(derive_case(net_name, source))
     assert regenerated == path.read_text()
-
-
-# ---------------------------------------------------------------------------
-# CI smoke: the parallel path reproduces the golden fixtures bit for bit
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="needs >=2 cores; covered by the 'worker-matrix' CI job, which runs "
-    "this and the intra_workers matrix un-skipped on a multi-core runner",
-)
-@pytest.mark.parametrize("net_name", sorted(GOLDEN_CASES))
-def test_workers_2_reproduces_golden_fixtures(net_name):
-    """`find_all_schedules(workers=2)` derives the committed fixtures exactly.
-
-    One own-pool parallel run per golden net (shared-memory plane when the
-    platform provides it, pickled nets otherwise); every scheduled source
-    must match its fixture byte for byte.  Skips cleanly on single-core
-    runners, where a two-worker pool only measures oversubscription.
-    """
-    from repro.scheduling.ep import find_all_schedules
-    from repro.scheduling.serialize import (
-        schedule_fingerprint,
-        schedule_summary,
-        schedule_to_dict,
-    )
-
-    builder, sources = GOLDEN_CASES[net_name]
-    net = builder()
-    results = find_all_schedules(net, sources=sources, workers=2)
-    for source in sources:
-        golden = json.loads(fixture_path(net_name, source).read_text())
-        result = results[source]
-        assert result.success == golden["success"], source
-        assert schedule_summary(result.schedule) == golden["summary"]
-        if golden["success"]:
-            assert schedule_to_dict(result.schedule) == golden["schedule"]
-            assert schedule_fingerprint(result.schedule) == golden["fingerprint"]
-        else:
-            assert result.failure_reason == golden["failure_reason"]

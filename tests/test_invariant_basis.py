@@ -236,11 +236,8 @@ def test_search_guided_by_an_invariant_beyond_int64_runs():
         net.add_arc(f"p{i:02d}", f"t{i:02d}")
         previous = f"t{i:02d}"
     assert t_invariant_basis(net)[0]["t63"] == 2**63
-    for backend in ("scalar", "kernel"):
-        result = find_schedule(
-            net, "src", options=SchedulerOptions(backend=backend, max_nodes=500)
-        )
-        assert not result.success
+    result = find_schedule(net, "src", options=SchedulerOptions(max_nodes=500))
+    assert not result.success
 
 
 # ---------------------------------------------------------------------------

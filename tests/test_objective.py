@@ -3,12 +3,11 @@
 Four contracts, mirroring the refactor's acceptance bar:
 
 * ``objective="first"`` (the default) is byte-identical to the
-  pre-objective scheduler on every backend -- the enumeration machinery
-  must be unobservable unless asked for;
-* ``objective="cost"`` selection is deterministic across backends, intra
-  worker counts and candidate limits (same winner, same score), and on the
-  pinned corpus net it finds a schedule *strictly cheaper* than the
-  first-found one;
+  pre-objective scheduler -- the enumeration machinery must be
+  unobservable unless asked for;
+* ``objective="cost"`` selection is deterministic across candidate limits
+  (same winner, same score), and on the pinned corpus net it finds a
+  schedule *strictly cheaper* than the first-found one;
 * the static score and the single-task prediction agree with the ground
   truth: `predict_single_task` matches `SingleTaskSimulation`'s counters
   on corpus cases (the corpus `predict` stage holds this per generated
@@ -40,8 +39,6 @@ from repro.scheduling.serialize import (
 from repro.scheduling.warmstart import options_cache_key
 from repro.serve.protocol import ProtocolError, options_from_dict
 
-BACKENDS = ("scalar", "batched", "kernel")
-
 #: Corpus case where the cost objective strictly beats first-found
 #: (also pinned in the bench's ``objective`` section).
 WIN_SEED, WIN_FAMILY, WIN_SOURCE = 20260877, "multi_source", "src.s2_p0.ev_s2_p0"
@@ -69,16 +66,11 @@ class TestFirstObjective:
         assert options.objective == "first"
         assert "first" in OBJECTIVES and "cost" in OBJECTIVES
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_first_matches_default_result(self, backend):
+    def test_first_matches_default_result(self):
         for name, net, source in _paper_cases():
-            default = find_schedule(
-                net, source, options=SchedulerOptions(backend=backend)
-            )
+            default = find_schedule(net, source)
             explicit = find_schedule(
-                net,
-                source,
-                options=SchedulerOptions(backend=backend, objective="first"),
+                net, source, options=SchedulerOptions(objective="first")
             )
             assert default.success and explicit.success, name
             assert schedule_fingerprint(default.schedule) == schedule_fingerprint(
@@ -115,33 +107,6 @@ class TestFirstObjective:
 
 
 class TestCostObjective:
-    def test_selection_identical_across_backends_and_workers(self):
-        net = _win_net()
-        reference = None
-        for backend in BACKENDS:
-            for intra_workers in (1, 2):
-                result = find_schedule(
-                    net,
-                    WIN_SOURCE,
-                    options=SchedulerOptions(
-                        backend=backend,
-                        objective="cost",
-                        candidate_limit=32,
-                        intra_workers=intra_workers,
-                    ),
-                )
-                assert result.success
-                key = (
-                    schedule_fingerprint(result.schedule),
-                    result.score,
-                    result.objective_stats["candidates"],
-                    result.objective_stats["selected_fingerprint"],
-                )
-                if reference is None:
-                    reference = key
-                else:
-                    assert key == reference, (backend, intra_workers)
-
     def test_cost_strictly_beats_first_on_pinned_corpus_net(self):
         """The acceptance witness: seed 20260877, source s2, 1151 < 1175."""
         net = _win_net()
@@ -188,8 +153,7 @@ class TestCostObjective:
         assert stats["selected_score"] <= stats["first_score"]
         assert 1 <= stats["candidates"] <= 8
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_forced_shape_nets_select_the_first_schedule(self, backend):
+    def test_forced_shape_nets_select_the_first_schedule(self):
         """On the paper nets every candidate scores the same; the fingerprint
         tie-break plus first-candidate preference must keep selection stable
         and the returned schedule valid."""
@@ -197,9 +161,7 @@ class TestCostObjective:
             result = find_schedule(
                 net,
                 source,
-                options=SchedulerOptions(
-                    backend=backend, objective="cost", candidate_limit=4
-                ),
+                options=SchedulerOptions(objective="cost", candidate_limit=4),
             )
             assert result.success, name
             assert result.objective == "cost"

@@ -20,7 +20,6 @@ PUBLIC_API = [
     # scheduling entry points
     ("repro.scheduling.ep", "find_schedule"),
     ("repro.scheduling.ep", "find_all_schedules"),
-    ("repro.scheduling.ep", "resolve_backend_for"),
     ("repro.scheduling.ep", "SchedulerOptions"),
     ("repro.scheduling.ep", "SchedulerResult"),
     ("repro.scheduling.ep", "SearchCounters"),
@@ -53,16 +52,9 @@ PUBLIC_API = [
     ("repro.scheduling.termination", "MaxDepthCondition"),
     ("repro.scheduling.termination", "CompositeCondition"),
     ("repro.scheduling.termination", "default_termination"),
-    # the fused expansion kernel
-    ("repro.petrinet.kernel", "ExpansionKernel"),
-    ("repro.petrinet.kernel", "IncrementalIrrelevance"),
-    ("repro.petrinet.kernel", "resolve_kernel_tier"),
-    ("repro.petrinet.kernel", "compiled_tier_available"),
-    ("repro.petrinet.kernel", "kernel_enabled"),
+    ("repro.scheduling.termination", "IncrementalIrrelevance"),
     ("repro.petrinet.indexed", "MarkingStore"),
-    # parallel + warm start + persistent cache
-    ("repro.scheduling.parallel", "find_all_schedules_parallel"),
-    ("repro.scheduling.parallel", "aggregate_counters"),
+    # warm start + persistent cache
     ("repro.scheduling.warmstart", "ScheduleWarmStartCache"),
     ("repro.scheduling.warmstart", "cached_find_schedule"),
     ("repro.scheduling.warmstart", "options_cache_key"),
@@ -166,7 +158,6 @@ def test_module_docstrings_exist():
         "repro.serve.server",
         "repro.scheduling.ep",
         "repro.scheduling.warmstart",
-        "repro.scheduling.parallel",
         "repro.scheduling.serialize",
         "repro.scheduling.termination",
         "repro.petrinet.net",

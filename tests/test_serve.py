@@ -171,14 +171,14 @@ def test_net_from_dict_rejects_garbage():
 
 def test_options_from_dict_defaults_and_whitelist():
     assert options_from_dict(None) == SchedulerOptions()
-    options = options_from_dict({"backend": "scalar", "max_nodes": 500})
-    assert options.backend == "scalar"
+    options = options_from_dict({"objective": "cost", "max_nodes": 500})
+    assert options.objective == "cost"
     assert options.max_nodes == 500
     with pytest.raises(ProtocolError) as excinfo:
         options_from_dict({"termination": "nope"})
     assert excinfo.value.kind == "bad-options"
     with pytest.raises(ProtocolError):
-        options_from_dict({"backend": "warp-drive"})
+        options_from_dict({"objective": "warp-drive"})
     with pytest.raises(ProtocolError):
         options_from_dict({"max_nodes": -1})
 
@@ -395,6 +395,33 @@ def test_server_error_envelopes():
     assert unknown_source["error"]["type"] == "unknown-source"
 
 
+def test_retired_options_answer_bad_options_like_unknown_ones():
+    """Protocol 2 dropped three scheduler options: naming one is an unknown
+    option, refused before any search."""
+    net = net_to_dict(paper_nets.figure_5())
+    retired = {"backend": "scalar", "kernel_tier": "numpy", "intra_workers": 2}
+    assert not set(retired) & set(protocol.WIRE_OPTION_FIELDS)
+    lines = [
+        _line({"op": "schedule", "net": net, "options": {name: value}})
+        for name, value in retired.items()
+    ]
+
+    async def scenario():
+        server = await start_server(max_workers=1)
+        client = await _Connection.open(server.port)
+        try:
+            return [json.loads(await client.ask(line)) for line in lines]
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    responses = asyncio.run(scenario())
+    for name, response in zip(retired, responses):
+        assert not response["ok"] and response["error"]["type"] == "bad-options"
+        assert name in response["error"]["message"]
+        assert response["protocol"] == protocol.PROTOCOL_VERSION == 2
+
+
 def test_wrong_typed_options_answer_bad_options():
     net = net_to_dict(paper_nets.figure_6())
     lines = [
@@ -543,7 +570,7 @@ def test_distinct_options_do_not_coalesce():
                         "op": "schedule",
                         "net": net,
                         "sources": ["a"],
-                        "options": {"backend": "scalar"},
+                        "options": {"max_nodes": 100_000},
                     },
                 ),
             )
@@ -555,7 +582,7 @@ def test_distinct_options_do_not_coalesce():
     assert stats["coalesced"] == 0
     assert stats["live_searches"] == 2
     fingerprints = {r["results"][0]["schedule_fingerprint"] for r in responses}
-    assert len(fingerprints) == 1  # backends are schedule-equivalent
+    assert len(fingerprints) == 1  # both budgets find the same schedule
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.apps import paper_nets
 from repro.apps.video import VideoAppConfig, build_video_system
 from repro.petrinet.net import PetriNet
-from repro.scheduling.ep import find_schedule
+from repro.scheduling.ep import SchedulerResult, find_schedule
 from repro.scheduling.serialize import (
     schedule_fingerprint,
     schedule_summary,
@@ -54,11 +54,21 @@ def fixture_path(net_name: str, source: str) -> Path:
     return GOLDEN_DIR / f"{net_name}__{source}.json"
 
 
-def derive_case(net_name: str, source: str) -> Dict[str, object]:
-    """Run the search with default options and package the golden record."""
+def derive_case(
+    net_name: str,
+    source: str,
+    search: Callable[[PetriNet, str], SchedulerResult] = find_schedule,
+) -> Dict[str, object]:
+    """Run ``search`` on the case and package the golden record.
+
+    ``search`` defaults to ``find_schedule`` with default options, which is
+    what fixture regeneration uses.  The record carries nothing of how it
+    was derived, so every way of running the search must reproduce the
+    committed fixture bytes exactly (``tests/test_kernel.py`` sweeps them).
+    """
     builder, _sources = GOLDEN_CASES[net_name]
     net = builder()
-    result = find_schedule(net, source)
+    result = search(net, source)
     record: Dict[str, object] = {
         "net": net_name,
         "source": source,

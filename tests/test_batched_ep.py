@@ -1,106 +1,73 @@
-"""Differential harness pinning the batched and kernel EP backends to scalar.
+"""Differential harness for the EP search: the folded walk vs its fallback.
 
-The batched backend rewrites the innermost loop of the scheduler -- frontier
-expansion, termination masks, marking interning -- and the kernel backend
-fuses that loop further (one call over contiguous buffers, incremental
-irrelevance); both sit behind one equivalence contract: for any net and any
-supported options, every backend must produce the same canonical schedule
-(byte-identical under :func:`schedule_to_json`), the same failure reason,
-the same tree, and the same :class:`SearchCounters` modulo the counters
-listed in ``SearchCounters.BACKEND_ONLY``.
+The scalar walk is the only EP search.  Its equivalence contract is the
+whole-search oracle of :mod:`fold_oracle`: for any net and any options, the
+search on the folded termination verdict and the same search forced onto
+the ``termination.holds`` fallback (every leaf re-typed, the irrelevance
+leaf deciding by the exact walk over the ancestors) produce the same
+canonical schedule (byte-identical under :func:`schedule_to_json`), the
+same failure reason, the same tree and the same :class:`SearchCounters`.
 
 This module enforces the contract three ways:
 
-* a seeded fuzz sweep over 200+ generated nets (marked graphs, choice
-  diamonds, multi-source rings) running the three backends side by side;
-* edge cases the fuzzers are unlikely to hit: empty frontiers, one-place
-  nets, bound-saturated frontiers, all-irrelevant frontiers, token counts
-  at the int64 guard;
-* unit tests of the frontier primitives and the backend resolution rules.
+* a seeded sweep over 200+ generated nets (marked graphs, choice diamonds,
+  multi-source rings);
+* edge cases the generators are unlikely to hit: nodes with nothing
+  enabled, one-place nets, bound-saturated children, all-irrelevant trees,
+  token counts beyond int64;
+* unit tests of the dense primitives the batched reachability sweep keeps
+  (:mod:`repro.petrinet.batched`), of Definition 4.5 on deep paths, and of
+  the option surface.
 
-Kernel-specific behaviour (tier resolution, the fallback warning, the
-incremental irrelevance checker itself) lives in ``tests/test_kernel.py``.
+The test names are kept from the scalar/batched/kernel backend harness
+this oracle replaced, so the test IDs stay stable.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fold_oracle import folded_and_fallback, observables, run_search, unfolded
 from repro.apps.workloads import (
     random_choice_net,
     random_marked_graph,
     random_multi_source_net,
 )
 from repro.petrinet.batched import (
-    FRONTIER_TOKEN_GUARD,
-    FrontierOverflowError,
-    expand_children,
-    irrelevance_frontier_mask,
+    bound_violation_mask,
+    enabled_mask,
+    fire_rows,
+    irrelevance_mask,
+    reachable_matrix,
 )
 from repro.petrinet.net import PetriNet, SourceKind
 from repro.scheduling.ep import (
     SchedulerOptions,
     SearchCounters,
+    _EPSearch,
     find_all_schedules,
     find_schedule,
-    resolve_backend_for,
 )
-from repro.scheduling.serialize import schedule_fingerprint, schedule_to_dict
 from repro.scheduling.termination import (
     CompositeCondition,
+    IncrementalIrrelevance,
+    IrrelevanceCriterion,
     NodeBudget,
     PlaceBoundCondition,
     TerminationCondition,
-    split_frontier_conditions,
+    default_termination,
+    fold_termination,
 )
-
-
-def comparable_counters(counters: SearchCounters) -> dict:
-    """Counter dict with the backend-only counters removed."""
-    data = counters.as_dict()
-    for key in SearchCounters.BACKEND_ONLY:
-        data.pop(key)
-    return data
-
-
-def assert_results_equivalent(scalar, batched):
-    """The full equivalence contract between two SchedulerResults."""
-    assert scalar.success == batched.success
-    assert scalar.failure_reason == batched.failure_reason
-    assert scalar.tree_nodes == batched.tree_nodes
-    assert comparable_counters(scalar.counters) == comparable_counters(batched.counters)
-    if scalar.success:
-        assert schedule_to_dict(scalar.schedule) == schedule_to_dict(batched.schedule)
-        assert schedule_fingerprint(scalar.schedule) == schedule_fingerprint(
-            batched.schedule
-        )
-
-
-ALL_BACKENDS = ("scalar", "batched", "kernel")
-
-
-def run_all_backends(net, source, *, max_nodes=600, termination=None):
-    """One search per backend; returns (scalar, batched, kernel) results.
-
-    The scalar/kernel pair is asserted equivalent here, so the many edge
-    tests that only unpack ``scalar, batched`` still exercise the full
-    three-way contract.
-    """
-    results = {}
-    for backend in ALL_BACKENDS:
-        options = SchedulerOptions(
-            max_nodes=max_nodes, backend=backend, termination=termination
-        )
-        results[backend] = find_schedule(net, source, options=options)
-    assert_results_equivalent(results["scalar"], results["kernel"])
-    return results["scalar"], results["batched"], results["kernel"]
-
+from repro.serve.protocol import ProtocolError, options_from_dict
 
 # ---------------------------------------------------------------------------
-# differential fuzz sweep (>= 200 generated nets)
+# differential sweep (>= 200 generated nets)
 # ---------------------------------------------------------------------------
 
 FUZZ_CASES = (
@@ -128,73 +95,58 @@ def test_fuzz_sweep_covers_at_least_200_nets():
 def test_differential_fuzz_scalar_vs_batched(kind, seed):
     net = build_fuzz_net(kind, seed)
     for source in net.uncontrollable_sources():
-        scalar, batched, kernel = run_all_backends(net, source)
-        assert_results_equivalent(scalar, batched)
+        folded_and_fallback(net, source, max_nodes=600)
 
 
 def test_fuzz_sweep_exercises_the_batched_and_kernel_paths():
-    """The generated nets must actually run batched/kernel (no silent fallbacks)."""
-    batched_runs = 0
-    kernel_runs = 0
+    """The generated nets must really run both sides of the oracle: the
+    folded search on its incremental irrelevance checker, the twin on the
+    ``holds`` fallback -- no silent fold on either side."""
+    incremental_runs = 0
     successes = 0
     for kind, seed in FUZZ_CASES[::7]:
         net = build_fuzz_net(kind, seed)
-        options = SchedulerOptions(max_nodes=600, backend="batched")
-        assert resolve_backend_for(net, options) == "batched"
-        kernel_options = SchedulerOptions(max_nodes=600, backend="kernel")
-        assert resolve_backend_for(net, kernel_options) == "kernel"
+        termination = default_termination(net, max_nodes=600)
         for source in net.uncontrollable_sources():
-            result = find_schedule(net, source, options=options)
-            if result.counters.batched_expansions:
-                batched_runs += 1
-            kernel_result = find_schedule(net, source, options=kernel_options)
-            if kernel_result.counters.kernel_expansions:
-                kernel_runs += 1
-            assert kernel_result.counters.batched_expansions == 0
-            successes += bool(result.success)
-    assert batched_runs > 0
-    assert kernel_runs > 0
+            folded_search, folded = run_search(net, source, termination, max_nodes=600)
+            fallback_search, fallback = run_search(
+                net, source, unfolded(termination), max_nodes=600
+            )
+            assert folded_search._incremental is not None
+            assert fallback_search._fold is None
+            assert fallback_search._incremental is None
+            assert observables(folded) == observables(fallback)
+            incremental_runs += folded_search._incremental.children_checked > 0
+            successes += folded.success
+    assert incremental_runs > 0
     assert successes > 0
 
 
 def test_differential_on_an_unschedulable_paper_net():
-    """Failures must be byte-identical too (reason, tree size, counters)."""
+    """Failures must be identical too (reason, tree size, counters)."""
     from repro.apps import paper_nets
 
-    net = paper_nets.figure_4b()
-    scalar, batched, kernel = run_all_backends(net, "a", max_nodes=5000)
-    assert not scalar.success
-    assert_results_equivalent(scalar, batched)
-    assert batched.counters.batched_expansions > 0
+    result = folded_and_fallback(paper_nets.figure_4b(), "a", max_nodes=5000)
+    assert not result.success
 
 
 def test_differential_find_all_schedules_merged_counters():
-    """Multi-source nets: per-source results and merged counters agree."""
+    """Multi-source nets: ``find_all_schedules``' per-source results, and
+    their merged counters, equal the oracle's searches."""
     for seed in (3, 11, 27):
         net = random_multi_source_net(3, 3, seed=seed)
-        per_backend = {
-            backend: find_all_schedules(
-                net, options=SchedulerOptions(max_nodes=600), backend=backend
-            )
-            for backend in ALL_BACKENDS
+        results = find_all_schedules(net, options=SchedulerOptions(max_nodes=600))
+        assert list(results) == net.uncontrollable_sources()
+        oracle = {
+            source: folded_and_fallback(net, source, max_nodes=600)
+            for source in results
         }
-        scalar = per_backend["scalar"]
-        for backend in ("batched", "kernel"):
-            other = per_backend[backend]
-            assert list(scalar) == list(other)
-            for source in scalar:
-                assert_results_equivalent(scalar[source], other[source])
-        merged = {
-            backend: SearchCounters.aggregate(r.counters for r in results.values())
-            for backend, results in per_backend.items()
-        }
-        assert (
-            comparable_counters(merged["scalar"])
-            == comparable_counters(merged["batched"])
-            == comparable_counters(merged["kernel"])
-        )
-        assert merged["batched"].batched_expansions > 0
-        assert merged["kernel"].kernel_expansions > 0
+        for source, result in results.items():
+            assert observables(result) == observables(oracle[source])
+        merged = SearchCounters.aggregate(r.counters for r in results.values())
+        expected = SearchCounters.aggregate(r.counters for r in oracle.values())
+        assert merged.as_dict() == expected.as_dict()
+        assert merged.nodes_expanded > 0
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +166,14 @@ def _starved_net() -> PetriNet:
 
 
 def test_empty_frontier_backtracks_identically():
-    """The child of the first source firing has an *empty* frontier.
+    """The child of the first source firing has nothing enabled.
 
     The search must backtrack out of it and recover by deferring to a second
-    source event (two await nodes) -- on both backends, identically.
+    source event (two await nodes).
     """
-    net = _starved_net()
-    scalar, batched, kernel = run_all_backends(net, "src", max_nodes=50)
-    assert scalar.success
-    assert len(scalar.schedule.await_nodes()) == 2
-    assert_results_equivalent(scalar, batched)
-    assert batched.counters.batched_expansions > 0
+    result = folded_and_fallback(_starved_net(), "src", max_nodes=50)
+    assert result.success
+    assert len(result.schedule.await_nodes()) == 2
 
 
 def test_empty_frontier_with_banned_source_refire_fails_identically():
@@ -233,9 +182,7 @@ def test_empty_frontier_with_banned_source_refire_fails_identically():
     termination = CompositeCondition(
         conditions=[PlaceBoundCondition.uniform(net, 1), NodeBudget(max_nodes=50)]
     )
-    scalar, batched, kernel = run_all_backends(net, "src", termination=termination)
-    assert not scalar.success
-    assert_results_equivalent(scalar, batched)
+    assert not folded_and_fallback(net, "src", termination).success
 
 
 def test_single_place_single_transition_net():
@@ -245,23 +192,16 @@ def test_single_place_single_transition_net():
     net.add_transition("t")
     net.add_arc("src", "p")
     net.add_arc("p", "t")
-    scalar, batched, kernel = run_all_backends(net, "src")
-    assert scalar.success
-    assert_results_equivalent(scalar, batched)
-    assert batched.counters.batched_expansions > 0
+    assert folded_and_fallback(net, "src", max_nodes=600).success
 
 
 def test_every_child_violates_the_configured_bound():
-    """A zero place bound prunes the entire frontier at every node."""
+    """A zero place bound prunes every child at every node."""
     net = random_choice_net(2, seed=5)
     termination = CompositeCondition(
         conditions=[PlaceBoundCondition.uniform(net, 0), NodeBudget(max_nodes=200)]
     )
-    scalar, batched, kernel = run_all_backends(net, "src", termination=termination)
-    assert not scalar.success
-    assert_results_equivalent(scalar, batched)
-    # the condition decomposes, so the batched path must really have run
-    assert batched.counters.batched_expansions > 0
+    assert not folded_and_fallback(net, "src", termination).success
 
 
 def test_all_irrelevant_frontier():
@@ -277,96 +217,83 @@ def test_all_irrelevant_frontier():
     net.add_arc("t", "q")  # and grows q, whose degree is already saturated
     # no T-invariant fires src (tokens only accumulate), so the precheck
     # must be disabled for the search -- and its irrelevance pruning -- to run
-    results = {}
-    for backend in ("scalar", "batched"):
-        results[backend] = find_schedule(
-            net,
-            "src",
-            options=SchedulerOptions(
-                max_nodes=100,
-                backend=backend,
-                invariant_precheck=False,
-                use_invariant_heuristic=False,
-            ),
-        )
-    scalar, batched = results["scalar"], results["batched"]
-    assert not scalar.success
-    assert scalar.counters.nodes_expanded > 0
-    assert_results_equivalent(scalar, batched)
-    assert batched.counters.batched_expansions > 0
+    result = folded_and_fallback(
+        net,
+        "src",
+        max_nodes=100,
+        invariant_precheck=False,
+        use_invariant_heuristic=False,
+    )
+    assert not result.success
+    assert result.counters.nodes_expanded > 0
 
 
 def test_int64_guard_falls_back_to_exact_scalar_arithmetic():
-    """Token counts near the int64 threshold must not reach the matrices."""
-    huge = FRONTIER_TOKEN_GUARD  # 2**62
+    """Markings are Python ints: counts around 2**64 fire and compare exactly.
+
+    The search needs no int64 guard; the dense sweep's guard is pinned by
+    :func:`test_expand_children_dtype_guard_raises`.
+    """
     net = PetriNet(name="huge_tokens")
     net.add_transition("src", source_kind=SourceKind.UNCONTROLLABLE)
-    net.add_place("p", huge)
-    net.add_transition("t")
+    net.add_place("p")
+    net.add_place("q")
+    net.add_place("r", 2**64)
+    net.add_transition("take")
+    net.add_transition("give")
     net.add_arc("src", "p")
-    net.add_arc("p", "t")
-    options = SchedulerOptions(max_nodes=100, backend="batched")
-    # the static guard downgrades even explicit backend="batched"/"kernel"
-    assert resolve_backend_for(net, options) == "scalar"
-    assert (
-        resolve_backend_for(net, SchedulerOptions(max_nodes=100, backend="kernel"))
-        == "scalar"
-    )
-    scalar, batched, kernel = run_all_backends(net, "src", max_nodes=100)
-    assert_results_equivalent(scalar, batched)
-    assert batched.counters.batched_expansions == 0
-    assert kernel.counters.kernel_expansions == 0
-
-    # a comfortable margin below the guard stays on the batched path
-    small = PetriNet(name="large_but_safe")
-    small.add_transition("src", source_kind=SourceKind.UNCONTROLLABLE)
-    small.add_place("p", 2**40)
-    small.add_transition("t")
-    small.add_arc("src", "p")
-    small.add_arc("p", "t")
-    assert resolve_backend_for(small, options) == "batched"
-    assert (
-        resolve_backend_for(small, SchedulerOptions(max_nodes=100, backend="kernel"))
-        == "kernel"
-    )
-    scalar, batched, kernel = run_all_backends(small, "src", max_nodes=100)
-    assert_results_equivalent(scalar, batched)
-
-
-def test_expand_children_dtype_guard_raises():
-    net = PetriNet(name="overflow_unit")
-    net.add_place("p", 1)
-    net.add_transition("t")
-    net.add_arc("p", "t")
-    inet = net.indexed()
-    with pytest.raises(FrontierOverflowError):
-        expand_children(inet, (FRONTIER_TOKEN_GUARD,), [0])
-    # one below the guard is accepted and exact
-    rows = expand_children(inet, (FRONTIER_TOKEN_GUARD - 1,), [0])
-    assert rows.tolist() == [[FRONTIER_TOKEN_GUARD - 2]]
-
-
-def test_expand_children_empty_frontier_shapes():
-    net = PetriNet(name="shapes")
-    net.add_place("p", 1)
-    net.add_transition("t")
-    net.add_arc("p", "t")
-    inet = net.indexed()
-    rows = expand_children(inet, (1,), [])
-    assert rows.shape == (0, 1)
-    mask = irrelevance_frontier_mask(
-        rows, np.zeros((0, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    )
-    assert mask.shape == (0,)
+    net.add_arc("p", "take")
+    net.add_arc("r", "take")
+    net.add_arc("take", "q")
+    net.add_arc("q", "give")
+    net.add_arc("give", "r")
+    result = folded_and_fallback(net, "src", max_nodes=100)
+    assert result.success
+    counts = {node.marking["r"] for node in result.schedule.nodes}
+    assert counts == {2**64, 2**64 - 1}
 
 
 # ---------------------------------------------------------------------------
-# backend resolution rules
+# the dense primitives of the batched reachability sweep
+# ---------------------------------------------------------------------------
+
+
+def _one_place_net(tokens: int) -> PetriNet:
+    net = PetriNet(name="overflow_unit")
+    net.add_place("p", tokens)
+    net.add_transition("t")
+    net.add_arc("p", "t")
+    return net
+
+
+def test_expand_children_dtype_guard_raises():
+    """The int64 sweep refuses a count beyond int64 instead of wrapping it;
+    one below the limit is accepted and fires exactly."""
+    with pytest.raises(OverflowError):
+        reachable_matrix(_one_place_net(2**63), max_nodes=4)
+    rows = reachable_matrix(_one_place_net(2**63 - 1), max_nodes=3)
+    assert rows.tolist() == [[2**63 - 1], [2**63 - 2], [2**63 - 3]]
+
+
+def test_expand_children_empty_frontier_shapes():
+    inet = _one_place_net(1).indexed()
+    empty = np.zeros((0, 1), dtype=np.int64)
+    assert enabled_mask(inet, empty).shape == (0, 1)
+    assert fire_rows(inet, empty, 0).shape == (0, 1)
+    zeros = np.zeros(1, dtype=np.int64)
+    assert irrelevance_mask(empty, zeros, zeros).shape == (0,)
+    assert bound_violation_mask(empty, [(0, 1)]).shape == (0,)
+    # a sweep whose only marking enables nothing stops at the initial row
+    assert reachable_matrix(_one_place_net(0)).tolist() == [[0]]
+
+
+# ---------------------------------------------------------------------------
+# the option surface: which path a search runs on
 # ---------------------------------------------------------------------------
 
 
 class _OpaqueCondition(TerminationCondition):
-    """A user condition the batched backend cannot decompose."""
+    """A user condition the fold cannot decompose."""
 
     name = "opaque"
 
@@ -375,51 +302,49 @@ class _OpaqueCondition(TerminationCondition):
 
 
 def test_unsupported_termination_condition_forces_scalar():
+    """A leaf the fold does not know sends the whole search to ``holds``.
+
+    The opaque leaf never prunes, so the fallback search must equal the
+    folded search under the node budget alone.
+    """
     net = random_choice_net(2, seed=1)
     opaque = CompositeCondition(
         conditions=[_OpaqueCondition(), NodeBudget(max_nodes=400)]
     )
-    assert split_frontier_conditions(opaque) is None
-    options = SchedulerOptions(backend="batched", termination=opaque, max_nodes=400)
-    assert resolve_backend_for(net, options, opaque) == "scalar"
-    kernel_options = SchedulerOptions(
-        backend="kernel", termination=opaque, max_nodes=400
+    fold = fold_termination(opaque, net.indexed())
+    assert [type(leaf) for leaf in fold.extra] == [_OpaqueCondition]
+    search, result = run_search(net, "src", opaque, max_nodes=400)
+    assert search._fold is None
+    budget_search, budget_only = run_search(
+        net, "src", NodeBudget(max_nodes=400), max_nodes=400
     )
-    assert resolve_backend_for(net, kernel_options, opaque) == "scalar"
-    batched_request = find_schedule(net, "src", options=options)
-    scalar = find_schedule(
-        net,
-        "src",
-        options=SchedulerOptions(backend="scalar", termination=opaque, max_nodes=400),
-    )
-    assert batched_request.counters.batched_expansions == 0
-    assert_results_equivalent(scalar, batched_request)
+    assert budget_search._fold is not None
+    assert observables(result) == observables(budget_only)
 
 
 def test_unknown_backend_is_rejected():
-    net = random_marked_graph(3, seed=0)
-    with pytest.raises(ValueError, match="unknown scheduler backend"):
-        find_schedule(net, "src", options=SchedulerOptions(backend="vectorised"))
+    """The backend knob is gone: naming it is an unknown option, rejected
+    rather than silently ignored, in process and on the serve wire."""
+    with pytest.raises(TypeError):
+        SchedulerOptions(backend="vectorised")
+    with pytest.raises(ProtocolError) as excinfo:
+        options_from_dict({"backend": "vectorised"})
+    assert excinfo.value.kind == "bad-options"
 
 
 def test_auto_resolves_to_scalar_for_default_options():
+    """Default options run the folded walk on the incremental checker."""
     net = random_choice_net(2, seed=2)
-    assert resolve_backend_for(net, SchedulerOptions()) == "scalar"
-    result = find_schedule(net, "src")
-    assert result.counters.kernel_expansions == 0
-    assert result.counters.batched_expansions == 0
-    kernel = find_schedule(net, "src", options=SchedulerOptions(backend="kernel"))
-    assert kernel.counters.kernel_expansions > 0
-    assert schedule_fingerprint(result.schedule) == schedule_fingerprint(
-        kernel.schedule
-    )
-    # the matrix backends stay selectable on request
-    assert resolve_backend_for(net, SchedulerOptions(backend="batched")) == "batched"
-    assert resolve_backend_for(net, SchedulerOptions(backend="kernel")) == "kernel"
+    search = _EPSearch(net, "src", SchedulerOptions())
+    assert search._fold is not None and search._fold.irrelevance is not None
+    assert search._incremental is not None
+    result = search.run()
+    assert observables(result) == observables(find_schedule(net, "src"))
+    assert observables(result) == observables(folded_and_fallback(net, "src"))
 
 
 # ---------------------------------------------------------------------------
-# the chunked irrelevance frontier mask (fixed memory budget on deep paths)
+# Definition 4.5 on deep paths
 # ---------------------------------------------------------------------------
 
 
@@ -440,69 +365,100 @@ def _random_irrelevance_inputs(n_children, depth, n_places, seed):
     return children, ancestors, degrees
 
 
+def _mask_verdicts(children, ancestors, degrees):
+    """Per child: irrelevant w.r.t. some ancestor, one dense mask per ancestor."""
+    verdicts = np.zeros(children.shape[0], dtype=bool)
+    for ancestor in ancestors:
+        verdicts |= irrelevance_mask(children, ancestor, degrees)
+    return verdicts
+
+
+def _criterion(degrees):
+    names = tuple(f"p{index}" for index in range(len(degrees)))
+    criterion = IrrelevanceCriterion(degrees=dict(zip(names, map(int, degrees))))
+    return criterion, SimpleNamespace(place_names=names)
+
+
+def _path_state(rows):
+    """The (marking index, token-total multiset) SchedulingTree maintains."""
+    return {row: node for node, row in enumerate(rows)}, dict(
+        Counter(sum(row) for row in rows)
+    )
+
+
+def _rows(matrix):
+    return [tuple(map(int, row)) for row in matrix]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_chunked_irrelevance_mask_is_bitwise_identical(seed):
-    from repro.petrinet.batched import irrelevance_frontier_mask
-
+    """Definition 4.5 against a 500-deep path, three ways: the dense mask one
+    ancestor at a time, the exact walk (``witnessed_by``) and the search's
+    own verdict (the incremental checker, the walk where it is capped)."""
     children, ancestors, degrees = _random_irrelevance_inputs(33, 500, 17, seed)
-    unchunked = irrelevance_frontier_mask(
-        children, ancestors, degrees, chunk_elements=1 << 62
-    )
-    for chunk_elements in (1, 64, 4096, 1 << 20):
-        chunked = irrelevance_frontier_mask(
-            children, ancestors, degrees, chunk_elements=chunk_elements
+    expected = _mask_verdicts(children, ancestors, degrees)
+    assert expected.any() and not expected.all()
+    criterion, inet = _criterion(degrees)
+    path = _rows(ancestors)
+    path_index, total_counts = _path_state(path)
+    checker = IncrementalIrrelevance(criterion.degrees_vec(inet))
+    for i, vec in enumerate(_rows(children)):
+        walked = criterion.witnessed_by(
+            inet, vec, sum(vec), ((sum(row), row) for row in path)
         )
-        assert np.array_equal(chunked, unchunked), chunk_elements
-    # the default budget agrees too
-    assert np.array_equal(
-        irrelevance_frontier_mask(children, ancestors, degrees), unchunked
-    )
+        assert walked == bool(expected[i]), (seed, i)
+        verdict = checker.check(vec, path_index, total_counts, sum(vec))
+        assert verdict in (None, walked), (seed, i)
+    assert checker.children_checked == len(children)
 
 
 def test_chunked_irrelevance_mask_handles_empty_inputs():
-    from repro.petrinet.batched import irrelevance_frontier_mask
-
     degrees = np.zeros(4, dtype=np.int64)
     empty_children = np.zeros((0, 4), dtype=np.int64)
-    some_children = np.zeros((2, 4), dtype=np.int64)
-    empty_ancestors = np.zeros((0, 4), dtype=np.int64)
-    assert irrelevance_frontier_mask(
-        empty_children, np.ones((3, 4), dtype=np.int64), degrees
-    ).shape == (0,)
-    assert not irrelevance_frontier_mask(
-        some_children, empty_ancestors, degrees
-    ).any()
+    some_children = np.asarray([[1, 0, 0, 0], [0, 0, 0, 0]], dtype=np.int64)
+    assert irrelevance_mask(empty_children, np.ones(4, dtype=np.int64), degrees).shape == (0,)
+    # an empty path witnesses nothing, whichever way it is asked
+    empty_path = np.zeros((0, 4), dtype=np.int64)
+    assert not _mask_verdicts(some_children, empty_path, degrees).any()
+    criterion, inet = _criterion(degrees)
+    checker = IncrementalIrrelevance(criterion.degrees_vec(inet))
+    for vec in _rows(some_children):
+        assert not criterion.witnessed_by(inet, vec, sum(vec), ())
+        assert checker.check(vec, {}, {}, sum(vec)) is False
 
 
 def test_depth_500_path_stays_under_the_memory_budget():
-    """The regression this chunking exists for: a deep path must not
-    materialise the O(children x depth x places) cube."""
-    import tracemalloc
+    """Checking children against a deep path must not materialise the
+    O(children x depth x places) cube a broadcast over the path would.
 
-    from repro.petrinet.batched import (
-        IRRELEVANCE_CHUNK_ELEMENTS,
-        irrelevance_frontier_mask,
-    )
+    The search's checker probes the path's marking index instead: 128
+    children, each one token over degree on one place, against a 500-deep
+    path of 256-place markings.
+    """
+    rng = np.random.default_rng(3)
+    n_places, depth = 256, 500
+    degrees = np.full(n_places, 2, dtype=np.int64)
+    ancestors = rng.integers(0, 3, size=(depth, n_places), dtype=np.int64)
+    children = ancestors[rng.integers(0, depth, size=128)].copy()
+    for row in children:
+        saturated = np.flatnonzero(row >= degrees)
+        row[saturated[0] if saturated.size else 0] = 3
+    children[1::2, :] = rng.integers(0, 3, size=(64, n_places))
+    children[1::2, 0] = 3  # unrelated rows, also one place over degree
+    cube_bytes = children.shape[0] * depth * n_places
+    expected = _mask_verdicts(children, ancestors, degrees)
+    assert expected[::2].all() and not expected[1::2].any()
 
-    children, ancestors, degrees = _random_irrelevance_inputs(128, 500, 256, 3)
-    cube_bytes = children.shape[0] * ancestors.shape[0] * children.shape[1]
-    assert cube_bytes > 4 * IRRELEVANCE_CHUNK_ELEMENTS  # the cube would blow it
-
+    path_index, total_counts = _path_state(_rows(ancestors))
+    checker = IncrementalIrrelevance(tuple(map(int, degrees)))
+    vecs = _rows(children)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        chunked = irrelevance_frontier_mask(children, ancestors, degrees)
-        _size, chunked_peak = tracemalloc.get_traced_memory()
-
-        tracemalloc.reset_peak()
-        unchunked = irrelevance_frontier_mask(
-            children, ancestors, degrees, chunk_elements=1 << 62
-        )
-        _size, unchunked_peak = tracemalloc.get_traced_memory()
+        verdicts = [checker.check(vec, path_index, total_counts, sum(vec)) for vec in vecs]
+        _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(chunked, unchunked)
-    # a handful of per-chunk boolean intermediates (int64 comparisons produce
-    # bool arrays of chunk size), nowhere near the full cube
-    assert chunked_peak < 16 * IRRELEVANCE_CHUNK_ELEMENTS, chunked_peak
-    assert unchunked_peak > chunked_peak * 2, (unchunked_peak, chunked_peak)
+    assert verdicts == expected.tolist()
+    assert checker.capped_children == 0
+    assert peak < cube_bytes // 100, (peak, cube_bytes)

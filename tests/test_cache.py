@@ -30,6 +30,7 @@ import pytest
 import repro.cache as artifact_cache
 from repro.apps.divisors import build_divisors_system
 from repro.apps.paper_nets import figure_4b, figure_5, figure_6
+from repro.apps.workloads import random_multi_source_net
 from repro.cache import (
     JsonDirStore,
     NullStore,
@@ -368,31 +369,6 @@ def test_uncacheable_options_bypass_the_store(store):
     assert store.entries() == []  # nothing persisted (or even keyed)
 
 
-def test_warm_start_replay_keeps_original_statistics():
-    """A replayed result keeps the original search's wall clock and counters
-    (experiment tables report scheduling time; 0.0 would corrupt them)."""
-    cache = ScheduleWarmStartCache()
-    first = cache.find_schedule(figure_5(), "a")
-    replayed = cache.find_schedule(figure_5(), "a")
-    assert not first.from_cache and replayed.from_cache
-    assert replayed.elapsed_seconds == first.elapsed_seconds > 0.0
-    assert replayed.tree_nodes == first.tree_nodes
-    assert replayed.counters.as_dict() == first.counters.as_dict()
-    assert schedule_to_json(replayed.schedule) == schedule_to_json(first.schedule)
-
-
-def test_warm_start_keys_on_validate_flag():
-    """A schedule cached under validate=False must not satisfy a
-    validate=True call (the replay never re-validates)."""
-    cache = ScheduleWarmStartCache()
-    cache.find_schedule(figure_5(), "a", options=SchedulerOptions(validate=False))
-    validated = cache.find_schedule(
-        figure_5(), "a", options=SchedulerOptions(validate=True)
-    )
-    assert not validated.from_cache
-    assert cache.stats.misses == 2 and cache.stats.hits == 0
-
-
 def test_memory_only_instance_ignores_active_store(tmp_path):
     """store=False keeps *schedules* memory-only; the T-invariant basis
     store is process-wide and still uses the active disk store."""
@@ -464,6 +440,46 @@ def test_invariant_basis_persists_and_validates(tmp_path):
     assert t_invariant_basis(figure_5()) == basis
 
 
+def test_parallel_read_through_and_parent_writes(tmp_path):
+    """``find_all_schedules`` reads every source through the store and writes
+    each fresh record itself; a later process replays them all from disk
+    without searching."""
+    store = artifact_cache.activate(path=tmp_path / "cache")
+    net = random_multi_source_net(3, 4, seed=7)
+    first = find_all_schedules(net)
+    assert not any(r.from_cache for r in first.values())
+    assert sum(1 for e in store.entries() if e.kind == "schedule") == 3
+
+    GLOBAL_SCHEDULE_CACHE.drop_memory()  # force the disk path
+    before = _live_nodes()
+    replay = find_all_schedules(random_multi_source_net(3, 4, seed=7))
+    assert all(r.from_cache for r in replay.values())
+    assert _live_nodes() == before
+    for source in first:
+        assert schedule_to_json(replay[source].schedule) == schedule_to_json(
+            first[source].schedule
+        )
+
+
+def test_serial_and_parallel_share_cache_entries(tmp_path):
+    """Per-source searches through the warm-start cache and the multi-source
+    entry point share one key space: either one's records serve the other."""
+    store = artifact_cache.activate(path=tmp_path / "cache")
+    net = random_multi_source_net(2, 4, seed=3)
+    single = {
+        source: GLOBAL_SCHEDULE_CACHE.find_schedule(net, source)
+        for source in net.uncontrollable_sources()
+    }  # populates the cache
+    assert sum(1 for e in store.entries() if e.kind == "schedule") == 2
+    GLOBAL_SCHEDULE_CACHE.drop_memory()
+    combined = find_all_schedules(random_multi_source_net(2, 4, seed=3))
+    assert all(r.from_cache for r in combined.values())
+    for source in single:
+        assert schedule_to_json(combined[source].schedule) == schedule_to_json(
+            single[source].schedule
+        )
+
+
 def test_env_dir_override_and_null_degradation(tmp_path, monkeypatch):
     # REPRO_CACHE_DIR moves the store
     target = tmp_path / "elsewhere"
@@ -503,6 +519,21 @@ def test_active_store_never_crosses_a_fork(tmp_path, monkeypatch):
     monkeypatch.setattr(artifact_cache, "_ACTIVE_PID", os.getpid() - 1)
     assert artifact_cache.active_store() is not store  # env is unset -> None
     assert artifact_cache.active_store() is None
+
+
+def test_disable_in_subprocess_leaves_inherited_store_untouched(tmp_path, monkeypatch):
+    """A forked child abandons the inherited store without closing it: the
+    parent's store object stays open and readable."""
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    store = artifact_cache.activate(path=tmp_path / "cache")
+    store.put("schedule", "k", {"x": 1})
+    # simulate "we are now a forked child of the process that activated"
+    monkeypatch.setattr(artifact_cache, "_ACTIVE_PID", os.getpid() - 1)
+    assert artifact_cache.active_store() is None
+    artifact_cache.reset_active_store()  # the child's reset closes nothing inherited
+    # the (conceptually parent-owned) store object was not closed
+    assert store.get("schedule", "k") == {"x": 1}
+    store.close()
 
 
 def test_suspended_hides_then_restores_the_active_store(tmp_path):

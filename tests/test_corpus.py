@@ -139,7 +139,8 @@ class TestDifferential:
         assert outcome.passed, f"{outcome.stage}: {outcome.message}"
         assert outcome.schedulable
 
-    def test_unschedulable_case_fails(self):
+    def test_unschedulable_case_fails_on_every_backend(self):
+        """The one EP search fails on the unschedulable spec."""
         case = build_case(make_unschedulable_spec(0))
         linked = link(case.network)
         results = find_all_schedules(

@@ -10,18 +10,11 @@ generator and for the corpus generator's emitted programs and stimuli.
 from __future__ import annotations
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.apps.workloads import (
-    GENERATORS,
-    generator_digest,
-    random_marked_graph,
-    random_multi_source_net,
-)
-from repro.petrinet.fingerprint import structural_fingerprint
+from repro.apps.workloads import GENERATORS, generator_digest
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -83,29 +76,3 @@ def test_unknown_generator_rejected():
 
     with pytest.raises(KeyError):
         generator_digest("nope", 0)
-
-
-def test_generators_take_explicit_rng_and_are_deterministic():
-    a = random_marked_graph(5, rng=random.Random(7))
-    b = random_marked_graph(5, rng=random.Random(7))
-    assert structural_fingerprint(a) == structural_fingerprint(b)
-    # seed= remains a convenience for an implicit Random(seed)
-    c = random_marked_graph(5, seed=7)
-    assert structural_fingerprint(a) == structural_fingerprint(c)
-    # different seeds actually produce different structures (seed 7 draws
-    # different extra edges than seed 8 at this size)
-    d = random_marked_graph(5, rng=random.Random(8))
-    assert structural_fingerprint(a) != structural_fingerprint(d)
-
-
-def test_generators_do_not_touch_global_random_state():
-    random.seed(1234)
-    before = random.getstate()
-    random_marked_graph(5, seed=3)
-    random_multi_source_net(2, 3, seed=4)
-    assert random.getstate() == before
-
-
-def test_multi_source_net_shape():
-    net = random_multi_source_net(3, 3, rng=random.Random(0))
-    assert net.uncontrollable_sources() == ["r0.src", "r1.src", "r2.src"]

@@ -1,53 +1,37 @@
 """The per-node state EP keeps incrementally along its DFS path.
 
-Four pieces replace per-node rescans in ``repro.scheduling.ep``:
+Three pieces replace per-node rescans in ``repro.scheduling.ep``:
 
 * the :class:`~repro.scheduling.heuristics.CycleTracker`, which keeps the
   invariant-guided heuristic's promising vector on push/pop;
 * each tree node's over-degree places (``TreeNode.over``), derived from its
   parent's;
 * the folded termination verdict, decided on a node or on a lookahead probe
-  without creating a probe node;
-* :class:`~repro.scheduling.termination.IncrementalIrrelevance`, which
-  decides Definition 4.5 from the over-degree places with hash probes into
-  the path marking index instead of an O(depth) ancestor walk.
+  without creating a probe node.
 
 Each is checked against the full recomputation it replaces, on random
-walks over weighted choice nets and marked graphs; the incremental
-irrelevance check also against the exact walk
-(:meth:`IrrelevanceCriterion.witnessed_by`) and the facade
-:meth:`IrrelevanceCriterion.is_irrelevant`, with op counters that must not
-grow with the path depth.
+walks over weighted choice nets and marked graphs.  The incremental
+irrelevance checker itself is pinned in ``tests/test_kernel.py``.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
-from types import SimpleNamespace
 
-import numpy as np
-import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.apps import paper_nets
 from repro.apps.workloads import random_choice_net, random_marked_graph
-from repro.petrinet.analysis import StructuralAnalysis, place_degree
-from repro.petrinet.marking import Marking
-from repro.petrinet.net import PetriNet, SourceKind
-from repro.scheduling.ep import SchedulerOptions, SchedulingTree, _EPSearch, find_schedule
+from repro.petrinet.analysis import StructuralAnalysis
+from repro.scheduling.ep import SchedulerOptions, SchedulingTree, _EPSearch
 from repro.scheduling.heuristics import InvariantGuidedOrdering
 from repro.scheduling.termination import (
-    IRRELEVANCE_ENUM_CAP,
     CompositeCondition,
-    IncrementalIrrelevance,
     IrrelevanceCriterion,
     MaxDepthCondition,
     NodeBudget,
-    TerminationCondition,
     UserBoundCondition,
     default_termination,
-    fold_termination,
 )
 
 FAST = settings(
@@ -219,270 +203,3 @@ def test_folded_verdict_equals_holds_on_a_real_probe_node(kind, seed, name, step
                 node.children.pop()
 
     _walk(tree, steps, visit)
-
-
-# ---------------------------------------------------------------------------
-# a user condition takes the holds fallback
-# ---------------------------------------------------------------------------
-
-
-class TokenCeilingCondition(TerminationCondition):
-    """Example user condition: prune when the total token count exceeds a
-    ceiling."""
-
-    name = "token-ceiling"
-
-    def __init__(self, ceiling: int):
-        self.ceiling = ceiling
-        self.holds_calls = 0
-
-    def holds(self, tree, node) -> bool:
-        self.holds_calls += 1
-        vec_of = getattr(tree, "vec_of", None)
-        if vec_of is not None:
-            return sum(vec_of(node)) > self.ceiling
-        return sum(tree.marking_of(node).values()) > self.ceiling
-
-
-def test_user_condition_takes_the_holds_fallback():
-    """A leaf the fold does not know stays in ``extra``: the search then
-    evaluates the whole condition through ``holds`` on real (probe) nodes
-    instead of the folded verdict."""
-    net = paper_nets.figure_7(3)
-    termination = default_termination(net, extra=[ceiling := TokenCeilingCondition(5)])
-    fold = fold_termination(termination, net.indexed())
-    assert fold.extra == [ceiling] and fold.irrelevance is not None
-    search = _EPSearch(net, "a", SchedulerOptions(termination=termination))
-    assert search._fold is None
-    search.run()
-    assert ceiling.holds_calls > 0
-
-
-# ---------------------------------------------------------------------------
-# IncrementalIrrelevance against the exact walk and the facade test
-# ---------------------------------------------------------------------------
-
-
-def _random_path_inputs(n_children, depth, n_places, seed, high=4):
-    """Random (children, ancestors, degrees) with planted irrelevant pairs."""
-    rng = np.random.default_rng(seed)
-    children = rng.integers(0, high, size=(n_children, n_places), dtype=np.int64)
-    ancestors = rng.integers(0, high, size=(depth, n_places), dtype=np.int64)
-    degrees = rng.integers(0, 3, size=n_places, dtype=np.int64)
-    # plant guaranteed witnesses: child = ancestor + growth on a place the
-    # ancestor already saturates
-    for child in range(0, n_children, 5):
-        ancestor = ancestors[child % depth]
-        saturated = np.flatnonzero(ancestor >= degrees)
-        if saturated.size:
-            grown = ancestor.copy()
-            grown[saturated[0]] += 1
-            children[child] = grown
-    return (
-        [tuple(map(int, row)) for row in children],
-        [tuple(map(int, row)) for row in ancestors],
-        tuple(map(int, degrees)),
-    )
-
-
-def _path_state(ancestors):
-    """The (marking index, token-total multiset) SchedulingTree maintains."""
-    path_index = {row: node for node, row in enumerate(ancestors)}
-    total_counts = dict(Counter(sum(row) for row in ancestors))
-    return path_index, total_counts
-
-
-def _exact_verdicts(children, ancestors, degrees):
-    """Definition 4.5 per child two ways: the exact walk and the facade."""
-    names = tuple(f"p{index}" for index in range(len(degrees)))
-    inet = SimpleNamespace(place_names=names)
-    criterion = IrrelevanceCriterion(degrees=dict(zip(names, degrees)))
-    walked = [
-        criterion.witnessed_by(inet, vec, sum(vec), ((sum(a), a) for a in ancestors))
-        for vec in children
-    ]
-    facade = [
-        any(
-            criterion.is_irrelevant(
-                Marking(zip(names, vec)), Marking(zip(names, ancestor))
-            )
-            for ancestor in ancestors
-        )
-        for vec in children
-    ]
-    assert walked == facade
-    return walked
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_incremental_check_is_identical_to_the_exact_walk(seed):
-    children, ancestors, degrees = _random_path_inputs(40, 60, 9, seed)
-    path_index, total_counts = _path_state(ancestors)
-    expected = _exact_verdicts(children, ancestors, degrees)
-    assert any(expected) and not all(expected)
-    checker = IncrementalIrrelevance(degrees, cap=1 << 60)  # never capped
-    for i, vec in enumerate(children):
-        verdict = checker.check(vec, path_index, total_counts, sum(vec))
-        assert verdict is not None
-        assert verdict == expected[i], (seed, i)
-    assert checker.capped_children == 0
-    assert checker.children_checked == len(children)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_default_cap_flags_exactly_the_capped_children(seed):
-    """None verdicts appear iff the combination count exceeds the cap, and
-    every decided child still agrees with the exact walk."""
-    children, ancestors, degrees = _random_path_inputs(30, 40, 12, seed, high=9)
-    path_index, total_counts = _path_state(ancestors)
-    expected = _exact_verdicts(children, ancestors, degrees)
-    checker = IncrementalIrrelevance(degrees)
-    assert checker.cap == IRRELEVANCE_ENUM_CAP
-    capped = 0
-    for i, vec in enumerate(children):
-        combos = 1
-        for p, count in enumerate(vec):
-            if count > degrees[p]:
-                combos *= count - degrees[p] + 1
-        verdict = checker.check(vec, path_index, total_counts, sum(vec))
-        if combos > IRRELEVANCE_ENUM_CAP:
-            assert verdict is None, (seed, i)
-            capped += 1
-        else:
-            assert verdict == expected[i], (seed, i)
-    assert checker.capped_children == capped
-    assert capped > 0  # the high token range makes the cap bite somewhere
-
-
-def test_child_without_over_degree_place_short_circuits():
-    checker = IncrementalIrrelevance(degrees=(2, 2, 2))
-    verdict = checker.check((1, 2, 0), {(0, 0, 0): 0}, {0: 1}, 3)
-    assert verdict is False
-    assert checker.stats() == {
-        "children_checked": 1,
-        "decided_by_degree_filter": 1,
-        "candidates_probed": 0,
-        "capped_children": 0,
-    }
-
-
-def test_equal_path_marking_is_not_a_witness():
-    """Definition 4.5 requires A != C: a path marking equal to the child
-    closes a cycle instead of pruning, so the identity candidate is skipped."""
-    checker = IncrementalIrrelevance(degrees=(1,))
-    vec = (3,)  # over degree: candidate span is {1, 2, 3}
-    path_index, total_counts = _path_state([(3,)])
-    assert checker.check(vec, path_index, total_counts, 3) is False
-    # the exact walk agrees: it skips the equal marking
-    assert _exact_verdicts([vec], [(3,)], (1,)) == [False]
-
-
-def test_planted_witness_is_found():
-    checker = IncrementalIrrelevance(degrees=(1, 0))
-    # ancestor (1, 5) is saturated on both places; child grew the first
-    path_index, total_counts = _path_state([(1, 5)])
-    assert checker.check((2, 5), path_index, total_counts, 7) is True
-
-
-# ---------------------------------------------------------------------------
-# depth-regression: per-child cost must not grow with the path depth
-# ---------------------------------------------------------------------------
-
-
-def test_op_counts_are_independent_of_path_depth():
-    """The same children checked against a 500-deep path cost exactly the
-    same ops as against a 50-deep path.
-
-    This is the regression the incremental state exists for: the per-node
-    ancestor walk is O(depth), so deepening the path would multiply its
-    work by ~10x here.  The extra 450 ancestors carry token totals no
-    candidate can reach, which the total-multiset filter rejects without a
-    single additional probe.
-    """
-    children, shallow, degrees = _random_path_inputs(40, 50, 9, seed=17)
-    deep_tail = tuple(count + 1000 for count in shallow[0])  # totals far above
-    deep = shallow + [deep_tail] * 450
-    assert len(deep) == 500
-
-    stats = []
-    for ancestors in (shallow, deep):
-        path_index, total_counts = _path_state(ancestors)
-        checker = IncrementalIrrelevance(degrees, cap=1 << 60)
-        for vec in children:
-            checker.check(vec, path_index, total_counts, sum(vec))
-        stats.append(checker.stats())
-    assert stats[0] == stats[1]
-    assert stats[0]["children_checked"] == len(children)
-
-
-def saturated_pipeline(stages: int) -> PetriNet:
-    """A ``stages``-deep pipeline whose whole path is one token over-degree.
-
-    ``src`` forks into two unit producers of ``join`` (degree 1, Definition
-    4.4), so ``join`` holds 2 tokens -- over-degree by exactly one -- while
-    the linear pipeline runs; two drains gated on the pipeline's tail
-    restore the empty marking, keeping the net cyclically schedulable.
-    Every child expanded along the deep path therefore reaches the
-    incremental checker with a single-span candidate set.
-    """
-    net = PetriNet(name=f"satpipe{stages}")
-    net.add_transition("src", source_kind=SourceKind.UNCONTROLLABLE)
-    for place in ("p_a", "p_b", "join"):
-        net.add_place(place)
-    net.add_arc("src", "p_a")
-    net.add_arc("src", "p_b")
-    net.add_transition("a")
-    net.add_arc("p_a", "a")
-    net.add_arc("a", "join")
-    net.add_transition("b")
-    net.add_arc("p_b", "b")
-    net.add_arc("b", "join")
-    net.add_place("q0")
-    net.add_arc("b", "q0")
-    previous = "q0"
-    for stage in range(1, stages + 1):
-        transition, place = f"s{stage}", f"q{stage}"
-        net.add_transition(transition)
-        net.add_place(place)
-        net.add_arc(previous, transition)
-        net.add_arc(transition, place)
-        previous = place
-    net.add_transition("d1")
-    net.add_place("qd1")
-    net.add_arc("join", "d1")
-    net.add_arc(previous, "d1")
-    net.add_arc("d1", "qd1")
-    net.add_transition("d2")
-    net.add_place("qd2")
-    net.add_arc("join", "d2")
-    net.add_arc("qd1", "d2")
-    net.add_arc("d2", "qd2")
-    net.add_transition("sink")
-    net.add_arc("qd2", "sink")
-    return net
-
-
-def test_depth_500_search_stays_within_constant_per_child_ops():
-    """The whole 500-deep search runs on O(1) irrelevance ops per child.
-
-    Asserted on the checker's op counters, not wall clock: every child
-    carries exactly one over-degree place one token over its degree
-    (``join``), so the candidate set has at most one non-identity member --
-    at most one hash probe per child, never the enumeration cap, never the
-    O(depth) exact walk.  Under a per-node ancestor walk this search would
-    perform ~depth/2 ancestor comparisons per child (~125,000 total); the
-    probe bound pins the cost at <= 1 per child.
-    """
-    net = saturated_pipeline(500)
-    assert place_degree(net, "join") == 1
-    criterion = IrrelevanceCriterion.for_net(net)
-    termination = CompositeCondition(
-        conditions=[criterion, NodeBudget(max_nodes=200_000)]
-    )
-    options = SchedulerOptions(termination=termination, use_invariant_heuristic=False)
-    result = find_schedule(net, "src", options=options)
-    assert result.success
-    stats = criterion._incremental.stats()
-    assert stats["children_checked"] >= 500
-    assert stats["capped_children"] == 0
-    assert stats["candidates_probed"] <= stats["children_checked"]

@@ -14,7 +14,6 @@ import random
 from collections import deque
 from typing import Dict, List, Tuple
 
-import numpy as np
 import pytest
 
 from repro.apps import paper_nets
@@ -184,24 +183,6 @@ def test_marking_store_interns_vectors():
     store.intern((5,))
     assert len(store) == 2
     assert (5,) in store
-
-
-def test_intern_rows_is_canonical_with_scalar_interning():
-    store = MarkingStore()
-    single = store.intern((1, 2, 3))
-    matrix = np.asarray([[1, 2, 3], [4, 5, 6], [1, 2, 3]], dtype=np.int64)
-    rows = store.intern_rows(matrix)
-    assert rows[0] is single  # same canonical object as the scalar intern
-    assert rows[2] is rows[0]  # duplicates collapse within one call
-    assert store.intern((4, 5, 6)) is rows[1]
-    assert len(store) == 2
-    assert rows == [(1, 2, 3), (4, 5, 6), (1, 2, 3)]
-
-
-def test_intern_rows_handles_the_empty_frontier():
-    store = MarkingStore()
-    assert store.intern_rows(np.zeros((0, 3), dtype=np.int64)) == []
-    assert len(store) == 0
 
 
 def test_indexed_view_is_cached_and_invalidated():

@@ -1,75 +1,95 @@
-"""Worker-count determinism matrix for intra-search work stealing.
+"""Determinism matrix of the EP search: one search, any number of times.
 
-The :mod:`repro.scheduling.intra` contract is that ``intra_workers`` is
-observationally a no-op: for every worker count the canonical schedule, its
-fingerprint, the tree shape and the merged :class:`SearchCounters` (modulo
-the ``BACKEND_ONLY`` expansion tallies, exactly as between backends) are
-byte-identical to the serial search -- under any steal interleaving, and
-with workers raising or dying mid-subtree.
+Intra-search work stealing is gone -- the scalar walk runs each search on
+one core -- and this matrix now pins what its contract left behind: a
+search is a pure function of (net, source, options).  Searches repeated
+back to back through one shared termination instance (its irrelevance
+criterion caches the incremental checker per snapshot), searches aborted
+mid-tree, and searches under any order of the termination leaves all
+reproduce the serial result byte for byte -- the canonical schedule, its
+fingerprint, the tree shape and every :class:`SearchCounters` field.  The
+corpus sample runs the whole-search oracle of :mod:`fold_oracle`.
 
 The golden nets and the corpus never backtrack (the invariant heuristic's
-first candidate always wins, so speculative subtree results are only ever
-discarded); :func:`make_backtracking_net` is the adversarial complement: a
-net whose heuristically-first ECS is a drain-first *trap* that dead-ends,
-forcing the serial order to actually consume the stolen second-candidate
-subtrees -- the splice, inline-fallback and fault paths all run for real.
+first candidate always wins); :func:`make_backtracking_net` is the
+adversarial complement: a net whose heuristically-first ECS is a
+drain-first *trap* that dead-ends, forcing the search to abandon a fully
+explored subtree.
 
-This matrix runs (and passes) on a single-core host -- identity does not
-need real parallelism.  The CI leg that exercises it with true concurrency
-is the ``worker-matrix`` job on a multi-core runner (see
-``.github/workflows/ci.yml``).
+The test names are kept from the worker-count matrix of the deleted
+intra-search stealing, so the test IDs stay stable.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-import warnings
+import sys
+from dataclasses import fields
 
 import pytest
 
+from fold_oracle import folded_and_fallback
 from golden_nets import GOLDEN_CASES
 from repro.corpus.generator import generate_corpus
 from repro.corpus.topologies import build_case
 from repro.flowc.linker import link
 from repro.petrinet.net import PetriNet, SourceKind
-from repro.scheduling import intra
 from repro.scheduling.ep import (
     SchedulerOptions,
+    SchedulerResult,
     SearchCounters,
+    _EPSearch,
     find_all_schedules,
     find_schedule,
 )
-from repro.scheduling.serialize import schedule_fingerprint, schedule_to_json
+from repro.scheduling.serialize import (
+    result_to_record,
+    schedule_fingerprint,
+    schedule_to_json,
+)
+from repro.scheduling.termination import (
+    CompositeCondition,
+    IrrelevanceCriterion,
+    MaxDepthCondition,
+    NodeBudget,
+    PlaceBoundCondition,
+    TerminationCondition,
+    default_termination,
+)
 from repro.scheduling.warmstart import options_cache_key
+from test_kernel import saturated_pipeline
 
+#: how many back-to-back searches each matrix cell runs
 WORKER_MATRIX = (1, 2, 4, 8)
 
 #: the 50-seed corpus the sample is drawn from (generation is prefix-stable,
 #: so these specs are the same ones every other corpus consumer sees)
 CORPUS_SIZE = 50
 CORPUS_SEED = 20260808
-#: deterministic sample strides: every 5th spec runs at workers {1, 2},
-#: every 12th additionally at {4, 8} (full nets x full matrix is CI-leg /
-#: slow-mark territory, not tier-1)
+#: deterministic sample strides: every 5th spec runs the oracle, every 12th
+#: additionally the repeated-search matrix at {4, 8}
 SAMPLE_STRIDE = 5
 DEEP_SAMPLE_STRIDE = 12
 
 
 def result_identity(result):
-    """Everything that must be byte-identical across worker counts."""
-    counters = {
-        key: value
-        for key, value in result.counters.as_dict().items()
-        if key not in SearchCounters.BACKEND_ONLY
-    }
+    """Everything that must be byte-identical between equivalent searches."""
     return (
         schedule_to_json(result.schedule) if result.schedule else None,
         schedule_fingerprint(result.schedule) if result.schedule else None,
         result.tree_nodes,
         result.failure_reason,
-        counters,
+        result.counters.as_dict(),
     )
+
+
+def repeated_identity(net, source, searches, baseline):
+    """Run ``searches`` searches through one shared termination instance."""
+    shared = SchedulerOptions(termination=default_termination(net))
+    for _ in range(searches):
+        result = find_schedule(net, source, options=shared)
+        assert result_identity(result) == baseline
 
 
 def make_backtracking_net(stages: int = 2, trap_depth: int = 4) -> PetriNet:
@@ -118,19 +138,6 @@ def make_backtracking_net(stages: int = 2, trap_depth: int = 4) -> PetriNet:
     return net
 
 
-@pytest.fixture(autouse=True, scope="module")
-def _shutdown_pools_after_module():
-    yield
-    intra.shutdown_pools()
-
-
-@pytest.fixture(autouse=True)
-def _clean_hooks():
-    yield
-    intra._publish_order_hook = None
-    intra._fault_hook = None
-
-
 # ---------------------------------------------------------------------------
 # golden-net matrix
 # ---------------------------------------------------------------------------
@@ -149,23 +156,16 @@ class TestGoldenMatrix:
     def test_worker_counts_are_byte_identical(self, net_name, source):
         builder, _sources = GOLDEN_CASES[net_name]
         net = builder()
-        baseline = result_identity(
-            find_schedule(net, source, options=SchedulerOptions())
-        )
-        for workers in WORKER_MATRIX[1:]:
-            result = find_schedule(
-                net, source, options=SchedulerOptions(intra_workers=workers)
-            )
-            assert result_identity(result) == baseline, (
-                f"intra_workers={workers} diverged on {net_name}/{source}"
-            )
-            assert result.intra_stats is not None
-            assert result.intra_stats["workers"] == workers
+        baseline = result_identity(find_schedule(net, source))
+        for searches in WORKER_MATRIX:
+            repeated_identity(net, source, searches, baseline)
 
     def test_serial_path_records_no_intra_stats(self):
+        """A result carries no per-worker statistics: there are no workers."""
         builder, sources = GOLDEN_CASES["figure_5"]
-        result = find_schedule(builder(), sources[0], options=SchedulerOptions())
-        assert result.intra_stats is None
+        result = find_schedule(builder(), sources[0])
+        assert "intra_stats" not in {f.name for f in fields(SchedulerResult)}
+        assert not hasattr(result, "intra_stats")
 
 
 # ---------------------------------------------------------------------------
@@ -192,141 +192,107 @@ class TestCorpusSample:
     def test_two_workers_identical(self, index):
         net, sources = _corpus_net(index)
         for source in sources:
-            baseline = result_identity(
-                find_schedule(net, source, options=SchedulerOptions())
-            )
-            result = find_schedule(
-                net, source, options=SchedulerOptions(intra_workers=2)
-            )
-            assert result_identity(result) == baseline
+            folded_and_fallback(net, source)
 
     @pytest.mark.parametrize("index", _corpus_sample(DEEP_SAMPLE_STRIDE))
-    @pytest.mark.parametrize("workers", (4, 8))
-    def test_deep_matrix_identical(self, index, workers):
+    @pytest.mark.parametrize("searches", (4, 8))
+    def test_deep_matrix_identical(self, index, searches):
         net, sources = _corpus_net(index)
         for source in sources:
-            baseline = result_identity(
-                find_schedule(net, source, options=SchedulerOptions())
-            )
-            result = find_schedule(
-                net, source, options=SchedulerOptions(intra_workers=workers)
-            )
-            assert result_identity(result) == baseline
+            baseline = result_identity(find_schedule(net, source))
+            repeated_identity(net, source, searches, baseline)
 
 
 # ---------------------------------------------------------------------------
-# backtracking: stolen subtrees are actually consumed
+# backtracking: the abandoned subtree is really explored
 # ---------------------------------------------------------------------------
 
 
 class TestBacktrackingConsumption:
     def test_matrix_on_backtracking_net(self):
         net = make_backtracking_net(stages=2, trap_depth=4)
-        baseline = find_schedule(net, "src", options=SchedulerOptions())
-        assert baseline.success
-        for workers in WORKER_MATRIX[1:]:
-            result = find_schedule(
-                net, "src", options=SchedulerOptions(intra_workers=workers)
-            )
-            assert result_identity(result) == result_identity(baseline)
-            stats = result.intra_stats
-            assert stats["published"] > 0
-            # the trap forces the serial order past its first candidate, so
-            # at least one speculative subtree is resolved (stolen by a
-            # worker, run detached by the parent, or recomputed inline --
-            # which bucket depends on timing; that any is used does not)
-            consumed = (
-                stats["stolen_by_workers"]
-                + stats["parent_detached"]
-                + stats["inline"]
-                + stats["invalid_splice"]
-            )
-            assert consumed > 0
+        search = _EPSearch(net, "src", SchedulerOptions())
+        result = search.run()
+        assert result.success
+        # the trap was fired and explored, then abandoned for the real route
+        fired = {node.transition for node in search.tree.nodes}
+        scheduled = {t for node in result.schedule.nodes for t in node.edges}
+        assert {"t_trap0", "t_back0"} <= fired
+        assert not {"t_trap0", "t_trap1"} & scheduled
+        assert result_identity(folded_and_fallback(net, "src")) == result_identity(result)
+        baseline = result_identity(result)
+        for searches in WORKER_MATRIX:
+            repeated_identity(net, "src", searches, baseline)
 
     def test_steal_order_shuffle_is_identity(self):
+        """The order of the termination leaves never matters: any shuffle of
+        the default leaves plus never-binding bounds gives the default
+        result, folded and on the holds fallback."""
         net = make_backtracking_net(stages=3, trap_depth=3)
-        baseline = result_identity(
-            find_schedule(net, "src", options=SchedulerOptions())
-        )
+        baseline = result_identity(find_schedule(net, "src"))
+        leaves = list(default_termination(net).conditions) + [
+            MaxDepthCondition(10_000),
+            PlaceBoundCondition.uniform(net, 1_000),
+        ]
         rng = random.Random(0xC0DAC)
-        intra._publish_order_hook = lambda envelopes: rng.sample(
-            envelopes, len(envelopes)
-        )
         for trial in range(6):
-            result = find_schedule(
-                net, "src", options=SchedulerOptions(intra_workers=4)
-            )
+            termination = CompositeCondition(rng.sample(leaves, len(leaves)))
+            result = folded_and_fallback(net, "src", termination)
             assert result_identity(result) == baseline, f"shuffle trial {trial}"
 
     def test_node_budget_coupling_recomputes_inline(self):
-        # a budget barely above the serial tree size: splices near the limit
-        # are rejected (worker-local indices would see a laxer budget) and
-        # recomputed at the serial point -- results stay identical
+        # budgets around the serial tree size: the budget bites exactly below
+        # it, and the folded search and its fallback agree on every side
         net = make_backtracking_net(stages=2, trap_depth=4)
-        serial = find_schedule(net, "src", options=SchedulerOptions())
-        budget = serial.tree_nodes + 2
-        tight_base = find_schedule(
-            net, "src", options=SchedulerOptions(max_nodes=budget)
-        )
-        for workers in (2, 4):
-            result = find_schedule(
-                net, "src", options=SchedulerOptions(max_nodes=budget, intra_workers=workers)
-            )
-            assert result_identity(result) == result_identity(tight_base)
+        serial = find_schedule(net, "src")
+        for budget in (serial.tree_nodes - 1, serial.tree_nodes, serial.tree_nodes + 2):
+            result = folded_and_fallback(net, "src", max_nodes=budget)
+            if budget >= serial.tree_nodes:
+                assert result_identity(result) == result_identity(serial)
+            else:
+                assert not result.success
 
 
 # ---------------------------------------------------------------------------
-# fault injection: degraded workers, identical results
+# an aborted search leaves nothing behind
 # ---------------------------------------------------------------------------
+
+
+class _FailsAfter(TerminationCondition):
+    """A user leaf that raises on its ``calls``-th verdict."""
+
+    name = "fails-after"
+
+    def __init__(self, calls: int):
+        self.calls = calls
+
+    def holds(self, tree, node) -> bool:
+        self.calls -= 1
+        if self.calls <= 0:
+            raise RuntimeError("termination leaf failed mid-search")
+        return False
 
 
 class TestFaultInjection:
-    @pytest.mark.parametrize("fault", ("raise", "die"))
-    def test_worker_fault_degrades_with_one_warning(self, fault):
-        net = make_backtracking_net(stages=2, trap_depth=4)
-        baseline = result_identity(
-            find_schedule(net, "src", options=SchedulerOptions())
-        )
-        intra._fault_hook = lambda task_id: fault
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = find_schedule(
-                net, "src", options=SchedulerOptions(intra_workers=2)
-            )
-        intra._fault_hook = None
-        assert result_identity(result) == baseline
-        degraded = [
-            w
-            for w in caught
-            if issubclass(w.category, RuntimeWarning)
-            and "intra-search worker degraded" in str(w.message)
-        ]
-        assert len(degraded) == 1
-        assert result.intra_stats["worker_failures"] >= 1
-        assert result.intra_stats["inline"] >= 1
-
     def test_search_after_worker_death_recovers(self):
         net = make_backtracking_net(stages=2, trap_depth=4)
-        baseline = result_identity(
-            find_schedule(net, "src", options=SchedulerOptions())
-        )
-        intra._fault_hook = lambda task_id: "die"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            find_schedule(net, "src", options=SchedulerOptions(intra_workers=2))
-        intra._fault_hook = None
-        # the pool lost its helper; the next search must rebuild it and
-        # come back clean (no warning, full identity)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            result = find_schedule(
-                net, "src", options=SchedulerOptions(intra_workers=2)
-            )
+        baseline = result_identity(find_schedule(net, "src"))
+        criterion = IrrelevanceCriterion.for_net(net)
+        limit = sys.getrecursionlimit()
+        aborted = CompositeCondition([criterion, _FailsAfter(12), NodeBudget(200_000)])
+        with pytest.raises(RuntimeError, match="failed mid-search"):
+            find_schedule(net, "src", options=SchedulerOptions(termination=aborted))
+        # the raised recursion limit was restored on the way out, and the
+        # next search through the same criterion (and its shared incremental
+        # checker) comes back clean
+        assert sys.getrecursionlimit() == limit
+        clean = CompositeCondition([criterion, NodeBudget(200_000)])
+        result = find_schedule(net, "src", options=SchedulerOptions(termination=clean))
         assert result_identity(result) == baseline
 
 
 # ---------------------------------------------------------------------------
-# counters: merge/aggregate permutation invariance, BACKEND_ONLY exclusion
+# counters: aggregate permutation invariance, no exempt counters
 # ---------------------------------------------------------------------------
 
 
@@ -346,37 +312,19 @@ class TestCounterMerge:
         expected = SearchCounters.aggregate(parts).as_dict()
         for perm in itertools.permutations(parts):
             assert SearchCounters.aggregate(perm).as_dict() == expected
-            # pairwise left-fold merge (what the splice loop actually does)
+            # pairwise left-fold merge
             total = SearchCounters()
             for item in perm:
                 total.merge(item)
             assert total.as_dict() == expected
 
     def test_backend_only_counters_stay_excluded(self):
-        assert set(SearchCounters.BACKEND_ONLY) == {
-            "batched_expansions",
-            "kernel_expansions",
-        }
+        """No counter is exempt from comparison any more: every field is
+        compared, and matches, between the folded search and its twin."""
+        assert not hasattr(SearchCounters, "BACKEND_ONLY")
         builder, sources = GOLDEN_CASES["pfc_4x5"]
-        net = builder()
-        scalar = find_schedule(
-            net, sources[0], options=SchedulerOptions(backend="scalar")
-        )
-        kernel = find_schedule(
-            net, sources[0], options=SchedulerOptions(backend="kernel", intra_workers=2)
-        )
-
-        def visible(counters):
-            return {
-                key: value
-                for key, value in counters.as_dict().items()
-                if key not in SearchCounters.BACKEND_ONLY
-            }
-
-        # cross-backend AND cross-worker-count: everything but the
-        # BACKEND_ONLY tallies matches the scalar serial search exactly
-        assert visible(kernel.counters) == visible(scalar.counters)
-        assert schedule_to_json(kernel.schedule) == schedule_to_json(scalar.schedule)
+        result = folded_and_fallback(builder(), sources[0])
+        assert set(result.counters.as_dict()) == {f.name for f in fields(SearchCounters)}
 
 
 # ---------------------------------------------------------------------------
@@ -386,80 +334,64 @@ class TestCounterMerge:
 
 class TestWiring:
     def test_cache_key_ignores_intra_workers(self):
+        """A setting that cannot change the search does not fragment the key:
+        ``candidate_limit`` is dead under ``objective="first"``."""
         keys = {
-            options_cache_key(SchedulerOptions(intra_workers=workers))
-            for workers in WORKER_MATRIX
+            options_cache_key(SchedulerOptions(candidate_limit=limit))
+            for limit in WORKER_MATRIX
         }
         assert len(keys) == 1
 
     def test_result_record_never_carries_intra_stats(self):
-        from repro.scheduling.serialize import result_to_record
-
+        """Process-local diagnostics stay out of the cache/wire record."""
         net = make_backtracking_net(stages=2, trap_depth=3)
-        result = find_schedule(net, "src", options=SchedulerOptions(intra_workers=2))
-        assert result.intra_stats is not None
+        result = find_schedule(
+            net, "src", options=SchedulerOptions(objective="cost", candidate_limit=2)
+        )
+        assert result.objective_stats is not None
         record = result_to_record(result)
-        assert "intra_stats" not in record
+        assert "objective_stats" not in record
         assert "intra" not in str(sorted(record)).lower()
 
     def test_serve_whitelist_accepts_and_validates_intra_workers(self):
+        """The wire's bounded integer option is validated, not coerced."""
         from repro.serve.protocol import ProtocolError, options_from_dict
 
-        options = options_from_dict({"intra_workers": 4})
-        assert options.intra_workers == 4
+        options = options_from_dict({"candidate_limit": 4})
+        assert options.candidate_limit == 4
         for bad in (0, -1, 65, "2", True, 2.0):
             with pytest.raises(ProtocolError):
-                options_from_dict({"intra_workers": bad})
+                options_from_dict({"candidate_limit": bad})
 
     def test_find_all_schedules_composes_sequentially(self):
-        # intra_workers > 1 takes precedence over the per-source fan-out:
-        # sources run sequentially through one shared helper pool, and the
-        # results still match the plain serial multi-source loop exactly
+        # the multi-source entry point is the plain per-source loop, in
+        # source order, byte for byte
         builder, _sources = GOLDEN_CASES["figure_5"]
         net = builder()
-        serial = find_all_schedules(net)
-        combined = find_all_schedules(
-            net, workers=2, options=SchedulerOptions(intra_workers=2)
-        )
-        assert sorted(serial) == sorted(combined)
-        for source, result in serial.items():
-            assert schedule_to_json(result.schedule) == schedule_to_json(
-                combined[source].schedule
-            )
-            assert combined[source].intra_stats is not None
+        combined = find_all_schedules(net)
+        assert list(combined) == net.uncontrollable_sources()
+        for source, result in combined.items():
+            single = find_schedule(builder(), source)
+            assert result_identity(result) == result_identity(single)
 
     def test_pool_is_reused_across_searches(self):
-        net = make_backtracking_net(stages=2, trap_depth=3)
-        find_schedule(net, "src", options=SchedulerOptions(intra_workers=2))
-        pool = intra._POOLS.get(1)
-        assert pool is not None
-        pids = [process.pid for process in pool.helpers]
-        find_schedule(net, "src", options=SchedulerOptions(intra_workers=2))
-        again = intra._POOLS.get(1)
-        assert again is pool
-        assert [process.pid for process in again.helpers] == pids
-
-
-# ---------------------------------------------------------------------------
-# slow full sweep (CI worker-matrix leg; deselected from tier-1)
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.slow
-def test_full_corpus_full_matrix():
-    specs = generate_corpus(CORPUS_SIZE, seed=CORPUS_SEED)
-    for spec in specs:
-        case = build_case(spec)
-        net = link(case.network).net
-        for source in case.manifest["source_transitions"]:
-            baseline = result_identity(
-                find_schedule(net, source, options=SchedulerOptions())
-            )
-            for workers in WORKER_MATRIX[1:]:
-                result = find_schedule(
-                    net, source, options=SchedulerOptions(intra_workers=workers)
-                )
-                assert result_identity(result) == baseline, (
-                    f"{spec.label()}/{source} diverged at intra_workers={workers}"
-                )
-    intra.shutdown_pools()
+        """One incremental checker per (criterion, snapshot), reused by every
+        search through the criterion; a new snapshot gets a new one."""
+        net = saturated_pipeline(6)
+        criterion = IrrelevanceCriterion.for_net(net)
+        options = SchedulerOptions(
+            termination=CompositeCondition([criterion, NodeBudget(200_000)])
+        )
+        first = _EPSearch(net, "src", options)
+        first_result = first.run()
+        checker = first._incremental
+        assert checker is criterion.incremental_for(net.indexed())
+        checked = checker.children_checked
+        assert checked > 0
+        second = _EPSearch(net, "src", options)
+        second_result = second.run()
+        assert second._incremental is checker
+        assert checker.children_checked == 2 * checked
+        assert result_identity(second_result) == result_identity(first_result)
+        net.invalidate_caches()
+        assert _EPSearch(net, "src", options)._incremental is not checker

@@ -1,65 +1,73 @@
-"""The fused expansion kernel: tiers, fallback, incremental irrelevance.
+"""Incremental irrelevance, user conditions and golden parity of the EP search.
 
-Covers the contracts specific to :mod:`repro.petrinet.kernel` (the
-scalar/batched/kernel *differential* harness lives in
-``tests/test_batched_ep.py``):
+The fused expansion kernel this module covered is deleted with its tiers;
+what it pinned of the scalar search stays here, under the same test names
+so the test IDs stay stable:
 
-* tier resolution -- ``REPRO_KERNEL=0`` and a missing/broken numba degrade
-  to the NumPy reference tier with a once-per-process :class:`RuntimeWarning`
-  and byte-identical schedules;
-* :class:`IncrementalIrrelevance` -- bitwise identity against the exact
-  ancestor-matrix broadcast on random inputs, the enumeration cap, and
+* :class:`~repro.scheduling.termination.IncrementalIrrelevance` -- identity
+  with Definition 4.5 decided three other ways on random inputs (the dense
+  per-ancestor broadcast of :func:`repro.petrinet.batched.irrelevance_mask`,
+  the exact walk :meth:`IrrelevanceCriterion.witnessed_by` and the facade
+  :meth:`IrrelevanceCriterion.is_irrelevant`), the enumeration cap, and
   depth-*independence* of its op counters (the regression the incremental
   state exists for, asserted on counters rather than wall clock);
-* the ``frontier_mask`` public extension point -- a user-defined maskable
-  condition keeps the batched *and* kernel backends and agrees with its
-  scalar ``holds``;
-* :meth:`MarkingStore.intern_rows` -- the bulk admission step;
-* golden parity -- kernel counters equal batched counters modulo the
-  backend-only fields on every golden case, and all three backends
-  reproduce the committed golden fixtures byte for byte.
+* user termination conditions -- a leaf the fold does not know sends the
+  search to the ``termination.holds`` fallback, which must agree with the
+  exact walk;
+* :meth:`MarkingStore.intern_rows` -- the bulk admission step of the dense
+  reachability sweep;
+* what the environment, the options cache key and the NumPy sweep may not
+  change;
+* golden parity -- every counter of the folded search equals its
+  holds-fallback twin on every golden case, and every way of running the
+  search reproduces the committed golden fixtures byte for byte.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro.cache as artifact_cache
+from fold_oracle import (
+    WalkedIrrelevance,
+    folded_and_fallback,
+    init_fields,
+    observables,
+    run_search,
+    unfolded,
+)
 from golden_nets import GOLDEN_CASES, derive_case, fixture_path, render_case
 from repro.apps import paper_nets
 from repro.apps.paper_nets import SourceKind
-from repro.petrinet import kernel as kernel_mod
+from repro.apps.workloads import random_choice_net, random_marked_graph
 from repro.petrinet.analysis import place_degree
-from repro.petrinet.batched import irrelevance_frontier_mask
+from repro.petrinet.batched import irrelevance_mask, reachable_matrix
 from repro.petrinet.indexed import MarkingStore
-from repro.petrinet.kernel import (
-    IRRELEVANCE_ENUM_CAP,
-    IncrementalIrrelevance,
-    compiled_tier_available,
-    kernel_enabled,
-    reset_kernel_warning,
-    resolve_kernel_tier,
-)
+from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
+from repro.petrinet.reachability import build_reachability_graph
 from repro.scheduling.ep import (
     SchedulerOptions,
-    SearchCounters,
     _EPSearch,
+    find_all_schedules,
     find_schedule,
-    resolve_backend_for,
 )
-from repro.scheduling.serialize import schedule_fingerprint
 from repro.scheduling.termination import (
+    IRRELEVANCE_ENUM_CAP,
     CompositeCondition,
+    IncrementalIrrelevance,
     IrrelevanceCriterion,
     NodeBudget,
     TerminationCondition,
     default_termination,
     fold_termination,
 )
+from repro.scheduling.warmstart import GLOBAL_SCHEDULE_CACHE, options_cache_key
 
 ALL_GOLDEN_CASES = [
     (net_name, source)
@@ -68,132 +76,95 @@ ALL_GOLDEN_CASES = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def _rearm_fallback_warning():
-    """Each test observes the fallback warning as if the process were fresh."""
-    reset_kernel_warning()
-    yield
-    reset_kernel_warning()
-
-
 # ---------------------------------------------------------------------------
-# tier resolution and the graceful fallback
+# what the environment, the cache key and the NumPy sweep may not change
 # ---------------------------------------------------------------------------
 
 
-def test_kernel_enabled_parses_the_env_knob(monkeypatch):
-    for value in ("0", "false", "OFF", " no "):
-        monkeypatch.setenv(kernel_mod.KERNEL_ENV, value)
-        assert not kernel_enabled(), value
-    for value in ("1", "true", "on", "anything"):
-        monkeypatch.setenv(kernel_mod.KERNEL_ENV, value)
-        assert kernel_enabled(), value
-    monkeypatch.delenv(kernel_mod.KERNEL_ENV, raising=False)
-    assert kernel_enabled()
+def test_env_disabled_searches_stay_byte_identical(monkeypatch, tmp_path):
+    """The cache environment changes where results live, never the schedule:
+    ``REPRO_CACHE=0``, a first ``REPRO_CACHE=1`` run and its disk replay all
+    return the same bytes."""
+
+    def schedules():
+        GLOBAL_SCHEDULE_CACHE.clear()
+        artifact_cache.reset_active_store()
+        results = find_all_schedules(paper_nets.figure_5())
+        return [observables(result) for result in results.values()], [
+            result.from_cache for result in results.values()
+        ]
+
+    monkeypatch.setenv(artifact_cache.ENV_DIR, str(tmp_path / "cache"))
+    try:
+        monkeypatch.setenv(artifact_cache.ENV_ENABLE, "0")
+        reference, replayed = schedules()
+        assert not any(replayed)
+        monkeypatch.setenv(artifact_cache.ENV_ENABLE, "1")
+        first, replayed = schedules()
+        assert first == reference and not any(replayed)
+        second, replayed = schedules()
+        assert second == reference and all(replayed)
+    finally:
+        GLOBAL_SCHEDULE_CACHE.clear()
+        artifact_cache.reset_active_store()
 
 
-def test_env_disable_degrades_to_numpy_with_one_warning(monkeypatch):
-    monkeypatch.setenv(kernel_mod.KERNEL_ENV, "0")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert resolve_kernel_tier() == "numpy"
-        assert resolve_kernel_tier() == "numpy"  # second resolve stays silent
-    fallback = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert len(fallback) == 1
-    assert "compiled kernel tier unavailable" in str(fallback[0].message)
-    assert "NumPy reference tier" in str(fallback[0].message)
-
-
-def test_explicit_numpy_request_is_silent(monkeypatch):
-    monkeypatch.setenv(kernel_mod.KERNEL_ENV, "0")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert resolve_kernel_tier("numpy") == "numpy"
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-
-def test_warn_false_suppresses_the_fallback_warning(monkeypatch):
-    monkeypatch.setenv(kernel_mod.KERNEL_ENV, "0")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert resolve_kernel_tier(warn=False) == "numpy"
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    # the one-shot warning is still armed for the next warning resolve
-    with pytest.warns(RuntimeWarning, match="compiled kernel tier unavailable"):
-        resolve_kernel_tier()
-
-
-def test_unknown_tier_request_raises():
-    with pytest.raises(ValueError, match="unknown kernel tier"):
-        resolve_kernel_tier("simd")
-
-
-def test_resolution_matches_the_container():
-    """Auto picks the compiled tier exactly when it is actually available."""
-    tier = resolve_kernel_tier(warn=False)
-    if compiled_tier_available() and kernel_enabled():
-        assert tier == "compiled"
-    else:
-        assert tier == "numpy"
-
-
-def test_explicit_compiled_request_degrades_when_unavailable(monkeypatch):
-    monkeypatch.setenv(kernel_mod.KERNEL_ENV, "0")
-    with pytest.warns(RuntimeWarning, match="compiled kernel tier unavailable"):
-        assert resolve_kernel_tier("compiled") == "numpy"
-
-
-def test_env_disabled_searches_stay_byte_identical(monkeypatch):
-    """REPRO_KERNEL=0 changes the tier, never the schedule."""
-    reference = find_schedule(
-        paper_nets.figure_5(), "a", options=SchedulerOptions(backend="scalar")
-    )
-    monkeypatch.setenv(kernel_mod.KERNEL_ENV, "0")
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        degraded = find_schedule(
-            paper_nets.figure_5(), "a", options=SchedulerOptions(backend="kernel")
-        )
-    assert degraded.success and reference.success
-    assert schedule_fingerprint(degraded.schedule) == schedule_fingerprint(
-        reference.schedule
-    )
-    assert degraded.counters.kernel_expansions > 0
+def _reachable_sets(builder):
+    net = builder()
+    graph = build_reachability_graph(net, max_nodes=20_000, max_tokens_per_place=2)
+    assert graph.complete
+    inet = net.indexed()
+    facade = {tuple(m[name] for name in inet.place_names) for m in graph.markings}
+    dense = reachable_matrix(net, max_nodes=20_000, max_tokens_per_place=2)
+    return facade, [tuple(map(int, row)) for row in dense]
 
 
 def test_pinned_numpy_tier_matches_auto_tier_results():
-    auto = find_schedule(
-        paper_nets.figure_6(), "a", options=SchedulerOptions(backend="kernel")
-    )
-    pinned = find_schedule(
-        paper_nets.figure_6(),
-        "a",
-        options=SchedulerOptions(backend="kernel", kernel_tier="numpy"),
-    )
-    assert schedule_fingerprint(auto.schedule) == schedule_fingerprint(pinned.schedule)
-    assert auto.counters.as_dict() == pinned.counters.as_dict()
+    """The NumPy sweep explores exactly the marking set of the facade's
+    breadth-first reachability graph, under the same token cut-off, with
+    the initial marking first and no row twice."""
+    for builder in (
+        paper_nets.figure_5,
+        paper_nets.figure_6,
+        lambda: paper_nets.figure_7(3),
+        lambda: random_marked_graph(5, seed=2),
+        lambda: random_choice_net(3, seed=4),
+    ):
+        facade, rows = _reachable_sets(builder)
+        assert rows[0] == builder().indexed().initial_vec
+        assert len(rows) == len(set(rows))
+        assert set(rows) == facade
 
 
 def test_options_cache_key_separates_tiers_not_backend_equivalence():
-    from repro.scheduling.warmstart import options_cache_key
-
-    scalar_key = options_cache_key(SchedulerOptions(backend="scalar"))
-    batched_key = options_cache_key(SchedulerOptions(backend="batched"))
-    auto_key = options_cache_key(SchedulerOptions())
-    # scalar/batched searches never reach the kernel, and auto resolves to
-    # scalar: no tier in their keys
-    assert scalar_key[-1] is None and batched_key[-1] is None
-    assert auto_key[-1] is None
-    # an explicit kernel request keys on the tier the process would run
-    kernel_key = options_cache_key(SchedulerOptions(backend="kernel"))
-    assert kernel_key[-1] == resolve_kernel_tier(warn=False)
-    pinned_key = options_cache_key(SchedulerOptions(backend="kernel", kernel_tier="numpy"))
-    assert pinned_key[-1] == "numpy"
-    assert len({scalar_key, batched_key, auto_key}) == 3
+    """The key has one entry per option that can change the outcome: every
+    such option separates keys, equal options share one, and a dead setting
+    (``candidate_limit`` under ``objective="first"``) does not fragment it."""
+    base = options_cache_key(SchedulerOptions())
+    searched = [f.name for f in fields(SchedulerOptions) if f.name != "termination"]
+    assert len(base) == len(searched) == 8
+    assert options_cache_key(SchedulerOptions()) == base
+    changed = {
+        "single_source": False,
+        "use_invariant_heuristic": False,
+        "max_nodes": 1_000,
+        "validate": False,
+        "invariant_precheck": False,
+        "defer_sources": False,
+        "objective": "cost",
+    }
+    keys = {options_cache_key(SchedulerOptions(**{k: v})) for k, v in changed.items()}
+    assert len(keys) == len(changed) and base not in keys
+    assert options_cache_key(SchedulerOptions(candidate_limit=3)) == base
+    assert options_cache_key(
+        SchedulerOptions(objective="cost", candidate_limit=3)
+    ) != options_cache_key(SchedulerOptions(objective="cost"))
+    # a caller-supplied condition has no stable identity: uncacheable
+    assert options_cache_key(SchedulerOptions(termination=NodeBudget(10))) is None
 
 
 # ---------------------------------------------------------------------------
-# IncrementalIrrelevance: bitwise identity with the exact broadcast
+# IncrementalIrrelevance: identity with the exact broadcast
 # ---------------------------------------------------------------------------
 
 
@@ -212,27 +183,58 @@ def _random_path_inputs(n_children, depth, n_places, seed, high=4):
             grown = ancestor.copy()
             grown[saturated[0]] += 1
             children[child] = grown
-    return children, ancestors, degrees
+    return (
+        [tuple(map(int, row)) for row in children],
+        [tuple(map(int, row)) for row in ancestors],
+        tuple(map(int, degrees)),
+    )
 
 
 def _path_state(ancestors):
     """The (marking index, token-total multiset) SchedulingTree maintains."""
-    path_index = {tuple(map(int, row)): node for node, row in enumerate(ancestors)}
-    total_counts = dict(Counter(int(row.sum()) for row in ancestors))
+    path_index = {row: node for node, row in enumerate(ancestors)}
+    total_counts = dict(Counter(sum(row) for row in ancestors))
     return path_index, total_counts
+
+
+def _exact_verdicts(children, ancestors, degrees):
+    """Definition 4.5 per child three ways: the dense broadcast one ancestor
+    at a time, the exact walk and the facade test."""
+    names = tuple(f"p{index}" for index in range(len(degrees)))
+    inet = SimpleNamespace(place_names=names)
+    criterion = IrrelevanceCriterion(degrees=dict(zip(names, degrees)))
+    matrix = np.asarray(children, dtype=np.int64).reshape(len(children), len(degrees))
+    broadcast = np.zeros(len(children), dtype=bool)
+    for ancestor in ancestors:
+        broadcast |= irrelevance_mask(matrix, np.asarray(ancestor), np.asarray(degrees))
+    walked = [
+        criterion.witnessed_by(inet, vec, sum(vec), ((sum(a), a) for a in ancestors))
+        for vec in children
+    ]
+    facade = [
+        any(
+            criterion.is_irrelevant(
+                Marking(zip(names, vec)), Marking(zip(names, ancestor))
+            )
+            for ancestor in ancestors
+        )
+        for vec in children
+    ]
+    assert walked == facade == broadcast.tolist()
+    return walked
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_incremental_check_is_bitwise_identical_to_the_broadcast(seed):
     children, ancestors, degrees = _random_path_inputs(40, 60, 9, seed)
     path_index, total_counts = _path_state(ancestors)
-    expected = irrelevance_frontier_mask(children, ancestors, degrees)
+    expected = _exact_verdicts(children, ancestors, degrees)
+    assert any(expected) and not all(expected)
     checker = IncrementalIrrelevance(degrees, cap=1 << 60)  # never capped
-    for i, row in enumerate(children):
-        vec = tuple(map(int, row))
+    for i, vec in enumerate(children):
         verdict = checker.check(vec, path_index, total_counts, sum(vec))
         assert verdict is not None
-        assert verdict == bool(expected[i]), (seed, i)
+        assert verdict == expected[i], (seed, i)
     assert checker.capped_children == 0
     assert checker.children_checked == len(children)
 
@@ -243,12 +245,11 @@ def test_default_cap_flags_exactly_the_capped_children(seed):
     every decided child still agrees with the broadcast."""
     children, ancestors, degrees = _random_path_inputs(30, 40, 12, seed, high=9)
     path_index, total_counts = _path_state(ancestors)
-    expected = irrelevance_frontier_mask(children, ancestors, degrees)
+    expected = _exact_verdicts(children, ancestors, degrees)
     checker = IncrementalIrrelevance(degrees)
     assert checker.cap == IRRELEVANCE_ENUM_CAP
     capped = 0
-    for i, row in enumerate(children):
-        vec = tuple(map(int, row))
+    for i, vec in enumerate(children):
         combos = 1
         for p, count in enumerate(vec):
             if count > degrees[p]:
@@ -258,7 +259,7 @@ def test_default_cap_flags_exactly_the_capped_children(seed):
             assert verdict is None, (seed, i)
             capped += 1
         else:
-            assert verdict == bool(expected[i]), (seed, i)
+            assert verdict == expected[i], (seed, i)
     assert checker.capped_children == capped
     assert capped > 0  # the high token range makes the cap bite somewhere
 
@@ -280,21 +281,16 @@ def test_equal_path_marking_is_not_a_witness():
     closes a cycle instead of pruning, so the identity candidate is skipped."""
     checker = IncrementalIrrelevance(degrees=(1,))
     vec = (3,)  # over degree: candidate span is {1, 2, 3}
-    path_index, total_counts = _path_state(np.asarray([[3]], dtype=np.int64))
+    path_index, total_counts = _path_state([(3,)])
     assert checker.check(vec, path_index, total_counts, 3) is False
-    # the broadcast agrees: cover & differs excludes the equal row
-    mask = irrelevance_frontier_mask(
-        np.asarray([vec], dtype=np.int64),
-        np.asarray([[3]], dtype=np.int64),
-        np.asarray([1], dtype=np.int64),
-    )
-    assert not mask[0]
+    # the broadcast, the walk and the facade agree: they skip the equal marking
+    assert _exact_verdicts([vec], [(3,)], (1,)) == [False]
 
 
 def test_planted_witness_is_found():
     checker = IncrementalIrrelevance(degrees=(1, 0))
     # ancestor (1, 5) is saturated on both places; child grew the first
-    path_index, total_counts = _path_state(np.asarray([[1, 5]], dtype=np.int64))
+    path_index, total_counts = _path_state([(1, 5)])
     assert checker.check((2, 5), path_index, total_counts, 7) is True
 
 
@@ -304,26 +300,25 @@ def test_planted_witness_is_found():
 
 
 def test_op_counts_are_independent_of_path_depth():
-    """The same frontier checked against a 500-deep path costs exactly the
+    """The same children checked against a 500-deep path cost exactly the
     same ops as against a 50-deep path.
 
-    This is the regression the incremental state exists for: the old
-    per-node ancestor walk was O(depth), so deepening the path would have
-    multiplied the op counts by ~10x here.  The extra 450 ancestors carry
-    token totals no candidate can reach, which the total-multiset filter
-    rejects without a single additional probe.
+    This is the regression the incremental state exists for: the per-node
+    ancestor walk is O(depth), so deepening the path would multiply its
+    work by ~10x here.  The extra 450 ancestors carry token totals no
+    candidate can reach, which the total-multiset filter rejects without a
+    single additional probe.
     """
     children, shallow, degrees = _random_path_inputs(40, 50, 9, seed=17)
-    deep_tail = shallow[0] + 1000  # totals far above any candidate's
-    deep = np.vstack([shallow, np.tile(deep_tail, (450, 1))])
-    assert deep.shape[0] == 500
+    deep_tail = tuple(count + 1000 for count in shallow[0])  # totals far above
+    deep = shallow + [deep_tail] * 450
+    assert len(deep) == 500
 
     stats = []
     for ancestors in (shallow, deep):
         path_index, total_counts = _path_state(ancestors)
         checker = IncrementalIrrelevance(degrees, cap=1 << 60)
-        for row in children:
-            vec = tuple(map(int, row))
+        for vec in children:
             checker.check(vec, path_index, total_counts, sum(vec))
         stats.append(checker.stats())
     assert stats[0] == stats[1]
@@ -377,18 +372,10 @@ def saturated_pipeline(stages: int) -> PetriNet:
     return net
 
 
-def _deep_search(backend: str, stages: int = 500):
-    """One deep-path search with an inspectable criterion instance."""
-    net = saturated_pipeline(stages)
-    criterion = IrrelevanceCriterion.for_net(net)
-    termination = CompositeCondition(
-        conditions=[criterion, NodeBudget(max_nodes=200_000)]
+def _deep_termination(criterion, *extra):
+    return CompositeCondition(
+        conditions=[criterion, *extra, NodeBudget(max_nodes=200_000)]
     )
-    options = SchedulerOptions(
-        backend=backend, termination=termination, use_invariant_heuristic=False
-    )
-    result = find_schedule(net, "src", options=options)
-    return result, criterion
 
 
 def test_depth_500_search_stays_within_constant_per_child_ops():
@@ -398,14 +385,17 @@ def test_depth_500_search_stays_within_constant_per_child_ops():
     carries exactly one over-degree place one token over its degree
     (``join``), so the candidate set has at most one non-identity member --
     at most one hash probe per child, never the enumeration cap, never the
-    O(depth) ancestor-matrix fallback.  Under the old per-node walk this
-    search performed ~depth/2 ancestor comparisons per child (~125,000
-    total); the probe bound pins the new cost at <= 1 per child.
+    O(depth) exact walk.  Under a per-node ancestor walk this search would
+    perform ~depth/2 ancestor comparisons per child (~125,000 total); the
+    probe bound pins the cost at <= 1 per child.
     """
     net = saturated_pipeline(500)
     assert place_degree(net, "join") == 1
-
-    result, criterion = _deep_search("kernel")
+    criterion = IrrelevanceCriterion.for_net(net)
+    options = SchedulerOptions(
+        termination=_deep_termination(criterion), use_invariant_heuristic=False
+    )
+    result = find_schedule(net, "src", options=options)
     assert result.success
     stats = criterion._incremental.stats()
     assert stats["children_checked"] >= 500
@@ -413,38 +403,72 @@ def test_depth_500_search_stays_within_constant_per_child_ops():
     assert stats["candidates_probed"] <= stats["children_checked"]
 
 
+class _NeverHolds(TerminationCondition):
+    """A user leaf that never prunes: only moves a search to ``holds``."""
+
+    name = "never"
+
+    def holds(self, tree, node) -> bool:
+        return False
+
+
 def test_deep_search_is_backend_identical_with_identical_op_profile():
-    kernel_result, _ = _deep_search("kernel", stages=120)
-    scalar_result, scalar_criterion = _deep_search("scalar", stages=120)
-    batched_result, _ = _deep_search("batched", stages=120)
-    fingerprints = {
-        schedule_fingerprint(result.schedule)
-        for result in (kernel_result, scalar_result, batched_result)
-    }
-    assert len(fingerprints) == 1
-    # the scalar fast path ran on the same incremental state (shared via
-    # IrrelevanceCriterion.incremental_for), not the O(depth) walk
-    scalar_stats = scalar_criterion._incremental.stats()
-    assert scalar_stats["children_checked"] > 0
-    assert scalar_stats["capped_children"] == 0
+    """A 120-deep search: folded, on the ``holds`` fallback, and on the exact
+    walk, with one schedule; the fallback's irrelevance fast path runs on
+    the same incremental op profile as the folded search, not on the walk."""
+    net = saturated_pipeline(120)
+    folded_criterion = IrrelevanceCriterion.for_net(net)
+    folded_search, folded = run_search(
+        net, "src", _deep_termination(folded_criterion), use_invariant_heuristic=False
+    )
+    holds_criterion = IrrelevanceCriterion.for_net(net)
+    holds_search, via_holds = run_search(
+        net,
+        "src",
+        _deep_termination(holds_criterion, _NeverHolds()),
+        use_invariant_heuristic=False,
+    )
+    _walk_search, walked = run_search(
+        net,
+        "src",
+        _deep_termination(WalkedIrrelevance(**init_fields(holds_criterion))),
+        use_invariant_heuristic=False,
+    )
+    assert folded_search._fold is not None and holds_search._fold is None
+    assert folded.success
+    assert observables(folded) == observables(via_holds) == observables(walked)
+    folded_stats = folded_criterion._incremental.stats()
+    assert folded_stats["children_checked"] > 0
+    assert folded_stats["capped_children"] == 0
+    # the fallback also hands the checker the children with no over-degree
+    # place, which the folded search skips on TreeNode.over; the probing
+    # children, and every probe, are the same
+    holds_stats = holds_criterion._incremental.stats()
+    assert holds_stats["decided_by_degree_filter"] > 0
+
+    def probing(stats):
+        return (
+            stats["children_checked"] - stats["decided_by_degree_filter"],
+            stats["candidates_probed"],
+            stats["capped_children"],
+        )
+
+    assert probing(holds_stats) == probing(folded_stats)
 
 
 # ---------------------------------------------------------------------------
-# the frontier_mask public extension point
+# user termination conditions take the holds fallback
 # ---------------------------------------------------------------------------
 
 
 class TokenCeilingCondition(TerminationCondition):
     """Example user condition: prune when the total token count exceeds a
-    ceiling.  Implements the documented extension-point pair, so searches
-    using it keep the batched/kernel backends."""
+    ceiling."""
 
     name = "token-ceiling"
-    supports_frontier_mask = True
 
     def __init__(self, ceiling: int):
         self.ceiling = ceiling
-        self.mask_calls = 0
         self.holds_calls = 0
 
     def holds(self, tree, node) -> bool:
@@ -454,82 +478,45 @@ class TokenCeilingCondition(TerminationCondition):
             return sum(vec_of(node)) > self.ceiling
         return sum(tree.marking_of(node).values()) > self.ceiling
 
-    def frontier_mask(self, inet, ancestors, children, child_depth):
-        self.mask_calls += 1
-        return children.sum(axis=1) > self.ceiling
-
-
-def _ceiling_options(net, backend, ceiling):
-    termination = default_termination(net, extra=[TokenCeilingCondition(ceiling)])
-    return SchedulerOptions(backend=backend, termination=termination)
-
-
-@pytest.mark.parametrize("backend", ["batched", "kernel"])
-def test_user_maskable_condition_keeps_the_matrix_backends(backend):
-    net = paper_nets.figure_7(3)
-    options = _ceiling_options(net, backend, ceiling=6)
-    assert resolve_backend_for(net, options) == backend
-
 
 @pytest.mark.parametrize("ceiling", [3, 5, 8])
 def test_user_maskable_condition_agrees_across_all_backends(ceiling):
-    results = {}
-    masked = {}
-    for backend in ("scalar", "batched", "kernel"):
-        net = paper_nets.figure_7(3)
-        termination = default_termination(
-            net, extra=[condition := TokenCeilingCondition(ceiling)]
-        )
-        results[backend] = find_schedule(
-            net,
-            "a",
-            options=SchedulerOptions(backend=backend, termination=termination),
-        )
-        masked[backend] = condition.mask_calls
-    assert (
-        results["scalar"].success
-        == results["batched"].success
-        == results["kernel"].success
-    )
-    if results["scalar"].success:
-        fingerprints = {
-            schedule_fingerprint(result.schedule) for result in results.values()
-        }
-        assert len(fingerprints) == 1
-    # the condition really went through the frontier_mask protocol on both
-    # matrix backends (the kernel folds it via its `extra` route)
-    assert masked["batched"] > 0 and masked["kernel"] > 0
-    assert masked["scalar"] == 0
-    assert results["kernel"].counters.kernel_expansions > 0
+    """Under a user leaf the irrelevance criterion decides by its incremental
+    fast path inside ``holds``; the same search on the exact walk must find
+    the identical schedule (or failure) under every ceiling."""
+    net = paper_nets.figure_7(3)
+    results = []
+    for exact in (False, True):
+        ceiling_leaf = TokenCeilingCondition(ceiling)
+        termination = default_termination(net, extra=[ceiling_leaf])
+        if exact:
+            termination = CompositeCondition(
+                [
+                    WalkedIrrelevance(**init_fields(leaf))
+                    if type(leaf) is IrrelevanceCriterion
+                    else leaf
+                    for leaf in termination.conditions
+                ]
+            )
+        search, result = run_search(net, "a", termination)
+        assert search._fold is None
+        assert ceiling_leaf.holds_calls > 0
+        results.append(observables(result))
+    assert results[0] == results[1]
 
 
 def test_user_condition_takes_the_holds_fallback_on_the_scalar_backend():
-    """A leaf the fold does not know stays in ``extra``: the kernel masks it,
-    and the scalar search evaluates the whole condition through ``holds``
-    on real (probe) nodes instead of the folded verdict."""
+    """A leaf the fold does not know stays in ``extra``: the search then
+    evaluates the whole condition through ``holds`` on real (probe) nodes
+    instead of the folded verdict."""
     net = paper_nets.figure_7(3)
     termination = default_termination(net, extra=[ceiling := TokenCeilingCondition(5)])
     fold = fold_termination(termination, net.indexed())
     assert fold.extra == [ceiling] and fold.irrelevance is not None
-    search = _EPSearch(
-        net, "a", SchedulerOptions(backend="scalar", termination=termination)
-    )
+    search = _EPSearch(net, "a", SchedulerOptions(termination=termination))
     assert search._fold is None
-    scalar = search.run()
-    assert ceiling.holds_calls > 0 and ceiling.mask_calls == 0
-    kernel = find_schedule(
-        net,
-        "a",
-        options=SchedulerOptions(
-            backend="kernel",
-            termination=default_termination(net, extra=[TokenCeilingCondition(5)]),
-        ),
-    )
-    assert scalar.success == kernel.success
-    if scalar.success:
-        assert schedule_fingerprint(scalar.schedule) == schedule_fingerprint(
-            kernel.schedule
-        )
+    search.run()
+    assert ceiling.holds_calls > 0
 
 
 def test_non_maskable_condition_still_forces_scalar():
@@ -539,8 +526,11 @@ def test_non_maskable_condition_still_forces_scalar():
 
     net = paper_nets.figure_5()
     termination = default_termination(net, extra=[OpaqueCondition()])
-    options = SchedulerOptions(backend="kernel", termination=termination)
-    assert resolve_backend_for(net, options) == "scalar"
+    assert [type(leaf) for leaf in fold_termination(termination, net.indexed()).extra] == [
+        OpaqueCondition
+    ]
+    search = _EPSearch(net, "a", SchedulerOptions(termination=termination))
+    assert search._fold is None and search._incremental is None
 
 
 # ---------------------------------------------------------------------------
@@ -567,31 +557,36 @@ def test_intern_rows_handles_the_empty_frontier():
 
 
 # ---------------------------------------------------------------------------
-# golden parity: counters and fixture bytes across the three backends
+# golden parity: counters and fixture bytes
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("net_name,source", ALL_GOLDEN_CASES)
 def test_kernel_counters_match_batched_modulo_backend_only(net_name, source):
-    """Same search, same accounting: only the backend-only counters differ,
-    and the kernel counts exactly the expansions the batched path counts."""
+    """Same search, same accounting: the folded search and its holds-fallback
+    twin agree on every counter -- no counter is exempt any more."""
     builder, _sources = GOLDEN_CASES[net_name]
-    batched = find_schedule(
-        builder(), source, options=SchedulerOptions(backend="batched")
-    )
-    kernel = find_schedule(
-        builder(), source, options=SchedulerOptions(backend="kernel")
-    )
-    batched_counts = batched.counters.as_dict()
-    kernel_counts = kernel.counters.as_dict()
-    for field in SearchCounters.BACKEND_ONLY:
-        batched_counts.pop(field)
-        kernel_counts.pop(field)
-    assert kernel_counts == batched_counts
-    assert (
-        kernel.counters.kernel_expansions == batched.counters.batched_expansions
-    )
-    assert kernel.counters.batched_expansions == 0
+    folded_and_fallback(builder(), source)
+
+
+def _on_the_holds_fallback(net, source):
+    termination = unfolded(default_termination(net))
+    return find_schedule(net, source, options=SchedulerOptions(termination=termination))
+
+
+def _through_find_all_schedules(net, source):
+    return find_all_schedules(net, sources=[source])[source]
+
+
+#: every way the search can derive a golden record; the ids are those of the
+#: three backends this sweep compared before the scalar walk became the only
+#: one: the default search, the same search on the holds fallback, and the
+#: multi-source entry point
+DERIVATIONS = {
+    "scalar": find_schedule,
+    "batched": _on_the_holds_fallback,
+    "kernel": _through_find_all_schedules,
+}
 
 
 @pytest.mark.parametrize("backend", ["scalar", "batched", "kernel"])
@@ -599,7 +594,8 @@ def test_kernel_counters_match_batched_modulo_backend_only(net_name, source):
 def test_every_backend_reproduces_the_golden_fixture_bytes(
     net_name, source, backend
 ):
-    """The committed fixtures are backend-free: each backend re-derives the
-    exact bytes on disk (the byte-identical-schedule contract, end to end)."""
-    regenerated = render_case(derive_case(net_name, source, backend=backend))
+    """The committed fixtures record nothing of how they were derived: each
+    derivation re-creates the exact bytes on disk (the byte-identical
+    schedule contract, end to end)."""
+    regenerated = render_case(derive_case(net_name, source, DERIVATIONS[backend]))
     assert regenerated == fixture_path(net_name, source).read_text()

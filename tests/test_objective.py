@@ -5,9 +5,10 @@ Four contracts, mirroring the refactor's acceptance bar:
 * ``objective="first"`` (the default) is byte-identical to the
   pre-objective scheduler -- the enumeration machinery must be
   unobservable unless asked for;
-* ``objective="cost"`` selection is deterministic across candidate limits
-  (same winner, same score), and on the pinned corpus net it finds a
-  schedule *strictly cheaper* than the first-found one;
+* ``objective="cost"`` selection is deterministic across termination
+  paths, repeated runs and candidate limits (same winner, same score), and
+  on the pinned corpus net it finds a schedule *strictly cheaper* than the
+  first-found one;
 * the static score and the single-task prediction agree with the ground
   truth: `predict_single_task` matches `SingleTaskSimulation`'s counters
   on corpus cases (the corpus `predict` stage holds this per generated
@@ -23,6 +24,7 @@ from dataclasses import replace
 
 import pytest
 
+from fold_oracle import unfolded
 from repro.apps.paper_nets import figure_5, figure_8, simple_pipeline
 from repro.corpus.generator import generate_spec
 from repro.corpus.topologies import build_case
@@ -36,12 +38,44 @@ from repro.scheduling.serialize import (
     result_to_record,
     schedule_fingerprint,
 )
+from repro.scheduling.termination import (
+    CompositeCondition,
+    TerminationCondition,
+    default_termination,
+)
 from repro.scheduling.warmstart import options_cache_key
 from repro.serve.protocol import ProtocolError, options_from_dict
 
 #: Corpus case where the cost objective strictly beats first-found
 #: (also pinned in the bench's ``objective`` section).
 WIN_SEED, WIN_FAMILY, WIN_SOURCE = 20260877, "multi_source", "src.s2_p0.ev_s2_p0"
+
+
+#: Termination paths every selection must be independent of.  The ids are
+#: those of the three EP backends these tests compared before the scalar walk
+#: became the only search: "scalar" is the default folded search, "batched"
+#: the same search on the ``termination.holds`` fallback with every leaf
+#: re-typed, "kernel" the holds fallback with the built-in leaves kept beside
+#: a user leaf that never prunes.
+BACKENDS = ("scalar", "batched", "kernel")
+
+
+class _NeverPrunes(TerminationCondition):
+    name = "never-prunes"
+
+    def holds(self, tree, node) -> bool:
+        return False
+
+
+def _options(backend, net, **options):
+    if backend == "scalar":
+        return SchedulerOptions(**options)
+    termination = default_termination(net)
+    if backend == "batched":
+        termination = unfolded(termination)
+    else:
+        termination = CompositeCondition([*termination.conditions, _NeverPrunes()])
+    return SchedulerOptions(termination=termination, **options)
 
 
 def _paper_cases():
@@ -66,13 +100,17 @@ class TestFirstObjective:
         assert options.objective == "first"
         assert "first" in OBJECTIVES and "cost" in OBJECTIVES
 
-    def test_first_matches_default_result(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_first_matches_default_result(self, backend):
         for name, net, source in _paper_cases():
-            default = find_schedule(net, source)
+            default = find_schedule(net, source, options=_options(backend, net))
             explicit = find_schedule(
-                net, source, options=SchedulerOptions(objective="first")
+                net, source, options=_options(backend, net, objective="first")
             )
             assert default.success and explicit.success, name
+            assert schedule_fingerprint(default.schedule) == schedule_fingerprint(
+                find_schedule(net, source).schedule
+            ), name
             assert schedule_fingerprint(default.schedule) == schedule_fingerprint(
                 explicit.schedule
             ), name
@@ -107,6 +145,30 @@ class TestFirstObjective:
 
 
 class TestCostObjective:
+    def test_selection_identical_across_backends_and_workers(self):
+        net = _win_net()
+        reference = None
+        for backend in BACKENDS:
+            for run in (1, 2):
+                result = find_schedule(
+                    net,
+                    WIN_SOURCE,
+                    options=_options(
+                        backend, net, objective="cost", candidate_limit=32
+                    ),
+                )
+                assert result.success
+                key = (
+                    schedule_fingerprint(result.schedule),
+                    result.score,
+                    result.objective_stats["candidates"],
+                    result.objective_stats["selected_fingerprint"],
+                )
+                if reference is None:
+                    reference = key
+                else:
+                    assert key == reference, (backend, run)
+
     def test_cost_strictly_beats_first_on_pinned_corpus_net(self):
         """The acceptance witness: seed 20260877, source s2, 1151 < 1175."""
         net = _win_net()
@@ -153,7 +215,8 @@ class TestCostObjective:
         assert stats["selected_score"] <= stats["first_score"]
         assert 1 <= stats["candidates"] <= 8
 
-    def test_forced_shape_nets_select_the_first_schedule(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_forced_shape_nets_select_the_first_schedule(self, backend):
         """On the paper nets every candidate scores the same; the fingerprint
         tie-break plus first-candidate preference must keep selection stable
         and the returned schedule valid."""
@@ -161,7 +224,7 @@ class TestCostObjective:
             result = find_schedule(
                 net,
                 source,
-                options=SchedulerOptions(objective="cost", candidate_limit=4),
+                options=_options(backend, net, objective="cost", candidate_limit=4),
             )
             assert result.success, name
             assert result.objective == "cost"

@@ -1,17 +1,21 @@
-"""Serial vs. parallel ``find_all_schedules``: observational equivalence.
+"""Multi-source ``find_all_schedules`` vs one search per source.
 
-The parallel path must be a pure wall-clock optimisation: byte-identical
-schedules (canonical JSON), identical per-source counters / tree sizes /
-failure reasons, and the same deterministic result order.  A module-scoped
-process pool is shared across the property-test examples so each example
-pays one pickled-net shipment, not one pool start-up (workers cache the
-materialised net per structural fingerprint).
+``find_all_schedules`` runs the per-source searches one after another in
+one process, sharing one structural analysis (the process pool that fanned
+them out is gone).  It must stay observationally identical to calling
+:func:`find_schedule` once per source on its own: byte-identical schedules
+(canonical JSON) re-bound to the caller's net, identical per-source
+counters / tree sizes / failure reasons, and the same deterministic result
+order.  The module also pins the explicit-RNG workload generators and the
+warm-start replay contract.
+
+The test names are kept from the deleted process-pool suite, so the test
+IDs stay stable.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,35 +23,38 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.apps import paper_nets
 from repro.apps.workloads import random_marked_graph, random_multi_source_net
 from repro.petrinet.fingerprint import structural_fingerprint
-from repro.scheduling.ep import SchedulerOptions, SchedulingFailure, find_all_schedules
-from repro.scheduling.parallel import (
-    aggregate_counters,
-    find_all_schedules_parallel,
+from repro.scheduling.ep import (
+    SchedulerOptions,
+    SchedulingFailure,
+    SearchCounters,
+    find_all_schedules,
+    find_schedule,
 )
 from repro.scheduling.serialize import schedule_to_json
+from repro.scheduling.warmstart import ScheduleWarmStartCache
 
 
-@pytest.fixture(scope="module")
-def pool():
-    with ProcessPoolExecutor(max_workers=2) as executor:
-        yield executor
+def per_source(net, options=None, sources=None):
+    """One independent ``find_schedule`` per source, each on its own analysis."""
+    targets = sources if sources is not None else net.uncontrollable_sources()
+    return {source: find_schedule(net, source, options=options) for source in targets}
 
 
-def assert_equivalent(net, serial, parallel):
-    assert list(serial) == list(parallel)  # same deterministic order
+def assert_equivalent(net, serial, other):
+    assert list(serial) == list(other)  # same deterministic order
     for source in serial:
-        a, b = serial[source], parallel[source]
+        a, b = serial[source], other[source]
         assert a.success == b.success, source
         if a.schedule is not None:
             assert schedule_to_json(a.schedule) == schedule_to_json(b.schedule)
-            # the merged schedule is re-bound to the caller's net object
-            assert b.schedule.net is net
+            # every schedule is bound to the caller's net object
+            assert a.schedule.net is net and b.schedule.net is net
         assert a.failure_reason == b.failure_reason
         assert a.tree_nodes == b.tree_nodes
         assert a.counters.as_dict() == b.counters.as_dict()
-    total_serial = aggregate_counters(serial.values())
-    total_parallel = aggregate_counters(parallel.values())
-    assert total_serial.as_dict() == total_parallel.as_dict()
+    total_serial = SearchCounters.aggregate(r.counters for r in serial.values())
+    total_other = SearchCounters.aggregate(r.counters for r in other.values())
+    assert total_serial.as_dict() == total_other.as_dict()
 
 
 @pytest.mark.parametrize(
@@ -62,39 +69,36 @@ def assert_equivalent(net, serial, parallel):
     ],
     ids=["figure_4a", "figure_4b", "figure_5", "figure_6", "figure_7_k3", "figure_8"],
 )
-def test_parallel_matches_serial_on_figure_nets(builder, pool):
+def test_parallel_matches_serial_on_figure_nets(builder):
     net = builder()
-    serial = find_all_schedules(net)
-    parallel = find_all_schedules_parallel(net, executor=pool)
-    assert_equivalent(net, serial, parallel)
+    assert_equivalent(net, find_all_schedules(net), per_source(net))
 
 
 def test_workers_argument_spawns_own_pool():
-    """`find_all_schedules(workers=2)` (initializer-shipped path) agrees too."""
+    """The ``workers`` knob is gone: passing it is an error, not a silently
+    serial run."""
     net = paper_nets.figure_5()
-    serial = find_all_schedules(net)
-    parallel = find_all_schedules(net, workers=2)
-    assert_equivalent(net, serial, parallel)
+    with pytest.raises(TypeError):
+        find_all_schedules(net, workers=2)
+    assert_equivalent(net, find_all_schedules(net), per_source(net))
 
 
-def test_parallel_raise_on_failure(pool):
+def test_parallel_raise_on_failure():
     net = paper_nets.figure_4b()
     options = SchedulerOptions(max_nodes=500)
     with pytest.raises(SchedulingFailure, match="'a'"):
-        find_all_schedules_parallel(
-            net, options=options, executor=pool, raise_on_failure=True
-        )
+        find_all_schedules(net, options=options, raise_on_failure=True)
 
 
-def test_parallel_unknown_source_raises(pool):
+def test_parallel_unknown_source_raises():
     net = paper_nets.figure_5()
     with pytest.raises(KeyError):
-        find_all_schedules_parallel(net, sources=["nope"], executor=pool)
+        find_all_schedules(net, sources=["nope"])
 
 
-def test_parallel_no_sources_is_empty(pool):
+def test_parallel_no_sources_is_empty():
     net = paper_nets.figure_5()
-    assert find_all_schedules_parallel(net, sources=[], executor=pool) == {}
+    assert find_all_schedules(net, sources=[]) == {}
 
 
 @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -104,13 +108,12 @@ def test_parallel_no_sources_is_empty(pool):
     seed=st.integers(min_value=0, max_value=1000),
 )
 def test_parallel_matches_serial_on_generated_multi_source_nets(
-    sources, transitions, seed, pool
+    sources, transitions, seed
 ):
     net = random_multi_source_net(sources, transitions, rng=random.Random(seed))
     options = SchedulerOptions(max_nodes=20_000)
     serial = find_all_schedules(net, options=options)
-    parallel = find_all_schedules_parallel(net, options=options, executor=pool)
-    assert_equivalent(net, serial, parallel)
+    assert_equivalent(net, serial, per_source(net, options=options))
     assert len(serial) == sources
     for result in serial.values():
         assert result.success
@@ -121,25 +124,21 @@ def test_parallel_matches_serial_on_generated_multi_source_nets(
     transitions=st.integers(min_value=2, max_value=6),
     seed=st.integers(min_value=0, max_value=1000),
 )
-def test_parallel_matches_serial_on_marked_graphs(transitions, seed, pool):
+def test_parallel_matches_serial_on_marked_graphs(transitions, seed):
     net = random_marked_graph(transitions, rng=random.Random(seed))
     options = SchedulerOptions(max_nodes=20_000)
-    serial = find_all_schedules(net, options=options)
-    parallel = find_all_schedules_parallel(net, options=options, executor=pool)
-    assert_equivalent(net, serial, parallel)
+    assert_equivalent(
+        net, find_all_schedules(net, options=options), per_source(net, options=options)
+    )
 
 
 def test_external_executor_stays_identical_after_worker_cache_eviction():
-    """Schedules from a reused external executor survive worker-side eviction.
+    """Results from a reused warm-start cache survive its eviction.
 
-    A single-worker pool is fed more distinct nets than the worker's
-    fingerprint LRU holds (capacity 4), forcing the first net's cached
-    materialisation -- and its shared-memory attachment, if any -- to be
-    evicted and detached; rescheduling that net afterwards must re-attach /
-    re-materialise and still produce byte-identical results.
+    A cache of capacity 4 is fed more distinct nets than it holds, evicting
+    the first net's records; rescheduling that net afterwards searches
+    again and must still produce byte-identical results.
     """
-    from repro.scheduling.parallel import _MATERIALISED
-
     builders = [
         paper_nets.figure_4a,
         paper_nets.figure_5,
@@ -147,14 +146,20 @@ def test_external_executor_stays_identical_after_worker_cache_eviction():
         paper_nets.figure_8,
         lambda: paper_nets.figure_7(3),
     ]
-    assert len(builders) > _MATERIALISED.capacity
-    with ProcessPoolExecutor(max_workers=1) as executor:
-        first_net = builders[0]()
-        before = find_all_schedules_parallel(first_net, executor=executor)
-        for builder in builders[1:]:
-            find_all_schedules_parallel(builder(), executor=executor)
-        # the single worker has now evicted figure_4a's entry
-        after = find_all_schedules_parallel(first_net, executor=executor)
+    cache = ScheduleWarmStartCache(capacity=4, store=False)
+
+    def through_cache(net):
+        return {
+            source: cache.find_schedule(net, source)
+            for source in net.uncontrollable_sources()
+        }
+
+    first_net = builders[0]()
+    before = through_cache(first_net)
+    for builder in builders[1:]:
+        through_cache(builder())
+    after = through_cache(first_net)
+    assert not any(result.from_cache for result in after.values())
     serial = find_all_schedules(first_net)
     assert_equivalent(first_net, serial, before)
     assert_equivalent(first_net, serial, after)
@@ -194,8 +199,6 @@ def test_multi_source_net_shape():
 def test_warm_start_replay_keeps_original_statistics():
     """A replayed result keeps the original search's wall clock and counters
     (experiment tables report scheduling time; 0.0 would corrupt them)."""
-    from repro.scheduling.warmstart import ScheduleWarmStartCache
-
     cache = ScheduleWarmStartCache()
     first = cache.find_schedule(paper_nets.figure_5(), "a")
     replayed = cache.find_schedule(paper_nets.figure_5(), "a")
@@ -209,8 +212,6 @@ def test_warm_start_replay_keeps_original_statistics():
 def test_warm_start_keys_on_validate_flag():
     """A schedule cached under validate=False must not satisfy a
     validate=True call (the replay never re-validates)."""
-    from repro.scheduling.warmstart import ScheduleWarmStartCache
-
     cache = ScheduleWarmStartCache()
     cache.find_schedule(
         paper_nets.figure_5(), "a", options=SchedulerOptions(validate=False)

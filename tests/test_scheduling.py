@@ -3,9 +3,6 @@ independence and runs, on the paper's figure nets and the FlowC systems."""
 
 from __future__ import annotations
 
-import itertools
-import random
-
 import pytest
 
 from repro.apps import paper_nets
@@ -18,13 +15,7 @@ from repro.apps.false_paths import (
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet, SourceKind
-from repro.scheduling.ep import (
-    SchedulerOptions,
-    SchedulingFailure,
-    SearchCounters,
-    find_all_schedules,
-    find_schedule,
-)
+from repro.scheduling.ep import SchedulerOptions, SchedulingFailure, find_all_schedules, find_schedule
 from repro.scheduling.heuristics import (
     ECSLookahead,
     HeuristicContext,
@@ -376,22 +367,3 @@ def test_build_run_errors():
         build_run(schedules, ["unknown"])
     with pytest.raises(RunError):
         build_run({}, ["a"])
-
-
-def test_any_merge_permutation_same_aggregate():
-    """SearchCounters.aggregate is a plain sum: order never matters."""
-    rng = random.Random(7)
-    parts = []
-    for _ in range(5):
-        counters = SearchCounters()
-        for field in counters.as_dict():
-            setattr(counters, field, rng.randrange(100))
-        parts.append(counters)
-    expected = SearchCounters.aggregate(parts).as_dict()
-    for perm in itertools.permutations(parts):
-        assert SearchCounters.aggregate(perm).as_dict() == expected
-        # pairwise left-fold merge
-        total = SearchCounters()
-        for item in perm:
-            total.merge(item)
-        assert total.as_dict() == expected

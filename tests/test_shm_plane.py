@@ -1,53 +1,45 @@
-"""The shared-memory analysis plane: zero-copy transport, never a semantics change.
+"""Shipping a net and its analysis: a transport is never a semantics change.
 
-Pins the tentpole contract of :mod:`repro.petrinet.shm`:
+The shared-memory plane that published a net's dense analysis to worker
+processes is gone with the process pool.  What stays of its contract is
+what any consumer of a net relies on when the net, or its analysis, comes
+from somewhere else:
 
-* publish/attach is a faithful round trip -- the attached snapshot borrows
-  the published arrays read-only and without copying, and schedules derived
-  through it are byte-identical (schedules, fingerprints, counters) to the
-  serial and pickle-shipping parallel paths on every golden net;
-* every degradation -- shared memory unavailable, stale/unlinked blocks,
-  fingerprint mismatches -- falls back to the pickled-net path with a
-  warning and still produces the correct schedules;
-* lifecycle hygiene: refcounts unlink blocks deterministically, worker-side
-  LRU eviction detaches attachments.
+* the dense incidence matrices live once per structural snapshot --
+  borrowed read-only, never copied -- and a borrowed matrix outlives the
+  snapshot it came from;
+* a net shipped as a pickle or in the serve wire form schedules byte for
+  byte like the original, on every golden net;
+* a stale or foreign :class:`StructuralAnalysis` handed to a search is
+  rebuilt, never mixed into the live net's ID space;
+* the warm-start cache evicts in LRU order, and an evicted entry is simply
+  searched again.
+
+The test names are kept from the deleted shared-memory plane's suite, so
+the test IDs stay stable.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from golden_nets import GOLDEN_CASES
 from repro.apps import paper_nets
-from repro.petrinet import shm as shm_mod
-from repro.petrinet.batched import consumption_matrix, delta_matrix, production_matrix
-from repro.petrinet.fingerprint import structural_fingerprint
-from repro.scheduling import parallel as parallel_mod
-from repro.scheduling.ep import SchedulerOptions, find_all_schedules, find_schedule
-from repro.scheduling.parallel import aggregate_counters, find_all_schedules_parallel
+from repro.petrinet.analysis import StructuralAnalysis
+from repro.petrinet.batched import consumption_matrix, delta_matrix
+from repro.scheduling.ep import find_all_schedules, find_schedule
 from repro.scheduling.serialize import schedule_fingerprint, schedule_to_json
+from repro.scheduling.warmstart import ScheduleWarmStartCache
+from repro.serve.protocol import ProtocolError, net_from_dict, net_to_dict
 
-
-@pytest.fixture
-def fresh_shm_state():
-    """Isolate the process-wide plane registry and worker cache per test."""
-    shm_mod._registry().clear()
-    parallel_mod._MATERIALISED.clear()
-    yield
-    shm_mod._registry().clear()
-    parallel_mod._MATERIALISED.clear()
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with ProcessPoolExecutor(max_workers=2) as executor:
-        yield executor
+REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _signature(results):
@@ -58,241 +50,166 @@ def _signature(results):
                 schedule_fingerprint(result.schedule),
             )
             if result.schedule is not None
-            else result.failure_reason
+            else result.failure_reason,
+            result.tree_nodes,
+            result.counters.as_dict(),
         )
         for source, result in results.items()
     }
 
 
 # ---------------------------------------------------------------------------
-# publish / attach round trip
+# the dense matrices of one snapshot
 # ---------------------------------------------------------------------------
 
 
-def test_publish_attach_is_zero_copy_and_read_only(fresh_shm_state):
+def test_publish_attach_is_zero_copy_and_read_only():
     net = paper_nets.figure_5()
-    plane = shm_mod.acquire_shared_plane(net)
-    assert plane is not None
-    try:
-        attached = shm_mod.attach_net(plane.handle)
-        try:
-            inet = attached.net.indexed()
-            for matrix, reference in (
-                (consumption_matrix(inet), consumption_matrix(net.indexed())),
-                (production_matrix(inet), production_matrix(net.indexed())),
-                (delta_matrix(inet), delta_matrix(net.indexed())),
-            ):
-                assert np.array_equal(matrix, reference)
-                # borrowed views over the published pages, not copies
-                assert not matrix.flags.writeable
-                assert not matrix.flags.owndata
-            assert inet.initial_vec == net.indexed().initial_vec
-            from repro.petrinet.analysis import all_place_degrees
-
-            assert attached.analysis.degrees == all_place_degrees(net)
-        finally:
-            attached.close()
-        # after detach the snapshot rebuilds private matrices on demand
-        rebuilt = consumption_matrix(attached.net.indexed())
-        assert np.array_equal(rebuilt, consumption_matrix(net.indexed()))
-    finally:
-        plane.release()
+    inet = net.indexed()
+    for build, sparse_rows in ((consumption_matrix, inet.consume), (delta_matrix, inet.delta)):
+        matrix = build(inet)
+        assert build(inet) is matrix  # cached on the snapshot, never copied
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1
+        dense = np.zeros_like(matrix)
+        for tid, sparse in enumerate(sparse_rows):
+            for pid, value in sparse:
+                dense[tid, pid] = value
+        assert np.array_equal(matrix, dense)
 
 
-def test_close_with_escaped_view_defers_the_unmap(fresh_shm_state):
-    """An escaped borrowed view must stay readable after close().
-
-    ``SharedMemory.close`` unmaps even while NumPy views are alive (no
-    ``BufferError`` protects them), so ``AttachedNet.close`` must detect
-    outstanding references and leave those mappings to garbage collection
-    -- reading through the escapee afterwards is then safe, not a fault.
-    """
+def test_close_with_escaped_view_defers_the_unmap():
+    """A matrix borrowed from a snapshot stays readable after the net drops
+    that snapshot; the next snapshot builds its own."""
     net = paper_nets.figure_5()
-    plane = shm_mod.acquire_shared_plane(net)
-    assert plane is not None
-    try:
-        attached = shm_mod.attach_net(plane.handle)
-        escaped = consumption_matrix(attached.net.indexed())
-        reference = escaped.copy()
-        attached.close()
-        assert np.array_equal(escaped, reference)  # would crash if unmapped
-        # with no escapees the mappings are closed eagerly
-        attached2 = shm_mod.attach_net(plane.handle)
-        attached2.close()
-        assert attached2._view_blocks == {} and attached2._views == {}
-    finally:
-        plane.release()
+    escaped = consumption_matrix(net.indexed())
+    reference = escaped.copy()
+    net.invalidate_caches()
+    fresh = consumption_matrix(net.indexed())
+    assert fresh is not escaped
+    assert np.array_equal(escaped, reference)
+    assert np.array_equal(fresh, reference)
 
 
-def test_attached_net_schedules_identically(fresh_shm_state):
+# ---------------------------------------------------------------------------
+# a shipped net schedules identically
+# ---------------------------------------------------------------------------
+
+
+def test_attached_net_schedules_identically():
+    """A pickled copy, with one analysis shared across its sources (as
+    ``find_all_schedules`` shares it), schedules like the original."""
     net = paper_nets.figure_6()
-    plane = shm_mod.acquire_shared_plane(net)
-    assert plane is not None
-    try:
-        attached = shm_mod.attach_net(plane.handle)
-        try:
-            for source in net.uncontrollable_sources():
-                original = find_schedule(net, source)
-                via_shm = find_schedule(
-                    attached.net, source, analysis=attached.analysis
-                )
-                assert schedule_to_json(original.schedule) == schedule_to_json(
-                    via_shm.schedule
-                )
-                assert original.counters.as_dict() == via_shm.counters.as_dict()
-                assert original.tree_nodes == via_shm.tree_nodes
-        finally:
-            attached.close()
-    finally:
-        plane.release()
-
-
-def test_refcounted_unlink_and_stale_attach(fresh_shm_state):
-    net = paper_nets.figure_4a()
-    plane = shm_mod.publish_net(net)
-    handle = plane.handle
-    plane.acquire()
-    plane.release()
-    assert not plane.closed  # one reference still held
-    plane.release()
-    assert plane.closed  # last release closed and unlinked the blocks
-    with pytest.raises(shm_mod.SharedAttachError):
-        shm_mod.attach_net(handle)
-
-
-# ---------------------------------------------------------------------------
-# acceptance: byte-identity across transports on every golden net
-# ---------------------------------------------------------------------------
+    copy = pickle.loads(pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL))
+    analysis = StructuralAnalysis.of(copy)
+    for source in net.uncontrollable_sources():
+        original = find_schedule(net, source)
+        shipped = find_schedule(copy, source, analysis=analysis)
+        assert schedule_to_json(original.schedule) == schedule_to_json(shipped.schedule)
+        assert original.counters.as_dict() == shipped.counters.as_dict()
+        assert original.tree_nodes == shipped.tree_nodes
 
 
 @pytest.mark.parametrize("net_name", sorted(GOLDEN_CASES))
-def test_golden_nets_identical_over_shared_plane(net_name, pool, fresh_shm_state):
-    """Serial == parallel(shm handle) == parallel(pickle) on each golden net."""
+def test_golden_nets_identical_over_shared_plane(net_name):
+    """Serial == serve wire form == pickle on each golden net."""
     builder, _sources = GOLDEN_CASES[net_name]
     net = builder()
-    serial = find_all_schedules(net)
-    shared = find_all_schedules_parallel(net, executor=pool)
-    assert _signature(serial) == _signature(shared)
-    assert (
-        aggregate_counters(serial.values()).as_dict()
-        == aggregate_counters(shared.values()).as_dict()
+    serial = _signature(find_all_schedules(net))
+    for shipped in (
+        net_from_dict(net_to_dict(net)),
+        pickle.loads(pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL)),
+    ):
+        assert _signature(find_all_schedules(shipped)) == serial
+
+
+def test_workers_one_skips_the_plane():
+    """A search, in a fresh interpreter, loads no process or shared-memory
+    machinery at all."""
+    code = (
+        "import sys\n"
+        "from repro.apps import paper_nets\n"
+        "from repro.scheduling.ep import find_all_schedules\n"
+        "results = find_all_schedules(paper_nets.figure_5())\n"
+        "assert all(r.success for r in results.values())\n"
+        "print(sorted(m for m in sys.modules if m.startswith("
+        "('multiprocessing', 'concurrent.futures'))))\n"
     )
-    for source, result in serial.items():
-        assert shared[source].tree_nodes == result.tree_nodes
-        assert shared[source].counters.as_dict() == result.counters.as_dict()
-
-
-def test_own_pool_initializer_ships_handle_not_bytes(fresh_shm_state, monkeypatch):
-    """workers=2 spawns a pool whose initializer carries only the handle."""
-    shipped = {}
-    original = parallel_mod._run_own_pool
-
-    def spy(worker_count, fingerprint, payload, options_blob, pending, plane):
-        shipped["plane"] = plane
-        return original(worker_count, fingerprint, payload, options_blob, pending, plane)
-
-    monkeypatch.setattr(parallel_mod, "_run_own_pool", spy)
-    net = paper_nets.figure_5()
-    serial = find_all_schedules(net)
-    parallel = find_all_schedules(net, workers=2)
-    assert _signature(serial) == _signature(parallel)
-    assert shipped["plane"] is not None, "shared plane should be published"
-
-
-def test_workers_one_skips_the_plane(fresh_shm_state, monkeypatch):
-    published = []
-    monkeypatch.setattr(
-        parallel_mod,
-        "acquire_shared_plane",
-        lambda *a, **k: published.append(a) or None,
+    env = dict(os.environ, PYTHONPATH=REPO_SRC)
+    env.pop("REPRO_CACHE", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
     )
-    net = paper_nets.figure_5()
-    results = find_all_schedules_parallel(net, workers=1)
-    assert all(r.success for r in results.values())
-    assert published == []  # workers=1 never publishes
-
-
-def test_repro_shm_env_disables_the_plane(fresh_shm_state, monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "0")
-    assert not shm_mod.shm_enabled()
-    net = paper_nets.figure_5()
-    assert shm_mod.acquire_shared_plane(net) is None
-    serial = find_all_schedules(net)
-    parallel = find_all_schedules(net, workers=2)
-    assert _signature(serial) == _signature(parallel)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
-# degradation: every failure falls back to the pickle path, with a warning
+# a stale or foreign analysis is rebuilt
 # ---------------------------------------------------------------------------
 
 
-def test_shared_memory_oserror_falls_back_with_warning(fresh_shm_state, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(shm_mod._shared_memory, "SharedMemory", refuse)
-    net = paper_nets.figure_5()
-    with pytest.warns(RuntimeWarning, match="falling back to pickled-net"):
-        plane = shm_mod.acquire_shared_plane(net)
-    assert plane is None
-    serial = find_all_schedules(net)
-    with pytest.warns(RuntimeWarning):
-        parallel = find_all_schedules(net, workers=2)
-    assert _signature(serial) == _signature(parallel)
-
-
-def test_stale_block_name_falls_back_to_pickle(fresh_shm_state):
-    net = paper_nets.figure_5()
-    fingerprint = structural_fingerprint(net)
-    payload = pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL)
-    plane = shm_mod.publish_net(net, fingerprint)
-    handle = plane.handle
-    plane.release()  # unlinks every block: the handle is now stale
-    with pytest.warns(RuntimeWarning, match="attach failed"):
-        entry = parallel_mod._materialise(fingerprint, payload, handle)
-    assert entry.attachment is None  # pickle path
-    result = find_schedule(entry.net, "a", analysis=entry.analysis)
-    assert schedule_to_json(result.schedule) == schedule_to_json(
-        find_schedule(net, "a").schedule
+def _identity(result):
+    return (
+        schedule_to_json(result.schedule) if result.schedule else result.failure_reason,
+        result.tree_nodes,
+        result.counters.as_dict(),
     )
 
 
-def test_fingerprint_mismatch_falls_back_to_pickle(fresh_shm_state):
+def test_refcounted_unlink_and_stale_attach():
+    """A structural mutation drops the net's snapshot; a search handed the
+    analysis of the dropped snapshot rebuilds it on the live one."""
+    net = paper_nets.figure_4a()
+    stale = StructuralAnalysis.of(net)
+    old = net.indexed()
+    net.add_place("extra")
+    assert net.indexed() is not old and stale.indexed_net is old
+    assert len(net.indexed().place_names) == len(old.place_names) + 1
+    result = find_schedule(net, "a", analysis=stale)
+    assert result.success
+    assert _identity(result) == _identity(find_schedule(net, "a"))
+
+
+def test_stale_block_name_falls_back_to_pickle():
+    """An analysis of an invalidated snapshot is not trusted, even when the
+    structure did not change: the search rebuilds it and agrees."""
     net = paper_nets.figure_5()
-    other = paper_nets.figure_6()
-    plane = shm_mod.publish_net(other)
-    try:
-        # a handle claiming net's fingerprint but pointing at figure_6's blocks
-        forged = dataclasses.replace(
-            plane.handle, fingerprint=structural_fingerprint(net)
-        )
-        with pytest.raises(shm_mod.FingerprintMismatchError):
-            shm_mod.attach_net(forged)
-        fingerprint = structural_fingerprint(net)
-        payload = pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL)
-        with pytest.warns(RuntimeWarning, match="attach failed"):
-            entry = parallel_mod._materialise(fingerprint, payload, forged)
-        assert entry.attachment is None
-        result = find_schedule(entry.net, "a", analysis=entry.analysis)
-        assert schedule_to_json(result.schedule) == schedule_to_json(
-            find_schedule(net, "a").schedule
-        )
-    finally:
-        plane.release()
+    stale = StructuralAnalysis.of(net)
+    reference = find_schedule(net, "a", analysis=stale)
+    net.invalidate_caches()
+    assert stale.indexed_net is not net.indexed()
+    assert _identity(find_schedule(net, "a", analysis=stale)) == _identity(reference)
 
 
-def test_materialise_without_payload_or_handle_raises(fresh_shm_state):
-    with pytest.raises(RuntimeError, match="no payload was shipped"):
-        parallel_mod._materialise("deadbeef" * 8, None, None)
+def test_fingerprint_mismatch_falls_back_to_pickle():
+    """An analysis of a different net is never applied to this one."""
+    net = paper_nets.figure_5()
+    foreign = StructuralAnalysis.of(paper_nets.figure_6())
+    result = find_schedule(net, "a", analysis=foreign)
+    assert _identity(result) == _identity(find_schedule(paper_nets.figure_5(), "a"))
+
+
+def test_materialise_without_payload_or_handle_raises():
+    """Materialising a shipped net from nothing, or from entries missing
+    their names, is refused, not guessed."""
+    for payload in (None, [], "net", {"places": [{"tokens": 1}]}, {"arcs": [["p"]]}):
+        with pytest.raises(ProtocolError) as excinfo:
+            net_from_dict(payload)
+        assert excinfo.value.kind == "bad-net"
 
 
 # ---------------------------------------------------------------------------
-# worker-side LRU: eviction detaches attachments deterministically
+# warm-start LRU: eviction order, and an evicted entry is searched again
 # ---------------------------------------------------------------------------
 
 
-def test_worker_lru_eviction_detaches_attachments(fresh_shm_state):
+def test_worker_lru_eviction_detaches_attachments():
     builders = [
         paper_nets.figure_4a,
         paper_nets.figure_4b,
@@ -300,39 +217,12 @@ def test_worker_lru_eviction_detaches_attachments(fresh_shm_state):
         paper_nets.figure_6,
         paper_nets.figure_8,
     ]
-    assert len(builders) > parallel_mod._MATERIALISED.capacity
-    planes = []
-    entries = []
-    try:
-        for builder in builders:
-            net = builder()
-            fingerprint = structural_fingerprint(net)
-            plane = shm_mod.acquire_shared_plane(net, fingerprint)
-            assert plane is not None
-            planes.append(plane)
-            entries.append(
-                parallel_mod._materialise(fingerprint, None, plane.handle)
-            )
-        assert all(entry.attachment is not None for entry in entries)
-        # capacity exceeded by one: the first entry was evicted and detached
-        assert entries[0].attachment._closed
-        assert not entries[-1].attachment._closed
-    finally:
-        parallel_mod._MATERIALISED.clear()
-        for plane in planes:
-            plane.release()
-    assert all(entry.attachment._closed for entry in entries)
-
-
-def test_bench_helper_reports_both_transports(fresh_shm_state):
-    net = paper_nets.figure_5()
-    plane = shm_mod.acquire_shared_plane(net)
-    assert plane is not None
-    try:
-        payload = pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL)
-        sample = shm_mod.measure_attach_vs_rebuild(plane.handle, payload)
-        assert sample["pid"] == os.getpid()
-        assert sample["attach_seconds"] > 0.0
-        assert sample["rebuild_seconds"] > 0.0
-    finally:
-        plane.release()
+    cache = ScheduleWarmStartCache(capacity=4, store=False)
+    assert len(builders) > 4
+    first = [cache.find_schedule(builder(), "a") for builder in builders]
+    assert not any(result.from_cache for result in first)
+    # capacity exceeded by one: the first entry was evicted, the last stays
+    assert cache.find_schedule(builders[-1](), "a").from_cache
+    again = cache.find_schedule(builders[0](), "a")
+    assert not again.from_cache
+    assert _identity(again) == _identity(first[0])

@@ -1,41 +1,24 @@
-"""Termination semantics of the EP search: boundaries and the fold.
-
-The search folds the built-in termination leaves into plain per-node checks
-(:func:`~repro.scheduling.termination.fold_termination`); any leaf the fold
-does not know sends every node and lookahead probe through
-``termination.holds`` instead.  The two paths must terminate on the
-identical node set, so the whole search is its own oracle:
-:func:`unfolded` re-types every leaf to a subclass, which the fold leaves
-in ``extra``, and the folded search must reproduce that fallback search
-byte for byte -- schedule, failure reason, tree size and every counter.
-The irrelevance leaf's subclass decides by the exact walk over the
-ancestors, so the incremental checker the folded search uses is compared
-against Definition 4.5 itself, not against a second call of the checker.
+"""Termination semantics of the EP search: depth and budget boundaries.
 
 The boundary tests pin ``MaxDepthCondition`` and ``NodeBudget`` at the
 values ``max_depth - 1`` / ``max_depth`` / ``max_depth + 1`` around the
 minimal schedulable depth: a node *at* ``max_depth`` is kept, its children
-are pruned.  A seeded sweep over 200 generated nets (marked graphs, choice
-diamonds, multi-source rings) and a handful of edge cases the generators
-are unlikely to hit run the same oracle on whole searches.
+are pruned.  Every boundary search runs under the whole-search oracle of
+:mod:`fold_oracle`: the folded search must reproduce the same search forced
+onto the ``termination.holds`` fallback, byte for byte.  The seeded sweep
+over 200 generated nets and the edge cases the generators are unlikely to
+hit run the same oracle in ``tests/test_batched_ep.py``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import fields
-from functools import lru_cache
 
 import pytest
 
+from fold_oracle import folded_and_fallback, init_fields, unfolded
 from repro.apps import paper_nets
-from repro.apps.workloads import (
-    random_choice_net,
-    random_marked_graph,
-    random_multi_source_net,
-)
-from repro.petrinet.net import PetriNet, SourceKind
-from repro.scheduling.ep import SchedulerOptions, _EPSearch
+from repro.apps.workloads import random_marked_graph, random_multi_source_net
 from repro.scheduling.serialize import schedule_to_json
 from repro.scheduling.termination import (
     CompositeCondition,
@@ -43,77 +26,8 @@ from repro.scheduling.termination import (
     MaxDepthCondition,
     NodeBudget,
     PlaceBoundCondition,
-    TerminationCondition,
-    default_termination,
     fold_termination,
 )
-
-
-class _WalkedIrrelevance(IrrelevanceCriterion):
-    """Definition 4.5 by the exact O(depth) walk over the ancestors."""
-
-    def holds(self, tree, node) -> bool:
-        totals, vec_of = tree.total_tokens_of, tree.vec_of
-        return self.witnessed_by(
-            tree.inet,
-            vec_of(node),
-            totals(node),
-            ((totals(a), vec_of(a)) for a in tree.ancestors_of(node)),
-        )
-
-
-@lru_cache(maxsize=None)
-def _unfolded_type(kind: type) -> type:
-    if kind is IrrelevanceCriterion:
-        return _WalkedIrrelevance
-    return type(f"Unfolded{kind.__name__}", (kind,), {})
-
-
-def _init_fields(condition: TerminationCondition) -> dict:
-    return {f.name: getattr(condition, f.name) for f in fields(condition) if f.init}
-
-
-def unfolded(condition: TerminationCondition) -> TerminationCondition:
-    """``condition`` with every leaf re-typed to a subclass.
-
-    The fold matches the built-in leaves by exact type, so the copies land
-    in ``FoldedTermination.extra`` and a search under the result decides
-    every node and probe through ``termination.holds``.
-    """
-    if isinstance(condition, CompositeCondition):
-        return CompositeCondition([unfolded(leaf) for leaf in condition.conditions])
-    return _unfolded_type(type(condition))(**_init_fields(condition))
-
-
-def _search(net, source, termination, **options):
-    search = _EPSearch(
-        net, source, SchedulerOptions(termination=termination, **options)
-    )
-    return search, search.run()
-
-
-def _observables(result):
-    return (
-        result.success,
-        result.tree_nodes,
-        result.counters.as_dict(),
-        schedule_to_json(result.schedule)
-        if result.schedule is not None
-        else result.failure_reason,
-    )
-
-
-def folded_and_fallback(net, source, termination=None, **options):
-    """The folded search and its holds-fallback twin; asserts they agree."""
-    termination = termination or default_termination(
-        net, max_nodes=options.get("max_nodes", 200_000)
-    )
-    folded_search, folded = _search(net, source, termination, **options)
-    fallback_search, fallback = _search(net, source, unfolded(termination), **options)
-    assert folded_search._fold is not None
-    assert fallback_search._fold is None
-    assert _observables(folded) == _observables(fallback)
-    return folded
 
 
 def _depth_termination(net, max_depth, max_nodes=5000):
@@ -145,7 +59,7 @@ def test_unfolded_retypes_every_leaf_and_the_fold_leaves_them_extra():
     copy = unfolded(termination)
     for original, leaf in zip(termination.conditions, copy.conditions):
         assert type(leaf).__mro__[1] is type(original)
-        assert _init_fields(leaf) == _init_fields(original)
+        assert init_fields(leaf) == init_fields(original)
     # every leaf but the budget (folded as any NodeBudget) stays in extra
     assert fold_termination(copy, net.indexed()).extra == copy.conditions[:3]
 
@@ -181,12 +95,12 @@ def test_minimal_depth_is_a_sharp_boundary(builder, source, minimal):
 @pytest.mark.parametrize(
     "builder,source,minimal", MINIMAL_DEPTHS, ids=["figure_5", "figure_6"]
 )
-def test_fold_agrees_with_holds_at_every_boundary_value(builder, source, minimal):
+def test_backends_agree_at_every_boundary_value(builder, source, minimal):
     for max_depth in (minimal - 1, minimal, minimal + 1):
         _run(builder(), source, max_depth)
 
 
-def test_fold_agrees_with_holds_across_depth_sweep_on_random_nets():
+def test_backends_agree_across_depth_sweep_on_random_nets():
     """Wider sweep: generated nets, every small depth bound."""
     for seed in range(6):
         rng = random.Random(seed)
@@ -231,141 +145,3 @@ def test_node_budget_boundary_is_on_the_node_index():
     assert not result.success
     # root (0) and the source child (1) exist; the budget stops index 2
     assert result.tree_nodes >= 2
-
-
-# ---------------------------------------------------------------------------
-# whole-search sweep over >= 200 generated nets
-# ---------------------------------------------------------------------------
-
-FUZZ_CASES = (
-    [("choice", seed) for seed in range(80)]
-    + [("marked_graph", seed) for seed in range(80)]
-    + [("multi_source", seed) for seed in range(40)]
-)
-
-
-def build_fuzz_net(kind: str, seed: int) -> PetriNet:
-    rng = random.Random(seed)
-    if kind == "choice":
-        return random_choice_net(1 + seed % 4, rng=rng)
-    if kind == "marked_graph":
-        return random_marked_graph(2 + seed % 7, rng=rng)
-    assert kind == "multi_source"
-    return random_multi_source_net(1 + seed % 3, 3, rng=rng)
-
-
-def test_fuzz_sweep_covers_at_least_200_nets():
-    assert len(FUZZ_CASES) >= 200
-
-
-@pytest.mark.parametrize("kind,seed", FUZZ_CASES)
-def test_differential_fuzz_folded_vs_holds_fallback(kind, seed):
-    net = build_fuzz_net(kind, seed)
-    for source in net.uncontrollable_sources():
-        folded_and_fallback(net, source, max_nodes=600)
-
-
-# ---------------------------------------------------------------------------
-# edge cases the generators are unlikely to hit
-# ---------------------------------------------------------------------------
-
-
-def test_differential_on_an_unschedulable_paper_net():
-    """Failures must be identical too (reason, tree size, counters)."""
-    result = folded_and_fallback(paper_nets.figure_4b(), "a", max_nodes=5000)
-    assert not result.success
-
-
-def _starved_net() -> PetriNet:
-    """One source event is not enough to enable anything downstream."""
-    net = PetriNet(name="starved")
-    net.add_transition("src", source_kind=SourceKind.UNCONTROLLABLE)
-    net.add_place("p")
-    net.add_arc("src", "p")
-    net.add_transition("t")
-    net.add_arc("p", "t", 2)  # needs two tokens; one event provides one
-    return net
-
-
-def test_empty_frontier_backtracks_identically():
-    """The child of the first source firing has nothing enabled.
-
-    The search must backtrack out of it and recover by deferring to a second
-    source event (two await nodes).
-    """
-    result = folded_and_fallback(_starved_net(), "src", max_nodes=50)
-    assert result.success
-    assert len(result.schedule.await_nodes()) == 2
-
-
-def test_empty_frontier_with_banned_source_refire_fails_identically():
-    """Bounding p to one token forbids the recovery: EP fails outright."""
-    net = _starved_net()
-    termination = CompositeCondition(
-        conditions=[PlaceBoundCondition.uniform(net, 1), NodeBudget(max_nodes=50)]
-    )
-    assert not folded_and_fallback(net, "src", termination).success
-
-
-def test_single_place_single_transition_net():
-    net = PetriNet(name="tiny")
-    net.add_transition("src", source_kind=SourceKind.UNCONTROLLABLE)
-    net.add_place("p")
-    net.add_transition("t")
-    net.add_arc("src", "p")
-    net.add_arc("p", "t")
-    assert folded_and_fallback(net, "src", max_nodes=600).success
-
-
-def test_every_child_violates_the_configured_bound():
-    """A zero place bound prunes every child at every node."""
-    net = random_choice_net(2, seed=5)
-    termination = CompositeCondition(
-        conditions=[PlaceBoundCondition.uniform(net, 0), NodeBudget(max_nodes=200)]
-    )
-    assert not folded_and_fallback(net, "src", termination).success
-
-
-def test_all_irrelevant_frontier():
-    """Every expansion grows only saturated places: the whole tree is pruned."""
-    net = PetriNet(name="growing")
-    net.add_transition("src", source_kind=SourceKind.UNCONTROLLABLE)
-    net.add_place("p")
-    net.add_place("q")
-    net.add_transition("t")
-    net.add_arc("src", "p")
-    net.add_arc("p", "t")
-    net.add_arc("t", "p")  # keeps p marked: t's child covers its parent
-    net.add_arc("t", "q")  # and grows q, whose degree is already saturated
-    # no T-invariant fires src (tokens only accumulate), so the precheck
-    # must be disabled for the search -- and its irrelevance pruning -- to run
-    result = folded_and_fallback(
-        net,
-        "src",
-        max_nodes=100,
-        invariant_precheck=False,
-        use_invariant_heuristic=False,
-    )
-    assert not result.success
-    assert result.counters.nodes_expanded > 0
-
-
-def test_token_counts_beyond_int64_stay_exact():
-    """Markings are Python ints: counts around 2**64 fire and compare exactly."""
-    net = PetriNet(name="huge_tokens")
-    net.add_transition("src", source_kind=SourceKind.UNCONTROLLABLE)
-    net.add_place("p")
-    net.add_place("q")
-    net.add_place("r", 2**64)
-    net.add_transition("take")
-    net.add_transition("give")
-    net.add_arc("src", "p")
-    net.add_arc("p", "take")
-    net.add_arc("r", "take")
-    net.add_arc("take", "q")
-    net.add_arc("q", "give")
-    net.add_arc("give", "r")
-    result = folded_and_fallback(net, "src", max_nodes=100)
-    assert result.success
-    counts = {node.marking["r"] for node in result.schedule.nodes}
-    assert counts == {2**64, 2**64 - 1}

@@ -1,13 +1,19 @@
 """Tokenizer for the FlowC language.
 
-FlowC syntax is a C subset; the lexer is a small hand-rolled scanner that
-produces a flat token stream with line/column information for error messages.
+FlowC syntax is a C subset.  One compiled master pattern scans the source:
+each match skips whitespace and comments and then matches one token, and the
+capturing group that matched names the token's kind.  :func:`scan` runs the
+pattern into three flat lists (kinds, values and source offsets), which the
+parser indexes directly.  Line and column are derived from an offset only
+where they are shown: in one linear pass for the :func:`tokenize` view, and
+on demand for :class:`FlowCLexError` and the parser's errors.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Tuple
 
 
 class FlowCLexError(Exception):
@@ -47,27 +53,54 @@ KEYWORDS = {
 # Port type keywords are open-ended (DPORT, CPORT, ...), recognised contextually
 # by the parser rather than the lexer.
 
-MULTI_CHAR_OPERATORS = [
-    "<<=",
-    ">>=",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "<<",
-    ">>",
-]
+# One token per match, after the whitespace and comments before it.  The
+# alternatives are tried in order: the common kinds first, then the rare
+# ones, then the error cases, so every position matches something and no
+# character is ever skipped silently.  Operators take the longest match
+# (``<<=`` before ``<<`` before ``<``); ``/`` never starts one before ``*``,
+# since a ``/*`` that survives the comment skip is unterminated.  Numbers
+# are ASCII digits; identifiers start with a letter (``str.isalpha``) or
+# ``_`` and continue with ``\w`` (``str.isalnum`` or ``_``).
+_PATTERN = re.compile(
+    r"""
+    [ \t\r\n]*(?:(?://[^\n]*|/\*[\s\S]*?\*/)[ \t\r\n]*)*
+    (?:
+        ([A-Za-z_]\w*)                                  # identifier or keyword
+      | ([0-9]+)(?![0-9.eE])                            # integer
+      | ([(),;{}\[\]~?:.^]|<<=?|>>=?|&&|\|\||\+\+|--|[-+*%=!<>]=?|/(?!\*)=?|[&|])  # operator
+      | ([0-9]+(?:\.[0-9]*)?)                           # float: mantissa,
+        (?:([eE][+-]?[0-9]+)|(\.)|([eE][+-]?))?        # exponent, 2nd dot, bad exponent
+      | "((?:[^"\\\n]|\\[\s\S])*)"                      # string literal
+      | '([\s\S])'                                      # character literal
+      | ([^\W\d]\w*)                                    # non-ASCII identifier start
+      | (/\*)                                           # unterminated block comment
+      | (["'])                                          # unterminated string, bad char
+      | (\Z)                                            # end of input
+      | ([\s\S])                                        # unexpected character
+    )
+    """,
+    re.VERBOSE,
+)
 
-SINGLE_CHAR_TOKENS = set("+-*/%<>=!&|^~(){}[];,?:.")
+(
+    _IDENT,
+    _INT,
+    _OP,
+    _MANTISSA,
+    _EXPONENT,
+    _SECOND_DOT,
+    _BAD_EXPONENT,
+    _STRING,
+    _CHAR,
+    _UNICODE_IDENT,
+    _OPEN_COMMENT,
+    _OPEN_QUOTE,
+    _END,
+) = range(1, 14)  # group 14 is the unexpected character
+
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "0": "\0"}
+_ESCAPE = re.compile(r"\\([\s\S])")
+_STRING_BODY = re.compile(r'(?:[^"\\\n]|\\[\s\S])*')
 
 
 @dataclass(frozen=True)
@@ -83,159 +116,101 @@ class Token:
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.column})"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+def position(source: str, offset: int) -> Tuple[int, int]:
+    """1-based ``(line, column)`` of ``offset`` in ``source``."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _error(message: str, source: str, offset: int) -> FlowCLexError:
+    return FlowCLexError(message, *position(source, offset))
+
+
+def _rare_token(source: str, match: "re.Match[str]", group: int) -> Tuple[str, str, int]:
+    """``(kind, value, offset)`` of a match outside the three common kinds,
+    or the :class:`FlowCLexError` it stands for."""
+    if group == _MANTISSA or group == _EXPONENT:
+        start = match.start(_MANTISSA)
+        value = source[start : match.end()]
+        kind = "int" if group == _MANTISSA and "." not in value else "float"
+        return kind, value, start
+    if group == _END:
+        return "eof", "", match.start(group)
+    if group == _STRING:
+        value = _ESCAPE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(1)), match.group(group))
+        return "string", value, match.start(group) - 1
+    if group == _CHAR:
+        return "int", str(ord(match.group(group))), match.start(group) - 1
+    if group == _UNICODE_IDENT:
+        value = match.group(group)
+        if value[0].isalpha():
+            return "ident", value, match.start(group)
+        raise _error(f"unexpected character {value[0]!r}", source, match.start(group))
+    if group == _SECOND_DOT:
+        raise _error("malformed number", source, match.start(group))
+    if group == _BAD_EXPONENT:
+        raise _error("malformed exponent", source, match.end())
+    if group == _OPEN_COMMENT:
+        # the error points at the last character (or past the opener)
+        raise _error("unterminated block comment", source, max(match.end(), len(source) - 1))
+    offset = match.start(group)
+    if group != _OPEN_QUOTE:
+        raise _error(f"unexpected character {source[offset]!r}", source, offset)
+    if source[offset] == "'":
+        raise _error("malformed character literal", source, offset)
+    # an unterminated string: at its first raw newline, else at the end
+    stop = _STRING_BODY.match(source, offset + 1).end()
+    if stop < len(source) and source[stop] == "\n":
+        raise _error("unterminated string literal", source, stop)
+    raise _error("unterminated string literal", source, len(source))
+
+
+def scan(source: str) -> Tuple[List[str], List[str], List[int]]:
+    """Scan FlowC source into flat ``(kinds, values, offsets)`` lists.
+
+    Entry ``i`` of each list describes token ``i``; the last token is
+    ``eof`` at offset ``len(source)``.  Raises :class:`FlowCLexError` on
+    the first malformed token.
+    """
+    kinds: List[str] = []
+    values: List[str] = []
+    offsets: List[int] = []
+    add_kind, add_value, add_offset = kinds.append, values.append, offsets.append
+    keywords = KEYWORDS
+    for match in _PATTERN.finditer(source):
+        group = match.lastindex
+        if group == _IDENT:
+            value = match.group(group)
+            add_kind("keyword" if value in keywords else "ident")
+            add_value(value)
+            add_offset(match.start(group))
+        elif group == _OP:
+            add_kind("op")
+            add_value(match.group(group))
+            add_offset(match.start(group))
+        elif group == _INT:
+            add_kind("int")
+            add_value(match.group(group))
+            add_offset(match.start(group))
+        else:
+            kind, value, offset = _rare_token(source, match, group)
+            add_kind(kind)
+            add_value(value)
+            add_offset(offset)
+            if group == _END:
+                break
+    return kinds, values, offsets
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize FlowC source text into a list of tokens ending with ``eof``."""
+    kinds, values, offsets = scan(source)
     tokens: List[Token] = []
-    line = 1
-    column = 1
-    i = 0
-    length = len(source)
-
-    def error(message: str) -> FlowCLexError:
-        return FlowCLexError(message, line, column)
-
-    while i < length:
-        ch = source[i]
-
-        # whitespace
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    newline = source.find("\n")
+    for kind, value, offset in zip(kinds, values, offsets):
+        while 0 <= newline < offset:
             line += 1
-            column = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
-            continue
-
-        # comments
-        if ch == "/" and i + 1 < length and source[i + 1] == "/":
-            while i < length and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < length and source[i + 1] == "*":
-            i += 2
-            column += 2
-            while i + 1 < length and not (source[i] == "*" and source[i + 1] == "/"):
-                if source[i] == "\n":
-                    line += 1
-                    column = 1
-                else:
-                    column += 1
-                i += 1
-            if i + 1 >= length:
-                raise error("unterminated block comment")
-            i += 2
-            column += 2
-            continue
-
-        # identifiers / keywords
-        if _is_ident_start(ch):
-            start = i
-            start_col = column
-            while i < length and _is_ident_char(source[i]):
-                i += 1
-                column += 1
-            text = source[start:i]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, start_col))
-            continue
-
-        # numbers
-        if ch.isdigit():
-            start = i
-            start_col = column
-            is_float = False
-            while i < length and (source[i].isdigit() or source[i] == "."):
-                if source[i] == ".":
-                    if is_float:
-                        raise error("malformed number")
-                    is_float = True
-                i += 1
-                column += 1
-            if i < length and source[i] in "eE":
-                is_float = True
-                i += 1
-                column += 1
-                if i < length and source[i] in "+-":
-                    i += 1
-                    column += 1
-                if i >= length or not source[i].isdigit():
-                    raise error("malformed exponent")
-                while i < length and source[i].isdigit():
-                    i += 1
-                    column += 1
-            text = source[start:i]
-            tokens.append(Token("float" if is_float else "int", text, line, start_col))
-            continue
-
-        # string literals
-        if ch == '"':
-            start_col = column
-            i += 1
-            column += 1
-            chars: List[str] = []
-            while i < length and source[i] != '"':
-                if source[i] == "\\" and i + 1 < length:
-                    escape = source[i + 1]
-                    mapping = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "0": "\0"}
-                    chars.append(mapping.get(escape, escape))
-                    i += 2
-                    column += 2
-                    continue
-                if source[i] == "\n":
-                    raise error("unterminated string literal")
-                chars.append(source[i])
-                i += 1
-                column += 1
-            if i >= length:
-                raise error("unterminated string literal")
-            i += 1
-            column += 1
-            tokens.append(Token("string", "".join(chars), line, start_col))
-            continue
-
-        # character literals are treated as int tokens with their ordinal value
-        if ch == "'":
-            start_col = column
-            if i + 2 < length and source[i + 2] == "'":
-                tokens.append(Token("int", str(ord(source[i + 1])), line, start_col))
-                i += 3
-                column += 3
-                continue
-            raise error("malformed character literal")
-
-        # operators / punctuation
-        matched: Optional[str] = None
-        for operator in MULTI_CHAR_OPERATORS:
-            if source.startswith(operator, i):
-                matched = operator
-                break
-        if matched is not None:
-            tokens.append(Token("op", matched, line, column))
-            i += len(matched)
-            column += len(matched)
-            continue
-        if ch in SINGLE_CHAR_TOKENS:
-            tokens.append(Token("op", ch, line, column))
-            i += 1
-            column += 1
-            continue
-
-        raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token("eof", "", line, column))
+            line_start = newline + 1
+            newline = source.find("\n", line_start)
+        tokens.append(Token(kind, value, line, offset - line_start + 1))
     return tokens
-
-
-def token_stream(source: str) -> Iterator[Token]:
-    """Generator form of :func:`tokenize` (convenience for tests)."""
-    yield from tokenize(source)

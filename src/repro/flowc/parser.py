@@ -46,7 +46,7 @@ from repro.flowc.ast_nodes import (
     While,
     WriteData,
 )
-from repro.flowc.lexer import Token, tokenize
+from repro.flowc.lexer import Token, position, scan
 
 
 class FlowCParseError(Exception):
@@ -83,46 +83,64 @@ BINARY_PRECEDENCE = {
 
 ASSIGNMENT_OPS = {"=", "+=", "-=", "*=", "/=", "%="}
 
+PREFIX_OPS = {"-", "+", "!", "~", "&", "*", "++", "--"}
+
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+    """Recursive descent over the flat token lists of :func:`scan`.
+
+    ``kinds[i]``, ``values[i]`` and ``offsets[i]`` describe token ``i``;
+    ``position`` indexes the current token and never moves past the final
+    ``eof``.  A :class:`Token` is built only for an error message.
+    """
+
+    def __init__(self, source: str):
+        self.source = source
+        self.kinds, self.values, self.offsets = scan(source)
         self.position = 0
 
     # -- token helpers -----------------------------------------------------
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.position]
+    def token(self) -> Token:
+        """The current token, with its position (for an error message)."""
+        index = self.position
+        line, column = position(self.source, self.offsets[index])
+        return Token(self.kinds[index], self.values[index], line, column)
 
-    def peek(self, offset: int = 1) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def advance(self) -> Token:
-        token = self.current
-        if token.kind != "eof":
-            self.position += 1
-        return token
+    def advance(self) -> str:
+        """Consume the current token (unless it is ``eof``); its value."""
+        index = self.position
+        if self.kinds[index] != "eof":
+            self.position = index + 1
+        return self.values[index]
 
     def check(self, kind: str, value: Optional[str] = None) -> bool:
-        token = self.current
-        if token.kind != kind:
+        index = self.position
+        if self.kinds[index] != kind:
             return False
-        return value is None or token.value == value
+        return value is None or self.values[index] == value
 
-    def match(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        if self.check(kind, value):
-            return self.advance()
-        return None
+    def match(self, kind: str, value: Optional[str] = None) -> bool:
+        """Consume the current token if it is ``kind`` (never ``eof``) with
+        ``value``."""
+        index = self.position
+        if self.kinds[index] != kind or (value is not None and self.values[index] != value):
+            return False
+        self.position = index + 1
+        return True
 
-    def expect(self, kind: str, value: Optional[str] = None) -> Token:
-        if not self.check(kind, value):
+    def expect(self, kind: str, value: Optional[str] = None) -> str:
+        """Consume the current token, which must be ``kind`` with ``value``;
+        its value."""
+        index = self.position
+        if self.kinds[index] != kind or (value is not None and self.values[index] != value):
             expectation = value if value is not None else kind
-            raise FlowCParseError(f"expected {expectation!r}", self.current)
-        return self.advance()
+            raise FlowCParseError(f"expected {expectation!r}", self.token())
+        if kind != "eof":
+            self.position = index + 1
+        return self.values[index]
 
     def error(self, message: str) -> FlowCParseError:
-        return FlowCParseError(message, self.current)
+        return FlowCParseError(message, self.token())
 
     # -- program / process -------------------------------------------------
     def parse_program(self) -> List[Process]:
@@ -133,7 +151,7 @@ class _Parser:
 
     def parse_process(self) -> Process:
         self.expect("keyword", "PROCESS")
-        name = self.expect("ident").value
+        name = self.expect("ident")
         self.expect("op", "(")
         ports: List[PortDecl] = []
         if not self.check("op", ")"):
@@ -142,18 +160,13 @@ class _Parser:
                 ports.append(self.parse_port_decl())
         self.expect("op", ")")
         wcet: Optional[int] = None
-        if self.check("ident", "WCET") or self.check("keyword", "WCET"):
+        if self.check("ident", "WCET"):
             # optional timing annotation between the port list and the body:
             # PROCESS name (ports) WCET(n) { ... }
             self.advance()
             self.expect("op", "(")
-            wcet_token = self.expect("int")
-            try:
-                wcet = int(wcet_token.value)
-            except ValueError:
-                raise FlowCParseError("WCET must be an integer", wcet_token)
-            if wcet < 0:
-                raise FlowCParseError("WCET must be non-negative", wcet_token)
+            # an int token is ASCII digits or a character code: never negative
+            wcet = int(self.expect("int"))
             self.expect("op", ")")
         self.expect("op", "{")
         body = self.parse_statement_list_until("}")
@@ -161,65 +174,71 @@ class _Parser:
         return Process(name=name, ports=tuple(ports), body=tuple(body), wcet=wcet)
 
     def parse_port_decl(self) -> PortDecl:
-        direction_token = self.current
-        if direction_token.value not in ("In", "Out"):
+        direction = self.values[self.position]
+        if direction not in ("In", "Out"):
             raise self.error("expected 'In' or 'Out' in port declaration")
         self.advance()
-        port_type = self.expect("ident").value if self.check("ident") else self.expect("keyword").value
-        name = self.expect("ident").value
-        return PortDecl(direction=direction_token.value, port_type=port_type, name=name)
+        port_type = self.expect("ident") if self.check("ident") else self.expect("keyword")
+        name = self.expect("ident")
+        return PortDecl(direction=direction, port_type=port_type, name=name)
 
     # -- statements ----------------------------------------------------------
     def parse_statement_list_until(self, closer: str) -> List[Statement]:
         statements: List[Statement] = []
-        while not self.check("op", closer) and not self.check("eof"):
+        kinds, values = self.kinds, self.values
+        while True:
+            index = self.position
+            kind = kinds[index]
+            if kind == "eof" or (kind == "op" and values[index] == closer):
+                return statements
             statements.append(self.parse_statement())
-        return statements
 
     def parse_statement(self) -> Statement:
-        token = self.current
-        if token.kind == "op" and token.value == "{":
-            self.advance()
+        index = self.position
+        kind = self.kinds[index]
+        value = self.values[index]
+        if kind == "op" and value == "{":
+            self.position = index + 1
             body = self.parse_statement_list_until("}")
             self.expect("op", "}")
             return Block(tuple(body))
-        if token.kind == "keyword":
-            if token.value in TYPE_NAMES:
+        if kind == "keyword":
+            if value in TYPE_NAMES:
                 return self.parse_declaration()
-            if token.value == "if":
+            if value == "if":
                 return self.parse_if()
-            if token.value == "while":
+            if value == "while":
                 return self.parse_while()
-            if token.value == "for":
+            if value == "for":
                 return self.parse_for()
-            if token.value == "switch":
+            if value == "switch":
                 return self.parse_switch()
-            if token.value == "break":
-                self.advance()
+            if value == "break":
+                self.position = index + 1
                 self.expect("op", ";")
                 return Break()
-            if token.value == "continue":
-                self.advance()
+            if value == "continue":
+                self.position = index + 1
                 self.expect("op", ";")
                 return Continue()
-            if token.value == "return":
-                self.advance()
-                value = None if self.check("op", ";") else self.parse_expression()
+            if value == "return":
+                self.position = index + 1
+                result = None if self.check("op", ";") else self.parse_expression()
                 self.expect("op", ";")
-                return Return(value)
-            if token.value == "READ_DATA":
+                return Return(result)
+            if value == "READ_DATA":
                 return self.parse_read_data()
-            if token.value == "WRITE_DATA":
+            if value == "WRITE_DATA":
                 return self.parse_write_data()
-        if token.kind == "op" and token.value == ";":
-            self.advance()
+        if kind == "op" and value == ";":
+            self.position = index + 1
             return Block(())
         expr = self.parse_expression()
         self.expect("op", ";")
         return ExprStatement(expr)
 
     def parse_declaration(self) -> Declaration:
-        type_name = self.advance().value
+        type_name = self.advance()
         declarators: List[Declarator] = [self.parse_declarator()]
         while self.match("op", ","):
             declarators.append(self.parse_declarator())
@@ -227,7 +246,7 @@ class _Parser:
         return Declaration(type_name=type_name, declarators=tuple(declarators))
 
     def parse_declarator(self) -> Declarator:
-        name = self.expect("ident").value
+        name = self.expect("ident")
         array_size: Optional[Expression] = None
         init: Optional[Expression] = None
         if self.match("op", "["):
@@ -302,7 +321,7 @@ class _Parser:
     def parse_read_data(self) -> ReadData:
         self.expect("keyword", "READ_DATA")
         self.expect("op", "(")
-        port = self.expect("ident").value
+        port = self.expect("ident")
         self.expect("op", ",")
         target = self.parse_assignment_expression()
         self.expect("op", ",")
@@ -314,7 +333,7 @@ class _Parser:
     def parse_write_data(self) -> WriteData:
         self.expect("keyword", "WRITE_DATA")
         self.expect("op", "(")
-        port = self.expect("ident").value
+        port = self.expect("ident")
         self.expect("op", ",")
         value = self.parse_assignment_expression()
         self.expect("op", ",")
@@ -328,104 +347,103 @@ class _Parser:
         return self.parse_assignment_expression()
 
     def parse_assignment_expression(self) -> Expression:
-        left = self.parse_conditional()
-        if self.current.kind == "op" and self.current.value in ASSIGNMENT_OPS:
-            op = self.advance().value
-            value = self.parse_assignment_expression()
-            return Assignment(target=left, op=op, value=value)
-        return left
-
-    def parse_conditional(self) -> Expression:
-        condition = self.parse_binary(0)
+        left = self.parse_binary(0)
         if self.match("op", "?"):
             then = self.parse_assignment_expression()
             self.expect("op", ":")
+            # ``other`` takes any assignment that follows
             other = self.parse_assignment_expression()
-            return Conditional(condition=condition, then=then, other=other)
-        return condition
+            return Conditional(condition=left, then=then, other=other)
+        index = self.position
+        if self.kinds[index] == "op" and self.values[index] in ASSIGNMENT_OPS:
+            self.position = index + 1
+            value = self.parse_assignment_expression()
+            return Assignment(target=left, op=self.values[index], value=value)
+        return left
 
     def parse_binary(self, min_precedence: int) -> Expression:
         left = self.parse_unary()
+        kinds, values = self.kinds, self.values
         while True:
-            token = self.current
-            if token.kind != "op" or token.value not in BINARY_PRECEDENCE:
+            index = self.position
+            if kinds[index] != "op":
                 return left
-            precedence = BINARY_PRECEDENCE[token.value]
-            if precedence < min_precedence:
+            op = values[index]
+            precedence = BINARY_PRECEDENCE.get(op)
+            if precedence is None or precedence < min_precedence:
                 return left
-            op = self.advance().value
+            self.position = index + 1
             right = self.parse_binary(precedence + 1)
             left = BinaryOp(op=op, left=left, right=right)
 
     def parse_unary(self) -> Expression:
-        token = self.current
-        if token.kind == "op" and token.value in ("-", "+", "!", "~", "&", "*"):
-            self.advance()
+        """Prefix operators, then a primary with its postfix operators."""
+        index = self.position
+        if self.kinds[index] == "op" and self.values[index] in PREFIX_OPS:
+            self.position = index + 1
             operand = self.parse_unary()
-            return UnaryOp(op=token.value, operand=operand)
-        if token.kind == "op" and token.value in ("++", "--"):
-            self.advance()
-            operand = self.parse_unary()
-            return UnaryOp(op=token.value, operand=operand)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expression:
+            return UnaryOp(op=self.values[index], operand=operand)
         expr = self.parse_primary()
+        kinds, values = self.kinds, self.values
         while True:
-            if self.check("op", "["):
-                self.advance()
-                index = self.parse_expression()
+            index = self.position
+            if kinds[index] != "op":
+                return expr
+            op = values[index]
+            if op == "[":
+                self.position = index + 1
+                subscript = self.parse_expression()
                 self.expect("op", "]")
-                expr = Index(base=expr, index=index)
-                continue
-            if self.check("op", "++") or self.check("op", "--"):
-                op = self.advance().value
+                expr = Index(base=expr, index=subscript)
+            elif op == "++" or op == "--":
+                self.position = index + 1
                 expr = PostfixOp(op=op, operand=expr)
-                continue
-            return expr
+            else:
+                return expr
 
     def parse_primary(self) -> Expression:
-        token = self.current
-        if token.kind == "int":
-            self.advance()
-            return IntLiteral(int(token.value))
-        if token.kind == "float":
-            self.advance()
-            return FloatLiteral(float(token.value))
-        if token.kind == "string":
-            self.advance()
-            return StringLiteral(token.value)
-        if token.kind == "keyword" and token.value == "SELECT":
-            return self.parse_select()
-        if token.kind == "ident":
-            self.advance()
-            if self.check("op", "("):
-                self.advance()
+        index = self.position
+        kind = self.kinds[index]
+        value = self.values[index]
+        if kind == "ident":
+            self.position = index + 1
+            if self.match("op", "("):
                 args: List[Expression] = []
                 if not self.check("op", ")"):
                     args.append(self.parse_assignment_expression())
                     while self.match("op", ","):
                         args.append(self.parse_assignment_expression())
                 self.expect("op", ")")
-                return Call(name=token.value, args=tuple(args))
-            return Identifier(token.value)
-        if token.kind == "op" and token.value == "(":
-            self.advance()
+                return Call(name=value, args=tuple(args))
+            return Identifier(value)
+        if kind == "int":
+            self.position = index + 1
+            return IntLiteral(int(value))
+        if kind == "op" and value == "(":
+            self.position = index + 1
             expr = self.parse_expression()
             self.expect("op", ")")
             return expr
+        if kind == "float":
+            self.position = index + 1
+            return FloatLiteral(float(value))
+        if kind == "string":
+            self.position = index + 1
+            return StringLiteral(value)
+        if kind == "keyword" and value == "SELECT":
+            return self.parse_select()
         raise self.error("expected an expression")
 
     def parse_select(self) -> SelectExpr:
         self.expect("keyword", "SELECT")
         self.expect("op", "(")
         entries: List[Tuple[str, Expression]] = []
-        port = self.expect("ident").value
+        port = self.expect("ident")
         self.expect("op", ",")
         count = self.parse_assignment_expression()
         entries.append((port, count))
         while self.match("op", ","):
-            port = self.expect("ident").value
+            port = self.expect("ident")
             self.expect("op", ",")
             count = self.parse_assignment_expression()
             entries.append((port, count))
@@ -435,7 +453,7 @@ class _Parser:
 
 def parse_program(source: str) -> List[Process]:
     """Parse FlowC source containing one or more PROCESS definitions."""
-    return _Parser(tokenize(source)).parse_program()
+    return _Parser(source).parse_program()
 
 
 def parse_process(source: str) -> Process:
@@ -451,7 +469,7 @@ def parse_process(source: str) -> Process:
 
 def parse_expression(source: str) -> Expression:
     """Parse a single FlowC expression (used by tests and the builder API)."""
-    parser = _Parser(tokenize(source))
+    parser = _Parser(source)
     expr = parser.parse_expression()
     parser.expect("eof")
     return expr
@@ -459,7 +477,7 @@ def parse_expression(source: str) -> Expression:
 
 def parse_statements(source: str) -> Tuple[Statement, ...]:
     """Parse a sequence of FlowC statements (no surrounding process)."""
-    parser = _Parser(tokenize(source))
+    parser = _Parser(source)
     statements = parser.parse_statement_list_until("\0")
     parser.expect("eof")
     return tuple(statements)

@@ -100,6 +100,10 @@ class Marking(Mapping[str, int]):
             parts.append(name if count == 1 else f"{name}^{count}")
         return " ".join(parts)
 
+    def as_dict(self) -> Dict[str, int]:
+        """The non-zero token counts as a new plain dict."""
+        return dict(self._data)
+
     # -- arithmetic helpers -------------------------------------------------
     def items_with_zero(self, places: Iterable[str]) -> Iterator[Tuple[str, int]]:
         """Iterate ``(place, count)`` for every place in ``places``."""

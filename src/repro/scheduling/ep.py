@@ -539,6 +539,8 @@ class _EPSearch:
         if isinstance(self.heuristic, InvariantGuidedOrdering):
             self.tree.cycle = self.heuristic.cycle_tracker(self.inet.transition_index)
         fold = fold_termination(self.termination, self.inet)
+        # the smallest NodeBudget leaf, folded or not (it names a failure)
+        self._budget_leaf = fold.budget
         # the folded verdict; None falls back to termination.holds (a leaf
         # that does not fold)
         self._fold: Optional[FoldedTermination] = None
@@ -548,6 +550,20 @@ class _EPSearch:
             if fold.irrelevance is not None:
                 self._incremental = fold.irrelevance.incremental_for(self.inet)
                 self.tree.track_over_degree(fold.irrelevance.degrees_vec(self.inet))
+
+    def _exhausted_budget(self) -> Optional[int]:
+        """The node budget the tree ran into, if any.
+
+        ``max_nodes`` stops the tree at that many nodes; a
+        :class:`~repro.scheduling.termination.NodeBudget` leaf prunes every
+        node whose index reaches it, so the tree outgrew that budget.
+        """
+        size = len(self.tree)
+        if self._budget_leaf is not None and size > self._budget_leaf:
+            return self._budget_leaf
+        if size >= self.options.max_nodes:
+            return self.options.max_nodes
+        return None
 
     def _fire(self, tid: int, vec) -> tuple:
         self.counters.fires += 1
@@ -592,12 +608,20 @@ class _EPSearch:
 
         self.counters.interned_markings = len(self.tree.store)
         if entering_point != root:
+            reason = "no entering point reaching the initial marking was found"
+            budget = self._exhausted_budget()
+            if budget is not None:
+                reason = (
+                    f"node budget of {budget} tree nodes exhausted before an entering "
+                    "point reaching the initial marking was found; schedulability "
+                    "is undecided"
+                )
             return SchedulerResult(
                 source_transition=self.source,
                 schedule=None,
                 tree_nodes=len(self.tree),
                 elapsed_seconds=time.monotonic() - start,
-                failure_reason="no entering point reaching the initial marking was found",
+                failure_reason=reason,
                 counters=self.counters,
                 objective=self.options.objective,
             )

@@ -241,8 +241,13 @@ class Schedule:
             raise ScheduleValidationError(
                 f"edge out of the root carries {root_transition!r}, expected {self.source_transition!r}"
             )
-        # properties 3 and 4
-        for node in self.nodes:
+        # properties 3 and 4, on plain dicts: each node's token counts, each
+        # transition's preset (net.pre) and token delta (deltas_by_name)
+        pre = self.net.pre
+        indexed = self.net.indexed()
+        deltas, transition_index = indexed.deltas_by_name, indexed.transition_index
+        counts = [node.marking.as_dict() for node in self.nodes]
+        for node, tokens in zip(self.nodes, counts):
             if not node.edges:
                 raise ScheduleValidationError(f"node {node.index} has no outgoing edges")
             transitions = frozenset(node.edges)
@@ -252,12 +257,19 @@ class Schedule:
                     f"node {node.index}: outgoing transitions {sorted(transitions)} are not the ECS {sorted(ecs)}"
                 )
             for transition, target in node.edges.items():
-                if not self.net.is_enabled(transition, node.marking):
-                    raise ScheduleValidationError(
-                        f"node {node.index}: transition {transition!r} is not enabled at {node.marking.pretty()}"
-                    )
-                expected = self.net.fire(transition, node.marking)
-                if expected != self.nodes[target].marking:
+                for place, weight in pre[transition].items():
+                    if tokens.get(place, 0) < weight:
+                        raise ScheduleValidationError(
+                            f"node {node.index}: transition {transition!r} is not enabled at {node.marking.pretty()}"
+                        )
+                successor = dict(tokens)
+                for place, delta in deltas[transition_index[transition]].items():
+                    count = successor.get(place, 0) + delta
+                    if count:
+                        successor[place] = count
+                    else:
+                        del successor[place]
+                if successor != counts[target]:
                     raise ScheduleValidationError(
                         f"edge {node.index} --{transition}--> {target}: marking mismatch"
                     )

@@ -56,6 +56,11 @@ PROTOCOL_VERSION = 2
 #: as FlowC source, which is far denser than an arc list.
 MAX_LINE_BYTES = 32 * 1024 * 1024
 
+#: Largest ``max_nodes`` a request may give: the library default.  A
+#: waiter's timeout detaches the waiter but never stops the shared search,
+#: so the node budget is what bounds how long one request holds a worker.
+MAX_WIRE_NODES = 200_000
+
 #: Deepest array/object nesting a request line may use (a schedule request
 #: needs about six levels).  json's C decoder recurses once per level, and
 #: before Python 3.12 only the interpreter's recursion limit stops it --
@@ -365,6 +370,8 @@ def options_from_dict(data: Optional[Mapping[str, object]]) -> SchedulerOptions:
         or options.max_nodes < 1
     ):
         raise ProtocolError("bad-options", "max_nodes must be a positive integer")
+    if options.max_nodes > MAX_WIRE_NODES:
+        raise ProtocolError("bad-options", f"max_nodes must be at most {MAX_WIRE_NODES}")
     if options.objective not in OBJECTIVES:
         raise ProtocolError(
             "bad-options",

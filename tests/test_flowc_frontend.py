@@ -1,10 +1,31 @@
-"""Tests for the FlowC front-end: lexer, parser, leaders, compiler, linker."""
+"""Tests for the FlowC front-end: lexer, parser, leaders, compiler, linker.
+
+The lexer is diffed against the character-loop scanner it replaced
+(``tests/flowc_reference_lexer.py``) on generated programs and a seeded
+fuzz, and the parser's ASTs and error messages against the pins of
+``tests/flowc_pins.py``.
+"""
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
+from flowc_pins import (
+    AST_FIXTURE,
+    PREFIX_FIXTURE,
+    ast_digest,
+    ast_programs,
+    prefix_errors,
+    prefix_programs,
+)
+from flowc_reference_lexer import reference_tokenize
 from repro.apps.divisors import DIVISORS_SOURCE
+from repro.apps.false_paths import CONSTANT_LOOP_SOURCE, SELECT_REWRITE_SOURCE
+from repro.apps.video import VideoAppConfig, video_flowc_source
+from repro.apps.workloads import pipeline_source, producer_consumer_source
 from repro.flowc.ast_nodes import (
     Assignment,
     BinaryOp,
@@ -33,7 +54,9 @@ from repro.flowc.leaders import (
     leader_statements,
     split_into_portions,
 )
-from repro.flowc.lexer import FlowCLexError, tokenize
+from repro.corpus.generator import generate_spec
+from repro.corpus.topologies import emit_program
+from repro.flowc.lexer import FlowCLexError, Token, position, tokenize
 from repro.flowc.linker import LinkError, link
 from repro.flowc.netlist import Network, NetworkError
 from repro.flowc.parser import (
@@ -75,6 +98,177 @@ def test_tokenize_errors():
         tokenize('"unterminated')
     with pytest.raises(FlowCLexError):
         tokenize("/* never closed")
+
+
+def test_eof_after_a_trailing_line_comment_sits_past_the_comment():
+    assert tokenize("x // c")[-1] == Token("eof", "", 1, 7)
+    with pytest.raises(FlowCParseError) as excinfo:
+        parse_program("PROCESS p () { // c")
+    assert str(excinfo.value) == "expected '}' (line 1, column 20, got '')"
+
+
+def test_backslash_newline_in_a_string_starts_a_line():
+    tokens = tokenize('x\n"a\\\nb" y')
+    assert tokens[1] == Token("string", "a\nb", 2, 1)  # the line it starts on
+    assert tokens[2] == Token("ident", "y", 3, 4)
+
+
+def test_raw_newline_in_a_char_literal_starts_a_line():
+    tokens = tokenize("'\n' y")
+    assert tokens[0] == Token("int", "10", 1, 1)
+    assert tokens[1] == Token("ident", "y", 2, 3)
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])  # superscript two, Arabic-Indic three
+def test_number_literals_are_ascii_digits_only(digit):
+    with pytest.raises(FlowCLexError) as excinfo:
+        tokenize(f"x = {digit};")
+    assert str(excinfo.value) == f"unexpected character {digit!r} at line 1, column 5"
+    with pytest.raises(FlowCLexError):
+        parse_program(f"PROCESS p () {{ int x; x = 1{digit}; }}")
+    # identifiers still continue on any str.isalnum character
+    assert [t.value for t in tokenize(f"x{digit} é{digit}")][:2] == [f"x{digit}", f"é{digit}"]
+
+
+def test_parse_error_carries_the_positioned_token():
+    with pytest.raises(FlowCParseError) as excinfo:
+        parse_process("PROCESS p (In DPORT x) {\n    int v;\n    v = ;\n}")
+    assert excinfo.value.token == Token("op", ";", 3, 9)
+    assert str(excinfo.value) == "expected an expression (line 3, column 9, got ';')"
+
+
+def test_tokenize_positions_agree_with_on_demand_positions():
+    """The linear pass of tokenize() and position() give the same answer."""
+    source = "/* a\n b */ x\n\n  y 'q'\r\n\t\"s\" // tail\nz"
+    tokens = tokenize(source)
+    offsets = [source.index(text) for text in ("x", "y", "'q'", '"s"', "z")] + [len(source)]
+    assert [(t.line, t.column) for t in tokens] == [position(source, o) for o in offsets]
+
+
+# ---------------------------------------------------------------------------
+# lexer vs the reference scanner
+# ---------------------------------------------------------------------------
+
+
+def _scan(tokenizer, source: str):
+    """Every token as ``(kind, value, line, column)``, or the error text."""
+    try:
+        return [(t.kind, t.value, t.line, t.column) for t in tokenizer(source)]
+    except FlowCLexError as error:
+        return str(error)
+
+
+def _assert_scans_like_the_reference(sources) -> None:
+    for source in sources:
+        assert _scan(tokenize, source) == _scan(reference_tokenize, source), source
+
+
+#: fuzz fragments that keep a string lexable
+_FRAGMENTS = (
+    # identifiers and keywords, ASCII and not
+    "x", "acc", "_t1", "PROCESS", "In", "Out", "DPORT", "while", "int", "float",
+    "READ_DATA", "WRITE_DATA", "SELECT", "WCET", "é", "ßeta", "Ωmega",
+    "xʰ", "x²", "a٣",
+    # numbers
+    "0", "42", "007", "1.5", "2.", "3e8", "4E-2", "5.5e+3", "8.e1",
+    # operators and punctuation, including pairs that are no operator
+    "<<=", ">>=", "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=", "*=",
+    "/=", "%=", "<<", ">>", "&=", "^=", "|=", "+", "-", "*", "/", "%", "<", ">", "=",
+    "!", "&", "|", "^", "~", "(", ")", "{", "}", "[", "]", ";", ",", "?", ":", ".",
+    # whitespace and comments
+    " ", "  ", "\t", "\r", "\n", "\n    ", "// note", "//", "/* a */",
+    "/* two\nlines */", "/**/", "*/",
+    # string and character literals with escapes and newlines
+    '"abc"', '""', '"a\\nb"', '"tab\\t"', '"q\\""', '"back\\\\"', '"nul\\0"',
+    '"x\\q"', '"line\\\ncont"', "'a'", "'\n'", "'''", "'é'",
+)
+
+#: fuzz fragments that make a string (or its rest) fail to lex
+_HOSTILE = (
+    "1.2.3", "6e", "7e+", "9ex", "²", "٣", "½", "Ⅳ", "߀",
+    "\f", "\v", "\u00a0", "/*", "/* open", '"open', '"nl\n"', '"\\', '"', "''", "'",
+    "'ab'", "@", "#", "$", "`", "\\", "\x00",
+)
+
+
+def _fuzz_sources(seed: int, count: int):
+    """Seeded strings of FlowC fragments, a quarter of them truncated."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        parts = [
+            rng.choice(_HOSTILE if rng.random() < 0.05 else _FRAGMENTS)
+            for _ in range(rng.randint(1, 16))
+        ]
+        source = "".join(rng.choice(("", " ")) + part for part in parts)
+        if rng.random() < 0.25:
+            source = source[: rng.randint(0, len(source))]
+        yield source
+
+
+def _app_sources():
+    yield DIVISORS_SOURCE
+    yield CONSTANT_LOOP_SOURCE
+    yield SELECT_REWRITE_SOURCE
+    yield producer_consumer_source(8, burst=2)
+    yield pipeline_source(3, 4)
+
+
+def test_lexer_matches_the_reference_on_pool_programs():
+    _assert_scans_like_the_reference(emit_program(generate_spec(seed)) for seed in range(300))
+
+
+def test_lexer_matches_the_reference_on_the_pfc_geometries():
+    _assert_scans_like_the_reference(
+        video_flowc_source(VideoAppConfig(lines, pixels))
+        for lines in range(2, 12)
+        for pixels in range(2, 12)
+    )
+
+
+def test_lexer_matches_the_reference_on_the_app_sources():
+    _assert_scans_like_the_reference(_app_sources())
+
+
+def test_lexer_matches_the_reference_on_a_seeded_fuzz():
+    sources = list(_fuzz_sources(20261017, 20_000))
+    _assert_scans_like_the_reference(sources)
+    failures = sum(isinstance(_scan(reference_tokenize, s), str) for s in sources[:2000])
+    assert 100 < failures < 1900  # the fuzz reaches both lexable and bad input
+
+
+@pytest.mark.slow
+def test_lexer_matches_the_reference_on_the_whole_pool():
+    _assert_scans_like_the_reference(emit_program(generate_spec(seed)) for seed in range(3000))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(10))
+def test_lexer_matches_the_reference_on_a_larger_fuzz(seed):
+    _assert_scans_like_the_reference(_fuzz_sources(seed, 20_000))
+
+
+# ---------------------------------------------------------------------------
+# parser pins
+# ---------------------------------------------------------------------------
+
+
+def test_asts_match_the_pinned_digests():
+    pinned = json.loads(AST_FIXTURE.read_text())
+    programs = ast_programs()
+    assert set(programs) == set(pinned)
+    for name, source in programs.items():
+        assert ast_digest(source) == pinned[name], name
+
+
+def test_prefix_errors_match_the_pin():
+    pinned = json.loads(PREFIX_FIXTURE.read_text())
+    programs = prefix_programs()
+    assert set(programs) == set(pinned)
+    for name, source in programs.items():
+        messages = prefix_errors(source)
+        assert len(messages) == len(pinned[name]) == len(source) + 1
+        for k, (message, expected) in enumerate(zip(messages, pinned[name])):
+            assert message == expected, f"{name}[:{k}]"
 
 
 # ---------------------------------------------------------------------------

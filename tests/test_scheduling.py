@@ -3,15 +3,22 @@ independence and runs, on the paper's figure nets and the FlowC systems."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from fold_oracle import folded_and_fallback
 from repro.apps import paper_nets
+from repro.apps.video import VideoAppConfig, build_video_network
 from repro.apps.false_paths import (
     build_false_path_network,
     build_select_rewrite_network,
     link_with_unrolling,
     link_without_unrolling,
 )
+from repro.corpus.generator import generate_spec, make_unschedulable_spec
+from repro.corpus.topologies import build_network
+from repro.flowc.linker import link
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet, SourceKind
@@ -32,7 +39,7 @@ from repro.scheduling.independence import (
     is_independent_set,
 )
 from repro.scheduling.runs import RunError, build_run, check_executability, random_choice_resolver
-from repro.scheduling.schedule import Schedule, ScheduleValidationError
+from repro.scheduling.schedule import Schedule, ScheduleNode, ScheduleValidationError
 from repro.scheduling.termination import (
     CompositeCondition,
     IrrelevanceCriterion,
@@ -94,6 +101,118 @@ def test_schedule_root_requirements():
     schedule.add_edge(n1.index, "a", n0.index)
     with pytest.raises(ScheduleValidationError):
         schedule.validate()
+
+
+def _firing_validate(schedule: Schedule, analysis: StructuralAnalysis) -> None:
+    """The five checks as ``validate`` made them before it moved onto plain
+    dicts: ``PetriNet.is_enabled`` and ``PetriNet.fire`` on every edge."""
+    net = schedule.net
+    if not schedule.nodes:
+        raise ScheduleValidationError("schedule has no nodes")
+    root = schedule.root_node
+    if root.marking != net.initial_marking:
+        raise ScheduleValidationError("root node does not carry the initial marking")
+    if root.out_degree != 1:
+        raise ScheduleValidationError(f"root node must have out-degree 1, has {root.out_degree}")
+    root_transition = next(iter(root.edges))
+    if root_transition != schedule.source_transition:
+        raise ScheduleValidationError(
+            f"edge out of the root carries {root_transition!r}, expected {schedule.source_transition!r}"
+        )
+    for node in schedule.nodes:
+        if not node.edges:
+            raise ScheduleValidationError(f"node {node.index} has no outgoing edges")
+        transitions = frozenset(node.edges)
+        ecs = analysis.ecs_of(next(iter(transitions)))
+        if transitions != ecs:
+            raise ScheduleValidationError(
+                f"node {node.index}: outgoing transitions {sorted(transitions)} are not the ECS {sorted(ecs)}"
+            )
+        for transition, target in node.edges.items():
+            if not net.is_enabled(transition, node.marking):
+                raise ScheduleValidationError(
+                    f"node {node.index}: transition {transition!r} is not enabled at {node.marking.pretty()}"
+                )
+            if net.fire(transition, node.marking) != schedule.nodes[target].marking:
+                raise ScheduleValidationError(
+                    f"edge {node.index} --{transition}--> {target}: marking mismatch"
+                )
+    reachable = schedule.reachable_from_root()
+    reaching = schedule.nodes_reaching_root()
+    for node in schedule.nodes:
+        if node.index not in reachable or node.index not in reaching:
+            raise ScheduleValidationError(
+                f"node {node.index} is not on a directed cycle through the root"
+            )
+
+
+def _validation_outcome(check, schedule: Schedule, analysis: StructuralAnalysis) -> str:
+    try:
+        check(schedule, analysis)
+    except ScheduleValidationError as error:
+        return str(error)
+    return "valid"
+
+
+def _mutants(schedule: Schedule, rng: random.Random, count: int):
+    """``count`` copies of ``schedule``, each with one node marking, edge
+    target or edge transition changed, one node's edges dropped, or an
+    unreachable copy of a node added (some stay valid)."""
+    places = sorted(schedule.net.places)
+    transitions = sorted(schedule.net.transitions)
+    for _ in range(count):
+        nodes = [ScheduleNode(n.index, n.marking, dict(n.edges)) for n in schedule.nodes]
+        node = rng.choice(nodes)
+        change = rng.randrange(5)
+        if change == 0:
+            place = rng.choice(places)
+            node.marking = node.marking.add({place: 1 if rng.random() < 0.5 or not node.marking[place] else -1})
+        elif change == 1:
+            transition = rng.choice(sorted(node.edges))
+            node.edges[transition] = rng.randrange(len(nodes))
+        elif change == 2:
+            edges = list(node.edges.items())
+            index = rng.randrange(len(edges))
+            edges[index] = (rng.choice(transitions), edges[index][1])
+            node.edges = dict(edges)
+        elif change == 3:
+            node.edges = {}
+        else:
+            nodes.append(ScheduleNode(len(nodes), node.marking, dict(node.edges)))
+        yield Schedule(schedule.net, schedule.source_transition, nodes, schedule.root)
+
+
+def _validation_cases():
+    nets = [
+        (paper_nets.figure_4a(), "a"),
+        (paper_nets.figure_5(), "d"),
+        (paper_nets.figure_6(), "a"),
+        (paper_nets.figure_7(3), "a"),
+        (paper_nets.figure_8(), "a"),
+        (link(build_video_network(VideoAppConfig(3, 4))).net, None),
+        (link(build_network(generate_spec(5))).net, None),
+        (link(build_network(generate_spec(9))).net, None),
+    ]
+    for net, source in nets:
+        for name in [source] if source else net.uncontrollable_sources():
+            yield find_schedule(net, name, raise_on_failure=True).schedule
+
+
+def test_validate_on_plain_dicts_matches_the_firing_checks():
+    """Mutated schedules from the paper nets, the PFC system and corpus
+    systems: the same verdict and message as ``is_enabled``/``fire``."""
+    rng = random.Random(20261017)
+    checks = ("valid", "no outgoing edges", "not the ECS", "is not enabled at",
+              "marking mismatch", "not on a directed cycle")
+    reached = set()
+    for schedule in _validation_cases():
+        analysis = StructuralAnalysis.of(schedule.net)
+        assert _validation_outcome(Schedule.validate, schedule, analysis) == "valid"
+        for mutant in _mutants(schedule, rng, 60):
+            expected = _validation_outcome(_firing_validate, mutant, analysis)
+            assert _validation_outcome(Schedule.validate, mutant, analysis) == expected
+            reached.update(check for check in checks if check in expected)
+    assert reached == set(checks)  # every check of properties 3-5 was reached
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +298,48 @@ def test_figure_4b_has_no_single_source_schedules():
         assert not result.success
     with pytest.raises(SchedulingFailure):
         find_schedule(net, "a", options=SchedulerOptions(max_nodes=500), raise_on_failure=True)
+
+
+def test_a_search_that_runs_out_of_candidates_keeps_its_reason():
+    """Figure 4b fails at 3 tree nodes, below every budget that prunes no
+    node; a ``NodeBudget`` leaf of 2 prunes the third node and is named."""
+    net = paper_nets.figure_4b()
+    reason = "no entering point reaching the initial marking was found"
+    for options in (SchedulerOptions(), SchedulerOptions(max_nodes=4)):
+        result = find_schedule(net, "a", options=options)
+        assert (result.tree_nodes, result.failure_reason) == (3, reason)
+    result = folded_and_fallback(net, "a", default_termination(net, max_nodes=3))
+    assert (result.tree_nodes, result.failure_reason) == (3, reason)
+    result = folded_and_fallback(net, "a", default_termination(net, max_nodes=2))
+    assert result.failure_reason.startswith("node budget of 2 tree nodes exhausted")
+
+
+def test_a_search_cut_by_max_nodes_names_the_budget():
+    net = link(build_network(make_unschedulable_spec(20260808))).net
+    results = [
+        find_schedule(net, source, options=SchedulerOptions(max_nodes=500))
+        for source in net.uncontrollable_sources()
+    ]
+    failed = [result for result in results if not result.success]
+    assert failed
+    for result in failed:
+        assert result.tree_nodes == 500
+        assert result.failure_reason == (
+            "node budget of 500 tree nodes exhausted before an entering point "
+            "reaching the initial marking was found; schedulability is undecided"
+        )
+        assert result.elapsed_seconds < 1.0
+
+
+def test_a_node_budget_leaf_of_a_custom_termination_names_the_budget():
+    """A ``NodeBudget`` below ``max_nodes`` cuts the tree instead; folded or
+    decided through ``termination.holds``, the search names it."""
+    net = link(build_network(make_unschedulable_spec(20260808))).net
+    (source,) = net.uncontrollable_sources()
+    termination = default_termination(net, max_nodes=300)
+    result = folded_and_fallback(net, source, termination)
+    assert result.tree_nodes > 300
+    assert result.failure_reason.startswith("node budget of 300 tree nodes exhausted")
 
 
 def test_figure_5_schedules_are_independent_and_executable():

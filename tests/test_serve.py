@@ -50,6 +50,7 @@ from repro.serve.protocol import (
     BOOLEAN_OPTION_FIELDS,
     MAX_LINE_BYTES,
     MAX_NESTING,
+    MAX_WIRE_NODES,
     canonical_json,
     decode_line,
     nesting_depth,
@@ -196,6 +197,15 @@ def test_options_from_dict_rejects_a_boolean_budget():
     with pytest.raises(ProtocolError) as excinfo:
         options_from_dict({"max_nodes": True})
     assert excinfo.value.kind == "bad-options"
+
+
+def test_options_from_dict_caps_the_node_budget_at_the_library_default():
+    assert MAX_WIRE_NODES == SchedulerOptions().max_nodes == 200_000
+    assert options_from_dict({"max_nodes": MAX_WIRE_NODES}).max_nodes == MAX_WIRE_NODES
+    with pytest.raises(ProtocolError) as excinfo:
+        options_from_dict({"max_nodes": MAX_WIRE_NODES + 1})
+    assert excinfo.value.kind == "bad-options"
+    assert str(excinfo.value) == f"max_nodes must be at most {MAX_WIRE_NODES}"
 
 
 def test_resolve_sources_validation():
@@ -440,6 +450,61 @@ def test_wrong_typed_options_answer_bad_options():
 
     for response in asyncio.run(scenario()):
         assert not response["ok"] and response["error"]["type"] == "bad-options"
+
+
+def test_node_budget_over_the_cap_answers_bad_options_over_the_wire():
+    net = net_to_dict(paper_nets.figure_5())
+    lines = [
+        _line({"op": "schedule", "net": net, "sources": ["a"], "options": {"max_nodes": n}})
+        for n in (MAX_WIRE_NODES, MAX_WIRE_NODES + 1)
+    ]
+
+    async def scenario():
+        server = await start_server(max_workers=1)
+        client = await _Connection.open(server.port)
+        try:
+            return [json.loads(await client.ask(line)) for line in lines]
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    at_cap, over_cap = asyncio.run(scenario())
+    assert at_cap["ok"]
+    (result,) = at_cap["results"]
+    assert result["success"]
+    assert not over_cap["ok"] and over_cap["error"]["type"] == "bad-options"
+    assert over_cap["error"]["message"] == f"max_nodes must be at most {MAX_WIRE_NODES}"
+
+
+def test_oversized_line_gets_one_bad_request_and_its_connection_closes():
+    async def scenario():
+        server = await start_server(max_workers=1)
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=MAX_LINE_BYTES
+            )
+            # one byte past the cap and no newline: the daemon has read every
+            # byte when it refuses the line, so it closes with nothing unread
+            writer.write(b"x" * (MAX_LINE_BYTES + 1))
+            await writer.drain()
+            answer = await reader.readline()
+            rest = await reader.read()
+            writer.close()
+            fresh = await _Connection.open(server.port)
+            try:
+                pong = json.loads(await fresh.ask(_line({"op": "ping"})))
+            finally:
+                await fresh.close()
+        finally:
+            await server.shutdown()
+        return answer, rest, pong
+
+    answer, rest, pong = asyncio.run(scenario())
+    response = json.loads(answer)
+    assert not response["ok"] and response["error"]["type"] == "bad-request"
+    assert response["error"]["message"] == f"request line exceeds {MAX_LINE_BYTES} bytes"
+    assert rest == b""  # that one envelope, then the daemon closed the connection
+    assert pong["ok"]  # and it still serves a fresh one
 
 
 def test_stats_endpoint_reports_counters_and_histograms():

@@ -5,8 +5,9 @@
 * Ablation: T-invariant-guided ECS ordering vs. the plain tie-break ordering.
 
 Besides the pytest-benchmark harnesses, the module is a CLI that times the
-serial ``find_all_schedules`` path and writes the report to
-``BENCH_scheduler.json``:
+serial ``find_all_schedules`` path and merges its sections into
+``BENCH_scheduler.json`` (``reports.merge_report``: the sections other runs
+wrote are kept byte for byte, an unreadable report is refused):
 
     PYTHONPATH=src python benchmarks/bench_scheduler.py
     PYTHONPATH=src python benchmarks/bench_scheduler.py --quick   # CI smoke
@@ -33,10 +34,10 @@ comparable across runs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.apps.divisors import build_divisors_system
@@ -45,6 +46,7 @@ from repro.apps.workloads import random_multi_source_net
 from repro.experiments.schedule_stats import run_schedule_stats
 from repro.scheduling.ep import SchedulerOptions, find_all_schedules, find_schedule
 from repro.scheduling.serialize import schedule_to_json
+from reports import ReportError, merge_report
 
 BENCH_CONFIG = VideoAppConfig(lines_per_frame=4, pixels_per_line=5)
 
@@ -179,94 +181,6 @@ def _profile_case(name: str, net) -> Dict[str, object]:
     return {"case": name, "top": top}
 
 
-#: Candidate budget of the bench's enumerate->score->select phase.
-OBJECTIVE_CANDIDATE_LIMIT = 32
-
-#: Corpus case seed whose cost-selected schedule strictly beats the
-#: first-found one (multi_source family, sink source ``src.s2_p0.ev_s2_p0``:
-#: predicted 1151 vs 1175 cycles) -- the concrete witness that the "cost"
-#: objective can pay off, kept in the report as a regression anchor.
-OBJECTIVE_CORPUS_SEED = 20260877
-
-
-def _objective_source_row(
-    net, source: str, *, candidate_limit: int
-) -> Dict[str, object]:
-    """Cost-objective selection for one source.
-
-    ``improvement`` is first-found minus selected predicted cycles
-    (positive = the cost objective found a strictly cheaper schedule).
-    """
-    start = time.monotonic()
-    result = find_schedule(
-        net,
-        source,
-        options=SchedulerOptions(
-            objective="cost", candidate_limit=candidate_limit, max_nodes=200_000
-        ),
-    )
-    seconds = round(time.monotonic() - start, 4)
-    stats = dict(result.objective_stats or {})
-    first = stats.get("first_score")
-    selected = stats.get("selected_score")
-    return {
-        "source": source,
-        "candidates": stats.get("candidates"),
-        "first_score": first,
-        "selected_score": selected,
-        "score_min": stats.get("score_min"),
-        "score_max": stats.get("score_max"),
-        "selected_is_first": stats.get("selected_is_first"),
-        "improvement": (
-            first - selected
-            if isinstance(first, int) and isinstance(selected, int)
-            else None
-        ),
-        "seconds": seconds,
-    }
-
-
-def _run_objective_phase(
-    cases, *, candidate_limit: int = OBJECTIVE_CANDIDATE_LIMIT
-) -> Dict[str, object]:
-    """The ``objective`` section: enumerate->score->select on PFC + corpus.
-
-    Runs the ``"cost"`` objective over the pfc bench nets plus the pinned
-    :data:`OBJECTIVE_CORPUS_SEED` corpus case, recording per source how many
-    candidates were enumerated, the score spread, and the selected-vs-first
-    predicted cycles.  ``improvement_found`` asserts the headline claim --
-    at least one net where cost selection strictly beats first-found.
-    """
-    from repro.corpus.generator import generate_spec
-    from repro.corpus.topologies import build_case
-    from repro.flowc.linker import link
-
-    corpus_spec = generate_spec(OBJECTIVE_CORPUS_SEED, "multi_source")
-    corpus_net = link(build_case(corpus_spec).network).net
-    timed = [
-        (name, net) for name, net in cases if name.startswith("pfc")
-    ] + [(corpus_spec.label(), corpus_net)]
-    rows = [
-        {
-            "case": name,
-            "sources": [
-                _objective_source_row(net, source, candidate_limit=candidate_limit)
-                for source in net.uncontrollable_sources()
-            ],
-        }
-        for name, net in timed
-    ]
-    return {
-        "candidate_limit": candidate_limit,
-        "cases": rows,
-        "improvement_found": any(
-            (source_row.get("improvement") or 0) > 0
-            for row in rows
-            for source_row in row["sources"]
-        ),
-    }
-
-
 def _cache_case(name: str, net) -> Dict[str, object]:
     """Time one case's cache-active scheduling path (cold or warm process).
 
@@ -380,7 +294,6 @@ def run_cli_bench(
     with artifact_cache.suspended():
         rows = [_bench_case(name, net, repeats=repeats) for name, net in cases]
         profile_rows = [_profile_case(name, net) for name, net in cases] if profile else None
-        objective_info = _run_objective_phase(cases)
     report: Dict[str, object] = {
         "benchmark": "find_all_schedules: serial EP search",
         "cpu_count": os.cpu_count() or 1,
@@ -388,7 +301,6 @@ def run_cli_bench(
         "quick": quick,
         "cache": cache_info,
         "cases": rows,
-        "objective": objective_info,
     }
     if profile_rows is not None:
         report["profile"] = {"top_n": PROFILE_TOP_N, "cases": profile_rows}
@@ -436,39 +348,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "top hot functions in a 'profile' section of the JSON",
     )
     parser.add_argument(
-        "--objective-only",
-        action="store_true",
-        help="read-modify-write mode: run only the enumerate->score->select "
-        "phase and merge its 'objective' section into the existing JSON "
-        "report, leaving every other section untouched",
-    )
-    parser.add_argument(
         "--output",
         default="BENCH_scheduler.json",
-        help="where to write the JSON report (default: ./BENCH_scheduler.json)",
+        help="JSON report to merge this run's sections into "
+        "(default: ./BENCH_scheduler.json)",
     )
     args = parser.parse_args(argv)
     if args.no_cache:
         import repro.cache as artifact_cache
 
         artifact_cache.deactivate()
-    if args.objective_only:
-        cases = [
-            ("pfc_4x5", build_video_system(VideoAppConfig(4, 5)).net),
-        ]
-        objective_info = _run_objective_phase(cases)
-        try:
-            with open(args.output) as handle:
-                report = json.load(handle)
-        except FileNotFoundError:
-            report = {}
-        report["objective"] = objective_info
-        with open(args.output, "w") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-        _print_objective(objective_info)
-        print(f"wrote {args.output} (objective section only)")
-        return 0
     report = run_cli_bench(
         quick=args.quick,
         repeats=args.repeats,
@@ -477,9 +366,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_clear=args.cache_clear,
         profile=args.profile,
     )
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    try:
+        merge_report(Path(args.output), report)
+    except ReportError as error:
+        print(f"ERROR: {error}; not written", file=sys.stderr)
+        return 2
     cache_info = report["cache"]
     if cache_info["enabled"]:
         for row in cache_info["cases"]:
@@ -510,29 +401,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"hottest={hottest['function']} "
                     f"cum={hottest['cumulative_seconds']:.3f}s"
                 )
-    _print_objective(report["objective"])
     print(f"wrote {args.output}")
     if not all(row["identical_schedules"] for row in report["cases"]):
         print("ERROR: schedules diverge across repeats", file=sys.stderr)
         return 1
     return 0
-
-
-def _print_objective(objective_info: Dict[str, object]) -> None:
-    for row in objective_info["cases"]:
-        for source_row in row["sources"]:
-            print(
-                f"objective {row['case']:<22} {source_row['source']:<22} "
-                f"cands={source_row['candidates']} "
-                f"spread=[{source_row['score_min']}, {source_row['score_max']}] "
-                f"first={source_row['first_score']} "
-                f"selected={source_row['selected_score']} "
-                f"improvement={source_row['improvement']}"
-            )
-    print(
-        f"objective: candidate_limit={objective_info['candidate_limit']} "
-        f"improvement_found={objective_info['improvement_found']}"
-    )
 
 
 if __name__ == "__main__":

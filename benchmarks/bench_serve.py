@@ -16,7 +16,8 @@ serving layer's contract under load:
   run over the same corpus.
 
 Results land in the ``"serve"`` section of ``BENCH_scheduler.json``
-(read-modify-write: the scheduler benchmark's sections are preserved).
+(``reports.merge_report``: every other section is kept byte for byte, and an
+unreadable report is refused and left untouched).
 
 Modes::
 
@@ -56,6 +57,7 @@ from repro.petrinet.net import PetriNet  # noqa: E402
 from repro.scheduling.ep import find_all_schedules  # noqa: E402
 from repro.scheduling.serialize import schedule_fingerprint  # noqa: E402
 from repro.serve.protocol import net_to_dict  # noqa: E402
+from reports import ReportError, merge_report  # noqa: E402
 
 ZIPF_EXPONENT = 1.1
 SEED = 20260808
@@ -351,18 +353,12 @@ def evaluate(section: Dict[str, object], clean: bool, *, smoke: bool) -> List[st
 
 
 def write_report(section: Dict[str, object], output: Path) -> None:
-    """Merge the ``"serve"`` section into the scheduler benchmark report."""
-    report: Dict[str, object] = {}
-    if output.exists():
-        try:
-            with open(output) as handle:
-                report = json.load(handle)
-        except ValueError:
-            report = {}
-    report["serve"] = section
-    with open(output, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
+    """Merge the ``"serve"`` section into the scheduler benchmark report.
+
+    Raises :class:`reports.ReportError` when the existing report is
+    unreadable (the file is then left untouched).
+    """
+    merge_report(output, {"serve": section})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -436,7 +432,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"p99={measured['latency_seconds']['p99'] * 1000:.1f}ms"
     )
     if not args.smoke:
-        write_report(section, Path(args.output))
+        try:
+            write_report(section, Path(args.output))
+        except ReportError as error:
+            print(f"ERROR: {error}; not written", file=sys.stderr)
+            return 2
         print(f"'serve' section written to {args.output}")
     if problems:
         for problem in problems:

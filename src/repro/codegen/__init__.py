@@ -18,7 +18,7 @@ from repro.codegen.segments import (
     extract_code_segments,
     extract_threads,
 )
-from repro.codegen.synthesis import SynthesisOptions, SynthesizedTask, synthesize_task
+from repro.codegen.synthesis import SynthesizedTask, synthesize_task
 from repro.codegen.task import ExecutableTask, TaskExecutionError
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "CodeSegmentNode",
     "ExecutableTask",
     "SegmentSet",
-    "SynthesisOptions",
     "SynthesizedTask",
     "TaskExecutionError",
     "Thread",

@@ -183,23 +183,6 @@ def render_statement(statement: Statement, indent: int = 0, *, comm_macros: bool
 
 
 @dataclass
-class SynthesisOptions:
-    """Options of the code generator."""
-
-    task_name: str = "task"
-    share_code_segments: bool = True  # ablation knob: emit per-thread copies when False
-    inline_communication: bool = True
-    # Quasi-static fusion (off by default so golden outputs are untouched):
-    # a segment reached only by deterministic gotos is duplicated inline at
-    # every one of those goto sites, fusing maximal await-free runs into
-    # straight-line code (code size traded for control transfers).  Await
-    # nodes always stay dynamic dispatch points (their continuations are
-    # returns, never gotos), so only the control transfers *within* one
-    # reaction are flattened.
-    fuse_straightline: bool = False
-
-
-@dataclass
 class SynthesizedTask:
     """The C source of one synthesized task plus size accounting inputs."""
 
@@ -213,9 +196,6 @@ class SynthesizedTask:
     intra_task_channels: List[str] = field(default_factory=list)
     external_input_ports: List[str] = field(default_factory=list)
     external_output_ports: List[str] = field(default_factory=list)
-    # labels of segments duplicated inline at their goto sites (empty unless
-    # the fuse_straightline option was on)
-    fused_segments: List[str] = field(default_factory=list)
 
     @property
     def full_source(self) -> str:
@@ -252,81 +232,17 @@ class _TaskSynthesizer:
         self,
         system: LinkedSystem,
         schedule: Schedule,
-        options: SynthesisOptions,
         analysis: Optional[StructuralAnalysis] = None,
     ):
         self.system = system
         self.schedule = schedule
-        self.options = options
+        self.task_name = schedule.source_transition.replace(".", "_")
         self.net = schedule.net
         self.analysis = analysis or StructuralAnalysis.of(self.net)
         self.segments = extract_code_segments(schedule, self.analysis)
         self.state_places = self.segments.state_places()
         self.involved = schedule.involved_transitions()
         self._classify_channels()
-        self.fused_segments = self._fusable_segments() if options.fuse_straightline else set()
-
-    # -- quasi-static fusion --------------------------------------------------
-    def _fusable_segments(self) -> Set[ECS]:
-        """Segment roots emitted inline at *every* goto site targeting them.
-
-        A root qualifies when only deterministic gotos reach it (a jump
-        switch case needs the label to exist), it is not the entry segment,
-        and it is not on a goto cycle -- a self-recursive run must keep its
-        back-edge as a real ``goto``.  Multiply-referenced segments are
-        *duplicated* into each site: quasi-static fusion deliberately trades
-        code size for straight-line reactions, the inverse trade of the
-        Section 6.2 code-segment sharing (which stays the default emission).
-        """
-        roots = {segment.root.ecs for segment in self.segments.segments}
-        goto_targets: Set[ECS] = set()
-        switch_targets: Set[ECS] = set()
-        for node in self.segments.node_by_ecs.values():
-            for jump in node.jumps.values():
-                if jump.deterministic:
-                    if jump.target_ecs is not None and not jump.is_return:
-                        goto_targets.add(jump.target_ecs)
-                else:
-                    for case in jump.cases:
-                        if not case.is_return:
-                            switch_targets.add(case.target_ecs)
-        candidates = {
-            ecs
-            for ecs in goto_targets
-            if ecs in roots
-            and ecs != self.segments.source_ecs
-            and ecs not in switch_targets
-        }
-
-        # inlining recurses through fused goto targets, so any candidate that
-        # can reach itself along candidate gotos must keep its label; removing
-        # every cycle participant at once leaves an acyclic fusion relation
-        def goto_successors(ecs: ECS) -> Set[ECS]:
-            out: Set[ECS] = set()
-            for node in self.segments.node_by_ecs[ecs].subtree():
-                for jump in node.jumps.values():
-                    if (
-                        jump.deterministic
-                        and not jump.is_return
-                        and jump.target_ecs in candidates
-                    ):
-                        out.add(jump.target_ecs)
-            return out
-
-        def reaches_itself(start: ECS) -> bool:
-            stack = list(goto_successors(start))
-            seen: Set[ECS] = set()
-            while stack:
-                current = stack.pop()
-                if current == start:
-                    return True
-                if current in seen:
-                    continue
-                seen.add(current)
-                stack.extend(goto_successors(current))
-            return False
-
-        return {ecs for ecs in candidates if not reaches_itself(ecs)}
 
     # -- channel classification (Section 6.3) --------------------------------
     def _classify_channels(self) -> None:
@@ -381,7 +297,7 @@ class _TaskSynthesizer:
 
     # -- initialisation ------------------------------------------------------------
     def _initialisation(self) -> str:
-        lines = [f"void {self.options.task_name}_init(void)", "{"]
+        lines = [f"void {self.task_name}_init(void)", "{"]
         initial = self.net.initial_marking
         for place in self.state_places:
             lines.append(f"    {_state_variable_name(place)} = {initial[place]};")
@@ -400,7 +316,7 @@ class _TaskSynthesizer:
 
     # -- run section ------------------------------------------------------------
     def _run(self) -> str:
-        lines = [f"void {self.options.task_name}_ISR(void)", "{"]
+        lines = [f"void {self.task_name}_ISR(void)", "{"]
         emitted: Set[str] = set()
         ordered = [self.segments.entry_segment] + [
             segment
@@ -410,8 +326,6 @@ class _TaskSynthesizer:
         for segment in ordered:
             if segment.label in emitted:
                 continue
-            if segment.root.ecs in self.fused_segments:
-                continue  # duplicated inline at its goto sites
             emitted.add(segment.label)
             lines.extend(self._emit_segment(segment))
         lines.append("}")
@@ -508,14 +422,6 @@ class _TaskSynthesizer:
             if jump.is_return:
                 return [pad + "return;"]
             assert jump.target_ecs is not None
-            if jump.target_ecs in self.fused_segments:
-                # quasi-static fusion: this is the target's only entry, so
-                # its body continues here as straight-line code
-                lines = [pad + f"/* fused segment {ecs_label(jump.target_ecs)} */"]
-                lines.extend(
-                    self._emit_node(self.segments.node_by_ecs[jump.target_ecs], indent)
-                )
-                return lines
             return [pad + f"goto {ecs_label(jump.target_ecs)};"]
         lines: List[str] = []
         discriminating = self._discriminating_places(jump)
@@ -553,7 +459,7 @@ class _TaskSynthesizer:
     # -- entry point ------------------------------------------------------------
     def synthesize(self) -> SynthesizedTask:
         return SynthesizedTask(
-            name=self.options.task_name,
+            name=self.task_name,
             source_transition=self.schedule.source_transition,
             segments=self.segments,
             state_places=self.state_places,
@@ -563,7 +469,6 @@ class _TaskSynthesizer:
             intra_task_channels=list(self.intra_task_channels),
             external_input_ports=list(self.external_inputs),
             external_output_ports=list(self.external_outputs),
-            fused_segments=sorted(ecs_label(ecs) for ecs in self.fused_segments),
         )
 
 
@@ -571,14 +476,13 @@ def synthesize_task(
     system: LinkedSystem,
     schedule: Schedule,
     *,
-    options: Optional[SynthesisOptions] = None,
     analysis: Optional[StructuralAnalysis] = None,
 ) -> SynthesizedTask:
-    """Generate the C source of the task implementing ``schedule``."""
-    options = options or SynthesisOptions(
-        task_name=schedule.source_transition.replace(".", "_")
-    )
-    return _TaskSynthesizer(system, schedule, options, analysis).synthesize()
+    """Generate the C source of the task implementing ``schedule``.
+
+    The task is named after the source transition it reacts to.
+    """
+    return _TaskSynthesizer(system, schedule, analysis).synthesize()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.corpus.topologies import CorpusCase, ScenarioSpec, build_case
@@ -25,7 +24,6 @@ from repro.flowc.linker import LinkedSystem, link
 from repro.runtime.channels import TraceRecorder, TracingSink
 from repro.runtime.simulation import MultiTaskSimulation, SingleTaskSimulation
 from repro.scheduling.ep import SchedulerOptions, find_all_schedules
-from repro.scheduling.objective import SingleTaskPrediction, predict_single_task
 from repro.scheduling.schedule import Schedule
 from repro.scheduling.serialize import verify_roundtrip
 
@@ -41,16 +39,8 @@ STAGES: Tuple[str, ...] = (
     "schedule",   # EP search, serialization round-trip
     "codegen",    # thread extraction / segment synthesis / task construction
     "simulate",   # either simulator raised while executing
-    "predict",    # static cost prediction disagrees with the simulated run
     "compare",    # trace / output / occupancy disagreement
 )
-
-#: Relative tolerance on predicted-vs-simulated cycle totals when the static
-#: predictor had to speculate (``exact_operations=False``).  When both exact
-#: flags hold, the match must be *exact* -- the predictor mirrors the
-#: interpreter's counting rules statement-for-statement, so any drift there
-#: is a real bug, not noise.
-PREDICT_CYCLE_TOLERANCE = 0.05
 
 Trace = Dict[str, List[Tuple[Any, ...]]]
 
@@ -106,72 +96,6 @@ def trace_diff(
                 return f"channel {port!r} event {index}: {eva!r} != {evb!r}"
         return f"channel {port!r}: {len(a[port])} vs {len(b[port])} events"
     return "traces differ"  # pragma: no cover - defensive
-
-
-# ---------------------------------------------------------------------------
-# predicted-vs-simulated cost
-# ---------------------------------------------------------------------------
-
-
-def _counter_mismatches(label: str, predicted, simulated) -> List[str]:
-    """Per-field diffs between two counter dataclasses of the same type."""
-    return [
-        f"{label}.{f.name}: predicted {getattr(predicted, f.name)} "
-        f"!= simulated {getattr(simulated, f.name)}"
-        for f in dataclass_fields(predicted)
-        if getattr(predicted, f.name) != getattr(simulated, f.name)
-    ]
-
-
-def prediction_problems(prediction: SingleTaskPrediction, simulated) -> List[str]:
-    """Disagreements between the static cost prediction and a simulated run.
-
-    Context-switch / dispatch / step counts and (when the predictor did not
-    have to speculate) every operation and communication counter must match
-    the :class:`~repro.runtime.simulation.SingleTaskSimulation` result
-    *exactly*; pfc cycle totals must match exactly under both exact flags and
-    within :data:`PREDICT_CYCLE_TOLERANCE` otherwise.
-    """
-    problems: List[str] = []
-    for name in (
-        "context_switches",
-        "scheduler_decisions",
-        "isr_dispatches",
-        "state_updates",
-        "transitions_executed",
-    ):
-        if getattr(prediction, name) != getattr(simulated, name):
-            problems.append(
-                f"{name}: predicted {getattr(prediction, name)} "
-                f"!= simulated {getattr(simulated, name)}"
-            )
-    if prediction.exact_communication:
-        problems.extend(
-            _counter_mismatches(
-                "communication", prediction.communication, simulated.communication
-            )
-        )
-    if prediction.exact_operations:
-        problems.extend(
-            _counter_mismatches("operations", prediction.operations, simulated.operations)
-        )
-    predicted_cycles = prediction.cycles("pfc")
-    simulated_cycles = simulated.cycles("pfc")
-    if prediction.exact_operations and prediction.exact_communication:
-        if predicted_cycles != simulated_cycles:
-            problems.append(
-                f"cycles: predicted {predicted_cycles} != simulated "
-                f"{simulated_cycles} despite exact prediction"
-            )
-    elif simulated_cycles and (
-        abs(predicted_cycles - simulated_cycles)
-        > PREDICT_CYCLE_TOLERANCE * simulated_cycles
-    ):
-        problems.append(
-            f"cycles: predicted {predicted_cycles} outside "
-            f"{PREDICT_CYCLE_TOLERANCE:.0%} of simulated {simulated_cycles}"
-        )
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +240,6 @@ def run_case(spec: ScenarioSpec, *, max_rounds: int = 1_000_000) -> CaseOutcome:
     except Exception as error:  # noqa: BLE001
         return _fail(
             spec, "simulate", f"{type(error).__name__}: {error}", started, schedulable=True
-        )
-
-    # -- predicted vs simulated cost (the static objective's ground truth) --
-    try:
-        prediction = predict_single_task(linked, schedules, stimulus)
-        predict_problems = prediction_problems(prediction, single_result)
-    except Exception as error:  # noqa: BLE001
-        return _fail(
-            spec, "predict", f"{type(error).__name__}: {error}", started, schedulable=True
-        )
-    if predict_problems:
-        return _fail(
-            spec,
-            "predict",
-            "; ".join(predict_problems),
-            started,
-            schedulable=True,
-            detail={
-                "exact_operations": prediction.exact_operations,
-                "exact_communication": prediction.exact_communication,
-            },
         )
 
     expected_events = sum(len(values) for values in stimulus.values())

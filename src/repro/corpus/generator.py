@@ -59,7 +59,6 @@ def _finish_processes(
     reps: Optional[Dict[str, int]] = None,
     forced_branch: Sequence[str] = (),
     branch_probability: float = 0.35,
-    wcet_probability: float = 0.3,
 ) -> Tuple[ProcessSpec, ...]:
     """Draw repetitions / branch flags / constants for a process list."""
     specs: List[ProcessSpec] = []
@@ -68,9 +67,10 @@ def _finish_processes(
         if name != trigger:
             repetitions = (reps or {}).get(name, rng.choice((1, 1, 1, 2)))
         branch = name in forced_branch or rng.random() < branch_probability
-        # optional WCET(n) annotation: exercises the cost objective's
-        # latency/jitter terms without changing schedulability or traces
-        wcet = rng.randint(1, 12) if rng.random() < wcet_probability else None
+        # These two draws once chose a WCET(n) annotation, which is gone; they
+        # stay so that every seed still yields the same systems.
+        if rng.random() < 0.3:
+            rng.randint(1, 12)
         specs.append(
             ProcessSpec(
                 name=name,
@@ -78,7 +78,6 @@ def _finish_processes(
                 branch=branch,
                 const_a=rng.randint(2, 6),
                 const_b=rng.randint(1, 9),
-                wcet=wcet,
             )
         )
     return tuple(specs)

@@ -123,17 +123,6 @@ def _drop_bounds(spec: ScenarioSpec) -> Iterator[Tuple[str, ScenarioSpec]]:
     yield ("drop-bounds", replace(spec, subsystems=subsystems))
 
 
-def _drop_wcet(spec: ScenarioSpec) -> Iterator[Tuple[str, ScenarioSpec]]:
-    """Strip WCET annotations; only the cost objective's timing terms care."""
-    if all(p.wcet is None for sub in spec.subsystems for p in sub.processes):
-        return
-    subsystems = tuple(
-        replace(sub, processes=tuple(replace(p, wcet=None) for p in sub.processes))
-        for sub in spec.subsystems
-    )
-    yield ("drop-wcet", replace(spec, subsystems=subsystems))
-
-
 #: Reduction passes in the order tried each round: structural reductions
 #: first (they shrink fastest), cosmetic ones last.
 REDUCTIONS: Tuple[Callable[[ScenarioSpec], Iterator[Tuple[str, ScenarioSpec]]], ...] = (
@@ -142,7 +131,6 @@ REDUCTIONS: Tuple[Callable[[ScenarioSpec], Iterator[Tuple[str, ScenarioSpec]]], 
     _flatten_rates,
     _disable_branches,
     _drop_bounds,
-    _drop_wcet,
     _truncate_stimulus,
 )
 

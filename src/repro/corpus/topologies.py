@@ -54,10 +54,7 @@ class ProcessSpec:
     per environment event (its entry in the repetition vector).  ``branch``
     wraps the write phase in a data-dependent ``if``/``else`` whose arms
     write the same token counts but different values (unless an outgoing
-    edge is arm-restricted, see :attr:`EdgeSpec.arm`).  ``wcet`` emits a
-    ``WCET(n)`` timing annotation on the process header, feeding the cost
-    objective's latency/jitter terms; ``None`` leaves the process
-    unannotated (and the program text byte-identical to pre-WCET corpora).
+    edge is arm-restricted, see :attr:`EdgeSpec.arm`).
     """
 
     name: str
@@ -65,7 +62,6 @@ class ProcessSpec:
     branch: bool = False
     const_a: int = 3
     const_b: int = 7
-    wcet: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -150,9 +146,6 @@ def check_spec(spec: ScenarioSpec) -> None:
             raise SpecError(f"trigger process {sub.trigger!r} is not in the subsystem")
         if procs[sub.trigger].repetitions != 1:
             raise SpecError(f"trigger process {sub.trigger!r} must have repetitions == 1")
-        for proc in sub.processes:
-            if proc.wcet is not None and proc.wcet < 0:
-                raise SpecError(f"process {proc.name!r}: wcet must be non-negative")
         edge_names = [edge.name for edge in sub.edges]
         if len(set(edge_names)) != len(edge_names):
             raise SpecError(f"duplicate edge names in subsystem {sub.trigger!r}")
@@ -341,8 +334,7 @@ def emit_process(sub: SubsystemSpec, proc: ProcessSpec) -> str:
     decls = "int v, acc"
     if burst > 1:
         decls += f", buf[{burst}]"
-    wcet = f" WCET({proc.wcet})" if proc.wcet is not None else ""
-    lines = [f"PROCESS {proc.name} ({', '.join(ports)}){wcet} {{", f"    {decls};", "    while (1) {"]
+    lines = [f"PROCESS {proc.name} ({', '.join(ports)}) {{", f"    {decls};", "    while (1) {"]
     # the first read seeds acc from const_b, so no code-only transition is
     # needed ahead of the first port operation
     first = True
@@ -483,9 +475,6 @@ def build_manifest(spec: ScenarioSpec) -> Dict[str, Any]:
             edge.bound is not None for sub in spec.subsystems for edge in sub.edges
         ),
         "multi_source": len(spec.subsystems) > 1,
-        "wcet": any(
-            proc.wcet is not None for sub in spec.subsystems for proc in sub.processes
-        ),
     }
     return {
         "name": spec.label(),
@@ -547,12 +536,19 @@ def spec_to_dict(spec: ScenarioSpec) -> Dict[str, Any]:
     return asdict(spec)
 
 
+def _process_from_dict(data: Mapping[str, Any]) -> ProcessSpec:
+    # Bundles written before the timing annotation was retired carry its key
+    # on every process.  It never changed schedulability or traces, so replay
+    # drops it; any other unknown key still fails.
+    return ProcessSpec(**{key: value for key, value in data.items() if key != "wcet"})
+
+
 def spec_from_dict(data: Mapping[str, Any]) -> ScenarioSpec:
     """Rebuild a :class:`ScenarioSpec` from its JSON form."""
     subsystems = tuple(
         SubsystemSpec(
             trigger=sub["trigger"],
-            processes=tuple(ProcessSpec(**proc) for proc in sub["processes"]),
+            processes=tuple(_process_from_dict(proc) for proc in sub["processes"]),
             edges=tuple(EdgeSpec(**edge) for edge in sub["edges"]),
         )
         for sub in data["subsystems"]

@@ -331,19 +331,11 @@ class PortDecl:
 
 @dataclass(frozen=True)
 class Process:
-    """A FlowC process: header ports and a sequential statement body.
-
-    ``wcet`` is the optional per-process worst-case execution time
-    annotation (``PROCESS name (ports) WCET(n) { ... }``), in abstract
-    cycles per transition of the process.  It is ignored by the search
-    itself but feeds the latency/jitter terms of the cost objective
-    (:mod:`repro.scheduling.objective`).
-    """
+    """A FlowC process: header ports and a sequential statement body."""
 
     name: str
     ports: Tuple[PortDecl, ...]
     body: Tuple[Statement, ...]
-    wcet: Optional[int] = None
 
     def port(self, name: str) -> PortDecl:
         for port in self.ports:

@@ -115,13 +115,6 @@ def link(
             compiled_processes[name] = compile_process(process, simplify=simplify)
 
     net = merge_nets((cp.net for cp in compiled_processes.values()), name=network.name)
-    # thread the per-process WCET annotations through to the net, where the
-    # cost objective's latency/jitter terms read them; unannotated processes
-    # stay absent, so an annotation-free program yields an empty dict (and an
-    # unchanged structural fingerprint)
-    for name, process in network.processes.items():
-        if process.wcet is not None:
-            net.process_wcet[name] = int(process.wcet)
 
     system = LinkedSystem(network=network, net=net, compiled=compiled_processes)
     for name, cp in compiled_processes.items():

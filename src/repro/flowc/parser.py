@@ -159,19 +159,10 @@ class _Parser:
             while self.match("op", ","):
                 ports.append(self.parse_port_decl())
         self.expect("op", ")")
-        wcet: Optional[int] = None
-        if self.check("ident", "WCET"):
-            # optional timing annotation between the port list and the body:
-            # PROCESS name (ports) WCET(n) { ... }
-            self.advance()
-            self.expect("op", "(")
-            # an int token is ASCII digits or a character code: never negative
-            wcet = int(self.expect("int"))
-            self.expect("op", ")")
         self.expect("op", "{")
         body = self.parse_statement_list_until("}")
         self.expect("op", "}")
-        return Process(name=name, ports=tuple(ports), body=tuple(body), wcet=wcet)
+        return Process(name=name, ports=tuple(ports), body=tuple(body))
 
     def parse_port_decl(self) -> PortDecl:
         direction = self.values[self.position]

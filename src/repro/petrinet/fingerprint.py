@@ -84,11 +84,4 @@ def structural_fingerprint(net: "PetriNet") -> str:
                 transition.process,
             )
         )
-    # WCET annotations feed the cost objective's latency/jitter terms, so
-    # they are result identity for objective="cost" searches.  Appended
-    # only when present: unannotated nets -- every golden fixture, every
-    # record cached before the annotation existed -- keep their bytes.
-    if net.process_wcet:
-        for process in sorted(net.process_wcet):
-            items.append(("wcet", process, net.process_wcet[process]))
     return _hash_items(items)

@@ -134,12 +134,6 @@ class PetriNet:
     pre: Dict[str, Dict[str, int]] = field(default_factory=dict)
     post: Dict[str, Dict[str, int]] = field(default_factory=dict)
     initial_tokens: Dict[str, int] = field(default_factory=dict)
-    # Optional per-process WCET annotations (FlowC ``WCET(n)``), in abstract
-    # cycles per transition of the process.  Empty for unannotated nets; the
-    # structural fingerprint appends them only when present, so unannotated
-    # nets keep their historical fingerprints.  Read by the cost objective's
-    # latency/jitter terms (repro.scheduling.objective).
-    process_wcet: Dict[str, int] = field(default_factory=dict)
 
     # -- derived caches (not part of the value of the net) -----------------
     # Structural version: bumped on every mutation so the indexed view and
@@ -488,7 +482,6 @@ class PetriNet:
         for transition, places in self.post.items():
             for place, weight in places.items():
                 clone.add_arc(transition, place, weight)
-        clone.process_wcet = dict(self.process_wcet)
         return clone
 
     def stats(self) -> Dict[str, int]:

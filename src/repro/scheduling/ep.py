@@ -86,22 +86,6 @@ class SchedulerOptions:
       source transition (Section 5.5.2's non-schedulability test).
     * ``defer_sources`` -- the Section 4.4 pruning rule: fire source ECSs
       only when nothing else yields an entering point.
-    * ``objective`` -- the candidate-selection policy.  ``"first"`` (the
-      default) returns the heuristically-first valid schedule, exactly as
-      every release so far.  ``"cost"`` continues the search past the first
-      success: untried candidate ECSs at the retained nodes are explored
-      with the same backtracking machinery, up to ``candidate_limit``
-      distinct valid schedules are collected, each is scored by the static
-      objective (:mod:`repro.scheduling.objective`: context switches from
-      await boundaries, communication classified intra- vs inter-task,
-      latency/jitter under per-process WCET annotations) and the minimum
-      ``(score, fingerprint)`` wins -- the fingerprint tie-break makes
-      selection independent of the enumeration order.  This is result
-      identity: the warm-start cache key includes it, so ``"first"``
-      records never serve ``"cost"`` requests.
-    * ``candidate_limit`` -- upper bound on distinct candidate schedules
-      enumerated per source under ``objective="cost"`` (including the
-      first-found one); ignored under ``"first"``.
 
     Example::
 
@@ -123,15 +107,6 @@ class SchedulerOptions:
     # entering point.  This keeps schedules small (few await nodes) and
     # avoids deferring part of a reaction to the next environment event.
     defer_sources: bool = True
-    # Candidate-selection policy: "first" (default) returns the
-    # heuristically-first valid schedule; "cost" enumerates up to
-    # candidate_limit distinct valid schedules and returns the one with the
-    # minimal static objective score, tie-broken on the canonical
-    # fingerprint.  Part of the result identity (cache keys include it).
-    objective: str = "first"
-    # Distinct-candidate budget per source under objective="cost"
-    # (including the first-found schedule); ignored under "first".
-    candidate_limit: int = 8
 
 
 @dataclass
@@ -449,24 +424,11 @@ class SchedulerResult:
     # True when the result was replayed from a warm-start cache rather than
     # searched (tree_nodes / counters then describe the original search).
     from_cache: bool = False
-    # Selection policy that produced the schedule ("first" | "cost"); under
-    # "cost" the winning schedule's static objective score travels with the
-    # result (and through result_to_record, unlike the enumeration stats).
-    objective: str = "first"
-    score: Optional[int] = None
-    # Cost-mode enumeration accounting (candidates found, score spread,
-    # first-vs-selected).  Process-local diagnostics, not result identity:
-    # result_to_record never carries it.
-    objective_stats: Optional[Dict[str, object]] = None
 
     @property
     def success(self) -> bool:
         """True when a schedule was found (``failure_reason`` is set otherwise)."""
         return self.schedule is not None
-
-
-#: candidate-selection policies (SchedulerOptions.objective)
-OBJECTIVES = ("first", "cost")
 
 
 class _EPSearch:
@@ -483,13 +445,6 @@ class _EPSearch:
         self.net = net
         self.source = source
         self.options = options
-        if options.objective not in OBJECTIVES:
-            raise ValueError(
-                f"unknown scheduler objective {options.objective!r}; "
-                f"pick one of {OBJECTIVES}"
-            )
-        if options.objective == "cost" and options.candidate_limit < 1:
-            raise ValueError("candidate_limit must be a positive integer")
         if analysis is None or analysis.indexed_net is not net.indexed():
             # A caller-supplied analysis built before a structural mutation
             # carries transition IDs of a dead snapshot; rebuild rather than
@@ -587,7 +542,6 @@ class _EPSearch:
                         "no T-invariant fires the source transition; "
                         "no cyclic schedule can exist"
                     ),
-                    objective=self.options.objective,
                 )
         initial = self.inet.initial_vec
         root = self.tree.add_root(initial)
@@ -623,25 +577,16 @@ class _EPSearch:
                 elapsed_seconds=time.monotonic() - start,
                 failure_reason=reason,
                 counters=self.counters,
-                objective=self.options.objective,
             )
         schedule = self._post_process(root)
         if self.options.validate:
             schedule.validate(self.analysis)
-        score: Optional[int] = None
-        objective_stats: Optional[Dict[str, object]] = None
-        if self.options.objective == "cost":
-            schedule, score, objective_stats = self._select_by_cost(root, schedule)
-            self.counters.interned_markings = len(self.tree.store)
         return SchedulerResult(
             source_transition=self.source,
             schedule=schedule,
             tree_nodes=len(self.tree),
             elapsed_seconds=time.monotonic() - start,
             counters=self.counters,
-            objective=self.options.objective,
-            score=score,
-            objective_stats=objective_stats,
         )
 
     # -- EP ----------------------------------------------------------------
@@ -684,13 +629,10 @@ class _EPSearch:
     def _candidate_ecss(self, v: int) -> Tuple[List[ECS], List[ECS]]:
         """The ordered candidate ECSs of ``v``: non-source, then source.
 
-        The middle of EP, extracted so the cost-mode enumeration can
-        recompute a retained node's candidate ordering when it resumes the
-        search past the first success: enabled ECSs (filtered by the
-        single-source restriction), the one-step lookahead, the heuristic
-        ordering and the Section 4.4 defer-sources split.  ``v`` must be
-        the top of the current DFS path.  Deterministic in (tree path, v),
-        so a later recomputation reproduces the original ordering exactly.
+        The middle of EP: enabled ECSs (filtered by the single-source
+        restriction), the one-step lookahead, the heuristic ordering and the
+        Section 4.4 defer-sources split.  ``v`` must be the top of the
+        current DFS path.
         """
         enabled_tids = self.tree.enabled_of(v)
         enabled_ids = self.analysis.enabled_ecs_ids(enabled_tids)
@@ -920,137 +862,6 @@ class _EPSearch:
                 schedule.add_edge(index_map[index], child.transition, resolve(child_index))
         schedule.root = index_map[root]
         return schedule
-
-    # -- cost objective: enumerate -> score -> select -------------------------
-    def _select_by_cost(
-        self, root: int, first_schedule: Schedule
-    ) -> Tuple[Schedule, int, Dict[str, object]]:
-        """Score the enumerated candidates and pick the cheapest one.
-
-        The first-found schedule always heads the candidate list;
-        :meth:`_enumerate_alternatives` resumes the search past it.  Every
-        candidate is scored by the static objective
-        (:func:`repro.scheduling.objective.score_schedule`) and the minimum
-        ``(score, fingerprint)`` pair wins -- a total order, so the winner
-        is independent of the enumeration order.  Cost-mode counters cover
-        the whole enumeration.
-        """
-        from repro.scheduling.objective import score_schedule
-        from repro.scheduling.serialize import schedule_fingerprint
-
-        candidates: List[Tuple[str, Schedule]] = [
-            (schedule_fingerprint(first_schedule), first_schedule)
-        ]
-        seen = {candidates[0][0]}
-        if self.options.candidate_limit > 1:
-            with raised_recursion_limit():
-                for fingerprint, alternative in self._enumerate_alternatives(root):
-                    if fingerprint in seen:
-                        continue
-                    seen.add(fingerprint)
-                    candidates.append((fingerprint, alternative))
-                    if len(candidates) >= self.options.candidate_limit:
-                        break
-        scored = [
-            (score_schedule(candidate), fingerprint, candidate)
-            for fingerprint, candidate in candidates
-        ]
-        best_score, best_fingerprint, best = min(
-            scored, key=lambda item: (item[0], item[1])
-        )
-        stats: Dict[str, object] = {
-            "candidates": len(scored),
-            "first_score": scored[0][0],
-            "first_fingerprint": scored[0][1],
-            "selected_score": best_score,
-            "selected_fingerprint": best_fingerprint,
-            "selected_is_first": best_fingerprint == scored[0][1],
-            "score_min": min(item[0] for item in scored),
-            "score_max": max(item[0] for item in scored),
-        }
-        return best, best_score, stats
-
-    def _enumerate_alternatives(self, root: int):
-        """Yield ``(fingerprint, schedule)`` for untried candidate ECSs.
-
-        Resumes the search past the first success: for every node retained
-        by the first-found schedule (in deterministic index order) the
-        candidate ordering is recomputed with :meth:`_candidate_ecss` --
-        same path state, same heuristic, so it reproduces the original
-        order exactly -- and each candidate ECS the original search never
-        descended into (no child of ``v`` fires one of its transitions;
-        lookahead probes are always popped again, so surviving children
-        mean a real attempt) is explored with the ordinary
-        :meth:`_ep_ecs` backtracking on the same tree.  A success swaps
-        the node's ``ecs_choice``, snapshots the schedule via
-        :meth:`_post_process` and restores the choice, so later nodes
-        still perturb the first-found schedule.  Candidates that fail
-        Section 4.1 validation are dropped; the node budget keeps bounding
-        the extra exploration.  The candidate set is a function of (net,
-        source, options) only.
-        """
-        from repro.scheduling.serialize import schedule_fingerprint
-
-        retained: Set[int] = set()
-        stack = [root]
-        while stack:
-            current = stack.pop()
-            if current in retained:
-                continue
-            retained.add(current)
-            node = self.tree.nodes[current]
-            if node.ecs_choice is None:
-                continue
-            for child_index in node.children:
-                child = self.tree.nodes[child_index]
-                if child.transition in node.ecs_choice and child_index not in retained:
-                    stack.append(child_index)
-
-        for v in sorted(retained):
-            if v == root:
-                continue  # the root's only move is firing the source
-            node = self.tree.nodes[v]
-            if node.ecs_choice is None:
-                continue  # merged leaf: no choice was made here
-            path: List[int] = []
-            walk: Optional[int] = v
-            while walk is not None:
-                path.append(walk)
-                walk = self.tree.nodes[walk].parent
-            path.reverse()
-            for item in path:
-                self.tree.push(item)
-            try:
-                non_source, source_ecss = self._candidate_ecss(v)
-                tried = {
-                    self.tree.nodes[child].transition
-                    for child in node.children
-                }
-                for ecs in non_source + source_ecss:
-                    if ecs & tried:
-                        continue  # the original search explored this one
-                    entering_point = self._ep_ecs(ecs, v, root)
-                    if entering_point is UNDEF:
-                        continue
-                    if (
-                        not self.tree.is_ancestor(entering_point, v)
-                        or entering_point == v
-                    ):
-                        continue
-                    original_choice = node.ecs_choice
-                    node.ecs_choice = ecs
-                    try:
-                        candidate = self._post_process(root)
-                        try:
-                            candidate.validate(self.analysis)
-                        except Exception:
-                            continue
-                        yield schedule_fingerprint(candidate), candidate
-                    finally:
-                        node.ecs_choice = original_choice
-            finally:
-                for item in reversed(path):
-                    self.tree.pop(item)
 
 
 def find_schedule(

@@ -123,8 +123,6 @@ def result_to_record(result: "SchedulerResult") -> Dict[str, object]:
         "elapsed_seconds": result.elapsed_seconds,
         "failure_reason": result.failure_reason,
         "counters": result.counters.as_dict(),
-        "objective": result.objective,
-        "score": result.score,
     }
 
 
@@ -151,9 +149,6 @@ def result_from_record(
         failure_reason=record["failure_reason"],
         counters=SearchCounters(**record["counters"]),
         from_cache=from_cache,
-        # records written before the cost objective existed carry neither key
-        objective=str(record.get("objective", "first")),
-        score=(int(record["score"]) if record.get("score") is not None else None),
     )
 
 

@@ -99,12 +99,6 @@ def options_cache_key(options: SchedulerOptions) -> Optional[Tuple]:
         options.validate,
         options.invariant_precheck,
         options.defer_sources,
-        # the objective changes which schedule is selected, so "first"
-        # records must never replay for "cost" requests (and vice versa);
-        # candidate_limit is dead under "first" -- normalise it to 0 there
-        # so it cannot fragment the first-objective key space
-        options.objective,
-        options.candidate_limit if options.objective == "cost" else 0,
     )
 
 

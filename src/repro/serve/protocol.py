@@ -44,12 +44,14 @@ import numpy as np
 
 from repro.flowc.netlist import Network
 from repro.petrinet.net import PetriNet, SourceKind
-from repro.scheduling.ep import OBJECTIVES, SchedulerOptions
+from repro.scheduling.ep import SchedulerOptions
 
 #: Version stamped into every response envelope; bump on breaking changes.
 #: Version 2 dropped the EP backend, kernel-tier and intra-search worker
-#: options and the two per-backend expansion counters of the responses.
-PROTOCOL_VERSION = 2
+#: options and the two per-backend expansion counters of the responses;
+#: version 3 dropped the two options of the deleted cost-based schedule
+#: selection.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one request line (and the asyncio stream limit).  Nets of
 #: tens of thousands of nodes fit comfortably; anything bigger should ship
@@ -323,10 +325,6 @@ WIRE_OPTION_FIELDS = (
     "validate",
     "invariant_precheck",
     "defer_sources",
-    # enumerate->score->select: "first" replays the classic search, "cost"
-    # enumerates up to candidate_limit schedules and keeps the cheapest
-    "objective",
-    "candidate_limit",
 )
 
 #: Wire options that must be JSON booleans: anything else would reach the
@@ -372,19 +370,6 @@ def options_from_dict(data: Optional[Mapping[str, object]]) -> SchedulerOptions:
         raise ProtocolError("bad-options", "max_nodes must be a positive integer")
     if options.max_nodes > MAX_WIRE_NODES:
         raise ProtocolError("bad-options", f"max_nodes must be at most {MAX_WIRE_NODES}")
-    if options.objective not in OBJECTIVES:
-        raise ProtocolError(
-            "bad-options",
-            f"unknown objective {options.objective!r}; settable: {list(OBJECTIVES)}",
-        )
-    if (
-        not isinstance(options.candidate_limit, int)
-        or isinstance(options.candidate_limit, bool)
-        or not 1 <= options.candidate_limit <= 64
-    ):
-        raise ProtocolError(
-            "bad-options", "candidate_limit must be an integer between 1 and 64"
-        )
     return options
 
 

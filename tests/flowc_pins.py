@@ -5,10 +5,18 @@
 frame geometries and the corpus-pool programs of spec seeds 0-299.
 ``tests/golden/flowc/prefix_errors.json`` holds, for a handful of programs,
 the :class:`FlowCParseError` or :class:`FlowCLexError` text of every prefix
-``source[:k]`` (``""`` where the prefix parses).  Both were generated with
-the character-loop scanner that the master-pattern lexer replaced, on
+``source[:k]`` (``""`` where the prefix parses).  Both were first generated
+with the character-loop scanner that the master-pattern lexer replaced, on
 programs none of that scanner's four position and number defects touch, so
 they pin that the rewrite kept every AST and every error message.
+
+When the ``WCET(n)`` process annotation left the language (and ``Process``
+its ``wcet`` field), the pins were regenerated by the front end that still
+parsed it, not by the new one: each AST digest is that front end's
+``sha256(repr(parse_program(source)).replace(", wcet=None)", ")"))`` on the
+annotation-free program text, and the ``literals`` prefix errors are its
+errors on the annotation-free :data:`LITERALS_SOURCE`.  The ``divisors`` and
+``pool_28`` prefix errors never carried an annotation and are unchanged.
 
 ``tests/test_flowc_frontend.py`` diffs both.  Regenerate them only for an
 intended change of the language::
@@ -42,9 +50,9 @@ POOL_SEEDS = range(300)
 
 #: every literal and operator kind the parser accepts, in one process
 LITERALS_SOURCE = """
-/* timing-annotated process
+/* one process
    with every literal kind */
-PROCESS lit (In DPORT a, In DPORT b, Out DPORT o) WCET(12) {
+PROCESS lit (In DPORT a, In DPORT b, Out DPORT o) {
     int v, k[4], c = 'x';
     float g = 1.5e-3, h = 2., e = 3E+2;
     while (1) {

@@ -70,6 +70,20 @@ class TestGeneration:
             data = json.loads(json.dumps(spec_to_dict(spec)))
             assert spec_from_dict(data) == spec
 
+    def test_spec_from_dict_drops_the_retired_wcet_key(self):
+        """Bundles written while processes had a ``wcet`` field replay the
+        same case; any other unknown key still fails."""
+        spec = generate_spec(3)
+        data = spec_to_dict(spec)
+        processes = data["subsystems"][0]["processes"]
+        assert len(processes) >= 2
+        processes[0]["wcet"] = None
+        processes[1]["wcet"] = 7
+        assert spec_from_dict(data) == spec_from_dict(spec_to_dict(spec)) == spec
+        processes[0]["deadline"] = 3
+        with pytest.raises(TypeError):
+            spec_from_dict(data)
+
     def test_stimulus_prefix_stable_under_truncation(self):
         spec = generate_spec(5, "chain")
         long = stimulus_for(spec)

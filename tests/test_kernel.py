@@ -138,11 +138,10 @@ def test_pinned_numpy_tier_matches_auto_tier_results():
 
 def test_options_cache_key_separates_tiers_not_backend_equivalence():
     """The key has one entry per option that can change the outcome: every
-    such option separates keys, equal options share one, and a dead setting
-    (``candidate_limit`` under ``objective="first"``) does not fragment it."""
+    such option separates keys and equal options share one."""
     base = options_cache_key(SchedulerOptions())
     searched = [f.name for f in fields(SchedulerOptions) if f.name != "termination"]
-    assert len(base) == len(searched) == 8
+    assert len(base) == len(searched) == 6
     assert options_cache_key(SchedulerOptions()) == base
     changed = {
         "single_source": False,
@@ -151,14 +150,10 @@ def test_options_cache_key_separates_tiers_not_backend_equivalence():
         "validate": False,
         "invariant_precheck": False,
         "defer_sources": False,
-        "objective": "cost",
     }
+    assert set(changed) == set(searched)
     keys = {options_cache_key(SchedulerOptions(**{k: v})) for k, v in changed.items()}
     assert len(keys) == len(changed) and base not in keys
-    assert options_cache_key(SchedulerOptions(candidate_limit=3)) == base
-    assert options_cache_key(
-        SchedulerOptions(objective="cost", candidate_limit=3)
-    ) != options_cache_key(SchedulerOptions(objective="cost"))
     # a caller-supplied condition has no stable identity: uncacheable
     assert options_cache_key(SchedulerOptions(termination=NodeBudget(10))) is None
 

@@ -172,14 +172,13 @@ def test_net_from_dict_rejects_garbage():
 
 def test_options_from_dict_defaults_and_whitelist():
     assert options_from_dict(None) == SchedulerOptions()
-    options = options_from_dict({"objective": "cost", "max_nodes": 500})
-    assert options.objective == "cost"
-    assert options.max_nodes == 500
+    options = options_from_dict({"defer_sources": False, "max_nodes": 500})
+    assert options == SchedulerOptions(defer_sources=False, max_nodes=500)
     with pytest.raises(ProtocolError) as excinfo:
         options_from_dict({"termination": "nope"})
     assert excinfo.value.kind == "bad-options"
     with pytest.raises(ProtocolError):
-        options_from_dict({"objective": "warp-drive"})
+        options_from_dict({"warp_drive": True})
     with pytest.raises(ProtocolError):
         options_from_dict({"max_nodes": -1})
 
@@ -406,10 +405,16 @@ def test_server_error_envelopes():
 
 
 def test_retired_options_answer_bad_options_like_unknown_ones():
-    """Protocol 2 dropped three scheduler options: naming one is an unknown
-    option, refused before any search."""
+    """Protocol 2 dropped three scheduler options and protocol 3 two more:
+    naming one is an unknown option, refused before any search."""
     net = net_to_dict(paper_nets.figure_5())
-    retired = {"backend": "scalar", "kernel_tier": "numpy", "intra_workers": 2}
+    retired = {
+        "backend": "scalar",
+        "kernel_tier": "numpy",
+        "intra_workers": 2,
+        "objective": "cost",
+        "candidate_limit": 8,
+    }
     assert not set(retired) & set(protocol.WIRE_OPTION_FIELDS)
     lines = [
         _line({"op": "schedule", "net": net, "options": {name: value}})
@@ -429,7 +434,7 @@ def test_retired_options_answer_bad_options_like_unknown_ones():
     for name, response in zip(retired, responses):
         assert not response["ok"] and response["error"]["type"] == "bad-options"
         assert name in response["error"]["message"]
-        assert response["protocol"] == protocol.PROTOCOL_VERSION == 2
+        assert response["protocol"] == protocol.PROTOCOL_VERSION == 3
 
 
 def test_wrong_typed_options_answer_bad_options():

@@ -34,8 +34,9 @@ Integrity contract (see ``docs/architecture.md``):
 
 Activation: the cache is opt-in.  Call :func:`activate` (or pass
 ``--cache`` to ``benchmarks/bench_scheduler.py``), or set ``REPRO_CACHE=1``
-in the environment; ``REPRO_CACHE_DIR`` moves the store, and
-``REPRO_CACHE_BACKEND`` picks ``sqlite`` (default) or ``json``.
+in the environment; ``REPRO_CACHE_DIR`` moves the store.  The store is one
+sqlite file (stdlib ``sqlite3``); where sqlite cannot open it, the cache is
+a :class:`NullStore` and every lookup misses.
 ``python -m repro.cache {stats,clear,verify}`` inspects and maintains the
 store on disk.
 
@@ -62,7 +63,6 @@ from repro.cache.stores import (
     SCHEMA_VERSION,
     CacheStore,
     EntryInfo,
-    JsonDirStore,
     NullStore,
     SqliteStore,
     StoreStats,
@@ -72,7 +72,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "CacheStore",
     "EntryInfo",
-    "JsonDirStore",
     "NullStore",
     "SqliteStore",
     "StoreStats",
@@ -98,7 +97,6 @@ DEFAULT_CACHE_DIR = os.path.join(".cache", "repro")
 #: Environment knobs (documented in the README and docs/user_guide.md).
 ENV_ENABLE = "REPRO_CACHE"
 ENV_DIR = "REPRO_CACHE_DIR"
-ENV_BACKEND = "REPRO_CACHE_BACKEND"
 
 
 def cache_root(path: Optional[os.PathLike] = None) -> Path:
@@ -111,29 +109,18 @@ def cache_root(path: Optional[os.PathLike] = None) -> Path:
     return Path(DEFAULT_CACHE_DIR)
 
 
-def open_store(
-    path: Optional[os.PathLike] = None, backend: Optional[str] = None
-) -> CacheStore:
-    """Open (creating if needed) a disk store; never raises.
+def open_store(path: Optional[os.PathLike] = None) -> CacheStore:
+    """Open (creating if needed) the sqlite disk store; never raises.
 
-    ``backend`` is ``"sqlite"`` (default) or ``"json"``, overridable via
-    ``$REPRO_CACHE_BACKEND``.  When the preferred backend cannot come up
-    (unwritable directory, broken sqlite) the JSON-dir backend is tried, and
-    when nothing on disk is usable a :class:`NullStore` is returned so
-    callers degrade to cache misses instead of crashing.
+    When sqlite cannot open a database at the location (unwritable
+    directory, broken sqlite), a :class:`NullStore` naming the error is
+    returned, so callers degrade to cache misses instead of crashing.
     """
     root = cache_root(path)
-    requested = (backend or os.environ.get(ENV_BACKEND) or "sqlite").lower()
-    attempts = ("sqlite", "json") if requested != "json" else ("json",)
-    last_error = "unknown"
-    for name in attempts:
-        try:
-            if name == "sqlite":
-                return SqliteStore(root)
-            return JsonDirStore(root)
-        except Exception as error:  # unusable location / broken backend
-            last_error = f"{name}: {error}"
-    return NullStore(f"no usable cache backend at {root} ({last_error})")
+    try:
+        return SqliteStore(root)
+    except Exception as error:  # unusable location / broken sqlite
+        return NullStore(f"no usable cache at {root} ({type(error).__name__}: {error})")
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +160,6 @@ def active_store() -> Optional[CacheStore]:
 
 def activate(
     path: Optional[os.PathLike] = None,
-    backend: Optional[str] = None,
     store: Optional[CacheStore] = None,
 ) -> CacheStore:
     """Turn the process-wide disk cache on and return the store in use.
@@ -182,7 +168,7 @@ def activate(
     resolution run (``path`` / ``$REPRO_CACHE_DIR`` / ``.cache/repro``).
     """
     global _ACTIVE, _ACTIVE_PID
-    _ACTIVE = store if store is not None else open_store(path, backend)
+    _ACTIVE = store if store is not None else open_store(path)
     _ACTIVE_PID = os.getpid()
     return _ACTIVE
 

@@ -1,7 +1,6 @@
 """``python -m repro.cache`` -- inspect and maintain the on-disk cache.
 
-Three subcommands, all honouring ``--dir`` / ``$REPRO_CACHE_DIR`` and
-``--backend`` / ``$REPRO_CACHE_BACKEND``:
+Three subcommands, all honouring ``--dir`` / ``$REPRO_CACHE_DIR``:
 
 * ``stats``  -- entry counts and sizes per artifact kind, backend, location,
   quarantine population (``--json`` for machine-readable output);
@@ -136,12 +135,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="cache directory (default: $REPRO_CACHE_DIR or .cache/repro)",
     )
     shared.add_argument(
-        "--backend",
-        choices=("sqlite", "json"),
-        default=argparse.SUPPRESS,
-        help="storage backend (default: $REPRO_CACHE_BACKEND or sqlite)",
-    )
-    shared.add_argument(
         "--json",
         action="store_true",
         default=argparse.SUPPRESS,
@@ -166,10 +159,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     cache_dir = getattr(args, "dir", None)
-    backend = getattr(args, "backend", None)
     as_json = getattr(args, "json", False)
 
-    store = open_store(cache_dir, backend)
+    store = open_store(cache_dir)
     try:
         if args.command == "stats":
             return _cmd_stats(store, as_json)

@@ -1,15 +1,13 @@
 """Disk backends of the compile-time artifact cache.
 
-One :class:`CacheStore` contract, three implementations:
+One :class:`CacheStore` contract, two implementations:
 
-* :class:`SqliteStore` -- the default: one ``store.sqlite`` file (stdlib
+* :class:`SqliteStore` -- the disk store: one ``store.sqlite`` file (stdlib
   ``sqlite3``), WAL journaling, a ``quarantine`` table for entries that
   failed integrity checks.
-* :class:`JsonDirStore` -- one JSON file per entry under ``json/<kind>/``,
-  atomic writes via ``os.replace``; the fallback when sqlite is unavailable
-  or its database file cannot be opened.
-* :class:`NullStore` -- the degenerate backend used when no disk location is
-  writable at all: every read misses, every write is dropped.
+* :class:`NullStore` -- the degenerate store used when sqlite cannot open a
+  database at the cache location: every read misses, every write is
+  dropped.
 
 Every entry travels in one *wire record*: the caller's JSON payload wrapped
 with the cache schema version and a SHA-256 checksum of the canonical
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sqlite3
 import threading
 import time
@@ -235,7 +232,7 @@ class CacheStore:
 
 
 class NullStore(CacheStore):
-    """The always-empty store used when no disk location is usable.
+    """The always-empty store used when sqlite cannot open the cache location.
 
     Keeps the calling code free of ``None`` checks and the degrade-to-miss
     contract intact: gets miss, puts drop, nothing raises.
@@ -273,7 +270,7 @@ class NullStore(CacheStore):
 
 
 class SqliteStore(CacheStore):
-    """Entries in one sqlite database file (the default backend).
+    """Entries in one sqlite database file (the disk store).
 
     Layout: an ``entries(kind, key, blob)`` table holding wire records and a
     ``quarantine(kind, key, blob, reason, ts)`` table for entries that failed
@@ -313,6 +310,8 @@ class SqliteStore(CacheStore):
         try:
             self._connection()
         except sqlite3.Error:
+            if not self.path.exists():
+                raise  # no database file to blame: sqlite cannot open one here
             with self._lock:
                 self._rotate_corrupt()
                 self._generation += 1
@@ -476,135 +475,3 @@ class SqliteStore(CacheStore):
 
     def describe(self) -> str:
         return f"sqlite ({self.path})"
-
-
-class JsonDirStore(CacheStore):
-    """One JSON file per entry: ``json/<kind>/<key>.json`` under the root.
-
-    The fallback backend for environments where sqlite cannot open a
-    database (exotic filesystems, read-only sqlite builds); also the easier
-    backend to inspect by hand.  Writes go through a temporary file and
-    ``os.replace`` so readers never observe a half-written entry; corrupt
-    files are moved to ``quarantine/``.
-    """
-
-    backend_name = "json"
-
-    def __init__(self, root: Path):
-        super().__init__()
-        self.root = Path(root)
-        self.json_root = self.root / "json"
-        self.quarantine_root = self.root / "quarantine"
-        self.json_root.mkdir(parents=True, exist_ok=True)
-
-    @staticmethod
-    def _filename(key: str) -> str:
-        # keys are fingerprint-built and already filesystem-safe, but hash
-        # anything suspicious rather than trusting it as a path component
-        if all(c.isalnum() or c in "._:-" for c in key) and len(key) < 200:
-            return key.replace(":", "_") + ".json"
-        return hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json"
-
-    def _path(self, kind: str, key: str) -> Path:
-        return self.json_root / kind / self._filename(key)
-
-    def _read(self, kind: str, key: str) -> Optional[str]:
-        path = self._path(kind, key)
-        if not path.exists():
-            return None
-        return path.read_text(encoding="utf-8")
-
-    @staticmethod
-    def _fsync_directory(directory: Path) -> None:
-        """Flush a directory entry so a just-renamed file survives a crash.
-
-        Directory fds are a POSIX notion; on platforms (or filesystems) that
-        refuse to open or fsync a directory the flush is skipped -- the
-        rename is still atomic, we merely lose the durability upgrade.
-        """
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(fd)
-        except OSError:
-            pass
-        finally:
-            os.close(fd)
-
-    def _write(self, kind: str, key: str, blob: str) -> None:
-        path = self._path(kind, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # pid alone is not unique under the serving daemon's thread pool:
-        # two threads of one process writing the same key would share (and
-        # corrupt) one temp file, so the thread id joins the suffix
-        tmp = path.with_name(
-            path.name + f".tmp-{os.getpid()}-{threading.get_ident()}"
-        )
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(blob)
-                handle.flush()
-                # without the fsync, os.replace can publish a name whose
-                # *data* never reached the disk: a crash then leaves a
-                # truncated entry that later reads silently quarantine
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
-        # and the rename itself must be flushed, or the crash loses the
-        # entry entirely (acceptable) *or* resurrects a half-gone tmp file
-        self._fsync_directory(path.parent)
-
-    def _remove(self, kind: str, key: str) -> None:
-        path = self._path(kind, key)
-        if path.exists():
-            path.unlink()
-
-    def _move_to_quarantine(self, kind: str, key: str, reason: str) -> None:
-        path = self._path(kind, key)
-        if not path.exists():
-            return
-        self.quarantine_root.mkdir(parents=True, exist_ok=True)
-        target = self.quarantine_root / f"{kind}.{path.name}"
-        suffix = 0
-        while target.exists():  # never overwrite an earlier quarantined entry
-            suffix += 1
-            target = self.quarantine_root / f"{kind}.{path.name}.{suffix}"
-        os.replace(path, target)
-
-    def _scan(self) -> Iterator[EntryInfo]:
-        if not self.json_root.exists():
-            return
-        for kind_dir in sorted(self.json_root.iterdir()):
-            if not kind_dir.is_dir():
-                continue
-            for path in sorted(kind_dir.glob("*.json")):
-                stat = path.stat()
-                yield EntryInfo(
-                    kind=kind_dir.name,
-                    key=path.stem,
-                    size_bytes=stat.st_size,
-                    created=stat.st_mtime,
-                )
-
-    def _quarantine_count(self) -> int:
-        if not self.quarantine_root.exists():
-            return 0
-        return sum(1 for _ in self.quarantine_root.iterdir())
-
-    def _wipe(self) -> None:
-        import shutil
-
-        for directory in (self.json_root, self.quarantine_root):
-            if directory.exists():
-                shutil.rmtree(directory, ignore_errors=True)
-        self.json_root.mkdir(parents=True, exist_ok=True)
-
-    def describe(self) -> str:
-        return f"json ({self.json_root})"

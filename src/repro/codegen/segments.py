@@ -132,11 +132,6 @@ class JumpSpec:
     is_return: bool = False  # deterministic jump to an await node
     cases: List[JumpCase] = field(default_factory=list)
 
-    def target_labels(self) -> Set[ECS]:
-        if self.deterministic:
-            return set() if self.target_ecs is None else {self.target_ecs}
-        return {case.target_ecs for case in self.cases if not case.is_return}
-
 
 @dataclass
 class CodeSegmentNode:
@@ -197,9 +192,6 @@ class SegmentSet:
     def entry_segment(self) -> CodeSegment:
         """The segment containing the uncontrollable source (cs1)."""
         return self.segment_for(self.source_ecs)
-
-    def distinct_ecss(self) -> List[ECS]:
-        return list(self.node_by_ecs)
 
     def state_places(self) -> List[str]:
         """Places needed as state variables (Section 6.4.1).

@@ -343,12 +343,6 @@ class Process:
                 return port
         raise KeyError(f"process {self.name!r} has no port {name!r}")
 
-    def input_ports(self) -> Tuple[PortDecl, ...]:
-        return tuple(p for p in self.ports if p.is_input)
-
-    def output_ports(self) -> Tuple[PortDecl, ...]:
-        return tuple(p for p in self.ports if p.is_output)
-
     def __str__(self) -> str:
         ports = ", ".join(str(p) for p in self.ports)
         return f"PROCESS {self.name}({ports}) {{ {len(self.body)} statements }}"

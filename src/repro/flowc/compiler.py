@@ -368,16 +368,6 @@ class _ProcessCompiler:
             )
         raise CompilationError(f"unsupported port-containing statement: {statement}")
 
-    def _attach_condition(self, place: str, condition: object) -> None:
-        existing = self.net.places[place].condition
-        if existing is not None and existing != condition:
-            # Two control statements would share the same choice place; insert
-            # an epsilon transition to separate them.
-            raise CompilationError(
-                f"place {place} already carries condition {existing}; cannot attach {condition}"
-            )
-        self.net.places[place].condition = condition
-
     def _compile_while(self, condition: Expression, body: Sequence[Statement], entry: str) -> str:
         constant = _constant_truth(condition)
         if constant is True:

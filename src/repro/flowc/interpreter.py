@@ -430,11 +430,6 @@ class Interpreter:
             return self._evaluate_select(expr)
         raise InterpreterError(f"unsupported expression: {expr!r}")
 
-    def evaluate_condition(self, expr: Expression) -> bool:
-        """Evaluate a choice-place condition to a boolean."""
-        self.counter.comparisons += 1
-        return self._truth(self.evaluate(expr))
-
     def _truth(self, value: Any) -> bool:
         if isinstance(value, list):
             return bool(value)

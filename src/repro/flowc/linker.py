@@ -51,17 +51,11 @@ class LinkedSystem:
     def uncontrollable_source_transitions(self) -> List[str]:
         return self.net.uncontrollable_sources()
 
-    def place_of_channel(self, channel: str) -> str:
-        return self.channel_places[channel]
-
     def channel_of_place(self, place: str) -> Optional[str]:
         for channel, name in self.channel_places.items():
             if name == place:
                 return channel
         return None
-
-    def source_transition_for_input(self, process: str, port: str) -> str:
-        return self.environment_transitions[PortRef(process, port)]
 
 
 def _merge_port_places(

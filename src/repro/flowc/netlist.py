@@ -171,10 +171,6 @@ class Network:
                     result.append((ref, "input" if port.is_input else "output"))
         return result
 
-    def channel_for(self, process: str, port: str) -> Optional[Channel]:
-        ref = PortRef(process, port)
-        return self.connected_ports().get(ref)
-
     def validate(self) -> None:
         """Check that every unconnected port has an environment declaration
         and that every declared environment port is indeed unconnected."""
@@ -192,12 +188,6 @@ class Network:
                 raise NetworkError(
                     f"unconnected output port {ref} has no environment declaration (declare_output)"
                 )
-
-    def uncontrollable_inputs(self) -> List[EnvironmentPort]:
-        return [env for env in self.environment_inputs.values() if not env.controllable]
-
-    def controllable_inputs(self) -> List[EnvironmentPort]:
-        return [env for env in self.environment_inputs.values() if env.controllable]
 
     def describe(self) -> str:
         """Human-readable summary of the network."""

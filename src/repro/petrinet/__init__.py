@@ -7,7 +7,8 @@ The paper models the linked network of FlowC processes as a single Petri net
 * :mod:`repro.petrinet.marking` -- immutable markings with firing rules.
 * :mod:`repro.petrinet.analysis` -- equal conflict sets, choice-place
   classification, place degrees, unique-choice checks.
-* :mod:`repro.petrinet.reachability` -- reachability graph / tree exploration.
+* :mod:`repro.petrinet.reachability` -- reachability graph exploration and
+  the boundedness check on it.
 * :mod:`repro.petrinet.invariants` -- incidence matrix and the exact
   minimal-support T-invariant basis (sparse Farkas elimination).
 * :mod:`repro.petrinet.covering` -- heuristic binate covering solver used by
@@ -15,9 +16,6 @@ The paper models the linked network of FlowC processes as a single Petri net
 * :mod:`repro.petrinet.indexed` -- the integer-dense core the hot paths run
   on: dense place/transition IDs, tuple markings, precomputed firing deltas
   and incremental enabled-set maintenance (see ``docs/architecture.md``).
-* :mod:`repro.petrinet.batched` -- NumPy marking matrices (one row per
-  marking) for sweeps: batched enabledness, bound and irrelevance queries,
-  frontier-at-a-time reachability.
 * :mod:`repro.petrinet.fingerprint` -- stable structural hashes keying the
   warm-start caches across net objects.
 """
@@ -43,7 +41,6 @@ from repro.petrinet.reachability import (
     ReachabilityGraph,
     ReachabilityNode,
     build_reachability_graph,
-    reachable_marking_matrix,
 )
 from repro.petrinet.invariants import (
     InvariantBasis,
@@ -77,7 +74,6 @@ __all__ = [
     "invariant_basis",
     "is_t_invariant",
     "place_degree",
-    "reachable_marking_matrix",
     "solve_binate_covering",
     "structural_fingerprint",
     "t_invariant_basis",

@@ -245,9 +245,6 @@ class StructuralAnalysis:
                 result.append(ecs)
         return result
 
-    def is_uncontrollable_ecs(self, ecs: ECS) -> bool:
-        return any(t in self.uncontrollable for t in ecs)
-
     def is_source_ecs(self, ecs: ECS) -> bool:
         return any(not self.net.pre[t] for t in ecs)
 

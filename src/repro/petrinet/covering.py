@@ -61,9 +61,6 @@ class BinateCoveringProblem:
     def is_feasible(self, selection: Set[str]) -> bool:
         return all(self.row_satisfied(row, selection) for row in self.rows)
 
-    def violated_rows(self, selection: Set[str]) -> List[Dict[str, Cell]]:
-        return [row for row in self.rows if not self.row_satisfied(row, selection)]
-
 
 def solve_binate_covering(
     problem: BinateCoveringProblem,

@@ -28,7 +28,7 @@ structural mutation invalidates the cache.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Tuple
 
 from repro.petrinet.marking import Marking
 
@@ -64,26 +64,6 @@ class MarkingStore:
             self._store[vec] = vec
             return vec
         return canonical
-
-    def intern_rows(self, matrix) -> List[MarkingVec]:
-        """Bulk-intern the rows of a raw int64 buffer (order preserved).
-
-        ``matrix`` is anything with NumPy's ``tolist`` ((n, n_places),
-        typically a block of reachability successors); conversion to marking
-        tuples happens in one C-level pass instead of a Python ``int()``
-        per element, then each row is admitted like :meth:`intern`.  The
-        reachability sweep (:func:`repro.petrinet.batched.reachable_matrix`)
-        hands each successor buffer straight to the store this way.
-        """
-        store = self._store
-        result: List[MarkingVec] = []
-        for vec in map(tuple, matrix.tolist()):
-            canonical = store.get(vec)
-            if canonical is None:
-                store[vec] = vec
-                canonical = vec
-            result.append(canonical)
-        return result
 
     def __len__(self) -> int:
         return len(self._store)
@@ -230,13 +210,6 @@ class IndexedNet:
             counts[pid] += d
         return tuple(counts)
 
-    def fire_sequence_vec(
-        self, tids: Iterable[int], vec: MarkingVec
-    ) -> MarkingVec:
-        for tid in tids:
-            vec = self.fire_vec(tid, vec)
-        return vec
-
     def enabled_vec(self, vec: MarkingVec) -> Tuple[int, ...]:
         """All enabled transition IDs (ascending ID == ascending name)."""
         result = []
@@ -279,10 +252,6 @@ class IndexedNet:
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
-    def names_of(self, tids: Iterable[int]) -> List[str]:
-        names = self.transition_names
-        return [names[tid] for tid in sorted(tids)]
-
     def total_tokens(self, vec: MarkingVec) -> int:
         return sum(vec)
 

@@ -35,8 +35,6 @@ import warnings
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 import repro.cache as artifact_cache
 from repro.petrinet.fingerprint import incidence_fingerprint
 from repro.petrinet.net import PetriNet
@@ -63,19 +61,19 @@ class InvariantBasis(NamedTuple):
 _BASIS_WARM_STORE: "BoundedLRU[Tuple[str, int], InvariantBasis]" = BoundedLRU(32)
 
 
-def incidence_matrix(net: PetriNet) -> Tuple[np.ndarray, List[str], List[str]]:
-    """Return ``(C, places, transitions)`` with ``C[i, j] = F(t_j, p_i) - F(p_i, t_j)``.
+def incidence_matrix(net: PetriNet) -> Tuple[List[List[int]], List[str], List[str]]:
+    """Return ``(C, places, transitions)`` with ``C[i][j] = F(t_j, p_i) - F(p_i, t_j)``.
 
-    Rows are indexed by places and columns by transitions, both in sorted name
-    order so the matrix is reproducible.
+    ``C`` is a list of rows: rows are indexed by places and columns by
+    transitions, both in sorted name order so the matrix is reproducible.
     """
     indexed = net.indexed()
     places = list(indexed.place_names)
     transitions = list(indexed.transition_names)
-    matrix = np.zeros((len(places), len(transitions)), dtype=np.int64)
+    matrix = [[0] * len(transitions) for _ in places]
     for tid, deltas in enumerate(indexed.delta):
         for pid, delta in deltas:
-            matrix[pid, tid] = delta
+            matrix[pid][tid] = delta
     return matrix, places, transitions
 
 

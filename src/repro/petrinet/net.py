@@ -114,11 +114,6 @@ class Transition:
         """True when the environment decides when this transition fires."""
         return self.source_kind is SourceKind.UNCONTROLLABLE
 
-    @property
-    def is_controllable_source(self) -> bool:
-        """True when the scheduler decides when this transition fires."""
-        return self.source_kind is SourceKind.CONTROLLABLE
-
     def __hash__(self) -> int:
         return hash(self.name)
 
@@ -166,8 +161,8 @@ class PetriNet:
 
         The indexed snapshot and the place adjacency are rebuilt lazily on
         first use after unpickling; shipping them would roughly double the
-        payload and drag the ``analysis_cache`` (numpy arrays, invariant
-        bases) along.
+        payload and drag the ``analysis_cache`` (structural analyses,
+        invariant bases) along.
         """
         state = dict(self.__dict__)
         state["_indexed"] = None
@@ -321,14 +316,6 @@ class PetriNet:
     def weight_tp(self, transition: str, place: str) -> int:
         """F(t, p): weight of the arc from ``transition`` to ``place``."""
         return self.post.get(transition, {}).get(place, 0)
-
-    def preset_of_transition(self, transition: str) -> Dict[str, int]:
-        """Places feeding ``transition`` with their weights."""
-        return dict(self.pre[transition])
-
-    def postset_of_transition(self, transition: str) -> Dict[str, int]:
-        """Places fed by ``transition`` with their weights."""
-        return dict(self.post[transition])
 
     def preset_of_place(self, place: str) -> Dict[str, int]:
         """Transitions feeding ``place`` with their weights."""

@@ -11,6 +11,7 @@ figures.
 
 from __future__ import annotations
 
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -45,9 +46,6 @@ class ReachabilityGraph:
     @property
     def markings(self) -> List[Marking]:
         return [node.marking for node in self.nodes]
-
-    def node_for(self, marking: Marking) -> ReachabilityNode:
-        return self.nodes[self.index_of[marking]]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -166,26 +164,6 @@ def reachable_markings(
     return graph.markings
 
 
-def reachable_marking_matrix(
-    net: PetriNet,
-    *,
-    max_nodes: int = 10000,
-    max_tokens_per_place: Optional[int] = None,
-):
-    """Bounded reachable set as a dense NumPy matrix (one row per marking).
-
-    Delegates to the batched sweep (:mod:`repro.petrinet.batched`), which
-    expands a whole BFS frontier per step; use this when the caller sweeps
-    the reachable set with matrix queries (bounds, irrelevance)
-    rather than walking the successor structure edge by edge.
-    """
-    from repro.petrinet.batched import reachable_matrix
-
-    return reachable_matrix(
-        net, max_nodes=max_nodes, max_tokens_per_place=max_tokens_per_place
-    )
-
-
 def is_bounded(
     net: PetriNet,
     bound: int,
@@ -195,13 +173,22 @@ def is_bounded(
     """Heuristic boundedness check: explore up to ``max_nodes`` markings and
     report whether any place ever exceeds ``bound`` tokens.
 
-    A ``False`` result is definitive (a violating marking was found); a
-    ``True`` result is only as strong as the exploration budget.  The sweep
-    is batched: one matrix of explored markings, one vectorized comparison
-    against the bound.
+    A ``False`` result is definitive (a violating marking was found), and so
+    is a ``True`` from a complete exploration.  A ``True`` from an
+    exploration that ``max_nodes`` cut is undecided: it comes with a
+    ``RuntimeWarning`` naming the net, the budget and the bound.
     """
-    matrix = reachable_marking_matrix(net, max_nodes=max_nodes)
-    return not bool((matrix > bound).any())
+    graph = build_reachability_graph(net, max_nodes=max_nodes)
+    if max(graph.max_tokens_per_place().values(), default=0) > bound:
+        return False
+    if not graph.complete:
+        warnings.warn(
+            f"boundedness of net {net.name!r} undecided: exploration cut at "
+            f"max_nodes={max_nodes} with no place above bound={bound}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return True
 
 
 def find_deadlocks(

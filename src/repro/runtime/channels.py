@@ -71,9 +71,6 @@ class ChannelBuffer:
         self.total_read += nitems
         return values
 
-    def peek_all(self) -> List[Any]:
-        return list(self._items)
-
     def clear(self) -> None:
         self._items.clear()
 

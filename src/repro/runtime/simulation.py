@@ -45,9 +45,6 @@ class SimulationOutputs:
     def port(self, name: str) -> List[Any]:
         return self.by_port.get(name, [])
 
-    def total_items(self) -> int:
-        return sum(len(values) for values in self.by_port.values())
-
 
 @dataclass
 class SimulationResult:

@@ -260,16 +260,6 @@ class TieBreakOrdering(ECSOrderingHeuristic):
         return sorted(ecss, key=key)
 
 
-@dataclass
-class PromisingVectorState:
-    """Mutable state of the invariant-guided heuristic along the search path."""
-
-    vector: Dict[str, int] = field(default_factory=dict)
-
-    def appears(self, transition: str) -> bool:
-        return self.vector.get(transition, 0) > 0
-
-
 class InvariantGuidedOrdering(ECSOrderingHeuristic):
     """T-invariant guided ordering (Section 5.5.2).
 

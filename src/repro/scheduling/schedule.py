@@ -190,29 +190,6 @@ class Schedule:
             stack.extend(predecessors[current])
         return seen
 
-    def paths_from(self, index: int, *, stop_at_await: bool = True) -> List[List[Tuple[int, str, int]]]:
-        """Enumerate simple paths from ``index`` until an await node (or a
-        revisited node); used by code generation tests."""
-        results: List[List[Tuple[int, str, int]]] = []
-        await_indices = {node.index for node in self.await_nodes()}
-
-        def walk(current: int, path: List[Tuple[int, str, int]], visited: Set[int]) -> None:
-            node = self.nodes[current]
-            if stop_at_await and current in await_indices and path:
-                results.append(list(path))
-                return
-            if not node.edges:
-                results.append(list(path))
-                return
-            for transition, target in sorted(node.edges.items()):
-                if target in visited:
-                    results.append(list(path) + [(current, transition, target)])
-                    continue
-                walk(target, path + [(current, transition, target)], visited | {target})
-
-        walk(index, [], {index})
-        return results
-
     # ------------------------------------------------------------------
     # validation (the five properties of Section 4.1)
     # ------------------------------------------------------------------

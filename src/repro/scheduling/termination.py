@@ -137,17 +137,6 @@ class IrrelevanceCriterion(TerminationCondition):
             self._incremental_for = inet
         return self._incremental
 
-    def irrelevant_rows(self, inet, matrix, ancestor_vec):
-        """Batched form over a marking matrix (one row per marking).
-
-        Returns a boolean vector marking the rows irrelevant w.r.t.
-        ``ancestor_vec``; the caller supplies rows known to be reachable
-        from the ancestor (condition (a) of Definition 4.5).
-        """
-        from repro.petrinet.batched import irrelevance_mask
-
-        return irrelevance_mask(matrix, ancestor_vec, self.degrees_vec(inet))
-
     def is_irrelevant(self, marking: Marking, ancestor: Marking) -> bool:
         """The Definition 4.5 test of ``marking`` against one ``ancestor``."""
         if marking == ancestor:
@@ -380,12 +369,6 @@ class PlaceBoundCondition(TerminationCondition):
             self._bounds_vec = tuple(entries)
             self._bounds_vec_for = inet
         return self._bounds_vec
-
-    def violation_rows(self, inet, matrix):
-        """Batched form: rows of a marking matrix exceeding some bound."""
-        from repro.petrinet.batched import bound_violation_mask
-
-        return bound_violation_mask(matrix, self._bounded_pids(inet))
 
     def holds(self, tree: SchedulingTreeView, node: int) -> bool:
         vec_of = getattr(tree, "vec_of", None)

@@ -38,9 +38,9 @@ the original (pinned by ``tests/test_serve.py``).
 from __future__ import annotations
 
 import json
+from array import array
+from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.flowc.netlist import Network
 from repro.petrinet.net import PetriNet, SourceKind
@@ -111,8 +111,7 @@ def nesting_depth(line: bytes) -> int:
     marks = line.translate(None, _NOT_MARKS).replace(b'""', b"")
     if b'"' in marks:  # brackets inside strings: keep the ones outside
         marks = b"".join(marks.split(b'"')[::2])
-    steps = np.frombuffer(marks.translate(_STEPS), dtype=np.int8)
-    return int(steps.cumsum(dtype=np.int32).max(initial=0))
+    return max(accumulate(array("b", marks.translate(_STEPS)), initial=0))
 
 
 def decode_line(line: bytes) -> Dict[str, object]:

@@ -13,7 +13,9 @@ ancestors, so the incremental checker the folded search uses is compared
 against Definition 4.5 itself, not against a second call of the checker.
 
 Shared by the test modules that run the oracle (boundaries, the generated
-net sweep, the golden and corpus cases).
+net sweep, the golden and corpus cases).  :func:`irrelevance_mask` is the
+third, independent form of Definition 4.5 the random-path checks compare
+against: the row rule alone, with no index, no walk and no facade.
 """
 
 from __future__ import annotations
@@ -42,6 +44,26 @@ class WalkedIrrelevance(IrrelevanceCriterion):
             totals(node),
             ((totals(a), vec_of(a)) for a in tree.ancestors_of(node)),
         )
+
+
+def irrelevance_mask(rows, ancestor, degrees):
+    """Per row: irrelevant w.r.t. ``ancestor`` under Definition 4.5 (b), (c).
+
+    A row is irrelevant when it covers the ancestor, differs from it, and
+    grew only on places the ancestor already saturates (``ancestor[p] >=
+    degrees[p]``).  Reachability from the ancestor, condition (a), is the
+    caller's knowledge.
+    """
+    ancestor = tuple(ancestor)
+    return [
+        all(count >= before for count, before in zip(row, ancestor))
+        and tuple(row) != ancestor
+        and not any(
+            count > before and before < degree
+            for count, before, degree in zip(row, ancestor, degrees)
+        )
+        for row in rows
+    ]
 
 
 @lru_cache(maxsize=None)

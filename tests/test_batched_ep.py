@@ -15,9 +15,9 @@ This module enforces the contract three ways:
 * edge cases the generators are unlikely to hit: nodes with nothing
   enabled, one-place nets, bound-saturated children, all-irrelevant trees,
   token counts beyond int64;
-* unit tests of the dense primitives the batched reachability sweep keeps
-  (:mod:`repro.petrinet.batched`), of Definition 4.5 on deep paths, and of
-  the option surface.
+* unit tests of the reachability sweep (exact past int64, empty inputs),
+  of Definition 4.5 on deep paths (against the row rule
+  :func:`fold_oracle.irrelevance_mask`), and of the option surface.
 
 The test names are kept from the scalar/batched/kernel backend harness
 this oracle replaced, so the test IDs stay stable.
@@ -27,26 +27,26 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from fold_oracle import folded_and_fallback, observables, run_search, unfolded
+from fold_oracle import (
+    folded_and_fallback,
+    irrelevance_mask,
+    observables,
+    run_search,
+    unfolded,
+)
 from repro.apps.workloads import (
     random_choice_net,
     random_marked_graph,
     random_multi_source_net,
 )
-from repro.petrinet.batched import (
-    bound_violation_mask,
-    enabled_mask,
-    fire_rows,
-    irrelevance_mask,
-    reachable_matrix,
-)
 from repro.petrinet.net import PetriNet, SourceKind
+from repro.petrinet.reachability import build_reachability_graph, is_bounded
 from repro.scheduling.ep import (
     SchedulerOptions,
     SearchCounters,
@@ -231,8 +231,8 @@ def test_all_irrelevant_frontier():
 def test_int64_guard_falls_back_to_exact_scalar_arithmetic():
     """Markings are Python ints: counts around 2**64 fire and compare exactly.
 
-    The search needs no int64 guard; the dense sweep's guard is pinned by
-    :func:`test_expand_children_dtype_guard_raises`.
+    The search needs no int64 guard, and neither does the reachability
+    sweep: :func:`test_expand_children_dtype_guard_raises` pins it.
     """
     net = PetriNet(name="huge_tokens")
     net.add_transition("src", source_kind=SourceKind.UNCONTROLLABLE)
@@ -254,7 +254,7 @@ def test_int64_guard_falls_back_to_exact_scalar_arithmetic():
 
 
 # ---------------------------------------------------------------------------
-# the dense primitives of the batched reachability sweep
+# the reachability sweep: exact past int64, and on empty inputs
 # ---------------------------------------------------------------------------
 
 
@@ -267,24 +267,32 @@ def _one_place_net(tokens: int) -> PetriNet:
 
 
 def test_expand_children_dtype_guard_raises():
-    """The int64 sweep refuses a count beyond int64 instead of wrapping it;
-    one below the limit is accepted and fires exactly."""
-    with pytest.raises(OverflowError):
-        reachable_matrix(_one_place_net(2**63), max_nodes=4)
-    rows = reachable_matrix(_one_place_net(2**63 - 1), max_nodes=3)
-    assert rows.tolist() == [[2**63 - 1], [2**63 - 2], [2**63 - 3]]
+    """The scalar sweep and ``is_bounded`` are exact past 2**63: markings are
+    Python ints, so counts beyond int64 fire and compare without wrapping."""
+    graph = build_reachability_graph(_one_place_net(2**64 + 1), max_nodes=3)
+    assert [m["p"] for m in graph.markings] == [2**64 + 1, 2**64, 2**64 - 1]
+    assert not is_bounded(_one_place_net(2**63), bound=2**63 - 1, max_nodes=3)
+    kept = PetriNet(name="kept")  # one marking, 2**63 tokens, fired in place
+    kept.add_place("p", 2**63)
+    kept.add_transition("t")
+    kept.add_arc("p", "t")
+    kept.add_arc("t", "p")
+    assert [m["p"] for m in build_reachability_graph(kept).markings] == [2**63]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # complete, so exact: no warning
+        assert is_bounded(kept, bound=2**63)
+        assert not is_bounded(kept, bound=2**63 - 1)
 
 
 def test_expand_children_empty_frontier_shapes():
-    inet = _one_place_net(1).indexed()
-    empty = np.zeros((0, 1), dtype=np.int64)
-    assert enabled_mask(inet, empty).shape == (0, 1)
-    assert fire_rows(inet, empty, 0).shape == (0, 1)
-    zeros = np.zeros(1, dtype=np.int64)
-    assert irrelevance_mask(empty, zeros, zeros).shape == (0,)
-    assert bound_violation_mask(empty, [(0, 1)]).shape == (0,)
-    # a sweep whose only marking enables nothing stops at the initial row
-    assert reachable_matrix(_one_place_net(0)).tolist() == [[0]]
+    """Empty inputs: the row rule over no rows decides nothing, and a sweep
+    whose only marking enables nothing stops there, complete."""
+    assert irrelevance_mask([], (0,), (0,)) == []
+    graph = build_reachability_graph(_one_place_net(0))
+    assert graph.complete and graph.markings == [_one_place_net(0).initial_marking]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_bounded(_one_place_net(0), bound=0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,34 +356,39 @@ def test_auto_resolves_to_scalar_for_default_options():
 # ---------------------------------------------------------------------------
 
 
+def _random_rows(rng, count, n_places, high):
+    return [tuple(rng.randrange(high) for _ in range(n_places)) for _ in range(count)]
+
+
 def _random_irrelevance_inputs(n_children, depth, n_places, seed):
-    rng = np.random.default_rng(seed)
-    children = rng.integers(0, 4, size=(n_children, n_places), dtype=np.int64)
-    ancestors = rng.integers(0, 4, size=(depth, n_places), dtype=np.int64)
+    rng = random.Random(seed)
+    children = _random_rows(rng, n_children, n_places, 4)
+    ancestors = _random_rows(rng, depth, n_places, 4)
     # plant some guaranteed-irrelevant pairs: child == ancestor + growth on a
     # place the ancestor already saturates (degree 0 means always saturated)
-    degrees = rng.integers(0, 3, size=n_places, dtype=np.int64)
+    degrees = tuple(rng.randrange(3) for _ in range(n_places))
     for child in range(0, n_children, 7):
-        ancestor = ancestors[child % depth].copy()
-        saturated = np.flatnonzero(ancestor >= degrees)
-        if saturated.size:
-            grown = ancestor.copy()
+        ancestor = ancestors[child % depth]
+        saturated = [p for p in range(n_places) if ancestor[p] >= degrees[p]]
+        if saturated:
+            grown = list(ancestor)
             grown[saturated[0]] += 1
-            children[child] = grown
+            children[child] = tuple(grown)
     return children, ancestors, degrees
 
 
 def _mask_verdicts(children, ancestors, degrees):
-    """Per child: irrelevant w.r.t. some ancestor, one dense mask per ancestor."""
-    verdicts = np.zeros(children.shape[0], dtype=bool)
+    """Per child: irrelevant w.r.t. some ancestor, the row rule per ancestor."""
+    verdicts = [False] * len(children)
     for ancestor in ancestors:
-        verdicts |= irrelevance_mask(children, ancestor, degrees)
+        mask = irrelevance_mask(children, ancestor, degrees)
+        verdicts = [seen or hit for seen, hit in zip(verdicts, mask)]
     return verdicts
 
 
 def _criterion(degrees):
     names = tuple(f"p{index}" for index in range(len(degrees)))
-    criterion = IrrelevanceCriterion(degrees=dict(zip(names, map(int, degrees))))
+    criterion = IrrelevanceCriterion(degrees=dict(zip(names, degrees)))
     return criterion, SimpleNamespace(place_names=names)
 
 
@@ -386,43 +399,36 @@ def _path_state(rows):
     )
 
 
-def _rows(matrix):
-    return [tuple(map(int, row)) for row in matrix]
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_chunked_irrelevance_mask_is_bitwise_identical(seed):
-    """Definition 4.5 against a 500-deep path, three ways: the dense mask one
+    """Definition 4.5 against a 500-deep path, three ways: the row rule one
     ancestor at a time, the exact walk (``witnessed_by``) and the search's
     own verdict (the incremental checker, the walk where it is capped)."""
     children, ancestors, degrees = _random_irrelevance_inputs(33, 500, 17, seed)
     expected = _mask_verdicts(children, ancestors, degrees)
-    assert expected.any() and not expected.all()
+    assert any(expected) and not all(expected)
     criterion, inet = _criterion(degrees)
-    path = _rows(ancestors)
-    path_index, total_counts = _path_state(path)
+    path_index, total_counts = _path_state(ancestors)
     checker = IncrementalIrrelevance(criterion.degrees_vec(inet))
-    for i, vec in enumerate(_rows(children)):
+    for i, vec in enumerate(children):
         walked = criterion.witnessed_by(
-            inet, vec, sum(vec), ((sum(row), row) for row in path)
+            inet, vec, sum(vec), ((sum(row), row) for row in ancestors)
         )
-        assert walked == bool(expected[i]), (seed, i)
+        assert walked == expected[i], (seed, i)
         verdict = checker.check(vec, path_index, total_counts, sum(vec))
         assert verdict in (None, walked), (seed, i)
     assert checker.children_checked == len(children)
 
 
 def test_chunked_irrelevance_mask_handles_empty_inputs():
-    degrees = np.zeros(4, dtype=np.int64)
-    empty_children = np.zeros((0, 4), dtype=np.int64)
-    some_children = np.asarray([[1, 0, 0, 0], [0, 0, 0, 0]], dtype=np.int64)
-    assert irrelevance_mask(empty_children, np.ones(4, dtype=np.int64), degrees).shape == (0,)
+    degrees = (0, 0, 0, 0)
+    some_children = [(1, 0, 0, 0), (0, 0, 0, 0)]
+    assert irrelevance_mask([], (1, 1, 1, 1), degrees) == []
     # an empty path witnesses nothing, whichever way it is asked
-    empty_path = np.zeros((0, 4), dtype=np.int64)
-    assert not _mask_verdicts(some_children, empty_path, degrees).any()
+    assert not any(_mask_verdicts(some_children, [], degrees))
     criterion, inet = _criterion(degrees)
     checker = IncrementalIrrelevance(criterion.degrees_vec(inet))
-    for vec in _rows(some_children):
+    for vec in some_children:
         assert not criterion.witnessed_by(inet, vec, sum(vec), ())
         assert checker.check(vec, {}, {}, sum(vec)) is False
 
@@ -435,23 +441,23 @@ def test_depth_500_path_stays_under_the_memory_budget():
     children, each one token over degree on one place, against a 500-deep
     path of 256-place markings.
     """
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     n_places, depth = 256, 500
-    degrees = np.full(n_places, 2, dtype=np.int64)
-    ancestors = rng.integers(0, 3, size=(depth, n_places), dtype=np.int64)
-    children = ancestors[rng.integers(0, depth, size=128)].copy()
-    for row in children:
-        saturated = np.flatnonzero(row >= degrees)
-        row[saturated[0] if saturated.size else 0] = 3
-    children[1::2, :] = rng.integers(0, 3, size=(64, n_places))
-    children[1::2, 0] = 3  # unrelated rows, also one place over degree
-    cube_bytes = children.shape[0] * depth * n_places
-    expected = _mask_verdicts(children, ancestors, degrees)
-    assert expected[::2].all() and not expected[1::2].any()
+    degrees = (2,) * n_places
+    ancestors = _random_rows(rng, depth, n_places, 3)
+    rows = [list(ancestors[rng.randrange(depth)]) for _ in range(128)]
+    for row in rows:
+        saturated = [p for p, count in enumerate(row) if count >= degrees[p]]
+        row[saturated[0] if saturated else 0] = 3
+    for index, row in zip(range(1, 128, 2), _random_rows(rng, 64, n_places, 3)):
+        rows[index] = (3,) + row[1:]  # unrelated rows, also one place over degree
+    vecs = [tuple(row) for row in rows]
+    cube_bytes = len(vecs) * depth * n_places
+    expected = _mask_verdicts(vecs, ancestors, degrees)
+    assert all(expected[::2]) and not any(expected[1::2])
 
-    path_index, total_counts = _path_state(_rows(ancestors))
-    checker = IncrementalIrrelevance(tuple(map(int, degrees)))
-    vecs = _rows(children)
+    path_index, total_counts = _path_state(ancestors)
+    checker = IncrementalIrrelevance(degrees)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -459,6 +465,6 @@ def test_depth_500_path_stays_under_the_memory_budget():
         _size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert verdicts == expected.tolist()
+    assert verdicts == expected
     assert checker.capped_children == 0
     assert peak < cube_bytes // 100, (peak, cube_bytes)

@@ -2,8 +2,8 @@
 
 Three layers of coverage:
 
-* the store backends themselves (sqlite + JSON-dir): wire-format integrity,
-  quarantine, concurrent writers, unusable locations;
+* the stores themselves (sqlite, and the NullStore it degrades to):
+  wire-format integrity, quarantine, concurrent writers, unusable locations;
 * the scheduling integration: two-level warm start, replay validation,
   fingerprint-collision rejection, parallel read-through, the T-invariant
   basis disk store, the CLI;
@@ -32,7 +32,6 @@ from repro.apps.divisors import build_divisors_system
 from repro.apps.paper_nets import figure_4b, figure_5, figure_6
 from repro.apps.workloads import random_multi_source_net
 from repro.cache import (
-    JsonDirStore,
     NullStore,
     SqliteStore,
     load_invariant_basis,
@@ -73,9 +72,9 @@ def _isolated_cache_state():
     invariants_module._BASIS_WARM_STORE.clear()
 
 
-@pytest.fixture(params=["sqlite", "json"])
+@pytest.fixture(params=["sqlite"])
 def store(request, tmp_path):
-    s = open_store(tmp_path / "cache", backend=request.param)
+    s = open_store(tmp_path / "cache")
     assert s.backend_name == request.param
     yield s
     s.close()
@@ -117,14 +116,10 @@ def test_wire_codec_rejects_tampering():
 def test_corrupt_entry_is_quarantined_not_raised(store):
     store.put("schedule", "k", {"fine": True})
     # corrupt the stored blob behind the store's back
-    if isinstance(store, SqliteStore):
-        conn = sqlite3.connect(store.path)
-        conn.execute("UPDATE entries SET blob = ? WHERE key = ?", ("garbage{", "k"))
-        conn.commit()
-        conn.close()
-    else:
-        path = store._path("schedule", "k")
-        path.write_text(path.read_text()[: 10], encoding="utf-8")  # truncated JSON
+    conn = sqlite3.connect(store.path)
+    conn.execute("UPDATE entries SET blob = ? WHERE key = ?", ("garbage{", "k"))
+    conn.commit()
+    conn.close()
     assert store.get("schedule", "k") is None  # miss, no exception
     assert store.stats.quarantined == 1
     assert store.quarantined_count() == 1
@@ -135,7 +130,7 @@ def test_corrupt_sqlite_database_file_degrades_to_miss(tmp_path):
     root = tmp_path / "cache"
     root.mkdir()
     (root / SqliteStore.FILENAME).write_bytes(b"this is not a sqlite database at all")
-    store = open_store(root, backend="sqlite")
+    store = open_store(root)
     assert store.backend_name == "sqlite"  # rotated the bad file, started fresh
     assert store.get("schedule", "k") is None
     store.put("schedule", "k", {"ok": 1})
@@ -166,6 +161,30 @@ def test_readonly_directory_yields_null_store(tmp_path):
         root.chmod(0o755)
 
 
+def test_sqlite_that_cannot_open_yields_null_store_and_search_runs(tmp_path, monkeypatch):
+    """A writable directory where sqlite itself cannot open a database: the
+    cache is a NullStore naming the sqlite error, and scheduling goes on."""
+    reference = find_all_schedules(figure_5())
+
+    def refuse(*args, **kwargs):
+        raise sqlite3.OperationalError("disk I/O error")
+
+    monkeypatch.setattr(sqlite3, "connect", refuse)
+    root = tmp_path / "cache"
+    store = artifact_cache.activate(path=root)
+    assert root.is_dir()
+    assert isinstance(store, NullStore)
+    assert "OperationalError: disk I/O error" in store.describe()
+    GLOBAL_SCHEDULE_CACHE.clear()
+    results = find_all_schedules(figure_5())
+    assert list(results) == list(reference)
+    for source, result in results.items():
+        assert result.success and not result.from_cache
+        assert schedule_to_json(result.schedule) == schedule_to_json(
+            reference[source].schedule
+        )
+
+
 def test_concurrent_writers_never_raise(store):
     errors = []
 
@@ -193,7 +212,7 @@ def test_concurrent_processes_share_one_sqlite_store(tmp_path):
     script = (
         "import sys; sys.path.insert(0, {src!r})\n"
         "from repro.cache import open_store\n"
-        "store = open_store({root!r}, backend='sqlite')\n"
+        "store = open_store({root!r})\n"
         "for i in range(50):\n"
         "    store.put('schedule', f'k{{i}}', {{'who': sys.argv[1], 'i': i}})\n"
         "assert store.get('schedule', 'k0') is not None\n"
@@ -204,7 +223,7 @@ def test_concurrent_processes_share_one_sqlite_store(tmp_path):
     ]
     for proc in procs:
         assert proc.wait(timeout=60) == 0
-    store = open_store(root, backend="sqlite")
+    store = open_store(root)
     assert len(store.entries()) == 50
     assert store.get("schedule", "k49")["who"] in {"alpha", "beta"}
 

@@ -1,14 +1,11 @@
 """Regression tests for the concurrency and durability fixes.
 
-Three latent bugs surfaced by putting the scheduler behind a multi-threaded
+Two latent bugs surfaced by putting the scheduler behind a multi-threaded
 daemon, each pinned here:
 
 * ``BoundedLRU`` used an unlocked ``OrderedDict``: concurrent ``get``/``put``
   corrupted recency order and could double-fire ``on_evict`` (double-closing
   the owned resource).
-* ``JsonDirStore._write`` renamed without fsync: ``os.replace`` could publish
-  a name whose data never hit the disk, and the pid-only temp-file suffix
-  collided between threads of one process.
 * ``SqliteStore`` shared one connection across threads, interleaving
   statement/commit pairs into torn transactions.
 
@@ -23,7 +20,6 @@ inside a critical section is what exposed the races.
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
@@ -33,7 +29,7 @@ import pytest
 
 from repro.apps import paper_nets
 from repro.apps.video import VideoAppConfig, build_video_system
-from repro.cache.stores import JsonDirStore, SqliteStore, decode_wire
+from repro.cache.stores import SqliteStore
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.scheduling.ep import SearchCounters, find_schedule
 from repro.scheduling.heuristics import ECSOrderingHeuristic, make_heuristic
@@ -252,75 +248,6 @@ def test_sqlite_store_reopens_after_corrupt_rotation(tmp_path):
     assert store.get("schedule", "k") == {"v": 1}
     assert (tmp_path / f"{SqliteStore.FILENAME}.corrupt-0").exists()
     store.close()
-
-
-# ---------------------------------------------------------------------------
-# JsonDirStore: durable atomic writes
-# ---------------------------------------------------------------------------
-
-
-def test_jsondir_write_fsyncs_file_before_replace_and_directory_after(
-    tmp_path, monkeypatch
-):
-    store = JsonDirStore(tmp_path)
-    events = []
-    real_fsync, real_replace = os.fsync, os.replace
-
-    def spy_fsync(fd):
-        events.append(("fsync", os.fstat(fd).st_mode & 0o170000 == 0o040000))
-        real_fsync(fd)
-
-    def spy_replace(src, dst):
-        events.append(("replace", None))
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "fsync", spy_fsync)
-    monkeypatch.setattr(os, "replace", spy_replace)
-    store.put("schedule", "k", {"v": 1})
-    kinds = [kind for kind, _ in events]
-    assert kinds == ["fsync", "replace", "fsync"]
-    # first fsync targets the temp *file*, the last one the *directory*
-    assert events[0][1] is False
-    assert events[2][1] is True
-    assert store.get("schedule", "k") == {"v": 1}
-
-
-def test_jsondir_write_failure_leaves_no_temp_file(tmp_path, monkeypatch):
-    store = JsonDirStore(tmp_path)
-
-    def boom(src, dst):
-        raise OSError("disk on fire")
-
-    monkeypatch.setattr(os, "replace", boom)
-    store.put("schedule", "k", {"v": 1})  # swallowed, counted
-    assert store.stats.errors == 1
-    leftovers = [p for p in tmp_path.rglob("*") if ".tmp-" in p.name]
-    assert leftovers == []
-    assert store.get("schedule", "k") is None
-
-
-def test_jsondir_concurrent_same_key_writes_never_collide(tmp_path):
-    """Thread-id temp suffix: same-key writers never share a temp file."""
-    store = JsonDirStore(tmp_path)
-
-    def worker(index):
-        for i in range(60):
-            store.put("schedule", "contested", {"thread": index, "i": i})
-
-    _run_threads(worker, 8)
-    assert store.stats.errors == 0
-    # the surviving entry is one writer's intact payload
-    payload = store.get("schedule", "contested")
-    assert payload is not None and set(payload) == {"thread", "i"}
-    leftovers = [p for p in tmp_path.rglob("*") if ".tmp-" in p.name]
-    assert leftovers == []
-
-
-def test_jsondir_blob_on_disk_is_checksummed(tmp_path):
-    store = JsonDirStore(tmp_path)
-    store.put("schedule", "k", {"v": 1})
-    (path,) = (tmp_path / "json" / "schedule").glob("*.json")
-    assert decode_wire(path.read_text()) == {"v": 1}
 
 
 # ---------------------------------------------------------------------------

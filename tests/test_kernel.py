@@ -5,19 +5,17 @@ what it pinned of the scalar search stays here, under the same test names
 so the test IDs stay stable:
 
 * :class:`~repro.scheduling.termination.IncrementalIrrelevance` -- identity
-  with Definition 4.5 decided three other ways on random inputs (the dense
-  per-ancestor broadcast of :func:`repro.petrinet.batched.irrelevance_mask`,
-  the exact walk :meth:`IrrelevanceCriterion.witnessed_by` and the facade
+  with Definition 4.5 decided three other ways on random inputs (the row
+  rule :func:`fold_oracle.irrelevance_mask` one ancestor at a time, the
+  exact walk :meth:`IrrelevanceCriterion.witnessed_by` and the facade
   :meth:`IrrelevanceCriterion.is_irrelevant`), the enumeration cap, and
   depth-*independence* of its op counters (the regression the incremental
   state exists for, asserted on counters rather than wall clock);
 * user termination conditions -- a leaf the fold does not know sends the
   search to the ``termination.holds`` fallback, which must agree with the
   exact walk;
-* :meth:`MarkingStore.intern_rows` -- the bulk admission step of the dense
-  reachability sweep;
-* what the environment, the options cache key and the NumPy sweep may not
-  change;
+* what the environment, the options cache key and the reachability sweep
+  may not change;
 * golden parity -- every counter of the folded search equals its
   holds-fallback twin on every golden case, and every way of running the
   search reproduces the committed golden fixtures byte for byte.
@@ -25,11 +23,11 @@ so the test IDs stay stable:
 
 from __future__ import annotations
 
-from collections import Counter
+import random
+from collections import Counter, deque
 from dataclasses import fields
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import repro.cache as artifact_cache
@@ -37,6 +35,7 @@ from fold_oracle import (
     WalkedIrrelevance,
     folded_and_fallback,
     init_fields,
+    irrelevance_mask,
     observables,
     run_search,
     unfolded,
@@ -46,8 +45,6 @@ from repro.apps import paper_nets
 from repro.apps.paper_nets import SourceKind
 from repro.apps.workloads import random_choice_net, random_marked_graph
 from repro.petrinet.analysis import place_degree
-from repro.petrinet.batched import irrelevance_mask, reachable_matrix
-from repro.petrinet.indexed import MarkingStore
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 from repro.petrinet.reachability import build_reachability_graph
@@ -77,7 +74,7 @@ ALL_GOLDEN_CASES = [
 
 
 # ---------------------------------------------------------------------------
-# what the environment, the cache key and the NumPy sweep may not change
+# what the environment, the cache key and the reachability sweep may not change
 # ---------------------------------------------------------------------------
 
 
@@ -109,20 +106,39 @@ def test_env_disabled_searches_stay_byte_identical(monkeypatch, tmp_path):
         artifact_cache.reset_active_store()
 
 
-def _reachable_sets(builder):
-    net = builder()
-    graph = build_reachability_graph(net, max_nodes=20_000, max_tokens_per_place=2)
-    assert graph.complete
-    inet = net.indexed()
-    facade = {tuple(m[name] for name in inet.place_names) for m in graph.markings}
-    dense = reachable_matrix(net, max_nodes=20_000, max_tokens_per_place=2)
-    return facade, [tuple(map(int, row)) for row in dense]
+def _walked_markings(net, max_tokens):
+    """Breadth-first walk over name-keyed token dicts, arc by arc: the
+    reachable set under a token cut-off, without the indexed core."""
+
+    def key(tokens):
+        return tuple(sorted((place, count) for place, count in tokens.items() if count))
+
+    initial = dict(net.initial_marking.items())
+    seen = {key(initial)}
+    frontier = deque([initial])
+    while frontier:
+        tokens = frontier.popleft()
+        if any(count > max_tokens for count in tokens.values()):
+            continue
+        for transition in sorted(net.transitions):
+            pre, post = net.pre[transition], net.post[transition]
+            if any(tokens.get(place, 0) < weight for place, weight in pre.items()):
+                continue
+            successor = dict(tokens)
+            for place, weight in pre.items():
+                successor[place] -= weight
+            for place, weight in post.items():
+                successor[place] = successor.get(place, 0) + weight
+            if key(successor) not in seen:
+                seen.add(key(successor))
+                frontier.append(successor)
+    return seen
 
 
 def test_pinned_numpy_tier_matches_auto_tier_results():
-    """The NumPy sweep explores exactly the marking set of the facade's
-    breadth-first reachability graph, under the same token cut-off, with
-    the initial marking first and no row twice."""
+    """The indexed reachability sweep explores exactly the marking set of a
+    breadth-first walk over the arcs, under the same token cut-off, with
+    the initial marking first and no marking twice."""
     for builder in (
         paper_nets.figure_5,
         paper_nets.figure_6,
@@ -130,10 +146,13 @@ def test_pinned_numpy_tier_matches_auto_tier_results():
         lambda: random_marked_graph(5, seed=2),
         lambda: random_choice_net(3, seed=4),
     ):
-        facade, rows = _reachable_sets(builder)
-        assert rows[0] == builder().indexed().initial_vec
+        net = builder()
+        graph = build_reachability_graph(net, max_nodes=20_000, max_tokens_per_place=2)
+        assert graph.complete
+        rows = [tuple(sorted(marking.items())) for marking in graph.markings]
+        assert graph.markings[0] == net.initial_marking
         assert len(rows) == len(set(rows))
-        assert set(rows) == facade
+        assert set(rows) == _walked_markings(net, 2)
 
 
 def test_options_cache_key_separates_tiers_not_backend_equivalence():
@@ -159,30 +178,30 @@ def test_options_cache_key_separates_tiers_not_backend_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# IncrementalIrrelevance: identity with the exact broadcast
+# IncrementalIrrelevance: identity with the row rule
 # ---------------------------------------------------------------------------
 
 
 def _random_path_inputs(n_children, depth, n_places, seed, high=4):
     """Random (children, ancestors, degrees) with planted irrelevant pairs."""
-    rng = np.random.default_rng(seed)
-    children = rng.integers(0, high, size=(n_children, n_places), dtype=np.int64)
-    ancestors = rng.integers(0, high, size=(depth, n_places), dtype=np.int64)
-    degrees = rng.integers(0, 3, size=n_places, dtype=np.int64)
+    rng = random.Random(seed)
+
+    def rows(count):
+        return [tuple(rng.randrange(high) for _ in range(n_places)) for _ in range(count)]
+
+    children = rows(n_children)
+    ancestors = rows(depth)
+    degrees = tuple(rng.randrange(3) for _ in range(n_places))
     # plant guaranteed witnesses: child = ancestor + growth on a place the
     # ancestor already saturates
     for child in range(0, n_children, 5):
         ancestor = ancestors[child % depth]
-        saturated = np.flatnonzero(ancestor >= degrees)
-        if saturated.size:
-            grown = ancestor.copy()
+        saturated = [p for p in range(n_places) if ancestor[p] >= degrees[p]]
+        if saturated:
+            grown = list(ancestor)
             grown[saturated[0]] += 1
-            children[child] = grown
-    return (
-        [tuple(map(int, row)) for row in children],
-        [tuple(map(int, row)) for row in ancestors],
-        tuple(map(int, degrees)),
-    )
+            children[child] = tuple(grown)
+    return children, ancestors, degrees
 
 
 def _path_state(ancestors):
@@ -193,15 +212,15 @@ def _path_state(ancestors):
 
 
 def _exact_verdicts(children, ancestors, degrees):
-    """Definition 4.5 per child three ways: the dense broadcast one ancestor
-    at a time, the exact walk and the facade test."""
+    """Definition 4.5 per child three ways: the row rule one ancestor at a
+    time, the exact walk and the facade test."""
     names = tuple(f"p{index}" for index in range(len(degrees)))
     inet = SimpleNamespace(place_names=names)
     criterion = IrrelevanceCriterion(degrees=dict(zip(names, degrees)))
-    matrix = np.asarray(children, dtype=np.int64).reshape(len(children), len(degrees))
-    broadcast = np.zeros(len(children), dtype=bool)
+    ruled = [False] * len(children)
     for ancestor in ancestors:
-        broadcast |= irrelevance_mask(matrix, np.asarray(ancestor), np.asarray(degrees))
+        mask = irrelevance_mask(children, ancestor, degrees)
+        ruled = [seen or hit for seen, hit in zip(ruled, mask)]
     walked = [
         criterion.witnessed_by(inet, vec, sum(vec), ((sum(a), a) for a in ancestors))
         for vec in children
@@ -215,7 +234,7 @@ def _exact_verdicts(children, ancestors, degrees):
         )
         for vec in children
     ]
-    assert walked == facade == broadcast.tolist()
+    assert walked == facade == ruled
     return walked
 
 
@@ -237,7 +256,7 @@ def test_incremental_check_is_bitwise_identical_to_the_broadcast(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_default_cap_flags_exactly_the_capped_children(seed):
     """None verdicts appear iff the combination count exceeds the cap, and
-    every decided child still agrees with the broadcast."""
+    every decided child still agrees with the row rule."""
     children, ancestors, degrees = _random_path_inputs(30, 40, 12, seed, high=9)
     path_index, total_counts = _path_state(ancestors)
     expected = _exact_verdicts(children, ancestors, degrees)
@@ -278,7 +297,7 @@ def test_equal_path_marking_is_not_a_witness():
     vec = (3,)  # over degree: candidate span is {1, 2, 3}
     path_index, total_counts = _path_state([(3,)])
     assert checker.check(vec, path_index, total_counts, 3) is False
-    # the broadcast, the walk and the facade agree: they skip the equal marking
+    # the row rule, the walk and the facade agree: they skip the equal marking
     assert _exact_verdicts([vec], [(3,)], (1,)) == [False]
 
 
@@ -526,29 +545,6 @@ def test_non_maskable_condition_still_forces_scalar():
     ]
     search = _EPSearch(net, "a", SchedulerOptions(termination=termination))
     assert search._fold is None and search._incremental is None
-
-
-# ---------------------------------------------------------------------------
-# MarkingStore.intern_rows: the bulk admission step
-# ---------------------------------------------------------------------------
-
-
-def test_intern_rows_is_canonical_with_scalar_interning():
-    store = MarkingStore()
-    single = store.intern((1, 2, 3))
-    matrix = np.asarray([[1, 2, 3], [4, 5, 6], [1, 2, 3]], dtype=np.int64)
-    rows = store.intern_rows(matrix)
-    assert rows[0] is single  # same canonical object as the scalar intern
-    assert rows[2] is rows[0]  # duplicates collapse within one call
-    assert store.intern((4, 5, 6)) is rows[1]
-    assert len(store) == 2
-    assert rows == [(1, 2, 3), (4, 5, 6), (1, 2, 3)]
-
-
-def test_intern_rows_handles_the_empty_frontier():
-    store = MarkingStore()
-    assert store.intern_rows(np.zeros((0, 3), dtype=np.int64)) == []
-    assert len(store) == 0
 
 
 # ---------------------------------------------------------------------------

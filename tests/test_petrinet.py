@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.apps import paper_nets
@@ -216,12 +218,43 @@ def test_reachability_respects_node_budget():
     assert not graph.complete
 
 
-def test_is_bounded_detects_unbounded_place():
-    net = PetriNet()
+def source_fed_net() -> PetriNet:
+    net = PetriNet(name="fed")
     net.add_place("p")
     net.add_transition("src", source_kind=SourceKind.UNCONTROLLABLE)
     net.add_arc("src", "p")
-    assert not is_bounded(net, bound=3, max_nodes=50)
+    return net
+
+
+def test_is_bounded_detects_unbounded_place():
+    assert not is_bounded(source_fed_net(), bound=3, max_nodes=50)
+
+
+def test_is_bounded_warns_when_a_cut_exploration_finds_no_violation():
+    """50 markings of a source-fed place never reach 1000 tokens: the True
+    is undecided, and the warning names the net, the budget and the bound."""
+    with pytest.warns(RuntimeWarning, match=r"'fed' undecided.*max_nodes=50.*bound=1000"):
+        assert is_bounded(source_fed_net(), bound=1000, max_nodes=50)
+
+
+def test_is_bounded_is_silent_when_its_verdict_is_exact():
+    """A violation found, even by a cut exploration, and a True from a
+    complete exploration are both proofs: no warning."""
+    ring = PetriNet(name="ring")
+    ring.add_place("p", 2)
+    ring.add_place("q")
+    ring.add_transition("t")
+    ring.add_transition("u")
+    ring.add_arc("p", "t")
+    ring.add_arc("t", "q")
+    ring.add_arc("q", "u")
+    ring.add_arc("u", "p")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_reachability_graph(ring, max_nodes=3).complete
+        assert is_bounded(ring, bound=2, max_nodes=3)
+        assert not is_bounded(ring, bound=1, max_nodes=3)
+        assert not is_bounded(source_fed_net(), bound=3, max_nodes=50)
 
 
 def test_find_deadlocks_reports_terminal_markings():

@@ -60,7 +60,6 @@ PUBLIC_API = [
     ("repro.scheduling.warmstart", "options_cache_key"),
     ("repro.cache", "CacheStore"),
     ("repro.cache", "SqliteStore"),
-    ("repro.cache", "JsonDirStore"),
     ("repro.cache", "NullStore"),
     ("repro.cache", "open_store"),
     ("repro.cache", "activate"),

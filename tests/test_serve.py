@@ -281,6 +281,11 @@ def test_nesting_depth_matches_the_decoded_structure(text):
     assert nesting_depth(text.encode()) == _depth(json.loads(text))
 
 
+def test_nesting_depth_of_invalid_lines_is_never_negative():
+    """Closers before any opener: a decoder fails at depth 0, not below."""
+    assert [nesting_depth(line) for line in (b"]", b"]}", b"]][", b"}{[")] == [0, 0, 0, 1]
+
+
 def test_nesting_depth_of_request_lines():
     lines = [
         _line({"op": "schedule", "flowc": {"program": DIVISORS_SOURCE}}),

@@ -5,9 +5,9 @@ processes is gone with the process pool.  What stays of its contract is
 what any consumer of a net relies on when the net, or its analysis, comes
 from somewhere else:
 
-* the dense incidence matrices live once per structural snapshot --
-  borrowed read-only, never copied -- and a borrowed matrix outlives the
-  snapshot it came from;
+* the sparse firing rows (``consume``, ``delta``) live once per structural
+  snapshot -- shared and immutable, never copied -- and rows borrowed from a
+  snapshot outlive it;
 * a net shipped as a pickle or in the serve wire form schedules byte for
   byte like the original, on every golden net;
 * a stale or foreign :class:`StructuralAnalysis` handed to a search is
@@ -27,13 +27,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from golden_nets import GOLDEN_CASES
 from repro.apps import paper_nets
 from repro.petrinet.analysis import StructuralAnalysis
-from repro.petrinet.batched import consumption_matrix, delta_matrix
+from repro.petrinet.invariants import incidence_matrix
 from repro.scheduling.ep import find_all_schedules, find_schedule
 from repro.scheduling.serialize import schedule_fingerprint, schedule_to_json
 from repro.scheduling.warmstart import ScheduleWarmStartCache
@@ -59,37 +58,43 @@ def _signature(results):
 
 
 # ---------------------------------------------------------------------------
-# the dense matrices of one snapshot
+# the firing rows of one snapshot
 # ---------------------------------------------------------------------------
 
 
 def test_publish_attach_is_zero_copy_and_read_only():
+    """One snapshot per structural version, its rows immutable tuples that
+    hold exactly the net's arcs: ``consume`` the input weights, ``delta``
+    the incidence matrix."""
     net = paper_nets.figure_5()
     inet = net.indexed()
-    for build, sparse_rows in ((consumption_matrix, inet.consume), (delta_matrix, inet.delta)):
-        matrix = build(inet)
-        assert build(inet) is matrix  # cached on the snapshot, never copied
-        assert not matrix.flags.writeable
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1
-        dense = np.zeros_like(matrix)
-        for tid, sparse in enumerate(sparse_rows):
-            for pid, value in sparse:
-                dense[tid, pid] = value
-        assert np.array_equal(matrix, dense)
+    assert net.indexed() is inet  # cached on the net, never rebuilt or copied
+    incidence, places, transitions = incidence_matrix(net)
+    assert (places, transitions) == (list(inet.place_names), list(inet.transition_names))
+    for rows, weight in (
+        (inet.consume, lambda pid, tid: net.weight_pt(places[pid], transitions[tid])),
+        (inet.delta, lambda pid, tid: incidence[pid][tid]),
+    ):
+        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+        with pytest.raises(TypeError):
+            rows[0] = ()
+        dense = {(pid, tid): value for tid, row in enumerate(rows) for pid, value in row}
+        for tid in range(len(transitions)):
+            for pid in range(len(places)):
+                assert dense.get((pid, tid), 0) == weight(pid, tid)
 
 
 def test_close_with_escaped_view_defers_the_unmap():
-    """A matrix borrowed from a snapshot stays readable after the net drops
-    that snapshot; the next snapshot builds its own."""
+    """Rows borrowed from a snapshot stay readable after the net drops that
+    snapshot; the next snapshot builds its own, equal rows."""
     net = paper_nets.figure_5()
-    escaped = consumption_matrix(net.indexed())
-    reference = escaped.copy()
+    escaped = net.indexed().consume
+    reference = [list(row) for row in escaped]
     net.invalidate_caches()
-    fresh = consumption_matrix(net.indexed())
+    fresh = net.indexed().consume
     assert fresh is not escaped
-    assert np.array_equal(escaped, reference)
-    assert np.array_equal(fresh, reference)
+    assert [list(row) for row in escaped] == reference
+    assert [list(row) for row in fresh] == reference
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ and ``all`` are primary outputs.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from repro.flowc.linker import LinkedSystem, link
 from repro.flowc.netlist import Network

@@ -9,7 +9,7 @@ rather than a handful of hand-picked examples.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.flowc.netlist import Network
 from repro.petrinet.net import PetriNet, SourceKind, merge_nets

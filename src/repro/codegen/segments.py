@@ -26,11 +26,11 @@ exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.marking import Marking
-from repro.scheduling.schedule import Schedule, ScheduleNode
+from repro.scheduling.schedule import Schedule
 
 ECS = FrozenSet[str]
 

@@ -20,7 +20,7 @@ it is measured by the code-size model and compared structurally in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.codegen.segments import (
     CodeSegment,
@@ -108,7 +108,7 @@ def render_expression(expr: Expression) -> str:
     raise TypeError(f"cannot render expression {expr!r}")
 
 
-def render_statement(statement: Statement, indent: int = 0, *, comm_macros: bool = True) -> List[str]:
+def render_statement(statement: Statement, indent: int = 0) -> List[str]:
     """Render a statement as C source lines."""
     pad = "    " * indent
     if isinstance(statement, Declaration):
@@ -118,23 +118,23 @@ def render_statement(statement: Statement, indent: int = 0, *, comm_macros: bool
     if isinstance(statement, Block):
         lines = [pad + "{"]
         for inner in statement.statements:
-            lines.extend(render_statement(inner, indent + 1, comm_macros=comm_macros))
+            lines.extend(render_statement(inner, indent + 1))
         lines.append(pad + "}")
         return lines
     if isinstance(statement, If):
         lines = [pad + f"if ({render_expression(statement.condition)}) {{"]
         for inner in statement.then_body:
-            lines.extend(render_statement(inner, indent + 1, comm_macros=comm_macros))
+            lines.extend(render_statement(inner, indent + 1))
         if statement.else_body:
             lines.append(pad + "} else {")
             for inner in statement.else_body:
-                lines.extend(render_statement(inner, indent + 1, comm_macros=comm_macros))
+                lines.extend(render_statement(inner, indent + 1))
         lines.append(pad + "}")
         return lines
     if isinstance(statement, While):
         lines = [pad + f"while ({render_expression(statement.condition)}) {{"]
         for inner in statement.body:
-            lines.extend(render_statement(inner, indent + 1, comm_macros=comm_macros))
+            lines.extend(render_statement(inner, indent + 1))
         lines.append(pad + "}")
         return lines
     if isinstance(statement, For):
@@ -143,7 +143,7 @@ def render_statement(statement: Statement, indent: int = 0, *, comm_macros: bool
         update = render_expression(statement.update) if statement.update is not None else ""
         lines = [pad + f"for ({init}; {cond}; {update}) {{"]
         for inner in statement.body:
-            lines.extend(render_statement(inner, indent + 1, comm_macros=comm_macros))
+            lines.extend(render_statement(inner, indent + 1))
         lines.append(pad + "}")
         return lines
     if isinstance(statement, Switch):
@@ -154,7 +154,7 @@ def render_statement(statement: Statement, indent: int = 0, *, comm_macros: bool
             else:
                 lines.append(pad + f"case {render_expression(case.value)}:")
             for inner in case.body:
-                lines.extend(render_statement(inner, indent + 1, comm_macros=comm_macros))
+                lines.extend(render_statement(inner, indent + 1))
             lines.append(pad + "    break;")
         lines.append(pad + "}")
         return lines

@@ -12,8 +12,8 @@ of data choices, state kept between invocations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.flowc.compiler import SelectCondition
 from repro.flowc.interpreter import Environment, Interpreter, OperationCounter, WouldBlock

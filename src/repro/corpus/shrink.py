@@ -15,17 +15,10 @@ reached from the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.corpus.differential import CaseOutcome, run_case
-from repro.corpus.topologies import (
-    EdgeSpec,
-    ProcessSpec,
-    ScenarioSpec,
-    SpecError,
-    SubsystemSpec,
-    check_spec,
-)
+from repro.corpus.topologies import ScenarioSpec, SpecError, check_spec
 
 Runner = Callable[[ScenarioSpec], CaseOutcome]
 

@@ -34,9 +34,9 @@ tripling every control cycle and, with it, the depth of the EP search.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from math import gcd
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.flowc.netlist import Network
 

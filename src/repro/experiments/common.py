@@ -16,9 +16,9 @@ benchmarks reuse it.  Three cache levels stack here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.video import VideoAppConfig, build_video_system
 from repro.codegen.synthesis import SynthesizedTask, synthesize_task

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.common import FAST_CONFIG, PfcExperimentSetup, build_pfc_setup
-from repro.runtime.cost_model import PROFILES
 from repro.apps.video import VideoAppConfig
 
 DEFAULT_BUFFER_SIZES = (1, 2, 5, 10, 20, 50, 100)

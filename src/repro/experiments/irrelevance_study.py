@@ -11,7 +11,7 @@ and several candidate bounds and reports which succeed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.apps.paper_nets import figure_7
 from repro.scheduling.ep import SchedulerOptions, find_schedule

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.apps.video import VideoAppConfig, build_video_system
 from repro.scheduling.ep import SchedulerOptions, find_schedule
-from repro.scheduling.heuristics import NaiveOrdering, make_heuristic
-from repro.petrinet.analysis import StructuralAnalysis
 
 
 @dataclass

@@ -9,8 +9,8 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 
 # ---------------------------------------------------------------------------

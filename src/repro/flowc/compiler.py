@@ -36,7 +36,6 @@ from repro.flowc.ast_nodes import (
     Identifier,
     If,
     IntLiteral,
-    PortDecl,
     PostfixOp,
     Process,
     ReadData,
@@ -48,8 +47,8 @@ from repro.flowc.ast_nodes import (
     While,
     WriteData,
 )
-from repro.flowc.leaders import contains_port_statement, is_port_statement
-from repro.petrinet.net import PetriNet, SourceKind
+from repro.flowc.leaders import contains_port_statement
+from repro.petrinet.net import PetriNet
 
 
 class CompilationError(Exception):

@@ -17,8 +17,8 @@ an execution into clock cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.flowc.ast_nodes import (
     Assignment,
@@ -214,17 +214,11 @@ class Interpreter:
         *,
         counter: Optional[OperationCounter] = None,
         max_loop_iterations: int = 1_000_000,
-        functions: Optional[Dict[str, Callable[..., Any]]] = None,
-        trace: Optional[List[str]] = None,
     ):
         self.env = environment
         self.comm = communication or NullCommunicationHandler()
         self.counter = counter if counter is not None else OperationCounter()
         self.max_loop_iterations = max_loop_iterations
-        self.functions = dict(BUILTIN_FUNCTIONS)
-        if functions:
-            self.functions.update(functions)
-        self.trace = trace
 
     # ------------------------------------------------------------------
     # statements
@@ -578,7 +572,7 @@ class Interpreter:
     def _evaluate_call(self, expr: Call) -> Any:
         args = [self.evaluate(arg) for arg in expr.args]
         self.counter.calls += 1
-        function = self.functions.get(expr.name)
+        function = BUILTIN_FUNCTIONS.get(expr.name)
         if function is None:
             raise InterpreterError(f"unknown function {expr.name!r}")
         return function(*args)

@@ -17,7 +17,7 @@ leader (or the end of the process); each portion becomes one transition.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set
 
 from repro.flowc.ast_nodes import (
     ExprStatement,

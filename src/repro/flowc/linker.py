@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.flowc.ast_nodes import Declaration, Process
+from repro.flowc.ast_nodes import Declaration
 from repro.flowc.compiler import CompiledProcess, compile_process
-from repro.flowc.netlist import Channel, EnvironmentPort, Network, PortRef
+from repro.flowc.netlist import Network, PortRef
 from repro.petrinet.net import PetriNet, SourceKind, merge_nets
 
 

@@ -12,7 +12,7 @@ environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.flowc.ast_nodes import Process
 from repro.flowc.parser import parse_program

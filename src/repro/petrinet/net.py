@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.petrinet.marking import Marking
 
@@ -89,8 +89,10 @@ class Transition:
     is_sink:
         True for environment sink transitions attached to primary outputs.
     guard:
-        For transitions that resolve a data-dependent choice, ``True`` or
-        ``False`` depending on the branch they represent; ``None`` otherwise.
+        For transitions that resolve a data-dependent choice, the branch
+        they represent: ``True`` or ``False`` for ``if``/``while``, the case
+        label (an integer) or ``"default"`` for ``switch``, the entry index
+        for SELECT; ``None`` otherwise.
     select_priority:
         Priority used to resolve SELECT choices (lower value = higher
         priority); ``None`` for transitions not created by SELECT.

@@ -14,14 +14,10 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
-
-
-class ReachabilityLimitExceeded(Exception):
-    """Raised when exploration exceeds the allotted node budget."""
 
 
 @dataclass
@@ -69,26 +65,19 @@ def build_reachability_graph(
     net: PetriNet,
     *,
     max_nodes: int = 10000,
-    marking_filter: Optional[Callable[[Marking], bool]] = None,
     max_tokens_per_place: Optional[int] = None,
-    raise_on_limit: bool = False,
 ) -> ReachabilityGraph:
     """Breadth-first exploration of the reachability graph.
 
     Parameters
     ----------
     max_nodes:
-        Hard cap on the number of distinct markings explored.
-    marking_filter:
-        Optional predicate; markings for which it returns ``False`` are not
-        expanded (they are still recorded as nodes).
+        Hard cap on the number of distinct markings explored; a graph it
+        cut is flagged ``complete=False``.
     max_tokens_per_place:
         Convenience cut-off: markings where any place exceeds this count are
         not expanded.  This corresponds to exploring with uniform pre-defined
         place bounds (the approach of [13] discussed in Section 4.4).
-    raise_on_limit:
-        If True, raise :class:`ReachabilityLimitExceeded` when ``max_nodes``
-        is hit; otherwise return a graph flagged ``complete=False``.
     """
     # The exploration runs on the indexed core: markings are dense tuples,
     # firing applies precomputed deltas, and each node's enabled set is
@@ -106,18 +95,12 @@ def build_reachability_graph(
     frontier = deque([0])
     transition_names = indexed.transition_names
 
-    def expandable(marking: Marking) -> bool:
-        if marking_filter is not None and not marking_filter(marking):
-            return False
-        if max_tokens_per_place is not None:
-            if any(count > max_tokens_per_place for count in marking.values()):
-                return False
-        return True
-
     while frontier:
         index = frontier.popleft()
         node = graph.nodes[index]
-        if not expandable(node.marking):
+        if max_tokens_per_place is not None and any(
+            count > max_tokens_per_place for count in node.marking.values()
+        ):
             continue
         vec = vecs[index]
         enabled = enabled_sets[index]
@@ -134,10 +117,6 @@ def build_reachability_graph(
                 continue
             if len(graph.nodes) >= max_nodes:
                 graph.complete = False
-                if raise_on_limit:
-                    raise ReachabilityLimitExceeded(
-                        f"reachability exploration exceeded {max_nodes} nodes"
-                    )
                 continue
             new_index = len(graph.nodes)
             successor = indexed.marking_of_vec(successor_vec)
@@ -195,20 +174,16 @@ def find_deadlocks(
     net: PetriNet,
     *,
     max_nodes: int = 10000,
-    ignore_sources: bool = True,
 ) -> List[Marking]:
     """Markings (within the explored prefix) with no enabled transition.
 
-    When ``ignore_sources`` is True, source transitions do not count as
-    enabling the marking -- a marking whose only activity is an environment
-    input is still a "system deadlock" from the scheduler's perspective.
+    Source transitions do not count as enabling the marking -- a marking
+    whose only activity is an environment input is still a "system
+    deadlock" from the scheduler's perspective.
     """
     graph = build_reachability_graph(net, max_nodes=max_nodes)
     deadlocks = []
     for node in graph.nodes:
-        enabled = net.enabled_transitions(node.marking)
-        if ignore_sources:
-            enabled = [t for t in enabled if net.pre[t]]
-        if not enabled:
+        if not any(net.pre[t] for t in net.enabled_transitions(node.marking)):
             deadlocks.append(node.marking)
     return deadlocks

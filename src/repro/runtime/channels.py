@@ -10,7 +10,7 @@ exceeded.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.flowc.interpreter import CommunicationHandler, WouldBlock

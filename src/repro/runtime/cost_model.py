@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from repro.flowc.interpreter import OperationCounter
 from repro.runtime.channels import CommunicationStats

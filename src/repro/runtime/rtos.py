@@ -10,7 +10,7 @@ delegated to a runnable object supplied by the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Dict, Optional, Protocol, Sequence
 
 
 class RunnableTask(Protocol):

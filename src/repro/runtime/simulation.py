@@ -15,13 +15,12 @@ structure (and therefore the cost accounting) differs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.codegen.task import ExecutableTask
 from repro.flowc.compiler import SelectCondition
 from repro.flowc.interpreter import Environment, Interpreter, OperationCounter, WouldBlock
 from repro.flowc.linker import LinkedSystem
-from repro.flowc.netlist import PortRef
 from repro.petrinet.net import PetriNet
 from repro.runtime.channels import (
     ChannelBuffer,
@@ -32,7 +31,6 @@ from repro.runtime.channels import (
 )
 from repro.runtime.cost_model import CompilerProfile, CostModel, PROFILES
 from repro.runtime.rtos import RoundRobinScheduler, RtosCosts
-from repro.scheduling.ep import SchedulerOptions, find_schedule
 from repro.scheduling.schedule import Schedule
 
 
@@ -105,7 +103,7 @@ class _ProcessTask:
         # execute the hoisted declarations once (initialisation)
         for declaration in system.declarations.get(name, []):
             self.interpreter.execute(declaration)
-        # port place名 -> FlowC port name for this process
+        # port place name -> FlowC port name for this process
         self._port_of_place: Dict[str, str] = {}
         for (process, port), place in system.port_place_of.items():
             if process == name:
@@ -317,14 +315,17 @@ class MultiTaskSimulation:
 
 
 class SingleTaskSimulation:
-    """The synthesized implementation: one task per uncontrollable input."""
+    """The synthesized implementation: one task per uncontrollable input.
+
+    ``schedules`` maps each source transition to serve to its schedule
+    (``find_schedule(...).schedule``).
+    """
 
     def __init__(
         self,
         system: LinkedSystem,
         *,
-        schedules: Optional[Mapping[str, Schedule]] = None,
-        scheduler_options: Optional[SchedulerOptions] = None,
+        schedules: Mapping[str, Schedule],
     ):
         self.system = system
         self.counter = OperationCounter()
@@ -334,13 +335,7 @@ class SingleTaskSimulation:
         self.sinks: Dict[str, EnvironmentSink] = {}
         self.channels: Dict[str, ChannelBuffer] = {}
         self._build_binding()
-        self.schedules: Dict[str, Schedule] = dict(schedules) if schedules else {}
-        if not self.schedules:
-            options = scheduler_options or SchedulerOptions()
-            for source in system.net.uncontrollable_sources():
-                result = find_schedule(system.net, source, options=options, raise_on_failure=True)
-                assert result.schedule is not None
-                self.schedules[source] = result.schedule
+        self.schedules: Dict[str, Schedule] = dict(schedules)
         environments: Dict[str, Environment] = {}
         self.tasks: Dict[str, ExecutableTask] = {}
         for source, schedule in self.schedules.items():

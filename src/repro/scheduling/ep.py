@@ -68,45 +68,35 @@ class SchedulerOptions:
 
     Fields (all keyword-friendly, all defaulted):
 
-    * ``single_source`` -- enforce the Section 4.2 restriction: ECSs
-      containing *other* uncontrollable sources are never fired, so the
-      schedule reacts to one environment input at a time.
     * ``use_invariant_heuristic`` -- order candidate ECSs by the
       T-invariant-guided heuristic of Section 5.5.2 instead of the plain
-      tie-break ordering (usually a large tree-size win).
+      tie-break ordering (usually a large tree-size win).  Under it the
+      search first fails fast when no T-invariant fires the source
+      transition (Section 5.5.2's non-schedulability test).
     * ``termination`` -- an explicit :class:`TerminationCondition`;
       ``None`` builds the default composite (irrelevance criterion +
       user place bounds + ``max_nodes`` budget).  Custom conditions make
       the search uncacheable by the warm-start layers.
     * ``max_nodes`` -- hard budget on scheduling-tree nodes; exceeded
       searches fail with a budget reason instead of running forever.
-    * ``validate`` -- run ``Schedule.validate`` (the five Section 4.1
-      properties) on every schedule before returning it.
-    * ``invariant_precheck`` -- fail fast when no T-invariant fires the
-      source transition (Section 5.5.2's non-schedulability test).
-    * ``defer_sources`` -- the Section 4.4 pruning rule: fire source ECSs
-      only when nothing else yields an entering point.
+
+    The rest is fixed behaviour, not configuration: every search builds a
+    single-source schedule (Section 4.2: ECSs containing *other*
+    uncontrollable sources are never fired), fires source ECSs only when
+    nothing else yields an entering point (Section 4.4), and checks every
+    schedule it returns with ``Schedule.validate`` (the five Section 4.1
+    properties).
 
     Example::
 
         >>> options = SchedulerOptions(max_nodes=50_000)
-        >>> options.single_source
-        True
+        >>> (options.use_invariant_heuristic, options.termination, options.max_nodes)
+        (True, None, 50000)
     """
 
-    single_source: bool = True
     use_invariant_heuristic: bool = True
     termination: Optional[TerminationCondition] = None
     max_nodes: int = 200_000
-    validate: bool = True
-    # Abort early when no T-invariant covers the source transition
-    invariant_precheck: bool = True
-    # "Fire a source transition only when the system cannot fire anything
-    # else" (Section 4.4) applied as a pruning rule: source ECSs are only
-    # explored at a node when every non-source ECS failed to produce an
-    # entering point.  This keeps schedules small (few await nodes) and
-    # avoids deferring part of a reaction to the next environment event.
-    defer_sources: bool = True
 
 
 @dataclass
@@ -531,7 +521,7 @@ class _EPSearch:
     # -- main entry -----------------------------------------------------------
     def run(self) -> SchedulerResult:
         start = time.monotonic()
-        if self.options.invariant_precheck and isinstance(self.heuristic, InvariantGuidedOrdering):
+        if isinstance(self.heuristic, InvariantGuidedOrdering):
             if not self.heuristic.source_is_coverable():
                 return SchedulerResult(
                     source_transition=self.source,
@@ -579,8 +569,7 @@ class _EPSearch:
                 counters=self.counters,
             )
         schedule = self._post_process(root)
-        if self.options.validate:
-            schedule.validate(self.analysis)
+        schedule.validate(self.analysis)
         return SchedulerResult(
             source_transition=self.source,
             schedule=schedule,
@@ -636,7 +625,7 @@ class _EPSearch:
         """
         enabled_tids = self.tree.enabled_of(v)
         enabled_ids = self.analysis.enabled_ecs_ids(enabled_tids)
-        if self.options.single_source and self._excluded_ecs_ids:
+        if self._excluded_ecs_ids:
             enabled_ids = [
                 ecs_id for ecs_id in enabled_ids
                 if ecs_id not in self._excluded_ecs_ids
@@ -653,19 +642,14 @@ class _EPSearch:
             context = HeuristicContext(
                 depth=self.tree.nodes[v].depth,
                 lookahead=lookahead,
-                marking_supplier=lambda: self.tree.marking_of(v),
                 path_firings_supplier=self.tree.path_firings,
                 cycle=self.tree.cycle,
             )
             ordered = self.heuristic.order(enabled, context)
 
-        if self.options.defer_sources:
-            sources = self._source_ecss
-            non_source = [ecs for ecs in ordered if ecs not in sources]
-            source_ecss = [ecs for ecs in ordered if ecs in sources]
-        else:
-            non_source = list(ordered)
-            source_ecss = []
+        sources = self._source_ecss
+        non_source = [ecs for ecs in ordered if ecs not in sources]
+        source_ecss = [ecs for ecs in ordered if ecs in sources]
         return non_source, source_ecss
 
     def _lookahead(

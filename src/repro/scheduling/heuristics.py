@@ -19,12 +19,11 @@ transition, no cyclic schedule exists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.covering import build_candidate_invariant_problem, solve_binate_covering
 from repro.petrinet.invariants import combine_invariants, invariant_basis
-from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 
 ECS = FrozenSet[str]
@@ -129,19 +128,16 @@ class CycleTracker:
 class HeuristicContext:
     """Information available to the ordering heuristic at one tree node.
 
-    ``marking`` and ``path_firings`` are materialised lazily: the built-in
-    heuristics rank ECSs from the lookahead masks and the search's
-    :class:`CycleTracker` alone, and building a facade :class:`Marking` or
-    a firing-count dict per expanded node is pure overhead in the search
-    hot loop.  The scheduler passes ``marking_supplier`` and
+    ``path_firings`` is materialised lazily: the built-in heuristics rank
+    ECSs from the lookahead masks and the search's :class:`CycleTracker`
+    alone, and building a firing-count dict per expanded node is pure
+    overhead in the search hot loop.  The scheduler passes
     ``path_firings_supplier`` instead; a heuristic that does read
-    ``context.marking`` or ``context.path_firings`` pays the conversion
-    only then (and custom callers may still pass either directly).
+    ``context.path_firings`` pays the conversion only then (and custom
+    callers may still pass the dict directly).
     """
 
     __slots__ = (
-        "_marking",
-        "_marking_supplier",
         "_path_firings",
         "_path_firings_supplier",
         "depth",
@@ -151,16 +147,12 @@ class HeuristicContext:
 
     def __init__(
         self,
-        marking: Optional[Marking] = None,
         path_firings: Optional[Mapping[str, int]] = None,
         depth: int = 0,
         lookahead: Optional[Mapping[ECS, ECSLookahead]] = None,
-        marking_supplier: Optional[Callable[[], Marking]] = None,
         path_firings_supplier: Optional[Callable[[], Mapping[str, int]]] = None,
         cycle: Optional[CycleTracker] = None,
     ):
-        self._marking = marking
-        self._marking_supplier = marking_supplier
         if path_firings is None and path_firings_supplier is None:
             path_firings = {}
         self._path_firings = path_firings
@@ -171,12 +163,6 @@ class HeuristicContext:
         # optional incremental promising-vector state of the current path;
         # the invariant-guided ordering reads it instead of path_firings
         self.cycle = cycle
-
-    @property
-    def marking(self) -> Optional[Marking]:
-        if self._marking is None and self._marking_supplier is not None:
-            self._marking = self._marking_supplier()
-        return self._marking
 
     @property
     def path_firings(self) -> Mapping[str, int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
@@ -83,16 +83,15 @@ def build_run(
     *,
     resolver: Optional[ChoiceResolver] = None,
     net: Optional[PetriNet] = None,
-    check_fireable: bool = True,
     max_steps_per_event: int = 100_000,
 ) -> Run:
     """Build a run of ``schedules`` for the event sequence ``events``.
 
     Each event must name an uncontrollable source transition with a schedule
-    in ``schedules``.  When ``check_fireable`` is set the concatenated
-    transition sequence is fired in the net (the net of the first schedule by
-    default) and a :class:`RunError` is raised on the first non-enabled
-    transition -- this is exactly the executability check of Definition 4.2.
+    in ``schedules``.  The concatenated transition sequence is fired in the
+    net (the net of the first schedule by default) and a :class:`RunError`
+    is raised on the first non-enabled transition -- this is exactly the
+    executability check of Definition 4.2.
     """
     if not schedules:
         raise RunError("no schedules supplied")
@@ -127,14 +126,13 @@ def build_run(
         while True:
             target = node.edges[transition]
             segment.transitions.append(transition)
-            if check_fireable:
-                tid = tindex.get(transition)
-                if tid is None or not inet.is_enabled_vec(tid, vec):
-                    raise RunError(
-                        f"run is not fireable: transition {transition!r} not enabled at "
-                        f"{inet.marking_of_vec(vec).pretty()} (event {event!r})"
-                    )
-                vec = inet.fire_vec(tid, vec)
+            tid = tindex.get(transition)
+            if tid is None or not inet.is_enabled_vec(tid, vec):
+                raise RunError(
+                    f"run is not fireable: transition {transition!r} not enabled at "
+                    f"{inet.marking_of_vec(vec).pretty()} (event {event!r})"
+                )
+            vec = inet.fire_vec(tid, vec)
             node = schedule.node(target)
             steps += 1
             if steps > max_steps_per_event:
@@ -179,7 +177,7 @@ def check_executability(
     for sequence in event_sequences:
         for resolver in all_resolvers:
             try:
-                build_run(schedules, sequence, resolver=resolver, net=net, check_fireable=True)
+                build_run(schedules, sequence, resolver=resolver, net=net)
             except RunError:
                 return False
     return True

@@ -20,9 +20,9 @@ A node whose outgoing edge carries an uncontrollable source transition is an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.petrinet.analysis import StructuralAnalysis, compute_ecs_partition
+from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 

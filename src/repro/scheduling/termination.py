@@ -28,24 +28,49 @@ from itertools import product
 from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis, all_place_degrees
+from repro.petrinet.indexed import IndexedNet, MarkingVec
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 
 
 class SchedulingTreeView(Protocol):
-    """The part of the scheduling tree a termination condition can see.
+    """The part of the scheduling tree a termination condition can read.
 
-    Trees built on the indexed core may additionally expose ``vec_of(node)``
-    (a dense tuple of token counts) and an ``inet`` attribute (the
-    :class:`~repro.petrinet.indexed.IndexedNet`); conditions use those as a
-    fast path and fall back to ``marking_of`` otherwise.
+    :class:`~repro.scheduling.ep.SchedulingTree` is the implementation.
+    The built-in conditions read the indexed view: ``inet`` (the
+    :class:`~repro.petrinet.indexed.IndexedNet` whose place IDs index
+    ``vec_of``), the per-node accessors and, for the irrelevance
+    criterion, ``path_probe_state``.  ``marking_of`` is there for custom
+    conditions that want a facade :class:`Marking`.
     """
 
-    def marking_of(self, node: int) -> Marking:  # pragma: no cover - protocol
+    inet: IndexedNet
+
+    def vec_of(self, node: int) -> MarkingVec:  # pragma: no cover - protocol
+        """Token counts of ``node``'s marking, indexed by ``inet`` place ID."""
+        ...
+
+    def depth_of(self, node: int) -> int:  # pragma: no cover - protocol
+        """Tree depth of ``node`` (the root has depth 0)."""
+        ...
+
+    def total_tokens_of(self, node: int) -> int:  # pragma: no cover - protocol
+        """Total token count of ``node``'s marking."""
         ...
 
     def ancestors_of(self, node: int) -> Iterable[int]:  # pragma: no cover - protocol
         """Proper ancestors of ``node``, nearest first."""
+        ...
+
+    def path_probe_state(
+        self, node: int
+    ) -> Optional[Tuple[Dict[MarkingVec, int], Dict[int, int]]]:  # pragma: no cover - protocol
+        """The DFS path's marking index and token-total multiset when
+        ``node``'s proper ancestors are exactly the path, else ``None``."""
+        ...
+
+    def marking_of(self, node: int) -> Marking:  # pragma: no cover - protocol
+        """Facade marking of ``node``."""
         ...
 
 
@@ -152,30 +177,28 @@ class IrrelevanceCriterion(TerminationCondition):
                 return False
         return True
 
-    def _holds_vec(self, tree, inet, node: int) -> bool:
-        """Dense fast path over marking vectors (no Marking construction).
+    def holds(self, tree: SchedulingTreeView, node: int) -> bool:
+        """Definition 4.5 on marking vectors (no Marking construction).
 
-        When the tree exposes its path marking index
+        When ``node``'s proper ancestors are the current DFS path
         (``path_probe_state``), the verdict comes from the incremental
         checker -- O(over-degree places) hash probes instead of an O(depth)
         ancestor walk, with the same verdict (the witness set enumerated by
         :class:`IncrementalIrrelevance` is exactly the set of path markings
-        satisfying Definition 4.5).  The walk
-        remains as the exact fallback for capped children and for trees
-        without path state.
+        satisfying Definition 4.5).  The walk remains as the exact fallback
+        for capped children and for nodes off the path.
         """
-        probe_state = getattr(tree, "path_probe_state", None)
-        if probe_state is not None:
-            state = probe_state(node)
-            if state is not None:
-                verdict = self.incremental_for(inet).check(
-                    tree.vec_of(node),
-                    state[0],
-                    state[1],
-                    tree.total_tokens_of(node),
-                )
-                if verdict is not None:
-                    return verdict
+        inet = tree.inet
+        state = tree.path_probe_state(node)
+        if state is not None:
+            verdict = self.incremental_for(inet).check(
+                tree.vec_of(node),
+                state[0],
+                state[1],
+                tree.total_tokens_of(node),
+            )
+            if verdict is not None:
+                return verdict
         totals = tree.total_tokens_of
         return self.witnessed_by(
             inet,
@@ -189,7 +212,7 @@ class IrrelevanceCriterion(TerminationCondition):
 
         The exact O(depth) walk behind the incremental checker: the verdict
         for children whose candidate count exceeds the enumeration cap, and
-        for trees without path state.  ``total`` is the token total of
+        for nodes off the DFS path.  ``total`` is the token total of
         ``vec``; ancestors holding more tokens cannot be covered.
         """
         degrees = self.degrees_vec(inet)
@@ -204,23 +227,6 @@ class IrrelevanceCriterion(TerminationCondition):
                     irrelevant = False
                     break
             if irrelevant:
-                return True
-        return False
-
-    def holds(self, tree: SchedulingTreeView, node: int) -> bool:
-        vec_of = getattr(tree, "vec_of", None)
-        inet = getattr(tree, "inet", None)
-        if vec_of is not None and inet is not None:
-            return self._holds_vec(tree, inet, node)
-        marking = tree.marking_of(node)
-        # Cheap pre-filter: an ancestor can only be covered by the current
-        # marking if it does not hold more tokens in total.
-        totals = getattr(tree, "total_tokens_of", None)
-        current_total = totals(node) if totals is not None else None
-        for ancestor in tree.ancestors_of(node):
-            if current_total is not None and totals(ancestor) > current_total:
-                continue
-            if self.is_irrelevant(marking, tree.marking_of(ancestor)):
                 return True
         return False
 
@@ -371,20 +377,8 @@ class PlaceBoundCondition(TerminationCondition):
         return self._bounds_vec
 
     def holds(self, tree: SchedulingTreeView, node: int) -> bool:
-        vec_of = getattr(tree, "vec_of", None)
-        inet = getattr(tree, "inet", None)
-        if vec_of is not None and inet is not None:
-            vec = vec_of(node)
-            for pid, bound in self._bounded_pids(inet):
-                if vec[pid] > bound:
-                    return True
-            return False
-        marking = tree.marking_of(node)
-        for place, count in marking.items():
-            bound = self.bounds.get(place, self.default_bound)
-            if bound is not None and count > bound:
-                return True
-        return False
+        vec = tree.vec_of(node)
+        return any(vec[pid] > bound for pid, bound in self._bounded_pids(tree.inet))
 
 
 @dataclass
@@ -422,21 +416,8 @@ class UserBoundCondition(TerminationCondition):
         return self._bounds_vec
 
     def holds(self, tree: SchedulingTreeView, node: int) -> bool:
-        if not self.bounds:
-            return False
-        vec_of = getattr(tree, "vec_of", None)
-        inet = getattr(tree, "inet", None)
-        if vec_of is not None and inet is not None:
-            vec = vec_of(node)
-            for pid, bound in self._bounded_pids(inet):
-                if vec[pid] > bound:
-                    return True
-            return False
-        marking = tree.marking_of(node)
-        for place, bound in self.bounds.items():
-            if marking[place] > bound:
-                return True
-        return False
+        vec = tree.vec_of(node)
+        return any(vec[pid] > bound for pid, bound in self._bounded_pids(tree.inet))
 
 
 @dataclass
@@ -471,11 +452,7 @@ class MaxDepthCondition(TerminationCondition):
     name: str = "max-depth"
 
     def holds(self, tree: SchedulingTreeView, node: int) -> bool:
-        depth_of = getattr(tree, "depth_of", None)
-        if depth_of is not None:
-            return depth_of(node) > self.max_depth
-        depth = sum(1 for _ in tree.ancestors_of(node))
-        return depth > self.max_depth
+        return tree.depth_of(node) > self.max_depth
 
 
 @dataclass

@@ -90,16 +90,7 @@ def options_cache_key(options: SchedulerOptions) -> Optional[Tuple]:
     """
     if options.termination is not None:
         return None
-    return (
-        options.single_source,
-        options.use_invariant_heuristic,
-        options.max_nodes,
-        # validate does not change the search outcome, but a schedule cached
-        # under validate=False was never checked; keep the contracts separate
-        options.validate,
-        options.invariant_precheck,
-        options.defer_sources,
-    )
+    return (options.use_invariant_heuristic, options.max_nodes)
 
 
 @dataclass

@@ -9,8 +9,9 @@ keys, compact separators) terminated by ``\\n``.  Requests carry an ``op``:
     FlowC source (``"flowc"``: a program plus an optional netlist spec --
     channels, environment declarations -- compiled and linked server-side).
     Optional ``"sources"`` restricts which uncontrollable sources are
-    scheduled (default: all of them) and ``"options"`` sets a whitelisted
-    subset of :class:`~repro.scheduling.ep.SchedulerOptions` fields.
+    scheduled (default: all of them) and ``"options"`` may set
+    ``max_nodes``, the node budget of each search (the one
+    :class:`~repro.scheduling.ep.SchedulerOptions` field on the wire).
 ``stats``
     Introspection: cache hit/miss/coalesce counters, queue depth and
     per-phase latency histograms (see ``serve.service``).
@@ -51,7 +52,8 @@ from repro.scheduling.ep import SchedulerOptions
 #: options and the two per-backend expansion counters of the responses;
 #: version 3 dropped the two options of the deleted cost-based schedule
 #: selection.
-PROTOCOL_VERSION = 3
+#: Version 4 dropped five options more, keeping ``max_nodes`` alone.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one request line (and the asyncio stream limit).  Nets of
 #: tens of thousands of nodes fit comfortably; anything bigger should ship
@@ -180,7 +182,7 @@ def net_to_dict(net: PetriNet) -> Dict[str, object]:
         if transition.is_sink:
             entry["is_sink"] = True
         if transition.guard is not None:
-            entry["guard"] = bool(transition.guard)
+            entry["guard"] = transition.guard
         if transition.select_priority is not None:
             entry["select_priority"] = int(transition.select_priority)
         if transition.process is not None:
@@ -201,38 +203,75 @@ def net_to_dict(net: PetriNet) -> Dict[str, object]:
     }
 
 
+def _integer(value: object, kind: str, field: str, of: object = None, *, minimum=None) -> int:
+    """``value`` when it is a JSON integer (not a boolean) of at least
+    ``minimum``; a :class:`ProtocolError` of ``kind`` naming ``field`` (of
+    ``of``, when given) otherwise."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ProtocolError(kind, f"{_what(field, of)} must be an integer{floor}, got {value!r}")
+    return value
+
+
+def _optional_integer(value: object, kind: str, field: str, of: object = None, *, minimum=None):
+    return None if value is None else _integer(value, kind, field, of, minimum=minimum)
+
+
+def _boolean(value: object, kind: str, field: str, of: object = None) -> bool:
+    if type(value) is not bool:
+        raise ProtocolError(kind, f"{_what(field, of)} must be a JSON boolean, got {value!r}")
+    return value
+
+
+def _what(field: str, of: object) -> str:
+    return field if of is None else f"{field} of {of!r}"
+
+
 def net_from_dict(data: Mapping[str, object]) -> PetriNet:
     """Rebuild a net from :func:`net_to_dict` output (wire requests).
 
     Validates shape as it goes; any inconsistency (unknown arc endpoint,
-    negative weight, duplicate name) raises :class:`ProtocolError` with kind
-    ``bad-net``.
+    non-positive weight, duplicate name) raises :class:`ProtocolError` with
+    kind ``bad-net``.  Values are refused, never coerced: tokens, bounds and
+    weights are JSON integers (tokens and bounds non-negative, weights
+    positive), flags are JSON booleans, and a guard is a boolean, an
+    integer or ``"default"``.
     """
     if not isinstance(data, Mapping):
         raise ProtocolError("bad-net", "net must be a JSON object")
     try:
         net = PetriNet(name=str(data.get("name", "net")))
         for entry in data.get("places", ()):
+            name = str(entry["name"])
             net.add_place(
-                str(entry["name"]),
-                int(entry.get("tokens", 0)),
-                bound=(int(entry["bound"]) if entry.get("bound") is not None else None),
-                is_port=bool(entry.get("is_port", False)),
+                name,
+                _integer(entry.get("tokens", 0), "bad-net", "tokens", name, minimum=0),
+                bound=_optional_integer(entry.get("bound"), "bad-net", "bound", name, minimum=0),
+                is_port=_boolean(entry.get("is_port", False), "bad-net", "is_port", name),
                 channel=entry.get("channel"),
                 process=entry.get("process"),
             )
         for entry in data.get("transitions", ()):
+            name = str(entry["name"])
+            guard = entry.get("guard")
+            if not (guard is None or guard == "default" or isinstance(guard, int)):
+                raise ProtocolError(
+                    "bad-net",
+                    f"guard of {name!r} must be a boolean, an integer or 'default', got {guard!r}",
+                )
             net.add_transition(
-                str(entry["name"]),
+                name,
                 source_kind=SourceKind(entry.get("source_kind", "none")),
-                is_sink=bool(entry.get("is_sink", False)),
-                guard=entry.get("guard"),
-                select_priority=entry.get("select_priority"),
+                is_sink=_boolean(entry.get("is_sink", False), "bad-net", "is_sink", name),
+                guard=guard,
+                select_priority=_optional_integer(
+                    entry.get("select_priority"), "bad-net", "select_priority", name
+                ),
                 process=entry.get("process"),
             )
         for arc in data.get("arcs", ()):
             src, dst, weight = arc
-            net.add_arc(str(src), str(dst), int(weight))
+            net.add_arc(str(src), str(dst), _integer(weight, "bad-net", "arc weight", arc, minimum=1))
         net.validate()
     except ProtocolError:
         raise
@@ -253,6 +292,10 @@ def _port_ref(text: object) -> Tuple[str, str]:
     return process, port
 
 
+def _rate(spec: Mapping[str, object]) -> int:
+    return _integer(spec.get("rate", 1), "bad-flowc", "rate", spec["port"], minimum=1)
+
+
 def network_from_spec(payload: Mapping[str, object]) -> Network:
     """Build a :class:`~repro.flowc.netlist.Network` from a wire FlowC spec.
 
@@ -264,7 +307,9 @@ def network_from_spec(payload: Mapping[str, object]) -> Network:
     ``auto_environment`` is set to false, any port still unconnected after
     those declarations is auto-declared -- inputs as *uncontrollable*
     environment inputs, outputs as environment outputs -- so a bare program
-    is immediately schedulable.
+    is immediately schedulable.  Bounds must be non-negative JSON integers,
+    rates positive ones and flags JSON booleans; other values answer
+    ``bad-flowc``.
     """
     program = payload.get("program")
     if not isinstance(program, str) or not program.strip():
@@ -281,20 +326,24 @@ def network_from_spec(payload: Mapping[str, object]) -> Network:
                 t_process,
                 t_port,
                 name=spec.get("name"),
-                bound=(int(spec["bound"]) if spec.get("bound") is not None else None),
+                bound=_optional_integer(
+                    spec.get("bound"), "bad-flowc", "channel bound", spec["source"], minimum=0
+                ),
             )
         for spec in payload.get("inputs", ()):
             process, port = _port_ref(spec["port"])
             network.declare_input(
                 process,
                 port,
-                controllable=bool(spec.get("controllable", False)),
-                rate=int(spec.get("rate", 1)),
+                controllable=_boolean(
+                    spec.get("controllable", False), "bad-flowc", "controllable", spec["port"]
+                ),
+                rate=_rate(spec),
             )
         for spec in payload.get("outputs", ()):
             process, port = _port_ref(spec["port"])
-            network.declare_output(process, port, rate=int(spec.get("rate", 1)))
-        if payload.get("auto_environment", True):
+            network.declare_output(process, port, rate=_rate(spec))
+        if _boolean(payload.get("auto_environment", True), "bad-flowc", "auto_environment"):
             declared = set(network.environment_inputs) | set(network.environment_outputs)
             for ref, direction in network.unconnected_ports():
                 if ref in declared:
@@ -314,27 +363,11 @@ def network_from_spec(payload: Mapping[str, object]) -> Network:
 # options
 # ---------------------------------------------------------------------------
 
-#: SchedulerOptions fields settable over the wire.  ``termination`` is
-#: deliberately absent: arbitrary condition objects have no JSON form and
-#: would defeat both fingerprint keying and the caches.
-WIRE_OPTION_FIELDS = (
-    "single_source",
-    "use_invariant_heuristic",
-    "max_nodes",
-    "validate",
-    "invariant_precheck",
-    "defer_sources",
-)
-
-#: Wire options that must be JSON booleans: anything else would reach the
-#: cache key as a distinct (or unhashable) value.
-BOOLEAN_OPTION_FIELDS = (
-    "single_source",
-    "use_invariant_heuristic",
-    "validate",
-    "invariant_precheck",
-    "defer_sources",
-)
+#: SchedulerOptions fields settable over the wire: the node budget only.
+#: ``termination`` is deliberately absent: arbitrary condition objects have
+#: no JSON form and would defeat both fingerprint keying and the caches.
+#: ``use_invariant_heuristic=False`` is the library's ablation baseline.
+WIRE_OPTION_FIELDS = ("max_nodes",)
 
 
 def options_from_dict(data: Optional[Mapping[str, object]]) -> SchedulerOptions:
@@ -354,19 +387,8 @@ def options_from_dict(data: Optional[Mapping[str, object]]) -> SchedulerOptions:
             "bad-options",
             f"unknown option(s) {sorted(unknown)}; settable: {list(WIRE_OPTION_FIELDS)}",
         )
-    try:
-        options = SchedulerOptions(**{key: data[key] for key in data})
-    except Exception as error:
-        raise ProtocolError("bad-options", f"invalid options: {error}")
-    for name in BOOLEAN_OPTION_FIELDS:
-        if not isinstance(getattr(options, name), bool):
-            raise ProtocolError("bad-options", f"{name} must be a JSON boolean")
-    if (
-        not isinstance(options.max_nodes, int)
-        or isinstance(options.max_nodes, bool)
-        or options.max_nodes < 1
-    ):
-        raise ProtocolError("bad-options", "max_nodes must be a positive integer")
+    options = SchedulerOptions(**data)
+    _integer(options.max_nodes, "bad-options", "max_nodes", minimum=1)
     if options.max_nodes > MAX_WIRE_NODES:
         raise ProtocolError("bad-options", f"max_nodes must be at most {MAX_WIRE_NODES}")
     return options

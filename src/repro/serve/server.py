@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import math
 import time
 from typing import Dict, Optional, Tuple
 
@@ -241,8 +242,14 @@ class ScheduleServer:
             time.perf_counter() - build_started
         )
         timeout = request.get("timeout")
-        if timeout is not None and not isinstance(timeout, (int, float)):
-            raise ProtocolError("bad-request", "'timeout' must be a number of seconds")
+        if timeout is not None and (
+            not isinstance(timeout, (int, float))
+            or isinstance(timeout, bool)
+            or not 0 < timeout < math.inf
+        ):
+            raise ProtocolError(
+                "bad-request", f"'timeout' must be a positive number of seconds, got {timeout!r}"
+            )
         payloads, bindings = await self.service._schedule_net(
             net,
             sources,

@@ -6,7 +6,7 @@ import sys
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Generic, Iterator, Optional, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -63,36 +63,19 @@ class BoundedLRU(Generic[K, V]):
     schedules) and the daemon's request memo: ``get`` refreshes recency,
     ``put`` inserts and evicts the stalest entries.
 
-    ``on_evict`` (optional) is called with ``(key, value)`` for every entry
-    the store lets go of -- LRU displacement, overwrite of an existing key,
-    :meth:`discard` and :meth:`clear` -- so values owning external
-    resources can release them deterministically instead of waiting for
-    garbage collection.  Exceptions raised by the callback propagate to the
-    mutating call.
-
     All operations are thread-safe: the scheduling-as-a-service executor
     runs ``lookup``/``store`` from many threads against one shared L1, and
-    an unlocked ``OrderedDict`` corrupts its recency order (or double-fires
-    ``on_evict``, double-closing the owned resource) under that load.  A
-    re-entrant lock serializes every mutation *including* the ``on_evict``
-    callbacks, so each displaced value is released exactly once.
+    an unlocked ``OrderedDict`` corrupts its recency order under that load.
     """
 
-    __slots__ = ("capacity", "_store", "on_evict", "_lock")
+    __slots__ = ("capacity", "_store", "_lock")
 
-    def __init__(
-        self,
-        capacity: int,
-        on_evict: Optional[Callable[[K, V], None]] = None,
-    ):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.on_evict = on_evict
         self._store: "OrderedDict[K, V]" = OrderedDict()
-        # re-entrant: an on_evict callback may legitimately touch the LRU
-        # (e.g. to log its size) without deadlocking the mutating thread
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def get(self, key: K, default: Optional[V] = None) -> Optional[V]:
         with self._lock:
@@ -102,35 +85,19 @@ class BoundedLRU(Generic[K, V]):
             return default
 
     def put(self, key: K, value: V) -> None:
-        displaced: List[Tuple[K, V]] = []
         with self._lock:
-            previous = self._store.get(key)
             self._store[key] = value
             self._store.move_to_end(key)
-            if previous is not None and previous is not value:
-                displaced.append((key, previous))
             while len(self._store) > self.capacity:
-                displaced.append(self._store.popitem(last=False))
-            if self.on_evict:
-                # fire inside the lock: a concurrent put must not observe
-                # (and re-evict) a value whose callback has not finished
-                for evicted_key, evicted_value in displaced:
-                    self.on_evict(evicted_key, evicted_value)
+                self._store.popitem(last=False)
 
     def discard(self, key: K) -> None:
-        """Drop ``key`` if present (``on_evict`` fires for its value)."""
+        """Drop ``key`` if present."""
         with self._lock:
-            if key in self._store:
-                value = self._store.pop(key)
-                if self.on_evict:
-                    self.on_evict(key, value)
+            self._store.pop(key, None)
 
     def clear(self) -> None:
         with self._lock:
-            if self.on_evict:
-                while self._store:
-                    key, value = self._store.popitem(last=False)
-                    self.on_evict(key, value)
             self._store.clear()
 
     def __contains__(self, key: K) -> bool:

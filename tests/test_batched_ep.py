@@ -215,13 +215,13 @@ def test_all_irrelevant_frontier():
     net.add_arc("p", "t")
     net.add_arc("t", "p")  # keeps p marked: t's child covers its parent
     net.add_arc("t", "q")  # and grows q, whose degree is already saturated
-    # no T-invariant fires src (tokens only accumulate), so the precheck
-    # must be disabled for the search -- and its irrelevance pruning -- to run
+    # no T-invariant fires src (tokens only accumulate); the tie-break
+    # heuristic runs no invariant precheck, so the search -- and its
+    # irrelevance pruning -- runs
     result = folded_and_fallback(
         net,
         "src",
         max_nodes=100,
-        invariant_precheck=False,
         use_invariant_heuristic=False,
     )
     assert not result.success

@@ -401,10 +401,10 @@ def test_memory_only_instance_ignores_active_store(tmp_path):
 def test_options_key_differences_miss(store):
     net = figure_5()
     cache = ScheduleWarmStartCache(store=store)
-    cache.find_schedule(net, "a", options=SchedulerOptions(defer_sources=True))
+    cache.find_schedule(net, "a", options=SchedulerOptions(max_nodes=1_000))
     other = ScheduleWarmStartCache(store=store)
-    result = other.find_schedule(net, "a", options=SchedulerOptions(defer_sources=False))
-    assert not result.from_cache  # defer_sources is part of the key
+    result = other.find_schedule(net, "a", options=SchedulerOptions(max_nodes=2_000))
+    assert not result.from_cache  # max_nodes is part of the key
     assert other.stats.misses == 1
 
 

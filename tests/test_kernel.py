@@ -160,15 +160,11 @@ def test_options_cache_key_separates_tiers_not_backend_equivalence():
     such option separates keys and equal options share one."""
     base = options_cache_key(SchedulerOptions())
     searched = [f.name for f in fields(SchedulerOptions) if f.name != "termination"]
-    assert len(base) == len(searched) == 6
+    assert len(base) == len(searched) == 2
     assert options_cache_key(SchedulerOptions()) == base
     changed = {
-        "single_source": False,
         "use_invariant_heuristic": False,
         "max_nodes": 1_000,
-        "validate": False,
-        "invariant_precheck": False,
-        "defer_sources": False,
     }
     assert set(changed) == set(searched)
     keys = {options_cache_key(SchedulerOptions(**{k: v})) for k, v in changed.items()}

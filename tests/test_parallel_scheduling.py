@@ -207,17 +207,3 @@ def test_warm_start_replay_keeps_original_statistics():
     assert replayed.tree_nodes == first.tree_nodes
     assert replayed.counters.as_dict() == first.counters.as_dict()
     assert schedule_to_json(replayed.schedule) == schedule_to_json(first.schedule)
-
-
-def test_warm_start_keys_on_validate_flag():
-    """A schedule cached under validate=False must not satisfy a
-    validate=True call (the replay never re-validates)."""
-    cache = ScheduleWarmStartCache()
-    cache.find_schedule(
-        paper_nets.figure_5(), "a", options=SchedulerOptions(validate=False)
-    )
-    validated = cache.find_schedule(
-        paper_nets.figure_5(), "a", options=SchedulerOptions(validate=True)
-    )
-    assert not validated.from_cache
-    assert cache.stats.misses == 2 and cache.stats.hits == 0

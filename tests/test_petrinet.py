@@ -307,22 +307,3 @@ def test_bounded_lru_eviction_and_recency():
     assert len(lru) == 2
     with pytest.raises(ValueError):
         BoundedLRU(0)
-
-
-def test_bounded_lru_on_evict_callback():
-    """Eviction (LRU displacement, overwrite, clear) releases values exactly once."""
-    from repro.util import BoundedLRU
-
-    released = []
-    lru = BoundedLRU(2, on_evict=lambda key, value: released.append((key, value)))
-    lru.put("a", 1)
-    lru.put("b", 2)
-    lru.put("c", 3)  # displaces the stalest ('a')
-    assert released == [("a", 1)]
-    lru.put("b", 20)  # overwrite releases the replaced value
-    assert released == [("a", 1), ("b", 2)]
-    lru.put("b", 20)  # re-putting the same object is not an eviction
-    assert released == [("a", 1), ("b", 2)]
-    lru.clear()  # stalest-first: 'c' was not touched since its put
-    assert released == [("a", 1), ("b", 2), ("c", 3), ("b", 20)]
-    assert len(lru) == 0

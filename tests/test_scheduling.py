@@ -221,38 +221,45 @@ def test_validate_on_plain_dicts_matches_the_firing_checks():
 
 
 class _FakeTree:
-    """Minimal SchedulingTreeView over a single path of markings."""
+    """Minimal SchedulingTreeView over a single path of markings of ``net``."""
 
-    def __init__(self, markings):
-        self.markings = markings
+    def __init__(self, net, markings):
+        self.inet = net.indexed()
+        self.vecs = [self.inet.vec_of_marking(marking) for marking in markings]
 
-    def marking_of(self, node):
-        return self.markings[node]
+    def vec_of(self, node):
+        return self.vecs[node]
+
+    def depth_of(self, node):
+        return node
+
+    def total_tokens_of(self, node):
+        return sum(self.vecs[node])
 
     def ancestors_of(self, node):
         return list(range(node - 1, -1, -1))
 
-    def total_tokens_of(self, node):
-        return self.markings[node].total_tokens()
+    def path_probe_state(self, node):
+        return None  # no DFS path index: conditions walk the ancestors
 
 
 def test_irrelevance_criterion_detects_saturated_growth():
     net = paper_nets.figure_4a()  # degree of p1 is 2+2-1 = 3
     criterion = IrrelevanceCriterion.for_net(net)
-    tree = _FakeTree([Marking({"p1": 3}), Marking({"p1": 5})])
+    tree = _FakeTree(net, [Marking({"p1": 3}), Marking({"p1": 5})])
     assert criterion.holds(tree, 1)
     # growth from a non-saturated ancestor is not irrelevant
-    tree2 = _FakeTree([Marking({"p1": 1}), Marking({"p1": 2})])
+    tree2 = _FakeTree(net, [Marking({"p1": 1}), Marking({"p1": 2})])
     assert not criterion.holds(tree2, 1)
     # equal markings are never classified irrelevant
-    tree3 = _FakeTree([Marking({"p1": 3}), Marking({"p1": 3})])
+    tree3 = _FakeTree(net, [Marking({"p1": 3}), Marking({"p1": 3})])
     assert not criterion.holds(tree3, 1)
 
 
 def test_place_bound_and_user_bound_conditions():
     net = paper_nets.figure_4a()
     bound = PlaceBoundCondition.uniform(net, 2)
-    tree = _FakeTree([Marking({"p1": 1}), Marking({"p1": 3})])
+    tree = _FakeTree(net, [Marking({"p1": 1}), Marking({"p1": 3})])
     assert not bound.holds(tree, 0)
     assert bound.holds(tree, 1)
 
@@ -261,7 +268,7 @@ def test_place_bound_and_user_bound_conditions():
     bounded_net.add_transition("t")
     bounded_net.add_arc("t", "ch")
     user = UserBoundCondition.for_net(bounded_net)
-    tree = _FakeTree([Marking({"ch": 1}), Marking({"ch": 2})])
+    tree = _FakeTree(bounded_net, [Marking({"ch": 1}), Marking({"ch": 2})])
     assert not user.holds(tree, 0)
     assert user.holds(tree, 1)
 
@@ -270,7 +277,7 @@ def test_composite_node_budget_and_depth_conditions():
     net = paper_nets.figure_4a()
     composite = default_termination(net, max_nodes=5)
     assert "irrelevance" in composite.describe()
-    tree = _FakeTree([Marking({"p1": i}) for i in range(10)])
+    tree = _FakeTree(net, [Marking({"p1": i}) for i in range(10)])
     assert NodeBudget(max_nodes=3).holds(tree, 3)
     assert not NodeBudget(max_nodes=3).holds(tree, 2)
     assert MaxDepthCondition(max_depth=2).holds(tree, 4)
@@ -397,10 +404,6 @@ def test_single_source_constraint_excludes_other_uncontrollables():
     net = paper_nets.figure_5()
     result = find_schedule(net, "a", raise_on_failure=True)
     assert "d" not in result.schedule.involved_transitions()
-    relaxed = find_schedule(
-        net, "a", options=SchedulerOptions(single_source=False), raise_on_failure=True
-    )
-    assert relaxed.success
 
 
 def test_invariant_precheck_reports_unschedulable():
@@ -411,6 +414,24 @@ def test_invariant_precheck_reports_unschedulable():
     result = find_schedule(net, "a")
     assert not result.success
     assert "T-invariant" in (result.failure_reason or "")
+
+
+def test_find_schedule_validates_every_schedule_it_returns(monkeypatch):
+    """A post-processed schedule missing one arm of a choice is never returned."""
+    from repro.scheduling.ep import _EPSearch
+
+    post_process = _EPSearch._post_process
+
+    def drop_one_choice_edge(self, root):
+        schedule = post_process(self, root)
+        choice = next(node for node in schedule.nodes if len(node.edges) > 1)
+        del choice.edges[max(choice.edges)]
+        return schedule
+
+    assert find_schedule(paper_nets.figure_8(), "a").success
+    monkeypatch.setattr(_EPSearch, "_post_process", drop_one_choice_edge)
+    with pytest.raises(ScheduleValidationError):
+        find_schedule(paper_nets.figure_8(), "a")
 
 
 def test_find_schedule_unknown_transition():
@@ -465,7 +486,7 @@ def test_heuristic_orderings_agree_on_membership():
     analysis = StructuralAnalysis.of(net)
     marking = net.fire("a", net.initial_marking)
     ecss = analysis.enabled_ecss(marking)
-    context = HeuristicContext(marking=marking, path_firings={"a": 1}, depth=1)
+    context = HeuristicContext(path_firings={"a": 1}, depth=1)
     for heuristic in (
         NaiveOrdering(),
         TieBreakOrdering(analysis),
@@ -481,7 +502,7 @@ def test_tie_break_puts_sources_last():
     marking = net.fire("a", net.initial_marking)
     ecss = analysis.enabled_ecss(marking)
     ordered = TieBreakOrdering(analysis).order(
-        ecss, HeuristicContext(marking=marking, path_firings={}, depth=1)
+        ecss, HeuristicContext(path_firings={}, depth=1)
     )
     assert ordered[-1] == frozenset({"a"})
 

@@ -47,7 +47,6 @@ from repro.serve import (
 )
 from repro.serve import protocol
 from repro.serve.protocol import (
-    BOOLEAN_OPTION_FIELDS,
     MAX_LINE_BYTES,
     MAX_NESTING,
     MAX_WIRE_NODES,
@@ -165,15 +164,112 @@ def test_net_from_dict_rejects_garbage():
         net_from_dict("not a net")
 
 
+_SWITCH_SOURCE = """
+PROCESS sw (In DPORT inp, Out DPORT out) {
+    int x;
+    while (1) {
+        READ_DATA(inp, &x, 1);
+        switch (x % 3) {
+            case 0: WRITE_DATA(out, x, 1); break;
+            case -1: x = x + 1; break;
+            default: WRITE_DATA(out, 0, 1);
+        }
+    }
+}
+"""
+
+
+def _guarded_nets():
+    from repro.apps.false_paths import build_select_rewrite_network
+    from repro.apps.video import VideoAppConfig, build_video_system
+    from repro.corpus import build_network, generate_spec
+    from repro.flowc.linker import link
+
+    for figure in (paper_nets.figure_4a, paper_nets.figure_5, paper_nets.figure_6, paper_nets.figure_8):
+        yield figure()
+    yield build_video_system(VideoAppConfig(4, 5)).net
+    yield link(build_select_rewrite_network()).net
+    yield link(network_from_spec({"program": _SWITCH_SOURCE})).net
+    yield link(build_network(generate_spec(3))).net
+
+
+def test_net_roundtrip_keeps_guards_fingerprint_and_bytes():
+    guards = set()
+    for net in _guarded_nets():
+        clone = net_from_dict(json.loads(canonical_json(net_to_dict(net))))
+        assert structural_fingerprint(clone) == structural_fingerprint(net), net.name
+        assert canonical_json(net_to_dict(clone)) == canonical_json(net_to_dict(net))
+        for name, transition in net.transitions.items():
+            assert repr(clone.transitions[name].guard) == repr(transition.guard)
+            guards.add(repr(transition.guard))
+    # if/while, SELECT and switch guards all made the trip
+    assert {"True", "False", "0", "1", "-1", "'default'"} <= guards
+
+
+_VALID_NET_VALUES = {
+    "tokens": 0,
+    "bound": 0,
+    "is_port": True,
+    "is_sink": False,
+    "weight": 2,
+    "guard": "default",
+    "select_priority": 1,
+}
+
+
+def _net_with(field, value):
+    data = net_to_dict(paper_nets.figure_5())
+    if field == "weight":
+        data["arcs"][0][2] = value
+    elif field in ("tokens", "bound", "is_port"):
+        data["places"][0][field] = value
+    else:
+        data["transitions"][0][field] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("tokens", 1.9),
+        ("tokens", True),
+        ("tokens", "1"),
+        ("tokens", -1),
+        ("bound", 2.7),
+        ("bound", True),
+        ("bound", -1),
+        ("is_port", "no"),
+        ("is_port", 1),
+        ("is_sink", 0),
+        ("weight", 1.5),
+        ("weight", True),
+        ("weight", "2"),
+        ("weight", 0),
+        ("guard", 1.5),
+        ("guard", "yes"),
+        ("guard", [0]),
+        ("select_priority", 0.5),
+        ("select_priority", False),
+    ],
+)
+def test_net_from_dict_refuses_values_instead_of_coercing(field, value):
+    net_from_dict(_net_with(field, _VALID_NET_VALUES[field]))
+    with pytest.raises(ProtocolError) as excinfo:
+        net_from_dict(_net_with(field, value))
+    assert excinfo.value.kind == "bad-net"
+    assert field in str(excinfo.value)
+
+
 # ---------------------------------------------------------------------------
 # protocol: options and sources
 # ---------------------------------------------------------------------------
 
 
 def test_options_from_dict_defaults_and_whitelist():
+    assert protocol.WIRE_OPTION_FIELDS == ("max_nodes",)
     assert options_from_dict(None) == SchedulerOptions()
-    options = options_from_dict({"defer_sources": False, "max_nodes": 500})
-    assert options == SchedulerOptions(defer_sources=False, max_nodes=500)
+    assert options_from_dict({}) == SchedulerOptions()
+    assert options_from_dict({"max_nodes": 500}) == SchedulerOptions(max_nodes=500)
     with pytest.raises(ProtocolError) as excinfo:
         options_from_dict({"termination": "nope"})
     assert excinfo.value.kind == "bad-options"
@@ -181,15 +277,6 @@ def test_options_from_dict_defaults_and_whitelist():
         options_from_dict({"warp_drive": True})
     with pytest.raises(ProtocolError):
         options_from_dict({"max_nodes": -1})
-
-
-@pytest.mark.parametrize("field", BOOLEAN_OPTION_FIELDS)
-def test_options_from_dict_requires_json_booleans(field):
-    assert getattr(options_from_dict({field: False}), field) is False
-    for value in (0, 1, "no", None, [1]):
-        with pytest.raises(ProtocolError) as excinfo:
-            options_from_dict({field: value})
-        assert excinfo.value.kind == "bad-options"
 
 
 def test_options_from_dict_rejects_a_boolean_budget():
@@ -224,6 +311,73 @@ def test_network_from_spec_auto_environment():
 
     system = link(network)
     assert "src.divisors.in" in system.net.transitions
+
+
+def _spec_with(part, field, value):
+    spec = {
+        "program": producer_consumer_source(4),
+        "channels": [{"source": "producer.data", "target": "consumer.data"}],
+        "inputs": [{"port": "producer.trigger"}],
+        "outputs": [{"port": "consumer.sum"}],
+    }
+    (spec[part][0] if part else spec)[field] = value
+    return spec
+
+
+_VALID_SPEC_VALUES = {"bound": 0, "rate": 2, "controllable": True, "auto_environment": False}
+
+
+@pytest.mark.parametrize(
+    "part,field,value",
+    [
+        ("channels", "bound", 1.5),
+        ("channels", "bound", True),
+        ("channels", "bound", -1),
+        ("inputs", "rate", 1.5),
+        ("inputs", "rate", "2"),
+        ("inputs", "rate", 0),
+        ("inputs", "controllable", "false"),
+        ("inputs", "controllable", 0),
+        ("outputs", "rate", 1.5),
+        ("outputs", "rate", True),
+        (None, "auto_environment", "no"),
+    ],
+)
+def test_network_from_spec_refuses_values_instead_of_coercing(part, field, value):
+    network_from_spec(_spec_with(part, field, _VALID_SPEC_VALUES[field]))
+    with pytest.raises(ProtocolError) as excinfo:
+        network_from_spec(_spec_with(part, field, value))
+    assert excinfo.value.kind == "bad-flowc"
+    assert field in str(excinfo.value)
+
+
+def test_refused_wire_values_start_no_search_over_the_wire():
+    net = net_to_dict(paper_nets.figure_5())
+    refused = [
+        ({"net": _net_with("tokens", 1.9)}, "bad-net"),
+        ({"flowc": _spec_with("inputs", "controllable", "false")}, "bad-flowc"),
+        *(({"net": net, "timeout": t}, "bad-request") for t in (True, -1, 0, float("nan"))),
+    ]
+    lines = [_line({"op": "schedule", **payload}) for payload, _kind in refused]
+    good = _line({"op": "schedule", "net": net, "sources": ["a"], "timeout": 30})
+
+    async def scenario():
+        server = await start_server(max_workers=1)
+        client = await _Connection.open(server.port)
+        try:
+            answers = [json.loads(await client.ask(line)) for line in lines]
+            stats = json.loads(await client.ask(_line({"op": "stats"})))["stats"]
+            return answers, stats, json.loads(await client.ask(good))
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    answers, stats, accepted = asyncio.run(scenario())
+    for (payload, kind), answer in zip(refused, answers):
+        assert not answer["ok"] and answer["error"]["type"] == kind, (payload, answer)
+    assert "positive number" in answers[-1]["error"]["message"]
+    assert stats["live_searches"] == 0 and stats["timeouts"] == 0
+    assert accepted["ok"], accepted
 
 
 def test_decode_line_rejects_non_json():
@@ -410,8 +564,9 @@ def test_server_error_envelopes():
 
 
 def test_retired_options_answer_bad_options_like_unknown_ones():
-    """Protocol 2 dropped three scheduler options and protocol 3 two more:
-    naming one is an unknown option, refused before any search."""
+    """Protocol 2 dropped three scheduler options, protocol 3 two more and
+    protocol 4 five more: naming one is an unknown option, refused before
+    any search."""
     net = net_to_dict(paper_nets.figure_5())
     retired = {
         "backend": "scalar",
@@ -419,6 +574,11 @@ def test_retired_options_answer_bad_options_like_unknown_ones():
         "intra_workers": 2,
         "objective": "cost",
         "candidate_limit": 8,
+        "single_source": True,
+        "use_invariant_heuristic": True,
+        "validate": True,
+        "invariant_precheck": True,
+        "defer_sources": True,
     }
     assert not set(retired) & set(protocol.WIRE_OPTION_FIELDS)
     lines = [
@@ -439,14 +599,14 @@ def test_retired_options_answer_bad_options_like_unknown_ones():
     for name, response in zip(retired, responses):
         assert not response["ok"] and response["error"]["type"] == "bad-options"
         assert name in response["error"]["message"]
-        assert response["protocol"] == protocol.PROTOCOL_VERSION == 3
+        assert response["protocol"] == protocol.PROTOCOL_VERSION == 4
 
 
 def test_wrong_typed_options_answer_bad_options():
     net = net_to_dict(paper_nets.figure_6())
     lines = [
         _line({"op": "schedule", "net": net, "options": options})
-        for options in ({"single_source": [1]}, {"validate": "no"}, {"max_nodes": True})
+        for options in ({"max_nodes": [1]}, {"max_nodes": "no"}, {"max_nodes": True})
     ]
 
     async def scenario():
@@ -1075,8 +1235,8 @@ def _fuzz_lines(seed: int, count: int = 100) -> list:
         {"flowc": {"program": "PROCESS p ((("}},
         {"flowc": {"program": DIVISORS_SOURCE, "channels": 3}},
         {"net": net, "options": [1]},
-        {"net": net, "options": {"single_source": [1]}},
-        {"net": net, "options": {"validate": "no"}},
+        {"net": net, "options": {"max_nodes": [1]}},
+        {"net": net, "options": {"max_nodes": "no"}},
         {"net": net, "options": {"max_nodes": True}},
         {"net": net, "options": {"warp": 9}},
         {"net": net, "sources": "a"},

@@ -16,19 +16,6 @@ wrote are kept byte for byte, an unreadable report is refused):
 With ``--profile`` each case additionally runs once under :mod:`cProfile`
 and the top hot functions (by cumulative time) land in a ``"profile"``
 section of the JSON.
-
-With ``--cache`` the persistent artifact cache (:mod:`repro.cache`) is
-activated first and a cache phase per case records the end-to-end scheduling
-wall clock of *this process* plus the pure disk-replay time (L1 dropped).
-Run the command twice to get the cold-process vs. warm-process comparison:
-the first run's JSON reports ``"mode": "cold"`` (search + persist), the
-second ``"mode": "warm"`` (zero EP search work, disk replay only).  The
-regular timings are always measured with the cache deactivated so they stay
-comparable across runs.
-
-    PYTHONPATH=src python benchmarks/bench_scheduler.py --quick --cache
-    PYTHONPATH=src python benchmarks/bench_scheduler.py --quick --cache   # warm
-    PYTHONPATH=src python benchmarks/bench_scheduler.py --cache-clear --cache
 """
 
 from __future__ import annotations
@@ -181,93 +168,10 @@ def _profile_case(name: str, net) -> Dict[str, object]:
     return {"case": name, "top": top}
 
 
-def _cache_case(name: str, net) -> Dict[str, object]:
-    """Time one case's cache-active scheduling path (cold or warm process).
-
-    ``process_seconds`` is what this process paid end to end (search +
-    persist when cold, validated disk replay when warm);
-    ``disk_replay_seconds`` re-times the workload with the in-memory L1
-    dropped, i.e. the cost a *fresh* process would pay now that the disk is
-    hot.  Replays are asserted byte-identical to the first pass.
-    """
-    from repro.scheduling.warmstart import GLOBAL_SCHEDULE_CACHE
-
-    GLOBAL_SCHEDULE_CACHE.drop_memory()
-    start = time.monotonic()
-    first = find_all_schedules(net)
-    process_seconds = time.monotonic() - start
-    replayed = sum(1 for r in first.values() if r.from_cache)
-    mode = (
-        "warm"
-        if replayed == len(first)
-        else ("cold" if replayed == 0 else "mixed")
-    )
-    GLOBAL_SCHEDULE_CACHE.drop_memory()
-    start = time.monotonic()
-    again = find_all_schedules(net)
-    disk_replay_seconds = time.monotonic() - start
-    return {
-        "case": name,
-        "sources": len(first),
-        "mode": mode,
-        "replayed_from_disk": replayed,
-        "process_seconds": round(process_seconds, 4),
-        "disk_replay_seconds": round(disk_replay_seconds, 4),
-        "replay_identical": _results_signature(first) == _results_signature(again),
-    }
-
-
-def _run_cache_phase(
-    cases, *, cache_dir: Optional[str], cache_clear: bool
-) -> Dict[str, object]:
-    """Activate the persistent cache, time every case through it, report.
-
-    Deactivates the cache before returning so the regular timing loop is
-    never polluted by replays.
-    """
-    import repro.cache as artifact_cache
-    from repro.scheduling.warmstart import GLOBAL_SCHEDULE_CACHE, LIVE_SEARCH_COUNTERS
-
-    previous = artifact_cache.active_store()
-    store = artifact_cache.activate(path=cache_dir)
-    if cache_clear:
-        store.clear()
-    entries_before = len(store.entries())
-    rows = [_cache_case(name, net) for name, net in cases]
-    entries_after = len(store.entries())
-    warmstart_stats = GLOBAL_SCHEDULE_CACHE.stats.as_dict()
-    info = {
-        "enabled": True,
-        "location": store.describe(),
-        "backend": store.backend_name,
-        "schema_version": artifact_cache.SCHEMA_VERSION,
-        "entries_before": entries_before,
-        "entries_after": entries_after,
-        "warmstart": warmstart_stats,
-        "disk_hits": warmstart_stats["disk_hits"],
-        "live_search_nodes_expanded": LIVE_SEARCH_COUNTERS.nodes_expanded,
-        "warm_process": all(row["mode"] == "warm" for row in rows),
-        "store": store.stats.as_dict(),
-        "cases": rows,
-    }
-    # hand back whatever store was active before the phase (a caller's
-    # explicit activate() must survive run_cli_bench), closing only our own
-    store.close()
-    if previous is not None and previous is not store:
-        artifact_cache.activate(store=previous)
-    else:
-        artifact_cache.deactivate()
-    GLOBAL_SCHEDULE_CACHE.drop_memory()
-    return info
-
-
 def run_cli_bench(
     *,
     quick: bool = False,
     repeats: Optional[int] = None,
-    cache: bool = False,
-    cache_dir: Optional[str] = None,
-    cache_clear: bool = False,
     profile: bool = False,
 ) -> Dict[str, object]:
     repeats = repeats or (1 if quick else 3)
@@ -277,29 +181,13 @@ def run_cli_bench(
     ]
     if not quick:
         cases.insert(1, ("pfc_10x10", build_video_system(VideoAppConfig(10, 10)).net))
-    import repro.cache as artifact_cache
-
-    cache_info: Dict[str, object] = {"enabled": False}
-    if cache:
-        cache_info = _run_cache_phase(cases, cache_dir=cache_dir, cache_clear=cache_clear)
-    elif cache_clear:
-        # honour --cache-clear on its own: wipe the store without timing it
-        store = artifact_cache.open_store(cache_dir)
-        store.clear()
-        store.close()
-    # The timing loop must always measure real EP searches: hide any active
-    # cache (REPRO_CACHE=1 from the environment, or a caller's activate())
-    # for its duration -- replays would report near-zero "search" times --
-    # and restore it afterwards.
-    with artifact_cache.suspended():
-        rows = [_bench_case(name, net, repeats=repeats) for name, net in cases]
-        profile_rows = [_profile_case(name, net) for name, net in cases] if profile else None
+    rows = [_bench_case(name, net, repeats=repeats) for name, net in cases]
+    profile_rows = [_profile_case(name, net) for name, net in cases] if profile else None
     report: Dict[str, object] = {
         "benchmark": "find_all_schedules: serial EP search",
         "cpu_count": os.cpu_count() or 1,
         "python": sys.version.split()[0],
         "quick": quick,
-        "cache": cache_info,
         "cases": rows,
     }
     if profile_rows is not None:
@@ -321,27 +209,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--repeats", type=int, default=None, help="override best-of repeat count"
     )
     parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="activate the persistent artifact cache (.cache/repro or "
-        "$REPRO_CACHE_DIR) and record cold/warm process timings",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="force the cache off even if REPRO_CACHE is set in the environment",
-    )
-    parser.add_argument(
-        "--cache-clear",
-        action="store_true",
-        help="clear the persistent cache before the run (implies nothing else)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache directory for --cache (default: $REPRO_CACHE_DIR or .cache/repro)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="additionally run each case once under cProfile and record the "
@@ -354,38 +221,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: ./BENCH_scheduler.json)",
     )
     args = parser.parse_args(argv)
-    if args.no_cache:
-        import repro.cache as artifact_cache
-
-        artifact_cache.deactivate()
-    report = run_cli_bench(
-        quick=args.quick,
-        repeats=args.repeats,
-        cache=args.cache and not args.no_cache,
-        cache_dir=args.cache_dir,
-        cache_clear=args.cache_clear,
-        profile=args.profile,
-    )
+    report = run_cli_bench(quick=args.quick, repeats=args.repeats, profile=args.profile)
     try:
         merge_report(Path(args.output), report)
     except ReportError as error:
         print(f"ERROR: {error}; not written", file=sys.stderr)
         return 2
-    cache_info = report["cache"]
-    if cache_info["enabled"]:
-        for row in cache_info["cases"]:
-            print(
-                f"cache {row['case']:<18} mode={row['mode']:<5} "
-                f"process={row['process_seconds']:.3f}s "
-                f"disk_replay={row['disk_replay_seconds']:.3f}s "
-                f"identical={row['replay_identical']}"
-            )
-        print(
-            f"cache store {cache_info['location']}: "
-            f"{cache_info['entries_after']} entries, "
-            f"disk_hits={cache_info['disk_hits']}, "
-            f"warm_process={cache_info['warm_process']}"
-        )
     for row in report["cases"]:
         print(
             f"{row['case']:<18} sources={row['sources']:<3} "

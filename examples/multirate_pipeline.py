@@ -6,8 +6,7 @@ Demonstrates multi-rate communication (bursts of several items per port
 operation), the channel bounds the scheduler derives, the independence /
 executability machinery on systems with several pipeline stages, and
 ``find_all_schedules`` -- the entry point that schedules *every*
-uncontrollable input (set ``REPRO_CACHE=1`` to persist the outcomes across
-runs).
+uncontrollable input.
 """
 
 from __future__ import annotations

@@ -5,10 +5,7 @@ Run with ``python examples/quickstart.py``.
 The example walks the full flow of the paper on its running example:
 FlowC source -> Petri net (Figure 3) -> single-source schedule -> code
 segments -> synthesized C task, and finally executes the synthesized task to
-compute divisors.  It also shows the search counters on the result and the
-warm-start / persistent cache (set ``REPRO_CACHE=1`` before running to
-persist the schedule under ``.cache/repro/`` -- a second run then replays
-it from disk instead of re-searching).
+compute divisors.  It also shows the search counters on the result.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from repro.codegen.synthesis import synthesize_task
 from repro.codegen.task import ExecutableTask
 from repro.flowc.linker import link
 from repro.runtime.channels import EnvironmentSink, EnvironmentSource, PortBinding
-from repro.scheduling.warmstart import cached_find_schedule
+from repro.scheduling.ep import find_schedule
 
 
 def main() -> None:
@@ -32,16 +29,13 @@ def main() -> None:
     print(f"places={len(system.net.places)}  transitions={len(system.net.transitions)}")
     print(f"uncontrollable inputs: {system.net.uncontrollable_sources()}")
 
-    # 2. quasi-static scheduling for the uncontrollable input port `in`.
-    # cached_find_schedule layers the warm-start caches over find_schedule:
-    # in-memory always, plus the disk store when REPRO_CACHE=1 is set.
-    result = cached_find_schedule(system.net, "src.divisors.in", raise_on_failure=True)
+    # 2. quasi-static scheduling for the uncontrollable input port `in`
+    result = find_schedule(system.net, "src.divisors.in", raise_on_failure=True)
     schedule = result.schedule
     print("=== Schedule ===")
     print(
         f"{len(schedule)} nodes, {len(schedule.await_nodes())} await node(s), "
         f"explored {result.tree_nodes} tree nodes in {result.elapsed_seconds:.3f}s"
-        f"{' (replayed from cache)' if result.from_cache else ''}"
     )
     print(f"search counters: {result.counters.as_dict()}")
     print("channel bounds (tokens):", schedule.channel_bounds())

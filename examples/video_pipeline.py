@@ -7,11 +7,6 @@ The example builds the four-process network of Figure 18, schedules it into a
 single task triggered by ``init``, and compares the synthesized implementation
 against the 4-task round-robin baseline: identical outputs, the cycle ratios
 of Table 1 and the code sizes of Table 2.
-
-Scheduling goes through the warm-start cache, so with ``REPRO_CACHE=1`` in
-the environment a repeated run (e.g. the paper's 10x10 geometry, a few
-seconds of search) replays the schedule from ``.cache/repro/`` instead of
-re-searching.
 """
 
 from __future__ import annotations
@@ -21,8 +16,7 @@ import sys
 from repro.apps.video import VideoAppConfig, build_video_system
 from repro.codegen.synthesis import baseline_code_size, synthesize_task, synthesized_code_size
 from repro.runtime.simulation import MultiTaskSimulation, SingleTaskSimulation
-from repro.scheduling.ep import SchedulerOptions
-from repro.scheduling.warmstart import cached_find_schedule
+from repro.scheduling.ep import SchedulerOptions, find_schedule
 
 
 def main() -> None:
@@ -35,7 +29,7 @@ def main() -> None:
     system = build_video_system(config)
     print(f"linked net: {system.net.stats()}")
 
-    result = cached_find_schedule(
+    result = find_schedule(
         system.net,
         "src.controller.init",
         options=SchedulerOptions(max_nodes=200_000),
@@ -45,7 +39,6 @@ def main() -> None:
     print(
         f"schedule: {len(schedule)} nodes, {len(schedule.await_nodes())} await node(s), "
         f"computed in {result.elapsed_seconds:.1f}s"
-        f"{' (replayed from cache)' if result.from_cache else ''}"
     )
     bounds = {}
     for place, bound in schedule.channel_bounds().items():

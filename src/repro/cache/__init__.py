@@ -1,24 +1,27 @@
-"""Persistent cross-process cache of compile-time scheduling artifacts.
+"""The scheduling daemon's record cache: an in-memory L1 over a disk L2.
 
 The paper's pitch is *compile-time* scheduling: the expensive EP search runs
-once and its quasi-static schedule is reused at runtime.  The in-memory
-warm-start caches (:mod:`repro.scheduling.warmstart`, the T-invariant basis
-store of :mod:`repro.petrinet.invariants`) already amortize that cost within
-one process; this package extends them across processes with a disk store
-under ``.cache/repro/`` (override with ``REPRO_CACHE_DIR``), so repeated CLI,
-benchmark and experiment invocations replay schedules instead of
-re-searching.
+once and its quasi-static schedule is reused at runtime.  The library below
+:mod:`repro.serve` always searches, so one net gives one result whatever the
+environment says; the daemon is what amortizes searches across requests and
+restarts, and this package holds its cache:
 
-What is persisted, and under which key:
+* :class:`ScheduleWarmStartCache` -- scheduling outcomes (success *and*
+  failure) keyed on ``(structural_fingerprint, source,
+  options_cache_key(options))``: an in-memory
+  :class:`~repro.util.BoundedLRU` (L1) in front of an optional disk store
+  (L2).  A structurally identical net replays the record instead of
+  re-searching, however it was rebuilt;
+* :func:`activate` -- opens the disk store, one sqlite file under
+  ``.cache/repro/`` (``REPRO_CACHE_DIR`` moves it).  Where sqlite cannot
+  open it, the store is a :class:`NullStore` and every lookup misses.
 
-* canonical schedule records (``scheduling/serialize.result_to_record``,
-  which embed the original :class:`~repro.scheduling.ep.SearchCounters`)
-  under ``(schema_version, structural_fingerprint, options_fingerprint,
-  source_transition)`` -- the options fingerprint covers every
-  :class:`~repro.scheduling.ep.SchedulerOptions` field that can change the
-  outcome or its accounting;
-* complete T-invariant bases under ``(schema_version, incidence_fingerprint,
-  max_rows)``; a basis cut at its row cap is never written.
+A disk entry is a canonical schedule record
+(``scheduling/serialize.result_to_record``, which embeds the original
+:class:`~repro.scheduling.ep.SearchCounters`) under ``(schema_version,
+structural_fingerprint, options_fingerprint, source_transition)`` -- the
+options fingerprint covers every :class:`~repro.scheduling.ep.SchedulerOptions`
+field that can change the outcome or its accounting.
 
 Integrity contract (see ``docs/architecture.md``):
 
@@ -27,37 +30,41 @@ Integrity contract (see ``docs/architecture.md``):
   **quarantined** and reported as a miss -- a bad cache can cost a
   recomputation, never an exception and never a wrong schedule;
 * loaded schedule records are **replay-validated** against the live net
-  (rebuild + ``Schedule.validate``) before being trusted; loaded invariant
-  bases are re-checked against ``C x = 0``.  A stale entry whose key
-  collides with a different net is therefore caught even past the
+  (rebuild + ``Schedule.validate``) before being trusted, so a stale entry
+  whose key collides with a different net is caught even past the
   fingerprint check.
 
-Activation: the cache is opt-in.  Call :func:`activate` (or pass
-``--cache`` to ``benchmarks/bench_scheduler.py``), or set ``REPRO_CACHE=1``
-in the environment; ``REPRO_CACHE_DIR`` moves the store.  The store is one
-sqlite file (stdlib ``sqlite3``); where sqlite cannot open it, the cache is
-a :class:`NullStore` and every lookup misses.
 ``python -m repro.cache {stats,clear,verify}`` inspects and maintains the
 store on disk.
 
-Example -- schedule once, replay from disk in any later process::
+Example -- a second service over the same store (a restarted daemon, or
+another process) replays from disk instead of searching::
 
-    >>> import repro.cache as cache
-    >>> from repro.scheduling.warmstart import cached_find_schedule
-    >>> store = cache.activate(path="/tmp/repro-cache-demo")   # doctest: +SKIP
-    >>> # first process searches and persists; every later process replays:
-    >>> result = cached_find_schedule(net, "src.divisors.in")  # doctest: +SKIP
-    >>> result.from_cache                                      # doctest: +SKIP
-    True
+    >>> import asyncio, tempfile
+    >>> from repro.apps.paper_nets import figure_5
+    >>> from repro.serve import SchedulingService
+    >>> directory = tempfile.TemporaryDirectory()
+    >>> store = activate(path=directory.name)
+    >>> def schedule_a():
+    ...     service = SchedulingService(store=store)
+    ...     payloads = asyncio.run(service.schedule_net(figure_5(), ["a"], None))
+    ...     service.close()
+    ...     return payloads[0]["from_cache"], service.snapshot()["disk_hits"]
+    >>> schedule_a()
+    (False, 0)
+    >>> schedule_a()
+    (True, 1)
+    >>> store.close(); directory.cleanup()
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from contextlib import contextmanager
+import threading
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.cache.stores import (
     SCHEMA_VERSION,
@@ -67,35 +74,36 @@ from repro.cache.stores import (
     SqliteStore,
     StoreStats,
 )
+from repro.petrinet.analysis import StructuralAnalysis
+from repro.petrinet.fingerprint import structural_fingerprint
+from repro.petrinet.net import PetriNet
+from repro.scheduling.ep import SchedulerOptions, SearchCounters
+from repro.scheduling.serialize import schedule_from_dict
+from repro.util import BoundedLRU
 
 __all__ = [
     "SCHEMA_VERSION",
     "CacheStore",
     "EntryInfo",
     "NullStore",
+    "ScheduleWarmStartCache",
     "SqliteStore",
     "StoreStats",
-    "cache_root",
-    "open_store",
+    "WarmStartStats",
     "activate",
-    "deactivate",
-    "active_store",
-    "suspended",
-    "reset_active_store",
+    "cache_root",
+    "load_schedule_record",
+    "options_cache_key",
     "options_fingerprint",
     "schedule_cache_key",
-    "load_schedule_record",
     "store_schedule_record",
-    "basis_cache_key",
-    "load_invariant_basis",
-    "store_invariant_basis",
 ]
 
 #: Default on-disk location, relative to the current working directory.
 DEFAULT_CACHE_DIR = os.path.join(".cache", "repro")
 
-#: Environment knobs (documented in the README and docs/user_guide.md).
-ENV_ENABLE = "REPRO_CACHE"
+#: Environment variable moving the store (documented in the README and
+#: docs/user_guide.md).
 ENV_DIR = "REPRO_CACHE_DIR"
 
 
@@ -109,12 +117,15 @@ def cache_root(path: Optional[os.PathLike] = None) -> Path:
     return Path(DEFAULT_CACHE_DIR)
 
 
-def open_store(path: Optional[os.PathLike] = None) -> CacheStore:
-    """Open (creating if needed) the sqlite disk store; never raises.
+def activate(path: Optional[os.PathLike] = None) -> CacheStore:
+    """Open (creating if needed) the sqlite disk store and return it; never raises.
 
-    When sqlite cannot open a database at the location (unwritable
+    The location is ``path``, else ``$REPRO_CACHE_DIR``, else
+    ``.cache/repro``.  When sqlite cannot open a database there (unwritable
     directory, broken sqlite), a :class:`NullStore` naming the error is
     returned, so callers degrade to cache misses instead of crashing.
+    Nothing is registered: the caller hands the store to whoever reads it
+    (``SchedulingService(store=...)``) and closes it.
     """
     root = cache_root(path)
     try:
@@ -124,107 +135,20 @@ def open_store(path: Optional[os.PathLike] = None) -> CacheStore:
 
 
 # ---------------------------------------------------------------------------
-# process-wide active store
-# ---------------------------------------------------------------------------
-
-_UNRESOLVED = object()
-_ACTIVE: object = _UNRESOLVED
-_ACTIVE_PID: Optional[int] = None
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(ENV_ENABLE, "").strip().lower() in {"1", "true", "on", "yes"}
-
-
-def active_store() -> Optional[CacheStore]:
-    """The process-wide store consulted by the scheduling layers, or ``None``.
-
-    Resolved lazily on first call: an explicit :func:`activate` wins;
-    otherwise ``REPRO_CACHE=1`` in the environment activates the default
-    store, and anything else leaves the disk cache off (the in-memory
-    warm-start caches still apply).
-
-    **Fork safety**: the resolution is per PID.  A forked child never
-    reuses a store inherited from its parent -- sqlite connections must not
-    cross ``fork()`` -- and re-resolves from the environment instead.
-    """
-    global _ACTIVE, _ACTIVE_PID
-    if _ACTIVE is _UNRESOLVED or _ACTIVE_PID != os.getpid():
-        # first call in this process, or state inherited across fork():
-        # abandon (without closing -- closing a forked sqlite connection
-        # could checkpoint the parent's WAL) and resolve afresh
-        _ACTIVE = open_store() if _env_enabled() else None
-        _ACTIVE_PID = os.getpid()
-    return _ACTIVE  # type: ignore[return-value]
-
-
-def activate(
-    path: Optional[os.PathLike] = None,
-    store: Optional[CacheStore] = None,
-) -> CacheStore:
-    """Turn the process-wide disk cache on and return the store in use.
-
-    Pass an explicit ``store`` (e.g. a test fixture), or let the default
-    resolution run (``path`` / ``$REPRO_CACHE_DIR`` / ``.cache/repro``).
-    """
-    global _ACTIVE, _ACTIVE_PID
-    _ACTIVE = store if store is not None else open_store(path)
-    _ACTIVE_PID = os.getpid()
-    return _ACTIVE
-
-
-def _close_if_owned() -> None:
-    """Close the active store only when this process opened it."""
-    if isinstance(_ACTIVE, CacheStore) and _ACTIVE_PID == os.getpid():
-        _ACTIVE.close()
-
-
-def deactivate() -> None:
-    """Turn the process-wide disk cache off (ignoring the environment)."""
-    global _ACTIVE, _ACTIVE_PID
-    _close_if_owned()
-    _ACTIVE = None
-    _ACTIVE_PID = os.getpid()
-
-
-def reset_active_store() -> None:
-    """Forget any resolution so the next :func:`active_store` re-reads the env."""
-    global _ACTIVE, _ACTIVE_PID
-    _close_if_owned()
-    _ACTIVE = _UNRESOLVED
-    _ACTIVE_PID = None
-
-
-@contextmanager
-def suspended():
-    """Temporarily hide the active store (``active_store() -> None``) without
-    closing it; the previous state is restored on exit.  Used by the
-    benchmark's timing loop, which must measure real EP searches
-    even when the caller (or ``REPRO_CACHE=1``) has a cache active."""
-    global _ACTIVE, _ACTIVE_PID
-    saved, saved_pid = _ACTIVE, _ACTIVE_PID
-    _ACTIVE, _ACTIVE_PID = None, os.getpid()
-    try:
-        yield
-    finally:
-        _ACTIVE, _ACTIVE_PID = saved, saved_pid
-
-
-# ---------------------------------------------------------------------------
-# schedule records
+# schedule records on disk
 # ---------------------------------------------------------------------------
 
 KIND_SCHEDULE = "schedule"
-KIND_BASIS = "t_invariant_basis"
+
+_COUNTER_NAMES = frozenset(f.name for f in fields(SearchCounters))
 
 
 def options_fingerprint(opts_key: Tuple) -> str:
     """Stable digest of a hashable options identity tuple.
 
-    The tuple comes from :func:`repro.scheduling.warmstart.options_cache_key`
-    and covers every option that can change the search outcome or its
-    accounting, so two processes running with the same knobs hit the same
-    entries.
+    The tuple comes from :func:`options_cache_key` and covers every option
+    that can change the search outcome or its accounting, so two processes
+    running with the same knobs hit the same entries.
     """
     return hashlib.sha256(repr(opts_key).encode("utf-8")).hexdigest()
 
@@ -242,12 +166,7 @@ def _record_fields_sane(record: Mapping[str, object]) -> bool:
     counters = record["counters"]
     if not isinstance(counters, Mapping):
         return False
-    from dataclasses import fields as dataclass_fields
-
-    from repro.scheduling.ep import SearchCounters
-
-    known = {f.name for f in dataclass_fields(SearchCounters)}
-    return set(counters) <= known
+    return set(counters) <= _COUNTER_NAMES
 
 
 def _replay_validates(net, source: str, record: Mapping[str, object], analysis=None) -> bool:
@@ -263,9 +182,6 @@ def _replay_validates(net, source: str, record: Mapping[str, object], analysis=N
     if schedule_data is None:
         return True
     try:
-        from repro.petrinet.analysis import StructuralAnalysis
-        from repro.scheduling.serialize import schedule_from_dict
-
         schedule = schedule_from_dict(net, schedule_data)
         if schedule.source_transition != source:
             return False
@@ -344,68 +260,180 @@ def store_schedule_record(
 
 
 # ---------------------------------------------------------------------------
-# T-invariant bases
+# the record cache: L1 in memory, L2 on disk
 # ---------------------------------------------------------------------------
 
 
-def basis_cache_key(incidence_fp: str, max_rows: int) -> str:
-    """The store key of one T-invariant basis (schema version included)."""
-    return f"v{SCHEMA_VERSION}.{incidence_fp}.rows{max_rows}"
+def options_cache_key(options: SchedulerOptions) -> Optional[Tuple]:
+    """Hashable identity of the options, or ``None`` when uncacheable.
 
-
-def load_invariant_basis(
-    store: CacheStore, net, *, incidence_fp: str, max_rows: int
-) -> Optional[List[Dict[str, int]]]:
-    """Fetch + validate a T-invariant basis; ``None`` on any doubt.
-
-    Every loaded vector is re-checked against ``C x = 0`` on the live net
-    before the basis is trusted (the invariant equivalent of schedule
-    replay-validation); a basis that fails is quarantined.
+    Covers every :class:`SchedulerOptions` field that can change the search
+    outcome or its accounting.  A caller-supplied termination condition is
+    an arbitrary object with no stable fingerprint, so those options are
+    uncacheable.
     """
-    key = basis_cache_key(incidence_fp, max_rows)
-    payload = store.get(KIND_BASIS, key)
-    if payload is None:
+    if options.termination is not None:
         return None
-    if payload.get("incidence_fingerprint") != incidence_fp or payload.get("max_rows") != max_rows:
-        store.quarantine(KIND_BASIS, key, "identity mismatch (stale key collision)")
-        return None
-    basis = payload.get("basis")
-    if not isinstance(basis, list):
-        store.quarantine(KIND_BASIS, key, "malformed basis payload")
-        return None
-    try:
-        from repro.petrinet.invariants import is_t_invariant
-
-        for invariant in basis:
-            if not isinstance(invariant, dict) or not invariant:
-                raise ValueError("not a sparse invariant vector")
-            if not all(
-                isinstance(t, str) and isinstance(c, int) and c > 0
-                for t, c in invariant.items()
-            ):
-                raise ValueError("invariant entries must be positive integers")
-            if not is_t_invariant(net, invariant):
-                raise ValueError("vector is not a T-invariant of the live net")
-    except Exception:
-        store.quarantine(KIND_BASIS, key, "basis failed validation against the live net")
-        return None
-    return [dict(invariant) for invariant in basis]
+    return (options.use_invariant_heuristic, options.max_nodes)
 
 
-def store_invariant_basis(
-    store: CacheStore,
-    *,
-    incidence_fp: str,
-    max_rows: int,
-    basis: List[Dict[str, int]],
-) -> None:
-    """Persist a computed T-invariant basis under its incidence identity."""
-    store.put(
-        KIND_BASIS,
-        basis_cache_key(incidence_fp, max_rows),
-        {
-            "incidence_fingerprint": incidence_fp,
-            "max_rows": max_rows,
-            "basis": [dict(invariant) for invariant in basis],
-        },
-    )
+@dataclass
+class WarmStartStats:
+    """Lookup accounting of one cache instance.
+
+    Every lookup counts once: ``hits`` in-memory (L1) replays,
+    ``disk_hits`` replays loaded and validated from the disk store (L2),
+    ``misses`` lookups that found nothing at either level, and
+    ``uncacheable`` lookups whose options have no key (custom
+    termination).  ``disk_rejected`` counts the entries this cache's own
+    lookups got quarantined (failed wire decode, identity check or replay
+    validation) and so had to miss.
+    """
+
+    hits: int = 0
+    disk_hits: int = 0
+    misses: int = 0
+    uncacheable: int = 0
+    disk_rejected: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        """Plain ``{counter: value}`` dict (the daemon's ``stats`` reports it)."""
+        return {
+            "hits": self.hits,
+            "disk_hits": self.disk_hits,
+            "misses": self.misses,
+            "uncacheable": self.uncacheable,
+            "disk_rejected": self.disk_rejected,
+        }
+
+
+class ScheduleWarmStartCache:
+    """Two-level (memory LRU + optional disk) store of scheduling outcomes.
+
+    ``store`` is the disk level, a :class:`CacheStore` such as the one
+    :func:`activate` opens; ``None`` keeps the instance memory-only.  The
+    daemon's :class:`~repro.serve.SchedulingService` owns one instance: it
+    looks a record up, searches on a miss and writes the outcome through.
+
+    Example (a rebuilt net finds the record stored for the first)::
+
+        >>> from repro.apps.paper_nets import figure_5
+        >>> from repro.scheduling.ep import SchedulerOptions, find_schedule
+        >>> from repro.scheduling.serialize import result_to_record
+        >>> cache, options = ScheduleWarmStartCache(), SchedulerOptions()
+        >>> cache.lookup_record_with_origin(figure_5(), "a", options)
+        (None, None)
+        >>> record = result_to_record(find_schedule(figure_5(), "a"))
+        >>> cache.store_record(figure_5(), "a", options, record)
+        >>> cache.lookup_record_with_origin(figure_5(), "a", options)[1]
+        'l1'
+    """
+
+    def __init__(self, capacity: int = 64, store: Optional[CacheStore] = None):
+        self.stats = WarmStartStats()
+        self._store = store
+        self._l1: "BoundedLRU[Tuple, Dict[str, object]]" = BoundedLRU(capacity)
+        # Guards the stats counters; the BoundedLRU is itself thread-safe,
+        # but the serving executor drives one cache from many threads and
+        # ``+=`` on a counter is a read-modify-write.
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._l1)
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        with self._lock:
+            setattr(self.stats, name, getattr(self.stats, name) + amount)
+
+    def lookup_record_with_origin(
+        self,
+        net: PetriNet,
+        source: str,
+        options: SchedulerOptions,
+        *,
+        fingerprint: Optional[str] = None,
+        analysis=None,
+    ) -> Tuple[Optional[Dict[str, object]], Optional[str]]:
+        """The cached net-free result record for ``(net, source, options)``,
+        and where it came from.
+
+        Checks L1 then, with a disk store, L2 with full replay validation;
+        L2 hits are promoted into L1.  Returns ``(record, origin)`` with
+        ``origin`` one of ``"l1"``, ``"disk"`` or ``None``: a miss, or
+        uncacheable options, and a live search is needed.  The serving
+        daemon uses the tag to attribute its cache metrics.
+        """
+        opts_key = options_cache_key(options)
+        if opts_key is None:
+            self._count("uncacheable")
+            return None, None
+        fingerprint = fingerprint or structural_fingerprint(net)
+        key = (fingerprint, source, opts_key)
+        record = self._l1.get(key)
+        if record is not None:
+            self._count("hits")
+            return record, "l1"
+        if self._store is not None:
+            quarantined_before = self._store.stats.quarantined
+            record = load_schedule_record(
+                self._store,
+                net,
+                net_fingerprint=fingerprint,
+                source=source,
+                options_fp=options_fingerprint(opts_key),
+                analysis=analysis,
+            )
+            if record is not None:
+                self._count("disk_hits")
+                self._l1.put(key, record)
+                return record, "disk"
+            # count only quarantines caused by *this* lookup (wire decode,
+            # identity check or replay validation), not store-wide history
+            self._count("disk_rejected", self._store.stats.quarantined - quarantined_before)
+        self._count("misses")
+        return None, None
+
+    def replay_hits(
+        self, bindings: Sequence[Tuple[Tuple, Mapping[str, object]]]
+    ) -> bool:
+        """Count an L1 hit per ``(key, record)`` pair if every key still holds it.
+
+        ``key`` is the L1 key of a lookup (``(fingerprint, source,
+        options_cache_key)``) and ``record`` the object that lookup
+        returned.  Each key is read in order, refreshing its recency as
+        :meth:`lookup_record_with_origin` does; the first key that is gone
+        or holds another record (evicted, then searched or loaded again)
+        answers ``False`` and counts nothing.  The serving daemon's request
+        memo replays a response only when this answers ``True``, so a memo
+        hit is always an L1 hit on the records the response was built from.
+        """
+        for key, record in bindings:
+            if self._l1.get(key) is not record:
+                return False
+        self._count("hits", len(bindings))
+        return True
+
+    def store_record(
+        self,
+        net: PetriNet,
+        source: str,
+        options: SchedulerOptions,
+        record: Mapping[str, object],
+        *,
+        fingerprint: Optional[str] = None,
+    ) -> None:
+        """Write one search outcome through to L1 and, with a disk store, L2."""
+        opts_key = options_cache_key(options)
+        if opts_key is None:
+            return
+        fingerprint = fingerprint or structural_fingerprint(net)
+        record = dict(record)
+        self._l1.put((fingerprint, source, opts_key), record)
+        if self._store is not None:
+            store_schedule_record(
+                self._store,
+                net_fingerprint=fingerprint,
+                source=source,
+                options_fp=options_fingerprint(opts_key),
+                record=record,
+            )

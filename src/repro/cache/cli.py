@@ -7,11 +7,12 @@ Three subcommands, all honouring ``--dir`` / ``$REPRO_CACHE_DIR``:
 * ``clear``  -- drop every entry, including the quarantine area;
 * ``verify`` -- run every entry through the offline integrity checks: wire
   decode (schema version, checksum), payload identity against the key it is
-  filed under, and result-record shape for schedule entries.  Corrupt
-  entries are quarantined as they are found, exactly as a live lookup would
-  do; exits non-zero when anything had to be quarantined.  (Replay
-  validation against a *net* only happens on live lookups -- verify has no
-  net to replay against.)
+  filed under, and result-record shape.  Corrupt entries are quarantined as
+  they are found, exactly as a live lookup would do, and so is every entry
+  of a kind no lookup reads (anything but ``schedule``, such as the
+  T-invariant bases older versions wrote); exits non-zero when anything had
+  to be quarantined.  (Replay validation against a *net* only happens on
+  live lookups -- verify has no net to replay against.)
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.cache import KIND_BASIS, KIND_SCHEDULE, _record_fields_sane, open_store
+from repro.cache import KIND_SCHEDULE, _record_fields_sane, activate
 from repro.cache.stores import SCHEMA_VERSION, CacheStore
 
 
@@ -67,31 +68,20 @@ def _cmd_clear(store: CacheStore) -> int:
 def _payload_matches_key(kind: str, key: str, payload: Dict[str, object]) -> bool:
     """Offline identity/shape checks mirroring the live-lookup gates.
 
-    Keys are ``v<schema>.<fingerprint>.<options_fp>.<source>`` for schedules
-    and ``v<schema>.<fingerprint>.rows<max_rows>`` for bases; the payload
-    must carry the same identity it is filed under.  Unknown kinds pass
-    (nothing to cross-check).
+    Keys are ``v<schema>.<fingerprint>.<options_fp>.<source>``; the payload
+    must carry the same identity it is filed under.  Only schedule entries
+    are ever read, so an entry of any other kind fails.
     """
     parts = key.split(".", 3)
-    if kind == KIND_SCHEDULE:
-        if len(parts) != 4:
-            return False
-        _version, fingerprint, options_fp, source = parts
-        return (
-            payload.get("net_fingerprint") == fingerprint
-            and payload.get("options_fp") == options_fp
-            and payload.get("source") == source
-            and _record_fields_sane(payload.get("record"))
-        )
-    if kind == KIND_BASIS:
-        if len(parts) != 3 or not parts[2].startswith("rows"):
-            return False
-        return (
-            payload.get("incidence_fingerprint") == parts[1]
-            and f"rows{payload.get('max_rows')}" == parts[2]
-            and isinstance(payload.get("basis"), list)
-        )
-    return True
+    if kind != KIND_SCHEDULE or len(parts) != 4:
+        return False
+    _version, fingerprint, options_fp, source = parts
+    return (
+        payload.get("net_fingerprint") == fingerprint
+        and payload.get("options_fp") == options_fp
+        and payload.get("source") == source
+        and _record_fields_sane(payload.get("record"))
+    )
 
 
 def _cmd_verify(store: CacheStore, as_json: bool) -> int:
@@ -106,7 +96,12 @@ def _cmd_verify(store: CacheStore, as_json: bool) -> int:
             ok += 1
         else:
             if payload is not None:
-                store.quarantine(entry.kind, entry.key, "payload does not match its key")
+                reason = (
+                    "payload does not match its key"
+                    if entry.kind == KIND_SCHEDULE
+                    else "no lookup reads this kind"
+                )
+                store.quarantine(entry.kind, entry.key, reason)
             bad.append({"kind": entry.kind, "key": entry.key})
     report = {
         "checked": len(entries),
@@ -161,7 +156,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     cache_dir = getattr(args, "dir", None)
     as_json = getattr(args, "json", False)
 
-    store = open_store(cache_dir)
+    store = activate(cache_dir)
     try:
         if args.command == "stats":
             return _cmd_stats(store, as_json)

@@ -1,17 +1,10 @@
 """Shared setup for the PFC (producer / filter / consumer / controller)
 experiments of Section 8.2.
 
-Scheduling the full 10x10-pixel system takes a few seconds, so the setup is
-computed once and cached per configuration; all experiment harnesses and the
-benchmarks reuse it.  Three cache levels stack here:
-
-* an ``lru_cache`` over configs (same-process, same net object),
-* the structural warm-start L1 inside :func:`cached_find_schedule`
-  (same-process, rebuilt net objects),
-* the persistent disk store (:mod:`repro.cache`) when activated via
-  ``repro.cache.activate()`` or ``REPRO_CACHE=1`` -- then a *new process*
-  running the same geometry replays the schedule instead of re-searching,
-  which is what makes repeated table1/table2/figure20 CLI runs cheap.
+The setup (system, schedule, synthesized task) is computed once per
+configuration and kept in an ``lru_cache`` over configs, so every experiment
+harness and benchmark in one process reuses it; each new configuration runs
+the EP search.
 """
 
 from __future__ import annotations
@@ -28,9 +21,8 @@ from repro.runtime.simulation import (
     SimulationResult,
     SingleTaskSimulation,
 )
-from repro.scheduling.ep import SchedulerOptions
+from repro.scheduling.ep import SchedulerOptions, find_schedule
 from repro.scheduling.schedule import Schedule
-from repro.scheduling.warmstart import cached_find_schedule
 
 
 # Default frame geometry of the paper's experiment: "Frames were made by 10
@@ -128,11 +120,7 @@ class PfcExperimentSetup:
 @lru_cache(maxsize=4)
 def _cached_setup(config: VideoAppConfig, max_nodes: int) -> PfcExperimentSetup:
     system = build_video_system(config)
-    # Warm-start by structural fingerprint: a geometry scheduled once in this
-    # process (even on a different net object -- tests, benchmarks and the
-    # table1/table2/figure20 sweeps all rebuild the system) replays its
-    # schedule instead of re-running the EP search.
-    result = cached_find_schedule(
+    result = find_schedule(
         system.net,
         "src.controller.init",
         options=SchedulerOptions(max_nodes=max_nodes),
@@ -157,8 +145,7 @@ def build_pfc_setup(
 ) -> PfcExperimentSetup:
     """Build (or fetch the cached) experiment setup for a frame geometry.
 
-    With the persistent cache active (``REPRO_CACHE=1`` or ``repro.cache.activate()``)
-    the scheduling step replays from disk across processes; the recorded
-    ``scheduling_seconds`` then still reports the *original* search cost.
+    ``scheduling_seconds`` reports the wall clock of the EP search that
+    built the setup.
     """
     return _cached_setup(config, max_nodes)

@@ -17,7 +17,7 @@ The paper models the linked network of FlowC processes as a single Petri net
   on: dense place/transition IDs, tuple markings, precomputed firing deltas
   and incremental enabled-set maintenance (see ``docs/architecture.md``).
 * :mod:`repro.petrinet.fingerprint` -- stable structural hashes keying the
-  warm-start caches across net objects.
+  scheduling daemon's record cache across net objects.
 """
 
 from repro.petrinet.indexed import IndexedNet, MarkingStore
@@ -36,7 +36,7 @@ from repro.petrinet.analysis import (
     compute_ecs_partition,
     place_degree,
 )
-from repro.petrinet.fingerprint import incidence_fingerprint, structural_fingerprint
+from repro.petrinet.fingerprint import structural_fingerprint
 from repro.petrinet.reachability import (
     ReachabilityGraph,
     ReachabilityNode,
@@ -69,7 +69,6 @@ __all__ = [
     "Transition",
     "build_reachability_graph",
     "compute_ecs_partition",
-    "incidence_fingerprint",
     "incidence_matrix",
     "invariant_basis",
     "is_t_invariant",

@@ -1,24 +1,15 @@
 """Structural fingerprints of Petri nets.
 
 A fingerprint is a stable hash over the *value* of a net -- names, arcs,
-weights, initial tokens, source kinds, bounds -- and deliberately excludes
-the derived caches (`PetriNet._indexed`, adjacency) and the opaque code
-annotations carried by transitions.  Two nets built independently but with
-identical structure produce identical fingerprints, which is what lets the
-warm-start caches (:mod:`repro.scheduling.warmstart`, the T-invariant basis
-store in :mod:`repro.petrinet.invariants`) survive across net *objects*:
-the per-snapshot ``IndexedNet.analysis_cache`` dies whenever a config sweep
-rebuilds the same system, a fingerprint-keyed store does not.
-
-Two granularities are provided:
-
-* :func:`incidence_fingerprint` covers exactly what the incidence matrix
-  sees (transitions, places, arc weights).  T-invariants depend on nothing
-  else, so this is the key for basis reuse.
-* :func:`structural_fingerprint` additionally covers the initial marking,
-  source kinds, sink flags, guards and user channel bounds -- everything
-  the scheduling search reads.  Identical fingerprints imply the EP search
-  is deterministic-identical, so schedules can be replayed from a cache.
+weights, initial tokens, source kinds, sink flags, guards, bounds -- and
+deliberately excludes the derived caches (`PetriNet._indexed`, adjacency)
+and the opaque code annotations carried by transitions.  It covers
+everything the scheduling search reads, so two nets built independently but
+with identical structure produce identical fingerprints and identical
+searches.  That is what keys the scheduling daemon's record cache
+(:class:`repro.cache.ScheduleWarmStartCache`) and its single-flight map
+across net *objects*: a request carries a freshly built net, and the
+per-snapshot ``IndexedNet.analysis_cache`` dies with it.
 """
 
 from __future__ import annotations
@@ -36,21 +27,6 @@ def _hash_items(items: Iterable[Tuple]) -> str:
         digest.update(repr(item).encode("utf-8"))
         digest.update(b"\x00")
     return digest.hexdigest()
-
-
-def incidence_fingerprint(net: "PetriNet") -> str:
-    """Hash of the weighted flow relation (what ``C x = 0`` depends on)."""
-    items: list = [("places", tuple(sorted(net.places)))]
-    for transition in sorted(net.transitions):
-        items.append(
-            (
-                "t",
-                transition,
-                tuple(sorted(net.pre[transition].items())),
-                tuple(sorted(net.post[transition].items())),
-            )
-        )
-    return _hash_items(items)
 
 
 def structural_fingerprint(net: "PetriNet") -> str:

@@ -35,10 +35,7 @@ import warnings
 from math import gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-import repro.cache as artifact_cache
-from repro.petrinet.fingerprint import incidence_fingerprint
 from repro.petrinet.net import PetriNet
-from repro.util import BoundedLRU
 
 
 class InvariantBasis(NamedTuple):
@@ -46,19 +43,6 @@ class InvariantBasis(NamedTuple):
 
     invariants: List[Dict[str, int]]
     complete: bool
-
-
-# Warm-start store for computed bases, keyed on the *incidence fingerprint*
-# (the basis depends on nothing else).  The per-snapshot analysis_cache dies
-# whenever a config sweep rebuilds a structurally identical net object; this
-# store survives and replays the basis instead of re-running the
-# elimination.  Bounded LRU so long property-test runs cannot grow it.
-# When the disk cache is active (repro.cache.activate / REPRO_CACHE=1) the
-# same key additionally hits the persistent store, so the elimination is
-# skipped across *processes*; loaded bases are re-verified against C x = 0
-# before being trusted.  Only complete bases go to disk: its entries carry no
-# completeness flag.  Cached bases are never handed out, only copies.
-_BASIS_WARM_STORE: "BoundedLRU[Tuple[str, int], InvariantBasis]" = BoundedLRU(32)
 
 
 def incidence_matrix(net: PetriNet) -> Tuple[List[List[int]], List[str], List[str]]:
@@ -192,21 +176,7 @@ def _eliminate(
 
 
 def _compute_basis(net: PetriNet, max_rows: int) -> InvariantBasis:
-    """The basis from the warm store, the disk store or a fresh elimination."""
-    incidence_fp = incidence_fingerprint(net)
-    warm_key = (incidence_fp, max_rows)
-    warmed = _BASIS_WARM_STORE.get(warm_key)
-    if warmed is not None:
-        return warmed
-    disk = artifact_cache.active_store()
-    if disk is not None:
-        loaded = artifact_cache.load_invariant_basis(
-            disk, net, incidence_fp=incidence_fp, max_rows=max_rows
-        )
-        if loaded is not None:
-            entry = InvariantBasis(loaded, True)
-            _BASIS_WARM_STORE.put(warm_key, entry)
-            return entry
+    """The elimination, with a warning when ``max_rows`` cut it."""
     indexed = net.indexed()
     vectors, complete = _eliminate(indexed.delta, len(indexed.place_names), max_rows)
     names = indexed.transition_names
@@ -220,13 +190,7 @@ def _compute_basis(net: PetriNet, max_rows: int) -> InvariantBasis:
             RuntimeWarning,
             stacklevel=4,
         )
-    entry = InvariantBasis(invariants, complete)
-    _BASIS_WARM_STORE.put(warm_key, entry)
-    if disk is not None and complete:
-        artifact_cache.store_invariant_basis(
-            disk, incidence_fp=incidence_fp, max_rows=max_rows, basis=invariants
-        )
-    return entry
+    return InvariantBasis(invariants, complete)
 
 
 def invariant_basis(net: PetriNet, *, max_rows: int = 4096) -> InvariantBasis:
@@ -260,15 +224,12 @@ def t_invariant_basis(net: PetriNet, *, max_rows: int = 4096) -> List[Dict[str, 
     ``max_rows`` caps the elimination tableau to keep it from exploding on
     pathological nets.  When the cap cuts rows, one ``RuntimeWarning`` naming
     it is emitted and the result is a set of valid invariants that may miss
-    minimal ones; :func:`invariant_basis` reports this as ``complete=False``,
-    and such a basis is never written to the disk cache.
+    minimal ones; :func:`invariant_basis` reports this as ``complete=False``.
 
-    The basis is cached at three levels: on the net's indexed snapshot (so
-    repeated calls for the same structural version -- one per scheduled
-    source transition -- pay the elimination only once), in a process-wide
-    warm-start store keyed on the incidence fingerprint, so a structurally
-    identical net *rebuilt* by a config sweep replays the basis instead of
-    re-eliminating, and in the disk store when one is active.
+    The basis is memoised on the net's indexed snapshot, so repeated calls
+    for the same structural version -- one per scheduled source transition
+    -- pay the elimination (and any cut warning) only once.  A rebuilt or
+    mutated net gets a new snapshot and a fresh elimination.
     """
     return invariant_basis(net, max_rows=max_rows).invariants
 

@@ -13,9 +13,7 @@
 * :mod:`repro.scheduling.runs` -- runs of a set of schedules against input
   sequences (Definition 4.1) and dynamic executability checking.
 * :mod:`repro.scheduling.serialize` -- canonical schedule (de)serialization
-  used by the golden fixtures, the warm-start cache and the serve daemon.
-* :mod:`repro.scheduling.warmstart` -- schedule replay keyed on structural
-  fingerprints, for config sweeps that rebuild identical nets.
+  used by the golden fixtures and by the serve daemon and its record cache.
 """
 
 from repro.scheduling.schedule import (
@@ -47,11 +45,6 @@ from repro.scheduling.serialize import (
     schedule_to_dict,
     schedule_to_json,
 )
-from repro.scheduling.warmstart import (
-    GLOBAL_SCHEDULE_CACHE,
-    ScheduleWarmStartCache,
-    cached_find_schedule,
-)
 from repro.scheduling.independence import (
     involved_places,
     involved_transitions,
@@ -62,7 +55,6 @@ from repro.scheduling.runs import Run, RunError, build_run, check_executability
 
 __all__ = [
     "CompositeCondition",
-    "GLOBAL_SCHEDULE_CACHE",
     "IrrelevanceCriterion",
     "NodeBudget",
     "PlaceBoundCondition",
@@ -71,7 +63,6 @@ __all__ = [
     "Schedule",
     "ScheduleNode",
     "ScheduleValidationError",
-    "ScheduleWarmStartCache",
     "SchedulerOptions",
     "SchedulerResult",
     "SchedulingFailure",
@@ -80,7 +71,6 @@ __all__ = [
     "UserBoundCondition",
     "are_mutually_independent",
     "build_run",
-    "cached_find_schedule",
     "check_executability",
     "default_termination",
     "find_all_schedules",

@@ -76,7 +76,7 @@ class SchedulerOptions:
     * ``termination`` -- an explicit :class:`TerminationCondition`;
       ``None`` builds the default composite (irrelevance criterion +
       user place bounds + ``max_nodes`` budget).  Custom conditions make
-      the search uncacheable by the warm-start layers.
+      the search uncacheable by the daemon's record cache.
     * ``max_nodes`` -- hard budget on scheduling-tree nodes; exceeded
       searches fail with a budget reason instead of running forever.
 
@@ -411,8 +411,9 @@ class SchedulerResult:
     elapsed_seconds: float
     failure_reason: Optional[str] = None
     counters: SearchCounters = field(default_factory=SearchCounters)
-    # True when the result was replayed from a warm-start cache rather than
-    # searched (tree_nodes / counters then describe the original search).
+    # True when the result was rebuilt from a cached record
+    # (serialize.result_from_record) rather than searched; tree_nodes and
+    # counters then describe the original search.
     from_cache: bool = False
 
     @property
@@ -899,13 +900,8 @@ def find_all_schedules(
     """Find one schedule per uncontrollable source transition.
 
     ``sources`` may restrict / extend the set of transitions scheduled (e.g.
-    to include initially-enabled transitions per Property 4.3).
-
-    When the persistent artifact cache is active (``repro.cache.activate()``
-    or ``REPRO_CACHE=1``), each per-source search first consults the
-    two-level warm-start cache and replayed results come back with
-    ``from_cache=True`` -- a warm process runs zero EP search work.  With
-    the cache inactive (the default) the searches always run.
+    to include initially-enabled transitions per Property 4.3).  Every
+    source is searched, in order, over one shared structural analysis.
 
     Example::
 
@@ -918,25 +914,13 @@ def find_all_schedules(
     options = options or SchedulerOptions()
     analysis = StructuralAnalysis.of(net)
     targets = list(sources) if sources is not None else net.uncontrollable_sources()
-    finder = find_schedule
-    if _active_disk_cache() is not None:
-        from repro.scheduling.warmstart import GLOBAL_SCHEDULE_CACHE
-
-        finder = GLOBAL_SCHEDULE_CACHE.find_schedule
-    results: Dict[str, SchedulerResult] = {}
-    for source in targets:
-        results[source] = finder(
+    return {
+        source: find_schedule(
             net,
             source,
             options=options,
             analysis=analysis,
             raise_on_failure=raise_on_failure,
         )
-    return results
-
-
-def _active_disk_cache():
-    """The process-wide persistent store, or ``None`` (lazy import shim)."""
-    from repro.cache import active_store
-
-    return active_store()
+        for source in targets
+    }

@@ -7,7 +7,7 @@ therefore of :func:`schedule_fingerprint`) is the equality notion used by
 
 * the golden-schedule regression fixtures under ``tests/golden/``,
 * the folded-vs-fallback equivalence tests of the EP search,
-* the warm-start cache (:mod:`repro.scheduling.warmstart`), which replays
+* the scheduling daemon's record cache (:mod:`repro.cache`), which replays
   a schedule for a structurally identical net from its serialized form.
 
 Deserialization rebinds the schedule to a caller-supplied net, so a
@@ -112,8 +112,8 @@ def verify_roundtrip(schedule: Schedule) -> str:
 def result_to_record(result: "SchedulerResult") -> Dict[str, object]:
     """Net-free record of a scheduling outcome.
 
-    The single encoder shared by the warm-start cache and the serve
-    daemon; :func:`result_from_record` is its inverse.  Adding a field to
+    The single encoder shared by the serve daemon and its record cache;
+    :func:`result_from_record` is its inverse.  Adding a field to
     :class:`SchedulerResult` that must survive a cache replay or the wire
     means extending exactly this pair.
     """

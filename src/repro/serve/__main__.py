@@ -52,8 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache", action="store_true",
-        help="activate the persistent disk cache as the L2 "
-        "(equivalent to REPRO_CACHE=1)",
+        help="open the persistent disk cache as the L2 "
+        "(.cache/repro or $REPRO_CACHE_DIR)",
     )
     parser.add_argument(
         "--cache-dir", default=None, help="disk cache location (implies --cache)"

@@ -324,6 +324,10 @@ async def start_server(
 ) -> ScheduleServer:
     """Convenience: build a service + server pair and start listening.
 
+    The keyword arguments are :class:`SchedulingService`'s and
+    :class:`ScheduleServer`'s; ``store`` is the disk L2 (``None``, the
+    default, keeps the daemon memory-only).
+
     Example::
 
         >>> import asyncio

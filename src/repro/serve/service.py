@@ -5,8 +5,10 @@ This is the daemon's engine, independent of any transport.  One
 
 * a **bounded thread pool** running the actual EP searches (and disk-cache
   I/O) off the event loop;
-* a :class:`~repro.scheduling.warmstart.ScheduleWarmStartCache` -- the L1
-  in-memory LRU plus, when the persistent cache is active, the disk L2;
+* a :class:`~repro.cache.ScheduleWarmStartCache` -- the L1 in-memory LRU
+  plus, when the service was given a disk store, the disk L2.  The
+  executor body ``_compute`` is the one place that looks a record up in
+  it, runs a live search on a miss and writes the outcome through;
 * the **single-flight map**: concurrent requests for one
   ``(structural_fingerprint, source, options_key)`` coalesce onto one
   in-flight future, so a stampede of N identical requests costs exactly one
@@ -43,17 +45,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.cache import ScheduleWarmStartCache, options_cache_key
 from repro.petrinet.fingerprint import structural_fingerprint
 from repro.petrinet.net import PetriNet
 from repro.scheduling.ep import SchedulerOptions, find_schedule
 from repro.scheduling.serialize import (
     result_to_record,
     schedule_dict_fingerprint,
-)
-from repro.scheduling.warmstart import (
-    ScheduleWarmStartCache,
-    options_cache_key,
-    record_live_search,
 )
 from repro.serve.protocol import ProtocolError
 from repro.util import BoundedLRU
@@ -165,9 +163,10 @@ class SchedulingService:
     behind it is unbounded -- admission control is the transport's job);
     ``search_timeout`` is the default per-*waiter* deadline in seconds
     (``None`` waits forever); ``l1_capacity`` sizes the in-memory record
-    LRU and the request memo; ``store`` pins a disk store (default: the
-    process-wide active store, i.e. ``repro.cache.activate()`` /
-    ``REPRO_CACHE=1``; ``False`` keeps the service memory-only).
+    LRU and the request memo; ``store`` is the disk L2, e.g. the store
+    ``repro.cache.activate(path)`` opens (``None``, the default, keeps the
+    service memory-only).  Live searches are counted in the service's own
+    metrics (``live_searches``).
 
     Example::
 
@@ -418,7 +417,6 @@ class SchedulingService:
             )
             if record is None:
                 result = self._search_fn(net, source, options=options)
-                record_live_search(result.counters)
                 record = result_to_record(result)
                 self.cache.store_record(
                     net, source, options, record, fingerprint=fingerprint

@@ -59,9 +59,10 @@ def raised_recursion_limit(limit: int = 100_000) -> Iterator[None]:
 class BoundedLRU(Generic[K, V]):
     """A dictionary with least-recently-used eviction beyond ``capacity``.
 
-    Backs the process-wide warm-start stores (T-invariant bases, serialized
-    schedules) and the daemon's request memo: ``get`` refreshes recency,
-    ``put`` inserts and evicts the stalest entries.
+    Backs the scheduling daemon's in-memory record cache (the L1 of
+    :class:`repro.cache.ScheduleWarmStartCache`) and its request memo:
+    ``get`` refreshes recency, ``put`` inserts and evicts the stalest
+    entries.
 
     All operations are thread-safe: the scheduling-as-a-service executor
     runs ``lookup``/``store`` from many threads against one shared L1, and

@@ -24,7 +24,6 @@ STUB_RUN = {
     "cpu_count": 2,
     "python": "3.x",
     "quick": True,
-    "cache": {"enabled": False},
     "cases": [
         {"case": "stub", "sources": 1, "repeats": 1, "serial_seconds": 0.01,
          "identical_schedules": True},

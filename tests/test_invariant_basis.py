@@ -4,8 +4,9 @@
   of minimal-support T-semiflows, enumerated support by support;
 * no fixed-width arithmetic: invariants with entries of 2**63 and beyond come
   out exact instead of wrapping into an empty basis;
-* the ``max_rows`` cap: cutting rows warns, no cache stores the cut basis as
-  complete, and the Section 5.5.2 precheck does not trust it.
+* the ``max_rows`` cap: cutting rows warns, the snapshot memo keeps the cut
+  basis flagged incomplete, and the Section 5.5.2 precheck does not trust
+  it.
 """
 
 from __future__ import annotations
@@ -19,24 +20,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-import repro.cache as artifact_cache
 from repro.apps.workloads import random_choice_net, random_marked_graph
-from repro.petrinet import invariants as invariants_module
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.invariants import invariant_basis, is_t_invariant, t_invariant_basis
 from repro.petrinet.net import PetriNet, SourceKind
 from repro.scheduling import heuristics
 from repro.scheduling.ep import SchedulerOptions, find_schedule
-
-
-@pytest.fixture(autouse=True)
-def _fresh_basis_caches():
-    """Every test computes its bases: no warm or disk store carries over."""
-    artifact_cache.reset_active_store()
-    invariants_module._BASIS_WARM_STORE.clear()
-    yield
-    artifact_cache.reset_active_store()
-    invariants_module._BASIS_WARM_STORE.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +200,6 @@ def test_invariants_beyond_int64_are_exact(half):
     assert is_t_invariant(doubling_ring(half), expected)
 
 
-def test_huge_invariants_round_trip_through_the_disk_cache(tmp_path):
-    store = artifact_cache.activate(path=tmp_path / "cache")
-    basis = t_invariant_basis(doubling_ring(63))
-    assert any(entry.kind == "t_invariant_basis" for entry in store.entries())
-    invariants_module._BASIS_WARM_STORE.clear()
-    hits = store.stats.hits
-    assert t_invariant_basis(doubling_ring(63)) == basis
-    # served from disk and validated exactly, not quarantined and recomputed
-    assert store.stats.hits == hits + 1
-    assert store.stats.quarantined == 0
-
-
 def test_search_guided_by_an_invariant_beyond_int64_runs():
     """The source's invariant has a count of 2**63: the ordering heuristic
     must not squeeze it into an int64 array."""
@@ -264,8 +241,7 @@ def source_beside_ring(ring: int = 4) -> PetriNet:
 RING = {"r0": 1, "r1": 1, "r2": 1, "r3": 1}
 
 
-def test_cut_basis_warns_once_and_is_never_cached_as_complete(tmp_path):
-    store = artifact_cache.activate(path=tmp_path / "cache")
+def test_cut_basis_warns_once_and_is_never_cached_as_complete():
     net = source_beside_ring()
     with pytest.warns(RuntimeWarning, match="max_rows=2") as caught:
         cut = invariant_basis(net, max_rows=2)
@@ -274,15 +250,15 @@ def test_cut_basis_warns_once_and_is_never_cached_as_complete(tmp_path):
     assert RING not in cut.invariants
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # the snapshot cache, then the warm store (a rebuilt net) keep the flag
+        # the snapshot memo keeps the flag, with no second warning
         assert invariant_basis(net, max_rows=2) == cut
-        assert invariant_basis(source_beside_ring(), max_rows=2) == cut
-        # the disk store never saw it
-        assert not any(entry.kind == "t_invariant_basis" for entry in store.entries())
-        invariants_module._BASIS_WARM_STORE.clear()
-        full = invariant_basis(source_beside_ring())
+        # the uncut basis of the same net is memoised beside it
+        full = invariant_basis(net)
     assert full.complete and full.invariants == [RING]
-    assert any(entry.kind == "t_invariant_basis" for entry in store.entries())
+    # a rebuilt net runs the elimination again, and warns again
+    with pytest.warns(RuntimeWarning, match="max_rows=2") as caught:
+        assert invariant_basis(source_beside_ring(), max_rows=2) == cut
+    assert len(caught) == 1
 
 
 def test_precheck_trusts_only_a_complete_basis(monkeypatch):

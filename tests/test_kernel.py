@@ -23,14 +23,18 @@ so the test IDs stay stable:
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter, deque
 from dataclasses import fields
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-import repro.cache as artifact_cache
 from fold_oracle import (
     WalkedIrrelevance,
     folded_and_fallback,
@@ -44,7 +48,9 @@ from golden_nets import GOLDEN_CASES, derive_case, fixture_path, render_case
 from repro.apps import paper_nets
 from repro.apps.paper_nets import SourceKind
 from repro.apps.workloads import random_choice_net, random_marked_graph
+from repro.cache import options_cache_key
 from repro.petrinet.analysis import place_degree
+from repro.petrinet.invariants import t_invariant_basis
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 from repro.petrinet.reachability import build_reachability_graph
@@ -64,7 +70,6 @@ from repro.scheduling.termination import (
     default_termination,
     fold_termination,
 )
-from repro.scheduling.warmstart import GLOBAL_SCHEDULE_CACHE, options_cache_key
 
 ALL_GOLDEN_CASES = [
     (net_name, source)
@@ -78,32 +83,56 @@ ALL_GOLDEN_CASES = [
 # ---------------------------------------------------------------------------
 
 
-def test_env_disabled_searches_stay_byte_identical(monkeypatch, tmp_path):
-    """The cache environment changes where results live, never the schedule:
-    ``REPRO_CACHE=0``, a first ``REPRO_CACHE=1`` run and its disk replay all
-    return the same bytes."""
+TESTS = Path(__file__).resolve().parent
 
-    def schedules():
-        GLOBAL_SCHEDULE_CACHE.clear()
-        artifact_cache.reset_active_store()
-        results = find_all_schedules(paper_nets.figure_5())
-        return [observables(result) for result in results.values()], [
-            result.from_cache for result in results.values()
-        ]
+#: One search of every source of Figure 5 and its T-invariant basis, in a
+#: fresh interpreter, printed as JSON.
+_ENV_CHILD = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from fold_oracle import observables
+from repro.apps import paper_nets
+from repro.petrinet.invariants import t_invariant_basis
+from repro.scheduling.ep import find_all_schedules
 
-    monkeypatch.setenv(artifact_cache.ENV_DIR, str(tmp_path / "cache"))
-    try:
-        monkeypatch.setenv(artifact_cache.ENV_ENABLE, "0")
-        reference, replayed = schedules()
-        assert not any(replayed)
-        monkeypatch.setenv(artifact_cache.ENV_ENABLE, "1")
-        first, replayed = schedules()
-        assert first == reference and not any(replayed)
-        second, replayed = schedules()
-        assert second == reference and all(replayed)
-    finally:
-        GLOBAL_SCHEDULE_CACHE.clear()
-        artifact_cache.reset_active_store()
+results = find_all_schedules(paper_nets.figure_5())
+print(json.dumps({
+    "observables": [observables(result) for result in results.values()],
+    "from_cache": [result.from_cache for result in results.values()],
+    "basis": t_invariant_basis(paper_nets.figure_5()),
+}))
+"""
+
+
+def test_env_disabled_searches_stay_byte_identical(tmp_path):
+    """The environment changes nothing below the daemon: two fresh
+    interpreters with ``REPRO_CACHE=1`` and ``REPRO_CACHE_DIR`` set both
+    search and eliminate afresh, return this process's bytes, and leave
+    the cache directory empty."""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    env = dict(os.environ, REPRO_CACHE="1", REPRO_CACHE_DIR=str(cache_dir))
+    env.pop("PYTHONPATH", None)
+    runs = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-c", _ENV_CHILD, str(TESTS.parent / "src"), str(TESTS)],
+            env=env,
+            cwd=str(tmp_path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    results = find_all_schedules(paper_nets.figure_5())
+    reference = {
+        "observables": [observables(result) for result in results.values()],
+        "from_cache": [False] * len(results),
+        "basis": t_invariant_basis(paper_nets.figure_5()),
+    }
+    assert runs == [json.loads(json.dumps(reference))] * 2
+    assert list(cache_dir.iterdir()) == []
 
 
 def _walked_markings(net, max_tokens):

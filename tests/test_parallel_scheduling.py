@@ -7,7 +7,7 @@ them out is gone).  It must stay observationally identical to calling
 (canonical JSON) re-bound to the caller's net, identical per-source
 counters / tree sizes / failure reasons, and the same deterministic result
 order.  The module also pins the explicit-RNG workload generators and the
-warm-start replay contract.
+record cache's replay contract.
 
 The test names are kept from the deleted process-pool suite, so the test
 IDs stay stable.
@@ -31,7 +31,8 @@ from repro.scheduling.ep import (
     find_schedule,
 )
 from repro.scheduling.serialize import schedule_to_json
-from repro.scheduling.warmstart import ScheduleWarmStartCache
+from repro.serve import SchedulingService
+from service_path import schedule_through
 
 
 def per_source(net, options=None, sources=None):
@@ -133,11 +134,11 @@ def test_parallel_matches_serial_on_marked_graphs(transitions, seed):
 
 
 def test_external_executor_stays_identical_after_worker_cache_eviction():
-    """Results from a reused warm-start cache survive its eviction.
+    """Results from a reused record cache survive its eviction.
 
-    A cache of capacity 4 is fed more distinct nets than it holds, evicting
-    the first net's records; rescheduling that net afterwards searches
-    again and must still produce byte-identical results.
+    A service whose L1 holds 4 records is fed more distinct nets than that,
+    evicting the first net's records; rescheduling that net afterwards
+    searches again and must still produce byte-identical results.
     """
     builders = [
         paper_nets.figure_4a,
@@ -146,11 +147,11 @@ def test_external_executor_stays_identical_after_worker_cache_eviction():
         paper_nets.figure_8,
         lambda: paper_nets.figure_7(3),
     ]
-    cache = ScheduleWarmStartCache(capacity=4, store=False)
+    service = SchedulingService(l1_capacity=4)
 
     def through_cache(net):
         return {
-            source: cache.find_schedule(net, source)
+            source: schedule_through(service, net, source)
             for source in net.uncontrollable_sources()
         }
 
@@ -199,9 +200,9 @@ def test_multi_source_net_shape():
 def test_warm_start_replay_keeps_original_statistics():
     """A replayed result keeps the original search's wall clock and counters
     (experiment tables report scheduling time; 0.0 would corrupt them)."""
-    cache = ScheduleWarmStartCache()
-    first = cache.find_schedule(paper_nets.figure_5(), "a")
-    replayed = cache.find_schedule(paper_nets.figure_5(), "a")
+    service = SchedulingService()
+    first = schedule_through(service, paper_nets.figure_5(), "a")
+    replayed = schedule_through(service, paper_nets.figure_5(), "a")
     assert not first.from_cache and replayed.from_cache
     assert replayed.elapsed_seconds == first.elapsed_seconds > 0.0
     assert replayed.tree_nodes == first.tree_nodes

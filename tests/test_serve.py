@@ -5,9 +5,8 @@ The load-bearing contracts pinned here:
 * the structure-only net serialization round-trips (same structural
   fingerprint, byte-identical schedules);
 * N concurrent requests for one ``(fingerprint, options, source)`` key run
-  exactly **one** live EP search (``LIVE_SEARCH_COUNTERS`` delta equals a
-  single serial search) and every requester receives byte-identical
-  results;
+  exactly **one** live EP search (the service's ``live_searches``) and
+  every requester receives byte-identical results;
 * a cancelled or timed-out waiter never tears down the shared in-flight
   search;
 * graceful shutdown drains in-flight requests before the listener dies;
@@ -36,7 +35,6 @@ from repro.cache import SqliteStore
 from repro.petrinet.fingerprint import structural_fingerprint
 from repro.scheduling.ep import SchedulerOptions, find_schedule
 from repro.scheduling.serialize import schedule_fingerprint
-from repro.scheduling.warmstart import LIVE_SEARCH_COUNTERS, ScheduleWarmStartCache
 from repro.serve import (
     ProtocolError,
     SchedulingService,
@@ -58,6 +56,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.service import LatencyHistogram
 from repro.util import BoundedLRU, raised_recursion_limit
+from service_path import schedule_through
 
 
 async def _request(port: int, payload: dict) -> dict:
@@ -726,7 +725,6 @@ def test_stats_endpoint_reports_counters_and_histograms():
 
 def test_coalescing_runs_one_live_search_for_n_clients():
     clients = 12
-    serial = find_schedule(paper_nets.figure_5(), "a", raise_on_failure=True)
 
     async def scenario():
         server = await start_server(max_workers=2)
@@ -736,19 +734,16 @@ def test_coalescing_runs_one_live_search_for_n_clients():
             "net": net_to_dict(paper_nets.figure_5()),
             "sources": ["a"],
         }
-        before = LIVE_SEARCH_COUNTERS.nodes_expanded
         try:
             responses = await asyncio.gather(
                 *[_request(server.port, payload) for _ in range(clients)]
             )
         finally:
             await server.shutdown()
-        delta = LIVE_SEARCH_COUNTERS.nodes_expanded - before
-        return responses, delta, server.service.snapshot()
+        return responses, server.service.snapshot()
 
-    responses, delta, stats = asyncio.run(scenario())
+    responses, stats = asyncio.run(scenario())
     # exactly one live EP search happened, for all twelve clients
-    assert delta == serial.counters.nodes_expanded
     assert stats["live_searches"] == 1
     assert stats["coalesced"] == clients - 1
     assert stats["errors"] == 0
@@ -861,7 +856,6 @@ def test_cancelled_waiter_does_not_kill_shared_search():
 
 def test_disconnected_client_does_not_kill_shared_search():
     """A client that drops its socket mid-request leaves the search running."""
-    serial = find_schedule(paper_nets.figure_6(), "a", raise_on_failure=True)
 
     async def scenario():
         server = await start_server(max_workers=1)
@@ -871,7 +865,6 @@ def test_disconnected_client_does_not_kill_shared_search():
             "net": net_to_dict(paper_nets.figure_6()),
             "sources": ["a"],
         }
-        before = LIVE_SEARCH_COUNTERS.nodes_expanded
         try:
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
             writer.write((json.dumps(payload) + "\n").encode())
@@ -881,12 +874,11 @@ def test_disconnected_client_does_not_kill_shared_search():
             response = await _request(server.port, payload)
         finally:
             await server.shutdown()
-        delta = LIVE_SEARCH_COUNTERS.nodes_expanded - before
-        return response, delta
+        return response, server.service.snapshot()
 
-    response, delta = asyncio.run(scenario())
+    response, stats = asyncio.run(scenario())
     assert response["ok"] and response["results"][0]["success"]
-    assert delta == serial.counters.nodes_expanded  # still exactly one search
+    assert stats["live_searches"] == 1  # still exactly one search
 
 
 def test_timeout_answers_error_and_search_completes_for_others():
@@ -1074,11 +1066,12 @@ def test_memo_never_answers_from_a_replaced_record():
 
 
 def test_replay_hits_requires_the_same_record_object():
-    cache = ScheduleWarmStartCache(capacity=2, store=False)
+    service = SchedulingService(l1_capacity=2)
+    cache = service.cache
     net = paper_nets.figure_6()
-    cache.find_schedule(net, "a")
+    schedule_through(service, net, "a")
     (key,) = list(cache._l1)
-    record = cache.lookup_record(net, "a", SchedulerOptions())
+    record, _origin = cache.lookup_record_with_origin(net, "a", SchedulerOptions())
     hits = cache.stats.hits
     assert cache.replay_hits(((key, record),))
     assert cache.stats.hits == hits + 1

@@ -12,8 +12,8 @@ from somewhere else:
   byte like the original, on every golden net;
 * a stale or foreign :class:`StructuralAnalysis` handed to a search is
   rebuilt, never mixed into the live net's ID space;
-* the warm-start cache evicts in LRU order, and an evicted entry is simply
-  searched again.
+* the daemon's record cache evicts in LRU order, and an evicted entry is
+  simply searched again.
 
 The test names are kept from the deleted shared-memory plane's suite, so
 the test IDs stay stable.
@@ -35,8 +35,9 @@ from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.invariants import incidence_matrix
 from repro.scheduling.ep import find_all_schedules, find_schedule
 from repro.scheduling.serialize import schedule_fingerprint, schedule_to_json
-from repro.scheduling.warmstart import ScheduleWarmStartCache
+from repro.serve import SchedulingService
 from repro.serve.protocol import ProtocolError, net_from_dict, net_to_dict
+from service_path import schedule_through
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -142,7 +143,6 @@ def test_workers_one_skips_the_plane():
         "('multiprocessing', 'concurrent.futures'))))\n"
     )
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
-    env.pop("REPRO_CACHE", None)
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -210,7 +210,7 @@ def test_materialise_without_payload_or_handle_raises():
 
 
 # ---------------------------------------------------------------------------
-# warm-start LRU: eviction order, and an evicted entry is searched again
+# record-cache LRU: eviction order, and an evicted entry is searched again
 # ---------------------------------------------------------------------------
 
 
@@ -222,12 +222,12 @@ def test_worker_lru_eviction_detaches_attachments():
         paper_nets.figure_6,
         paper_nets.figure_8,
     ]
-    cache = ScheduleWarmStartCache(capacity=4, store=False)
+    service = SchedulingService(l1_capacity=4)
     assert len(builders) > 4
-    first = [cache.find_schedule(builder(), "a") for builder in builders]
+    first = [schedule_through(service, builder(), "a") for builder in builders]
     assert not any(result.from_cache for result in first)
     # capacity exceeded by one: the first entry was evicted, the last stays
-    assert cache.find_schedule(builders[-1](), "a").from_cache
-    again = cache.find_schedule(builders[0](), "a")
+    assert schedule_through(service, builders[-1](), "a").from_cache
+    again = schedule_through(service, builders[0](), "a")
     assert not again.from_cache
     assert _identity(again) == _identity(first[0])

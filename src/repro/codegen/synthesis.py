@@ -8,19 +8,21 @@ The synthesized source has three parts:
   buffer pointers (Section 6.4.2);
 * **run** -- the ISR: one labelled block per code segment, each with an
   execution section (the FlowC code of the transitions, with data-dependent
-  choices turned into ``if``/``else``), an update section (state variable
-  increments) and a jump section (``goto`` / ``return`` / ``switch``)
-  (Section 6.4.3, Figure 16).
+  choices turned into ``if``/``else`` or ``switch``), an update section
+  (state variable increments) and a jump section (``goto`` / ``return`` /
+  ``switch``) (Section 6.4.3, Figure 16).
 
 The output is compilable-looking C; it is not executed by the test-suite (the
-interpreted :class:`~repro.codegen.task.ExecutableTask` is used for that) but
-it is measured by the code-size model and compared structurally in tests.
+interpreted :class:`~repro.codegen.task.ExecutableTask` is used for that, and
+both resolve a choice through :func:`~repro.flowc.compiler.choice_of`) but it
+is measured by the code-size model, compared structurally in tests and pinned
+by ``tests/golden/codegen/c_sha256.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.codegen.segments import (
     CodeSegment,
@@ -41,18 +43,14 @@ from repro.flowc.ast_nodes import (
     Declaration,
     Expression,
     ExprStatement,
-    FloatLiteral,
     For,
-    Identifier,
     If,
     Index,
-    IntLiteral,
     PostfixOp,
     ReadData,
     Return,
     SelectExpr,
     Statement,
-    StringLiteral,
     Switch,
     UnaryOp,
     While,
@@ -60,121 +58,51 @@ from repro.flowc.ast_nodes import (
     walk_expressions,
     walk_statements,
 )
-from repro.flowc.compiler import SelectCondition
+from repro.flowc.compiler import choice_of
 from repro.flowc.linker import LinkedSystem
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.runtime.cost_model import CodeSizeCosts, CodeSizeModel, CompilerProfile, PROFILES
 from repro.scheduling.schedule import Schedule
 
-ECS = FrozenSet[str]
-
 
 # ---------------------------------------------------------------------------
-# Expression / statement rendering
+# Statement rendering
 # ---------------------------------------------------------------------------
-
-
-def render_expression(expr: Expression) -> str:
-    """Render an expression as C source text."""
-    if isinstance(expr, IntLiteral):
-        return str(expr.value)
-    if isinstance(expr, FloatLiteral):
-        return repr(expr.value)
-    if isinstance(expr, StringLiteral):
-        return f'"{expr.value}"'
-    if isinstance(expr, Identifier):
-        return expr.name
-    if isinstance(expr, UnaryOp):
-        return f"{expr.op}{render_expression(expr.operand)}"
-    if isinstance(expr, PostfixOp):
-        return f"{render_expression(expr.operand)}{expr.op}"
-    if isinstance(expr, BinaryOp):
-        return f"({render_expression(expr.left)} {expr.op} {render_expression(expr.right)})"
-    if isinstance(expr, Assignment):
-        return f"{render_expression(expr.target)} {expr.op} {render_expression(expr.value)}"
-    if isinstance(expr, Conditional):
-        return (
-            f"({render_expression(expr.condition)} ? {render_expression(expr.then)}"
-            f" : {render_expression(expr.other)})"
-        )
-    if isinstance(expr, Call):
-        args = ", ".join(render_expression(a) for a in expr.args)
-        return f"{expr.name}({args})"
-    if isinstance(expr, Index):
-        return f"{render_expression(expr.base)}[{render_expression(expr.index)}]"
-    if isinstance(expr, SelectExpr):
-        inner = ", ".join(f"{port}, {render_expression(count)}" for port, count in expr.entries)
-        return f"SELECT({inner})"
-    raise TypeError(f"cannot render expression {expr!r}")
 
 
 def render_statement(statement: Statement, indent: int = 0) -> List[str]:
-    """Render a statement as C source lines."""
+    """Render a statement as C source lines.
+
+    A simple statement is one line, its ``str``; the five compound kinds open
+    a block and render their bodies one level deeper.
+    """
     pad = "    " * indent
-    if isinstance(statement, Declaration):
-        return [pad + str(statement)]
-    if isinstance(statement, ExprStatement):
-        return [pad + render_expression(statement.expr) + ";"]
+
+    def body(statements: Sequence[Statement]) -> List[str]:
+        return [line for inner in statements for line in render_statement(inner, indent + 1)]
+
     if isinstance(statement, Block):
-        lines = [pad + "{"]
-        for inner in statement.statements:
-            lines.extend(render_statement(inner, indent + 1))
-        lines.append(pad + "}")
-        return lines
+        return [pad + "{", *body(statement.statements), pad + "}"]
     if isinstance(statement, If):
-        lines = [pad + f"if ({render_expression(statement.condition)}) {{"]
-        for inner in statement.then_body:
-            lines.extend(render_statement(inner, indent + 1))
+        lines = [pad + f"if ({statement.condition}) {{", *body(statement.then_body)]
         if statement.else_body:
-            lines.append(pad + "} else {")
-            for inner in statement.else_body:
-                lines.extend(render_statement(inner, indent + 1))
-        lines.append(pad + "}")
-        return lines
+            lines += [pad + "} else {", *body(statement.else_body)]
+        return lines + [pad + "}"]
     if isinstance(statement, While):
-        lines = [pad + f"while ({render_expression(statement.condition)}) {{"]
-        for inner in statement.body:
-            lines.extend(render_statement(inner, indent + 1))
-        lines.append(pad + "}")
-        return lines
+        return [pad + f"while ({statement.condition}) {{", *body(statement.body), pad + "}"]
     if isinstance(statement, For):
-        init = render_expression(statement.init) if statement.init is not None else ""
-        cond = render_expression(statement.condition) if statement.condition is not None else ""
-        update = render_expression(statement.update) if statement.update is not None else ""
-        lines = [pad + f"for ({init}; {cond}; {update}) {{"]
-        for inner in statement.body:
-            lines.extend(render_statement(inner, indent + 1))
-        lines.append(pad + "}")
-        return lines
+        init, cond, update = (
+            "" if part is None else part
+            for part in (statement.init, statement.condition, statement.update)
+        )
+        return [pad + f"for ({init}; {cond}; {update}) {{", *body(statement.body), pad + "}"]
     if isinstance(statement, Switch):
-        lines = [pad + f"switch ({render_expression(statement.subject)}) {{"]
+        lines = [pad + f"switch ({statement.subject}) {{"]
         for case in statement.cases:
-            if case.value is None:
-                lines.append(pad + "default:")
-            else:
-                lines.append(pad + f"case {render_expression(case.value)}:")
-            for inner in case.body:
-                lines.extend(render_statement(inner, indent + 1))
-            lines.append(pad + "    break;")
-        lines.append(pad + "}")
-        return lines
-    if isinstance(statement, Break):
-        return [pad + "break;"]
-    if isinstance(statement, Continue):
-        return [pad + "continue;"]
-    if isinstance(statement, Return):
-        if statement.value is None:
-            return [pad + "return;"]
-        return [pad + f"return {render_expression(statement.value)};"]
-    if isinstance(statement, ReadData):
-        target = render_expression(statement.target)
-        nitems = render_expression(statement.nitems)
-        return [pad + f"READ_DATA({statement.port}, {target}, {nitems});"]
-    if isinstance(statement, WriteData):
-        value = render_expression(statement.value)
-        nitems = render_expression(statement.nitems)
-        return [pad + f"WRITE_DATA({statement.port}, {value}, {nitems});"]
-    raise TypeError(f"cannot render statement {statement!r}")
+            lines.append(pad + ("default:" if case.value is None else f"case {case.value}:"))
+            lines += body(case.body) + [pad + "    break;"]
+        return lines + [pad + "}"]
+    return [pad + str(statement)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,50 +266,36 @@ class _TaskSynthesizer:
 
     def _emit_node(self, node: CodeSegmentNode, indent: int) -> List[str]:
         pad = "    " * indent
-        lines: List[str] = []
         transitions = sorted(node.ecs)
         if len(transitions) == 1:
-            transition = transitions[0]
-            lines.extend(self._emit_transition_code(transition, indent))
-            lines.extend(self._emit_continuation(node, transition, indent))
-            return lines
-        # data-dependent choice: an if/else (or switch) over the condition of
-        # the shared choice place
-        condition = self._choice_condition(node.ecs)
-        guards = {t: self.net.transitions[t].guard for t in transitions}
-        if set(guards.values()) <= {True, False, None}:
-            true_t = next((t for t, g in guards.items() if g is True), transitions[0])
-            false_t = next((t for t, g in guards.items() if g is False), transitions[-1])
-            lines.append(pad + f"if ({condition}) {{")
-            lines.extend(self._emit_transition_code(true_t, indent + 1))
-            lines.extend(self._emit_continuation(node, true_t, indent + 1))
-            lines.append(pad + "} else {")
-            lines.extend(self._emit_transition_code(false_t, indent + 1))
-            lines.extend(self._emit_continuation(node, false_t, indent + 1))
-            lines.append(pad + "}")
-            return lines
-        lines.append(pad + f"switch ({condition}) {{")
-        for transition in transitions:
-            guard = guards[transition]
-            label = "default" if guard == "default" else f"case {guard}"
-            lines.append(pad + f"{label}:")
-            lines.extend(self._emit_transition_code(transition, indent + 1))
-            lines.extend(self._emit_continuation(node, transition, indent + 1))
-            lines.append(pad + "    break;")
-        lines.append(pad + "}")
-        return lines
+            return self._emit_branch(node, transitions[0], indent)
+        # data-dependent choice: an if/else or a switch over the expression of
+        # the choice place, resolved as the simulators resolve it
+        choice = choice_of(self.net, transitions)
+        if choice is not None and not choice.is_boolean:
+            lines = [pad + f"switch ({choice.expression}) {{"]
+            for transition, guard in choice.guards:
+                lines.append(pad + ("default:" if guard == "default" else f"case {guard}:"))
+                lines.extend(self._emit_branch(node, transition, indent + 1))
+                lines.append(pad + "    break;")
+            return lines + [pad + "}"]
+        if choice is None:  # a hand-built net's choice carries no condition
+            condition, then, other = "1 /* unresolved choice condition */", transitions[0], transitions[-1]
+        else:
+            condition, then, other = choice.expression, choice.branch(True), choice.branch(False)
+        return (
+            [pad + f"if ({condition}) {{"]
+            + self._emit_branch(node, then, indent + 1)
+            + [pad + "} else {"]
+            + self._emit_branch(node, other, indent + 1)
+            + [pad + "}"]
+        )
 
-    def _choice_condition(self, ecs: ECS) -> str:
-        transitions = sorted(ecs)
-        for place in self.net.pre[transitions[0]]:
-            obj = self.net.places[place]
-            if obj.condition is None:
-                continue
-            if all(place in self.net.pre[t] for t in transitions):
-                if isinstance(obj.condition, SelectCondition):
-                    return render_expression(obj.condition.select)
-                return render_expression(obj.condition)
-        return "1 /* unresolved choice condition */"
+    def _emit_branch(self, node: CodeSegmentNode, transition: str, indent: int) -> List[str]:
+        """The code of one transition of ``node`` and what follows it."""
+        return self._emit_transition_code(transition, indent) + self._emit_continuation(
+            node, transition, indent
+        )
 
     def _emit_transition_code(self, transition: str, indent: int) -> List[str]:
         pad = "    " * indent
@@ -392,10 +306,8 @@ class _TaskSynthesizer:
         elif obj.is_sink:
             lines.append(pad + "/* primary output accepted by the environment */")
         elif obj.code:
-            prefix = (obj.process + "_") if obj.process else ""
             for statement in obj.code:
-                for line in render_statement(statement, indent):
-                    lines.append(self._rewrite_identifiers(line, prefix))
+                lines.extend(render_statement(statement, indent))
         # update section: state variable deltas caused by this transition
         for place in self.state_places:
             delta = self.net.post[transition].get(place, 0) - self.net.pre[transition].get(place, 0)
@@ -404,12 +316,6 @@ class _TaskSynthesizer:
             elif delta < 0:
                 lines.append(pad + f"{_state_variable_name(place)} -= {-delta};")
         return lines
-
-    def _rewrite_identifiers(self, line: str, prefix: str) -> str:
-        # Process-local variables were made unique during linking by
-        # prefixing the process name; the rendered code keeps the original
-        # names, so this is a purely cosmetic note in a comment.
-        return line
 
     def _emit_continuation(self, node: CodeSegmentNode, transition: str, indent: int) -> List[str]:
         pad = "    " * indent
@@ -542,8 +448,8 @@ def process_code_size(
     body = system.network.processes[process].body
     for statement in body:
         total += statement_code_size(statement, costs, comm_site_bytes=comm_site)
-    if not inline_communication:
-        total += 0  # the shared communication function body is counted once globally
+    # with called communication the shared function body is counted once, by
+    # baseline_code_size
     return CodeSizeModel(costs).scaled(total, profile)
 
 
@@ -634,16 +540,14 @@ def synthesized_code_size(
     # (the unrolled iterations of a constant loop, equivalent threads...)
     # share their execution section, which is the purpose of the code-segment
     # sharing analysis of Section 6.2.  The jump / label / state-update
-    # overhead is still paid per structural position.
+    # overhead is still paid per structural position.  The key is the AST
+    # itself (frozen dataclasses compare by value): a compound statement's
+    # text elides its bodies as ``{ ... }``.
     emitted_bodies: Dict[Tuple, int] = {}
 
     def shared_body_size(transition: str) -> int:
         obj = net.transitions[transition]
-        key = (
-            obj.process,
-            tuple(str(s) for s in (obj.code or ())),
-            obj.guard,
-        )
+        key = (obj.process, tuple(obj.code or ()), obj.guard)
         if key in emitted_bodies:
             return 0
         size = transition_code_size(transition)

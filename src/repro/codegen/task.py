@@ -13,9 +13,9 @@ of data choices, state kept between invocations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
-from repro.flowc.compiler import SelectCondition
+from repro.flowc.compiler import Choice, choice_of
 from repro.flowc.interpreter import Environment, Interpreter, OperationCounter, WouldBlock
 from repro.flowc.linker import LinkedSystem
 from repro.petrinet.net import PetriNet, Transition
@@ -74,13 +74,9 @@ class ExecutableTask:
         self.max_steps_per_event = max_steps_per_event
         self.environments: Dict[str, Environment] = environments if environments is not None else {}
         self._interpreters: Dict[str, Interpreter] = {}
-        # place name -> (process, port name) of the port place, used to map
-        # net-level places back to FlowC ports when resolving SELECT choices
-        self._port_names: Dict[str, Tuple[str, str]] = {}
-        for (process, port), place in system.port_place_of.items():
-            self._port_names.setdefault(place, (process, port))
+        # schedule node index -> the data-dependent choice of its ECS
+        self._choices: Dict[int, Choice] = {}
         self._uncontrollable = set(self.net.uncontrollable_sources())
-        self._await_nodes = {node.index for node in schedule.await_nodes()}
         self.current_node: int = schedule.root
         self._initialise_environments()
 
@@ -161,63 +157,26 @@ class ExecutableTask:
     # ------------------------------------------------------------------
     # choice resolution
     # ------------------------------------------------------------------
-    def _choice_place_of(self, node: ScheduleNode) -> str:
-        transitions = list(node.edges)
-        shared = None
-        for place in self.net.pre[transitions[0]]:
-            obj = self.net.places[place]
-            if obj.condition is not None and all(
-                place in self.net.pre[t] for t in transitions
-            ):
-                shared = place
-                break
-        if shared is None:
-            raise TaskExecutionError(
-                f"cannot determine the choice place for node {node.index} "
-                f"(transitions {sorted(transitions)})"
-            )
-        return shared
-
     def _resolve_choice(self, node: ScheduleNode) -> str:
-        place = self._choice_place_of(node)
-        place_obj = self.net.places[place]
-        condition = place_obj.condition
-        process = place_obj.process
+        choice = self._choices.get(node.index)
+        if choice is None:
+            choice = choice_of(self.net, list(node.edges))
+            if choice is None:
+                raise TaskExecutionError(
+                    f"cannot determine the choice place for node {node.index} "
+                    f"(transitions {sorted(node.edges)})"
+                )
+            self._choices[node.index] = choice
+        process = self.net.places[choice.place].process
         if process is None:
-            raise TaskExecutionError(f"choice place {place!r} has no owning process")
-        interpreter = self._interpreter_for(process)
-        guards: Dict[str, Optional[object]] = {
-            t: self.net.transitions[t].guard for t in node.edges
-        }
-        if isinstance(condition, SelectCondition):
-            index = interpreter.evaluate(condition.select)
-            for transition, guard in guards.items():
-                if guard == index:
-                    return transition
+            raise TaskExecutionError(f"choice place {choice.place!r} has no owning process")
+        value = self._interpreter_for(process).evaluate(choice.expression)
+        transition = choice.branch(value)
+        if transition is None:
             raise TaskExecutionError(
-                f"SELECT resolved to branch {index} which is not part of the schedule "
-                f"at node {node.index}"
+                f"no branch of the schedule takes value {value!r} at node {node.index}"
             )
-        value = interpreter.evaluate(condition)
-        boolean_guards = set(guards.values()) <= {True, False, None}
-        if boolean_guards:
-            wanted = bool(value)
-            for transition, guard in guards.items():
-                if guard == wanted:
-                    return transition
-            raise TaskExecutionError(
-                f"no branch for condition value {wanted!r} at node {node.index}"
-            )
-        # data switch: match the case value, falling back to 'default'
-        for transition, guard in guards.items():
-            if guard == value:
-                return transition
-        for transition, guard in guards.items():
-            if guard == "default":
-                return transition
-        raise TaskExecutionError(
-            f"no case matches value {value!r} at node {node.index}"
-        )
+        return transition
 
     # ------------------------------------------------------------------
     # transition execution

@@ -357,7 +357,7 @@ StatementSeq = Sequence[Statement]
 
 
 def iter_statements(statements: StatementSeq) -> List[Statement]:
-    """Flatten nested blocks one level (compiler convenience)."""
+    """The statements of a sequence with nested blocks flattened, at any depth."""
     result: List[Statement] = []
     for statement in statements:
         if isinstance(statement, Block):

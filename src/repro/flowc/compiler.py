@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.flowc.ast_nodes import (
     Assignment,
     BinaryOp,
-    Block,
     Break,
     Continue,
     Declaration,
@@ -46,7 +45,9 @@ from repro.flowc.ast_nodes import (
     UnaryOp,
     While,
     WriteData,
+    iter_statements,
 )
+from repro.flowc.interpreter import InterpreterError, arithmetic
 from repro.flowc.leaders import contains_port_statement
 from repro.petrinet.net import PetriNet
 
@@ -61,6 +62,62 @@ class SelectCondition:
     """Condition attached to a place created for ``switch (SELECT(...))``."""
 
     select: SelectExpr
+
+
+@dataclass(frozen=True)
+class Choice:
+    """A data-dependent choice of a compiled net and the rule resolving it.
+
+    The compiler turns each ``if``, ``while``, data ``switch`` and
+    ``switch (SELECT(...))`` into a place carrying a condition, consumed by
+    one guarded transition per branch.  The running code evaluates
+    ``expression`` (the condition, or the ``SELECT`` of a
+    :class:`SelectCondition`) and :meth:`branch` maps the value to a branch.
+    Both simulators and the C synthesizer resolve choices through this class.
+    """
+
+    place: str
+    expression: Expression
+    #: (branch transition, guard) in the order the caller listed them
+    guards: Tuple[Tuple[str, object], ...]
+
+    @property
+    def is_boolean(self) -> bool:
+        """An ``if``/``while`` choice: its guards are ``True`` and ``False``."""
+        return all(guard.__class__ is bool for _, guard in self.guards)
+
+    def branch(self, value: object) -> Optional[str]:
+        """The transition ``value`` selects, or ``None`` when no branch does.
+
+        Guards are told apart by type, never by value (``0 == False``):
+        ``True``/``False`` match the value's truth, case labels and SELECT
+        entry indices match the value itself, and ``"default"`` takes any
+        value that no label matches.
+        """
+        default = None
+        for transition, guard in self.guards:
+            if guard.__class__ is bool:
+                if guard is bool(value):
+                    return transition
+            elif guard == "default":
+                default = transition
+            elif guard == value:
+                return transition
+        return default
+
+
+def choice_of(net: PetriNet, transitions: Sequence[str]) -> Optional[Choice]:
+    """The choice among ``transitions``: the place with a condition that all
+    of them consume from; ``None`` when there is none (the free choices of a
+    hand-built net carry no condition)."""
+    pre = net.pre
+    for place in pre[transitions[0]]:
+        condition = net.places[place].condition
+        if condition is not None and all(place in pre[t] for t in transitions):
+            expression = condition.select if isinstance(condition, SelectCondition) else condition
+            guards = tuple((t, net.transitions[t].guard) for t in transitions)
+            return Choice(place, expression, guards)
+    return None
 
 
 @dataclass
@@ -85,7 +142,11 @@ class CompiledProcess:
 
 
 def evaluate_constant(expr: Expression) -> Optional[int]:
-    """Best-effort constant folding for arc weights (rates must be constants)."""
+    """The value of an integer constant expression, folded as the C target
+    computes it (:func:`~repro.flowc.interpreter.arithmetic`), or ``None``.
+
+    It folds transfer rates, case labels, loop bounds and trip counts.
+    """
     if isinstance(expr, IntLiteral):
         return expr.value
     if isinstance(expr, UnaryOp) and expr.op == "-":
@@ -99,17 +160,8 @@ def evaluate_constant(expr: Expression) -> Optional[int]:
         if left is None or right is None:
             return None
         try:
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            if expr.op == "/":
-                return left // right
-            if expr.op == "%":
-                return left % right
-        except ZeroDivisionError:
+            return arithmetic(expr.op, left, right)
+        except (InterpreterError, ValueError):  # not arithmetic, x/0, negative shift
             return None
     return None
 
@@ -293,13 +345,6 @@ class _ProcessCompiler:
 
         Returns the control place reached after the sequence.
         """
-        flat: List[Statement] = []
-        for statement in statements:
-            if isinstance(statement, Block):
-                flat.extend(statement.statements)
-            else:
-                flat.append(statement)
-        statements = flat
         current_place = entry
         pending: List[Statement] = []
 
@@ -310,7 +355,7 @@ class _ProcessCompiler:
             current_place = self._emit_segment(pending, current_place)
             pending = []
 
-        for statement in statements:
+        for statement in iter_statements(statements):
             if isinstance(statement, ReadData):
                 flush()
                 pending = [statement]
@@ -482,6 +527,11 @@ class _ProcessCompiler:
             t_join = self._new_transition(code=[])
             self.net.add_arc(case_exit, t_join)
             self.net.add_arc(t_join, exit_place)
+        if all(case.value is not None for case in statement.cases):
+            # C skips a switch that no case matches: an implicit default
+            t_default = self._new_transition(code=[], guard="default")
+            self.net.add_arc(choice, t_default)
+            self.net.add_arc(t_default, exit_place)
         return exit_place
 
     def _compile_select_switch(self, statement: Switch, entry: str) -> str:

@@ -17,6 +17,7 @@ an execution into clock cycles.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -194,6 +195,66 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
+def _c_divide(left: Any, right: Any) -> Any:
+    """C ``/``: an integer quotient truncates toward zero."""
+    if right == 0:
+        raise InterpreterError("division by zero")
+    if isinstance(left, int) and isinstance(right, int):
+        quotient = abs(left) // abs(right)
+        return -quotient if (left < 0) != (right < 0) else quotient
+    return left / right
+
+
+def _c_remainder(left: Any, right: Any) -> Any:
+    """C ``%``: an integer remainder takes the dividend's sign."""
+    if right == 0:
+        raise InterpreterError("modulo by zero")
+    if isinstance(left, int) and isinstance(right, int):
+        remainder = abs(left) % abs(right)
+        return -remainder if left < 0 else remainder
+    return left % right
+
+
+#: What C's binary arithmetic and bitwise operators compute (see ``arithmetic``)
+_ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _c_divide,
+    "%": _c_remainder,
+    "&": lambda left, right: int(left) & int(right),
+    "|": lambda left, right: int(left) | int(right),
+    "^": lambda left, right: int(left) ^ int(right),
+    "<<": lambda left, right: int(left) << int(right),
+    ">>": lambda left, right: int(left) >> int(right),
+}
+
+#: C's relational operators; a comparison evaluates to the int 1 or 0.
+_COMPARISONS: Dict[str, Callable[[Any, Any], bool]] = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
+
+def arithmetic(op: str, left: Any, right: Any) -> Any:
+    """``left op right`` as C computes it, for a binary arithmetic or bitwise ``op``.
+
+    Expression evaluation, compound assignment (``a op= b``) and the
+    compiler's constant folding all apply it, so they agree with the emitted C:
+
+    >>> arithmetic("/", -7, 2), arithmetic("%", -7, 2), arithmetic("%", 7, -2)
+    (-3, -1, 1)
+    """
+    function = _ARITHMETIC.get(op)
+    if function is None:
+        raise InterpreterError(f"unsupported binary operator {op!r}")
+    return function(left, right)
+
+
 # Built-in pure functions available to FlowC programs.  They model the opaque
 # computations of the industrial example (filtering, image generation...).
 BUILTIN_FUNCTIONS: Dict[str, Callable[..., Any]] = {
@@ -236,7 +297,7 @@ class Interpreter:
             self.execute_block(statement.statements)
         elif isinstance(statement, If):
             self.counter.branches += 1
-            if self._truth(self.evaluate(statement.condition)):
+            if self.evaluate(statement.condition):
                 self.execute_block(statement.then_body)
             elif statement.else_body is not None:
                 self.execute_block(statement.else_body)
@@ -284,7 +345,7 @@ class Interpreter:
         iterations = 0
         while True:
             self.counter.branches += 1
-            if not self._truth(self.evaluate(statement.condition)):
+            if not self.evaluate(statement.condition):
                 break
             iterations += 1
             if iterations > self.max_loop_iterations:
@@ -303,7 +364,7 @@ class Interpreter:
         while True:
             if statement.condition is not None:
                 self.counter.branches += 1
-                if not self._truth(self.evaluate(statement.condition)):
+                if not self.evaluate(statement.condition):
                     break
             iterations += 1
             if iterations > self.max_loop_iterations:
@@ -415,7 +476,7 @@ class Interpreter:
             return self._evaluate_assignment(expr)
         if isinstance(expr, Conditional):
             self.counter.branches += 1
-            if self._truth(self.evaluate(expr.condition)):
+            if self.evaluate(expr.condition):
                 return self.evaluate(expr.then)
             return self.evaluate(expr.other)
         if isinstance(expr, Call):
@@ -423,11 +484,6 @@ class Interpreter:
         if isinstance(expr, SelectExpr):
             return self._evaluate_select(expr)
         raise InterpreterError(f"unsupported expression: {expr!r}")
-
-    def _truth(self, value: Any) -> bool:
-        if isinstance(value, list):
-            return bool(value)
-        return bool(value)
 
     def _resolve_index(self, expr: Index) -> Tuple[List[Any], int]:
         base = self.evaluate(expr.base)
@@ -456,7 +512,7 @@ class Interpreter:
         if expr.op == "+":
             return operand
         if expr.op == "!":
-            return 0 if self._truth(operand) else 1
+            return 0 if operand else 1
         if expr.op == "~":
             return ~int(operand)
         if expr.op == "*":
@@ -477,84 +533,31 @@ class Interpreter:
         # short-circuit logical operators
         if expr.op == "&&":
             self.counter.comparisons += 1
-            if not self._truth(left):
+            if not left:
                 return 0
-            return 1 if self._truth(self.evaluate(expr.right)) else 0
+            return 1 if self.evaluate(expr.right) else 0
         if expr.op == "||":
             self.counter.comparisons += 1
-            if self._truth(left):
+            if left:
                 return 1
-            return 1 if self._truth(self.evaluate(expr.right)) else 0
+            return 1 if self.evaluate(expr.right) else 0
         right = self.evaluate(expr.right)
-        op = expr.op
-        if op in ("==", "!=", "<", ">", "<=", ">="):
+        compare = _COMPARISONS.get(expr.op)
+        if compare is not None:
             self.counter.comparisons += 1
-            result = {
-                "==": left == right,
-                "!=": left != right,
-                "<": left < right,
-                ">": left > right,
-                "<=": left <= right,
-                ">=": left >= right,
-            }[op]
-            return 1 if result else 0
+            return 1 if compare(left, right) else 0
         self.counter.arithmetic += 1
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise InterpreterError("division by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return int(left / right) if (left < 0) != (right < 0) else left // right
-            return left / right
-        if op == "%":
-            if right == 0:
-                raise InterpreterError("modulo by zero")
-            return left - right * int(left / right) if isinstance(left, int) else left % right
-        if op == "&":
-            return int(left) & int(right)
-        if op == "|":
-            return int(left) | int(right)
-        if op == "^":
-            return int(left) ^ int(right)
-        if op == "<<":
-            return int(left) << int(right)
-        if op == ">>":
-            return int(left) >> int(right)
-        raise InterpreterError(f"unsupported binary operator {op!r}")
+        return arithmetic(expr.op, left, right)
 
     def _evaluate_assignment(self, expr: Assignment) -> Any:
         value = self.evaluate(expr.value)
         if expr.op != "=":
             current = self.evaluate(expr.target)
-            value = self._apply_binary_value(expr.op[0], current, value)
+            self.counter.arithmetic += 1
+            value = arithmetic(expr.op[:-1], current, value)
         self._assign_to(expr.target, value)
         self.counter.assignments += 1
         return value
-
-    def _apply_binary_value(self, op: str, left: Any, right: Any) -> Any:
-        self.counter.arithmetic += 1
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise InterpreterError("division by zero")
-            if isinstance(left, int) and isinstance(right, int):
-                return int(left / right) if (left < 0) != (right < 0) else left // right
-            return left / right
-        if op == "%":
-            if right == 0:
-                raise InterpreterError("modulo by zero")
-            return left % right
-        raise InterpreterError(f"unsupported compound assignment operator {op!r}=")
 
     def _assign_to(self, target: Expression, value: Any) -> None:
         if isinstance(target, UnaryOp) and target.op in ("&", "*"):

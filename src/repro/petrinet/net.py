@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.petrinet.marking import Marking
 
@@ -103,7 +103,7 @@ class Transition:
     process: Optional[str] = None
     source_kind: SourceKind = SourceKind.NONE
     is_sink: bool = False
-    guard: Optional[bool] = None
+    guard: Union[bool, int, str, None] = None
     select_priority: Optional[int] = None
 
     @property
@@ -263,7 +263,7 @@ class PetriNet:
         process: Optional[str] = None,
         source_kind: SourceKind = SourceKind.NONE,
         is_sink: bool = False,
-        guard: Optional[bool] = None,
+        guard: Union[bool, int, str, None] = None,
         select_priority: Optional[int] = None,
     ) -> Transition:
         """Add a transition; raises if the name is already used."""

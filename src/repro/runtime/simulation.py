@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.codegen.task import ExecutableTask
-from repro.flowc.compiler import SelectCondition
+from repro.flowc.compiler import Choice, choice_of
 from repro.flowc.interpreter import Environment, Interpreter, OperationCounter, WouldBlock
 from repro.flowc.linker import LinkedSystem
 from repro.petrinet.net import PetriNet
@@ -112,6 +112,7 @@ class _ProcessTask:
         # structurally frozen during simulation, so compute each list once
         # instead of querying the place adjacency on every executed step
         self._successors_of_place: Dict[str, List[str]] = {}
+        self._choice_at: Dict[str, Optional[Choice]] = {}
 
     def _process_successors(self, place: str) -> List[str]:
         cached = self._successors_of_place.get(place)
@@ -132,39 +133,20 @@ class _ProcessTask:
         to the current control place; SELECT choices consult channel
         availability through the binding.
         """
-        place_obj = self.net.places[self.current_place]
-        successors = self._process_successors(self.current_place)
-        if not successors:
-            return None
-        if len(successors) == 1:
+        place = self.current_place
+        successors = self._process_successors(place)
+        if len(successors) <= 1:
+            return successors[0] if successors else None
+        if place not in self._choice_at:
+            self._choice_at[place] = choice_of(self.net, successors)
+        choice = self._choice_at[place]
+        if choice is None:
             return successors[0]
-        condition = place_obj.condition
-        guards = {t: self.net.transitions[t].guard for t in successors}
-        if condition is None:
-            return successors[0]
-        if isinstance(condition, SelectCondition):
-            try:
-                index = self.interpreter.evaluate(condition.select)
-            except WouldBlock:
-                return None
-            for transition, guard in guards.items():
-                if guard == index:
-                    return transition
+        try:
+            value = self.interpreter.evaluate(choice.expression)
+        except WouldBlock:
             return None
-        value = self.interpreter.evaluate(condition)
-        if set(guards.values()) <= {True, False, None}:
-            wanted = bool(value)
-            for transition, guard in guards.items():
-                if guard == wanted:
-                    return transition
-            return None
-        for transition, guard in guards.items():
-            if guard == value:
-                return transition
-        for transition, guard in guards.items():
-            if guard == "default":
-                return transition
-        return None
+        return choice.branch(value)
 
     def _transition_ready(self, transition: str) -> bool:
         """Blocking semantics: all port reads/writes of the transition must be

@@ -17,18 +17,18 @@ from repro.codegen.segments import (
 )
 from repro.codegen.synthesis import (
     baseline_code_size,
-    render_expression,
     render_statement,
     synthesize_task,
     synthesized_code_size,
 )
 from repro.codegen.task import ExecutableTask, TaskExecutionError
 from repro.flowc.linker import link
+from repro.flowc.netlist import Network
 from repro.flowc.parser import parse_expression, parse_statements
 from repro.runtime.channels import PortBinding, EnvironmentSource, EnvironmentSink, ChannelBuffer
 from repro.runtime.cost_model import PROFILES, CostModel, CycleCosts
 from repro.runtime.simulation import MultiTaskSimulation, SingleTaskSimulation
-from repro.scheduling.ep import find_schedule
+from repro.scheduling.ep import find_all_schedules, find_schedule
 from repro.scheduling.schedule import Schedule
 
 
@@ -94,7 +94,7 @@ def test_code_segments_cover_every_schedule_node(divisors_schedule):
 
 
 def test_render_expression_and_statement_roundtrip():
-    assert render_expression(parse_expression("a + b * 2")) == "(a + (b * 2))"
+    assert str(parse_expression("a + b * 2")) == "(a + (b * 2))"
     lines = render_statement(parse_statements("if (x > 0) y = 1; else y = 2;")[0])
     text = "\n".join(lines)
     assert "if ((x > 0))" in text and "else" in text
@@ -154,6 +154,88 @@ def test_baseline_code_size_function_call_variant(small_video_system):
     inlined = baseline_code_size(small_video_system, inline_communication=True)
     called = baseline_code_size(small_video_system, inline_communication=False)
     assert called["total"] < inlined["total"]
+
+
+# ---------------------------------------------------------------------------
+# One process, three readers of its choices: both simulators and the C
+# ---------------------------------------------------------------------------
+
+
+def _solo_system(body):
+    """One process reading the uncontrollable input ``i`` and writing ``o``."""
+    network = Network(name="solo")
+    network.add_processes_from_source(
+        f"PROCESS p (In DPORT i, Out DPORT o) {{ int a, b, x; while (1) {{ {body} }} }}"
+    )
+    network.declare_input("p", "i", controllable=False)
+    network.declare_output("p", "o")
+    return link(network)
+
+
+def _schedules(system):
+    results = find_all_schedules(system.net, raise_on_failure=True)
+    return {source: result.schedule for source, result in results.items()}
+
+
+def _both_outputs(system, values):
+    """What the multi-task and the single-task simulation write to ``o``."""
+    stimulus = {"i": values}
+    multi = MultiTaskSimulation(system, stimulus=stimulus).run()
+    single = SingleTaskSimulation(system, schedules=_schedules(system)).run(stimulus)
+    assert multi.events_served == single.events_served == len(values)
+    return multi.outputs.port("o"), single.outputs.port("o")
+
+
+def _isr(system):
+    (schedule,) = _schedules(system).values()
+    return synthesize_task(system, schedule).run_section
+
+
+SWITCH_0_1 = (
+    "READ_DATA(i, x, 1); switch (x) { case 0: WRITE_DATA(o, 10, 1); break; "
+    "case 1: WRITE_DATA(o, 20, 1); break;"
+)
+
+
+@pytest.mark.parametrize(
+    "default, values, written",
+    [("", [0, 1, 1, 0], [10, 20, 20, 10]), ("default: WRITE_DATA(o, 30, 1);", [0, 1, 5], [10, 20, 30])],
+    ids=["no-default", "default"],
+)
+def test_switch_on_zero_and_one_is_a_switch_in_the_c_and_both_simulators(default, values, written):
+    # case labels 0 and 1 equal False and True: a rule that compares guards
+    # by value takes this switch for an if/else and inverts it in the C
+    system = _solo_system(SWITCH_0_1 + default + " }")
+    lines = [line.strip() for line in _isr(system).splitlines()]
+    assert "switch (x) {" in lines and not any(line.startswith("if (") for line in lines)
+    case_0 = lines.index("case 0:")
+    assert lines[case_0 + 2] == "WRITE_DATA(o, 10, 1);"
+    assert _both_outputs(system, values) == (written, written)
+
+
+def test_switch_without_default_skips_an_unmatched_value():
+    # as in C and in the interpreter: no case matches 5, so nothing runs
+    system = _solo_system(SWITCH_0_1 + " } WRITE_DATA(o, x, 1);")
+    assert _both_outputs(system, [5, 1]) == ([5, 20, 1], [5, 20, 1])
+    assert "default:" in [line.strip() for line in _isr(system).splitlines()]
+
+
+def test_nested_blocks_around_port_statements_compile():
+    system = _solo_system("{ { READ_DATA(i, x, 1); } } { WRITE_DATA(o, x * 2, 1); }")
+    assert _both_outputs(system, [3, 4]) == ([6, 8], [6, 8])
+
+
+def test_code_size_tells_apart_bodies_that_differ_inside_a_compound_statement():
+    def size(second):
+        system = _solo_system(
+            "READ_DATA(i, x, 1); if (x) { a = 1; b = a * 3 + 1; } WRITE_DATA(o, b, 1); "
+            f"READ_DATA(i, x, 1); if (x) {{ {second} }} WRITE_DATA(o, b, 1);"
+        )
+        (schedule,) = _schedules(system).values()
+        return synthesized_code_size(synthesize_task(system, schedule), system)
+
+    # both if statements print as "if (x) { ... }": only the AST tells them apart
+    assert size("a = 2; b = a * 3 + 1;") > size("a = 1; b = a * 3 + 1;")
 
 
 # ---------------------------------------------------------------------------

@@ -550,6 +550,11 @@ def test_evaluate_constant():
     assert evaluate_constant(parse_expression("3 * 4 + 1")) == 13
     assert evaluate_constant(parse_expression("-(2)")) == -2
     assert evaluate_constant(parse_expression("x + 1")) is None
+    # folded as the C target and the interpreter compute it
+    assert evaluate_constant(parse_expression("-7 / 2")) == -3
+    assert evaluate_constant(parse_expression("-7 % 2")) == -1
+    assert evaluate_constant(parse_expression("1 / 0")) is None
+    assert evaluate_constant(parse_expression("1 < 2")) is None
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ def test_integer_division_truncates_toward_zero():
     assert env.get("a") == 3
     env2 = run_code("int a; a = 9 % 4;")
     assert env2.get("a") == 1
+    # C semantics with negative operands, the same for `op` and `op=`:
+    # the quotient truncates toward zero, the remainder has the dividend's sign
+    env3 = run_code(
+        "int a, b, q, r, qa, ra; a = -7; b = 2; q = a / b; r = a % b;"
+        " qa = a; qa /= b; ra = a; ra %= b;"
+    )
+    assert [env3.get(name) for name in ("q", "r", "qa", "ra")] == [-3, -1, -3, -1]
+    env4 = run_code("int r, ra; r = 7 % (0 - 2); ra = 7; ra %= 0 - 2;")
+    assert (env4.get("r"), env4.get("ra")) == (1, 1)
 
 
 def test_control_flow_constructs():

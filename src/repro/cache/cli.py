@@ -22,7 +22,7 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from repro.cache import KIND_SCHEDULE, _record_fields_sane, activate
+from repro.cache import KIND_SCHEDULE, activate, schedule_entry_problem
 from repro.cache.stores import SCHEMA_VERSION, CacheStore
 
 
@@ -66,22 +66,21 @@ def _cmd_clear(store: CacheStore) -> int:
 
 
 def _payload_matches_key(kind: str, key: str, payload: Dict[str, object]) -> bool:
-    """Offline identity/shape checks mirroring the live-lookup gates.
+    """The live lookup's identity/shape check, run offline.
 
     Keys are ``v<schema>.<fingerprint>.<options_fp>.<source>``; the payload
-    must carry the same identity it is filed under.  Only schedule entries
-    are ever read, so an entry of any other kind fails.
+    must pass :func:`~repro.cache.schedule_entry_problem` for the identity
+    it is filed under.  Only schedule entries are ever read, so an entry of
+    any other kind fails.
     """
     parts = key.split(".", 3)
     if kind != KIND_SCHEDULE or len(parts) != 4:
         return False
     _version, fingerprint, options_fp, source = parts
-    return (
-        payload.get("net_fingerprint") == fingerprint
-        and payload.get("options_fp") == options_fp
-        and payload.get("source") == source
-        and _record_fields_sane(payload.get("record"))
+    problem = schedule_entry_problem(
+        payload, net_fingerprint=fingerprint, source=source, options_fp=options_fp
     )
+    return problem is None
 
 
 def _cmd_verify(store: CacheStore, as_json: bool) -> int:

@@ -138,7 +138,6 @@ class CodeSegmentNode:
     """One ECS inside a code segment."""
 
     ecs: ECS
-    label: str
     # (marking, ECS) pairs of the schedule nodes represented by this node
     states: List[Tuple[Marking, ECS]] = field(default_factory=list)
     # inlined continuations: transition -> child node (same segment)
@@ -158,13 +157,9 @@ class CodeSegmentNode:
 
 @dataclass
 class CodeSegment:
-    """A tree of code-segment nodes with a label for goto targets."""
+    """A tree of code-segment nodes, entered at its root."""
 
     root: CodeSegmentNode
-
-    @property
-    def label(self) -> str:
-        return self.root.label
 
     def nodes(self) -> List[CodeSegmentNode]:
         return self.root.subtree()
@@ -247,7 +242,7 @@ def extract_code_segments(
         ecs = ecs_of_node[node.index]
         code_node = node_by_ecs.get(ecs)
         if code_node is None:
-            code_node = CodeSegmentNode(ecs=ecs, label=ecs_label(ecs))
+            code_node = CodeSegmentNode(ecs=ecs)
             node_by_ecs[ecs] = code_node
         code_node.states.append((node.marking, ecs))
 

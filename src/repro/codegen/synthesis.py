@@ -10,7 +10,9 @@ The synthesized source has three parts:
   execution section (the FlowC code of the transitions, with data-dependent
   choices turned into ``if``/``else`` or ``switch``), an update section
   (state variable increments) and a jump section (``goto`` / ``return`` /
-  ``switch``) (Section 6.4.3, Figure 16).
+  ``switch``) (Section 6.4.3, Figure 16).  A label is ``cs1``, ``cs2``, ...
+  in order of first mention, ``cs1`` being the source's segment; every
+  segment root and every ECS a jump lands on, inlined or not, gets one.
 
 The output is compilable-looking C; it is not executed by the test-suite (the
 interpreted :class:`~repro.codegen.task.ExecutableTask` is used for that, and
@@ -21,15 +23,15 @@ by ``tests/golden/codegen/c_sha256.json``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.codegen.segments import (
-    CodeSegment,
+    ECS,
     CodeSegmentNode,
     JumpSpec,
     SegmentSet,
-    ecs_label,
     extract_code_segments,
 )
 from repro.flowc.ast_nodes import (
@@ -141,7 +143,7 @@ class SynthesizedTask:
     def count_construct(self, kind: str) -> int:
         """Rough construct counts on the generated text (used by tests)."""
         if kind == "labels":
-            return sum(1 for line in self.run_section.splitlines() if line.rstrip().endswith(":") and not line.strip().startswith("case"))
+            return sum(1 for line in self.run_section.splitlines() if re.fullmatch(r"cs\d+:", line))
         if kind == "gotos":
             return self.run_section.count("goto ")
         if kind == "returns":
@@ -169,6 +171,13 @@ class _TaskSynthesizer:
         self.analysis = analysis or StructuralAnalysis.of(self.net)
         self.segments = extract_code_segments(schedule, self.analysis)
         self.state_places = self.segments.state_places()
+        # the ECSs whose code gets a label line: segment roots, jump targets
+        self.labelled: Set[ECS] = {segment.root.ecs for segment in self.segments.segments}
+        for node in self.segments.node_by_ecs.values():
+            for jump in node.jumps.values():
+                cases = [jump] if jump.deterministic else jump.cases
+                self.labelled.update(case.target_ecs for case in cases if not case.is_return)
+        self.labels: Dict[ECS, str] = {}
         self.involved = schedule.involved_transitions()
         self._classify_channels()
 
@@ -245,26 +254,25 @@ class _TaskSynthesizer:
     # -- run section ------------------------------------------------------------
     def _run(self) -> str:
         lines = [f"void {self.task_name}_ISR(void)", "{"]
-        emitted: Set[str] = set()
         ordered = [self.segments.entry_segment] + [
             segment
             for segment in self.segments.segments
             if segment is not self.segments.entry_segment
         ]
         for segment in ordered:
-            if segment.label in emitted:
-                continue
-            emitted.add(segment.label)
-            lines.extend(self._emit_segment(segment))
+            lines.extend(self._emit_node(segment.root, indent=1))
         lines.append("}")
         return "\n".join(lines)
 
-    def _emit_segment(self, segment: CodeSegment) -> List[str]:
-        lines = [f"{segment.label}:"]
-        lines.extend(self._emit_node(segment.root, indent=1))
-        return lines
+    def _label(self, ecs: ECS) -> str:
+        """The C label of an ECS's code: ``cs<n>``, numbered on first mention."""
+        return self.labels.setdefault(ecs, f"cs{len(self.labels) + 1}")
 
     def _emit_node(self, node: CodeSegmentNode, indent: int) -> List[str]:
+        label = [f"{self._label(node.ecs)}:"] if node.ecs in self.labelled else []
+        return label + self._emit_choice(node, indent)
+
+    def _emit_choice(self, node: CodeSegmentNode, indent: int) -> List[str]:
         pad = "    " * indent
         transitions = sorted(node.ecs)
         if len(transitions) == 1:
@@ -328,7 +336,7 @@ class _TaskSynthesizer:
             if jump.is_return:
                 return [pad + "return;"]
             assert jump.target_ecs is not None
-            return [pad + f"goto {ecs_label(jump.target_ecs)};"]
+            return [pad + f"goto {self._label(jump.target_ecs)};"]
         lines: List[str] = []
         discriminating = self._discriminating_places(jump)
         if not discriminating:
@@ -336,7 +344,7 @@ class _TaskSynthesizer:
             first = jump.cases[0]
             if first.is_return:
                 return [pad + "return;"]
-            return [pad + f"goto {ecs_label(first.target_ecs)};"]
+            return [pad + f"goto {self._label(first.target_ecs)};"]
         place = discriminating[0]
         lines.append(pad + f"switch ({_state_variable_name(place)}) {{")
         seen_values: Set[int] = set()
@@ -349,7 +357,7 @@ class _TaskSynthesizer:
             if case.is_return:
                 lines.append(pad + "    return;")
             else:
-                lines.append(pad + f"    goto {ecs_label(case.target_ecs)};")
+                lines.append(pad + f"    goto {self._label(case.target_ecs)};")
         lines.append(pad + "}")
         lines.append(pad + "return;")
         return lines

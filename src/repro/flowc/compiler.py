@@ -690,7 +690,8 @@ class _ProcessCompiler:
 
 
 def _strip_trailing_break(body: Sequence[Statement]) -> Tuple[Statement, ...]:
-    statements = list(body)
+    """A ``case`` body without the ``break``s that end it, braced or not."""
+    statements = iter_statements(body)
     while statements and isinstance(statements[-1], Break):
         statements.pop()
     return tuple(statements)

@@ -250,7 +250,3 @@ class StructuralAnalysis:
 
     def degree(self, place: str) -> int:
         return self.degrees[place]
-
-    def ecs_label(self, ecs: ECS) -> str:
-        """Stable label for an ECS (used by code generation)."""
-        return "_".join(sorted(ecs))

@@ -6,10 +6,10 @@ deliberately excludes the derived caches (`PetriNet._indexed`, adjacency)
 and the opaque code annotations carried by transitions.  It covers
 everything the scheduling search reads, so two nets built independently but
 with identical structure produce identical fingerprints and identical
-searches.  That is what keys the scheduling daemon's record cache
-(:class:`repro.cache.ScheduleWarmStartCache`) and its single-flight map
-across net *objects*: a request carries a freshly built net, and the
-per-snapshot ``IndexedNet.analysis_cache`` dies with it.
+searches.  That is what keys the scheduling daemon's record cache and its
+single-flight map (:class:`repro.serve.SchedulingService`) across net
+*objects*: a request carries a freshly built net, and the per-snapshot
+``IndexedNet.analysis_cache`` dies with it.
 """
 
 from __future__ import annotations

@@ -411,10 +411,6 @@ class SchedulerResult:
     elapsed_seconds: float
     failure_reason: Optional[str] = None
     counters: SearchCounters = field(default_factory=SearchCounters)
-    # True when the result was rebuilt from a cached record
-    # (serialize.result_from_record) rather than searched; tree_nodes and
-    # counters then describe the original search.
-    from_cache: bool = False
 
     @property
     def success(self) -> bool:

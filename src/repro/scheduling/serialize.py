@@ -112,10 +112,11 @@ def verify_roundtrip(schedule: Schedule) -> str:
 def result_to_record(result: "SchedulerResult") -> Dict[str, object]:
     """Net-free record of a scheduling outcome.
 
-    The single encoder shared by the serve daemon and its record cache;
-    :func:`result_from_record` is its inverse.  Adding a field to
+    The single encoder shared by the serve daemon's wire responses and its
+    record cache, which replays records as they are.  Adding a field to
     :class:`SchedulerResult` that must survive a cache replay or the wire
-    means extending exactly this pair.
+    means extending exactly this function and the record check of
+    :mod:`repro.cache`.
     """
     return {
         "schedule": schedule_to_dict(result.schedule) if result.schedule else None,
@@ -124,32 +125,6 @@ def result_to_record(result: "SchedulerResult") -> Dict[str, object]:
         "failure_reason": result.failure_reason,
         "counters": result.counters.as_dict(),
     }
-
-
-def result_from_record(
-    net: PetriNet,
-    source: str,
-    record: Mapping[str, object],
-    *,
-    from_cache: bool = False,
-) -> "SchedulerResult":
-    """Rebuild a :class:`SchedulerResult` from a record, bound to ``net``."""
-    from repro.scheduling.ep import SchedulerResult, SearchCounters
-
-    schedule_data = record["schedule"]
-    return SchedulerResult(
-        source_transition=source,
-        schedule=(
-            schedule_from_dict(net, schedule_data)
-            if schedule_data is not None
-            else None
-        ),
-        tree_nodes=int(record["tree_nodes"]),
-        elapsed_seconds=float(record["elapsed_seconds"]),
-        failure_reason=record["failure_reason"],
-        counters=SearchCounters(**record["counters"]),
-        from_cache=from_cache,
-    )
 
 
 def schedule_summary(schedule: Optional[Schedule]) -> Dict[str, object]:

@@ -8,14 +8,15 @@ package wires them behind a listener:
 
 * :mod:`repro.serve.protocol` -- the JSON-lines wire format: serialized
   nets or FlowC programs in, canonical schedule records out;
-* :mod:`repro.serve.service` -- the engine: an asyncio **single-flight
-  map** coalescing concurrent requests for one ``(structural_fingerprint,
-  options, source)`` key into one in-flight EP search, in front of the
-  warm-start L1 and the persistent disk L2, with searches running on a
-  bounded thread pool, per-waiter timeouts, and hit/miss/coalesce metrics
-  plus per-phase latency histograms; a request memo in front of the map
-  answers a repeated request line with the bytes it got before, while the
-  L1 still holds the records they were built from;
+* :mod:`repro.serve.service` -- the engine and the record cache: an
+  asyncio **single-flight map** coalescing concurrent requests for one
+  ``(structural_fingerprint, options, source)`` key into one in-flight EP
+  search, in front of the service's in-memory L1 and the persistent disk
+  L2, with searches running on a bounded thread pool, per-waiter timeouts,
+  and one block of hit/miss/coalesce counters plus per-phase latency
+  histograms; a request memo in front of the map answers a repeated
+  request line with the bytes it got before, while the L1 still holds the
+  records they were built from;
 * :mod:`repro.serve.server` -- the asyncio TCP transport with an
   introspection (``stats``) endpoint and graceful shutdown draining.
 

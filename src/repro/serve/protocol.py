@@ -53,7 +53,10 @@ from repro.scheduling.ep import SchedulerOptions
 #: version 3 dropped the two options of the deleted cost-based schedule
 #: selection.
 #: Version 4 dropped five options more, keeping ``max_nodes`` alone.
-PROTOCOL_VERSION = 4
+#: Version 5 dropped the ``stats`` response's ``warmstart`` block, which
+#: counted every lookup a second time; its ``disk_rejected`` is now a
+#: top-level counter.
+PROTOCOL_VERSION = 5
 
 #: Upper bound on one request line (and the asyncio stream limit).  Nets of
 #: tens of thousands of nodes fit comfortably; anything bigger should ship

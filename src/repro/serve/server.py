@@ -250,11 +250,11 @@ class ScheduleServer:
             raise ProtocolError(
                 "bad-request", f"'timeout' must be a positive number of seconds, got {timeout!r}"
             )
-        payloads, bindings = await self.service._schedule_net(
+        payloads, bindings = await self.service.schedule_net(
             net,
             sources,
             options,
-            fingerprint,
+            fingerprint=fingerprint,
             **({"timeout": float(timeout)} if timeout is not None else {}),
         )
         self.service.metrics.bump("responses")

@@ -5,22 +5,26 @@ This is the daemon's engine, independent of any transport.  One
 
 * a **bounded thread pool** running the actual EP searches (and disk-cache
   I/O) off the event loop;
-* a :class:`~repro.cache.ScheduleWarmStartCache` -- the L1 in-memory LRU
-  plus, when the service was given a disk store, the disk L2.  The
-  executor body ``_compute`` is the one place that looks a record up in
-  it, runs a live search on a miss and writes the outcome through;
-* the **single-flight map**: concurrent requests for one
-  ``(structural_fingerprint, source, options_key)`` coalesce onto one
-  in-flight future, so a stampede of N identical requests costs exactly one
-  EP search (the other N-1 *await* it and receive the same record);
+* the **record cache**: an in-memory L1 (a :class:`~repro.util.BoundedLRU`
+  of result records keyed on ``(structural_fingerprint, source,
+  options_cache_key)``) plus, when the service was given a disk store, the
+  disk L2 (:mod:`repro.cache`).  The executor body ``_compute`` is the one
+  place that reads the L1, then the disk, runs a live search on a miss and
+  writes the outcome through to both levels;
+* the **single-flight map**: concurrent requests for one L1 key coalesce
+  onto one in-flight future, so a stampede of N identical requests costs
+  exactly one EP search (the other N-1 *await* it and receive the same
+  record);
 * the **request memo** in front of that map: a bounded LRU (sized like
   the L1) from a digest of a request line to the response bytes it got,
   bound to the L1 records they were built from.  A repeated line is
   answered with those bytes while every record is still the one its L1
-  key holds (``ScheduleWarmStartCache.replay_hits``), counted as the L1
-  hits it stands for;
-* the metrics the introspection endpoint reports: hit/miss/coalesce
-  counters, queue depth and per-phase latency histograms.
+  key holds (:meth:`SchedulingService.recall`), counted as the L1 hits it
+  stands for;
+* :class:`ServeMetrics`, the one counter block the introspection endpoint
+  reports (each lookup bumps exactly one of ``l1_hits``, ``disk_hits`` and
+  ``live_searches``, and a waiter that joins an in-flight search bumps
+  ``coalesced``), plus queue depth and per-phase latency histograms.
 
 Timeouts and cancellation are **per waiter, never per search**: a client
 that gives up (timeout, dropped connection) detaches from the shared future
@@ -45,7 +49,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cache import ScheduleWarmStartCache, options_cache_key
+from repro.cache import (
+    load_schedule_record,
+    options_cache_key,
+    options_fingerprint,
+    store_schedule_record,
+)
 from repro.petrinet.fingerprint import structural_fingerprint
 from repro.petrinet.net import PetriNet
 from repro.scheduling.ep import SchedulerOptions, find_schedule
@@ -109,7 +118,17 @@ class LatencyHistogram:
 
 
 class ServeMetrics:
-    """Counter block of one service instance (all increments locked)."""
+    """Counter block of one service instance (all increments locked).
+
+    Every source a ``schedule`` response answers counts exactly once, in
+    one of ``l1_hits`` (the in-memory record cache, memo hits included),
+    ``disk_hits`` (a record loaded and replay-validated from the disk
+    store), ``live_searches`` (an EP search) and ``coalesced`` (a waiter on
+    another request's in-flight lookup).  ``uncacheable`` counts the
+    lookups whose options have no cache key (they search, uncached), and
+    ``disk_rejected`` the disk entries a lookup found corrupt or foreign
+    and quarantined before missing.
+    """
 
     COUNTERS = (
         "requests",
@@ -122,6 +141,7 @@ class ServeMetrics:
         "disk_hits",
         "live_searches",
         "uncacheable",
+        "disk_rejected",
         "memo_hits",
     )
 
@@ -165,8 +185,8 @@ class SchedulingService:
     (``None`` waits forever); ``l1_capacity`` sizes the in-memory record
     LRU and the request memo; ``store`` is the disk L2, e.g. the store
     ``repro.cache.activate(path)`` opens (``None``, the default, keeps the
-    service memory-only).  Live searches are counted in the service's own
-    metrics (``live_searches``).
+    service memory-only).  The service is the daemon's record cache: it
+    holds the L1 itself and reads and writes the store.
 
     Example::
 
@@ -174,7 +194,7 @@ class SchedulingService:
         >>> from repro.apps.paper_nets import figure_5
         >>> service = SchedulingService(max_workers=2)
         >>> async def demo():
-        ...     payloads = await service.schedule_net(figure_5(), ["a"], None)
+        ...     payloads, _bindings = await service.schedule_net(figure_5(), ["a"], None)
         ...     return payloads[0]["success"]
         >>> asyncio.run(demo())
         True
@@ -190,7 +210,9 @@ class SchedulingService:
     ):
         self.search_timeout = search_timeout
         self.metrics = ServeMetrics()
-        self.cache = ScheduleWarmStartCache(l1_capacity, store=store)
+        self._store = store
+        # (fingerprint, source, opts_key) -> result record
+        self._l1: "BoundedLRU[Tuple, Dict[str, object]]" = BoundedLRU(l1_capacity)
         # request digest -> (response line, ((L1 key, record), ...))
         self._memo: "BoundedLRU[bytes, Tuple[bytes, Tuple]]" = BoundedLRU(
             l1_capacity
@@ -222,12 +244,11 @@ class SchedulingService:
         }
 
     def snapshot(self) -> Dict[str, object]:
-        """The stats payload: metrics + queue depth + warm-start accounting."""
+        """The stats payload: the metrics, queue depth and cache sizes."""
         return {
             **self.metrics.as_dict(),
             "queue": self.queue_depth(),
-            "warmstart": self.cache.stats.as_dict(),
-            "l1_entries": len(self.cache),
+            "l1_entries": len(self._l1),
             "memo_entries": len(self._memo),
         }
 
@@ -236,18 +257,20 @@ class SchedulingService:
         """The response line remembered for a request digest, or ``None``.
 
         The entry answers only while every record it is bound to is still
-        the one its L1 key holds; that check refreshes the keys' recency
-        and counts their L1 hits (``l1_hits`` and the warm-start ``hits``)
-        exactly as the lookups it replaces would.  A stale entry is dropped
-        and the request takes the full path.
+        the very object its L1 key holds (an evicted key, or one searched or
+        loaded again since, holds another).  Each key is read in order,
+        refreshing its recency as a lookup does, and the answer counts one
+        ``l1_hits`` per source, exactly as the lookups it replaces would.  A
+        stale entry is dropped and the request takes the full path.
         """
         entry = self._memo.get(digest)
         if entry is None:
             return None
         response, bindings = entry
-        if not self.cache.replay_hits(bindings):
-            self._memo.discard(digest)
-            return None
+        for key, record in bindings:
+            if self._l1.get(key) is not record:
+                self._memo.discard(digest)
+                return None
         self.metrics.bump("l1_hits", len(bindings))
         self.metrics.bump("memo_hits")
         return response
@@ -255,7 +278,7 @@ class SchedulingService:
     def remember(self, digest: bytes, response: bytes, bindings: Tuple) -> None:
         """Keep ``response`` for the next request line with ``digest``.
 
-        ``bindings`` is what :meth:`_schedule_net` returned for the
+        ``bindings`` is what :meth:`schedule_net` returned for the
         request: one ``(L1 key, record)`` pair per source, every record
         from a cache.  Callers remember only such ``schedule`` responses.
         """
@@ -268,29 +291,23 @@ class SchedulingService:
         sources: Sequence[str],
         options: Optional[SchedulerOptions],
         *,
+        fingerprint: Optional[str] = None,
         timeout=_UNSET,
-    ) -> List[Dict[str, object]]:
-        """Schedule ``sources`` of ``net``, returning per-source payloads.
+    ) -> Tuple[List[Dict[str, object]], Optional[Tuple]]:
+        """Schedule ``sources`` of ``net``: the per-source payloads, and the
+        records they were built from.
 
         Sources are processed sequentially (see the module docstring); each
         one independently coalesces with any identical request currently in
-        flight anywhere in the process.
-        """
-        payloads, _bindings = await self._schedule_net(
-            net, sources, options, None, timeout
-        )
-        return payloads
+        flight anywhere in the process.  ``fingerprint`` is the net's
+        structural fingerprint when the caller already has it (the server
+        computes it while building the net).  The second item holds one
+        ``(L1 key, record)`` pair per source when every source's record came
+        from a cache (``from_cache: true``), and is ``None`` otherwise: only
+        such a response may be remembered (:meth:`remember`).
 
-    async def _schedule_net(
-        self, net, sources, options, fingerprint, timeout=_UNSET
-    ) -> Tuple[List[Dict[str, object]], Optional[Tuple]]:
-        """:meth:`schedule_net`, plus the records its payloads were built from.
-
-        ``fingerprint`` is the net's structural fingerprint when the caller
-        already has it (the server computes it while building the net).
-        The second item holds one ``(L1 key, record)`` pair per source when
-        every source's record came from a cache (``from_cache: true``), and
-        is ``None`` otherwise: only such a response may be remembered.
+        Raises :class:`ProtocolError` (kind ``timeout``) when a waiter
+        deadline expires first; the underlying search is *not* cancelled.
         """
         options = options or SchedulerOptions()
         if fingerprint is None:
@@ -309,44 +326,21 @@ class SchedulingService:
             return payloads, tuple(bindings)
         return payloads, None
 
-    async def schedule_source(
-        self,
-        net: PetriNet,
-        source: str,
-        options: SchedulerOptions,
-        *,
-        fingerprint: Optional[str] = None,
-        timeout=_UNSET,
-    ) -> Dict[str, object]:
-        """One source's canonical response payload, coalescing duplicates.
-
-        Raises :class:`ProtocolError` (kind ``timeout``) when the waiter
-        deadline expires first; the underlying search is *not* cancelled.
-        """
-        payload, _binding = await self._schedule_source(
-            net, source, options, fingerprint, timeout
-        )
-        return payload
-
     async def _schedule_source(self, net, source, options, fingerprint, timeout):
-        """:meth:`schedule_source`'s payload and its ``(L1 key, record)``.
+        """One source's canonical payload and its ``(L1 key, record)``,
+        coalescing duplicates (the single-flight step).
 
         The pair is ``None`` unless the record came from a cache.
         """
         if self._closed:
             raise ProtocolError("shutting-down", "service is draining")
         loop = asyncio.get_running_loop()
-        if fingerprint is None:
-            fingerprint = await loop.run_in_executor(
-                self._executor, structural_fingerprint, net
-            )
         opts_key = options_cache_key(options)
         if timeout is _UNSET:
             timeout = self.search_timeout
         if opts_key is None:
             # uncacheable (never happens via the wire protocol, but the
             # service API accepts arbitrary options): straight through
-            self.metrics.bump("uncacheable")
             record, origin = await loop.run_in_executor(
                 self._executor, self._compute, net, source, options, fingerprint
             )
@@ -407,28 +401,61 @@ class SchedulingService:
             self._inflight.pop(key, None)
 
     def _compute(self, net, source, options, fingerprint):
-        """Executor-thread body: warm-start lookup, then a live search."""
+        """Executor-thread body: the one lookup -> search -> write-through path.
+
+        Reads the L1, then the disk store (a disk hit is promoted into the
+        L1), and on a miss runs a live search whose outcome is written
+        through to both levels.  Returns ``(record, origin)``, ``origin``
+        being ``"l1"``, ``"disk"`` or ``"search"``, and bumps exactly one of
+        the ``l1_hits``, ``disk_hits`` and ``live_searches`` counters.
+        Uncacheable options (no :func:`~repro.cache.options_cache_key`) skip
+        both levels.
+        """
         start = time.perf_counter()
         with self._active_lock:
             self._active_searches += 1
         try:
-            record, origin = self.cache.lookup_record_with_origin(
-                net, source, options, fingerprint=fingerprint
-            )
-            if record is None:
-                result = self._search_fn(net, source, options=options)
-                record = result_to_record(result)
-                self.cache.store_record(
-                    net, source, options, record, fingerprint=fingerprint
-                )
-                origin = "search"
-            if origin == "l1":
-                self.metrics.bump("l1_hits")
-            elif origin == "disk":
-                self.metrics.bump("disk_hits")
+            opts_key = options_cache_key(options)
+            key = None if opts_key is None else (fingerprint, source, opts_key)
+            if key is None:
+                self.metrics.bump("uncacheable")
             else:
-                self.metrics.bump("live_searches")
-            return record, origin
+                record = self._l1.get(key)
+                if record is not None:
+                    self.metrics.bump("l1_hits")
+                    return record, "l1"
+                if self._store is not None:
+                    quarantined_before = self._store.stats.quarantined
+                    record = load_schedule_record(
+                        self._store,
+                        net,
+                        net_fingerprint=fingerprint,
+                        source=source,
+                        options_fp=options_fingerprint(opts_key),
+                    )
+                    if record is not None:
+                        self.metrics.bump("disk_hits")
+                        self._l1.put(key, record)
+                        return record, "disk"
+                    # only the quarantines this lookup caused (wire decode,
+                    # identity check or replay validation)
+                    self.metrics.bump(
+                        "disk_rejected",
+                        self._store.stats.quarantined - quarantined_before,
+                    )
+            record = result_to_record(self._search_fn(net, source, options=options))
+            self.metrics.bump("live_searches")
+            if key is not None:
+                self._l1.put(key, record)
+                if self._store is not None:
+                    store_schedule_record(
+                        self._store,
+                        net_fingerprint=fingerprint,
+                        source=source,
+                        options_fp=options_fingerprint(opts_key),
+                        record=record,
+                    )
+            return record, "search"
         finally:
             with self._active_lock:
                 self._active_searches -= 1

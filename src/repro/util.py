@@ -60,13 +60,12 @@ class BoundedLRU(Generic[K, V]):
     """A dictionary with least-recently-used eviction beyond ``capacity``.
 
     Backs the scheduling daemon's in-memory record cache (the L1 of
-    :class:`repro.cache.ScheduleWarmStartCache`) and its request memo:
-    ``get`` refreshes recency, ``put`` inserts and evicts the stalest
-    entries.
+    :class:`repro.serve.SchedulingService`) and its request memo: ``get``
+    refreshes recency, ``put`` inserts and evicts the stalest entries.
 
-    All operations are thread-safe: the scheduling-as-a-service executor
-    runs ``lookup``/``store`` from many threads against one shared L1, and
-    an unlocked ``OrderedDict`` corrupts its recency order under that load.
+    All operations are thread-safe: the service's executor threads read and
+    write one shared L1 while the event loop reads it for memo hits, and an
+    unlocked ``OrderedDict`` corrupts its recency order under that load.
     """
 
     __slots__ = ("capacity", "_store", "_lock")

@@ -27,18 +27,25 @@ from sim_counters import Case, cases
 FIXTURE = Path(__file__).parent / "golden" / "codegen" / "c_sha256.json"
 
 
-def c_digests(case: Case) -> Dict[str, str]:
-    """The sha256 of the synthesized C of every source of one pinned system."""
+def synthesized_c(case: Case) -> Dict[str, str]:
+    """The synthesized C of every source of one pinned system."""
     _name, linked, sources, _stimulus, _capacity, max_nodes = case
     results = find_all_schedules(
         linked.net, options=SchedulerOptions(max_nodes=max_nodes), sources=list(sources)
     )
-    digests = {}
+    texts = {}
     for source, result in sorted(results.items()):
         assert result.success, (source, result.failure_reason)
-        text = synthesize_task(linked, result.schedule).full_source
-        digests[source] = hashlib.sha256(text.encode()).hexdigest()
-    return digests
+        texts[source] = synthesize_task(linked, result.schedule).full_source
+    return texts
+
+
+def c_digests(case: Case) -> Dict[str, str]:
+    """The sha256 of the synthesized C of every source of one pinned system."""
+    return {
+        source: hashlib.sha256(text.encode()).hexdigest()
+        for source, text in synthesized_c(case).items()
+    }
 
 
 def main() -> None:

@@ -9,17 +9,24 @@ levels (and hammer them from their own threads) synchronously.
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 from repro.petrinet.fingerprint import structural_fingerprint
-from repro.scheduling.ep import SchedulerOptions, SchedulerResult
-from repro.scheduling.serialize import result_from_record
+from repro.scheduling.ep import SchedulerOptions
 
 
-def schedule_through(service, net, source, options=None) -> SchedulerResult:
+def schedule_through(service, net, source, options=None) -> Tuple[Dict[str, object], str]:
     """Schedule ``source`` of ``net`` through ``service``'s cache levels.
 
-    The record comes back as a :class:`SchedulerResult` bound to ``net``,
-    with ``from_cache`` set when a cache level answered.
+    Returns what ``_compute`` does: the net-free result record
+    (``serialize.result_to_record``) and its origin, ``"l1"``, ``"disk"``
+    or ``"search"``.
     """
     options = options or SchedulerOptions()
-    record, origin = service._compute(net, source, options, structural_fingerprint(net))
-    return result_from_record(net, source, record, from_cache=origin in ("l1", "disk"))
+    return service._compute(net, source, options, structural_fingerprint(net))
+
+
+def without_clock(record) -> Dict[str, object]:
+    """A result record minus ``elapsed_seconds``, the one field in which two
+    searches of one net differ."""
+    return {key: value for key, value in record.items() if key != "elapsed_seconds"}

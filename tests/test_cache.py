@@ -44,7 +44,7 @@ from repro.cache.stores import SCHEMA_VERSION, decode_wire, encode_wire
 from repro.petrinet.fingerprint import structural_fingerprint
 from repro.petrinet.invariants import t_invariant_basis
 from repro.scheduling.ep import SchedulerOptions, find_all_schedules, find_schedule
-from repro.scheduling.serialize import result_to_record, schedule_to_json
+from repro.scheduling.serialize import result_to_record, schedule_to_dict
 from repro.scheduling.termination import NodeBudget
 from repro.serve import SchedulingService
 from service_path import schedule_through
@@ -154,11 +154,9 @@ def test_sqlite_that_cannot_open_yields_null_store_and_search_runs(tmp_path, mon
     assert "OperationalError: disk I/O error" in store.describe()
     service = SchedulingService(store=store)
     for source in reference:
-        result = schedule_through(service, figure_5(), source)
-        assert result.success and not result.from_cache
-        assert schedule_to_json(result.schedule) == schedule_to_json(
-            reference[source].schedule
-        )
+        record, origin = schedule_through(service, figure_5(), source)
+        assert origin == "search"
+        assert record["schedule"] == schedule_to_dict(reference[source].schedule)
     assert service.snapshot()["live_searches"] == len(reference)
 
 
@@ -332,35 +330,37 @@ def test_two_level_cache_replays_across_instances(store):
     simulating a second process without forking one."""
     net = build_divisors_system().net
     first_service = SchedulingService(store=store)
-    first = schedule_through(first_service, net, "src.divisors.in")
-    assert not first.from_cache and first_service.cache.stats.misses == 1
+    first, origin = schedule_through(first_service, net, "src.divisors.in")
+    assert origin == "search" and first_service.snapshot()["live_searches"] == 1
 
     second_service = SchedulingService(store=store)
-    replay = schedule_through(
+    replay, origin = schedule_through(
         second_service, build_divisors_system().net, "src.divisors.in"
     )
-    assert replay.from_cache
-    stats = second_service.cache.stats
-    assert stats.disk_hits == 1 and stats.misses == 0
-    assert second_service.snapshot()["live_searches"] == 0  # zero EP search work
-    assert schedule_to_json(replay.schedule) == schedule_to_json(first.schedule)
-    assert replay.counters.as_dict() == first.counters.as_dict()
+    assert origin == "disk"
+    stats = second_service.snapshot()
+    assert stats["disk_hits"] == 1
+    assert stats["live_searches"] == 0  # zero EP search work
+    # the whole record: schedule, counters and the original search's clock
+    assert replay == first
 
 
 def test_failure_outcomes_replay_from_disk(store):
-    first = schedule_through(SchedulingService(store=store), figure_4b(), "a")
-    assert not first.success and not first.from_cache
-    second = schedule_through(SchedulingService(store=store), figure_4b(), "a")
-    assert not second.success and second.from_cache
-    assert second.failure_reason == first.failure_reason
+    first, origin = schedule_through(SchedulingService(store=store), figure_4b(), "a")
+    assert first["schedule"] is None and origin == "search"
+    second, origin = schedule_through(SchedulingService(store=store), figure_4b(), "a")
+    assert origin == "disk"
+    assert second == first  # failure reason included
 
 
 def test_uncacheable_options_bypass_the_store(store):
     service = SchedulingService(store=store)
     options = SchedulerOptions(termination=NodeBudget(10_000))
-    result = schedule_through(service, figure_5(), "a", options)
-    assert result.success and not result.from_cache
-    assert service.cache.stats.uncacheable == 1
+    record, origin = schedule_through(service, figure_5(), "a", options)
+    assert record["schedule"] is not None and origin == "search"
+    stats = service.snapshot()
+    assert stats["uncacheable"] == 1 and stats["live_searches"] == 1
+    assert stats["l1_entries"] == 0
     assert store.entries() == []  # nothing persisted (or even keyed)
 
 
@@ -369,9 +369,11 @@ def test_options_key_differences_miss(store):
         SchedulingService(store=store), figure_5(), "a", SchedulerOptions(max_nodes=1_000)
     )
     other = SchedulingService(store=store)
-    result = schedule_through(other, figure_5(), "a", SchedulerOptions(max_nodes=2_000))
-    assert not result.from_cache  # max_nodes is part of the key
-    assert other.cache.stats.misses == 1
+    _record, origin = schedule_through(
+        other, figure_5(), "a", SchedulerOptions(max_nodes=2_000)
+    )
+    assert origin == "search"  # max_nodes is part of the key
+    assert other.snapshot()["live_searches"] == 1
 
 
 def test_record_with_retired_counter_keys_is_never_replayed(store):
@@ -393,9 +395,9 @@ def test_record_with_retired_counter_keys_is_never_replayed(store):
         )
         is None
     )
-    result = schedule_through(SchedulingService(store=store), net, "src.divisors.in")
-    assert result.success and not result.from_cache
-    assert set(result.counters.as_dict()) == set(_record_for(net)["counters"])
+    searched, origin = schedule_through(SchedulingService(store=store), net, "src.divisors.in")
+    assert searched["schedule"] is not None and origin == "search"
+    assert set(searched["counters"]) == set(_record_for(net)["counters"])
 
 
 def test_env_dir_override_and_null_degradation(tmp_path, monkeypatch):
@@ -414,8 +416,8 @@ def test_env_dir_override_and_null_degradation(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "nested"))
     null = activate()
     assert isinstance(null, NullStore)
-    result = schedule_through(SchedulingService(store=null), figure_5(), "a")
-    assert result.success and not result.from_cache  # still schedules fine
+    record, origin = schedule_through(SchedulingService(store=null), figure_5(), "a")
+    assert record["schedule"] is not None and origin == "search"  # still schedules fine
 
 
 def test_disk_rejected_counts_only_this_caches_rejections(store):
@@ -429,16 +431,16 @@ def test_disk_rejected_counts_only_this_caches_rejections(store):
         {"net_fingerprint": "wrong", "source": "src.divisors.in", "options_fp": ofp,
          "record": {}},
     )
-    # unrelated quarantine history must not leak into the warm-start stats
+    # unrelated quarantine history must not leak into the service's counters
     store.put("t_invariant_basis", "junk", {"x": 1})
     store.quarantine("t_invariant_basis", "junk", "unrelated")
     service = SchedulingService(store=store)
-    result = schedule_through(service, net, "src.divisors.in")
-    assert result.success and not result.from_cache
-    assert service.cache.stats.disk_rejected == 1  # exactly the corrupt schedule entry
+    record, origin = schedule_through(service, net, "src.divisors.in")
+    assert record["schedule"] is not None and origin == "search"
+    assert service.snapshot()["disk_rejected"] == 1  # exactly the corrupt schedule entry
     # a plain miss afterwards does not bump the counter
     schedule_through(service, figure_5(), "a")
-    assert service.cache.stats.disk_rejected == 1
+    assert service.snapshot()["disk_rejected"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +555,7 @@ from repro.serve.protocol import canonical_json
 async def schedule_both(service):
     payloads = []
     for net in (build_divisors_system().net, random_multi_source_net(3, 4, seed=11)):
-        payloads += await service.schedule_net(net, net.uncontrollable_sources(), None)
+        payloads += (await service.schedule_net(net, net.uncontrollable_sources(), None))[0]
     return payloads
 
 

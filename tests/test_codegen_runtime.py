@@ -107,8 +107,9 @@ def test_synthesize_divisors_task(divisors_system, divisors_schedule):
     source = task.full_source
     # three sections are present
     assert "_init(void)" in source and "_ISR(void)" in source
-    # the ISR starts with the entry segment and contains the data choices
-    assert task.count_construct("labels") >= 1
+    # the ISR starts with the entry segment and contains the data choices;
+    # cs1..cs4 label the segment roots and the ECSs the gotos land on
+    assert task.count_construct("labels") == 4
     assert task.count_construct("returns") >= 1
     assert "if (" in task.run_section
     # the divisors code appears in the generated text
@@ -218,6 +219,15 @@ def test_switch_without_default_skips_an_unmatched_value():
     system = _solo_system(SWITCH_0_1 + " } WRITE_DATA(o, x, 1);")
     assert _both_outputs(system, [5, 1]) == ([5, 20, 1], [5, 20, 1])
     assert "default:" in [line.strip() for line in _isr(system).splitlines()]
+
+
+def test_a_braced_case_body_ending_in_break_leaves_the_switch():
+    # the break is C's exit from the switch, not code of the case's transition
+    system = _solo_system(
+        "READ_DATA(i, x, 1); switch (x) { case 0: { WRITE_DATA(o, 10, 1); break; } "
+        "case 1: { WRITE_DATA(o, 20, 1); break; } }"
+    )
+    assert _both_outputs(system, [0, 1]) == ([10, 20], [10, 20])
 
 
 def test_nested_blocks_around_port_statements_compile():

@@ -31,7 +31,7 @@ from repro.cache.stores import SqliteStore
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.scheduling.ep import find_schedule
 from repro.scheduling.heuristics import ECSOrderingHeuristic, make_heuristic
-from repro.scheduling.serialize import schedule_fingerprint
+from repro.scheduling.serialize import schedule_dict_fingerprint
 from repro.serve import SchedulingService
 from repro.util import BoundedLRU, raised_recursion_limit
 from service_path import schedule_through
@@ -97,24 +97,23 @@ def test_warmstart_cache_hammer_single_fingerprint():
     the stats and the LRU coherent.
     """
     service = SchedulingService(l1_capacity=16)
-    reference = schedule_through(service, paper_nets.figure_5(), "a")
-    expected = schedule_fingerprint(reference.schedule)
+    reference, _origin = schedule_through(service, paper_nets.figure_5(), "a")
+    expected = schedule_dict_fingerprint(reference["schedule"])
     fingerprints = []
     lock = threading.Lock()
 
     def worker(index):
         net = paper_nets.figure_5()
         for _ in range(25):
-            result = schedule_through(service, net, "a")
+            record, _origin = schedule_through(service, net, "a")
             with lock:
-                fingerprints.append(schedule_fingerprint(result.schedule))
+                fingerprints.append(schedule_dict_fingerprint(record["schedule"]))
 
     _run_threads(worker, 8)
     assert set(fingerprints) == {expected}
-    stats = service.cache.stats.as_dict()
+    stats = service.snapshot()
     # one live search (the reference); everything after replays from L1
-    assert stats["misses"] == 1 and service.snapshot()["live_searches"] == 1
-    assert stats["hits"] == 8 * 25
+    assert stats["live_searches"] == 1 and stats["l1_hits"] == 8 * 25
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,6 @@ from repro.scheduling.ep import find_all_schedules
 results = find_all_schedules(paper_nets.figure_5())
 print(json.dumps({
     "observables": [observables(result) for result in results.values()],
-    "from_cache": [result.from_cache for result in results.values()],
     "basis": t_invariant_basis(paper_nets.figure_5()),
 }))
 """
@@ -128,7 +127,6 @@ def test_env_disabled_searches_stay_byte_identical(tmp_path):
     results = find_all_schedules(paper_nets.figure_5())
     reference = {
         "observables": [observables(result) for result in results.values()],
-        "from_cache": [False] * len(results),
         "basis": t_invariant_basis(paper_nets.figure_5()),
     }
     assert runs == [json.loads(json.dumps(reference))] * 2

@@ -195,7 +195,6 @@ def test_structural_analysis_bundle(divisors_system):
     assert analysis.uncontrollable == {"src.divisors.in"}
     ecs = analysis.ecs_of("src.divisors.in")
     assert analysis.is_source_ecs(ecs)
-    assert analysis.ecs_label(frozenset({"b", "a"})) == "a_b"
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ PUBLIC_API = [
     ("repro.scheduling.serialize", "schedule_to_json"),
     ("repro.scheduling.serialize", "schedule_fingerprint"),
     ("repro.scheduling.serialize", "result_to_record"),
-    ("repro.scheduling.serialize", "result_from_record"),
     ("repro.scheduling.serialize", "schedule_summary"),
     # schedules and the net facade
     ("repro.scheduling.schedule", "Schedule"),
@@ -53,8 +52,7 @@ PUBLIC_API = [
     ("repro.scheduling.termination", "default_termination"),
     ("repro.scheduling.termination", "IncrementalIrrelevance"),
     ("repro.petrinet.indexed", "MarkingStore"),
-    # the daemon's record cache and its disk store
-    ("repro.cache", "ScheduleWarmStartCache"),
+    # the disk level of the daemon's record cache
     ("repro.cache", "options_cache_key"),
     ("repro.cache", "CacheStore"),
     ("repro.cache", "SqliteStore"),
@@ -62,6 +60,7 @@ PUBLIC_API = [
     ("repro.cache", "activate"),
     ("repro.cache", "load_schedule_record"),
     ("repro.cache", "store_schedule_record"),
+    ("repro.cache", "schedule_entry_problem"),
     ("repro.cache.cli", "main"),
     # the scheduling daemon
     ("repro.serve", "SchedulingService"),
@@ -83,7 +82,6 @@ MUST_HAVE_EXAMPLE = {
     ("repro.scheduling.ep", "find_schedule"),
     ("repro.scheduling.ep", "find_all_schedules"),
     ("repro.scheduling.ep", "SchedulerOptions"),
-    ("repro.cache", "ScheduleWarmStartCache"),
     ("repro.cache", None),  # the package docstring itself
     ("repro.serve", None),  # the package docstring itself
     ("repro.serve.server", "start_server"),

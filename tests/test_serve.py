@@ -38,6 +38,7 @@ from repro.scheduling.serialize import schedule_fingerprint
 from repro.serve import (
     ProtocolError,
     SchedulingService,
+    ServeMetrics,
     net_from_dict,
     net_to_dict,
     options_from_dict,
@@ -598,7 +599,7 @@ def test_retired_options_answer_bad_options_like_unknown_ones():
     for name, response in zip(retired, responses):
         assert not response["ok"] and response["error"]["type"] == "bad-options"
         assert name in response["error"]["message"]
-        assert response["protocol"] == protocol.PROTOCOL_VERSION == 4
+        assert response["protocol"] == protocol.PROTOCOL_VERSION == 5
 
 
 def test_wrong_typed_options_answer_bad_options():
@@ -703,12 +704,11 @@ def test_stats_endpoint_reports_counters_and_histograms():
         "memo_entries",
         "queue",
         "latency",
-        "warmstart",
     ):
         assert key in stats, key
     assert stats["requests"] == 3 and stats["responses"] == 3
     assert stats["live_searches"] == 2  # figure_5 has two sources
-    assert stats["l1_hits"] == 4 and stats["warmstart"]["hits"] == 4
+    assert stats["l1_hits"] == 4
     assert stats["memo_hits"] == 1 and stats["memo_entries"] == 1
     latency = stats["latency"]
     assert latency["search"]["count"] == 4  # the memo hit searched nothing
@@ -832,11 +832,11 @@ def test_cancelled_waiter_does_not_kill_shared_search():
         # queueing its fingerprint computation behind the busy worker
         fingerprint = structural_fingerprint(net)
         first = asyncio.create_task(
-            service.schedule_source(net, "a", options, fingerprint=fingerprint)
+            service.schedule_net(net, ["a"], options, fingerprint=fingerprint)
         )
         await asyncio.sleep(0.05)  # let it register in the single-flight map
         second = asyncio.create_task(
-            service.schedule_source(net, "a", options, fingerprint=fingerprint)
+            service.schedule_net(net, ["a"], options, fingerprint=fingerprint)
         )
         await asyncio.sleep(0.05)
         first.cancel()
@@ -844,7 +844,7 @@ def test_cancelled_waiter_does_not_kill_shared_search():
             await first
         except asyncio.CancelledError:
             pass
-        payload = await second
+        (payload,), _bindings = await second
         service.close()
         return payload, service.snapshot()
 
@@ -1023,11 +1023,63 @@ def test_memo_answers_match_the_full_path_byte_for_byte(tmp_path):
         for store in stores:
             store.close()
     assert with_memo == without
-    for key in ("requests", "responses", "l1_hits", "disk_hits", "live_searches"):
-        assert memo_stats[key] == plain_stats[key], key
-    assert memo_stats["warmstart"] == plain_stats["warmstart"]
+    # a memo hit stands for the L1 hits it replaces: every other counter agrees
+    for key in ServeMetrics.COUNTERS:
+        if key != "memo_hits":
+            assert memo_stats[key] == plain_stats[key], key
     assert memo_stats["memo_hits"] > 0 and plain_stats["memo_hits"] == 0
     assert memo_stats["disk_hits"] > 0
+
+
+def test_the_daemons_counters_add_up(tmp_path):
+    """Each source a response answers is exactly one L1 hit, disk hit, live
+    search or coalesced wait, and ``stats`` reports one counter block."""
+    stampede = _schedule_line(paper_nets.figure_5)
+
+    async def scenario(store):
+        # l1_capacity=2: the L1 evicts, and evicted records return from disk
+        server = await start_server(max_workers=2, l1_capacity=2, store=store)
+        clients = [await _Connection.open(server.port) for _ in range(8)]
+        try:
+            # eight connections ask for one net at once: a stampede
+            server.service._search_fn = _slow(0.2)
+            answers = list(await asyncio.gather(*(c.ask(stampede) for c in clients)))
+            server.service._search_fn = find_schedule
+            # repeated lines: memo hits, L1 hits, evictions, disk hits
+            answers += [await clients[0].ask(line) for line in _memo_sequence(20261018)]
+            stats = json.loads(await clients[0].ask(_line({"op": "stats"})))["stats"]
+        finally:
+            for client in clients:
+                await client.close()
+            await server.shutdown()
+        return answers, stats
+
+    store = SqliteStore(tmp_path / "l2")
+    try:
+        answers, stats = asyncio.run(scenario(store))
+    finally:
+        store.close()
+    answered = 0
+    for answer in answers:
+        response = json.loads(answer)
+        assert response["ok"], response
+        answered += len(response["results"])
+    assert answered == (
+        stats["l1_hits"] + stats["disk_hits"] + stats["live_searches"] + stats["coalesced"]
+    )
+    for counter in ("l1_hits", "disk_hits", "live_searches", "coalesced", "memo_hits"):
+        assert stats[counter] > 0, counter
+    # one counter block: the service's counters and their sum, beside the
+    # queue, the latency histograms and the two cache sizes
+    assert "warmstart" not in stats
+    assert set(stats) == {
+        *ServeMetrics.COUNTERS,
+        "cache_hits",
+        "latency",
+        "queue",
+        "l1_entries",
+        "memo_entries",
+    }
 
 
 def test_memo_never_answers_from_a_replaced_record():
@@ -1067,17 +1119,24 @@ def test_memo_never_answers_from_a_replaced_record():
 
 def test_replay_hits_requires_the_same_record_object():
     service = SchedulingService(l1_capacity=2)
-    cache = service.cache
     net = paper_nets.figure_6()
     schedule_through(service, net, "a")
-    (key,) = list(cache._l1)
-    record, _origin = cache.lookup_record_with_origin(net, "a", SchedulerOptions())
-    hits = cache.stats.hits
-    assert cache.replay_hits(((key, record),))
-    assert cache.stats.hits == hits + 1
-    assert not cache.replay_hits(((key, dict(record)),))  # equal, not the same
-    assert not cache.replay_hits(((key, record), (("gone",), record)))
-    assert cache.stats.hits == hits + 1
+    record, origin = schedule_through(service, net, "a")
+    assert origin == "l1"
+    (key,) = list(service._l1)
+
+    def recall(bindings):
+        service.remember(b"digest", b"response\n", bindings)
+        return service.recall(b"digest")
+
+    hits = service.metrics.l1_hits
+    assert recall(((key, record),)) == b"response\n"
+    assert service.metrics.l1_hits == hits + 1
+    assert recall(((key, dict(record)),)) is None  # equal, not the same
+    assert recall(((key, record), (("gone",), record))) is None
+    assert service.metrics.l1_hits == hits + 1
+    assert service.metrics.memo_hits == 1
+    assert service.recall(b"digest") is None  # a stale entry is dropped
 
 
 def _held_searches(release: threading.Event):

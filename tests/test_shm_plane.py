@@ -37,7 +37,7 @@ from repro.scheduling.ep import find_all_schedules, find_schedule
 from repro.scheduling.serialize import schedule_fingerprint, schedule_to_json
 from repro.serve import SchedulingService
 from repro.serve.protocol import ProtocolError, net_from_dict, net_to_dict
-from service_path import schedule_through
+from service_path import schedule_through, without_clock
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -225,9 +225,9 @@ def test_worker_lru_eviction_detaches_attachments():
     service = SchedulingService(l1_capacity=4)
     assert len(builders) > 4
     first = [schedule_through(service, builder(), "a") for builder in builders]
-    assert not any(result.from_cache for result in first)
+    assert all(origin == "search" for _record, origin in first)
     # capacity exceeded by one: the first entry was evicted, the last stays
-    assert schedule_through(service, builders[-1](), "a").from_cache
-    again = schedule_through(service, builders[0](), "a")
-    assert not again.from_cache
-    assert _identity(again) == _identity(first[0])
+    assert schedule_through(service, builders[-1](), "a")[1] == "l1"
+    again, origin = schedule_through(service, builders[0](), "a")
+    assert origin == "search"
+    assert without_clock(again) == without_clock(first[0][0])

@@ -16,14 +16,15 @@ re-searching, however it was rebuilt.  This package holds the disk level:
   open it, the store is a :class:`NullStore` and every lookup misses;
 * :func:`load_schedule_record` / :func:`store_schedule_record` -- read and
   write one scheduling record under its full identity;
-* :func:`options_cache_key` -- the options part of the key.
+* :func:`options_cache_key` -- the options part of the key, defined for
+  every options value.
 
 A disk entry is a canonical schedule record
 (``scheduling/serialize.result_to_record``, which embeds the original
 :class:`~repro.scheduling.ep.SearchCounters`) under ``(schema_version,
 structural_fingerprint, options_fingerprint, source_transition)`` -- the
 options fingerprint covers every :class:`~repro.scheduling.ep.SchedulerOptions`
-field that can change the outcome or its accounting.
+field, since each can change the outcome or its accounting.
 
 Integrity contract (see ``docs/architecture.md``):
 
@@ -275,14 +276,11 @@ def store_schedule_record(
     )
 
 
-def options_cache_key(options: SchedulerOptions) -> Optional[Tuple]:
-    """Hashable identity of the options, or ``None`` when uncacheable.
+def options_cache_key(options: SchedulerOptions) -> Tuple:
+    """Hashable identity of the options.
 
-    Covers every :class:`SchedulerOptions` field that can change the search
-    outcome or its accounting.  A caller-supplied termination condition is
-    an arbitrary object with no stable fingerprint, so those options are
-    uncacheable.
+    Covers every :class:`SchedulerOptions` field, since each can change the
+    search outcome or its accounting; every field is plain data, so every
+    options value has a key.
     """
-    if options.termination is not None:
-        return None
-    return (options.use_invariant_heuristic, options.max_nodes)
+    return (options.use_invariant_heuristic, options.max_nodes, options.place_bound)

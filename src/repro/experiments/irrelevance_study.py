@@ -4,8 +4,9 @@ Section 4.4 argues that pruning the scheduling search with pre-defined place
 bounds (the approach of [13]) fails on the divider/multiplier family of
 Figure 7 for any constant bound, while the irrelevance criterion (based on
 place degrees and the marking history) finds the schedule.  This experiment
-runs both termination conditions on the family for several values of ``k``
-and several candidate bounds and reports which succeed.
+runs both pruning strategies (``SchedulerOptions.place_bound``) on the family
+for several values of ``k`` and several candidate bounds and reports which
+succeed.
 """
 
 from __future__ import annotations
@@ -15,17 +16,11 @@ from typing import List, Sequence
 
 from repro.apps.paper_nets import figure_7
 from repro.scheduling.ep import SchedulerOptions, find_schedule
-from repro.scheduling.termination import (
-    CompositeCondition,
-    IrrelevanceCriterion,
-    NodeBudget,
-    PlaceBoundCondition,
-)
 
 
 @dataclass
 class IrrelevanceStudyRow:
-    """Outcome of one (k, termination condition) combination."""
+    """Outcome of one (k, pruning strategy) combination."""
 
     k: int
     condition: str  # "irrelevance" or "bound=<n>"
@@ -45,42 +40,20 @@ def run_irrelevance_study(
     rows: List[IrrelevanceStudyRow] = []
     for k in ks:
         net = figure_7(k)
-        # irrelevance criterion (the paper's proposal)
-        irrelevance = CompositeCondition(
-            conditions=[IrrelevanceCriterion.for_net(net), NodeBudget(max_nodes=max_nodes)]
-        )
-        result = find_schedule(
-            net,
-            "a",
-            options=SchedulerOptions(termination=irrelevance, max_nodes=max_nodes),
-        )
-        rows.append(
-            IrrelevanceStudyRow(
-                k=k,
-                condition="irrelevance",
-                success=result.success,
-                schedule_nodes=len(result.schedule) if result.schedule else 0,
-                tree_nodes=result.tree_nodes,
-                elapsed_seconds=result.elapsed_seconds,
-            )
-        )
-        # pre-defined uniform place bounds (the approach the paper argues against)
-        for bound in bounds:
-            condition = CompositeCondition(
-                conditions=[
-                    PlaceBoundCondition.uniform(net, bound),
-                    NodeBudget(max_nodes=max_nodes),
-                ]
-            )
+        # the irrelevance criterion (the paper's proposal), then pre-defined
+        # uniform place bounds (the approach the paper argues against)
+        strategies = [("irrelevance", None)]
+        strategies += [(f"bound={bound}", bound) for bound in bounds]
+        for condition, place_bound in strategies:
             result = find_schedule(
                 net,
                 "a",
-                options=SchedulerOptions(termination=condition, max_nodes=max_nodes),
+                options=SchedulerOptions(max_nodes=max_nodes, place_bound=place_bound),
             )
             rows.append(
                 IrrelevanceStudyRow(
                     k=k,
-                    condition=f"bound={bound}",
+                    condition=condition,
                     success=result.success,
                     schedule_nodes=len(result.schedule) if result.schedule else 0,
                     tree_nodes=result.tree_nodes,

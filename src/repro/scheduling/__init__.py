@@ -2,8 +2,8 @@
 
 * :mod:`repro.scheduling.schedule` -- schedule graphs (Section 4.1) and their
   defining properties, await nodes, channel bounds.
-* :mod:`repro.scheduling.termination` -- termination conditions pruning the
-  search: irrelevance criterion, place bounds (Section 4.4).
+* :mod:`repro.scheduling.termination` -- the irrelevance criterion pruning
+  the search (Definition 4.5), incrementally and by the exact walk.
 * :mod:`repro.scheduling.heuristics` -- ECS ordering heuristics, including the
   T-invariant promising vector (Section 5.5).
 * :mod:`repro.scheduling.ep` -- the EP / EP_ECS scheduling algorithm
@@ -20,15 +20,6 @@ from repro.scheduling.schedule import (
     Schedule,
     ScheduleNode,
     ScheduleValidationError,
-)
-from repro.scheduling.termination import (
-    CompositeCondition,
-    IrrelevanceCriterion,
-    NodeBudget,
-    PlaceBoundCondition,
-    TerminationCondition,
-    UserBoundCondition,
-    default_termination,
 )
 from repro.scheduling.ep import (
     SchedulerOptions,
@@ -54,10 +45,6 @@ from repro.scheduling.independence import (
 from repro.scheduling.runs import Run, RunError, build_run, check_executability
 
 __all__ = [
-    "CompositeCondition",
-    "IrrelevanceCriterion",
-    "NodeBudget",
-    "PlaceBoundCondition",
     "Run",
     "RunError",
     "Schedule",
@@ -67,12 +54,9 @@ __all__ = [
     "SchedulerResult",
     "SchedulingFailure",
     "SearchCounters",
-    "TerminationCondition",
-    "UserBoundCondition",
     "are_mutually_independent",
     "build_run",
     "check_executability",
-    "default_termination",
     "find_all_schedules",
     "find_schedule",
     "involved_places",

@@ -8,9 +8,10 @@ the child that is the root itself.  ``EP(v, target)`` looks for an ancestor of
 resolve; ``EP_ECS(E, v, target)`` does so for one enabled ECS by requiring an
 entering point from every transition of the ECS.
 
-Termination conditions (irrelevance criterion, place bounds, node budget)
-prune the search space; Theorem 5.2 guarantees that a schedule is found if and
-only if one exists in the pruned reachability tree.
+Section 4.4's pruning (the irrelevance criterion of Definition 4.5, or
+pre-defined place bounds), the declared channel bounds and a node budget
+stop the search past a node; Theorem 5.2 guarantees that a schedule is found
+if and only if one exists in the pruned reachability tree.
 
 After a successful search, post-processing retains only the chosen ECSs and
 closes cycles by merging each leaf with the ancestor carrying the same
@@ -18,12 +19,11 @@ marking, yielding a :class:`~repro.scheduling.schedule.Schedule`.
 
 The search walks one transition at a time, exactly as the paper states the
 algorithm, and keeps every per-node test incremental along the DFS path:
-each node's over-degree places derive from its parent's, the termination
-condition is folded once
-(:func:`~repro.scheduling.termination.fold_termination`) and decided on a
-node or lookahead probe without rescanning its marking, and the
-invariant-guided heuristic's promising vector lives in a
-:class:`~repro.scheduling.heuristics.CycleTracker` updated on push/pop.
+each node's over-degree places derive from its parent's, one method
+(``_EPSearch._prunes``) decides a node or a lookahead probe without
+rescanning its marking, and the invariant-guided heuristic's promising
+vector lives in a :class:`~repro.scheduling.heuristics.CycleTracker`
+updated on push/pop.
 """
 
 from __future__ import annotations
@@ -45,12 +45,7 @@ from repro.scheduling.heuristics import (
     make_heuristic,
 )
 from repro.scheduling.schedule import Schedule
-from repro.scheduling.termination import (
-    FoldedTermination,
-    TerminationCondition,
-    default_termination,
-    fold_termination,
-)
+from repro.scheduling.termination import IncrementalIrrelevance, witnessed_by
 from repro.util import raised_recursion_limit
 
 ECS = FrozenSet[str]
@@ -73,30 +68,32 @@ class SchedulerOptions:
       tie-break ordering (usually a large tree-size win).  Under it the
       search first fails fast when no T-invariant fires the source
       transition (Section 5.5.2's non-schedulability test).
-    * ``termination`` -- an explicit :class:`TerminationCondition`;
-      ``None`` builds the default composite (irrelevance criterion +
-      user place bounds + ``max_nodes`` budget).  Custom conditions make
-      the search uncacheable by the daemon's record cache.
     * ``max_nodes`` -- hard budget on scheduling-tree nodes; exceeded
       searches fail with a budget reason instead of running forever.
+    * ``place_bound`` -- how Section 4.4 prunes the search.  ``None``
+      prunes by the irrelevance criterion (Definition 4.5); an integer
+      prunes instead every marking with more tokens than that on some
+      place (the pre-defined bounds of [13]).  A failed search that such a
+      bound cut says so: schedulability is then undecided.
 
     The rest is fixed behaviour, not configuration: every search builds a
     single-source schedule (Section 4.2: ECSs containing *other*
-    uncontrollable sources are never fired), fires source ECSs only when
-    nothing else yields an entering point (Section 4.4), and checks every
-    schedule it returns with ``Schedule.validate`` (the five Section 4.1
-    properties).
+    uncontrollable sources are never fired), never lets a channel place
+    exceed the ``bound`` its specification declares, fires source ECSs
+    only when nothing else yields an entering point (Section 4.4), and
+    checks every schedule it returns with ``Schedule.validate`` (the five
+    Section 4.1 properties).
 
     Example::
 
         >>> options = SchedulerOptions(max_nodes=50_000)
-        >>> (options.use_invariant_heuristic, options.termination, options.max_nodes)
-        (True, None, 50000)
+        >>> (options.use_invariant_heuristic, options.max_nodes, options.place_bound)
+        (True, 50000, None)
     """
 
     use_invariant_heuristic: bool = True
-    termination: Optional[TerminationCondition] = None
     max_nodes: int = 200_000
+    place_bound: Optional[int] = None
 
 
 @dataclass
@@ -155,15 +152,6 @@ class TreeNode:
     # places whose count exceeds their degree (ascending IDs); maintained
     # only while the tree tracks degrees (SchedulingTree.track_over_degree)
     over: Tuple[int, ...] = ()
-
-    @property
-    def marking(self) -> Marking:
-        """Facade view; prefer ``SchedulingTree.marking_of`` (it caches)."""
-        if self.marking_cache is None:
-            raise AttributeError(
-                "marking not materialised; use SchedulingTree.marking_of"
-            )
-        return self.marking_cache
 
 
 class SchedulingTree:
@@ -268,33 +256,15 @@ class SchedulingTree:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    # -- SchedulingTreeView protocol ---------------------------------------
+    # -- markings ------------------------------------------------------------
     def vec_of(self, node: int) -> MarkingVec:
         return self.nodes[node].vec
-
-    def depth_of(self, node: int) -> int:
-        """Tree depth of ``node`` (root = 0); O(1) via the stored field.
-
-        Termination conditions prefer this over counting
-        :meth:`ancestors_of` -- same value, no O(depth) walk per query.
-        """
-        return self.nodes[node].depth
 
     def marking_of(self, node: int) -> Marking:
         tree_node = self.nodes[node]
         if tree_node.marking_cache is None:
             tree_node.marking_cache = self.inet.marking_of_vec(tree_node.vec)
         return tree_node.marking_cache
-
-    def total_tokens_of(self, node: int) -> int:
-        return self.nodes[node].total_tokens
-
-    def ancestors_of(self, node: int):
-        """Proper ancestors, nearest first (generator to avoid allocations)."""
-        current = self.nodes[node].parent
-        while current is not None:
-            yield current
-            current = self.nodes[current].parent
 
     # -- incremental enabled sets -------------------------------------------
     def enabled_of(self, node: int) -> FrozenSet[int]:
@@ -347,26 +317,6 @@ class SchedulingTree:
         if self.cycle is not None and tree_node.tid is not None:
             self.cycle.pop(tree_node.tid)
 
-    def path_probe_state(self, node: int):
-        """Path state for ``IrrelevanceCriterion.holds``, or ``None``.
-
-        Used where the search falls back to ``termination.holds`` (a
-        condition that does not fold).  Returns ``(marking_index,
-        total_counts)`` -- the vec -> node map and the token-total multiset
-        of the current DFS path -- but only when ``node``'s proper ancestors
-        are exactly the path markings: ``node`` is the top of the path (then
-        the path also holds its own marking, which the checker never probes
-        since witnesses differ from the candidate) or a fresh child of the
-        top (a lookahead probe).  Any other node gets ``None`` and
-        the caller's ancestor walk.
-        """
-        if not self._path:
-            return None
-        top = self._path[-1]
-        if top == node or self.nodes[node].parent == top:
-            return self._markings_on_path, self._path_total_counts
-        return None
-
     def equal_marking_ancestor(self, node: int) -> Optional[int]:
         """Proper ancestor on the current path carrying the same marking."""
         vec = self.nodes[node].vec
@@ -376,20 +326,19 @@ class SchedulingTree:
         return candidate
 
     def is_ancestor(self, ancestor: int, node: int) -> bool:
-        """True if ``ancestor`` is on the path from the root to ``node``
-        (assuming ``node`` lies on the current DFS path)."""
+        """True if ``ancestor`` is on the path from the root to ``node``.
+
+        ``node`` lies on the current DFS path, and so does every point EP
+        or EP_ECS returns, so the path lookup decides.
+        """
         if ancestor == node:
             return True
         depth = self.nodes[ancestor].depth
-        if depth >= len(self._path):
-            # node might not be on the path (defensive fallback: walk parents)
-            current: Optional[int] = node
-            while current is not None:
-                if current == ancestor:
-                    return True
-                current = self.nodes[current].parent
-            return False
-        return self._path[depth] == ancestor and depth <= self.nodes[node].depth
+        return (
+            depth < len(self._path)
+            and self._path[depth] == ancestor
+            and depth <= self.nodes[node].depth
+        )
 
     def path_firings(self) -> Mapping[str, int]:
         """Firing count per transition along the current DFS path (a fresh dict)."""
@@ -438,9 +387,6 @@ class _EPSearch:
             # silently mixing ID spaces.
             analysis = StructuralAnalysis.of(net)
         self.analysis = analysis
-        self.termination = options.termination or default_termination(
-            net, analysis=self.analysis, max_nodes=options.max_nodes
-        )
         self.heuristic = heuristic or make_heuristic(
             net, self.analysis, source, use_invariants=options.use_invariant_heuristic
         )
@@ -480,32 +426,24 @@ class _EPSearch:
         }
         if isinstance(self.heuristic, InvariantGuidedOrdering):
             self.tree.cycle = self.heuristic.cycle_tracker(self.inet.transition_index)
-        fold = fold_termination(self.termination, self.inet)
-        # the smallest NodeBudget leaf, folded or not (it names a failure)
-        self._budget_leaf = fold.budget
-        # the folded verdict; None falls back to termination.holds (a leaf
-        # that does not fold)
-        self._fold: Optional[FoldedTermination] = None
-        self._incremental = None
-        if not fold.extra:
-            self._fold = fold
-            if fold.irrelevance is not None:
-                self._incremental = fold.irrelevance.incremental_for(self.inet)
-                self.tree.track_over_degree(fold.irrelevance.degrees_vec(self.inet))
-
-    def _exhausted_budget(self) -> Optional[int]:
-        """The node budget the tree ran into, if any.
-
-        ``max_nodes`` stops the tree at that many nodes; a
-        :class:`~repro.scheduling.termination.NodeBudget` leaf prunes every
-        node whose index reaches it, so the tree outgrew that budget.
-        """
-        size = len(self.tree)
-        if self._budget_leaf is not None and size > self._budget_leaf:
-            return self._budget_leaf
-        if size >= self.options.max_nodes:
-            return self.options.max_nodes
-        return None
+        # (place ID, bound) of every channel place whose bound the
+        # specification declares
+        places = net.places
+        self._channel_bounds = tuple(
+            (pid, places[name].bound)
+            for pid, name in enumerate(self.inet.place_names)
+            if places[name].bound is not None
+        )
+        # Section 4.4: the irrelevance criterion, or a pre-defined bound on
+        # every place; whether that bound pruned anything names a failure
+        self._bound_cut = False
+        self._degrees: Tuple[int, ...] = ()
+        self._incremental: Optional[IncrementalIrrelevance] = None
+        if options.place_bound is None:
+            degrees = self.analysis.degrees
+            self._degrees = tuple(degrees.get(name, 0) for name in self.inet.place_names)
+            self._incremental = IncrementalIrrelevance(self._degrees)
+            self.tree.track_over_degree(self._degrees)
 
     def _fire(self, tid: int, vec) -> tuple:
         self.counters.fires += 1
@@ -549,13 +487,19 @@ class _EPSearch:
 
         self.counters.interned_markings = len(self.tree.store)
         if entering_point != root:
+            options = self.options
             reason = "no entering point reaching the initial marking was found"
-            budget = self._exhausted_budget()
-            if budget is not None:
+            if len(self.tree) >= options.max_nodes:
                 reason = (
-                    f"node budget of {budget} tree nodes exhausted before an entering "
-                    "point reaching the initial marking was found; schedulability "
-                    "is undecided"
+                    f"node budget of {options.max_nodes} tree nodes exhausted "
+                    "before an entering point reaching the initial marking was "
+                    "found; schedulability is undecided"
+                )
+            elif self._bound_cut:
+                reason = (
+                    f"pre-defined place bound ({options.place_bound} tokens per "
+                    "place) pruned the search before an entering point reaching "
+                    "the initial marking was found; schedulability is undecided"
                 )
             return SchedulerResult(
                 source_transition=self.source,
@@ -585,14 +529,12 @@ class _EPSearch:
         deferred source ECSs (Section 4.4).
         """
         self.counters.nodes_expanded += 1
-        if self._fold is not None:
-            if self._node_holds(v):
-                return UNDEF
-        elif self.termination.holds(self.tree, v):
+        node = self.tree.nodes[v]
+        if self._prunes(v, node.vec, node.total_tokens, node.over):
             return UNDEF
         equal = self.tree.equal_marking_ancestor(v)
         if equal is not None:
-            self.tree.nodes[v].equal_ancestor = equal
+            node.equal_ancestor = equal
             return equal
 
         nodes = self.tree.nodes
@@ -603,10 +545,10 @@ class _EPSearch:
                 if entering_point is UNDEF:
                     continue
                 if self.tree.is_ancestor(entering_point, target):
-                    nodes[v].ecs_choice = ecs
+                    node.ecs_choice = ecs
                     return entering_point
                 if best is UNDEF or nodes[entering_point].depth < nodes[best].depth:
-                    nodes[v].ecs_choice = ecs
+                    node.ecs_choice = ecs
                     best = entering_point
             if best is not UNDEF:
                 return best
@@ -655,16 +597,16 @@ class _EPSearch:
         """The per-ECS one-step lookahead, one transition at a time.
 
         Fires each candidate of every enabled non-source ECS in sorted-name
-        order until one closes a cycle on the path or hits the termination
-        condition.  A probe that does not close a cycle is interned, exactly
-        as the child it stands for would be; under a folded condition it is
-        decided on that marking without a probe node.
+        order until one closes a cycle on the path or is pruned.  A probe
+        that does not close a cycle is interned, exactly as the child it
+        stands for would be, and decided on that marking without a probe
+        node: it takes the tree index its child would get.
         """
         tree = self.tree
         node = tree.nodes[v]
         vec = node.vec
         on_path = tree._markings_on_path
-        folded = self._fold is not None
+        token_delta = self.inet.token_delta
         lookahead: Dict[ECS, ECSLookahead] = {}
         for ecs_id, ecs in zip(enabled_ids, enabled):
             hits = False
@@ -675,14 +617,16 @@ class _EPSearch:
                     if on_path.get(candidate) is not None:
                         closes = True
                         break
-                    if folded:
-                        hits = self._probe_holds(node, tid, tree.store.intern(candidate))
-                    else:
-                        probe = tree.add_child(v, tid, candidate)
-                        hits = self.termination.holds(tree, probe)
-                        # remove the probe node again (it was only a lookahead)
-                        tree.nodes.pop()
-                        node.children.pop()
+                    candidate = tree.store.intern(candidate)
+                    over = ()
+                    if self._incremental is not None:
+                        over = tree.over_after(node, tid, candidate)
+                    hits = self._prunes(
+                        len(tree.nodes),
+                        candidate,
+                        node.total_tokens + token_delta[tid],
+                        over,
+                    )
                     if hits:
                         break
             lookahead[ecs] = ECSLookahead(
@@ -692,54 +636,40 @@ class _EPSearch:
             )
         return lookahead
 
-    def _node_holds(self, v: int) -> bool:
-        """The folded verdict on node ``v``, the top of the DFS path."""
-        node = self.tree.nodes[v]
-        return self._folded_holds(v, node.depth, node.vec, node.total_tokens, node.over)
-
-    def _probe_holds(self, node: TreeNode, tid: int, vec: MarkingVec) -> bool:
-        """The folded verdict on the would-be child of ``node`` (the top of
-        the DFS path) reached by firing ``tid``, whose marking is ``vec``.
-
-        Equal to ``termination.holds`` on a probe node appended to the tree
-        and popped again, which every probe's index shares.
-        """
-        over = ()
-        if self._incremental is not None:
-            over = self.tree.over_after(node, tid, vec)
-        return self._folded_holds(
-            len(self.tree.nodes),
-            node.depth + 1,
-            vec,
-            node.total_tokens + self.inet.token_delta[tid],
-            over,
-        )
-
-    def _folded_holds(
-        self,
-        index: int,
-        depth: int,
-        vec: MarkingVec,
-        total: int,
-        over: Tuple[int, ...],
+    def _prunes(
+        self, index: int, vec: MarkingVec, total: int, over: Tuple[int, ...]
     ) -> bool:
-        """``termination.holds`` through the fold, for a node or a probe.
+        """Whether the search stops at a node or at a lookahead probe.
 
-        The node has tree index ``index``, depth ``depth``, marking ``vec``
-        with ``total`` tokens and over-degree places ``over``.  It is the
-        top of the DFS path or a probe child of the top, so the path holds
-        its ancestors (and at most its own marking, which Definition 4.5
-        never counts as a witness).  A marking without an over-degree place
-        is never irrelevant.
+        The node has tree index ``index``, marking ``vec`` with ``total``
+        tokens and over-degree places ``over``; it is the top of the DFS
+        path or a probe child of the top.  The checks run in the order
+        budget (an index ``>= max_nodes``), bounds (the declared channel
+        bounds, then ``place_bound`` on every place) and, when no
+        ``place_bound`` is set, the irrelevance criterion.
         """
-        fold = self._fold
-        if fold.budget is not None and index >= fold.budget:
+        options = self.options
+        if index >= options.max_nodes:
             return True
-        if fold.depth_cut is not None and depth > fold.depth_cut:
-            return True
-        for pid, bound in fold.bounds:
+        for pid, bound in self._channel_bounds:
             if vec[pid] > bound:
                 return True
+        if options.place_bound is None:
+            return self._irrelevant(vec, total, over)
+        if max(vec, default=0) > options.place_bound:
+            self._bound_cut = True
+            return True
+        return False
+
+    def _irrelevant(self, vec: MarkingVec, total: int, over: Tuple[int, ...]) -> bool:
+        """Definition 4.5 for a node or probe of :meth:`_prunes`.
+
+        The path holds the node's ancestors (and at most its own marking,
+        which Definition 4.5 never counts as a witness).  A marking without
+        an over-degree place is never irrelevant; the others go to the
+        incremental checker, and to the exact walk over the path when their
+        candidate witnesses exceed its cap.
+        """
         if not over:
             return False
         tree = self.tree
@@ -747,10 +677,9 @@ class _EPSearch:
             vec, tree._markings_on_path, tree._path_total_counts, total, over
         )
         if verdict is None:
-            # too many candidate witnesses: the exact walk over the path
             nodes = tree.nodes
-            verdict = fold.irrelevance.witnessed_by(
-                self.inet,
+            verdict = witnessed_by(
+                self._degrees,
                 vec,
                 total,
                 ((nodes[n].total_tokens, nodes[n].vec) for n in tree._path),

@@ -56,7 +56,9 @@ from repro.scheduling.ep import SchedulerOptions
 #: Version 5 dropped the ``stats`` response's ``warmstart`` block, which
 #: counted every lookup a second time; its ``disk_rejected`` is now a
 #: top-level counter.
-PROTOCOL_VERSION = 5
+#: Version 6 dropped the ``stats`` counter ``uncacheable``: every options
+#: value now has a cache key, so no lookup bypasses the record cache.
+PROTOCOL_VERSION = 6
 
 #: Upper bound on one request line (and the asyncio stream limit).  Nets of
 #: tens of thousands of nodes fit comfortably; anything bigger should ship
@@ -367,9 +369,8 @@ def network_from_spec(payload: Mapping[str, object]) -> Network:
 # ---------------------------------------------------------------------------
 
 #: SchedulerOptions fields settable over the wire: the node budget only.
-#: ``termination`` is deliberately absent: arbitrary condition objects have
-#: no JSON form and would defeat both fingerprint keying and the caches.
-#: ``use_invariant_heuristic=False`` is the library's ablation baseline.
+#: ``use_invariant_heuristic=False`` and ``place_bound`` are the library's
+#: ablation baselines (the latter the pre-defined bounds of Section 4.4).
 WIRE_OPTION_FIELDS = ("max_nodes",)
 
 

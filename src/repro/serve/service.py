@@ -8,9 +8,10 @@ This is the daemon's engine, independent of any transport.  One
 * the **record cache**: an in-memory L1 (a :class:`~repro.util.BoundedLRU`
   of result records keyed on ``(structural_fingerprint, source,
   options_cache_key)``) plus, when the service was given a disk store, the
-  disk L2 (:mod:`repro.cache`).  The executor body ``_compute`` is the one
-  place that reads the L1, then the disk, runs a live search on a miss and
-  writes the outcome through to both levels;
+  disk L2 (:mod:`repro.cache`).  Every options value has a key, and the
+  executor body ``_compute`` is the one place that reads the L1, then the
+  disk, runs a live search on a miss and writes the outcome through to
+  both levels;
 * the **single-flight map**: concurrent requests for one L1 key coalesce
   onto one in-flight future, so a stampede of N identical requests costs
   exactly one EP search (the other N-1 *await* it and receive the same
@@ -124,10 +125,9 @@ class ServeMetrics:
     one of ``l1_hits`` (the in-memory record cache, memo hits included),
     ``disk_hits`` (a record loaded and replay-validated from the disk
     store), ``live_searches`` (an EP search) and ``coalesced`` (a waiter on
-    another request's in-flight lookup).  ``uncacheable`` counts the
-    lookups whose options have no cache key (they search, uncached), and
-    ``disk_rejected`` the disk entries a lookup found corrupt or foreign
-    and quarantined before missing.
+    another request's in-flight lookup).  ``disk_rejected`` counts the
+    disk entries a lookup found corrupt or foreign and quarantined before
+    missing.
     """
 
     COUNTERS = (
@@ -140,7 +140,6 @@ class ServeMetrics:
         "l1_hits",
         "disk_hits",
         "live_searches",
-        "uncacheable",
         "disk_rejected",
         "memo_hits",
     )
@@ -335,18 +334,10 @@ class SchedulingService:
         if self._closed:
             raise ProtocolError("shutting-down", "service is draining")
         loop = asyncio.get_running_loop()
-        opts_key = options_cache_key(options)
         if timeout is _UNSET:
             timeout = self.search_timeout
-        if opts_key is None:
-            # uncacheable (never happens via the wire protocol, but the
-            # service API accepts arbitrary options): straight through
-            record, origin = await loop.run_in_executor(
-                self._executor, self._compute, net, source, options, fingerprint
-            )
-            return self._payload(source, fingerprint, record, origin), None
         # the single-flight key is also the record's L1 key
-        key = (fingerprint, source, opts_key)
+        key = (fingerprint, source, options_cache_key(options))
         future = self._inflight.get(key)
         if future is None:
             future = loop.create_future()
@@ -408,53 +399,47 @@ class SchedulingService:
         through to both levels.  Returns ``(record, origin)``, ``origin``
         being ``"l1"``, ``"disk"`` or ``"search"``, and bumps exactly one of
         the ``l1_hits``, ``disk_hits`` and ``live_searches`` counters.
-        Uncacheable options (no :func:`~repro.cache.options_cache_key`) skip
-        both levels.
         """
         start = time.perf_counter()
         with self._active_lock:
             self._active_searches += 1
         try:
             opts_key = options_cache_key(options)
-            key = None if opts_key is None else (fingerprint, source, opts_key)
-            if key is None:
-                self.metrics.bump("uncacheable")
-            else:
-                record = self._l1.get(key)
+            key = (fingerprint, source, opts_key)
+            record = self._l1.get(key)
+            if record is not None:
+                self.metrics.bump("l1_hits")
+                return record, "l1"
+            if self._store is not None:
+                quarantined_before = self._store.stats.quarantined
+                record = load_schedule_record(
+                    self._store,
+                    net,
+                    net_fingerprint=fingerprint,
+                    source=source,
+                    options_fp=options_fingerprint(opts_key),
+                )
                 if record is not None:
-                    self.metrics.bump("l1_hits")
-                    return record, "l1"
-                if self._store is not None:
-                    quarantined_before = self._store.stats.quarantined
-                    record = load_schedule_record(
-                        self._store,
-                        net,
-                        net_fingerprint=fingerprint,
-                        source=source,
-                        options_fp=options_fingerprint(opts_key),
-                    )
-                    if record is not None:
-                        self.metrics.bump("disk_hits")
-                        self._l1.put(key, record)
-                        return record, "disk"
-                    # only the quarantines this lookup caused (wire decode,
-                    # identity check or replay validation)
-                    self.metrics.bump(
-                        "disk_rejected",
-                        self._store.stats.quarantined - quarantined_before,
-                    )
+                    self.metrics.bump("disk_hits")
+                    self._l1.put(key, record)
+                    return record, "disk"
+                # only the quarantines this lookup caused (wire decode,
+                # identity check or replay validation)
+                self.metrics.bump(
+                    "disk_rejected",
+                    self._store.stats.quarantined - quarantined_before,
+                )
             record = result_to_record(self._search_fn(net, source, options=options))
             self.metrics.bump("live_searches")
-            if key is not None:
-                self._l1.put(key, record)
-                if self._store is not None:
-                    store_schedule_record(
-                        self._store,
-                        net_fingerprint=fingerprint,
-                        source=source,
-                        options_fp=options_fingerprint(opts_key),
-                        record=record,
-                    )
+            self._l1.put(key, record)
+            if self._store is not None:
+                store_schedule_record(
+                    self._store,
+                    net_fingerprint=fingerprint,
+                    source=source,
+                    options_fp=options_fingerprint(opts_key),
+                    record=record,
+                )
             return record, "search"
         finally:
             with self._active_lock:

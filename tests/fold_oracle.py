@@ -1,16 +1,21 @@
-"""The whole-search oracle of the EP search: folded vs ``holds`` fallback.
+"""The whole-search oracle of the EP search: the search vs its walked twin.
 
-The search folds the built-in termination leaves into plain per-node checks
-(:func:`~repro.scheduling.termination.fold_termination`); any leaf the fold
-does not know sends every node and lookahead probe through
-``termination.holds`` instead.  The two paths must terminate on the
-identical node set, so the whole search is its own oracle:
-:func:`unfolded` re-types every leaf to a subclass, which the fold leaves
-in ``extra``, and the folded search must reproduce that fallback search
-byte for byte -- schedule, failure reason, tree size and every counter.
-The irrelevance leaf's subclass decides by the exact walk over the
-ancestors, so the incremental checker the folded search uses is compared
-against Definition 4.5 itself, not against a second call of the checker.
+The search decides Definition 4.5 on every node and lookahead probe with
+the incremental checker (``_EPSearch._irrelevant``, fed the node's
+over-degree places).  :class:`WalkedSearch` is the same search with that
+one method overridden: it decides Definition 4.5 by the exact walk
+(:func:`~repro.scheduling.termination.witnessed_by`) over the DFS path's
+``(total, vec)`` pairs and ignores the over-degree places, so a wrong
+over-degree set is caught as well as a wrong checker verdict.  Both must
+terminate on the identical node set, so the whole search is its own
+oracle: :func:`searched_and_walked` asserts that the two reproduce each
+other byte for byte -- schedule, failure reason, tree size and every
+counter.
+
+Only a search that meets an irrelevant marking compares a ``True``
+verdict, and on the nets here only unschedulable ones do (Figure 4b and
+the corpus specs of ``make_unschedulable_spec``); ``WalkedSearch`` counts
+its verdicts so the tests can tell.
 
 Shared by the test modules that run the oracle (boundaries, the generated
 net sweep, the golden and corpus cases).  :func:`irrelevance_mask` is the
@@ -20,30 +25,33 @@ against: the row rule alone, with no index, no walk and no facade.
 
 from __future__ import annotations
 
-from dataclasses import fields
-from functools import lru_cache
-
 from repro.scheduling.ep import SchedulerOptions, _EPSearch
 from repro.scheduling.serialize import schedule_fingerprint, schedule_to_json
-from repro.scheduling.termination import (
-    CompositeCondition,
-    IrrelevanceCriterion,
-    TerminationCondition,
-    default_termination,
-)
+from repro.scheduling.termination import witnessed_by
 
 
-class WalkedIrrelevance(IrrelevanceCriterion):
-    """Definition 4.5 by the exact O(depth) walk over the ancestors."""
+class WalkedSearch(_EPSearch):
+    """The EP search deciding Definition 4.5 by the exact walk over the path."""
 
-    def holds(self, tree, node) -> bool:
-        totals, vec_of = tree.total_tokens_of, tree.vec_of
-        return self.witnessed_by(
-            tree.inet,
-            vec_of(node),
-            totals(node),
-            ((totals(a), vec_of(a)) for a in tree.ancestors_of(node)),
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: how often the walk said irrelevant, and how often not
+        self.irrelevant_verdicts = 0
+        self.relevant_verdicts = 0
+
+    def _irrelevant(self, vec, total, over) -> bool:
+        nodes = self.tree.nodes
+        verdict = witnessed_by(
+            self._degrees,
+            vec,
+            total,
+            ((nodes[n].total_tokens, nodes[n].vec) for n in self.tree._path),
         )
+        if verdict:
+            self.irrelevant_verdicts += 1
+        else:
+            self.relevant_verdicts += 1
+        return verdict
 
 
 def irrelevance_mask(rows, ancestor, degrees):
@@ -66,36 +74,11 @@ def irrelevance_mask(rows, ancestor, degrees):
     ]
 
 
-@lru_cache(maxsize=None)
-def _unfolded_type(kind: type) -> type:
-    if kind is IrrelevanceCriterion:
-        return WalkedIrrelevance
-    return type(f"Unfolded{kind.__name__}", (kind,), {})
-
-
-def init_fields(condition: TerminationCondition) -> dict:
-    """The dataclass ``__init__`` fields of a built-in leaf."""
-    return {f.name: getattr(condition, f.name) for f in fields(condition) if f.init}
-
-
-def unfolded(condition: TerminationCondition) -> TerminationCondition:
-    """``condition`` with every leaf re-typed to a subclass.
-
-    The fold matches the built-in leaves by exact type, so the copies land
-    in ``FoldedTermination.extra`` and a search under the result decides
-    every node and probe through ``termination.holds``.
-    """
-    if isinstance(condition, CompositeCondition):
-        return CompositeCondition([unfolded(leaf) for leaf in condition.conditions])
-    return _unfolded_type(type(condition))(**init_fields(condition))
-
-
-def run_search(net, source, termination, **options):
-    """One ``_EPSearch`` under ``termination``; returns (search, result)."""
-    search = _EPSearch(
-        net, source, SchedulerOptions(termination=termination, **options)
-    )
-    return search, search.run()
+def run_search(net, source, search=_EPSearch, **options):
+    """One ``search`` (a class) under ``SchedulerOptions(**options)``;
+    returns (search, result)."""
+    searcher = search(net, source, SchedulerOptions(**options))
+    return searcher, searcher.run()
 
 
 def observables(result):
@@ -111,17 +94,18 @@ def observables(result):
     )
 
 
-def folded_and_fallback(net, source, termination=None, **options):
-    """The folded search and its holds-fallback twin; asserts they agree.
+def walked_pair(net, source, **options):
+    """The search and its walked twin; asserts they agree.
 
-    Returns the folded search's result.
+    Returns ``(search, result, walked)``: the search (its checker's
+    counters), its result and the walked search (its verdict counts).
     """
-    termination = termination or default_termination(
-        net, max_nodes=options.get("max_nodes", 200_000)
-    )
-    folded_search, folded = run_search(net, source, termination, **options)
-    fallback_search, fallback = run_search(net, source, unfolded(termination), **options)
-    assert folded_search._fold is not None
-    assert fallback_search._fold is None
-    assert observables(folded) == observables(fallback)
-    return folded
+    search, result = run_search(net, source, **options)
+    walked, walked_result = run_search(net, source, WalkedSearch, **options)
+    assert observables(result) == observables(walked_result)
+    return search, result, walked
+
+
+def searched_and_walked(net, source, **options):
+    """The search's result, after asserting its walked twin reproduces it."""
+    return walked_pair(net, source, **options)[1]

@@ -1,17 +1,19 @@
-"""Differential harness for the EP search: the folded walk vs its fallback.
+"""Differential harness for the EP search: the search vs its walked twin.
 
 The scalar walk is the only EP search.  Its equivalence contract is the
 whole-search oracle of :mod:`fold_oracle`: for any net and any options, the
-search on the folded termination verdict and the same search forced onto
-the ``termination.holds`` fallback (every leaf re-typed, the irrelevance
-leaf deciding by the exact walk over the ancestors) produce the same
-canonical schedule (byte-identical under :func:`schedule_to_json`), the
-same failure reason, the same tree and the same :class:`SearchCounters`.
+search on the incremental irrelevance checker and the same search deciding
+Definition 4.5 by the exact walk over the DFS path
+(:class:`fold_oracle.WalkedSearch`) produce the same canonical schedule
+(byte-identical under :func:`schedule_to_json`), the same failure reason,
+the same tree and the same :class:`SearchCounters`.
 
 This module enforces the contract three ways:
 
 * a seeded sweep over 200+ generated nets (marked graphs, choice diamonds,
-  multi-source rings);
+  multi-source rings), and unschedulable corpus specs, the only nets here
+  on which the criterion prunes (one at tier 1, twenty in the ``slow``
+  sweep);
 * edge cases the generators are unlikely to hit: nodes with nothing
   enabled, one-place nets, bound-saturated children, all-irrelevant trees,
   token counts beyond int64;
@@ -29,22 +31,23 @@ import random
 import tracemalloc
 import warnings
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
 from fold_oracle import (
-    folded_and_fallback,
     irrelevance_mask,
     observables,
-    run_search,
-    unfolded,
+    searched_and_walked,
+    walked_pair,
 )
 from repro.apps.workloads import (
     random_choice_net,
     random_marked_graph,
     random_multi_source_net,
 )
+from repro.corpus.generator import make_unschedulable_spec
+from repro.corpus.topologies import build_network
+from repro.flowc.linker import link
 from repro.petrinet.net import PetriNet, SourceKind
 from repro.petrinet.reachability import build_reachability_graph, is_bounded
 from repro.scheduling.ep import (
@@ -54,16 +57,7 @@ from repro.scheduling.ep import (
     find_all_schedules,
     find_schedule,
 )
-from repro.scheduling.termination import (
-    CompositeCondition,
-    IncrementalIrrelevance,
-    IrrelevanceCriterion,
-    NodeBudget,
-    PlaceBoundCondition,
-    TerminationCondition,
-    default_termination,
-    fold_termination,
-)
+from repro.scheduling.termination import IncrementalIrrelevance, witnessed_by
 from repro.serve.protocol import ProtocolError, options_from_dict
 
 # ---------------------------------------------------------------------------
@@ -95,30 +89,24 @@ def test_fuzz_sweep_covers_at_least_200_nets():
 def test_differential_fuzz_scalar_vs_batched(kind, seed):
     net = build_fuzz_net(kind, seed)
     for source in net.uncontrollable_sources():
-        folded_and_fallback(net, source, max_nodes=600)
+        searched_and_walked(net, source, max_nodes=600)
 
 
 def test_fuzz_sweep_exercises_the_batched_and_kernel_paths():
     """The generated nets must really run both sides of the oracle: the
-    folded search on its incremental irrelevance checker, the twin on the
-    ``holds`` fallback -- no silent fold on either side."""
+    search on its incremental irrelevance checker, the twin on the walk."""
     incremental_runs = 0
+    walked_verdicts = 0
     successes = 0
     for kind, seed in FUZZ_CASES[::7]:
         net = build_fuzz_net(kind, seed)
-        termination = default_termination(net, max_nodes=600)
         for source in net.uncontrollable_sources():
-            folded_search, folded = run_search(net, source, termination, max_nodes=600)
-            fallback_search, fallback = run_search(
-                net, source, unfolded(termination), max_nodes=600
-            )
-            assert folded_search._incremental is not None
-            assert fallback_search._fold is None
-            assert fallback_search._incremental is None
-            assert observables(folded) == observables(fallback)
-            incremental_runs += folded_search._incremental.children_checked > 0
-            successes += folded.success
+            search, result, walked = walked_pair(net, source, max_nodes=600)
+            incremental_runs += search._incremental.children_checked > 0
+            walked_verdicts += walked.irrelevant_verdicts + walked.relevant_verdicts
+            successes += result.success
     assert incremental_runs > 0
+    assert walked_verdicts > 0
     assert successes > 0
 
 
@@ -126,8 +114,39 @@ def test_differential_on_an_unschedulable_paper_net():
     """Failures must be identical too (reason, tree size, counters)."""
     from repro.apps import paper_nets
 
-    result = folded_and_fallback(paper_nets.figure_4b(), "a", max_nodes=5000)
+    result = searched_and_walked(paper_nets.figure_4b(), "a", max_nodes=5000)
     assert not result.success
+
+
+def _unschedulable_corpus_net(seed):
+    return link(build_network(make_unschedulable_spec(seed))).net
+
+
+def _irrelevant_verdicts(net, max_nodes):
+    """The walked twin's irrelevant verdicts over every source of ``net``."""
+    return sum(
+        walked_pair(net, source, max_nodes=max_nodes)[2].irrelevant_verdicts
+        for source in net.uncontrollable_sources()
+    )
+
+
+def test_the_oracle_compares_irrelevant_verdicts():
+    """The criterion prunes only on unschedulable nets: the 200-net sweep
+    and the schedulable corpus never meet an irrelevant marking, so the
+    oracle compares a ``True`` verdict on the Figure 4b corpus spec of the
+    benchmark's seed, searched up to 500 nodes."""
+    assert _irrelevant_verdicts(_unschedulable_corpus_net(20260808), 500) > 0
+
+
+@pytest.mark.slow
+def test_walked_oracle_on_twenty_unschedulable_corpus_specs():
+    """The long sweep where pruning happens: twenty Figure 4b corpus specs,
+    each searched up to 2,000 nodes by the search and its walked twin."""
+    verdicts = [
+        _irrelevant_verdicts(_unschedulable_corpus_net(20260808 + index), 2000)
+        for index in range(20)
+    ]
+    assert all(count > 0 for count in verdicts), verdicts
 
 
 def test_differential_find_all_schedules_merged_counters():
@@ -138,7 +157,7 @@ def test_differential_find_all_schedules_merged_counters():
         results = find_all_schedules(net, options=SchedulerOptions(max_nodes=600))
         assert list(results) == net.uncontrollable_sources()
         oracle = {
-            source: folded_and_fallback(net, source, max_nodes=600)
+            source: searched_and_walked(net, source, max_nodes=600)
             for source in results
         }
         for source, result in results.items():
@@ -154,11 +173,14 @@ def test_differential_find_all_schedules_merged_counters():
 # ---------------------------------------------------------------------------
 
 
-def _starved_net() -> PetriNet:
-    """One source event is not enough to enable anything downstream."""
+def _starved_net(bound=None) -> PetriNet:
+    """One source event is not enough to enable anything downstream.
+
+    ``bound`` is the channel bound the specification declares on ``p``.
+    """
     net = PetriNet(name="starved")
     net.add_transition("src", source_kind=SourceKind.UNCONTROLLABLE)
-    net.add_place("p")
+    net.add_place("p", bound=bound)
     net.add_arc("src", "p")
     net.add_transition("t")
     net.add_arc("p", "t", 2)  # needs two tokens; one event provides one
@@ -171,18 +193,19 @@ def test_empty_frontier_backtracks_identically():
     The search must backtrack out of it and recover by deferring to a second
     source event (two await nodes).
     """
-    result = folded_and_fallback(_starved_net(), "src", max_nodes=50)
+    result = searched_and_walked(_starved_net(), "src", max_nodes=50)
     assert result.success
     assert len(result.schedule.await_nodes()) == 2
 
 
 def test_empty_frontier_with_banned_source_refire_fails_identically():
-    """Bounding p to one token forbids the recovery: EP fails outright."""
-    net = _starved_net()
-    termination = CompositeCondition(
-        conditions=[PlaceBoundCondition.uniform(net, 1), NodeBudget(max_nodes=50)]
+    """Declaring p a one-token channel forbids the recovery: EP fails
+    outright, and a bound of the specification names no pruning."""
+    result = searched_and_walked(_starved_net(bound=1), "src", max_nodes=50)
+    assert not result.success
+    assert result.failure_reason == (
+        "no entering point reaching the initial marking was found"
     )
-    assert not folded_and_fallback(net, "src", termination).success
 
 
 def test_single_place_single_transition_net():
@@ -192,16 +215,16 @@ def test_single_place_single_transition_net():
     net.add_transition("t")
     net.add_arc("src", "p")
     net.add_arc("p", "t")
-    assert folded_and_fallback(net, "src", max_nodes=600).success
+    assert searched_and_walked(net, "src", max_nodes=600).success
 
 
 def test_every_child_violates_the_configured_bound():
-    """A zero place bound prunes every child at every node."""
+    """A zero place bound prunes every child at every node, and the failure
+    names the bound."""
     net = random_choice_net(2, seed=5)
-    termination = CompositeCondition(
-        conditions=[PlaceBoundCondition.uniform(net, 0), NodeBudget(max_nodes=200)]
-    )
-    assert not folded_and_fallback(net, "src", termination).success
+    result = searched_and_walked(net, "src", max_nodes=200, place_bound=0)
+    assert not result.success
+    assert result.failure_reason.startswith("pre-defined place bound (0 tokens per place)")
 
 
 def test_all_irrelevant_frontier():
@@ -218,7 +241,7 @@ def test_all_irrelevant_frontier():
     # no T-invariant fires src (tokens only accumulate); the tie-break
     # heuristic runs no invariant precheck, so the search -- and its
     # irrelevance pruning -- runs
-    result = folded_and_fallback(
+    _search, result, walked = walked_pair(
         net,
         "src",
         max_nodes=100,
@@ -226,6 +249,7 @@ def test_all_irrelevant_frontier():
     )
     assert not result.success
     assert result.counters.nodes_expanded > 0
+    assert walked.irrelevant_verdicts > 0
 
 
 def test_int64_guard_falls_back_to_exact_scalar_arithmetic():
@@ -247,7 +271,7 @@ def test_int64_guard_falls_back_to_exact_scalar_arithmetic():
     net.add_arc("take", "q")
     net.add_arc("q", "give")
     net.add_arc("give", "r")
-    result = folded_and_fallback(net, "src", max_nodes=100)
+    result = searched_and_walked(net, "src", max_nodes=100)
     assert result.success
     counts = {node.marking["r"] for node in result.schedule.nodes}
     assert counts == {2**64, 2**64 - 1}
@@ -300,34 +324,19 @@ def test_expand_children_empty_frontier_shapes():
 # ---------------------------------------------------------------------------
 
 
-class _OpaqueCondition(TerminationCondition):
-    """A user condition the fold cannot decompose."""
-
-    name = "opaque"
-
-    def holds(self, tree, node):
-        return False
-
-
 def test_unsupported_termination_condition_forces_scalar():
-    """A leaf the fold does not know sends the whole search to ``holds``.
-
-    The opaque leaf never prunes, so the fallback search must equal the
-    folded search under the node budget alone.
-    """
+    """A termination condition is no longer an option: naming one is refused
+    in process and on the serve wire, so no search leaves its one pruning
+    path, and the two pruning strategies are plain data (``place_bound``)."""
+    with pytest.raises(TypeError):
+        SchedulerOptions(termination=None)
+    with pytest.raises(ProtocolError) as excinfo:
+        options_from_dict({"termination": "irrelevance"})
+    assert excinfo.value.kind == "bad-options"
     net = random_choice_net(2, seed=1)
-    opaque = CompositeCondition(
-        conditions=[_OpaqueCondition(), NodeBudget(max_nodes=400)]
-    )
-    fold = fold_termination(opaque, net.indexed())
-    assert [type(leaf) for leaf in fold.extra] == [_OpaqueCondition]
-    search, result = run_search(net, "src", opaque, max_nodes=400)
-    assert search._fold is None
-    budget_search, budget_only = run_search(
-        net, "src", NodeBudget(max_nodes=400), max_nodes=400
-    )
-    assert budget_search._fold is not None
-    assert observables(result) == observables(budget_only)
+    for place_bound in (None, 3):
+        search = _EPSearch(net, "src", SchedulerOptions(place_bound=place_bound))
+        assert (search._incremental is None) == (place_bound is not None)
 
 
 def test_unknown_backend_is_rejected():
@@ -341,14 +350,14 @@ def test_unknown_backend_is_rejected():
 
 
 def test_auto_resolves_to_scalar_for_default_options():
-    """Default options run the folded walk on the incremental checker."""
+    """Default options prune by the irrelevance criterion, on the
+    incremental checker."""
     net = random_choice_net(2, seed=2)
     search = _EPSearch(net, "src", SchedulerOptions())
-    assert search._fold is not None and search._fold.irrelevance is not None
     assert search._incremental is not None
     result = search.run()
     assert observables(result) == observables(find_schedule(net, "src"))
-    assert observables(result) == observables(folded_and_fallback(net, "src"))
+    assert observables(result) == observables(searched_and_walked(net, "src"))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +395,6 @@ def _mask_verdicts(children, ancestors, degrees):
     return verdicts
 
 
-def _criterion(degrees):
-    names = tuple(f"p{index}" for index in range(len(degrees)))
-    criterion = IrrelevanceCriterion(degrees=dict(zip(names, degrees)))
-    return criterion, SimpleNamespace(place_names=names)
-
-
 def _path_state(rows):
     """The (marking index, token-total multiset) SchedulingTree maintains."""
     return {row: node for node, row in enumerate(rows)}, dict(
@@ -407,13 +410,10 @@ def test_chunked_irrelevance_mask_is_bitwise_identical(seed):
     children, ancestors, degrees = _random_irrelevance_inputs(33, 500, 17, seed)
     expected = _mask_verdicts(children, ancestors, degrees)
     assert any(expected) and not all(expected)
-    criterion, inet = _criterion(degrees)
     path_index, total_counts = _path_state(ancestors)
-    checker = IncrementalIrrelevance(criterion.degrees_vec(inet))
+    checker = IncrementalIrrelevance(degrees)
     for i, vec in enumerate(children):
-        walked = criterion.witnessed_by(
-            inet, vec, sum(vec), ((sum(row), row) for row in ancestors)
-        )
+        walked = witnessed_by(degrees, vec, sum(vec), ((sum(row), row) for row in ancestors))
         assert walked == expected[i], (seed, i)
         verdict = checker.check(vec, path_index, total_counts, sum(vec))
         assert verdict in (None, walked), (seed, i)
@@ -426,10 +426,9 @@ def test_chunked_irrelevance_mask_handles_empty_inputs():
     assert irrelevance_mask([], (1, 1, 1, 1), degrees) == []
     # an empty path witnesses nothing, whichever way it is asked
     assert not any(_mask_verdicts(some_children, [], degrees))
-    criterion, inet = _criterion(degrees)
-    checker = IncrementalIrrelevance(criterion.degrees_vec(inet))
+    checker = IncrementalIrrelevance(degrees)
     for vec in some_children:
-        assert not criterion.witnessed_by(inet, vec, sum(vec), ())
+        assert not witnessed_by(degrees, vec, sum(vec), ())
         assert checker.check(vec, {}, {}, sum(vec)) is False
 
 

@@ -45,7 +45,6 @@ from repro.petrinet.fingerprint import structural_fingerprint
 from repro.petrinet.invariants import t_invariant_basis
 from repro.scheduling.ep import SchedulerOptions, find_all_schedules, find_schedule
 from repro.scheduling.serialize import result_to_record, schedule_to_dict
-from repro.scheduling.termination import NodeBudget
 from repro.serve import SchedulingService
 from service_path import schedule_through
 
@@ -351,17 +350,6 @@ def test_failure_outcomes_replay_from_disk(store):
     second, origin = schedule_through(SchedulingService(store=store), figure_4b(), "a")
     assert origin == "disk"
     assert second == first  # failure reason included
-
-
-def test_uncacheable_options_bypass_the_store(store):
-    service = SchedulingService(store=store)
-    options = SchedulerOptions(termination=NodeBudget(10_000))
-    record, origin = schedule_through(service, figure_5(), "a", options)
-    assert record["schedule"] is not None and origin == "search"
-    stats = service.snapshot()
-    assert stats["uncacheable"] == 1 and stats["live_searches"] == 1
-    assert stats["l1_entries"] == 0
-    assert store.entries() == []  # nothing persisted (or even keyed)
 
 
 def test_options_key_differences_miss(store):

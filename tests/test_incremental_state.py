@@ -6,8 +6,8 @@ Three pieces replace per-node rescans in ``repro.scheduling.ep``:
   invariant-guided heuristic's promising vector on push/pop;
 * each tree node's over-degree places (``TreeNode.over``), derived from its
   parent's;
-* the folded termination verdict, decided on a node or on a lookahead probe
-  without creating a probe node.
+* the pruning verdict (``_EPSearch._prunes``), decided on a lookahead
+  probe without creating a probe node.
 
 Each is checked against the full recomputation it replaces, on random
 walks over weighted choice nets and marked graphs.  The incremental
@@ -25,14 +25,7 @@ from repro.apps.workloads import random_choice_net, random_marked_graph
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.scheduling.ep import SchedulerOptions, SchedulingTree, _EPSearch
 from repro.scheduling.heuristics import InvariantGuidedOrdering
-from repro.scheduling.termination import (
-    CompositeCondition,
-    IrrelevanceCriterion,
-    MaxDepthCondition,
-    NodeBudget,
-    UserBoundCondition,
-    default_termination,
-)
+from repro.scheduling.termination import witnessed_by
 
 FAST = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -144,61 +137,89 @@ def test_every_node_carries_its_over_degree_places(kind, seed):
 
 
 def test_a_termination_without_irrelevance_tracks_no_over_degree_places():
+    """A pre-defined place bound replaces the irrelevance criterion: the
+    search then keeps no checker and no over-degree places."""
     net = paper_nets.figure_5()
-    search = _EPSearch(
-        net, "a", SchedulerOptions(termination=NodeBudget(max_nodes=200))
-    )
+    search = _EPSearch(net, "a", SchedulerOptions(max_nodes=200, place_bound=3))
     search.run()
-    assert search._fold is not None and search._fold.irrelevance is None
+    assert search._incremental is None
     assert all(node.over == () for node in search.tree.nodes)
 
 
 # ---------------------------------------------------------------------------
-# the folded verdict
+# the pruning verdict
 # ---------------------------------------------------------------------------
 
 
-def _termination(name: str, net):
-    irrelevance = IrrelevanceCriterion.for_net(net)
-    if name == "default":
-        return default_termination(net)
+def _options(name: str, net) -> SchedulerOptions:
+    """One configuration per pruning check; ``channel-bounds`` declares a
+    one-token bound on every other place of ``net``."""
     if name == "channel-bounds":
-        bounds = {place: 1 for place in sorted(net.places)[::2]}
-        return CompositeCondition(
-            [irrelevance, UserBoundCondition(bounds=bounds), NodeBudget(200_000)]
-        )
-    if name == "max-depth":
-        return CompositeCondition([irrelevance, MaxDepthCondition(3), NodeBudget(200_000)])
-    return CompositeCondition([irrelevance, NodeBudget(max_nodes=6)])
+        for place in sorted(net.places)[::2]:
+            net.places[place].bound = 1
+    if name == "place-bound":
+        return SchedulerOptions(place_bound=2)
+    if name == "node-budget":
+        return SchedulerOptions(max_nodes=6)
+    return SchedulerOptions()
+
+
+def _recomputed(search, index, vec, path) -> bool:
+    """The pruning verdict from scratch: budget, declared bounds, then the
+    place bound or Definition 4.5 by the walk over ``path``'s markings."""
+    net, names = search.net, search.inet.place_names
+    if index >= search.options.max_nodes:
+        return True
+    if any(
+        net.places[name].bound is not None and count > net.places[name].bound
+        for name, count in zip(names, vec)
+    ):
+        return True
+    if search.options.place_bound is not None:
+        return any(count > search.options.place_bound for count in vec)
+    degrees = [search.analysis.degrees.get(name, 0) for name in names]
+    return witnessed_by(degrees, vec, sum(vec), [(sum(a), a) for a in path])
 
 
 @FAST
 @given(
     kind=KINDS,
     seed=SEEDS,
-    name=st.sampled_from(["default", "channel-bounds", "max-depth", "node-budget"]),
+    name=st.sampled_from(["default", "channel-bounds", "place-bound", "node-budget"]),
     steps=STEPS,
 )
-def test_folded_verdict_equals_holds_on_a_real_probe_node(kind, seed, name, steps):
+def test_probe_verdict_equals_the_verdict_on_a_real_probe_node(kind, seed, name, steps):
+    """A probe is decided on its marking, at the index its child would get;
+    the verdict equals the one on the child appended and pushed for real,
+    and both equal the verdict recomputed from scratch."""
     net = _net(kind, seed)
-    termination = _termination(name, net)
-    search = _EPSearch(
-        net, "src", SchedulerOptions(termination=termination)
-    )
-    assert search._fold is not None and not search._fold.extra
+    search = _EPSearch(net, "src", _options(name, net))
     tree = search.tree
     inet = tree.inet
 
+    def path_vecs():
+        return [tree.nodes[n].vec for n in tree._path]
+
+    def verdict_of(index):
+        node = tree.nodes[index]
+        return search._prunes(index, node.vec, node.total_tokens, node.over)
+
     def visit(top):
-        assert search._node_holds(top) == termination.holds(tree, top)
+        assert verdict_of(top) == _recomputed(search, top, tree.vec_of(top), path_vecs())
         node = tree.nodes[top]
         for tid in sorted(tree.enabled_of(top)):
             vec = tree.store.intern(inet.fire_vec(tid, node.vec))
-            folded = search._probe_holds(node, tid, vec)
-            probe = tree.add_child(top, tid, vec)
+            over = tree.over_after(node, tid, vec) if search._incremental else ()
+            probed = search._prunes(
+                len(tree.nodes), vec, node.total_tokens + inet.token_delta[tid], over
+            )
+            expected = _recomputed(search, len(tree.nodes), vec, path_vecs())
+            child = tree.add_child(top, tid, vec)
+            tree.push(child)
             try:
-                assert folded == termination.holds(tree, probe)
+                assert probed == verdict_of(child) == expected
             finally:
+                tree.pop(child)
                 tree.nodes.pop()
                 node.children.pop()
 

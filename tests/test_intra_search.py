@@ -3,10 +3,9 @@
 Intra-search work stealing is gone -- the scalar walk runs each search on
 one core -- and this matrix now pins what its contract left behind: a
 search is a pure function of (net, source, options).  Searches repeated
-back to back through one shared termination instance (its irrelevance
-criterion caches the incremental checker per snapshot), searches aborted
-mid-tree, and searches under any order of the termination leaves all
-reproduce the serial result byte for byte -- the canonical schedule, its
+back to back through one shared options object, searches after one aborted
+mid-tree, and searches under channel bounds that never bind all reproduce
+the serial result byte for byte -- the canonical schedule, its
 fingerprint, the tree shape and every :class:`SearchCounters` field.  The
 corpus sample runs the whole-search oracle of :mod:`fold_oracle`.
 
@@ -29,11 +28,12 @@ from dataclasses import fields
 
 import pytest
 
-from fold_oracle import folded_and_fallback
+from fold_oracle import searched_and_walked
 from golden_nets import GOLDEN_CASES
 from repro.corpus.generator import generate_corpus
 from repro.corpus.topologies import build_case
 from repro.flowc.linker import link
+from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.net import PetriNet, SourceKind
 from repro.scheduling.ep import (
     SchedulerOptions,
@@ -47,15 +47,6 @@ from repro.scheduling.serialize import (
     result_to_record,
     schedule_fingerprint,
     schedule_to_json,
-)
-from repro.scheduling.termination import (
-    CompositeCondition,
-    IrrelevanceCriterion,
-    MaxDepthCondition,
-    NodeBudget,
-    PlaceBoundCondition,
-    TerminationCondition,
-    default_termination,
 )
 from test_kernel import saturated_pipeline
 
@@ -84,8 +75,8 @@ def result_identity(result):
 
 
 def repeated_identity(net, source, searches, baseline):
-    """Run ``searches`` searches through one shared termination instance."""
-    shared = SchedulerOptions(termination=default_termination(net))
+    """Run ``searches`` searches through one shared options object."""
+    shared = SchedulerOptions()
     for _ in range(searches):
         result = find_schedule(net, source, options=shared)
         assert result_identity(result) == baseline
@@ -191,7 +182,7 @@ class TestCorpusSample:
     def test_two_workers_identical(self, index):
         net, sources = _corpus_net(index)
         for source in sources:
-            folded_and_fallback(net, source)
+            searched_and_walked(net, source)
 
     @pytest.mark.parametrize("index", _corpus_sample(DEEP_SAMPLE_STRIDE))
     @pytest.mark.parametrize("searches", (4, 8))
@@ -218,34 +209,32 @@ class TestBacktrackingConsumption:
         scheduled = {t for node in result.schedule.nodes for t in node.edges}
         assert {"t_trap0", "t_back0"} <= fired
         assert not {"t_trap0", "t_trap1"} & scheduled
-        assert result_identity(folded_and_fallback(net, "src")) == result_identity(result)
+        assert result_identity(searched_and_walked(net, "src")) == result_identity(result)
         baseline = result_identity(result)
         for searches in WORKER_MATRIX:
             repeated_identity(net, "src", searches, baseline)
 
     def test_steal_order_shuffle_is_identity(self):
-        """The order of the termination leaves never matters: any shuffle of
-        the default leaves plus never-binding bounds gives the default
-        result, folded and on the holds fallback."""
-        net = make_backtracking_net(stages=3, trap_depth=3)
-        baseline = result_identity(find_schedule(net, "src"))
-        leaves = list(default_termination(net).conditions) + [
-            MaxDepthCondition(10_000),
-            PlaceBoundCondition.uniform(net, 1_000),
-        ]
+        """Bounds that never bind change nothing: channel bounds of 1,000
+        declared on any shuffled subset of the places give the default
+        result, on the search and on its walked twin."""
+        baseline = result_identity(find_schedule(make_backtracking_net(3, 3), "src"))
         rng = random.Random(0xC0DAC)
         for trial in range(6):
-            termination = CompositeCondition(rng.sample(leaves, len(leaves)))
-            result = folded_and_fallback(net, "src", termination)
+            net = make_backtracking_net(stages=3, trap_depth=3)
+            places = sorted(net.places)
+            for place in rng.sample(places, rng.randrange(1, len(places))):
+                net.places[place].bound = 1_000
+            result = searched_and_walked(net, "src")
             assert result_identity(result) == baseline, f"shuffle trial {trial}"
 
     def test_node_budget_coupling_recomputes_inline(self):
         # budgets around the serial tree size: the budget bites exactly below
-        # it, and the folded search and its fallback agree on every side
+        # it, and the search and its walked twin agree on every side
         net = make_backtracking_net(stages=2, trap_depth=4)
         serial = find_schedule(net, "src")
         for budget in (serial.tree_nodes - 1, serial.tree_nodes, serial.tree_nodes + 2):
-            result = folded_and_fallback(net, "src", max_nodes=budget)
+            result = searched_and_walked(net, "src", max_nodes=budget)
             if budget >= serial.tree_nodes:
                 assert result_identity(result) == result_identity(serial)
             else:
@@ -257,36 +246,31 @@ class TestBacktrackingConsumption:
 # ---------------------------------------------------------------------------
 
 
-class _FailsAfter(TerminationCondition):
-    """A user leaf that raises on its ``calls``-th verdict."""
+class _FailsAfter(_EPSearch):
+    """A search whose pruning check raises on its 12th verdict."""
 
-    name = "fails-after"
+    calls = 12
 
-    def __init__(self, calls: int):
-        self.calls = calls
-
-    def holds(self, tree, node) -> bool:
+    def _prunes(self, *args) -> bool:
         self.calls -= 1
         if self.calls <= 0:
-            raise RuntimeError("termination leaf failed mid-search")
-        return False
+            raise RuntimeError("pruning check failed mid-search")
+        return super()._prunes(*args)
 
 
 class TestFaultInjection:
     def test_search_after_worker_death_recovers(self):
         net = make_backtracking_net(stages=2, trap_depth=4)
         baseline = result_identity(find_schedule(net, "src"))
-        criterion = IrrelevanceCriterion.for_net(net)
+        analysis = StructuralAnalysis.of(net)
         limit = sys.getrecursionlimit()
-        aborted = CompositeCondition([criterion, _FailsAfter(12), NodeBudget(200_000)])
         with pytest.raises(RuntimeError, match="failed mid-search"):
-            find_schedule(net, "src", options=SchedulerOptions(termination=aborted))
+            _FailsAfter(net, "src", SchedulerOptions(), analysis=analysis).run()
         # the raised recursion limit was restored on the way out, and the
-        # next search through the same criterion (and its shared incremental
-        # checker) comes back clean
+        # next search of the same net, through the same analysis, comes
+        # back clean
         assert sys.getrecursionlimit() == limit
-        clean = CompositeCondition([criterion, NodeBudget(200_000)])
-        result = find_schedule(net, "src", options=SchedulerOptions(termination=clean))
+        result = find_schedule(net, "src", analysis=analysis)
         assert result_identity(result) == baseline
 
 
@@ -319,10 +303,10 @@ class TestCounterMerge:
 
     def test_backend_only_counters_stay_excluded(self):
         """No counter is exempt from comparison any more: every field is
-        compared, and matches, between the folded search and its twin."""
+        compared, and matches, between the search and its walked twin."""
         assert not hasattr(SearchCounters, "BACKEND_ONLY")
         builder, sources = GOLDEN_CASES["pfc_4x5"]
-        result = folded_and_fallback(builder(), sources[0])
+        result = searched_and_walked(builder(), sources[0])
         assert set(result.counters.as_dict()) == {f.name for f in fields(SearchCounters)}
 
 
@@ -367,23 +351,19 @@ class TestWiring:
             assert result_identity(result) == result_identity(single)
 
     def test_pool_is_reused_across_searches(self):
-        """One incremental checker per (criterion, snapshot), reused by every
-        search through the criterion; a new snapshot gets a new one."""
+        """Searches share the structural analysis, never a checker: each
+        search builds its own incremental checker from the analysis's place
+        degrees, so its op counters describe that search alone."""
         net = saturated_pipeline(6)
-        criterion = IrrelevanceCriterion.for_net(net)
-        options = SchedulerOptions(
-            termination=CompositeCondition([criterion, NodeBudget(200_000)])
-        )
-        first = _EPSearch(net, "src", options)
+        analysis = StructuralAnalysis.of(net)
+        options = SchedulerOptions()
+        first = _EPSearch(net, "src", options, analysis=analysis)
         first_result = first.run()
-        checker = first._incremental
-        assert checker is criterion.incremental_for(net.indexed())
-        checked = checker.children_checked
+        checked = first._incremental.children_checked
         assert checked > 0
-        second = _EPSearch(net, "src", options)
+        second = _EPSearch(net, "src", options, analysis=analysis)
         second_result = second.run()
-        assert second._incremental is checker
-        assert checker.children_checked == 2 * checked
+        assert second.analysis is first.analysis
+        assert second._incremental is not first._incremental
+        assert second._incremental.children_checked == checked
         assert result_identity(second_result) == result_identity(first_result)
-        net.invalidate_caches()
-        assert _EPSearch(net, "src", options)._incremental is not checker

@@ -1,24 +1,23 @@
-"""Incremental irrelevance, user conditions and golden parity of the EP search.
+"""Incremental irrelevance, declared bounds and golden parity of the EP search.
 
 The fused expansion kernel this module covered is deleted with its tiers;
 what it pinned of the scalar search stays here, under the same test names
 so the test IDs stay stable:
 
 * :class:`~repro.scheduling.termination.IncrementalIrrelevance` -- identity
-  with Definition 4.5 decided three other ways on random inputs (the row
-  rule :func:`fold_oracle.irrelevance_mask` one ancestor at a time, the
-  exact walk :meth:`IrrelevanceCriterion.witnessed_by` and the facade
-  :meth:`IrrelevanceCriterion.is_irrelevant`), the enumeration cap, and
-  depth-*independence* of its op counters (the regression the incremental
-  state exists for, asserted on counters rather than wall clock);
-* user termination conditions -- a leaf the fold does not know sends the
-  search to the ``termination.holds`` fallback, which must agree with the
-  exact walk;
+  with Definition 4.5 decided two other ways on random inputs (the row
+  rule :func:`fold_oracle.irrelevance_mask` one ancestor at a time and the
+  exact walk :func:`~repro.scheduling.termination.witnessed_by`), the
+  enumeration cap, and depth-*independence* of its op counters (the
+  regression the incremental state exists for, asserted on counters rather
+  than wall clock);
+* channel bounds a user declares -- they prune beside the irrelevance
+  criterion, and the search must agree with its walked twin under them;
 * what the environment, the options cache key and the reachability sweep
   may not change;
-* golden parity -- every counter of the folded search equals its
-  holds-fallback twin on every golden case, and every way of running the
-  search reproduces the committed golden fixtures byte for byte.
+* golden parity -- every counter of the search equals its walked twin on
+  every golden case, and every way of running the search reproduces the
+  committed golden fixtures byte for byte.
 """
 
 from __future__ import annotations
@@ -31,18 +30,15 @@ import sys
 from collections import Counter, deque
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from fold_oracle import (
-    WalkedIrrelevance,
-    folded_and_fallback,
-    init_fields,
+    WalkedSearch,
     irrelevance_mask,
     observables,
-    run_search,
-    unfolded,
+    searched_and_walked,
+    walked_pair,
 )
 from golden_nets import GOLDEN_CASES, derive_case, fixture_path, render_case
 from repro.apps import paper_nets
@@ -51,7 +47,6 @@ from repro.apps.workloads import random_choice_net, random_marked_graph
 from repro.cache import options_cache_key
 from repro.petrinet.analysis import place_degree
 from repro.petrinet.invariants import t_invariant_basis
-from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 from repro.petrinet.reachability import build_reachability_graph
 from repro.scheduling.ep import (
@@ -62,13 +57,8 @@ from repro.scheduling.ep import (
 )
 from repro.scheduling.termination import (
     IRRELEVANCE_ENUM_CAP,
-    CompositeCondition,
     IncrementalIrrelevance,
-    IrrelevanceCriterion,
-    NodeBudget,
-    TerminationCondition,
-    default_termination,
-    fold_termination,
+    witnessed_by,
 )
 
 ALL_GOLDEN_CASES = [
@@ -183,21 +173,21 @@ def test_pinned_numpy_tier_matches_auto_tier_results():
 
 
 def test_options_cache_key_separates_tiers_not_backend_equivalence():
-    """The key has one entry per option that can change the outcome: every
-    such option separates keys and equal options share one."""
+    """The key has one entry per option, and every option can change the
+    outcome: changing any one field separates keys, and equal options
+    share one."""
     base = options_cache_key(SchedulerOptions())
-    searched = [f.name for f in fields(SchedulerOptions) if f.name != "termination"]
-    assert len(base) == len(searched) == 2
+    names = [f.name for f in fields(SchedulerOptions)]
+    assert len(base) == len(names) == 3
     assert options_cache_key(SchedulerOptions()) == base
     changed = {
         "use_invariant_heuristic": False,
         "max_nodes": 1_000,
+        "place_bound": 2,
     }
-    assert set(changed) == set(searched)
+    assert set(changed) == set(names)
     keys = {options_cache_key(SchedulerOptions(**{k: v})) for k, v in changed.items()}
     assert len(keys) == len(changed) and base not in keys
-    # a caller-supplied condition has no stable identity: uncacheable
-    assert options_cache_key(SchedulerOptions(termination=NodeBudget(10))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -235,29 +225,17 @@ def _path_state(ancestors):
 
 
 def _exact_verdicts(children, ancestors, degrees):
-    """Definition 4.5 per child three ways: the row rule one ancestor at a
-    time, the exact walk and the facade test."""
-    names = tuple(f"p{index}" for index in range(len(degrees)))
-    inet = SimpleNamespace(place_names=names)
-    criterion = IrrelevanceCriterion(degrees=dict(zip(names, degrees)))
+    """Definition 4.5 per child two ways: the row rule one ancestor at a
+    time and the exact walk."""
     ruled = [False] * len(children)
     for ancestor in ancestors:
         mask = irrelevance_mask(children, ancestor, degrees)
         ruled = [seen or hit for seen, hit in zip(ruled, mask)]
     walked = [
-        criterion.witnessed_by(inet, vec, sum(vec), ((sum(a), a) for a in ancestors))
+        witnessed_by(degrees, vec, sum(vec), ((sum(a), a) for a in ancestors))
         for vec in children
     ]
-    facade = [
-        any(
-            criterion.is_irrelevant(
-                Marking(zip(names, vec)), Marking(zip(names, ancestor))
-            )
-            for ancestor in ancestors
-        )
-        for vec in children
-    ]
-    assert walked == facade == ruled
+    assert walked == ruled
     return walked
 
 
@@ -320,7 +298,7 @@ def test_equal_path_marking_is_not_a_witness():
     vec = (3,)  # over degree: candidate span is {1, 2, 3}
     path_index, total_counts = _path_state([(3,)])
     assert checker.check(vec, path_index, total_counts, 3) is False
-    # the row rule, the walk and the facade agree: they skip the equal marking
+    # the row rule and the walk agree: they skip the equal marking
     assert _exact_verdicts([vec], [(3,)], (1,)) == [False]
 
 
@@ -409,12 +387,6 @@ def saturated_pipeline(stages: int) -> PetriNet:
     return net
 
 
-def _deep_termination(criterion, *extra):
-    return CompositeCondition(
-        conditions=[criterion, *extra, NodeBudget(max_nodes=200_000)]
-    )
-
-
 def test_depth_500_search_stays_within_constant_per_child_ops():
     """The whole 500-deep search runs on O(1) irrelevance ops per child.
 
@@ -428,146 +400,52 @@ def test_depth_500_search_stays_within_constant_per_child_ops():
     """
     net = saturated_pipeline(500)
     assert place_degree(net, "join") == 1
-    criterion = IrrelevanceCriterion.for_net(net)
-    options = SchedulerOptions(
-        termination=_deep_termination(criterion), use_invariant_heuristic=False
-    )
-    result = find_schedule(net, "src", options=options)
-    assert result.success
-    stats = criterion._incremental.stats()
+    search = _EPSearch(net, "src", SchedulerOptions(use_invariant_heuristic=False))
+    assert search.run().success
+    stats = search._incremental.stats()
     assert stats["children_checked"] >= 500
     assert stats["capped_children"] == 0
     assert stats["candidates_probed"] <= stats["children_checked"]
 
 
-class _NeverHolds(TerminationCondition):
-    """A user leaf that never prunes: only moves a search to ``holds``."""
-
-    name = "never"
-
-    def holds(self, tree, node) -> bool:
-        return False
-
-
 def test_deep_search_is_backend_identical_with_identical_op_profile():
-    """A 120-deep search: folded, on the ``holds`` fallback, and on the exact
-    walk, with one schedule; the fallback's irrelevance fast path runs on
-    the same incremental op profile as the folded search, not on the walk."""
+    """A 120-deep search and its walked twin find one schedule; the search
+    decides every child on the incremental checker, one probe at most per
+    child, never on the walk, and a second search repeats its op profile."""
     net = saturated_pipeline(120)
-    folded_criterion = IrrelevanceCriterion.for_net(net)
-    folded_search, folded = run_search(
-        net, "src", _deep_termination(folded_criterion), use_invariant_heuristic=False
-    )
-    holds_criterion = IrrelevanceCriterion.for_net(net)
-    holds_search, via_holds = run_search(
-        net,
-        "src",
-        _deep_termination(holds_criterion, _NeverHolds()),
-        use_invariant_heuristic=False,
-    )
-    _walk_search, walked = run_search(
-        net,
-        "src",
-        _deep_termination(WalkedIrrelevance(**init_fields(holds_criterion))),
-        use_invariant_heuristic=False,
-    )
-    assert folded_search._fold is not None and holds_search._fold is None
-    assert folded.success
-    assert observables(folded) == observables(via_holds) == observables(walked)
-    folded_stats = folded_criterion._incremental.stats()
-    assert folded_stats["children_checked"] > 0
-    assert folded_stats["capped_children"] == 0
-    # the fallback also hands the checker the children with no over-degree
-    # place, which the folded search skips on TreeNode.over; the probing
-    # children, and every probe, are the same
-    holds_stats = holds_criterion._incremental.stats()
-    assert holds_stats["decided_by_degree_filter"] > 0
-
-    def probing(stats):
-        return (
-            stats["children_checked"] - stats["decided_by_degree_filter"],
-            stats["candidates_probed"],
-            stats["capped_children"],
-        )
-
-    assert probing(holds_stats) == probing(folded_stats)
+    search, result, _walked = walked_pair(net, "src", use_invariant_heuristic=False)
+    assert result.success
+    stats = search._incremental.stats()
+    assert stats["children_checked"] > 0
+    assert stats["capped_children"] == 0
+    assert stats["candidates_probed"] <= stats["children_checked"]
+    again = _EPSearch(net, "src", SchedulerOptions(use_invariant_heuristic=False))
+    again.run()
+    assert again._incremental.stats() == stats
 
 
 # ---------------------------------------------------------------------------
-# user termination conditions take the holds fallback
+# channel bounds a user declares prune beside the irrelevance criterion
 # ---------------------------------------------------------------------------
-
-
-class TokenCeilingCondition(TerminationCondition):
-    """Example user condition: prune when the total token count exceeds a
-    ceiling."""
-
-    name = "token-ceiling"
-
-    def __init__(self, ceiling: int):
-        self.ceiling = ceiling
-        self.holds_calls = 0
-
-    def holds(self, tree, node) -> bool:
-        self.holds_calls += 1
-        vec_of = getattr(tree, "vec_of", None)
-        if vec_of is not None:
-            return sum(vec_of(node)) > self.ceiling
-        return sum(tree.marking_of(node).values()) > self.ceiling
 
 
 @pytest.mark.parametrize("ceiling", [3, 5, 8])
 def test_user_maskable_condition_agrees_across_all_backends(ceiling):
-    """Under a user leaf the irrelevance criterion decides by its incremental
-    fast path inside ``holds``; the same search on the exact walk must find
-    the identical schedule (or failure) under every ceiling."""
+    """Figure 7 (k=3) with a channel bound of ``ceiling`` declared on every
+    place: the bounds prune beside the irrelevance criterion, and the search
+    and its walked twin agree under every ceiling -- at 3 and 5 on hundreds
+    of irrelevant verdicts before the budget runs out, at 8 on a schedule."""
     net = paper_nets.figure_7(3)
-    results = []
-    for exact in (False, True):
-        ceiling_leaf = TokenCeilingCondition(ceiling)
-        termination = default_termination(net, extra=[ceiling_leaf])
-        if exact:
-            termination = CompositeCondition(
-                [
-                    WalkedIrrelevance(**init_fields(leaf))
-                    if type(leaf) is IrrelevanceCriterion
-                    else leaf
-                    for leaf in termination.conditions
-                ]
-            )
-        search, result = run_search(net, "a", termination)
-        assert search._fold is None
-        assert ceiling_leaf.holds_calls > 0
-        results.append(observables(result))
-    assert results[0] == results[1]
-
-
-def test_user_condition_takes_the_holds_fallback_on_the_scalar_backend():
-    """A leaf the fold does not know stays in ``extra``: the search then
-    evaluates the whole condition through ``holds`` on real (probe) nodes
-    instead of the folded verdict."""
-    net = paper_nets.figure_7(3)
-    termination = default_termination(net, extra=[ceiling := TokenCeilingCondition(5)])
-    fold = fold_termination(termination, net.indexed())
-    assert fold.extra == [ceiling] and fold.irrelevance is not None
-    search = _EPSearch(net, "a", SchedulerOptions(termination=termination))
-    assert search._fold is None
-    search.run()
-    assert ceiling.holds_calls > 0
-
-
-def test_non_maskable_condition_still_forces_scalar():
-    class OpaqueCondition(TerminationCondition):
-        def holds(self, tree, node):
-            return False
-
-    net = paper_nets.figure_5()
-    termination = default_termination(net, extra=[OpaqueCondition()])
-    assert [type(leaf) for leaf in fold_termination(termination, net.indexed()).extra] == [
-        OpaqueCondition
-    ]
-    search = _EPSearch(net, "a", SchedulerOptions(termination=termination))
-    assert search._fold is None and search._incremental is None
+    for place in net.places.values():
+        place.bound = ceiling
+    _search, result, walked = walked_pair(net, "a", max_nodes=2000)
+    assert result.success == (ceiling == 8)
+    assert (walked.irrelevant_verdicts > 0) == (ceiling < 8)
+    if result.success:
+        assert all(
+            max(node.marking.values(), default=0) <= ceiling
+            for node in result.schedule.nodes
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -577,15 +455,14 @@ def test_non_maskable_condition_still_forces_scalar():
 
 @pytest.mark.parametrize("net_name,source", ALL_GOLDEN_CASES)
 def test_kernel_counters_match_batched_modulo_backend_only(net_name, source):
-    """Same search, same accounting: the folded search and its holds-fallback
-    twin agree on every counter -- no counter is exempt any more."""
+    """Same search, same accounting: the search and its walked twin agree on
+    every counter -- no counter is exempt any more."""
     builder, _sources = GOLDEN_CASES[net_name]
-    folded_and_fallback(builder(), source)
+    searched_and_walked(builder(), source)
 
 
-def _on_the_holds_fallback(net, source):
-    termination = unfolded(default_termination(net))
-    return find_schedule(net, source, options=SchedulerOptions(termination=termination))
+def _on_the_walked_twin(net, source):
+    return WalkedSearch(net, source, SchedulerOptions()).run()
 
 
 def _through_find_all_schedules(net, source):
@@ -594,11 +471,10 @@ def _through_find_all_schedules(net, source):
 
 #: every way the search can derive a golden record; the ids are those of the
 #: three backends this sweep compared before the scalar walk became the only
-#: one: the default search, the same search on the holds fallback, and the
-#: multi-source entry point
+#: one: the default search, its walked twin, and the multi-source entry point
 DERIVATIONS = {
     "scalar": find_schedule,
-    "batched": _on_the_holds_fallback,
+    "batched": _on_the_walked_twin,
     "kernel": _through_find_all_schedules,
 }
 

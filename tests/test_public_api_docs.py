@@ -41,16 +41,9 @@ PUBLIC_API = [
     ("repro.petrinet.invariants", "t_invariant_basis"),
     ("repro.petrinet.invariants", "invariant_basis"),
     ("repro.petrinet.invariants", "InvariantBasis"),
-    # termination conditions
-    ("repro.scheduling.termination", "TerminationCondition"),
-    ("repro.scheduling.termination", "IrrelevanceCriterion"),
-    ("repro.scheduling.termination", "PlaceBoundCondition"),
-    ("repro.scheduling.termination", "UserBoundCondition"),
-    ("repro.scheduling.termination", "NodeBudget"),
-    ("repro.scheduling.termination", "MaxDepthCondition"),
-    ("repro.scheduling.termination", "CompositeCondition"),
-    ("repro.scheduling.termination", "default_termination"),
+    # the irrelevance criterion (Definition 4.5)
     ("repro.scheduling.termination", "IncrementalIrrelevance"),
+    ("repro.scheduling.termination", "witnessed_by"),
     ("repro.petrinet.indexed", "MarkingStore"),
     # the disk level of the daemon's record cache
     ("repro.cache", "options_cache_key"),

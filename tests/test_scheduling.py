@@ -1,4 +1,4 @@
-"""Tests for schedules, termination conditions, the EP algorithm,
+"""Tests for schedules, the search's pruning, the EP algorithm,
 independence and runs, on the paper's figure nets and the FlowC systems."""
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from fold_oracle import folded_and_fallback
+from fold_oracle import searched_and_walked
 from repro.apps import paper_nets
 from repro.apps.video import VideoAppConfig, build_video_network
 from repro.apps.false_paths import (
@@ -22,7 +22,13 @@ from repro.flowc.linker import link
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet, SourceKind
-from repro.scheduling.ep import SchedulerOptions, SchedulingFailure, find_all_schedules, find_schedule
+from repro.scheduling.ep import (
+    SchedulerOptions,
+    SchedulingFailure,
+    _EPSearch,
+    find_all_schedules,
+    find_schedule,
+)
 from repro.scheduling.heuristics import (
     ECSLookahead,
     HeuristicContext,
@@ -40,15 +46,7 @@ from repro.scheduling.independence import (
 )
 from repro.scheduling.runs import RunError, build_run, check_executability, random_choice_resolver
 from repro.scheduling.schedule import Schedule, ScheduleNode, ScheduleValidationError
-from repro.scheduling.termination import (
-    CompositeCondition,
-    IrrelevanceCriterion,
-    MaxDepthCondition,
-    NodeBudget,
-    PlaceBoundCondition,
-    UserBoundCondition,
-    default_termination,
-)
+from repro.scheduling.termination import witnessed_by
 
 
 # ---------------------------------------------------------------------------
@@ -216,71 +214,60 @@ def test_validate_on_plain_dicts_matches_the_firing_checks():
 
 
 # ---------------------------------------------------------------------------
-# Termination conditions
+# Pruning: the irrelevance criterion and the bounds
 # ---------------------------------------------------------------------------
 
 
-class _FakeTree:
-    """Minimal SchedulingTreeView over a single path of markings of ``net``."""
-
-    def __init__(self, net, markings):
-        self.inet = net.indexed()
-        self.vecs = [self.inet.vec_of_marking(marking) for marking in markings]
-
-    def vec_of(self, node):
-        return self.vecs[node]
-
-    def depth_of(self, node):
-        return node
-
-    def total_tokens_of(self, node):
-        return sum(self.vecs[node])
-
-    def ancestors_of(self, node):
-        return list(range(node - 1, -1, -1))
-
-    def path_probe_state(self, node):
-        return None  # no DFS path index: conditions walk the ancestors
+def _irrelevant_after(net, markings):
+    """Definition 4.5 of the last of ``markings`` against the others (its
+    ancestors on one path), by the exact walk."""
+    inet = net.indexed()
+    degrees = StructuralAnalysis.of(net).degrees
+    vecs = [inet.vec_of_marking(marking) for marking in markings]
+    *ancestors, vec = vecs
+    return witnessed_by(
+        [degrees.get(name, 0) for name in inet.place_names],
+        vec,
+        sum(vec),
+        [(sum(a), a) for a in ancestors],
+    )
 
 
 def test_irrelevance_criterion_detects_saturated_growth():
     net = paper_nets.figure_4a()  # degree of p1 is 2+2-1 = 3
-    criterion = IrrelevanceCriterion.for_net(net)
-    tree = _FakeTree(net, [Marking({"p1": 3}), Marking({"p1": 5})])
-    assert criterion.holds(tree, 1)
+    assert _irrelevant_after(net, [Marking({"p1": 3}), Marking({"p1": 5})])
     # growth from a non-saturated ancestor is not irrelevant
-    tree2 = _FakeTree(net, [Marking({"p1": 1}), Marking({"p1": 2})])
-    assert not criterion.holds(tree2, 1)
+    assert not _irrelevant_after(net, [Marking({"p1": 1}), Marking({"p1": 2})])
     # equal markings are never classified irrelevant
-    tree3 = _FakeTree(net, [Marking({"p1": 3}), Marking({"p1": 3})])
-    assert not criterion.holds(tree3, 1)
+    assert not _irrelevant_after(net, [Marking({"p1": 3}), Marking({"p1": 3})])
 
 
 def test_place_bound_and_user_bound_conditions():
+    """``place_bound`` prunes a marking above it on any place; a channel
+    bound the specification declares prunes under every option."""
     net = paper_nets.figure_4a()
-    bound = PlaceBoundCondition.uniform(net, 2)
-    tree = _FakeTree(net, [Marking({"p1": 1}), Marking({"p1": 3})])
-    assert not bound.holds(tree, 0)
-    assert bound.holds(tree, 1)
+    search = _EPSearch(net, "a", SchedulerOptions(place_bound=2))
+    vec_of = net.indexed().vec_of_marking
+    assert not search._prunes(0, vec_of(Marking({"p1": 1})), 1, ())
+    assert search._prunes(1, vec_of(Marking({"p1": 3})), 3, ())
 
     bounded_net = PetriNet()
     bounded_net.add_place("ch", bound=1, is_port=True)
-    bounded_net.add_transition("t")
+    bounded_net.add_transition("t", source_kind=SourceKind.UNCONTROLLABLE)
     bounded_net.add_arc("t", "ch")
-    user = UserBoundCondition.for_net(bounded_net)
-    tree = _FakeTree(bounded_net, [Marking({"ch": 1}), Marking({"ch": 2})])
-    assert not user.holds(tree, 0)
-    assert user.holds(tree, 1)
-
-
-def test_composite_node_budget_and_depth_conditions():
-    net = paper_nets.figure_4a()
-    composite = default_termination(net, max_nodes=5)
-    assert "irrelevance" in composite.describe()
-    tree = _FakeTree(net, [Marking({"p1": i}) for i in range(10)])
-    assert NodeBudget(max_nodes=3).holds(tree, 3)
-    assert not NodeBudget(max_nodes=3).holds(tree, 2)
-    assert MaxDepthCondition(max_depth=2).holds(tree, 4)
+    for options in (SchedulerOptions(), SchedulerOptions(place_bound=5)):
+        search = _EPSearch(bounded_net, "t", options)
+        assert not search._prunes(0, (1,), 1, ())
+        assert search._prunes(1, (2,), 2, ())
+    # the declared bound is part of the specification, and it prunes before
+    # the place bound: no failure names it
+    for place_bound in (None, 5):
+        result = searched_and_walked(
+            bounded_net, "t", use_invariant_heuristic=False, place_bound=place_bound
+        )
+        assert result.failure_reason == (
+            "no entering point reaching the initial marking was found"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +296,15 @@ def test_figure_4b_has_no_single_source_schedules():
 
 def test_a_search_that_runs_out_of_candidates_keeps_its_reason():
     """Figure 4b fails at 3 tree nodes, below every budget that prunes no
-    node; a ``NodeBudget`` leaf of 2 prunes the third node and is named."""
+    node; a budget of 2 stops the third node and is named."""
     net = paper_nets.figure_4b()
     reason = "no entering point reaching the initial marking was found"
     for options in (SchedulerOptions(), SchedulerOptions(max_nodes=4)):
         result = find_schedule(net, "a", options=options)
         assert (result.tree_nodes, result.failure_reason) == (3, reason)
-    result = folded_and_fallback(net, "a", default_termination(net, max_nodes=3))
+    result = searched_and_walked(net, "a", max_nodes=4)
     assert (result.tree_nodes, result.failure_reason) == (3, reason)
-    result = folded_and_fallback(net, "a", default_termination(net, max_nodes=2))
+    result = searched_and_walked(net, "a", max_nodes=2)
     assert result.failure_reason.startswith("node budget of 2 tree nodes exhausted")
 
 
@@ -338,15 +325,29 @@ def test_a_search_cut_by_max_nodes_names_the_budget():
         assert result.elapsed_seconds < 1.0
 
 
-def test_a_node_budget_leaf_of_a_custom_termination_names_the_budget():
-    """A ``NodeBudget`` below ``max_nodes`` cuts the tree instead; folded or
-    decided through ``termination.holds``, the search names it."""
-    net = link(build_network(make_unschedulable_spec(20260808))).net
-    (source,) = net.uncontrollable_sources()
-    termination = default_termination(net, max_nodes=300)
-    result = folded_and_fallback(net, source, termination)
-    assert result.tree_nodes > 300
-    assert result.failure_reason.startswith("node budget of 300 tree nodes exhausted")
+def test_a_search_cut_by_a_place_bound_names_the_bound():
+    """Figure 7 (k=3) is schedulable, so a failure under a pre-defined bound
+    proves nothing: a bound of 2 cuts the search after 4 tree nodes and the
+    reason says so, while bounds 3 and 4 run into the budget first and keep
+    its text.  The irrelevance criterion and a bound of 8 find a schedule."""
+    net = paper_nets.figure_7(3)
+
+    def search(place_bound):
+        options = SchedulerOptions(max_nodes=2000, place_bound=place_bound)
+        return find_schedule(net, "a", options=options)
+
+    cut = search(2)
+    assert cut.tree_nodes == 4
+    assert cut.failure_reason == (
+        "pre-defined place bound (2 tokens per place) pruned the search before an "
+        "entering point reaching the initial marking was found; schedulability is "
+        "undecided"
+    )
+    for bound in (3, 4):
+        result = search(bound)
+        assert result.tree_nodes == 2000
+        assert result.failure_reason.startswith("node budget of 2000 tree nodes exhausted")
+    assert search(None).success and search(8).success
 
 
 def test_figure_5_schedules_are_independent_and_executable():
@@ -381,10 +382,8 @@ def test_figure_7_schedulable_with_irrelevance_but_not_small_bounds():
         result.schedule.validate()
         # a fires k*(k-1)... at least k times: many await nodes
         assert len(result.schedule.await_nodes()) >= k
-        bounded = CompositeCondition(
-            conditions=[PlaceBoundCondition.uniform(net, 2), NodeBudget(max_nodes=2000)]
-        )
-        failed = find_schedule(net, "a", options=SchedulerOptions(termination=bounded))
+        bounded = SchedulerOptions(max_nodes=2000, place_bound=2)
+        failed = find_schedule(net, "a", options=bounded)
         assert not failed.success
 
 

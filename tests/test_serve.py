@@ -599,7 +599,7 @@ def test_retired_options_answer_bad_options_like_unknown_ones():
     for name, response in zip(retired, responses):
         assert not response["ok"] and response["error"]["type"] == "bad-options"
         assert name in response["error"]["message"]
-        assert response["protocol"] == protocol.PROTOCOL_VERSION == 5
+        assert response["protocol"] == protocol.PROTOCOL_VERSION == 6
 
 
 def test_wrong_typed_options_answer_bad_options():
@@ -1071,7 +1071,7 @@ def test_the_daemons_counters_add_up(tmp_path):
         assert stats[counter] > 0, counter
     # one counter block: the service's counters and their sum, beside the
     # queue, the latency histograms and the two cache sizes
-    assert "warmstart" not in stats
+    assert "warmstart" not in stats and "uncacheable" not in stats
     assert set(stats) == {
         *ServeMetrics.COUNTERS,
         "cache_hits",

@@ -8,9 +8,10 @@ serving layer's contract under load:
 * **zipf** -- a measured pass of many requests zipf-distributed (s ~ 1.1)
   over a corpus of nets against a warm daemon must be answered almost
   entirely by the caches (``coalesced + cache_hits > 0.9 * requests``) with
-  zero errors; repeated request lines are answered from the request memo
-  (``memo_hits``, which ``--smoke`` requires to be non-zero; memo hits also
-  count as ``l1_hits``);
+  zero errors; the stampede and the warm-up answer every line once, and the
+  daemon remembers each first answer, so ``--smoke`` requires every measured
+  request to be a request-memo hit (``memo_hits``, which also count as
+  ``l1_hits``) and no live search;
 * **verification** -- every response's per-source schedule fingerprint must
   be byte-identical to a serial :func:`repro.scheduling.ep.find_all_schedules`
   run over the same corpus.
@@ -340,8 +341,13 @@ def evaluate(section: Dict[str, object], clean: bool, *, smoke: bool) -> List[st
         problems.append(f"{len(mismatches)} fingerprint mismatches: {mismatches[:3]}")
     if totals["coalesced"] < 1:
         problems.append("no request ever coalesced (single-flight had no effect)")
-    if smoke and totals["memo_hits"] < 1:
-        problems.append("no repeated request was answered from the request memo")
+    measured = phases["measured"]["server_delta"]
+    if smoke and (measured["memo_hits"] != measured["requests"] or measured["live_searches"]):
+        problems.append(
+            "every measured line was answered before, yet only "
+            f"{measured['memo_hits']} of {measured['requests']} measured requests "
+            f"were memo hits ({measured['live_searches']} live searches)"
+        )
     if not clean:
         problems.append("daemon shutdown did not drain cleanly")
     if not smoke and warm <= 0.9 * totals["requests"]:

@@ -435,8 +435,10 @@ class _EPSearch:
             if places[name].bound is not None
         )
         # Section 4.4: the irrelevance criterion, or a pre-defined bound on
-        # every place; whether that bound pruned anything names a failure
+        # every place; whether that bound pruned anything names a failure,
+        # as does whether max_nodes stopped a node from being searched
         self._bound_cut = False
+        self._budget_cut = False
         self._degrees: Tuple[int, ...] = ()
         self._incremental: Optional[IncrementalIrrelevance] = None
         if options.place_bound is None:
@@ -474,6 +476,9 @@ class _EPSearch:
         source_tid = self.inet.transition_index[self.source]
         child_vec = self._fire(source_tid, initial)
         child = self.tree.add_child(root, source_tid, child_vec)
+        # the source child is added whatever the budget; below 2 it is
+        # pruned unexpanded
+        self._budget_cut = child >= self.options.max_nodes
 
         # a deep schedule recurses once per tree level (fired transition)
         with raised_recursion_limit():
@@ -489,7 +494,7 @@ class _EPSearch:
         if entering_point != root:
             options = self.options
             reason = "no entering point reaching the initial marking was found"
-            if len(self.tree) >= options.max_nodes:
+            if self._budget_cut:
                 reason = (
                     f"node budget of {options.max_nodes} tree nodes exhausted "
                     "before an entering point reaching the initial marking was "
@@ -696,6 +701,7 @@ class _EPSearch:
         tids = self._ecs_tids[ecs_id]
         for index, transition in enumerate(names):
             if len(self.tree) >= self.options.max_nodes:
+                self._budget_cut = True
                 return UNDEF
             tid = tids[index]
             child = self.tree.add_child(v, tid, self._fire(tid, vec))

@@ -14,9 +14,10 @@ package wires them behind a listener:
   search, in front of the service's in-memory L1 and the persistent disk
   L2, with searches running on a bounded thread pool, per-waiter timeouts,
   and one block of hit/miss/coalesce counters plus per-phase latency
-  histograms; a request memo in front of the map answers a repeated
-  request line with the bytes it got before, while the L1 still holds the
-  records they were built from;
+  histograms; a request memo in front of the map remembers every
+  ``schedule`` line at its first answer and answers a repeat with the
+  bytes the L1 would give it, while the L1 still holds the records they
+  were built from;
 * :mod:`repro.serve.server` -- the asyncio TCP transport with an
   introspection (``stats``) endpoint and graceful shutdown draining.
 

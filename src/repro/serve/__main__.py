@@ -44,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--l1-capacity", type=int, default=256,
-        help="in-memory schedule-record LRU capacity",
+        help="in-memory schedule-record LRU capacity; also sizes the request "
+        "memo (the response lines remembered for repeats)",
     )
     parser.add_argument(
         "--drain-deadline", type=float, default=10.0,

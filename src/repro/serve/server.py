@@ -9,11 +9,14 @@ connections.
 
 Every request line is digested (SHA-256 of its raw bytes) before it is
 decoded.  A line the service's request memo recognises is answered on the
-event loop with the bytes it got before, skipping decode, net build,
-fingerprinting, the executor and response encoding; any other line takes
-the full path, and a ``schedule`` response whose every source came from a
-cache is remembered for the next repeat.  While draining, the memo is not
-consulted, so a repeated line gets ``shutting-down`` like any other.
+event loop with the bytes the full path would give it, skipping decode,
+net build, fingerprinting, the executor and response encoding; any other
+line takes the full path.  Every ``schedule`` response is remembered at its
+first answer: the requester gets its truthful bytes, and the memo keeps the
+bytes a repeat gets while the L1 holds the records, every source
+``from_cache`` (one more encoding when a source was searched or waited on a
+search).  While draining, the memo is not consulted, so a repeated line
+gets ``shutting-down`` like any other.
 
 Lifecycle: :meth:`start` binds (port 0 picks a free port, reported by
 :attr:`port`), :meth:`shutdown` drains gracefully -- the listener closes
@@ -220,17 +223,27 @@ class ScheduleServer:
             )
         body = protocol.encode_line(response)
         if bindings is not None:
-            # every source came from a cache: a repeat of this exact line
-            # gets these bytes while the L1 still holds those records
-            self.service.remember(digest, body, bindings)
+            self.service.remember(digest, self._repeat_body(response, body), bindings)
         writer.write(body)
         await writer.drain()
         return False
 
+    @staticmethod
+    def _repeat_body(response: Dict[str, object], body: bytes) -> bytes:
+        """What the full path answers a repeat of a ``schedule`` line with
+        while the L1 still holds its records: ``body``, every source
+        ``from_cache``."""
+        results = response["results"]
+        if all(result["from_cache"] for result in results):
+            return body
+        return protocol.encode_line(
+            {**response, "results": [{**result, "from_cache": True} for result in results]}
+        )
+
     async def _handle_schedule(
         self, request, request_id
-    ) -> Tuple[Dict[str, object], Optional[Tuple]]:
-        """One ``schedule`` response, and its bindings when it may be remembered."""
+    ) -> Tuple[Dict[str, object], Tuple]:
+        """One ``schedule`` response, and the bindings it is remembered with."""
         if self._draining:
             raise ProtocolError("shutting-down", "server is draining; retry elsewhere")
         self.service.metrics.bump("requests")

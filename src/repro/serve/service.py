@@ -17,8 +17,9 @@ This is the daemon's engine, independent of any transport.  One
   exactly one EP search (the other N-1 *await* it and receive the same
   record);
 * the **request memo** in front of that map: a bounded LRU (sized like
-  the L1) from a digest of a request line to the response bytes it got,
-  bound to the L1 records they were built from.  A repeated line is
+  the L1) from a digest of a request line to the response bytes a repeat
+  of it gets, bound to the L1 records they were built from.  Every
+  ``schedule`` line is remembered at its first answer, and a repeat is
   answered with those bytes while every record is still the one its L1
   key holds (:meth:`SchedulingService.recall`), counted as the L1 hits it
   stands for;
@@ -70,15 +71,16 @@ _UNSET = object()
 
 
 class LatencyHistogram:
-    """Fixed log2 latency buckets (1ms .. ~65s), thread-safe.
+    """Fixed log2 latency buckets (15.625us .. ~65s), thread-safe.
 
     Small enough to ship in every ``stats`` response, coarse enough to never
     need rebinning; the overflow bucket catches anything slower than the
-    largest bound.
+    largest bound.  The sub-millisecond bounds tell memo hits (tens of
+    microseconds) from L1 hits and live searches.
     """
 
-    #: Upper bounds in seconds: 1ms, 2ms, 4ms, ... 65.536s.
-    BOUNDS = tuple(0.001 * (2**i) for i in range(17))
+    #: Upper bounds in seconds: 2**-6 ms (15.625us), 2**-5 ms, ... 65.536s.
+    BOUNDS = tuple(0.001 * (2**i) for i in range(-6, 17))
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -278,8 +280,9 @@ class SchedulingService:
         """Keep ``response`` for the next request line with ``digest``.
 
         ``bindings`` is what :meth:`schedule_net` returned for the
-        request: one ``(L1 key, record)`` pair per source, every record
-        from a cache.  Callers remember only such ``schedule`` responses.
+        request: one ``(L1 key, record)`` pair per source.  ``response``
+        must be the bytes a repeat of the line gets from the full path
+        while the L1 holds those records, every source ``from_cache``.
         """
         self._memo.put(digest, (response, bindings))
 
@@ -292,7 +295,7 @@ class SchedulingService:
         *,
         fingerprint: Optional[str] = None,
         timeout=_UNSET,
-    ) -> Tuple[List[Dict[str, object]], Optional[Tuple]]:
+    ) -> Tuple[List[Dict[str, object]], Tuple]:
         """Schedule ``sources`` of ``net``: the per-source payloads, and the
         records they were built from.
 
@@ -301,9 +304,10 @@ class SchedulingService:
         flight anywhere in the process.  ``fingerprint`` is the net's
         structural fingerprint when the caller already has it (the server
         computes it while building the net).  The second item holds one
-        ``(L1 key, record)`` pair per source when every source's record came
-        from a cache (``from_cache: true``), and is ``None`` otherwise: only
-        such a response may be remembered (:meth:`remember`).
+        ``(L1 key, record)`` pair per source, whatever its origin: the record
+        is the very object ``_compute`` found in or put into the L1, so a
+        repeat of the request reads it from there until the key is evicted
+        or replaced (:meth:`remember`, :meth:`recall`).
 
         Raises :class:`ProtocolError` (kind ``timeout``) when a waiter
         deadline expires first; the underlying search is *not* cancelled.
@@ -321,16 +325,11 @@ class SchedulingService:
             )
             payloads.append(payload)
             bindings.append(binding)
-        if bindings and all(binding is not None for binding in bindings):
-            return payloads, tuple(bindings)
-        return payloads, None
+        return payloads, tuple(bindings)
 
     async def _schedule_source(self, net, source, options, fingerprint, timeout):
         """One source's canonical payload and its ``(L1 key, record)``,
-        coalescing duplicates (the single-flight step).
-
-        The pair is ``None`` unless the record came from a cache.
-        """
+        coalescing duplicates (the single-flight step)."""
         if self._closed:
             raise ProtocolError("shutting-down", "service is draining")
         loop = asyncio.get_running_loop()
@@ -365,8 +364,7 @@ class SchedulingService:
                 f"scheduling {source!r} did not finish within {timeout}s "
                 "(the search continues for other waiters)",
             )
-        payload = self._payload(source, fingerprint, record, origin)
-        return payload, ((key, record) if payload["from_cache"] else None)
+        return self._payload(source, fingerprint, record, origin), (key, record)
 
     async def _drive_search(
         self, key, future, net, source, options, fingerprint

@@ -295,17 +295,29 @@ def test_figure_4b_has_no_single_source_schedules():
 
 
 def test_a_search_that_runs_out_of_candidates_keeps_its_reason():
-    """Figure 4b fails at 3 tree nodes, below every budget that prunes no
-    node; a budget of 2 stops the third node and is named."""
+    """Figure 4b fails at 3 tree nodes.  A budget of 3 holds that tree
+    without refusing a node, so it runs the very search of the default and
+    keeps its reason; a budget of 2 stops the third node and is named."""
     net = paper_nets.figure_4b()
     reason = "no entering point reaching the initial marking was found"
-    for options in (SchedulerOptions(), SchedulerOptions(max_nodes=4)):
+    counters = set()
+    for options in (
+        SchedulerOptions(),
+        SchedulerOptions(max_nodes=4),
+        SchedulerOptions(max_nodes=3),
+    ):
         result = find_schedule(net, "a", options=options)
         assert (result.tree_nodes, result.failure_reason) == (3, reason)
-    result = searched_and_walked(net, "a", max_nodes=4)
-    assert (result.tree_nodes, result.failure_reason) == (3, reason)
+        counters.add(tuple(result.counters.as_dict().items()))
+    assert len(counters) == 1
+    for max_nodes in (3, 4):
+        result = searched_and_walked(net, "a", max_nodes=max_nodes)
+        assert (result.tree_nodes, result.failure_reason) == (3, reason)
     result = searched_and_walked(net, "a", max_nodes=2)
-    assert result.failure_reason.startswith("node budget of 2 tree nodes exhausted")
+    assert result.failure_reason == (
+        "node budget of 2 tree nodes exhausted before an entering point "
+        "reaching the initial marking was found; schedulability is undecided"
+    )
 
 
 def test_a_search_cut_by_max_nodes_names_the_budget():

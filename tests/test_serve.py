@@ -18,6 +18,7 @@ The load-bearing contracts pinned here:
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import itertools
 import json
 import random
@@ -456,9 +457,19 @@ def test_latency_histogram_buckets():
     hist.observe(120.0)
     snap = hist.as_dict()
     assert snap["count"] == 3
-    assert snap["buckets"]["<=1ms"] == 1
+    assert snap["buckets"]["<=0.5ms"] == 1
     assert snap["buckets"]["<=4ms"] == 1
     assert snap["buckets"][">65.536s"] == 1
+    # the bounds start at 2**-6 ms: a memo hit (tens of microseconds) and
+    # an L1 hit (about a tenth of a millisecond) land apart
+    hist = LatencyHistogram()
+    for seconds in (0.000001, 0.000013, 0.00002, 0.00012):
+        hist.observe(seconds)
+    assert hist.as_dict()["buckets"] == {
+        "<=0.015625ms": 2,
+        "<=0.03125ms": 1,
+        "<=0.125ms": 1,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +692,7 @@ def test_stats_endpoint_reports_counters_and_histograms():
     async def scenario():
         server = await start_server(max_workers=1)
         try:
-            # a search, then L1 hits, then the request memo
+            # a search, then the request memo twice
             for _ in range(3):
                 await _request(
                     server.port,
@@ -709,10 +720,10 @@ def test_stats_endpoint_reports_counters_and_histograms():
     assert stats["requests"] == 3 and stats["responses"] == 3
     assert stats["live_searches"] == 2  # figure_5 has two sources
     assert stats["l1_hits"] == 4
-    assert stats["memo_hits"] == 1 and stats["memo_entries"] == 1
+    assert stats["memo_hits"] == 2 and stats["memo_entries"] == 1
     latency = stats["latency"]
-    assert latency["search"]["count"] == 4  # the memo hit searched nothing
-    assert latency["memo"]["count"] == 1
+    assert latency["search"]["count"] == 2  # the memo hits searched nothing
+    assert latency["memo"]["count"] == 2
     assert latency["total"]["count"] == 3
     assert stats["queue"]["max_workers"] == 1
     assert response["server"]["draining"] is False
@@ -772,11 +783,11 @@ def test_requests_after_completion_hit_l1_not_coalesce():
     first, second, third, stats = asyncio.run(scenario())
     assert not first["results"][0]["from_cache"]
     assert second["results"][0]["from_cache"]
-    # the third repeat of the line is answered by the request memo, which
-    # counts the L1 hit it stands for
+    # both repeats of the line are answered by the request memo, which
+    # remembered the first answer and counts the L1 hit each stands for
     assert third == second
     assert stats["coalesced"] == 0 and stats["l1_hits"] == 2
-    assert stats["memo_hits"] == 1
+    assert stats["memo_hits"] == 2
     assert (
         first["results"][0]["schedule_fingerprint"]
         == second["results"][0]["schedule_fingerprint"]
@@ -1095,8 +1106,8 @@ def test_memo_never_answers_from_a_replaced_record():
             answers = [
                 json.loads(await client.ask(request))
                 for request in (
-                    line,  # search 1
-                    line,  # L1 hit, remembered
+                    line,  # search 1, remembered
+                    line,  # memo hit
                     line,  # memo hit
                     other_net,  # search 2 evicts the record
                     same_key,  # search 3: a new record under the same key
@@ -1114,7 +1125,7 @@ def test_memo_never_answers_from_a_replaced_record():
     from_cache = [answer["results"][0]["from_cache"] for answer in answers]
     assert elapsed == [1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0]
     assert from_cache == [False, True, True, False, False, True, True]
-    assert stats["memo_hits"] == 2 and stats["l1_hits"] == 4
+    assert stats["memo_hits"] == 3 and stats["l1_hits"] == 4
 
 
 def test_replay_hits_requires_the_same_record_object():
@@ -1199,7 +1210,7 @@ def test_memoized_line_is_refused_while_draining():
         try:
             for _ in range(3):
                 await client.ask(line)
-            assert server.service.metrics.memo_hits == 1
+            assert server.service.metrics.memo_hits == 2
             server.service._search_fn = _slow(0.3)
             in_flight = asyncio.create_task(
                 _request(server.port, {"net": net_to_dict(paper_nets.figure_8())})
@@ -1216,22 +1227,22 @@ def test_memoized_line_is_refused_while_draining():
     refused, finished, clean, memo_hits = asyncio.run(scenario())
     assert not refused["ok"] and refused["error"]["type"] == "shutting-down"
     assert finished["ok"] and clean is True
-    assert memo_hits == 1
+    assert memo_hits == 2
 
 
-def test_memo_stores_only_all_cached_schedule_responses():
+def test_memo_stores_every_schedule_response_and_nothing_else():
     stats_line = _line({"op": "stats"})
-    both_sources = _schedule_line(paper_nets.figure_5)
     never_stored = [  # (line, times sent)
         (_line({"op": "ping"}), 3),
         (stats_line, 3),
         (b"this is not json\n", 3),
         (_line({"op": "dance"}), 3),
         (_schedule_line(paper_nets.figure_5, sources=["ghost"]), 3),
-        # first sight of each key: from_cache false
-        (_schedule_line(paper_nets.figure_6), 1),
-        (_schedule_line(paper_nets.figure_5, sources=["a"]), 1),
-        (both_sources, 1),  # "a" from the L1, "d" searched
+    ]
+    first_answers = [
+        _schedule_line(paper_nets.figure_6),  # both sources searched
+        _schedule_line(paper_nets.figure_5, sources=["a"]),  # searched
+        _schedule_line(paper_nets.figure_5),  # "a" from the L1, "d" searched
     ]
 
     async def scenario():
@@ -1241,17 +1252,113 @@ def test_memo_stores_only_all_cached_schedule_responses():
             for line, times in never_stored:
                 for _ in range(times):
                     await client.ask(line)
+            empty = json.loads(await client.ask(stats_line))["stats"]
+            firsts = [await client.ask(line) for line in first_answers]
             before = json.loads(await client.ask(stats_line))["stats"]
-            await client.ask(both_sources)  # now every source is cached
+            repeats = [await client.ask(line) for line in first_answers]
             after = json.loads(await client.ask(stats_line))["stats"]
         finally:
             await client.close()
             await server.shutdown()
-        return before, after
+        return empty, firsts, before, repeats, after
 
-    before, after = asyncio.run(scenario())
-    assert before["memo_entries"] == 0 and before["memo_hits"] == 0
-    assert after["memo_entries"] == 1
+    empty, firsts, before, repeats, after = asyncio.run(scenario())
+    assert empty["memo_entries"] == 0 and empty["memo_hits"] == 0
+    # each first answer is remembered, whether or not a source was searched
+    assert before["memo_entries"] == 3 and before["memo_hits"] == 0
+    assert after["memo_entries"] == 3 and after["memo_hits"] == 3
+    assert after["live_searches"] == before["live_searches"] == 4
+    for first, repeat in zip(firsts, repeats):
+        first, repeat = json.loads(first), json.loads(repeat)
+        assert not all(result["from_cache"] for result in first["results"])
+        assert all(result["from_cache"] for result in repeat["results"])
+        for result in first["results"]:
+            result["from_cache"] = True
+        assert repeat == first
+
+
+@pytest.mark.parametrize("origin", ["live_searches", "disk_hits", "coalesced"])
+def test_a_first_answer_is_remembered_for_each_origin(tmp_path, origin):
+    """A line whose first answer was searched, loaded from disk or a wait on
+    another request's search leaves one memo entry; a repeat gets its bytes,
+    and they are the bytes the full path gives the next repeat."""
+    line = _schedule_line(paper_nets.figure_6, sources=["a"], id=origin)
+    waiters = 6 if origin == "coalesced" else 1
+
+    async def scenario(store):
+        # l1_capacity=1: a second net evicts the first one's record
+        server = await start_server(max_workers=2, l1_capacity=1, store=store)
+        service = server.service
+        # a slow search lets every waiter of a stampede find it in flight
+        service._search_fn = _slow(0.2) if waiters > 1 else _numbered_searches()
+        clients = [await _Connection.open(server.port) for _ in range(waiters)]
+        try:
+            if origin == "disk_hits":
+                # the same key under another line, then an eviction: the
+                # record is on disk only
+                await clients[0].ask(_schedule_line(paper_nets.figure_6, sources=["a"]))
+                await clients[0].ask(_schedule_line(paper_nets.figure_8))
+                service._memo.clear()
+            before = service.snapshot()
+            firsts = await asyncio.gather(*(client.ask(line) for client in clients))
+            middle = service.snapshot()
+            remembered, _bindings = service._memo.get(hashlib.sha256(line).digest())
+            repeat = await clients[0].ask(line)
+            service._memo = _NeverHits(1)
+            full_path = await clients[0].ask(line)
+            after = service.snapshot()
+        finally:
+            for client in clients:
+                await client.close()
+            await server.shutdown()
+        return firsts, before, middle, remembered, repeat, full_path, after
+
+    store = SqliteStore(tmp_path / "l2")
+    try:
+        firsts, before, middle, remembered, repeat, full_path, after = asyncio.run(
+            scenario(store)
+        )
+    finally:
+        store.close()
+    assert len(set(firsts)) == 1  # every waiter got the same bytes
+    assert middle[origin] - before[origin] == (waiters - 1 if origin == "coalesced" else 1)
+    assert before["memo_entries"] == 0 and middle["memo_entries"] == 1
+    (first,) = json.loads(firsts[0])["results"]
+    assert first["from_cache"] is (origin == "disk_hits")
+    assert json.loads(remembered) == {
+        **json.loads(firsts[0]),
+        "results": [{**first, "from_cache": True}],
+    }
+    assert repeat == remembered == full_path
+    assert after["memo_hits"] - middle["memo_hits"] == 1
+    # the repeat and the full path each read the one L1 record
+    assert after["l1_hits"] - middle["l1_hits"] == 2
+    for counter in ("live_searches", "disk_hits", "coalesced"):
+        assert after[counter] == middle[counter], counter
+
+
+def test_a_line_whose_second_source_evicts_the_first_is_never_a_memo_hit():
+    """figure_5's two sources cannot both stay in a one-record L1, so the
+    entry each answer leaves is stale by the time the line comes again."""
+    line = _schedule_line(paper_nets.figure_5)
+
+    async def scenario():
+        server = await start_server(max_workers=1, l1_capacity=1)
+        server.service._search_fn = _numbered_searches()
+        client = await _Connection.open(server.port)
+        try:
+            answers = [json.loads(await client.ask(line)) for _ in range(3)]
+        finally:
+            await client.close()
+            await server.shutdown()
+        return answers, server.service.snapshot()
+
+    answers, stats = asyncio.run(scenario())
+    elapsed = [[r["elapsed_seconds"] for r in answer["results"]] for answer in answers]
+    assert elapsed == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    assert not any(r["from_cache"] for answer in answers for r in answer["results"])
+    assert stats["memo_hits"] == 0 and stats["l1_hits"] == 0
+    assert stats["live_searches"] == 6 and stats["memo_entries"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1333,8 +1440,8 @@ def test_fuzzed_lines_get_typed_errors_and_leave_the_memo_alone():
         server = await start_server(max_workers=2)
         client = await _Connection.open(server.port)
         try:
-            await client.ask(valid)
             await client.ask(valid)  # remembered
+            await client.ask(valid)  # a memo hit
             before = json.loads(await client.ask(stats_line))["stats"]
             answers = [await client.ask(line) for line in lines]
             again = [await client.ask(line) for line in lines[::7]]
@@ -1350,7 +1457,7 @@ def test_fuzzed_lines_get_typed_errors_and_leave_the_memo_alone():
     assert set(kinds) <= TYPED_ERRORS, sorted(set(kinds) - TYPED_ERRORS)
     assert again == answers[::7]  # an error is never replayed from the memo
     assert before["memo_entries"] == after["memo_entries"] == 1
-    assert after["memo_hits"] == before["memo_hits"] == 0
+    assert after["memo_hits"] == before["memo_hits"] == 1
     assert last["ok"]
     (result,) = last["results"]
     assert result["from_cache"]

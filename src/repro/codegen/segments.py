@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis
-from repro.petrinet.marking import Marking
-from repro.scheduling.schedule import Schedule
+from repro.scheduling.schedule import Schedule, ScheduleNode
 
 ECS = FrozenSet[str]
 
@@ -116,9 +115,11 @@ def threads_are_equivalent(schedule: Schedule, first: Thread, second: Thread) ->
 
 @dataclass
 class JumpCase:
-    """One alternative of a non-deterministic jump."""
+    """One alternative of a non-deterministic jump: the schedule node the
+    branch reaches (the jump switch discriminates on its marking vector) and
+    the ECS that continues from there."""
 
-    marking: Marking
+    node: ScheduleNode
     target_ecs: ECS
     is_return: bool
 
@@ -138,15 +139,12 @@ class CodeSegmentNode:
     """One ECS inside a code segment."""
 
     ecs: ECS
-    # (marking, ECS) pairs of the schedule nodes represented by this node
-    states: List[Tuple[Marking, ECS]] = field(default_factory=list)
+    # the schedule nodes represented by this node
+    states: List[ScheduleNode] = field(default_factory=list)
     # inlined continuations: transition -> child node (same segment)
     children: Dict[str, "CodeSegmentNode"] = field(default_factory=dict)
     # non-inlined continuations: transition -> jump specification
     jumps: Dict[str, JumpSpec] = field(default_factory=dict)
-
-    def schedule_nodes(self) -> List[Marking]:
-        return [marking for marking, _ecs in self.states]
 
     def subtree(self) -> List["CodeSegmentNode"]:
         nodes = [self]
@@ -193,27 +191,24 @@ class SegmentSet:
 
         The intersection of the places whose count is modified by involved
         transitions with the places needed to discriminate the jump switches
-        and the thread selection.
+        and the thread selection.  The first are the places the involved
+        transitions' deltas touch, so only those columns of the jump cases'
+        marking vectors are compared.
         """
-        net = self.schedule.net
-        updated: Set[str] = set()
+        inet = self.schedule.net.indexed()
+        updated: Set[int] = set()
         for transition in self.schedule.involved_transitions():
-            pre = net.pre[transition]
-            post = net.post[transition]
-            for place in set(pre) | set(post):
-                if post.get(place, 0) != pre.get(place, 0):
-                    updated.add(place)
-        needed: Set[str] = set()
+            updated.update(pid for pid, _change in inet.delta[inet.transition_index[transition]])
+        needed: Set[int] = set()
         for node in self.node_by_ecs.values():
             for jump in node.jumps.values():
                 if jump.deterministic or len(jump.cases) < 2:
                     continue
-                markings = [case.marking for case in jump.cases]
-                for place in net.places:
-                    counts = {marking[place] for marking in markings}
-                    if len(counts) > 1:
-                        needed.add(place)
-        return sorted(updated & needed) if needed else []
+                first, *others = [case.node.vec_in(inet) for case in jump.cases]
+                for pid in updated - needed:
+                    if any(vec[pid] != first[pid] for vec in others):
+                        needed.add(pid)
+        return [inet.place_names[pid] for pid in sorted(needed)]
 
 
 def ecs_label(ecs: ECS) -> str:
@@ -244,17 +239,16 @@ def extract_code_segments(
         if code_node is None:
             code_node = CodeSegmentNode(ecs=ecs)
             node_by_ecs[ecs] = code_node
-        code_node.states.append((node.marking, ecs))
+        code_node.states.append(node)
 
-    # successor analysis: for each (ECS, transition), the set of successor
-    # (marking, ECS) pairs over all schedule nodes carrying that ECS
-    successors: Dict[Tuple[ECS, str], List[Tuple[Marking, ECS]]] = {}
+    # successor analysis: for each (ECS, transition), the successor
+    # (schedule node, ECS) pairs over all schedule nodes carrying that ECS
+    successors: Dict[Tuple[ECS, str], List[Tuple[ScheduleNode, ECS]]] = {}
     for node in schedule.nodes:
         ecs = ecs_of_node[node.index]
         for transition, target in node.edges.items():
-            target_node = schedule.node(target)
             successors.setdefault((ecs, transition), []).append(
-                (target_node.marking, ecs_of_node[target])
+                (schedule.node(target), ecs_of_node[target])
             )
 
     await_ecss = {ecs_of_node[node.index] for node in schedule.await_nodes()}
@@ -262,7 +256,7 @@ def extract_code_segments(
     # deterministic successor ECS per (ECS, transition)
     deterministic_next: Dict[Tuple[ECS, str], Optional[ECS]] = {}
     for key, targets in successors.items():
-        target_ecss = {target_ecs for _marking, target_ecs in targets}
+        target_ecss = {target_ecs for _node, target_ecs in targets}
         deterministic_next[key] = next(iter(target_ecss)) if len(target_ecss) == 1 else None
 
     # choose inlined children: an ECS can be inlined under (parent, transition)
@@ -301,17 +295,15 @@ def extract_code_segments(
         if ecs in parent_of and creates_cycle(ecs):
             del parent_of[ecs]
 
-    # attach children / jumps to the code nodes
+    # attach children / jumps to the code nodes; an inlined child's edge has
+    # a single deterministic target, so each (parent, transition) names one
+    child_of: Dict[Tuple[ECS, str], ECS] = {edge: child for child, edge in parent_of.items()}
     for ecs, code_node in node_by_ecs.items():
         for transition in ecs:
             key = (ecs, transition)
             if key not in successors:
                 continue
-            child_assignment = None
-            for child_ecs, (parent_ecs, via) in parent_of.items():
-                if parent_ecs == ecs and via == transition:
-                    child_assignment = child_ecs
-                    break
+            child_assignment = child_of.get(key)
             if child_assignment is not None:
                 code_node.children[transition] = node_by_ecs[child_assignment]
                 continue
@@ -326,11 +318,11 @@ def extract_code_segments(
             else:
                 cases = [
                     JumpCase(
-                        marking=marking,
+                        node=target_node,
                         target_ecs=target_ecs,
                         is_return=target_ecs in await_ecss,
                     )
-                    for marking, target_ecs in targets
+                    for target_node, target_ecs in targets
                 ]
                 code_node.jumps[transition] = JumpSpec(deterministic=False, cases=cases)
 

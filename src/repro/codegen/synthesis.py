@@ -171,6 +171,8 @@ class _TaskSynthesizer:
         self.analysis = analysis or StructuralAnalysis.of(self.net)
         self.segments = extract_code_segments(schedule, self.analysis)
         self.state_places = self.segments.state_places()
+        # the snapshot the schedule's marking vectors are read in
+        self.inet = self.net.indexed()
         # the ECSs whose code gets a label line: segment roots, jump targets
         self.labelled: Set[ECS] = {segment.root.ecs for segment in self.segments.segments}
         for node in self.segments.node_by_ecs.values():
@@ -235,9 +237,9 @@ class _TaskSynthesizer:
     # -- initialisation ------------------------------------------------------------
     def _initialisation(self) -> str:
         lines = [f"void {self.task_name}_init(void)", "{"]
-        initial = self.net.initial_marking
+        initial, index = self.inet.initial_vec, self.inet.place_index
         for place in self.state_places:
-            lines.append(f"    {_state_variable_name(place)} = {initial[place]};")
+            lines.append(f"    {_state_variable_name(place)} = {initial[index[place]]};")
         for channel in self.intra_task_channels:
             lines.append(f"    buf_{channel}_head = 0;")
             lines.append(f"    buf_{channel}_count = 0;")
@@ -346,10 +348,11 @@ class _TaskSynthesizer:
                 return [pad + "return;"]
             return [pad + f"goto {self._label(first.target_ecs)};"]
         place = discriminating[0]
+        pid = self.inet.place_index[place]
         lines.append(pad + f"switch ({_state_variable_name(place)}) {{")
         seen_values: Set[int] = set()
         for case in jump.cases:
-            value = case.marking[place]
+            value = case.node.vec_in(self.inet)[pid]
             if value in seen_values:
                 continue
             seen_values.add(value)
@@ -363,12 +366,14 @@ class _TaskSynthesizer:
         return lines
 
     def _discriminating_places(self, jump: JumpSpec) -> List[str]:
-        result = []
-        for place in self.state_places:
-            values = {case.marking[place] for case in jump.cases}
-            if len(values) > 1:
-                result.append(place)
-        return result
+        """The state places on which the jump's cases' vectors differ."""
+        index = self.inet.place_index
+        vecs = [case.node.vec_in(self.inet) for case in jump.cases]
+        return [
+            place
+            for place in self.state_places
+            if len({vec[index[place]] for vec in vecs}) > 1
+        ]
 
     # -- entry point ------------------------------------------------------------
     def synthesize(self) -> SynthesizedTask:
@@ -510,6 +515,7 @@ def synthesized_code_size(
         profile = PROFILES[profile]
     costs = costs or CodeSizeCosts()
     net = task.segments.schedule.net
+    inet = net.indexed()
     intra_ports: Set[str] = set()
     for channel_name in task.intra_task_channels:
         for channel in system.network.channels:
@@ -580,7 +586,7 @@ def synthesized_code_size(
             if jump.deterministic:
                 structural += costs.per_goto
             else:
-                distinct = {case.marking.pretty() for case in jump.cases}
+                distinct = {case.node.vec_in(inet) for case in jump.cases}
                 structural += costs.per_switch_case * max(len(distinct), 1) + costs.per_goto
                 structural += costs.per_state_update
         total += body * copies + (structural if share_code_segments else structural * copies)

@@ -34,7 +34,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.indexed import IndexedNet, MarkingStore, MarkingVec
-from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 from repro.scheduling.heuristics import (
     CycleTracker,
@@ -44,7 +43,7 @@ from repro.scheduling.heuristics import (
     InvariantGuidedOrdering,
     make_heuristic,
 )
-from repro.scheduling.schedule import Schedule
+from repro.scheduling.schedule import Schedule, ScheduleNode
 from repro.scheduling.termination import IncrementalIrrelevance, witnessed_by
 from repro.util import raised_recursion_limit
 
@@ -132,9 +131,8 @@ class TreeNode:
     """A node of the scheduling tree.
 
     Markings are held as interned dense vectors of the indexed core; the
-    facade :class:`Marking` is materialised lazily (``SchedulingTree.
-    marking_of``) and cached, so only nodes that survive into the schedule or
-    feed a heuristic pay the conversion.
+    nodes that survive into the schedule hand their vectors on, as they
+    are, to its :class:`~repro.scheduling.schedule.ScheduleNode` objects.
     """
 
     index: int
@@ -147,7 +145,6 @@ class TreeNode:
     children: List[int] = field(default_factory=list)
     ecs_choice: Optional[ECS] = None
     equal_ancestor: Optional[int] = None
-    marking_cache: Optional[Marking] = None
     enabled: Optional[FrozenSet[int]] = None
     # places whose count exceeds their degree (ascending IDs); maintained
     # only while the tree tracks degrees (SchedulingTree.track_over_degree)
@@ -259,12 +256,6 @@ class SchedulingTree:
     # -- markings ------------------------------------------------------------
     def vec_of(self, node: int) -> MarkingVec:
         return self.nodes[node].vec
-
-    def marking_of(self, node: int) -> Marking:
-        tree_node = self.nodes[node]
-        if tree_node.marking_cache is None:
-            tree_node.marking_cache = self.inet.marking_of_vec(tree_node.vec)
-        return tree_node.marking_cache
 
     # -- incremental enabled sets -------------------------------------------
     def enabled_of(self, node: int) -> FrozenSet[int]:
@@ -726,51 +717,52 @@ class _EPSearch:
 
     # -- post-processing ------------------------------------------------------
     def _post_process(self, root: int) -> Schedule:
+        """The schedule of the retained tree: the chosen ECSs' children, with
+        each cycle-closing leaf merged into its equal-marking ancestor.  Its
+        nodes carry the tree's interned vectors as they are."""
+        tree_nodes = self.tree.nodes
         retained: Set[int] = set()
-        order: List[int] = []
         stack = [root]
         while stack:
             current = stack.pop()
             if current in retained:
                 continue
             retained.add(current)
-            order.append(current)
-            node = self.tree.nodes[current]
+            node = tree_nodes[current]
             if node.ecs_choice is None:
                 continue
             for child_index in node.children:
-                child = self.tree.nodes[child_index]
+                child = tree_nodes[child_index]
                 if child.transition in node.ecs_choice and child_index not in retained:
                     stack.append(child_index)
 
         # merged leaves: retained nodes that close a cycle on an equal-marking ancestor
         merged: Dict[int, int] = {}
         for index in retained:
-            node = self.tree.nodes[index]
+            node = tree_nodes[index]
             if node.ecs_choice is None and node.equal_ancestor is not None:
                 merged[index] = node.equal_ancestor
 
         schedule = Schedule(net=self.net, source_transition=self.source)
+        kept = [index for index in sorted(retained) if index not in merged]
         index_map: Dict[int, int] = {}
-        for index in sorted(retained):
-            if index in merged:
-                continue
-            schedule_node = schedule.add_node(self.tree.marking_of(index))
-            index_map[index] = schedule_node.index
+        for index in kept:
+            index_map[index] = len(schedule.nodes)
+            schedule.nodes.append(
+                ScheduleNode(len(schedule.nodes), vec=tree_nodes[index].vec, snapshot=self.inet)
+            )
 
         def resolve(index: int) -> int:
             while index in merged:
                 index = merged[index]
             return index_map[index]
 
-        for index in sorted(retained):
-            if index in merged:
-                continue
-            node = self.tree.nodes[index]
+        for index in kept:
+            node = tree_nodes[index]
             if node.ecs_choice is None:
                 continue
             for child_index in node.children:
-                child = self.tree.nodes[child_index]
+                child = tree_nodes[child_index]
                 if child_index not in retained:
                     continue
                 if child.transition not in node.ecs_choice:

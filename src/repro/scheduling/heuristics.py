@@ -291,29 +291,7 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
             return {}
         names = [f"inv{i}" for i in range(len(self.base))]
         by_name = dict(zip(names, self.base))
-        # rows: for each invariant that uses a process but not some ECS of
-        # that process reachable from the initial marking, require a helper.
-        rows: List[Tuple[str, FrozenSet[str]]] = []
-        process_of = {t: obj.process for t, obj in self.net.transitions.items()}
-        ecs_by_process: Dict[Optional[str], List[ECS]] = {}
-        for ecs in self.analysis.partition:
-            proc = process_of.get(min(ecs))
-            ecs_by_process.setdefault(proc, []).append(ecs)
-        for name, invariant in by_name.items():
-            processes_in_invariant = {process_of.get(t) for t in invariant}
-            for proc in processes_in_invariant:
-                if proc is None:
-                    continue
-                for ecs in ecs_by_process.get(proc, []):
-                    if any(t in invariant for t in ecs):
-                        continue
-                    helpers = frozenset(
-                        other
-                        for other, other_inv in by_name.items()
-                        if any(t in other_inv for t in ecs)
-                    )
-                    if helpers:
-                        rows.append((name, helpers))
+        rows = self._covering_rows(by_name)
         mandatory = {
             name for name, invariant in by_name.items() if self.source_transition in invariant
         }
@@ -325,6 +303,45 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
         if solution is None or not (solution & mandatory):
             solution = mandatory
         return combine_invariants([by_name[name] for name in sorted(solution)])
+
+    def _covering_rows(
+        self, by_name: Mapping[str, Mapping[str, int]]
+    ) -> List[Tuple[str, FrozenSet[str]]]:
+        """The rows of the covering problem: for each invariant that uses a
+        process but no transition of some ECS of that process, the ECS's
+        *helpers*, the invariants that do fire one of its transitions.
+
+        The helpers depend on the ECS alone, so each ECS's set is built once,
+        in basis order, from the invariants' supports; an invariant fires a
+        transition of the ECS exactly when it is one of the ECS's helpers.
+        """
+        process_of = {t: obj.process for t, obj in self.net.transitions.items()}
+        ecs_by_process: Dict[Optional[str], List[ECS]] = {}
+        for ecs in self.analysis.partition:
+            proc = process_of.get(min(ecs))
+            ecs_by_process.setdefault(proc, []).append(ecs)
+        ecs_of = self.analysis.ecs_by_transition
+        firing: Dict[ECS, List[str]] = {}
+        for name, invariant in by_name.items():
+            for transition in invariant:
+                ecs = ecs_of.get(transition)
+                if ecs is None:
+                    continue  # a caller-supplied invariant may name anything
+                helpers = firing.setdefault(ecs, [])
+                if not helpers or helpers[-1] != name:
+                    helpers.append(name)
+        helpers_of = {ecs: frozenset(helpers) for ecs, helpers in firing.items()}
+        rows: List[Tuple[str, FrozenSet[str]]] = []
+        for name, invariant in by_name.items():
+            processes_in_invariant = {process_of.get(t) for t in invariant}
+            for proc in processes_in_invariant:
+                if proc is None:
+                    continue
+                for ecs in ecs_by_process.get(proc, []):
+                    helpers = helpers_of.get(ecs)
+                    if helpers and name not in helpers:
+                        rows.append((name, helpers))
+        return rows
 
     @property
     def candidate_invariant(self) -> Dict[str, int]:

@@ -121,11 +121,9 @@ def combined_place_bounds(schedules: Sequence[Schedule]) -> Dict[str, int]:
         place: net.initial_tokens.get(place, 0) for place in net.places
     }
     for schedule in schedules:
-        relevant = involved_places(schedule)
-        for node in schedule.nodes:
-            for place, count in node.marking.items():
-                if place in relevant and count > bounds[place]:
-                    bounds[place] = count
+        node_bounds = schedule.place_bounds()
+        for place in involved_places(schedule):
+            bounds[place] = max(bounds[place], node_bounds[place])
     return bounds
 
 

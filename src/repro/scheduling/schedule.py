@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis
+from repro.petrinet.indexed import IndexedNet, MarkingVec
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 
@@ -31,14 +32,82 @@ class ScheduleValidationError(Exception):
     """Raised when a graph violates one of the five schedule properties."""
 
 
-@dataclass
 class ScheduleNode:
-    """One node of a schedule: a marking plus its outgoing edges."""
+    """One node of a schedule: a marking plus its outgoing edges.
 
-    index: int
-    marking: Marking
-    # transition name -> index of the successor node
-    edges: Dict[str, int] = field(default_factory=dict)
+    The marking is held as a vector of token counts in the place order of the
+    :class:`~repro.petrinet.indexed.IndexedNet` snapshot it came from: the
+    form the EP search builds it in, and the one validation, the place
+    bounds, code generation and serialisation read (:meth:`vec_in`).
+    ``marking``, the name-keyed :class:`Marking`, is a lazy view of that
+    vector, built on first read and kept.
+
+    ``ScheduleNode(index, marking, edges)`` and assignment to ``marking``
+    make a node from a name-keyed marking instead (a hand-built or
+    deserialised schedule); its vector is converted from it once, on first
+    use.
+    """
+
+    __slots__ = ("index", "edges", "_marking", "_vec", "_snapshot", "_foreign")
+
+    def __init__(
+        self,
+        index: int,
+        marking: Optional[Marking] = None,
+        edges: Optional[Dict[str, int]] = None,
+        *,
+        vec: Optional[MarkingVec] = None,
+        snapshot: Optional[IndexedNet] = None,
+    ):
+        if (marking is None) == (vec is None) or (vec is None) != (snapshot is None):
+            raise TypeError("a schedule node takes a marking, or a vector and its snapshot")
+        self.index = index
+        # transition name -> index of the successor node
+        self.edges: Dict[str, int] = {} if edges is None else edges
+        self._marking = marking
+        self._vec = vec
+        self._snapshot = snapshot
+        self._foreign: Tuple[Tuple[str, int], ...] = ()
+
+    @property
+    def marking(self) -> Marking:
+        """The name-keyed marking: a lazy view of the vector, kept once built."""
+        if self._marking is None:
+            self._marking = self._snapshot.marking_of_vec(self._vec)
+        return self._marking
+
+    @marking.setter
+    def marking(self, marking: Marking) -> None:
+        self._marking = marking
+        self._vec = self._snapshot = None
+        self._foreign = ()
+
+    def vec_in(self, inet: IndexedNet) -> MarkingVec:
+        """The marking as a vector in the place order of ``inet``.
+
+        A vector belongs to the snapshot it came from and is never indexed
+        with another one.  A node built from a marking, or whose net was
+        rebuilt since (:meth:`PetriNet.indexed`), converts :attr:`marking`
+        once per snapshot.  Places of the marking that ``inet`` lacks have no
+        column; they are kept aside, and :meth:`Schedule.validate` compares
+        them as the name-keyed check did, so such a node is never valid.
+        """
+        if self._snapshot is not inet:
+            marking = self.marking
+            known = inet.place_index
+            self._vec = inet.vec_of_marking(marking)
+            self._foreign = tuple(
+                sorted((place, count) for place, count in marking.items() if place not in known)
+            )
+            self._snapshot = inet
+        return self._vec
+
+    @property
+    def foreign(self) -> Tuple[Tuple[str, int], ...]:
+        """The ``(place, count)`` pairs of the marking that name places the
+        snapshot of the last :meth:`vec_in` lacks: empty for every node of a
+        valid schedule, since no firing reaches such a place."""
+        return self._foreign
 
     @property
     def out_degree(self) -> int:
@@ -47,10 +116,19 @@ class ScheduleNode:
     def transitions(self) -> FrozenSet[str]:
         return frozenset(self.edges)
 
+    def __repr__(self) -> str:
+        return f"ScheduleNode(index={self.index}, marking={self.marking!r}, edges={self.edges!r})"
+
 
 @dataclass
 class Schedule:
-    """A schedule for a source transition over a given Petri net."""
+    """A schedule for a source transition over a given Petri net.
+
+    Its nodes carry their markings as vectors of the net's indexed snapshot
+    (see :class:`ScheduleNode`) from the EP search through validation, code
+    generation and serialisation; a name-keyed :class:`Marking` is built
+    only for a caller that reads ``node.marking``.
+    """
 
     net: PetriNet
     source_transition: str
@@ -138,14 +216,14 @@ class Schedule:
 
         For an independent set of SS schedules these are tight upper bounds on
         channel occupancy during execution (Proposition 4.2), i.e. the channel
-        sizes the implementation needs.
+        sizes the implementation needs.  They are the column maxima of the
+        nodes' marking vectors.
         """
-        bounds: Dict[str, int] = {place: 0 for place in self.net.places}
-        for node in self.nodes:
-            for place, count in node.marking.items():
-                if count > bounds[place]:
-                    bounds[place] = count
-        return bounds
+        inet = self.net.indexed()
+        vecs = [node.vec_in(inet) for node in self.nodes]
+        maxima = [max(column) for column in zip(*vecs)] if vecs else [0] * len(inet.place_names)
+        index = inet.place_index
+        return {place: maxima[index[place]] for place in self.net.places}
 
     def channel_bounds(self) -> Dict[str, int]:
         """Bounds restricted to port/channel places."""
@@ -177,9 +255,10 @@ class Schedule:
 
     def nodes_reaching_root(self) -> Set[int]:
         """Nodes with a directed path back to the root."""
-        predecessors: Dict[int, Set[int]] = {node.index: set() for node in self.nodes}
-        for source, _transition, target in self.edges():
-            predecessors[target].add(source)
+        predecessors: Dict[int, List[int]] = {node.index: [] for node in self.nodes}
+        for node in self.nodes:
+            for target in node.edges.values():
+                predecessors[target].append(node.index)
         seen: Set[int] = set()
         stack = [self.root]
         while stack:
@@ -199,14 +278,20 @@ class Schedule:
         the initial marking with out-degree 1, the root edge fires the source
         transition, outgoing edges form whole ECSs of enabled transitions,
         edges fire correctly (target = marking after firing), and every node
-        lies on a directed cycle through the root."""
+        lies on a directed cycle through the root.
+
+        The checks read the nodes' marking vectors in the net's current
+        indexed snapshot and its ``consume`` and ``delta`` tables; no
+        name-keyed marking is built unless a message prints one."""
         if analysis is None:
             analysis = StructuralAnalysis.of(self.net)
         if not self.nodes:
             raise ScheduleValidationError("schedule has no nodes")
+        inet = self.net.indexed()
+        vecs = [node.vec_in(inet) for node in self.nodes]
         root = self.root_node
         # property 1: the root carries the initial marking and has out-degree 1
-        if root.marking != self.net.initial_marking:
+        if vecs[self.root] != inet.initial_vec or root.foreign:
             raise ScheduleValidationError("root node does not carry the initial marking")
         if root.out_degree != 1:
             raise ScheduleValidationError(
@@ -218,13 +303,11 @@ class Schedule:
             raise ScheduleValidationError(
                 f"edge out of the root carries {root_transition!r}, expected {self.source_transition!r}"
             )
-        # properties 3 and 4, on plain dicts: each node's token counts, each
-        # transition's preset (net.pre) and token delta (deltas_by_name)
-        pre = self.net.pre
-        indexed = self.net.indexed()
-        deltas, transition_index = indexed.deltas_by_name, indexed.transition_index
-        counts = [node.marking.as_dict() for node in self.nodes]
-        for node, tokens in zip(self.nodes, counts):
+        # properties 3 and 4: each edge's transition is enabled at its
+        # source vector (consume) and moves it onto its target's (delta)
+        consume, delta, transition_index = inet.consume, inet.delta, inet.transition_index
+        foreign = [node.foreign for node in self.nodes]
+        for node, vec, own_foreign in zip(self.nodes, vecs, foreign):
             if not node.edges:
                 raise ScheduleValidationError(f"node {node.index} has no outgoing edges")
             transitions = frozenset(node.edges)
@@ -234,19 +317,16 @@ class Schedule:
                     f"node {node.index}: outgoing transitions {sorted(transitions)} are not the ECS {sorted(ecs)}"
                 )
             for transition, target in node.edges.items():
-                for place, weight in pre[transition].items():
-                    if tokens.get(place, 0) < weight:
+                tid = transition_index[transition]
+                for pid, weight in consume[tid]:
+                    if vec[pid] < weight:
                         raise ScheduleValidationError(
                             f"node {node.index}: transition {transition!r} is not enabled at {node.marking.pretty()}"
                         )
-                successor = dict(tokens)
-                for place, delta in deltas[transition_index[transition]].items():
-                    count = successor.get(place, 0) + delta
-                    if count:
-                        successor[place] = count
-                    else:
-                        del successor[place]
-                if successor != counts[target]:
+                successor = list(vec)
+                for pid, change in delta[tid]:
+                    successor[pid] += change
+                if tuple(successor) != vecs[target] or own_foreign != foreign[target]:
                     raise ScheduleValidationError(
                         f"edge {node.index} --{transition}--> {target}: marking mismatch"
                     )

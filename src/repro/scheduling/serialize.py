@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import compress
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
+from repro.petrinet.indexed import IndexedNet
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
-from repro.scheduling.schedule import Schedule
+from repro.scheduling.schedule import Schedule, ScheduleNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (ep imports nothing here)
     from repro.scheduling.ep import SchedulerResult
@@ -34,14 +36,25 @@ def marking_to_items(marking: Mapping[str, int]) -> List[List[object]]:
     return [[place, int(count)] for place, count in sorted(marking.items()) if count]
 
 
+def _node_marking_items(node: ScheduleNode, inet: IndexedNet) -> List[List[object]]:
+    """A node's :func:`marking_to_items`, read off its vector: place IDs follow
+    sorted-name order, so the non-zero columns come out sorted."""
+    vec = node.vec_in(inet)
+    if node.foreign:
+        return marking_to_items(node.marking)
+    names = inet.place_names
+    return [[names[pid], int(vec[pid])] for pid in compress(range(len(vec)), vec)]
+
+
 def schedule_to_dict(schedule: Schedule) -> Dict[str, object]:
     """The canonical dictionary form of a schedule."""
+    inet = schedule.net.indexed()
     return {
         "source_transition": schedule.source_transition,
         "root": schedule.root,
         "nodes": [
             {
-                "marking": marking_to_items(node.marking),
+                "marking": _node_marking_items(node, inet),
                 "edges": {
                     transition: target
                     for transition, target in sorted(node.edges.items())

@@ -272,6 +272,24 @@ def test_stale_fingerprint_collision_is_rejected(store):
     assert store.quarantined_count() == 2
 
 
+@pytest.mark.parametrize("node", [0, 1])
+def test_a_record_naming_a_place_the_net_lacks_is_quarantined(store, node):
+    """Replay validation refuses a record whose schedule names a place the
+    live net lacks, though its identity, shape and every other marking line
+    up: Figure 5's record with ``["zz_ghost", 1]`` added to the root or to
+    node 1."""
+    net = figure_5()
+    fp = structural_fingerprint(net)
+    ofp = options_fingerprint(options_cache_key(SchedulerOptions()))
+    record = _record_for(net, "a")
+    store_schedule_record(store, net_fingerprint=fp, source="a", options_fp=ofp, record=record)
+    assert load_schedule_record(store, net, net_fingerprint=fp, source="a", options_fp=ofp)
+    record["schedule"]["nodes"][node]["marking"].append(["zz_ghost", 1])
+    store_schedule_record(store, net_fingerprint=fp, source="a", options_fp=ofp, record=record)
+    assert load_schedule_record(store, net, net_fingerprint=fp, source="a", options_fp=ofp) is None
+    assert store.quarantined_count() == 1
+
+
 def test_malformed_record_shapes_are_rejected(store):
     net = build_divisors_system().net
     fp = structural_fingerprint(net)

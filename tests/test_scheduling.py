@@ -8,6 +8,7 @@ import random
 import pytest
 
 from fold_oracle import searched_and_walked
+from golden_nets import GOLDEN_CASES
 from repro.apps import paper_nets
 from repro.apps.video import VideoAppConfig, build_video_network
 from repro.apps.false_paths import (
@@ -46,7 +47,9 @@ from repro.scheduling.independence import (
 )
 from repro.scheduling.runs import RunError, build_run, check_executability, random_choice_resolver
 from repro.scheduling.schedule import Schedule, ScheduleNode, ScheduleValidationError
+from repro.scheduling.serialize import schedule_from_dict, schedule_to_dict
 from repro.scheduling.termination import witnessed_by
+from sim_counters import cases
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +214,27 @@ def test_validate_on_plain_dicts_matches_the_firing_checks():
             assert _validation_outcome(Schedule.validate, mutant, analysis) == expected
             reached.update(check for check in checks if check in expected)
     assert reached == set(checks)  # every check of properties 3-5 was reached
+
+
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        (1, "edge 0 --a--> 1: marking mismatch"),
+        (0, "root node does not carry the initial marking"),
+    ],
+)
+def test_a_marking_naming_a_place_the_net_lacks_never_validates(node, message):
+    """Figure 5's schedule rebuilt from its canonical form with
+    ``["zz_ghost", 1]`` added to one node fails the check it fails on
+    name-keyed dicts.  No marking vector has a column for the unknown place,
+    so a conversion that dropped it would accept the schedule; the cache's
+    replay validation relies on the refusal."""
+    net = paper_nets.figure_5()
+    data = schedule_to_dict(find_schedule(net, "a", raise_on_failure=True).schedule)
+    data["nodes"][node]["marking"].append(["zz_ghost", 1])
+    with pytest.raises(ScheduleValidationError) as error:
+        schedule_from_dict(net, data).validate()
+    assert str(error.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +551,66 @@ def test_invariant_guided_ordering_prefers_promising_transitions():
     assert vector.get("a", 0) >= 1
     after_cycle = heuristic.promising_vector({"a": 1, "b": 1, "d": 1})
     assert after_cycle  # guidance never collapses to nothing
+
+
+def _rows_by_rescanning(heuristic, by_name):
+    """The covering rows as ``_select_candidate_invariant`` built them before
+    each ECS's helpers were computed once: every invariant rescanned for
+    every (invariant, process, ECS) triple."""
+    rows = []
+    process_of = {t: obj.process for t, obj in heuristic.net.transitions.items()}
+    ecs_by_process = {}
+    for ecs in heuristic.analysis.partition:
+        proc = process_of.get(min(ecs))
+        ecs_by_process.setdefault(proc, []).append(ecs)
+    for name, invariant in by_name.items():
+        processes_in_invariant = {process_of.get(t) for t in invariant}
+        for proc in processes_in_invariant:
+            if proc is None:
+                continue
+            for ecs in ecs_by_process.get(proc, []):
+                if any(t in invariant for t in ecs):
+                    continue
+                helpers = frozenset(
+                    other
+                    for other, other_inv in by_name.items()
+                    if any(t in other_inv for t in ecs)
+                )
+                if helpers:
+                    rows.append((name, helpers))
+    return rows
+
+
+def _covering_cases():
+    for builder, sources in GOLDEN_CASES.values():
+        net = builder()
+        yield net, sources
+    for _name, linked, sources, *_rest in cases():
+        yield linked.net, sources
+    for index in (1611, 7, 300, 1204, 2999):  # tree_1611: 64 invariants
+        net = link(build_network(generate_spec(index))).net
+        yield net, net.uncontrollable_sources()
+
+
+def test_covering_rows_match_the_rescanning_builder():
+    """Each ECS's helper set, built once, gives the rows of the rescanning
+    builder: the same rows in the same order, duplicates included, and each
+    helper set iterates in the same order, so the covering problem and the
+    candidate invariant it selects are unchanged."""
+    checked = 0
+    for net, sources in _covering_cases():
+        analysis = StructuralAnalysis.of(net)
+        for source in sources:
+            heuristic = InvariantGuidedOrdering(net, analysis, source)
+            by_name = {f"inv{i}": invariant for i, invariant in enumerate(heuristic.base)}
+            rows = heuristic._covering_rows(by_name)
+            expected = _rows_by_rescanning(heuristic, by_name)
+            assert rows == expected
+            assert [list(helpers) for _name, helpers in rows] == [
+                list(helpers) for _name, helpers in expected
+            ]
+            checked += bool(rows)
+    assert checked >= 10  # most cases have rows to compare
 
 
 def test_scheduler_without_invariant_heuristic_still_works():

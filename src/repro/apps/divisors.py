@@ -44,9 +44,9 @@ def build_divisors_network(*, name: str = "divisors_system") -> Network:
     return network
 
 
-def build_divisors_system(*, simplify: bool = True) -> LinkedSystem:
+def build_divisors_system() -> LinkedSystem:
     """Compile and link the divisors network into a single Petri net."""
-    return link(build_divisors_network(), simplify=simplify)
+    return link(build_divisors_network())
 
 
 def reference_divisors(n: int) -> list[int]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.petrinet.analysis import StructuralAnalysis
 from repro.scheduling.schedule import Schedule, ScheduleNode
 
 ECS = FrozenSet[str]
@@ -215,14 +214,8 @@ def ecs_label(ecs: ECS) -> str:
     return "_".join(sorted(ecs))
 
 
-def extract_code_segments(
-    schedule: Schedule,
-    analysis: Optional[StructuralAnalysis] = None,
-) -> SegmentSet:
+def extract_code_segments(schedule: Schedule) -> SegmentSet:
     """Build the code segments of a schedule."""
-    if analysis is None:
-        analysis = StructuralAnalysis.of(schedule.net)
-
     # ECS of each schedule node (label of its outgoing edges)
     ecs_of_node: Dict[int, ECS] = {}
     for node in schedule.nodes:

@@ -158,21 +158,16 @@ def _state_variable_name(place: str) -> str:
 
 
 class _TaskSynthesizer:
-    def __init__(
-        self,
-        system: LinkedSystem,
-        schedule: Schedule,
-        analysis: Optional[StructuralAnalysis] = None,
-    ):
+    def __init__(self, system: LinkedSystem, schedule: Schedule):
         self.system = system
         self.schedule = schedule
         self.task_name = schedule.source_transition.replace(".", "_")
         self.net = schedule.net
-        self.analysis = analysis or StructuralAnalysis.of(self.net)
-        self.segments = extract_code_segments(schedule, self.analysis)
+        self.segments = extract_code_segments(schedule)
         self.state_places = self.segments.state_places()
         # the snapshot the schedule's marking vectors are read in
         self.inet = self.net.indexed()
+        self._state_pids = frozenset(self.inet.place_index[p] for p in self.state_places)
         # the ECSs whose code gets a label line: segment roots, jump targets
         self.labelled: Set[ECS] = {segment.root.ecs for segment in self.segments.segments}
         for node in self.segments.node_by_ecs.values():
@@ -318,13 +313,17 @@ class _TaskSynthesizer:
         elif obj.code:
             for statement in obj.code:
                 lines.extend(render_statement(statement, indent))
-        # update section: state variable deltas caused by this transition
-        for place in self.state_places:
-            delta = self.net.post[transition].get(place, 0) - self.net.pre[transition].get(place, 0)
+        # update section: state variable deltas caused by this transition, in
+        # place-ID order (= name order, the order of state_places)
+        inet = self.inet
+        for pid, delta in inet.delta[inet.transition_index[transition]]:
+            if pid not in self._state_pids:
+                continue
+            variable = _state_variable_name(inet.place_names[pid])
             if delta > 0:
-                lines.append(pad + f"{_state_variable_name(place)} += {delta};")
-            elif delta < 0:
-                lines.append(pad + f"{_state_variable_name(place)} -= {-delta};")
+                lines.append(pad + f"{variable} += {delta};")
+            else:
+                lines.append(pad + f"{variable} -= {-delta};")
         return lines
 
     def _emit_continuation(self, node: CodeSegmentNode, transition: str, indent: int) -> List[str]:
@@ -399,9 +398,11 @@ def synthesize_task(
 ) -> SynthesizedTask:
     """Generate the C source of the task implementing ``schedule``.
 
-    The task is named after the source transition it reacts to.
+    The task is named after the source transition it reacts to.  ``analysis``
+    is accepted for callers that pass one and is unused: code generation
+    reads only the schedule and the net.
     """
-    return _TaskSynthesizer(system, schedule, analysis).synthesize()
+    return _TaskSynthesizer(system, schedule).synthesize()
 
 
 # ---------------------------------------------------------------------------

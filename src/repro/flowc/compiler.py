@@ -250,9 +250,8 @@ class _ProcessCompiler:
 
     DEFAULT_MAX_UNROLL = 1024
 
-    def __init__(self, process: Process, *, simplify: bool = True, max_unroll: int = DEFAULT_MAX_UNROLL):
+    def __init__(self, process: Process, *, max_unroll: int = DEFAULT_MAX_UNROLL):
         self.process = process
-        self.simplify_enabled = simplify
         self.max_unroll = max_unroll
         self.net = PetriNet(name=process.name)
         self.port_places: Dict[str, str] = {}
@@ -322,8 +321,7 @@ class _ProcessCompiler:
                 loop = self._new_transition(code=[], guard=None)
                 self.net.add_arc(exit_place, loop)
                 self.net.add_arc(loop, self.initial_place)
-        if self.simplify_enabled:
-            self._simplify()
+        self._simplify()
         self.net.validate()
         return CompiledProcess(
             process=self.process,
@@ -700,17 +698,15 @@ def _strip_trailing_break(body: Sequence[Statement]) -> Tuple[Statement, ...]:
 def compile_process(
     process: Process,
     *,
-    simplify: bool = True,
     max_unroll: int = _ProcessCompiler.DEFAULT_MAX_UNROLL,
 ) -> CompiledProcess:
-    """Compile a FlowC process into its sequential Petri net.
+    """Compile a FlowC process into its sequential Petri net, with its
+    epsilon transitions collapsed (the compact net of Figure 3).
 
     Parameters
     ----------
-    simplify:
-        Collapse epsilon transitions to obtain the compact net of Figure 3.
     max_unroll:
         Maximum constant trip count for which port-containing ``for`` loops
         are unrolled instead of being turned into data-dependent choices.
     """
-    return _ProcessCompiler(process, simplify=simplify, max_unroll=max_unroll).compile()
+    return _ProcessCompiler(process, max_unroll=max_unroll).compile()

@@ -91,7 +91,6 @@ def _merge_port_places(
 def link(
     network: Network,
     *,
-    simplify: bool = True,
     compiled: Optional[Mapping[str, CompiledProcess]] = None,
 ) -> LinkedSystem:
     """Compile every process of ``network`` and link them into one net.
@@ -106,7 +105,7 @@ def link(
         if compiled and name in compiled:
             compiled_processes[name] = compiled[name]
         else:
-            compiled_processes[name] = compile_process(process, simplify=simplify)
+            compiled_processes[name] = compile_process(process)
 
     net = merge_nets((cp.net for cp in compiled_processes.values()), name=network.name)
 

@@ -245,8 +245,5 @@ class StructuralAnalysis:
                 result.append(ecs)
         return result
 
-    def is_source_ecs(self, ecs: ECS) -> bool:
-        return any(not self.net.pre[t] for t in ecs)
-
     def degree(self, place: str) -> int:
         return self.degrees[place]

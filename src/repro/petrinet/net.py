@@ -444,34 +444,7 @@ class PetriNet:
 
     def copy(self, name: Optional[str] = None) -> "PetriNet":
         """Deep-ish copy of the net (place/transition objects are shared-free)."""
-        clone = PetriNet(name=name or self.name)
-        for place in self.places.values():
-            clone.add_place(
-                place.name,
-                self.initial_tokens.get(place.name, 0),
-                bound=place.bound,
-                is_port=place.is_port,
-                channel=place.channel,
-                process=place.process,
-                condition=place.condition,
-            )
-        for transition in self.transitions.values():
-            clone.add_transition(
-                transition.name,
-                code=transition.code,
-                process=transition.process,
-                source_kind=transition.source_kind,
-                is_sink=transition.is_sink,
-                guard=transition.guard,
-                select_priority=transition.select_priority,
-            )
-        for transition, places in self.pre.items():
-            for place, weight in places.items():
-                clone.add_arc(place, transition, weight)
-        for transition, places in self.post.items():
-            for place, weight in places.items():
-                clone.add_arc(transition, place, weight)
-        return clone
+        return merge_nets([self], name or self.name)
 
     def stats(self) -> Dict[str, int]:
         """Basic size statistics of the net."""

@@ -4,8 +4,8 @@
   defining properties, await nodes, channel bounds.
 * :mod:`repro.scheduling.termination` -- the irrelevance criterion pruning
   the search (Definition 4.5), incrementally and by the exact walk.
-* :mod:`repro.scheduling.heuristics` -- ECS ordering heuristics, including the
-  T-invariant promising vector (Section 5.5).
+* :mod:`repro.scheduling.heuristics` -- the T-invariant promising vector
+  that the EP search's ECS ranking reads (Section 5.5).
 * :mod:`repro.scheduling.ep` -- the EP / EP_ECS scheduling algorithm
   (Section 5.2) with single-source constraint and post-processing.
 * :mod:`repro.scheduling.independence` -- schedule independence (Definition

@@ -21,28 +21,21 @@ The search walks one transition at a time, exactly as the paper states the
 algorithm, and keeps every per-node test incremental along the DFS path:
 each node's over-degree places derive from its parent's, one method
 (``_EPSearch._prunes``) decides a node or a lookahead probe without
-rescanning its marking, and the invariant-guided heuristic's promising
-vector lives in a :class:`~repro.scheduling.heuristics.CycleTracker`
-updated on push/pop.
+rescanning its marking, and the promising vector of the ECS ranking lives
+in a :class:`~repro.scheduling.heuristics.CycleTracker` updated on
+push/pop.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.indexed import IndexedNet, MarkingStore, MarkingVec
 from repro.petrinet.net import PetriNet
-from repro.scheduling.heuristics import (
-    CycleTracker,
-    ECSLookahead,
-    ECSOrderingHeuristic,
-    HeuristicContext,
-    InvariantGuidedOrdering,
-    make_heuristic,
-)
+from repro.scheduling.heuristics import CycleTracker, InvariantGuide
 from repro.scheduling.schedule import Schedule, ScheduleNode
 from repro.scheduling.termination import IncrementalIrrelevance, witnessed_by
 from repro.util import raised_recursion_limit
@@ -62,11 +55,12 @@ class SchedulerOptions:
 
     Fields (all keyword-friendly, all defaulted):
 
-    * ``use_invariant_heuristic`` -- order candidate ECSs by the
-      T-invariant-guided heuristic of Section 5.5.2 instead of the plain
-      tie-break ordering (usually a large tree-size win).  Under it the
-      search first fails fast when no T-invariant fires the source
-      transition (Section 5.5.2's non-schedulability test).
+    * ``use_invariant_heuristic`` -- let the promising vector of a
+      candidate T-invariant (Section 5.5.2) rank the candidate ECSs beside
+      the tie-breaks, which rank them alone when it is off (usually a
+      large tree-size win).  Under it the search first fails fast when no
+      T-invariant fires the source transition (Section 5.5.2's
+      non-schedulability test).
     * ``max_nodes`` -- hard budget on scheduling-tree nodes; exceeded
       searches fail with a budget reason instead of running forever.
     * ``place_bound`` -- how Section 4.4 prunes the search.  ``None``
@@ -178,8 +172,8 @@ class SchedulingTree:
         # (a candidate witness marking can only exist on the path if some
         # path marking carries its exact token total)
         self._path_total_counts: Dict[int, int] = {}
-        # the invariant-guided heuristic's promising vector, kept along the
-        # path (set by the search; None for other heuristics)
+        # the promising vector of the ECS ranking, kept along the path (set
+        # by the search; None without a candidate T-invariant)
         self.cycle: Optional[CycleTracker] = None
         # place degrees the nodes' over-degree places are tracked against
         self._degrees: Optional[Tuple[int, ...]] = None
@@ -331,15 +325,6 @@ class SchedulingTree:
             and depth <= self.nodes[node].depth
         )
 
-    def path_firings(self) -> Mapping[str, int]:
-        """Firing count per transition along the current DFS path (a fresh dict)."""
-        names = self.inet.transition_names
-        firings: Dict[str, int] = {}
-        for node in self._path[1:]:
-            name = names[self.nodes[node].tid]
-            firings[name] = firings.get(name, 0) + 1
-        return firings
-
 
 @dataclass
 class SchedulerResult:
@@ -367,7 +352,6 @@ class _EPSearch:
         source: str,
         options: SchedulerOptions,
         analysis: Optional[StructuralAnalysis] = None,
-        heuristic: Optional[ECSOrderingHeuristic] = None,
     ):
         self.net = net
         self.source = source
@@ -378,9 +362,6 @@ class _EPSearch:
             # silently mixing ID spaces.
             analysis = StructuralAnalysis.of(net)
         self.analysis = analysis
-        self.heuristic = heuristic or make_heuristic(
-            net, self.analysis, source, use_invariants=options.use_invariant_heuristic
-        )
         self.counters = SearchCounters()
         self.tree = SchedulingTree(net, counters=self.counters)
         self.inet = self.tree.inet
@@ -395,28 +376,29 @@ class _EPSearch:
             if ecs & self.other_uncontrollable
         )
         self._source_ecs_ids = self.analysis.source_ecs_ids
-        self._source_ecss = frozenset(
-            self.analysis.partition[ecs_id] for ecs_id in self._source_ecs_ids
-        )
-        # per-ECS-ID minimum token delta (tie-break: drain channels first)
-        token_delta = self.inet.token_delta
+        # per-ECS-ID transition IDs in sorted-name order (the firing order)
         tindex = self.inet.transition_index
-        self._ecs_token_delta = tuple(
-            min(token_delta[tindex[t]] for t in ecs)
-            for ecs in self.analysis.partition
-        )
-        # per-ECS sorted transition names and IDs (the firing order)
-        self._sorted_ecs = tuple(
-            tuple(sorted(ecs)) for ecs in self.analysis.partition
-        )
         self._ecs_tids = tuple(
-            tuple(tindex[t] for t in names) for names in self._sorted_ecs
+            tuple(tindex[t] for t in sorted(ecs)) for ecs in self.analysis.partition
         )
-        self._ecs_id_of = {
-            ecs: ecs_id for ecs_id, ecs in enumerate(self.analysis.partition)
-        }
-        if isinstance(self.heuristic, InvariantGuidedOrdering):
-            self.tree.cycle = self.heuristic.cycle_tracker(self.inet.transition_index)
+        # the marking-independent terms of each ECS ID's rank (see
+        # _candidate_ecss): is a source ECS, minimum token delta, is a choice
+        token_delta = self.inet.token_delta
+        self._static_rank = tuple(
+            (
+                ecs_id in self._source_ecs_ids,
+                min(token_delta[tid] for tid in tids),
+                len(tids) > 1,
+            )
+            for ecs_id, tids in enumerate(self._ecs_tids)
+        )
+        # Section 5.5.2: the candidate T-invariant, whose promising vector
+        # the tracker keeps along the path
+        self.guide: Optional[InvariantGuide] = None
+        if options.use_invariant_heuristic:
+            self.guide = InvariantGuide(net, self.analysis, source)
+            if self.guide.candidate:
+                self.tree.cycle = CycleTracker(self.guide.candidate, tindex, self._ecs_tids)
         # (place ID, bound) of every channel place whose bound the
         # specification declares
         places = net.places
@@ -449,18 +431,17 @@ class _EPSearch:
     # -- main entry -----------------------------------------------------------
     def run(self) -> SchedulerResult:
         start = time.monotonic()
-        if isinstance(self.heuristic, InvariantGuidedOrdering):
-            if not self.heuristic.source_is_coverable():
-                return SchedulerResult(
-                    source_transition=self.source,
-                    schedule=None,
-                    tree_nodes=0,
-                    elapsed_seconds=time.monotonic() - start,
-                    failure_reason=(
-                        "no T-invariant fires the source transition; "
-                        "no cyclic schedule can exist"
-                    ),
-                )
+        if self.guide is not None and not self.guide.source_is_coverable():
+            return SchedulerResult(
+                source_transition=self.source,
+                schedule=None,
+                tree_nodes=0,
+                elapsed_seconds=time.monotonic() - start,
+                failure_reason=(
+                    "no T-invariant fires the source transition; "
+                    "no cyclic schedule can exist"
+                ),
+            )
         initial = self.inet.initial_vec
         root = self.tree.add_root(initial)
         self.tree.nodes[root].ecs_choice = frozenset({self.source})
@@ -519,8 +500,8 @@ class _EPSearch:
     def _ep(self, v: int, target: int) -> Optional[int]:
         """EP at node ``v``: the entering point of its best candidate ECS.
 
-        Tries every non-source ECS in heuristic order (early exit as soon as
-        an entering point is an ancestor of ``target``, otherwise keep the
+        Tries every non-source ECS in rank order (early exit as soon as an
+        entering point is an ancestor of ``target``, otherwise keep the
         shallowest), then -- only if none produced an entering point -- the
         deferred source ECSs (Section 4.4).
         """
@@ -535,102 +516,94 @@ class _EPSearch:
 
         nodes = self.tree.nodes
         best: Optional[int] = UNDEF
+        partition = self.analysis.partition
         for candidates in self._candidate_ecss(v):
-            for ecs in candidates:
-                entering_point = self._ep_ecs(ecs, v, target)
+            for ecs_id in candidates:
+                entering_point = self._ep_ecs(ecs_id, v, target)
                 if entering_point is UNDEF:
                     continue
                 if self.tree.is_ancestor(entering_point, target):
-                    node.ecs_choice = ecs
+                    node.ecs_choice = partition[ecs_id]
                     return entering_point
                 if best is UNDEF or nodes[entering_point].depth < nodes[best].depth:
-                    node.ecs_choice = ecs
+                    node.ecs_choice = partition[ecs_id]
                     best = entering_point
             if best is not UNDEF:
                 return best
         return best
 
-    def _candidate_ecss(self, v: int) -> Tuple[List[ECS], List[ECS]]:
-        """The ordered candidate ECSs of ``v``: non-source, then source.
+    def _candidate_ecss(self, v: int) -> Tuple[List[int], List[int]]:
+        """The ranked candidate ECS IDs of ``v``: non-source, then source.
 
-        The middle of EP: enabled ECSs (filtered by the single-source
-        restriction), the one-step lookahead, the heuristic ordering and the
-        Section 4.4 defer-sources split.  ``v`` must be the top of the
-        current DFS path.
+        The middle of EP: the enabled ECSs (filtered by the single-source
+        restriction), ranked best first, split by the Section 4.4
+        defer-sources rule.  One key ranks them (Section 5.5.2)::
+
+            (is a source ECS, closes no cycle, a probe is pruned,
+             minimum token delta, is not promising, is a choice, ECS ID)
+
+        Sources come last ("fire a source transition only when the system
+        cannot fire anything else"); the one-step lookahead
+        (:meth:`_lookahead`) decides the next two terms; consumers come
+        before producers (draining channels keeps the schedule small); the
+        promising term is constant without a candidate T-invariant; and the
+        ECS ID, in the partition's sorted-name order, breaks the remaining
+        ties.  A node with one candidate fires no probe.  ``v`` must be the
+        top of the current DFS path.
         """
-        enabled_tids = self.tree.enabled_of(v)
-        enabled_ids = self.analysis.enabled_ecs_ids(enabled_tids)
+        tree = self.tree
+        enabled_ids = self.analysis.enabled_ecs_ids(tree.enabled_of(v))
         if self._excluded_ecs_ids:
             enabled_ids = [
                 ecs_id for ecs_id in enabled_ids
                 if ecs_id not in self._excluded_ecs_ids
             ]
-        if not enabled_ids:
-            return [], []
-        partition = self.analysis.partition
-        enabled = [partition[ecs_id] for ecs_id in enabled_ids]
+        if len(enabled_ids) > 1:
+            node = tree.nodes[v]
+            cycle = tree.cycle
+            rank = {}
+            for ecs_id in enabled_ids:
+                is_source, token_delta, is_choice = self._static_rank[ecs_id]
+                closes, pruned = (False, False) if is_source else self._lookahead(node, ecs_id)
+                rank[ecs_id] = (
+                    is_source,
+                    not closes,
+                    pruned,
+                    token_delta,
+                    cycle is not None and not cycle.promising(ecs_id),
+                    is_choice,
+                    ecs_id,
+                )
+            enabled_ids.sort(key=rank.__getitem__)
+        sources = self._source_ecs_ids
+        return (
+            [ecs_id for ecs_id in enabled_ids if ecs_id not in sources],
+            [ecs_id for ecs_id in enabled_ids if ecs_id in sources],
+        )
 
-        if len(enabled) == 1:
-            ordered = list(enabled)
-        else:
-            lookahead = self._lookahead(v, enabled_ids, enabled)
-            context = HeuristicContext(
-                depth=self.tree.nodes[v].depth,
-                lookahead=lookahead,
-                path_firings_supplier=self.tree.path_firings,
-                cycle=self.tree.cycle,
-            )
-            ordered = self.heuristic.order(enabled, context)
+    def _lookahead(self, node: TreeNode, ecs_id: int) -> Tuple[bool, bool]:
+        """``(closes a cycle, is pruned)`` of one non-source ECS at ``node``.
 
-        sources = self._source_ecss
-        non_source = [ecs for ecs in ordered if ecs not in sources]
-        source_ecss = [ecs for ecs in ordered if ecs in sources]
-        return non_source, source_ecss
-
-    def _lookahead(
-        self, v: int, enabled_ids: Sequence[int], enabled: Sequence[ECS]
-    ) -> Dict[ECS, ECSLookahead]:
-        """The per-ECS one-step lookahead, one transition at a time.
-
-        Fires each candidate of every enabled non-source ECS in sorted-name
-        order until one closes a cycle on the path or is pruned.  A probe
-        that does not close a cycle is interned, exactly as the child it
-        stands for would be, and decided on that marking without a probe
-        node: it takes the tree index its child would get.
+        Fires the ECS's transitions one at a time, in firing order, until
+        one closes a cycle on the path or is pruned.  A probe that does not
+        close a cycle is interned, exactly as the child it stands for would
+        be, and decided on that marking without a probe node: it takes the
+        tree index its child would get.
         """
         tree = self.tree
-        node = tree.nodes[v]
         vec = node.vec
-        on_path = tree._markings_on_path
-        token_delta = self.inet.token_delta
-        lookahead: Dict[ECS, ECSLookahead] = {}
-        for ecs_id, ecs in zip(enabled_ids, enabled):
-            hits = False
-            closes = False
-            if ecs_id not in self._source_ecs_ids:
-                for tid in self._ecs_tids[ecs_id]:
-                    candidate = self._fire(tid, vec)
-                    if on_path.get(candidate) is not None:
-                        closes = True
-                        break
-                    candidate = tree.store.intern(candidate)
-                    over = ()
-                    if self._incremental is not None:
-                        over = tree.over_after(node, tid, candidate)
-                    hits = self._prunes(
-                        len(tree.nodes),
-                        candidate,
-                        node.total_tokens + token_delta[tid],
-                        over,
-                    )
-                    if hits:
-                        break
-            lookahead[ecs] = ECSLookahead(
-                hits_termination=hits,
-                closes_cycle=closes,
-                token_delta=self._ecs_token_delta[ecs_id],
-            )
-        return lookahead
+        for tid in self._ecs_tids[ecs_id]:
+            probe = self._fire(tid, vec)
+            if tree._markings_on_path.get(probe) is not None:
+                return True, False
+            probe = tree.store.intern(probe)
+            over = ()
+            if self._incremental is not None:
+                over = tree.over_after(node, tid, probe)
+            total = node.total_tokens + self.inet.token_delta[tid]
+            if self._prunes(len(tree.nodes), probe, total, over):
+                return False, True
+        return False, False
 
     def _prunes(
         self, index: int, vec: MarkingVec, total: int, over: Tuple[int, ...]
@@ -683,18 +656,14 @@ class _EPSearch:
         return verdict
 
     # -- EP_ECS ---------------------------------------------------------------
-    def _ep_ecs(self, ecs: ECS, v: int, target: int) -> Optional[int]:
+    def _ep_ecs(self, ecs_id: int, v: int, target: int) -> Optional[int]:
         entering_point: Optional[int] = UNDEF
         current_target = target
         vec = self.tree.vec_of(v)
-        ecs_id = self._ecs_id_of[ecs]
-        names = self._sorted_ecs[ecs_id]
-        tids = self._ecs_tids[ecs_id]
-        for index, transition in enumerate(names):
+        for tid in self._ecs_tids[ecs_id]:
             if len(self.tree) >= self.options.max_nodes:
                 self._budget_cut = True
                 return UNDEF
-            tid = tids[index]
             child = self.tree.add_child(v, tid, self._fire(tid, vec))
             self.tree.push(child)
             try:
@@ -778,16 +747,18 @@ def find_schedule(
     *,
     options: Optional[SchedulerOptions] = None,
     analysis: Optional[StructuralAnalysis] = None,
-    heuristic: Optional[ECSOrderingHeuristic] = None,
     raise_on_failure: bool = False,
 ) -> SchedulerResult:
     """Find a (single-source) schedule for ``source_transition``.
 
     ``net`` is the linked Petri net, ``source_transition`` the name of the
     uncontrollable source to react to, ``options`` a
-    :class:`SchedulerOptions` (defaults apply), ``analysis`` an optional
+    :class:`SchedulerOptions` (defaults apply), and ``analysis`` an optional
     pre-built :class:`StructuralAnalysis` to share across several searches
-    of the same net, and ``heuristic`` an optional ECS-ordering override.
+    of the same net.  At every node the search ranks the enabled ECSs by
+    one key: the tie-breaks of Section 5.5.2 plus, under
+    ``options.use_invariant_heuristic``, the promising vector of a
+    candidate T-invariant.
 
     Returns a :class:`SchedulerResult`; when ``raise_on_failure`` is set a
     :class:`SchedulingFailure` is raised instead of returning an unsuccessful
@@ -803,9 +774,7 @@ def find_schedule(
     options = options or SchedulerOptions()
     if source_transition not in net.transitions:
         raise KeyError(f"unknown transition {source_transition!r}")
-    result = _EPSearch(
-        net, source_transition, options, analysis=analysis, heuristic=heuristic
-    ).run()
+    result = _EPSearch(net, source_transition, options, analysis=analysis).run()
     if raise_on_failure and not result.success:
         raise SchedulingFailure(
             f"no schedule found for {source_transition!r}: {result.failure_reason}"

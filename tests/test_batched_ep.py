@@ -122,10 +122,10 @@ def _unschedulable_corpus_net(seed):
     return link(build_network(make_unschedulable_spec(seed))).net
 
 
-def _irrelevant_verdicts(net, max_nodes):
+def _irrelevant_verdicts(net, max_nodes, **options):
     """The walked twin's irrelevant verdicts over every source of ``net``."""
     return sum(
-        walked_pair(net, source, max_nodes=max_nodes)[2].irrelevant_verdicts
+        walked_pair(net, source, max_nodes=max_nodes, **options)[2].irrelevant_verdicts
         for source in net.uncontrollable_sources()
     )
 
@@ -139,11 +139,17 @@ def test_the_oracle_compares_irrelevant_verdicts():
 
 
 @pytest.mark.slow
-def test_walked_oracle_on_twenty_unschedulable_corpus_specs():
+@pytest.mark.parametrize("use_invariant_heuristic", [True, False])
+def test_walked_oracle_on_twenty_unschedulable_corpus_specs(use_invariant_heuristic):
     """The long sweep where pruning happens: twenty Figure 4b corpus specs,
-    each searched up to 2,000 nodes by the search and its walked twin."""
+    each searched up to 2,000 nodes by the search and its walked twin,
+    under both rank keys (probe pruning feeds the key in either)."""
     verdicts = [
-        _irrelevant_verdicts(_unschedulable_corpus_net(20260808 + index), 2000)
+        _irrelevant_verdicts(
+            _unschedulable_corpus_net(20260808 + index),
+            2000,
+            use_invariant_heuristic=use_invariant_heuristic,
+        )
         for index in range(20)
     ]
     assert all(count > 0 for count in verdicts), verdicts

@@ -28,9 +28,7 @@ import pytest
 from repro.apps import paper_nets
 from repro.apps.video import VideoAppConfig, build_video_system
 from repro.cache.stores import SqliteStore
-from repro.petrinet.analysis import StructuralAnalysis
-from repro.scheduling.ep import find_schedule
-from repro.scheduling.heuristics import ECSOrderingHeuristic, make_heuristic
+from repro.scheduling.ep import SchedulerOptions, _EPSearch
 from repro.scheduling.serialize import schedule_dict_fingerprint
 from repro.serve import SchedulingService
 from repro.util import BoundedLRU, raised_recursion_limit
@@ -234,20 +232,21 @@ def test_recursion_limit_holder_hammer_never_drops_a_live_holder():
     assert sys.getrecursionlimit() == original
 
 
-class _GateAtDepth(ECSOrderingHeuristic):
-    """The default ordering, blocking once at the first node of ``depth``."""
+class _GateAtDepth(_EPSearch):
+    """The default search, blocking once at the first node of ``depth`` it
+    ranks candidates for."""
 
-    def __init__(self, inner, depth: int):
-        self.inner = inner
+    def __init__(self, net, source, depth: int):
+        super().__init__(net, source, SchedulerOptions())
         self.depth = depth
         self.reached = threading.Event()
         self.release = threading.Event()
 
-    def order(self, ecss, context):
-        if context.depth >= self.depth and not self.reached.is_set():
+    def _candidate_ecss(self, v):
+        if self.tree.nodes[v].depth >= self.depth and not self.reached.is_set():
             self.reached.set()
             assert self.release.wait(10)
-        return self.inner.order(ecss, context)
+        return super()._candidate_ecss(v)
 
 
 def test_deep_search_survives_a_shorter_search_finishing_first():
@@ -259,25 +258,19 @@ def test_deep_search_survives_a_shorter_search_finishing_first():
     deep_net = build_video_system(VideoAppConfig(10, 10)).net
     deep_source = "src.controller.init"
     short_net = paper_nets.figure_5()
-    deep_gate = _GateAtDepth(
-        make_heuristic(deep_net, StructuralAnalysis.of(deep_net), deep_source), 200
-    )
-    short_gate = _GateAtDepth(
-        make_heuristic(short_net, StructuralAnalysis.of(short_net), "a"), 0
-    )
+    deep_gate = _GateAtDepth(deep_net, deep_source, 200)
+    short_gate = _GateAtDepth(short_net, "a", 0)
     results = {}
 
-    def search(name, net, source, gate):
+    def search(name, gate):
         try:
-            results[name] = find_schedule(net, source, heuristic=gate)
+            results[name] = gate.run()
         except BaseException as exc:  # a RecursionError must fail the test
             results[name] = exc
 
     original = sys.getrecursionlimit()
-    short = threading.Thread(target=search, args=("short", short_net, "a", short_gate))
-    deep = threading.Thread(
-        target=search, args=("deep", deep_net, deep_source, deep_gate)
-    )
+    short = threading.Thread(target=search, args=("short", short_gate))
+    deep = threading.Thread(target=search, args=("deep", deep_gate))
     short.start()
     assert short_gate.reached.wait(5)
     deep.start()

@@ -3,7 +3,7 @@
 Three pieces replace per-node rescans in ``repro.scheduling.ep``:
 
 * the :class:`~repro.scheduling.heuristics.CycleTracker`, which keeps the
-  invariant-guided heuristic's promising vector on push/pop;
+  promising vector of the ECS ranking on push/pop;
 * each tree node's over-degree places (``TreeNode.over``), derived from its
   parent's;
 * the pruning verdict (``_EPSearch._prunes``), decided on a lookahead
@@ -24,7 +24,7 @@ from repro.apps import paper_nets
 from repro.apps.workloads import random_choice_net, random_marked_graph
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.scheduling.ep import SchedulerOptions, SchedulingTree, _EPSearch
-from repro.scheduling.heuristics import InvariantGuidedOrdering
+from repro.scheduling.heuristics import CycleTracker, InvariantGuide
 from repro.scheduling.termination import witnessed_by
 
 FAST = settings(
@@ -68,24 +68,39 @@ def _walk(tree: SchedulingTree, steps, visit) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _path_firings(tree: SchedulingTree):
+    """Firing count per transition along the tree's current DFS path."""
+    names = tree.inet.transition_names
+    firings = {}
+    for node in tree._path[1:]:
+        name = names[tree.nodes[node].tid]
+        firings[name] = firings.get(name, 0) + 1
+    return firings
+
+
 @FAST
 @given(kind=KINDS, seed=SEEDS, steps=STEPS)
 def test_cycle_tracker_matches_the_promising_vector_on_random_walks(kind, seed, steps):
     net = _net(kind, seed)
     analysis = StructuralAnalysis.of(net)
-    heuristic = InvariantGuidedOrdering(net, analysis, "src")
-    assume(heuristic.candidate_invariant)
+    guide = InvariantGuide(net, analysis, "src")
+    assume(guide.candidate)
     tree = SchedulingTree(net)
-    tree.cycle = heuristic.cycle_tracker(tree.inet.transition_index)
+    index = tree.inet.transition_index
+    # tracked groups: every single transition, then the ECSs by ECS ID
+    singles = sorted(net.transitions)
+    groups = [(index[t],) for t in singles]
+    groups += [tuple(index[t] for t in sorted(ecs)) for ecs in analysis.partition]
+    tree.cycle = CycleTracker(guide.candidate, index, groups)
 
     def visit(_top):
-        vector = heuristic.promising_vector(tree.path_firings())
-        for transition in net.transitions:
+        vector = guide.promising_vector(_path_firings(tree))
+        for group, transition in enumerate(singles):
             expected = vector.get(transition, 0) > 0
-            assert tree.cycle.promising(frozenset({transition})) == expected
-        for ecs in analysis.partition:
+            assert tree.cycle.promising(group) == expected
+        for ecs_id, ecs in enumerate(analysis.partition):
             expected = any(vector.get(t, 0) > 0 for t in ecs)
-            assert tree.cycle.promising(ecs) == expected
+            assert tree.cycle.promising(len(singles) + ecs_id) == expected
 
     _walk(tree, steps, visit)
 
@@ -99,11 +114,12 @@ def test_cycle_tracker_matches_the_promising_vector_on_random_walks(kind, seed, 
 )
 def test_cycle_tracker_is_exact_for_counts_beyond_int64(counts, steps):
     net = paper_nets.figure_5()
-    heuristic = InvariantGuidedOrdering(net, StructuralAnalysis.of(net), "a")
+    guide = InvariantGuide(net, StructuralAnalysis.of(net), "a")
     names = sorted(net.transitions)[: len(counts)]
-    heuristic._candidate = dict(zip(names, counts))
+    guide.candidate = dict(zip(names, counts))
     index = net.indexed().transition_index
-    tracker = heuristic.cycle_tracker(index)
+    singles = sorted(net.transitions)
+    tracker = CycleTracker(guide.candidate, index, [(index[t],) for t in singles])
     pushed = []
     for step in steps:
         if step < 0:
@@ -113,9 +129,9 @@ def test_cycle_tracker_is_exact_for_counts_beyond_int64(counts, steps):
             pushed.append(names[step % len(names)])
             tracker.push(index[pushed[-1]])
         firings = {name: pushed.count(name) for name in set(pushed)}
-        vector = heuristic.promising_vector(firings)
-        for name in net.transitions:
-            assert tracker.promising(frozenset({name})) == (vector.get(name, 0) > 0)
+        vector = guide.promising_vector(firings)
+        for group, name in enumerate(singles):
+            assert tracker.promising(group) == (vector.get(name, 0) > 0)
 
 
 # ---------------------------------------------------------------------------

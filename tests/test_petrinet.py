@@ -194,7 +194,7 @@ def test_structural_analysis_bundle(divisors_system):
     analysis = StructuralAnalysis.of(divisors_system.net)
     assert analysis.uncontrollable == {"src.divisors.in"}
     ecs = analysis.ecs_of("src.divisors.in")
-    assert analysis.is_source_ecs(ecs)
+    assert analysis.source_ecs_ids == {analysis.partition.index(ecs)}
 
 
 # ---------------------------------------------------------------------------

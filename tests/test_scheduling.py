@@ -30,14 +30,7 @@ from repro.scheduling.ep import (
     find_all_schedules,
     find_schedule,
 )
-from repro.scheduling.heuristics import (
-    ECSLookahead,
-    HeuristicContext,
-    InvariantGuidedOrdering,
-    NaiveOrdering,
-    TieBreakOrdering,
-    make_heuristic,
-)
+from repro.scheduling.heuristics import InvariantGuide
 from repro.scheduling.independence import (
     are_mutually_independent,
     channel_size_report,
@@ -516,51 +509,67 @@ def test_select_rewrite_compiles_and_is_not_unique_choice():
 # ---------------------------------------------------------------------------
 
 
+def _ranked_after_source(net, source, **options):
+    """The ECSs ``_EPSearch._candidate_ecss`` ranks at the source's child,
+    best first (non-source, then source), under ``SchedulerOptions(**options)``."""
+    search = _EPSearch(net, source, SchedulerOptions(**options))
+    tree, inet = search.tree, search.inet
+    root = tree.add_root(inet.initial_vec)
+    tid = inet.transition_index[source]
+    child = tree.add_child(root, tid, inet.fire_vec(tid, inet.initial_vec))
+    tree.push(root)
+    tree.push(child)
+    non_source, sources = search._candidate_ecss(child)
+    return [search.analysis.partition[ecs_id] for ecs_id in non_source + sources]
+
+
 def test_heuristic_orderings_agree_on_membership():
     net = paper_nets.figure_8()
     analysis = StructuralAnalysis.of(net)
     marking = net.fire("a", net.initial_marking)
     ecss = analysis.enabled_ecss(marking)
-    context = HeuristicContext(path_firings={"a": 1}, depth=1)
-    for heuristic in (
-        NaiveOrdering(),
-        TieBreakOrdering(analysis),
-        make_heuristic(net, analysis, "a"),
-    ):
-        ordered = heuristic.order(ecss, context)
+    for use_invariant_heuristic in (True, False):
+        ordered = _ranked_after_source(
+            net, "a", use_invariant_heuristic=use_invariant_heuristic
+        )
         assert sorted(map(sorted, ordered)) == sorted(map(sorted, ecss))
 
 
 def test_tie_break_puts_sources_last():
-    net = paper_nets.figure_8()
-    analysis = StructuralAnalysis.of(net)
-    marking = net.fire("a", net.initial_marking)
-    ecss = analysis.enabled_ecss(marking)
-    ordered = TieBreakOrdering(analysis).order(
-        ecss, HeuristicContext(path_firings={}, depth=1)
+    ordered = _ranked_after_source(
+        paper_nets.figure_8(), "a", use_invariant_heuristic=False
     )
     assert ordered[-1] == frozenset({"a"})
+
+
+def test_ecs_ids_follow_sorted_transition_names():
+    """The rank's last term, the ECS ID, is the sorted-name tie-break: the
+    partition is in sorted-name order on every net the pins cover."""
+    for net, _sources in _covering_cases():
+        partition = StructuralAnalysis.of(net).partition
+        names = [sorted(ecs) for ecs in partition]
+        assert names == sorted(names)
 
 
 def test_invariant_guided_ordering_prefers_promising_transitions():
     net = paper_nets.figure_8()
     analysis = StructuralAnalysis.of(net)
-    heuristic = InvariantGuidedOrdering(net, analysis, "a")
-    assert heuristic.source_is_coverable()
-    vector = heuristic.promising_vector({})
+    guide = InvariantGuide(net, analysis, "a")
+    assert guide.source_is_coverable()
+    vector = guide.promising_vector({})
     assert vector.get("a", 0) >= 1
-    after_cycle = heuristic.promising_vector({"a": 1, "b": 1, "d": 1})
+    after_cycle = guide.promising_vector({"a": 1, "b": 1, "d": 1})
     assert after_cycle  # guidance never collapses to nothing
 
 
-def _rows_by_rescanning(heuristic, by_name):
+def _rows_by_rescanning(guide, by_name):
     """The covering rows as ``_select_candidate_invariant`` built them before
     each ECS's helpers were computed once: every invariant rescanned for
     every (invariant, process, ECS) triple."""
     rows = []
-    process_of = {t: obj.process for t, obj in heuristic.net.transitions.items()}
+    process_of = {t: obj.process for t, obj in guide.net.transitions.items()}
     ecs_by_process = {}
-    for ecs in heuristic.analysis.partition:
+    for ecs in guide.analysis.partition:
         proc = process_of.get(min(ecs))
         ecs_by_process.setdefault(proc, []).append(ecs)
     for name, invariant in by_name.items():
@@ -601,10 +610,10 @@ def test_covering_rows_match_the_rescanning_builder():
     for net, sources in _covering_cases():
         analysis = StructuralAnalysis.of(net)
         for source in sources:
-            heuristic = InvariantGuidedOrdering(net, analysis, source)
-            by_name = {f"inv{i}": invariant for i, invariant in enumerate(heuristic.base)}
-            rows = heuristic._covering_rows(by_name)
-            expected = _rows_by_rescanning(heuristic, by_name)
+            guide = InvariantGuide(net, analysis, source)
+            by_name = {f"inv{i}": invariant for i, invariant in enumerate(guide.base)}
+            rows = guide._covering_rows(by_name)
+            expected = _rows_by_rescanning(guide, by_name)
             assert rows == expected
             assert [list(helpers) for _name, helpers in rows] == [
                 list(helpers) for _name, helpers in expected

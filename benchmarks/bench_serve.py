@@ -17,8 +17,8 @@ serving layer's contract under load:
   run over the same corpus.
 
 Results land in the ``"serve"`` section of ``BENCH_scheduler.json``
-(``reports.merge_report``: every other section is kept byte for byte, and an
-unreadable report is refused and left untouched).
+(``repro.util.merge_report``: every other section is kept byte for byte, and
+an unreadable report is refused and left untouched).
 
 Modes::
 
@@ -27,8 +27,10 @@ Modes::
     python benchmarks/bench_serve.py --smoke          # CI: 50 requests, 5 nets
 
 ``--smoke`` asserts and exits non-zero on violation but writes no JSON;
-``--spawn`` starts ``python -m repro.serve --port 0`` and discovers the port
-from the daemon's ready line, exercising the CLI path end to end.
+``--spawn`` starts ``python -m repro.serve --port 0 --cache-dir DIR`` on a
+fresh directory and discovers the port from the daemon's ready line,
+exercising the CLI path end to end: the ready line must name the sqlite
+file of the disk L2 it opened, and no lookup may reject a disk entry.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -58,7 +61,7 @@ from repro.petrinet.net import PetriNet  # noqa: E402
 from repro.scheduling.ep import find_all_schedules  # noqa: E402
 from repro.scheduling.serialize import schedule_fingerprint  # noqa: E402
 from repro.serve.protocol import net_to_dict  # noqa: E402
-from reports import ReportError, merge_report  # noqa: E402
+from repro.util import ReportError, merge_report  # noqa: E402
 
 ZIPF_EXPONENT = 1.1
 SEED = 20260808
@@ -284,33 +287,39 @@ async def _bench_in_process(load) -> Tuple[Dict[str, object], bool]:
 def _bench_spawned(load) -> Tuple[Dict[str, object], bool]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--port", "0", "--workers", "4"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-        env=env,
-    )
-    try:
-        ready = json.loads(process.stdout.readline())
-        assert ready["event"] == "ready", ready
-        port = ready["port"]
+    with tempfile.TemporaryDirectory() as cache_dir:
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.serve", "--port", "0", "--workers", "4",
+                "--cache-dir", cache_dir,
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        try:
+            ready = json.loads(process.stdout.readline())
+            assert ready["event"] == "ready", ready
+            store_file = os.path.join(cache_dir, "store.sqlite")
+            assert ready["cache"] == f"sqlite ({store_file})", ready
+            port = ready["port"]
 
-        async def scenario():
-            section = await load(port)
-            await _rpc(port, {"op": "shutdown"})
-            return section
+            async def scenario():
+                section = await load(port)
+                await _rpc(port, {"op": "shutdown"})
+                return section
 
-        section = asyncio.run(scenario())
-        process.wait(timeout=30)
-        stopped = json.loads(process.stdout.readline())
-        clean = bool(stopped.get("clean_drain")) and process.returncode == 0
-        section["daemon"] = {"mode": "spawned", "pid": ready["pid"], "stopped": stopped}
-        return section, clean
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait()
+            section = asyncio.run(scenario())
+            process.wait(timeout=30)
+            stopped = json.loads(process.stdout.readline())
+            clean = bool(stopped.get("clean_drain")) and process.returncode == 0
+            section["daemon"] = {"mode": "spawned", "pid": ready["pid"], "stopped": stopped}
+            return section, clean
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +357,11 @@ def evaluate(section: Dict[str, object], clean: bool, *, smoke: bool) -> List[st
             f"{measured['memo_hits']} of {measured['requests']} measured requests "
             f"were memo hits ({measured['live_searches']} live searches)"
         )
+    if section["final_stats"]["disk_rejected"]:
+        problems.append(
+            f"{section['final_stats']['disk_rejected']} disk entries rejected "
+            "by a daemon whose disk L2 only it wrote"
+        )
     if not clean:
         problems.append("daemon shutdown did not drain cleanly")
     if not smoke and warm <= 0.9 * totals["requests"]:
@@ -361,7 +375,7 @@ def evaluate(section: Dict[str, object], clean: bool, *, smoke: bool) -> List[st
 def write_report(section: Dict[str, object], output: Path) -> None:
     """Merge the ``"serve"`` section into the scheduler benchmark report.
 
-    Raises :class:`reports.ReportError` when the existing report is
+    Raises :class:`repro.util.ReportError` when the existing report is
     unreadable (the file is then left untouched).
     """
     merge_report(output, {"serve": section})

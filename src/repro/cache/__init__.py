@@ -13,9 +13,10 @@ re-searching, however it was rebuilt.  This package holds the disk level:
 
 * :func:`activate` -- opens the disk store, one sqlite file under
   ``.cache/repro/`` (``REPRO_CACHE_DIR`` moves it).  Where sqlite cannot
-  open it, the store is a :class:`NullStore` and every lookup misses;
-* :func:`load_schedule_record` / :func:`store_schedule_record` -- read and
-  write one scheduling record under its full identity;
+  open it, the store is disabled and every lookup misses;
+* :class:`SqliteStore` -- ``load`` reads and replay-validates one scheduling
+  record, ``save`` files one; ``entries``, ``verify``, ``clear`` and
+  ``quarantined_count`` serve ``python -m repro.cache``;
 * :func:`options_cache_key` -- the options part of the key, defined for
   every options value.
 
@@ -28,8 +29,9 @@ field, since each can change the outcome or its accounting.
 
 Integrity contract (see ``docs/architecture.md``):
 
-* every entry is schema-version-stamped and checksummed
-  (:mod:`repro.cache.stores`); anything that fails decoding is
+* every entry travels in a *wire record*: the payload wrapped with
+  :data:`SCHEMA_VERSION` and a SHA-256 checksum of its canonical encoding;
+  anything that fails decoding (torn write, foreign schema, bit rot) is
   **quarantined** and reported as a miss -- a bad cache can cost a
   recomputation, never an exception and never a wrong schedule;
 * a payload must carry the identity it is filed under
@@ -66,39 +68,32 @@ another process) replays from disk instead of searching::
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import sqlite3
+import threading
+import time
 from dataclasses import fields
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.cache.stores import (
-    SCHEMA_VERSION,
-    CacheStore,
-    EntryInfo,
-    NullStore,
-    SqliteStore,
-    StoreStats,
-)
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.scheduling.ep import SchedulerOptions, SearchCounters
 from repro.scheduling.serialize import schedule_from_dict
 
 __all__ = [
     "SCHEMA_VERSION",
-    "CacheStore",
-    "EntryInfo",
-    "NullStore",
     "SqliteStore",
-    "StoreStats",
     "activate",
     "cache_root",
-    "load_schedule_record",
     "options_cache_key",
-    "options_fingerprint",
-    "schedule_cache_key",
     "schedule_entry_problem",
-    "store_schedule_record",
 ]
+
+#: Version of the on-disk entry format.  Stamped into every wire record and
+#: into every cache key; entries written under any other version are ignored
+#: (and dropped on contact) instead of being interpreted.
+SCHEMA_VERSION = 1
 
 #: Default on-disk location, relative to the current working directory.
 DEFAULT_CACHE_DIR = os.path.join(".cache", "repro")
@@ -106,6 +101,15 @@ DEFAULT_CACHE_DIR = os.path.join(".cache", "repro")
 #: Environment variable moving the store (documented in the README and
 #: docs/user_guide.md).
 ENV_DIR = "REPRO_CACHE_DIR"
+
+#: The ``kind`` column of every entry the store writes; ``verify``
+#: quarantines an entry of any other kind, since no lookup reads it.
+_KIND = "schedule"
+
+_COUNTER_NAMES = frozenset(f.name for f in fields(SearchCounters))
+_RECORD_FIELDS = frozenset(
+    {"schedule", "tree_nodes", "elapsed_seconds", "failure_reason", "counters"}
+)
 
 
 def cache_root(path: Optional[os.PathLike] = None) -> Path:
@@ -118,48 +122,27 @@ def cache_root(path: Optional[os.PathLike] = None) -> Path:
     return Path(DEFAULT_CACHE_DIR)
 
 
-def activate(path: Optional[os.PathLike] = None) -> CacheStore:
+def activate(path: Optional[os.PathLike] = None) -> "SqliteStore":
     """Open (creating if needed) the sqlite disk store and return it; never raises.
 
     The location is ``path``, else ``$REPRO_CACHE_DIR``, else
     ``.cache/repro``.  When sqlite cannot open a database there (unwritable
-    directory, broken sqlite), a :class:`NullStore` naming the error is
-    returned, so callers degrade to cache misses instead of crashing.
-    Nothing is registered: the caller hands the store to whoever reads it
-    (``SchedulingService(store=...)``) and closes it.
+    directory, broken sqlite), the store comes back disabled, its
+    ``describe()`` naming the error, so callers degrade to cache misses
+    instead of crashing.  Nothing is registered: the caller hands the store
+    to whoever reads it (``SchedulingService(store=...)``) and closes it.
     """
-    root = cache_root(path)
-    try:
-        return SqliteStore(root)
-    except Exception as error:  # unusable location / broken sqlite
-        return NullStore(f"no usable cache at {root} ({type(error).__name__}: {error})")
+    return SqliteStore(cache_root(path))
 
 
-# ---------------------------------------------------------------------------
-# schedule records on disk
-# ---------------------------------------------------------------------------
+def options_cache_key(options: SchedulerOptions) -> Tuple:
+    """Hashable identity of the options.
 
-KIND_SCHEDULE = "schedule"
-
-_COUNTER_NAMES = frozenset(f.name for f in fields(SearchCounters))
-_RECORD_FIELDS = frozenset(
-    {"schedule", "tree_nodes", "elapsed_seconds", "failure_reason", "counters"}
-)
-
-
-def options_fingerprint(opts_key: Tuple) -> str:
-    """Stable digest of a hashable options identity tuple.
-
-    The tuple comes from :func:`options_cache_key` and covers every option
-    that can change the search outcome or its accounting, so two processes
-    running with the same knobs hit the same entries.
+    Covers every :class:`SchedulerOptions` field, since each can change the
+    search outcome or its accounting; every field is plain data, so every
+    options value has a key.
     """
-    return hashlib.sha256(repr(opts_key).encode("utf-8")).hexdigest()
-
-
-def schedule_cache_key(net_fingerprint: str, source: str, options_fp: str) -> str:
-    """The store key of one scheduling outcome (schema version included)."""
-    return f"v{SCHEMA_VERSION}.{net_fingerprint}.{options_fp}.{source}"
+    return (options.use_invariant_heuristic, options.max_nodes, options.place_bound)
 
 
 def schedule_entry_problem(
@@ -176,7 +159,7 @@ def schedule_entry_problem(
     entries) and a result record of the current shape: every field
     ``result_to_record`` writes, and counters :class:`SearchCounters` still
     has.  Returns the quarantine reason, or ``None`` when the payload passes.
-    Live lookups (:func:`load_schedule_record`) and the offline
+    Live lookups (:meth:`SqliteStore.load`) and the offline
     ``python -m repro.cache verify`` both run this one check.
     """
     if (
@@ -194,6 +177,52 @@ def schedule_entry_problem(
     ):
         return "malformed result record"
     return None
+
+
+def _options_fingerprint(opts_key: Tuple) -> str:
+    """Stable digest of an :func:`options_cache_key` tuple, so two
+    processes running with the same knobs hit the same entries."""
+    return hashlib.sha256(repr(opts_key).encode("utf-8")).hexdigest()
+
+
+def _schedule_key(net_fingerprint: str, source: str, options_fp: str) -> str:
+    """The store key of one scheduling outcome (schema version included)."""
+    return f"v{SCHEMA_VERSION}.{net_fingerprint}.{options_fp}.{source}"
+
+
+def _encode_wire(payload: Dict[str, object]) -> str:
+    """Wrap ``payload`` into the versioned, checksummed wire record."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return json.dumps(
+        {
+            "schema": SCHEMA_VERSION,
+            "checksum": checksum,
+            "created": time.time(),
+            "payload": payload,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def _decode_wire(blob: str) -> Optional[Dict[str, object]]:
+    """Inverse of :func:`_encode_wire`; ``None`` for anything not pristine:
+    non-JSON, another :data:`SCHEMA_VERSION`, or a payload that does not
+    hash to the recorded checksum."""
+    try:
+        wire = json.loads(blob)
+    except (ValueError, TypeError):
+        return None
+    if not isinstance(wire, dict) or wire.get("schema") != SCHEMA_VERSION:
+        return None
+    payload = wire.get("payload")
+    if not isinstance(payload, dict):
+        return None
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if hashlib.sha256(body.encode("utf-8")).hexdigest() != wire.get("checksum"):
+        return None
+    return payload
 
 
 def _replay_validates(net, source: str, record: Mapping[str, object]) -> bool:
@@ -226,61 +255,336 @@ def _replay_validates(net, source: str, record: Mapping[str, object]) -> bool:
     return True
 
 
-def load_schedule_record(
-    store: CacheStore,
-    net,
-    *,
-    net_fingerprint: str,
-    source: str,
-    options_fp: str,
-) -> Optional[Dict[str, object]]:
-    """Fetch + fully validate one scheduling record; ``None`` on any doubt.
+class SqliteStore:
+    """The disk L2: scheduling records in one sqlite database file.
 
-    Beyond the store-level wire checks, the payload must pass
-    :func:`schedule_entry_problem` and its schedule must replay-validate
-    against the live ``net``.  Entries failing either check are quarantined.
+    Layout: an ``entries(kind, key, blob, created)`` table holding wire
+    records (``kind`` is always ``"schedule"``) and a ``quarantine(kind,
+    key, blob, reason, ts)`` table for entries that failed a gate.  WAL
+    journaling plus a busy timeout make concurrent readers cheap; concurrent
+    writers serialize on sqlite's file lock, and a writer that still loses
+    the race simply drops its write.  An unreadable / corrupt database file
+    is rotated to ``store.sqlite.corrupt-<n>`` and a fresh database is
+    started in its place.  **No public method ever raises**: a broken cache
+    must never break the search that consulted it, which can always
+    recompute what the cache would have replayed.
+
+    Where sqlite cannot open a database at ``root`` (unwritable directory,
+    broken sqlite), the store is *disabled*: ``backend_name`` reads
+    ``"disabled"``, :meth:`describe` names the error, every load misses and
+    every save is dropped.
+
+    **Thread model**: one connection *per thread* (``threading.local``).  A
+    single shared connection can interleave two threads' statement/commit
+    pairs into torn transactions or raise ``ProgrammingError``; the serving
+    daemon's executor drives one store from many threads at once, so every
+    thread lazily opens its own connection against the same database file
+    and sqlite's file locking arbitrates between them exactly as it does
+    between processes.  :meth:`close` closes every connection the store ever
+    opened; a corruption rotation bumps a generation counter so other
+    threads' stale connections are replaced on their next use.
     """
-    key = schedule_cache_key(net_fingerprint, source, options_fp)
-    payload = store.get(KIND_SCHEDULE, key)
-    if payload is None:
-        return None
-    reason = schedule_entry_problem(
-        payload, net_fingerprint=net_fingerprint, source=source, options_fp=options_fp
-    )
-    if reason is None and not _replay_validates(net, source, payload["record"]):
-        reason = "schedule failed replay validation"
-    if reason is not None:
-        store.quarantine(KIND_SCHEDULE, key, reason)
-        return None
-    return dict(payload["record"])
 
+    FILENAME = "store.sqlite"
 
-def store_schedule_record(
-    store: CacheStore,
-    *,
-    net_fingerprint: str,
-    source: str,
-    options_fp: str,
-    record: Mapping[str, object],
-) -> None:
-    """Persist one scheduling record under its full identity."""
-    store.put(
-        KIND_SCHEDULE,
-        schedule_cache_key(net_fingerprint, source, options_fp),
-        {
-            "net_fingerprint": net_fingerprint,
+    def __init__(self, root: os.PathLike):
+        self.root = Path(root)
+        self.path = self.root / self.FILENAME
+        # _lock guards the connection registry, the generation counter and
+        # corrupt-file rotation; it is never held around statement execution
+        self._lock = threading.RLock()
+        self._local = threading.local()
+        self._connections: List[sqlite3.Connection] = []
+        self._generation = 0
+        self._closed = False
+        #: ``"sqlite"``, or ``"disabled"`` when no database could be opened
+        self.backend_name = "sqlite"
+        self._description = f"sqlite ({self.path})"
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            try:
+                self._connection()
+            except sqlite3.Error:
+                if not self.path.exists():
+                    raise  # no database file to blame: sqlite cannot open one here
+                with self._lock:
+                    self._rotate_corrupt()
+                    self._generation += 1
+                self._connection()  # a fresh file; raises only if the dir is unusable
+        except Exception as error:  # unusable location / broken sqlite
+            self.close()
+            self.backend_name = "disabled"
+            self._description = (
+                f"disabled (no usable cache at {self.root} "
+                f"({type(error).__name__}: {error}))"
+            )
+
+    # -- the daemon's two operations -----------------------------------------
+    def load(
+        self, net, fingerprint: str, source: str, opts_key: Tuple
+    ) -> Tuple[Optional[Dict[str, object]], bool]:
+        """The record filed for ``(fingerprint, source, opts_key)``, replayed
+        against ``net``; returns ``(record, quarantined)``.
+
+        ``record`` is ``None`` for a miss.  An entry failing any gate -- wire
+        decode, :func:`schedule_entry_problem`, replay validation against the
+        live ``net`` -- is moved to quarantine and reported as a miss, and
+        ``quarantined`` tells whether this very lookup moved it (an entry
+        another lookup quarantined first is just a miss).
+        """
+        options_fp = _options_fingerprint(opts_key)
+        key = _schedule_key(fingerprint, source, options_fp)
+        try:
+            row = self._execute(
+                "SELECT blob FROM entries WHERE kind = ? AND key = ?", (_KIND, key)
+            ).fetchone()
+        except Exception:
+            row = None
+        if row is None:
+            return None, False
+        payload = _decode_wire(row[0])
+        if payload is None:
+            reason = "wire record failed schema/checksum validation"
+        else:
+            reason = schedule_entry_problem(
+                payload, net_fingerprint=fingerprint, source=source, options_fp=options_fp
+            )
+            if reason is None and not _replay_validates(net, source, payload["record"]):
+                reason = "schedule failed replay validation"
+        if reason is not None:
+            return None, self._quarantine(_KIND, key, row[0], reason)
+        return dict(payload["record"]), False
+
+    def save(
+        self, fingerprint: str, source: str, opts_key: Tuple, record: Mapping[str, object]
+    ) -> None:
+        """File ``record`` under ``(fingerprint, source, opts_key)``,
+        replacing any older entry.
+
+        A failed write (locked database, full disk, a closed or disabled
+        store) is dropped: the record is simply not cached.
+        """
+        options_fp = _options_fingerprint(opts_key)
+        payload = {
+            "net_fingerprint": fingerprint,
             "source": source,
             "options_fp": options_fp,
             "record": dict(record),
-        },
-    )
+        }
+        try:
+            self._execute(
+                "INSERT OR REPLACE INTO entries (kind, key, blob, created) VALUES (?, ?, ?, ?)",
+                (
+                    _KIND,
+                    _schedule_key(fingerprint, source, options_fp),
+                    _encode_wire(payload),
+                    time.time(),
+                ),
+                commit=True,
+            )
+        except Exception:
+            pass
 
+    # -- maintenance (python -m repro.cache) ----------------------------------
+    def entries(self) -> List[Tuple[str, str, int]]:
+        """``(kind, key, size in bytes)`` of every live (non-quarantined)
+        entry, ordered by kind and key."""
+        try:
+            return self._execute(
+                "SELECT kind, key, length(blob) FROM entries ORDER BY kind, key"
+            ).fetchall()
+        except Exception:
+            return []
 
-def options_cache_key(options: SchedulerOptions) -> Tuple:
-    """Hashable identity of the options.
+    def verify(self) -> Tuple[int, List[Tuple[str, str]]]:
+        """Run every entry through the offline gates, quarantining failures.
 
-    Covers every :class:`SchedulerOptions` field, since each can change the
-    search outcome or its accounting; every field is plain data, so every
-    options value has a key.
-    """
-    return (options.use_invariant_heuristic, options.max_nodes, options.place_bound)
+        The gates are the wire decode and :func:`schedule_entry_problem`
+        against the identity the key names (there is no net to replay
+        against); an entry of any kind but ``schedule`` fails, since no
+        lookup reads it.  Returns how many entries were checked and the
+        ``(kind, key)`` of each one that failed.
+        """
+        try:
+            rows = self._execute(
+                "SELECT kind, key, blob FROM entries ORDER BY kind, key"
+            ).fetchall()
+        except Exception:
+            return 0, []
+        failed = []
+        for kind, key, blob in rows:
+            payload = _decode_wire(blob)
+            parts = key.split(".", 3)  # v<schema>.<fingerprint>.<options_fp>.<source>
+            if payload is None:
+                reason = "wire record failed schema/checksum validation"
+            elif kind != _KIND:
+                reason = "no lookup reads this kind"
+            elif len(parts) != 4 or schedule_entry_problem(
+                payload, net_fingerprint=parts[1], source=parts[3], options_fp=parts[2]
+            ):
+                reason = "payload does not match its key"
+            else:
+                continue
+            self._quarantine(kind, key, blob, reason)
+            failed.append((kind, key))
+        return len(rows), failed
+
+    def quarantined_count(self) -> int:
+        """Number of entries currently sitting in quarantine."""
+        try:
+            return int(self._execute("SELECT COUNT(*) FROM quarantine").fetchone()[0])
+        except Exception:
+            return 0
+
+    def clear(self) -> None:
+        """Remove every entry, including the quarantine area."""
+        try:
+            self._execute("DELETE FROM entries")
+            self._execute("DELETE FROM quarantine", commit=True)
+        except Exception:
+            pass
+
+    def close(self) -> None:
+        """Close every connection; later operations miss or drop."""
+        with self._lock:
+            self._closed = True
+            connections, self._connections = self._connections, []
+        self._local.entry = None
+        for conn in connections:
+            try:
+                conn.close()
+            except sqlite3.Error:
+                pass
+
+    def describe(self) -> str:
+        """One-line human description: backend and location, or why the
+        store is disabled."""
+        return self._description
+
+    # -- internals -----------------------------------------------------------
+    def _quarantine(self, kind: str, key: str, blob: str, reason: str) -> bool:
+        """Move the entry ``(kind, key)`` holding ``blob`` out of the lookup
+        path, keeping it for autopsy; True when this call moved it.
+
+        The copy and the delete are one transaction, and both match the blob
+        that was judged, so two lookups that find one bad entry move it once
+        and a fresh entry saved in between stays.
+        """
+        match = (kind, key, blob)
+        delete = "DELETE FROM entries WHERE kind = ? AND key = ? AND blob = ?"
+        try:
+            self._execute(
+                "INSERT INTO quarantine (kind, key, blob, reason, ts)"
+                " SELECT kind, key, blob, ?, ? FROM entries"
+                " WHERE kind = ? AND key = ? AND blob = ?",
+                (reason, time.time()) + match,
+            )
+            return self._execute(delete, match, commit=True).rowcount > 0
+        except Exception:
+            try:  # last resort: make sure the bad entry stops matching lookups
+                self._execute(delete, match, commit=True)
+            except Exception:
+                pass
+            return False
+
+    def _open(self) -> sqlite3.Connection:
+        # check_same_thread=False solely so close() may reap connections
+        # owned by finished executor threads; statements always run on the
+        # opening thread (sqlite3.threadsafety serializes the rest)
+        conn = sqlite3.connect(str(self.path), timeout=5.0, check_same_thread=False)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA busy_timeout=5000")
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS entries ("
+            " kind TEXT NOT NULL, key TEXT NOT NULL, blob TEXT NOT NULL,"
+            " created REAL NOT NULL, PRIMARY KEY (kind, key))"
+        )
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS quarantine ("
+            " kind TEXT NOT NULL, key TEXT NOT NULL, blob TEXT,"
+            " reason TEXT NOT NULL, ts REAL NOT NULL)"
+        )
+        conn.commit()
+        return conn
+
+    def _forget_local(self) -> None:
+        """Close and deregister the calling thread's connection, if any."""
+        cached = getattr(self._local, "entry", None)
+        if cached is None:
+            return
+        _generation, conn = cached
+        self._local.entry = None
+        try:
+            conn.close()
+        except sqlite3.Error:
+            pass
+        with self._lock:
+            if conn in self._connections:
+                self._connections.remove(conn)
+
+    def _connection(self) -> sqlite3.Connection:
+        """The calling thread's connection, opened (or refreshed) on demand."""
+        if self._closed:
+            raise sqlite3.OperationalError("store connection is closed")
+        cached = getattr(self._local, "entry", None)
+        if cached is not None:
+            generation, conn = cached
+            if generation == self._generation:
+                return conn
+            self._forget_local()  # the database was rotated under this thread
+        with self._lock:
+            generation = self._generation
+        conn = self._open()
+        with self._lock:
+            if self._closed:
+                try:
+                    conn.close()
+                except sqlite3.Error:
+                    pass
+                raise sqlite3.OperationalError("store connection is closed")
+            self._connections.append(conn)
+        self._local.entry = (generation, conn)
+        return conn
+
+    def _rotate_corrupt(self) -> None:
+        """Move an unusable database file aside so a fresh one can start."""
+        for attempt in range(100):
+            target = self.path.with_name(f"{self.FILENAME}.corrupt-{attempt}")
+            if not target.exists():
+                self.path.replace(target)
+                return
+        self.path.unlink()
+
+    def _recover_corrupt(self) -> None:
+        """Rotate a database that went bad underneath us, exactly once.
+
+        Several threads can observe the same malformed file concurrently;
+        only the first (by generation) performs the rotation, the rest just
+        drop their stale connections and reconnect to the fresh database.
+        """
+        cached = getattr(self._local, "entry", None)
+        stale_generation = cached[0] if cached is not None else None
+        self._forget_local()
+        with self._lock:
+            if stale_generation is None or stale_generation == self._generation:
+                if self.path.exists():
+                    self._rotate_corrupt()
+                self._generation += 1
+
+    def _execute(self, sql: str, params: Tuple = (), *, commit: bool = False) -> sqlite3.Cursor:
+        try:
+            conn = self._connection()
+            cursor = conn.execute(sql, params)
+            if commit:
+                conn.commit()
+            return cursor
+        except sqlite3.DatabaseError as error:
+            message = str(error).lower()
+            if "malformed" in message or "not a database" in message:
+                self._recover_corrupt()
+                conn = self._connection()
+                cursor = conn.execute(sql, params)
+                if commit:
+                    conn.commit()
+                return cursor
+            raise

@@ -20,102 +20,62 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.cache import KIND_SCHEDULE, activate, schedule_entry_problem
-from repro.cache.stores import SCHEMA_VERSION, CacheStore
+from repro.cache import SCHEMA_VERSION, SqliteStore, activate
 
 
-def _collect_stats(store: CacheStore) -> Dict[str, object]:
+def _cmd_stats(store: SqliteStore, as_json: bool) -> int:
     entries = store.entries()
     by_kind: Dict[str, Dict[str, int]] = {}
-    for entry in entries:
-        bucket = by_kind.setdefault(entry.kind, {"entries": 0, "bytes": 0})
+    for kind, _key, size in entries:
+        bucket = by_kind.setdefault(kind, {"entries": 0, "bytes": 0})
         bucket["entries"] += 1
-        bucket["bytes"] += entry.size_bytes
-    return {
+        bucket["bytes"] += size
+    stats = {
         "backend": store.backend_name,
         "location": store.describe(),
         "schema_version": SCHEMA_VERSION,
         "entries": len(entries),
-        "bytes": sum(e.size_bytes for e in entries),
+        "bytes": sum(size for _kind, _key, size in entries),
         "by_kind": by_kind,
         "quarantined": store.quarantined_count(),
     }
-
-
-def _cmd_stats(store: CacheStore, as_json: bool) -> int:
-    stats = _collect_stats(store)
     if as_json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
     print(f"cache store : {stats['location']}")
     print(f"schema      : v{stats['schema_version']}")
     print(f"entries     : {stats['entries']} ({stats['bytes']} bytes)")
-    for kind, bucket in sorted(stats["by_kind"].items()):
+    for kind, bucket in sorted(by_kind.items()):
         print(f"  {kind:<20} {bucket['entries']:>5} entries  {bucket['bytes']:>9} bytes")
     print(f"quarantined : {stats['quarantined']}")
     return 0
 
 
-def _cmd_clear(store: CacheStore) -> int:
+def _cmd_clear(store: SqliteStore) -> int:
     before = len(store.entries())
     store.clear()
     print(f"cleared {before} entries from {store.describe()}")
     return 0
 
 
-def _payload_matches_key(kind: str, key: str, payload: Dict[str, object]) -> bool:
-    """The live lookup's identity/shape check, run offline.
-
-    Keys are ``v<schema>.<fingerprint>.<options_fp>.<source>``; the payload
-    must pass :func:`~repro.cache.schedule_entry_problem` for the identity
-    it is filed under.  Only schedule entries are ever read, so an entry of
-    any other kind fails.
-    """
-    parts = key.split(".", 3)
-    if kind != KIND_SCHEDULE or len(parts) != 4:
-        return False
-    _version, fingerprint, options_fp, source = parts
-    problem = schedule_entry_problem(
-        payload, net_fingerprint=fingerprint, source=source, options_fp=options_fp
-    )
-    return problem is None
-
-
-def _cmd_verify(store: CacheStore, as_json: bool) -> int:
-    entries = store.entries()
-    ok = 0
-    bad: List[Dict[str, str]] = []
-    for entry in entries:
-        # .get runs the wire pipeline (schema, checksum) and quarantines on
-        # corruption; the identity/shape gates run on what survives
-        payload = store.get(entry.kind, entry.key)
-        if payload is not None and _payload_matches_key(entry.kind, entry.key, payload):
-            ok += 1
-        else:
-            if payload is not None:
-                reason = (
-                    "payload does not match its key"
-                    if entry.kind == KIND_SCHEDULE
-                    else "no lookup reads this kind"
-                )
-                store.quarantine(entry.kind, entry.key, reason)
-            bad.append({"kind": entry.kind, "key": entry.key})
+def _cmd_verify(store: SqliteStore, as_json: bool) -> int:
+    checked, failed = store.verify()
     report = {
-        "checked": len(entries),
-        "ok": ok,
-        "quarantined": bad,
+        "checked": checked,
+        "ok": checked - len(failed),
+        "quarantined": [{"kind": kind, "key": key} for kind, key in failed],
         "location": store.describe(),
     }
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(f"verified {report['checked']} entries in {report['location']}: "
-              f"{ok} ok, {len(bad)} quarantined")
-        for item in bad:
-            print(f"  quarantined {item['kind']}/{item['key']}")
-    return 1 if bad else 0
+        print(f"verified {checked} entries in {report['location']}: "
+              f"{report['ok']} ok, {len(failed)} quarantined")
+        for kind, key in failed:
+            print(f"  quarantined {kind}/{key}")
+    return 1 if failed else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

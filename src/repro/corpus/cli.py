@@ -11,8 +11,9 @@ Every failing case is shrunk to a minimal reproducer and written to the
 triage directory (``--triage-dir``, default ``.corpus_triage``) as a spec
 JSON, the emitted FlowC program and an outcome report with the replay
 command.  With ``--bench-output`` the sweep's size and pass-rate land in the
-``"corpus"`` section of ``BENCH_scheduler.json`` (read-modify-write: the
-other sections are preserved).
+``"corpus"`` section of ``BENCH_scheduler.json``
+(:func:`repro.util.merge_report`: every other section keeps its bytes, and
+an unreadable report is refused with exit code 2 and left untouched).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import json
 import shutil
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.corpus.differential import CaseOutcome, CorpusReport, run_case, run_corpus
+from repro.corpus.differential import CaseOutcome, run_case, run_corpus
 from repro.corpus.generator import (
     DEFAULT_SEED,
     FAMILIES,
@@ -38,6 +39,7 @@ from repro.corpus.topologies import (
     spec_from_dict,
     spec_to_dict,
 )
+from repro.util import ReportError, merge_report
 
 #: Cases in ``--smoke`` mode: 8 per family plus two expected-failure cases.
 SMOKE_CASES = 8 * len(FAMILIES)
@@ -66,18 +68,6 @@ def write_triage(
     }
     (case_dir / "outcome.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return case_dir
-
-
-def merge_bench_section(report: CorpusReport, output: Path, *, seed: int) -> None:
-    """Read-modify-write the ``"corpus"`` section of the benchmark report."""
-    document: Dict[str, Any] = {}
-    if output.exists():
-        document = json.loads(output.read_text())
-    document["corpus"] = {
-        "seed": seed,
-        **report.to_dict(),
-    }
-    output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def _replay(path: Path) -> int:
@@ -164,7 +154,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
 
     if args.bench_output:
-        merge_bench_section(report, Path(args.bench_output), seed=args.seed)
+        section = {"seed": args.seed, **report.to_dict()}
+        try:
+            merge_report(Path(args.bench_output), {"corpus": section})
+        except ReportError as error:
+            print(f"ERROR: {error}; not written", file=sys.stderr)
+            return 2
         print(f"'corpus' section written to {args.bench_output}")
 
     return 0 if not report.failures else 1

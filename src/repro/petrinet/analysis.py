@@ -244,6 +244,3 @@ class StructuralAnalysis:
             if self.net.is_enabled(representative, marking):
                 result.append(ecs)
         return result
-
-    def degree(self, place: str) -> int:
-        return self.degrees[place]

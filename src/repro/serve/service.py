@@ -51,12 +51,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cache import (
-    load_schedule_record,
-    options_cache_key,
-    options_fingerprint,
-    store_schedule_record,
-)
+from repro.cache import options_cache_key
 from repro.petrinet.fingerprint import structural_fingerprint
 from repro.petrinet.net import PetriNet
 from repro.scheduling.ep import SchedulerOptions, find_schedule
@@ -129,7 +124,7 @@ class ServeMetrics:
     store), ``live_searches`` (an EP search) and ``coalesced`` (a waiter on
     another request's in-flight lookup).  ``disk_rejected`` counts the
     disk entries a lookup found corrupt or foreign and quarantined before
-    missing.
+    missing, each once however lookups overlap.
     """
 
     COUNTERS = (
@@ -409,35 +404,18 @@ class SchedulingService:
                 self.metrics.bump("l1_hits")
                 return record, "l1"
             if self._store is not None:
-                quarantined_before = self._store.stats.quarantined
-                record = load_schedule_record(
-                    self._store,
-                    net,
-                    net_fingerprint=fingerprint,
-                    source=source,
-                    options_fp=options_fingerprint(opts_key),
-                )
+                record, quarantined = self._store.load(net, fingerprint, source, opts_key)
                 if record is not None:
                     self.metrics.bump("disk_hits")
                     self._l1.put(key, record)
                     return record, "disk"
-                # only the quarantines this lookup caused (wire decode,
-                # identity check or replay validation)
-                self.metrics.bump(
-                    "disk_rejected",
-                    self._store.stats.quarantined - quarantined_before,
-                )
+                if quarantined:  # the entry this lookup found failed a gate
+                    self.metrics.bump("disk_rejected")
             record = result_to_record(self._search_fn(net, source, options=options))
             self.metrics.bump("live_searches")
             self._l1.put(key, record)
             if self._store is not None:
-                store_schedule_record(
-                    self._store,
-                    net_fingerprint=fingerprint,
-                    source=source,
-                    options_fp=options_fingerprint(opts_key),
-                    record=record,
-                )
+                self._store.save(fingerprint, source, opts_key, record)
             return record, "search"
         finally:
             with self._active_lock:

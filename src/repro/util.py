@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Generic, Iterator, Optional, TypeVar
+from pathlib import Path
+from typing import Dict, Generic, Iterator, Mapping, Optional, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -111,3 +113,31 @@ class BoundedLRU(Generic[K, V]):
     def __iter__(self) -> Iterator[K]:
         with self._lock:
             return iter(list(self._store))
+
+
+class ReportError(Exception):
+    """The existing report is unreadable; it was left untouched."""
+
+
+def merge_report(path: Path, sections: Mapping[str, object]) -> Dict[str, object]:
+    """Write ``sections`` into the JSON object at ``path`` and return it.
+
+    The one merge rule of the benchmark report (``BENCH_scheduler.json``),
+    which ``benchmarks/bench_scheduler.py``, ``benchmarks/bench_serve.py``
+    and ``python -m repro.corpus --bench-output`` all write: a run replaces
+    only the top-level sections it produced, in place, and every other
+    section keeps its bytes; new sections are appended.  A missing file
+    starts empty.  Raises :class:`ReportError`, leaving the file untouched,
+    when it exists but is not a readable JSON object.
+    """
+    report: Dict[str, object] = {}
+    if path.exists():
+        try:
+            report = json.loads(path.read_text())
+        except (OSError, ValueError) as error:
+            raise ReportError(f"cannot read the existing report {path}: {error}") from error
+        if not isinstance(report, dict):
+            raise ReportError(f"the existing report {path} is not a JSON object")
+    report.update(sections)
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    return report

@@ -1,8 +1,10 @@
 """The benchmark CLIs merge their sections into ``BENCH_scheduler.json``.
 
-A run replaces only the sections it produces; every other section of the
-report keeps its bytes, and an unreadable report is refused and left
-untouched.  The runs are stubbed, so these tests time nothing.
+``bench_scheduler.py``, ``bench_serve.py`` and ``python -m repro.corpus
+--bench-output`` share one rule, ``repro.util.merge_report``: a run replaces
+only the sections it produces, every other section of the report keeps its
+bytes, and an unreadable report is refused and left untouched.  The runs
+are stubbed, so these tests time nothing.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import repro.corpus.cli as corpus_cli
+from repro.corpus.differential import CorpusReport
+from repro.util import ReportError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = REPO_ROOT / "benchmarks"
@@ -55,6 +61,14 @@ def _stub_scheduler(monkeypatch):
     return bench_scheduler
 
 
+def _stub_corpus(monkeypatch):
+    """The corpus CLI over a sweep that runs no case."""
+    monkeypatch.setattr(
+        corpus_cli, "run_corpus", lambda specs, progress=None: CorpusReport([], 0.0)
+    )
+    return ["--cases", "1", "--seed", "3", "--families", "chain"]
+
+
 def _assert_merged(path: Path, sections) -> None:
     """``path`` holds the committed report with ``sections`` replaced in
     place or appended, and every other section serialized as before."""
@@ -76,6 +90,13 @@ def test_serve_run_keeps_every_foreign_section(report_copy):
     _assert_merged(report_copy, {"serve": section})
 
 
+def test_corpus_run_keeps_every_foreign_section(monkeypatch, report_copy, capsys):
+    args = _stub_corpus(monkeypatch)
+    assert corpus_cli.main(args + ["--bench-output", str(report_copy)]) == 0
+    assert "'corpus' section written" in capsys.readouterr().out
+    _assert_merged(report_copy, {"corpus": {"seed": 3, **CorpusReport([], 0.0).to_dict()}})
+
+
 def test_a_missing_report_starts_empty(monkeypatch, tmp_path):
     bench_scheduler = _stub_scheduler(monkeypatch)
     path = tmp_path / "fresh.json"
@@ -89,11 +110,15 @@ def test_an_unreadable_report_is_refused_and_left_untouched(
 ):
     bench_scheduler = _stub_scheduler(monkeypatch)
     bench_serve = _bench_module("bench_serve")
-    reports = _bench_module("reports")
+    corpus_args = _stub_corpus(monkeypatch)
     path = tmp_path / "BENCH_scheduler.json"
     path.write_text(text)
     assert bench_scheduler.main(["--output", str(path)]) != 0
     assert str(path) in capsys.readouterr().err
-    with pytest.raises(reports.ReportError):
+    with pytest.raises(ReportError):
         bench_serve.write_report({"totals": {}}, path)
+    # the corpus CLI refuses it as bench_scheduler does: exit 2, not the
+    # exit 1 of a failing case
+    assert corpus_cli.main(corpus_args + ["--bench-output", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
     assert path.read_text() == text

@@ -2,7 +2,7 @@
 
 Three layers of coverage:
 
-* the stores themselves (sqlite, and the NullStore it degrades to):
+* the store itself (sqlite, and the disabled state it degrades to):
   wire-format integrity, quarantine, concurrent writers, unusable locations;
 * the record cache as the daemon drives it (``SchedulingService._compute``:
   lookup, live search on a miss, write-through): two levels, replay
@@ -11,12 +11,16 @@ Three layers of coverage:
   same store replays byte-identical schedules from disk with zero live
   searches.
 
-Every failure mode must degrade to a cache miss -- never an exception,
-never a wrong schedule.
+Bad entries are planted with raw SQL in the v1 on-disk format (``_key``,
+``_wire``), written out here independently of the store, so the tests also
+pin the bytes on disk.  Every failure mode must degrade to a cache miss --
+never an exception, never a wrong schedule.
 """
 
 from __future__ import annotations
 
+import asyncio
+import hashlib
 import json
 import os
 import sqlite3
@@ -29,18 +33,8 @@ import pytest
 
 from repro.apps.divisors import build_divisors_system
 from repro.apps.paper_nets import figure_4b, figure_5, figure_6
-from repro.cache import (
-    NullStore,
-    SqliteStore,
-    activate,
-    load_schedule_record,
-    options_cache_key,
-    options_fingerprint,
-    schedule_cache_key,
-    store_schedule_record,
-)
+from repro.cache import SCHEMA_VERSION, SqliteStore, activate, options_cache_key
 from repro.cache.cli import main as cache_cli
-from repro.cache.stores import SCHEMA_VERSION, decode_wire, encode_wire
 from repro.petrinet.fingerprint import structural_fingerprint
 from repro.petrinet.invariants import t_invariant_basis
 from repro.scheduling.ep import SchedulerOptions, find_all_schedules, find_schedule
@@ -49,6 +43,9 @@ from repro.serve import SchedulingService
 from service_path import schedule_through
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: the options key of the default options, which every test files under
+OPTS = options_cache_key(SchedulerOptions())
 
 
 @pytest.fixture(params=["sqlite"])
@@ -60,45 +57,144 @@ def store(request, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# store backends
+# the v1 on-disk format, written by hand
+# ---------------------------------------------------------------------------
+
+
+def _options_fp(opts_key=OPTS) -> str:
+    return hashlib.sha256(repr(opts_key).encode("utf-8")).hexdigest()
+
+
+def _key(fingerprint: str, source: str, opts_key=OPTS) -> str:
+    """An entry's key: ``v1.<fingerprint>.<sha256 of the options key>.<source>``."""
+    return f"v1.{fingerprint}.{_options_fp(opts_key)}.{source}"
+
+
+def _payload(fingerprint: str, source: str, record, opts_key=OPTS):
+    """What a schedule entry holds: the identity it is filed under and the record."""
+    return {
+        "net_fingerprint": fingerprint,
+        "source": source,
+        "options_fp": _options_fp(opts_key),
+        "record": record,
+    }
+
+
+def _wire(payload, *, schema: int = 1, created: float = 0.0) -> str:
+    """A wire record: the payload, its schema version and the SHA-256 of its
+    canonical JSON, as compact key-sorted JSON."""
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        {
+            "checksum": hashlib.sha256(body.encode("utf-8")).hexdigest(),
+            "created": created,
+            "payload": payload,
+            "schema": schema,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def _plant(path: Path, key: str, blob: str, kind: str = "schedule") -> None:
+    """File ``blob`` under ``(kind, key)`` behind the store's back."""
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "INSERT OR REPLACE INTO entries (kind, key, blob, created) VALUES (?, ?, ?, 0)",
+        (kind, key, blob),
+    )
+    conn.commit()
+    conn.close()
+
+
+def _record_for(net, source="src.divisors.in"):
+    return result_to_record(find_schedule(net, source, raise_on_failure=True))
+
+
+def _figure_5():
+    """Figure 5, its fingerprint and the record of its source ``a``."""
+    net = figure_5()
+    return net, structural_fingerprint(net), _record_for(net, "a")
+
+
+# ---------------------------------------------------------------------------
+# the store
 # ---------------------------------------------------------------------------
 
 
 def test_store_roundtrip_and_clear(store):
-    assert store.get("schedule", "missing") is None
-    store.put("schedule", "k1", {"value": [1, 2, {"deep": "x"}]})
-    store.put("t_invariant_basis", "k2", {"basis": []})
-    assert store.get("schedule", "k1") == {"value": [1, 2, {"deep": "x"}]}
-    kinds = sorted(e.kind for e in store.entries())
+    net, fp, record = _figure_5()
+    assert store.load(net, fp, "a", OPTS) == (None, False)
+    store.save(fp, "a", OPTS, record)
+    _plant(store.path, "k2", _wire({"basis": []}), kind="t_invariant_basis")
+    assert store.load(net, fp, "a", OPTS) == (record, False)
+    kinds = [kind for kind, _key, _size in store.entries()]
     assert kinds == ["schedule", "t_invariant_basis"]
-    store.delete("schedule", "k1")
-    assert store.get("schedule", "k1") is None
     store.clear()
     assert store.entries() == []
-    assert store.stats.puts == 2
+    assert store.load(net, fp, "a", OPTS) == (None, False)
 
 
-def test_wire_codec_rejects_tampering():
-    blob = encode_wire({"a": 1})
-    assert decode_wire(blob) == {"a": 1}
-    assert decode_wire("not json {") is None
-    assert decode_wire(json.dumps({"schema": 999, "payload": {}, "checksum": ""})) is None
-    wire = json.loads(blob)
-    wire["payload"]["a"] = 2  # payload no longer matches the checksum
-    assert decode_wire(json.dumps(wire)) is None
+def test_the_on_disk_format_is_unchanged(tmp_path):
+    """An entry filed by hand in the v1 tables, key and wire record replays,
+    and ``save`` writes exactly that format (bar the ``created`` stamp)."""
+    assert SCHEMA_VERSION == 1
+    store = activate(tmp_path / "cache")
+    net, fp, record = _figure_5()
+    _plant(store.path, _key(fp, "a"), _wire(_payload(fp, "a", record), created=1.5))
+    assert store.load(net, fp, "a", OPTS) == (record, False)
+
+    store.save(fp, "b", OPTS, record)
+    conn = sqlite3.connect(store.path)
+    tables = dict(conn.execute("SELECT name, sql FROM sqlite_master WHERE type = 'table'"))
+    (kind, blob), = conn.execute(
+        "SELECT kind, blob FROM entries WHERE key = ?", (_key(fp, "b"),)
+    ).fetchall()
+    conn.close()
+    assert tables == {
+        "entries": "CREATE TABLE entries ( kind TEXT NOT NULL, key TEXT NOT NULL,"
+        " blob TEXT NOT NULL, created REAL NOT NULL, PRIMARY KEY (kind, key))",
+        "quarantine": "CREATE TABLE quarantine ( kind TEXT NOT NULL, key TEXT NOT NULL,"
+        " blob TEXT, reason TEXT NOT NULL, ts REAL NOT NULL)",
+    }
+    assert kind == "schedule"
+    assert blob == _wire(_payload(fp, "b", record), created=json.loads(blob)["created"])
+    store.close()
+
+
+def test_wire_codec_rejects_tampering(tmp_path):
+    """Only a pristine wire record is read: one that is not JSON, names
+    another schema version or no longer hashes to its checksum is
+    quarantined and missed."""
+    store = activate(tmp_path / "cache")
+    net, fp, record = _figure_5()
+    pristine = _wire(_payload(fp, "a", record))
+    foreign = json.loads(pristine)
+    foreign["schema"] = 999
+    tampered = json.loads(pristine)
+    tampered["payload"]["record"]["tree_nodes"] += 1  # no longer matches the checksum
+    for blob in ("not json {", json.dumps(foreign), json.dumps(tampered)):
+        _plant(store.path, _key(fp, "a"), blob)
+        assert store.load(net, fp, "a", OPTS) == (None, True)
+    _plant(store.path, _key(fp, "a"), pristine)
+    assert store.load(net, fp, "a", OPTS) == (record, False)
+    assert store.quarantined_count() == 3
+    store.close()
 
 
 def test_corrupt_entry_is_quarantined_not_raised(store):
-    store.put("schedule", "k", {"fine": True})
+    net, fp, record = _figure_5()
+    store.save(fp, "a", OPTS, record)
     # corrupt the stored blob behind the store's back
     conn = sqlite3.connect(store.path)
-    conn.execute("UPDATE entries SET blob = ? WHERE key = ?", ("garbage{", "k"))
+    conn.execute("UPDATE entries SET blob = ? WHERE key = ?", ("garbage{", _key(fp, "a")))
     conn.commit()
     conn.close()
-    assert store.get("schedule", "k") is None  # miss, no exception
-    assert store.stats.quarantined == 1
+    assert store.load(net, fp, "a", OPTS) == (None, True)  # miss, no exception
     assert store.quarantined_count() == 1
-    assert store.get("schedule", "k") is None  # stays gone from the lookup path
+    # stays gone from the lookup path, and is not quarantined twice
+    assert store.load(net, fp, "a", OPTS) == (None, False)
+    assert store.quarantined_count() == 1
 
 
 def test_corrupt_sqlite_database_file_degrades_to_miss(tmp_path):
@@ -107,20 +203,31 @@ def test_corrupt_sqlite_database_file_degrades_to_miss(tmp_path):
     (root / SqliteStore.FILENAME).write_bytes(b"this is not a sqlite database at all")
     store = activate(root)
     assert store.backend_name == "sqlite"  # rotated the bad file, started fresh
-    assert store.get("schedule", "k") is None
-    store.put("schedule", "k", {"ok": 1})
-    assert store.get("schedule", "k") == {"ok": 1}
+    net, fp, record = _figure_5()
+    assert store.load(net, fp, "a", OPTS) == (None, False)
+    store.save(fp, "a", OPTS, record)
+    assert store.load(net, fp, "a", OPTS) == (record, False)
     assert (root / f"{SqliteStore.FILENAME}.corrupt-0").exists()
+
+
+def _assert_disabled(store, root) -> None:
+    """A disabled store says why, and every operation misses or drops."""
+    assert store.backend_name == "disabled"
+    assert store.describe().startswith(f"disabled (no usable cache at {root} (")
+    net, fp, record = _figure_5()
+    store.save(fp, "a", OPTS, record)  # dropped
+    assert store.load(net, fp, "a", OPTS) == (None, False)
+    assert store.entries() == []
+    assert store.verify() == (0, [])
+    assert store.quarantined_count() == 0
+    store.clear()
+    store.close()
 
 
 def test_unwritable_location_yields_null_store(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory")
-    store = activate(blocker / "sub")  # cannot mkdir below a file
-    assert isinstance(store, NullStore)
-    store.put("schedule", "k", {"x": 1})  # swallowed
-    assert store.get("schedule", "k") is None
-    assert store.entries() == []
+    _assert_disabled(activate(blocker / "sub"), blocker / "sub")  # cannot mkdir below a file
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores directory permissions")
@@ -129,17 +236,15 @@ def test_readonly_directory_yields_null_store(tmp_path):
     root.mkdir()
     root.chmod(0o555)
     try:
-        store = activate(root / "cache")
-        assert isinstance(store, NullStore)
-        assert store.get("schedule", "k") is None
+        _assert_disabled(activate(root / "cache"), root / "cache")
     finally:
         root.chmod(0o755)
 
 
 def test_sqlite_that_cannot_open_yields_null_store_and_search_runs(tmp_path, monkeypatch):
     """A writable directory where sqlite itself cannot open a database: the
-    cache is a NullStore naming the sqlite error, and a service over it
-    still searches."""
+    store is disabled, naming the sqlite error, and a service over it still
+    searches."""
     reference = find_all_schedules(figure_5())
 
     def refuse(*args, **kwargs):
@@ -149,7 +254,7 @@ def test_sqlite_that_cannot_open_yields_null_store_and_search_runs(tmp_path, mon
     root = tmp_path / "cache"
     store = activate(path=root)
     assert root.is_dir()
-    assert isinstance(store, NullStore)
+    assert store.backend_name == "disabled"
     assert "OperationalError: disk I/O error" in store.describe()
     service = SchedulingService(store=store)
     for source in reference:
@@ -160,13 +265,16 @@ def test_sqlite_that_cannot_open_yields_null_store_and_search_runs(tmp_path, mon
 
 
 def test_concurrent_writers_never_raise(store):
-    errors = []
+    record = _record_for(figure_5(), "a")
+    errors, misses = [], []
 
     def writer(worker: int) -> None:
+        net = figure_5()  # a net object's lazy caches are built by one thread
         try:
             for i in range(25):
-                store.put("schedule", f"w{worker}-{i}", {"worker": worker, "i": i})
-                store.get("schedule", f"w{worker}-{i}")
+                store.save(f"w{worker}-{i}", "a", OPTS, record)
+                if store.load(net, f"w{worker}-{i}", "a", OPTS) != (record, False):
+                    misses.append((worker, i))
         except Exception as error:  # the contract: stores never raise
             errors.append(error)
 
@@ -176,7 +284,7 @@ def test_concurrent_writers_never_raise(store):
     for t in threads:
         t.join()
     assert not errors
-    assert store.get("schedule", "w0-0") == {"worker": 0, "i": 0}
+    assert not misses
     assert len(store.entries()) == 100
 
 
@@ -185,12 +293,15 @@ def test_concurrent_processes_share_one_sqlite_store(tmp_path):
     root = tmp_path / "cache"
     script = (
         "import sys; sys.path.insert(0, {src!r})\n"
+        "from repro.apps.paper_nets import figure_5\n"
         "from repro.cache import activate\n"
         "store = activate({root!r})\n"
+        "record = {{'schedule': None, 'tree_nodes': 0, 'elapsed_seconds': 0.0,\n"
+        "          'failure_reason': sys.argv[1], 'counters': {{}}}}\n"
         "for i in range(50):\n"
-        "    store.put('schedule', f'k{{i}}', {{'who': sys.argv[1], 'i': i}})\n"
-        "assert store.get('schedule', 'k0') is not None\n"
-    ).format(src=str(REPO_ROOT / "src"), root=str(root))
+        "    store.save(f'fp{{i}}', 'a', {opts!r}, record)\n"
+        "assert store.load(figure_5(), 'fp0', 'a', {opts!r})[0] is not None\n"
+    ).format(src=str(REPO_ROOT / "src"), root=str(root), opts=OPTS)
     procs = [
         subprocess.Popen([sys.executable, "-c", script, name])
         for name in ("alpha", "beta")
@@ -199,7 +310,48 @@ def test_concurrent_processes_share_one_sqlite_store(tmp_path):
         assert proc.wait(timeout=60) == 0
     store = activate(root)
     assert len(store.entries()) == 50
-    assert store.get("schedule", "k49")["who"] in {"alpha", "beta"}
+    record, quarantined = store.load(figure_5(), "fp49", "a", OPTS)
+    assert record["failure_reason"] in {"alpha", "beta"} and not quarantined
+
+
+@pytest.mark.parametrize("meanwhile", ["another_lookup", "a_fresh_save"])
+def test_a_lookup_quarantines_only_the_entry_it_judged(tmp_path, meanwhile):
+    """Lookup A judges a bad entry and is held before quarantining it.
+    Meanwhile another lookup quarantines that entry, or a save replaces it
+    with a good record.  A then moves nothing and says so: one quarantine
+    row, and a fresh entry is never quarantined for its predecessor."""
+    store = activate(tmp_path / "cache")
+    net, fp, record = _figure_5()
+    _plant(store.path, _key(fp, "a"), "garbage{")
+    a_judged, released = threading.Event(), threading.Event()
+    execute = store._execute
+
+    def held_execute(sql, params=(), **kwargs):
+        if sql.startswith("INSERT INTO quarantine") and threading.current_thread().name == "A":
+            a_judged.set()
+            released.wait(60)
+        return execute(sql, params, **kwargs)
+
+    store._execute = held_execute
+    results = {}
+    lookup_a = threading.Thread(
+        target=lambda: results.update(A=store.load(figure_5(), fp, "a", OPTS)), name="A"
+    )
+    lookup_a.start()
+    try:
+        assert a_judged.wait(60)
+        if meanwhile == "another_lookup":
+            assert store.load(net, fp, "a", OPTS) == (None, True)
+        else:
+            store.save(fp, "a", OPTS, record)
+    finally:
+        released.set()
+        lookup_a.join()
+    assert results["A"] == (None, False)
+    assert store.quarantined_count() == (1 if meanwhile == "another_lookup" else 0)
+    expected = None if meanwhile == "another_lookup" else record
+    assert store.load(net, fp, "a", OPTS) == (expected, False)
+    store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -207,22 +359,13 @@ def test_concurrent_processes_share_one_sqlite_store(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _record_for(net, source="src.divisors.in"):
-    return result_to_record(find_schedule(net, source, raise_on_failure=True))
-
-
 def test_schedule_record_roundtrip(store):
     net = build_divisors_system().net
     record = _record_for(net)
     fp = structural_fingerprint(net)
-    ofp = options_fingerprint(options_cache_key(SchedulerOptions()))
-    store_schedule_record(
-        store, net_fingerprint=fp, source="src.divisors.in", options_fp=ofp, record=record
-    )
-    loaded = load_schedule_record(
-        store, net, net_fingerprint=fp, source="src.divisors.in", options_fp=ofp
-    )
-    assert loaded is not None
+    store.save(fp, "src.divisors.in", OPTS, record)
+    loaded, quarantined = store.load(net, fp, "src.divisors.in", OPTS)
+    assert not quarantined
     assert loaded["schedule"] == record["schedule"]
     assert loaded["counters"] == record["counters"]
 
@@ -234,41 +377,17 @@ def test_stale_fingerprint_collision_is_rejected(store):
     other = figure_6()
     record = _record_for(divisors)
     fp_other = structural_fingerprint(other)
-    ofp = options_fingerprint(options_cache_key(SchedulerOptions()))
     # case 1: payload declares a different fingerprint than the key position
-    store.put(
-        "schedule",
-        schedule_cache_key(fp_other, "src.divisors.in", ofp),
-        {
-            "net_fingerprint": "somebody-else",
-            "source": "src.divisors.in",
-            "options_fp": ofp,
-            "record": record,
-        },
+    _plant(
+        store.path,
+        _key(fp_other, "src.divisors.in"),
+        _wire(_payload("somebody-else", "src.divisors.in", record)),
     )
-    assert (
-        load_schedule_record(
-            store, other, net_fingerprint=fp_other, source="src.divisors.in", options_fp=ofp
-        )
-        is None
-    )
+    assert store.load(other, fp_other, "src.divisors.in", OPTS) == (None, True)
     # case 2: identity lines up but the schedule cannot replay on this net
-    store.put(
-        "schedule",
-        schedule_cache_key(fp_other, "src.divisors.in", ofp),
-        {
-            "net_fingerprint": fp_other,
-            "source": "src.divisors.in",
-            "options_fp": ofp,
-            "record": record,  # a divisors schedule: places unknown to figure_6
-        },
-    )
-    assert (
-        load_schedule_record(
-            store, other, net_fingerprint=fp_other, source="src.divisors.in", options_fp=ofp
-        )
-        is None
-    )
+    # (a divisors schedule: places unknown to figure_6)
+    store.save(fp_other, "src.divisors.in", OPTS, record)
+    assert store.load(other, fp_other, "src.divisors.in", OPTS) == (None, True)
     assert store.quarantined_count() == 2
 
 
@@ -278,63 +397,39 @@ def test_a_record_naming_a_place_the_net_lacks_is_quarantined(store, node):
     live net lacks, though its identity, shape and every other marking line
     up: Figure 5's record with ``["zz_ghost", 1]`` added to the root or to
     node 1."""
-    net = figure_5()
-    fp = structural_fingerprint(net)
-    ofp = options_fingerprint(options_cache_key(SchedulerOptions()))
-    record = _record_for(net, "a")
-    store_schedule_record(store, net_fingerprint=fp, source="a", options_fp=ofp, record=record)
-    assert load_schedule_record(store, net, net_fingerprint=fp, source="a", options_fp=ofp)
+    net, fp, record = _figure_5()
+    store.save(fp, "a", OPTS, record)
+    assert store.load(net, fp, "a", OPTS) == (record, False)
     record["schedule"]["nodes"][node]["marking"].append(["zz_ghost", 1])
-    store_schedule_record(store, net_fingerprint=fp, source="a", options_fp=ofp, record=record)
-    assert load_schedule_record(store, net, net_fingerprint=fp, source="a", options_fp=ofp) is None
+    store.save(fp, "a", OPTS, record)
+    assert store.load(net, fp, "a", OPTS) == (None, True)
     assert store.quarantined_count() == 1
 
 
 def test_malformed_record_shapes_are_rejected(store):
     net = build_divisors_system().net
     fp = structural_fingerprint(net)
-    ofp = options_fingerprint(options_cache_key(SchedulerOptions()))
     good = _record_for(net)
     for bad in (
         {"schedule": None},  # missing required fields
         {**good, "counters": {"nodes_expanded": 1, "not_a_counter": 2}},
         {**good, "counters": "nope"},
     ):
-        store.put(
-            "schedule",
-            schedule_cache_key(fp, "src.divisors.in", ofp),
-            {
-                "net_fingerprint": fp,
-                "source": "src.divisors.in",
-                "options_fp": ofp,
-                "record": bad,
-            },
-        )
-        assert (
-            load_schedule_record(
-                store, net, net_fingerprint=fp, source="src.divisors.in", options_fp=ofp
-            )
-            is None
-        )
+        store.save(fp, "src.divisors.in", OPTS, bad)
+        assert store.load(net, fp, "src.divisors.in", OPTS) == (None, True)
+    assert store.quarantined_count() == 3
 
 
 def test_schema_version_mismatch_is_a_miss(store):
     net = build_divisors_system().net
     fp = structural_fingerprint(net)
-    ofp = options_fingerprint(options_cache_key(SchedulerOptions()))
-    key = schedule_cache_key(fp, "src.divisors.in", ofp)
-    payload = {
-        "net_fingerprint": fp,
-        "source": "src.divisors.in",
-        "options_fp": ofp,
-        "record": _record_for(net),
-    }
-    wire = json.loads(encode_wire(payload))
-    wire["schema"] = SCHEMA_VERSION + 1
-    store._write("schedule", key, json.dumps(wire))
-    assert load_schedule_record(
-        store, net, net_fingerprint=fp, source="src.divisors.in", options_fp=ofp
-    ) is None
+    payload = _payload(fp, "src.divisors.in", _record_for(net))
+    _plant(
+        store.path,
+        _key(fp, "src.divisors.in"),
+        _wire(payload, schema=SCHEMA_VERSION + 1),
+    )
+    assert store.load(net, fp, "src.divisors.in", OPTS) == (None, True)
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +486,8 @@ def test_record_with_retired_counter_keys_is_never_replayed(store):
         record["counters"], batched_expansions=0, kernel_expansions=0
     )
     fp = structural_fingerprint(net)
-    ofp = options_fingerprint(options_cache_key(SchedulerOptions()))
-    store_schedule_record(
-        store, net_fingerprint=fp, source="src.divisors.in", options_fp=ofp, record=record
-    )
-    assert (
-        load_schedule_record(
-            store, net, net_fingerprint=fp, source="src.divisors.in", options_fp=ofp
-        )
-        is None
-    )
+    store.save(fp, "src.divisors.in", OPTS, record)
+    assert store.load(net, fp, "src.divisors.in", OPTS) == (None, True)
     searched, origin = schedule_through(SchedulingService(store=store), net, "src.divisors.in")
     assert searched["schedule"] is not None and origin == "search"
     assert set(searched["counters"]) == set(_record_for(net)["counters"])
@@ -413,7 +500,7 @@ def test_env_dir_override_and_null_degradation(tmp_path, monkeypatch):
     store = activate()
     assert str(target) in store.describe()
     schedule_through(SchedulingService(store=store), figure_5(), "a")
-    assert any(e.kind == "schedule" for e in store.entries())
+    assert any(kind == "schedule" for kind, _key, _size in store.entries())
     store.close()
 
     # REPRO_CACHE_DIR pointing somewhere unusable degrades to misses
@@ -421,7 +508,7 @@ def test_env_dir_override_and_null_degradation(tmp_path, monkeypatch):
     blocker.write_text("file")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "nested"))
     null = activate()
-    assert isinstance(null, NullStore)
+    assert null.backend_name == "disabled"
     record, origin = schedule_through(SchedulingService(store=null), figure_5(), "a")
     assert record["schedule"] is not None and origin == "search"  # still schedules fine
 
@@ -429,24 +516,67 @@ def test_env_dir_override_and_null_degradation(tmp_path, monkeypatch):
 def test_disk_rejected_counts_only_this_caches_rejections(store):
     net = build_divisors_system().net
     fp = structural_fingerprint(net)
-    ofp = options_fingerprint(options_cache_key(SchedulerOptions()))
-    # a corrupt entry under the exact key the lookup will use
-    store.put(
-        "schedule",
-        schedule_cache_key(fp, "src.divisors.in", ofp),
-        {"net_fingerprint": "wrong", "source": "src.divisors.in", "options_fp": ofp,
-         "record": {}},
-    )
     # unrelated quarantine history must not leak into the service's counters
-    store.put("t_invariant_basis", "junk", {"x": 1})
-    store.quarantine("t_invariant_basis", "junk", "unrelated")
+    _plant(store.path, "junk", _wire({"x": 1}), kind="t_invariant_basis")
+    assert store.verify() == (1, [("t_invariant_basis", "junk")])
+    # a corrupt entry under the exact key the lookup will use
+    _plant(
+        store.path,
+        _key(fp, "src.divisors.in"),
+        _wire(_payload("wrong", "src.divisors.in", {})),
+    )
     service = SchedulingService(store=store)
     record, origin = schedule_through(service, net, "src.divisors.in")
     assert record["schedule"] is not None and origin == "search"
     assert service.snapshot()["disk_rejected"] == 1  # exactly the corrupt schedule entry
+    assert store.quarantined_count() == 2
     # a plain miss afterwards does not bump the counter
     schedule_through(service, figure_5(), "a")
     assert service.snapshot()["disk_rejected"] == 1
+
+
+def test_overlapping_lookups_count_only_their_own_quarantines(tmp_path):
+    """Two executor threads: lookup A, a plain miss, is held inside its read
+    until lookup B has quarantined a bad-checksum entry and finished.  The
+    store quarantined one entry, so the daemon counts one rejection; A's
+    miss does not claim B's quarantine."""
+    store = activate(tmp_path / "cache")
+    net_a, net_b = figure_5(), build_divisors_system().net
+    fp_a, fp_b = structural_fingerprint(net_a), structural_fingerprint(net_b)
+    bad = json.loads(_wire(_payload(fp_b, "src.divisors.in", _record_for(net_b))))
+    bad["checksum"] = "0" * 64
+    _plant(store.path, _key(fp_b, "src.divisors.in"), json.dumps(bad))
+    a_reading, b_done = threading.Event(), threading.Event()
+    execute = store._execute
+
+    def held_execute(sql, params=(), **kwargs):
+        if _key(fp_a, "a") in params and not b_done.is_set():
+            a_reading.set()
+            b_done.wait(60)
+        return execute(sql, params, **kwargs)
+
+    store._execute = held_execute
+    service = SchedulingService(max_workers=2, store=store)
+
+    async def overlap():
+        lookup_a = asyncio.ensure_future(
+            service.schedule_net(net_a, ["a"], None, fingerprint=fp_a)
+        )
+        assert await asyncio.to_thread(a_reading.wait, 60)
+        await service.schedule_net(net_b, ["src.divisors.in"], None, fingerprint=fp_b)
+        b_done.set()
+        await lookup_a
+
+    try:
+        asyncio.run(overlap())
+    finally:
+        b_done.set()
+        service.close()
+    stats = service.snapshot()
+    assert stats["live_searches"] == 2
+    assert store.quarantined_count() == 1
+    assert stats["disk_rejected"] == 1
+    store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +590,9 @@ def test_cli_stats_clear_verify(tmp_path, capsys):
     # a real, correctly keyed schedule entry...
     net = build_divisors_system().net
     fp = structural_fingerprint(net)
-    ofp = options_fingerprint(options_cache_key(SchedulerOptions()))
-    store_schedule_record(
-        store, net_fingerprint=fp, source="src.divisors.in", options_fp=ofp,
-        record=_record_for(net),
-    )
-    # ...plus one whose wire record gets corrupted behind the store's back
-    store.put("schedule", schedule_cache_key(fp, "t.other", ofp), {"fine": 2})
-    conn = sqlite3.connect(store.path)
-    conn.execute("UPDATE entries SET blob = 'junk' WHERE key LIKE '%t.other'")
-    conn.commit()
-    conn.close()
+    store.save(fp, "src.divisors.in", OPTS, _record_for(net))
+    # ...plus one whose wire record is corrupt
+    _plant(store.path, _key(fp, "t.other"), "junk")
     store.close()
 
     assert cache_cli(["stats", "--dir", str(root), "--json"]) == 0
@@ -492,13 +614,11 @@ def test_cli_verify_flags_identity_mismatch(tmp_path, capsys):
     store = activate(root)
     net = build_divisors_system().net
     fp = structural_fingerprint(net)
-    ofp = options_fingerprint(options_cache_key(SchedulerOptions()))
     # valid wire record, wrong identity: filed under a different fingerprint
-    store.put(
-        "schedule",
-        schedule_cache_key("0" * 64, "src.divisors.in", ofp),
-        {"net_fingerprint": fp, "source": "src.divisors.in", "options_fp": ofp,
-         "record": _record_for(net)},
+    _plant(
+        store.path,
+        _key("0" * 64, "src.divisors.in"),
+        _wire(_payload(fp, "src.divisors.in", _record_for(net))),
     )
     store.close()
     assert cache_cli(["verify", "--dir", str(root), "--json"]) == 1
@@ -515,13 +635,14 @@ def test_cli_verify_quarantines_kinds_no_lookup_reads(tmp_path, capsys):
     root = tmp_path / "cache"
     store = activate(root)
     incidence_fp = "0" * 64
-    store.put(
-        "t_invariant_basis",
-        f"v{SCHEMA_VERSION}.{incidence_fp}.rows4096",
-        {"incidence_fingerprint": incidence_fp, "max_rows": 4096,
-         "basis": t_invariant_basis(figure_5())},
+    _plant(
+        store.path,
+        f"v1.{incidence_fp}.rows4096",
+        _wire({"incidence_fingerprint": incidence_fp, "max_rows": 4096,
+               "basis": t_invariant_basis(figure_5())}),
+        kind="t_invariant_basis",
     )
-    store.put("mystery", "k", {"x": 1})
+    _plant(store.path, "k", _wire({"x": 1}), kind="mystery")
     store.close()
     assert cache_cli(["verify", "--dir", str(root), "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -535,9 +656,26 @@ def test_cli_verify_quarantines_kinds_no_lookup_reads(tmp_path, capsys):
     assert stats["entries"] == 0 and stats["quarantined"] == 2
 
 
+def test_cli_on_an_unusable_location_reads_disabled(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    root = str(blocker / "sub")
+    assert cache_cli(["stats", "--dir", root, "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["backend"] == "disabled"
+    assert stats["location"].startswith(f"disabled (no usable cache at {root} (")
+    assert stats["entries"] == 0 and stats["quarantined"] == 0
+    assert cache_cli(["verify", "--dir", root, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checked"] == 0 and report["quarantined"] == []
+
+
 def test_cli_stats_after_clear(tmp_path, capsys):
     root = tmp_path / "cache"
-    activate(root).put("schedule", "k", {"x": 1})
+    store = activate(root)
+    net, fp, record = _figure_5()
+    store.save(fp, "a", OPTS, record)
+    store.close()
     cache_cli(["clear", "--dir", str(root)])
     capsys.readouterr()
     cache_cli(["stats", "--dir", str(root), "--json"])

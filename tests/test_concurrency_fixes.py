@@ -27,7 +27,7 @@ import pytest
 
 from repro.apps import paper_nets
 from repro.apps.video import VideoAppConfig, build_video_system
-from repro.cache.stores import SqliteStore
+from repro.cache import SqliteStore, options_cache_key
 from repro.scheduling.ep import SchedulerOptions, _EPSearch
 from repro.scheduling.serialize import schedule_dict_fingerprint
 from repro.serve import SchedulingService
@@ -135,45 +135,60 @@ def test_sqlite_store_connection_per_thread(tmp_path):
     assert len(set(connections.values())) == 4
 
 
+def _failure_record(reason: str):
+    """A failure outcome's record: nothing to replay, so any net reads it."""
+    return {"schedule": None, "tree_nodes": 0, "elapsed_seconds": 0.0,
+            "failure_reason": reason, "counters": {}}
+
+
+OPTS = options_cache_key(SchedulerOptions())
+
+
 def test_sqlite_store_hammer_two_threads_zero_errors(tmp_path):
-    """The ISSUE's scenario: one process, threads sharing one store."""
+    """One process, threads sharing one store: no save is dropped and no
+    read is torn."""
     store = SqliteStore(tmp_path)
 
     def worker(index):
+        net = paper_nets.figure_5()
         for i in range(120):
-            key = f"k{index}-{i % 10}"
-            store.put("schedule", key, {"thread": index, "i": i})
-            got = store.get("schedule", key)
-            # a concurrent overwrite may interleave, but whatever is read
-            # back must be a pristine payload, never a torn one
-            assert got is None or got["thread"] == index
-            if i % 17 == 0:
-                store.delete("schedule", key)
+            fingerprint = f"k{index}-{i % 10}"
+            record = _failure_record(f"{index}-{i}")
+            store.save(fingerprint, "a", OPTS, record)
+            # every key belongs to one thread: what it reads back is what it
+            # just wrote, pristine, never a miss or a torn record
+            assert store.load(net, fingerprint, "a", OPTS) == (record, False)
 
     _run_threads(worker, 4)
-    assert store.stats.errors == 0
     assert store.quarantined_count() == 0
     # survivors are readable and intact
-    for entry in store.entries():
-        assert store.get(entry.kind, entry.key) is not None
+    assert store.verify() == (40, [])
     store.close()
 
 
 def test_sqlite_store_close_degrades_to_miss(tmp_path):
+    net = paper_nets.figure_5()
     store = SqliteStore(tmp_path)
-    store.put("schedule", "k", {"v": 1})
+    store.save("fp", "a", OPTS, _failure_record("kept"))
     store.close()
     # the no-public-method-raises contract survives closing
-    assert store.get("schedule", "k") is None
-    store.put("schedule", "k2", {"v": 2})
-    assert store.stats.errors >= 2
+    assert store.load(net, "fp", "a", OPTS) == (None, False)
+    store.save("fp2", "a", OPTS, _failure_record("dropped"))
+    assert store.entries() == [] and store.verify() == (0, [])
+    assert store.quarantined_count() == 0
+    store.clear()
+    # the entry saved before closing is still on disk; the later save was dropped
+    reopened = SqliteStore(tmp_path)
+    assert reopened.load(net, "fp", "a", OPTS) == (_failure_record("kept"), False)
+    assert reopened.load(net, "fp2", "a", OPTS) == (None, False)
+    reopened.close()
 
 
 def test_sqlite_store_reopens_after_corrupt_rotation(tmp_path):
     (tmp_path / SqliteStore.FILENAME).write_text("this is not a database")
     store = SqliteStore(tmp_path)
-    store.put("schedule", "k", {"v": 1})
-    assert store.get("schedule", "k") == {"v": 1}
+    store.save("fp", "a", OPTS, _failure_record("v"))
+    assert store.load(paper_nets.figure_5(), "fp", "a", OPTS) == (_failure_record("v"), False)
     assert (tmp_path / f"{SqliteStore.FILENAME}.corrupt-0").exists()
     store.close()
 

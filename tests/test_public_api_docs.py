@@ -47,12 +47,8 @@ PUBLIC_API = [
     ("repro.petrinet.indexed", "MarkingStore"),
     # the disk level of the daemon's record cache
     ("repro.cache", "options_cache_key"),
-    ("repro.cache", "CacheStore"),
     ("repro.cache", "SqliteStore"),
-    ("repro.cache", "NullStore"),
     ("repro.cache", "activate"),
-    ("repro.cache", "load_schedule_record"),
-    ("repro.cache", "store_schedule_record"),
     ("repro.cache", "schedule_entry_problem"),
     ("repro.cache.cli", "main"),
     # the scheduling daemon
@@ -138,7 +134,6 @@ def test_module_docstrings_exist():
     """Every package module a user might read first explains itself."""
     for module_name in [
         "repro.cache",
-        "repro.cache.stores",
         "repro.cache.cli",
         "repro.serve",
         "repro.serve.protocol",

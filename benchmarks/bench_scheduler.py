@@ -7,7 +7,8 @@
 Besides the pytest-benchmark harnesses, the module is a CLI that times the
 serial ``find_all_schedules`` path and merges its sections into
 ``BENCH_scheduler.json`` (``repro.util.merge_report``: the sections other
-runs wrote are kept byte for byte, an unreadable report is refused):
+runs wrote are kept byte for byte, an unreadable report is refused before
+the run):
 
     PYTHONPATH=src python benchmarks/bench_scheduler.py
     PYTHONPATH=src python benchmarks/bench_scheduler.py --quick   # CI smoke
@@ -33,7 +34,7 @@ from repro.apps.workloads import random_multi_source_net
 from repro.experiments.schedule_stats import run_schedule_stats
 from repro.scheduling.ep import SchedulerOptions, find_all_schedules, find_schedule
 from repro.scheduling.serialize import schedule_to_json
-from repro.util import ReportError, merge_report
+from repro.util import ReportError, merge_report, read_report
 
 BENCH_CONFIG = VideoAppConfig(lines_per_frame=4, pixels_per_line=5)
 
@@ -221,6 +222,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: ./BENCH_scheduler.json)",
     )
     args = parser.parse_args(argv)
+    try:
+        read_report(Path(args.output))
+    except ReportError as error:
+        print(f"ERROR: {error}; nothing run", file=sys.stderr)
+        return 2
     report = run_cli_bench(quick=args.quick, repeats=args.repeats, profile=args.profile)
     try:
         merge_report(Path(args.output), report)

@@ -112,10 +112,6 @@ def build_false_path_network(*, name: str = "false_paths") -> Network:
     return network
 
 
-# Backwards-compatible alias used by examples
-build_constant_loop_network = build_false_path_network
-
-
 def build_select_rewrite_network(*, name: str = "select_rewrite") -> Network:
     """The SELECT rewrite of Section 7.2 with done channels."""
     network = Network(name=name)

@@ -1,7 +1,7 @@
 """Code generation: from schedules to software tasks (Section 6).
 
-* :mod:`repro.codegen.segments` -- threads and code segments: loop cutting
-  and the traverse / compare algorithm (Section 6.2).
+* :mod:`repro.codegen.segments` -- code segments: loop cutting and the
+  traverse / compare algorithm (Section 6.2).
 * :mod:`repro.codegen.synthesis` -- C source synthesis: declarations,
   initialisation and the ISR with execution / update / jump sections
   (Section 6.4).
@@ -14,9 +14,7 @@ from repro.codegen.segments import (
     CodeSegment,
     CodeSegmentNode,
     SegmentSet,
-    Thread,
     extract_code_segments,
-    extract_threads,
 )
 from repro.codegen.synthesis import SynthesizedTask, synthesize_task
 from repro.codegen.task import ExecutableTask, TaskExecutionError
@@ -28,8 +26,6 @@ __all__ = [
     "SegmentSet",
     "SynthesizedTask",
     "TaskExecutionError",
-    "Thread",
     "extract_code_segments",
-    "extract_threads",
     "synthesize_task",
 ]

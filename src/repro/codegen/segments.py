@@ -1,7 +1,8 @@
-"""Threads and code segments (Sections 6.1 and 6.2).
+"""Code segments (Section 6.2).
 
-A *thread* is the portion of a schedule between an await node and the next
-await nodes: the reaction to one environment event.  A *code segment* is the
+A *thread* (Section 6.1) is the reaction to one environment event: the walk
+from an await node to the next one, :meth:`Schedule.reaction
+<repro.scheduling.schedule.Schedule.reaction>`.  A *code segment* is the
 unit of generated code: a tree of ECSs shared by one or more threads, so that
 the code of each ECS is emitted exactly once no matter how many schedule nodes
 carry it.
@@ -31,85 +32,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.scheduling.schedule import Schedule, ScheduleNode
 
 ECS = FrozenSet[str]
-
-
-# ---------------------------------------------------------------------------
-# Threads (Section 6.1)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Thread:
-    """The reaction starting at one await node of the schedule."""
-
-    start_node: int
-    nodes: Set[int] = field(default_factory=set)
-    end_nodes: Set[int] = field(default_factory=set)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def extract_threads(schedule: Schedule) -> List[Thread]:
-    """One thread per await node whose outgoing edge is the schedule's source."""
-    await_indices = {node.index for node in schedule.await_nodes()}
-    threads: List[Thread] = []
-    for start in sorted(await_indices):
-        node = schedule.node(start)
-        if schedule.source_transition not in node.edges:
-            continue
-        thread = Thread(start_node=start)
-        thread.nodes.add(start)
-        stack = [node.edges[schedule.source_transition]]
-        while stack:
-            current = stack.pop()
-            if current in thread.nodes and current != start:
-                continue
-            thread.nodes.add(current)
-            if current in await_indices:
-                thread.end_nodes.add(current)
-                continue
-            for target in schedule.node(current).edges.values():
-                stack.append(target)
-        threads.append(thread)
-    return threads
-
-
-def threads_are_equivalent(schedule: Schedule, first: Thread, second: Thread) -> bool:
-    """Thread equivalence of Section 6.1: identical graphs of ECS labels."""
-
-    def signature(thread: Thread) -> Tuple:
-        items = []
-        mapping = {}
-
-        def canonical(index: int) -> int:
-            if index not in mapping:
-                mapping[index] = len(mapping)
-            return mapping[index]
-
-        stack = [thread.start_node]
-        seen = set()
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            node = schedule.node(current)
-            edges = []
-            for transition, target in sorted(node.edges.items()):
-                if target in thread.nodes:
-                    edges.append((transition, canonical(target)))
-                    if target not in seen and current not in thread.end_nodes:
-                        stack.append(target)
-            items.append((canonical(current), tuple(edges)))
-        return tuple(sorted(items))
-
-    return signature(first) == signature(second)
-
-
-# ---------------------------------------------------------------------------
-# Code segments (Section 6.2)
-# ---------------------------------------------------------------------------
 
 
 @dataclass

@@ -3,11 +3,12 @@
 The paper's flow generates C code that is compiled and run on the target
 processor.  For the reproduction we also need to *execute* the synthesized
 task so the experiments can compare it against the multi-task baseline; this
-module provides that executable form: it walks the schedule graph, runs the
-code fragments attached to the transitions through the FlowC interpreter, and
-resolves data-dependent choices at run time -- exactly the behaviour of the
-generated ISR of Section 6.4 (static order of transitions, run-time resolution
-of data choices, state kept between invocations).
+module provides that executable form: it walks each reaction of the schedule
+(:meth:`Schedule.reaction <repro.scheduling.schedule.Schedule.reaction>`),
+runs the code fragments attached to the transitions through the FlowC
+interpreter, and resolves data-dependent choices at run time -- exactly the
+behaviour of the generated ISR of Section 6.4 (static order of transitions,
+run-time resolution of data choices, state kept between invocations).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.flowc.interpreter import Environment, Interpreter, OperationCounter, 
 from repro.flowc.linker import LinkedSystem
 from repro.petrinet.net import PetriNet, Transition
 from repro.runtime.channels import CommunicationStats, PortBinding
-from repro.scheduling.schedule import Schedule, ScheduleNode
+from repro.scheduling.schedule import ReactionError, Schedule, ScheduleNode
 
 
 class TaskExecutionError(Exception):
@@ -76,7 +77,11 @@ class ExecutableTask:
         self._interpreters: Dict[str, Interpreter] = {}
         # schedule node index -> the data-dependent choice of its ECS
         self._choices: Dict[int, Choice] = {}
-        self._uncontrollable = set(self.net.uncontrollable_sources())
+        # the environment input port whose latch receives each event's value
+        ports = system.environment_transitions.items()
+        self._input_port: Optional[str] = next(
+            (ref.port for ref, t in ports if t == schedule.source_transition), None
+        )
         self.current_node: int = schedule.root
         self._initialise_environments()
 
@@ -115,39 +120,23 @@ class ExecutableTask:
         the current variable values, and execution stops at the next await
         node.
         """
-        source_ref = None
-        for ref, transition in self.system.environment_transitions.items():
-            if transition == self.source_transition:
-                source_ref = ref
-                break
-        if source_ref is not None and source_ref.port in self.binding.sources:
-            self.binding.sources[source_ref.port].offer(value)
-
-        node = self.schedule.node(self.current_node)
-        if self.source_transition not in node.edges:
-            raise TaskExecutionError(
-                f"task is at node {node.index} which cannot serve {self.source_transition!r}"
-            )
-        self.stats.events_served += 1
-        # fire the source edge (the event itself), then continue to the next await node
-        node = self.schedule.node(node.edges[self.source_transition])
-        steps = 0
-        while True:
-            steps += 1
-            if steps > self.max_steps_per_event:
-                raise TaskExecutionError("task exceeded the step budget for one event")
-            outgoing = node.edges
-            if set(outgoing) & self._uncontrollable:
-                break
-            if not outgoing:
-                raise TaskExecutionError(f"schedule node {node.index} has no outgoing edges")
-            if len(outgoing) == 1:
-                transition = next(iter(outgoing))
-            else:
-                transition = self._resolve_choice(node)
-                self.stats.data_choices_resolved += 1
-            self._execute_transition(transition)
-            node = self.schedule.node(outgoing[transition])
+        source = self.binding.sources.get(self._input_port)
+        if source is not None:
+            source.offer(value)
+        steps = self.schedule.reaction(
+            self.current_node,
+            self.source_transition,
+            self._resolve_choice,
+            max_steps=self.max_steps_per_event,
+        )
+        try:
+            # the source edge is the event itself: the latch above realises it
+            _source, node = next(steps)
+            self.stats.events_served += 1
+            for transition, node in steps:
+                self._execute_transition(transition)
+        except ReactionError as error:
+            raise TaskExecutionError(f"task cannot serve the event: {error}") from error
         self.current_node = node.index
 
     def run_events(self, values: Sequence[Any]) -> None:
@@ -176,6 +165,7 @@ class ExecutableTask:
             raise TaskExecutionError(
                 f"no branch of the schedule takes value {value!r} at node {node.index}"
             )
+        self.stats.data_choices_resolved += 1
         return transition
 
     # ------------------------------------------------------------------

@@ -13,7 +13,8 @@ JSON, the emitted FlowC program and an outcome report with the replay
 command.  With ``--bench-output`` the sweep's size and pass-rate land in the
 ``"corpus"`` section of ``BENCH_scheduler.json``
 (:func:`repro.util.merge_report`: every other section keeps its bytes, and
-an unreadable report is refused with exit code 2 and left untouched).
+an unreadable report is refused with exit code 2 before the sweep and left
+untouched).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.corpus.topologies import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.util import ReportError, merge_report
+from repro.util import ReportError, merge_report, read_report
 
 #: Cases in ``--smoke`` mode: 8 per family plus two expected-failure cases.
 SMOKE_CASES = 8 * len(FAMILIES)
@@ -117,6 +118,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.replay:
         return _replay(Path(args.replay))
+    if args.bench_output:
+        try:
+            read_report(Path(args.bench_output))
+        except ReportError as error:
+            print(f"ERROR: {error}; nothing run", file=sys.stderr)
+            return 2
 
     if args.smoke:
         args.cases, args.seed = SMOKE_CASES, DEFAULT_SEED

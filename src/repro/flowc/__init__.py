@@ -6,7 +6,7 @@ connected by point-to-point channels.  This package provides:
 
 * :mod:`repro.flowc.ast_nodes` -- the abstract syntax tree.
 * :mod:`repro.flowc.lexer` / :mod:`repro.flowc.parser` -- FlowC parsing.
-* :mod:`repro.flowc.leaders` -- leader computation (granularity selection).
+* :mod:`repro.flowc.leaders` -- the leader rule (granularity selection).
 * :mod:`repro.flowc.compiler` -- per-process compilation to a Petri net.
 * :mod:`repro.flowc.netlist` / :mod:`repro.flowc.linker` -- channel
   definitions and linking into a single net.
@@ -44,10 +44,10 @@ from repro.flowc.ast_nodes import (
 )
 from repro.flowc.lexer import FlowCLexError, Token, tokenize
 from repro.flowc.parser import FlowCParseError, parse_process, parse_program
-from repro.flowc.leaders import compute_leaders, contains_port_statement
+from repro.flowc.leaders import contains_port_statement
 from repro.flowc.compiler import CompilationError, compile_process
 from repro.flowc.netlist import Channel, EnvironmentPort, Network, PortRef
-from repro.flowc.linker import LinkError, link
+from repro.flowc.linker import link
 from repro.flowc.interpreter import (
     CommunicationHandler,
     Environment,
@@ -82,7 +82,6 @@ __all__ = [
     "IntLiteral",
     "Interpreter",
     "InterpreterError",
-    "LinkError",
     "Network",
     "PortDecl",
     "PortRef",
@@ -99,7 +98,6 @@ __all__ = [
     "WouldBlock",
     "WriteData",
     "compile_process",
-    "compute_leaders",
     "contains_port_statement",
     "link",
     "parse_process",

@@ -13,9 +13,9 @@ Each process becomes a Petri net with:
   (Section 7.1), whose branch transitions test the availability of the
   involved port places.
 
-The granularity follows the leader rules: consecutive statements without port
-operations collapse into a single transition whose ``code`` attribute carries
-the statement list.
+The granularity follows the leader rules (:func:`repro.flowc.leaders.portions`):
+consecutive statements without port operations collapse into a single
+transition whose ``code`` attribute carries the statement list.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.flowc.ast_nodes import (
     iter_statements,
 )
 from repro.flowc.interpreter import InterpreterError, arithmetic
-from repro.flowc.leaders import contains_port_statement
+from repro.flowc.leaders import contains_port_statement, portions
 from repro.petrinet.net import PetriNet
 
 
@@ -344,35 +344,11 @@ class _ProcessCompiler:
         Returns the control place reached after the sequence.
         """
         current_place = entry
-        pending: List[Statement] = []
-
-        def flush() -> None:
-            nonlocal current_place, pending
-            if not pending:
-                return
-            current_place = self._emit_segment(pending, current_place)
-            pending = []
-
-        for statement in iter_statements(statements):
-            if isinstance(statement, ReadData):
-                flush()
-                pending = [statement]
-                continue
-            if isinstance(statement, WriteData):
-                if pending and isinstance(pending[-1], WriteData):
-                    flush()
-                pending.append(statement)
-                continue
-            if contains_port_statement(statement):
-                flush()
-                current_place = self._compile_control(statement, current_place)
-                continue
-            # plain computation: the statement following a WRITE_DATA is a
-            # leader (rule 3), so a segment never continues past a write.
-            if pending and isinstance(pending[-1], WriteData):
-                flush()
-            pending.append(statement)
-        flush()
+        for portion in portions(statements):
+            if isinstance(portion, list):
+                current_place = self._emit_segment(portion, current_place)
+            else:
+                current_place = self._compile_control(portion, current_place)
         return current_place
 
     def _emit_segment(self, statements: List[Statement], entry: str) -> str:

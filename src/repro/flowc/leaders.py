@@ -1,4 +1,4 @@
-"""Leader computation (Section 3.1 of the paper).
+"""Leaders and portions (Section 3.1 of the paper).
 
 The granularity at which FlowC statements are mapped to Petri net transitions
 is determined by *leaders*:
@@ -13,11 +13,19 @@ is determined by *leaders*:
 
 Every portion of code consists of a leader and all statements up to the next
 leader (or the end of the process); each portion becomes one transition.
+:func:`portions` is the one implementation of these rules: the compiler
+emits one transition per run of statements it yields and compiles each
+port-containing control statement structurally, splitting the nested
+sequences with :func:`portions` again (rules 4 and 5).  A port-containing
+``for`` loop with a constant trip count is unrolled first, and
+:func:`portions` splits the unrolled statements: a copy of the body
+continues the portion of the ``init`` or ``update`` statement before it
+(PFC's ``line = 0;`` and ``line++;``) unless rule 2 or 3 splits it there.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import Iterator, List, Sequence, Union
 
 from repro.flowc.ast_nodes import (
     ExprStatement,
@@ -26,6 +34,7 @@ from repro.flowc.ast_nodes import (
     Statement,
     Switch,
     WriteData,
+    iter_statements,
     statement_children,
 )
 
@@ -52,76 +61,28 @@ def contains_port_statement(statement: Statement) -> bool:
     return False
 
 
-def compute_leaders(body: Sequence[Statement]) -> Set[int]:
-    """Compute the set of leader statements of a process body.
+def portions(statements: Sequence[Statement]) -> Iterator[Union[Statement, List[Statement]]]:
+    """The portions of a statement sequence, in order, with blocks flattened.
 
-    Returns the set of ``id()`` values of the leader statement objects (AST
-    nodes are frozen dataclasses whose value-equality would conflate repeated
-    statements, so identity is used).
+    Yields each port-containing control statement on its own, and every
+    other run of statements as a list, split before each ``READ_DATA``
+    (rule 2) and after each ``WRITE_DATA`` (rule 3).
+
+    >>> from repro.flowc.parser import parse_statements
+    >>> body = parse_statements("READ_DATA(i, &x, 1); x++; WRITE_DATA(o, x, 1); y = x;")
+    >>> [[str(s) for s in portion] for portion in portions(body)]
+    [['READ_DATA(i, &x, 1);', 'x++;', 'WRITE_DATA(o, x, 1);'], ['y = x;']]
     """
-    leaders: Set[int] = set()
-
-    def mark(statement: Statement) -> None:
-        leaders.add(id(statement))
-
-    def visit_sequence(statements: Sequence[Statement], first_is_leader: bool) -> None:
-        previous: Statement | None = None
-        for index, statement in enumerate(statements):
-            if index == 0 and first_is_leader and statements:
-                mark(statement)
-            if isinstance(statement, ReadData):
-                mark(statement)  # rule 2
-            if previous is not None:
-                if isinstance(previous, WriteData):
-                    mark(statement)  # rule 3
-                if contains_port_statement(previous) and statement_children(previous):
-                    mark(statement)  # rule 5 (previous is a control statement)
-            if contains_port_statement(statement) and statement_children(statement):
-                # rule 4: first statement of each nested sequence is a leader
-                for child_seq in statement_children(statement):
-                    visit_sequence(child_seq, first_is_leader=True)
-            else:
-                for child_seq in statement_children(statement):
-                    visit_sequence(child_seq, first_is_leader=False)
-            previous = statement
-
-    visit_sequence(list(body), first_is_leader=True)
-    return leaders
-
-
-def leader_statements(body: Sequence[Statement]) -> List[Statement]:
-    """The leader statements themselves, in source order."""
-    leader_ids = compute_leaders(body)
-    result: List[Statement] = []
-
-    def visit(statements: Sequence[Statement]) -> None:
-        for statement in statements:
-            if id(statement) in leader_ids:
-                result.append(statement)
-            for child_seq in statement_children(statement):
-                visit(child_seq)
-
-    visit(list(body))
-    return result
-
-
-def split_into_portions(statements: Sequence[Statement]) -> List[List[Statement]]:
-    """Split a flat statement sequence into leader-delimited portions.
-
-    Only meaningful for sequences without port-containing control statements
-    (those are refined structurally by the compiler); used by tests to check
-    that portions align with the transitions the compiler creates.
-    """
-    portions: List[List[Statement]] = []
-    current: List[Statement] = []
-    for statement in statements:
-        starts_new = isinstance(statement, ReadData) or (
-            current and isinstance(current[-1], WriteData)
-        )
-        if starts_new and current:
-            portions.append(current)
-            current = []
-        current.append(statement)
-    if current:
-        portions.append(current)
-    return portions
+    run: List[Statement] = []
+    for statement in iter_statements(statements):
+        port = isinstance(statement, (ReadData, WriteData))
+        control = not port and contains_port_statement(statement)
+        if run and (control or isinstance(statement, ReadData) or isinstance(run[-1], WriteData)):
+            yield run
+            run = []
+        if control:
+            yield statement
+        else:
+            run.append(statement)
+    if run:
+        yield run

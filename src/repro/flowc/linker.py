@@ -23,10 +23,6 @@ from repro.flowc.netlist import Network, PortRef
 from repro.petrinet.net import PetriNet, SourceKind, merge_nets
 
 
-class LinkError(Exception):
-    """Raised when linking fails (type mismatch, missing declarations...)."""
-
-
 @dataclass
 class LinkedSystem:
     """The output of linking: one Petri net plus the symbol tables needed by

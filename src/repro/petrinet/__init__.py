@@ -49,11 +49,10 @@ from repro.petrinet.invariants import (
     t_invariant_basis,
     is_t_invariant,
 )
-from repro.petrinet.covering import BinateCoveringProblem, solve_binate_covering
+from repro.petrinet.covering import solve_binate_covering
 
 __all__ = [
     "ArcError",
-    "BinateCoveringProblem",
     "ChoiceKind",
     "IndexedNet",
     "InvariantBasis",

@@ -16,7 +16,6 @@ simulation substrate:
 
 from repro.runtime.channels import (
     ChannelBuffer,
-    ChannelClosed,
     EnvironmentSink,
     EnvironmentSource,
 )
@@ -37,7 +36,6 @@ from repro.runtime.simulation import (
 
 __all__ = [
     "ChannelBuffer",
-    "ChannelClosed",
     "CodeSizeModel",
     "CompilerProfile",
     "CostModel",

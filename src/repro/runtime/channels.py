@@ -16,10 +16,6 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.flowc.interpreter import CommunicationHandler, WouldBlock
 
 
-class ChannelClosed(Exception):
-    """Raised when reading from an exhausted environment source."""
-
-
 class ChannelBuffer:
     """A FIFO channel with an optional capacity (the paper's bounded channel).
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis
-from repro.petrinet.covering import build_candidate_invariant_problem, solve_binate_covering
+from repro.petrinet.covering import Row, solve_binate_covering
 from repro.petrinet.invariants import combine_invariants, invariant_basis
 from repro.petrinet.net import PetriNet
 
@@ -138,33 +138,34 @@ class InvariantGuide:
     def _select_candidate_invariant(self) -> Dict[str, int]:
         """A combination of base invariants covering the source transition and
         satisfying (heuristically) the Theorem 5.3 necessary condition."""
-        if not self.base:
-            return {}
-        names = [f"inv{i}" for i in range(len(self.base))]
-        by_name = dict(zip(names, self.base))
-        rows = self._covering_rows(by_name)
-        mandatory = {
-            name for name, invariant in by_name.items() if self.source_transition in invariant
-        }
+        mandatory = 0
+        for column, invariant in enumerate(self.base):
+            if self.source_transition in invariant:
+                mandatory |= 1 << column
         if not mandatory:
             # no invariant fires the source: the net cannot cycle through it
             return {}
-        problem = build_candidate_invariant_problem(names, rows)
-        solution = solve_binate_covering(problem, initial=set(mandatory))
-        if solution is None or not (solution & mandatory):
+        solution = solve_binate_covering(
+            self._covering_rows(), len(self.base), initial=mandatory
+        )
+        if solution is None or not solution & mandatory:
             solution = mandatory
-        return combine_invariants([by_name[name] for name in sorted(solution)])
+        # sum in the string order of the columns (0, 1, 10, 2, ...), the order
+        # of the names inv<i> the candidates were first chosen under, so each
+        # candidate keeps its key order
+        chosen = sorted((i for i in range(len(self.base)) if solution >> i & 1), key=str)
+        return combine_invariants([self.base[i] for i in chosen])
 
-    def _covering_rows(
-        self, by_name: Mapping[str, Mapping[str, int]]
-    ) -> List[Tuple[str, FrozenSet[str]]]:
-        """The rows of the covering problem: for each invariant that uses a
-        process but no transition of some ECS of that process, the ECS's
-        *helpers*, the invariants that do fire one of its transitions.
+    def _covering_rows(self) -> List[Row]:
+        """The rows of the covering problem over the basis (column ``i`` is
+        invariant ``i``): for each invariant that uses a process but no
+        transition of some ECS of that process, the ECS's *helpers*, the
+        invariants that do fire one of its transitions, as ``ones`` and the
+        invariant as ``zeros``.
 
-        The helpers depend on the ECS alone, so each ECS's set is built once,
-        in basis order, from the invariants' supports; an invariant fires a
-        transition of the ECS exactly when it is one of the ECS's helpers.
+        The helpers depend on the ECS alone, so each ECS's mask is built once
+        from the invariants' supports; an invariant fires a transition of the
+        ECS exactly when it is one of the ECS's helpers.
         """
         process_of = {t: obj.process for t, obj in self.net.transitions.items()}
         ecs_by_process: Dict[Optional[str], List[ECS]] = {}
@@ -172,23 +173,21 @@ class InvariantGuide:
             proc = process_of.get(min(ecs))
             ecs_by_process.setdefault(proc, []).append(ecs)
         ecs_of = self.analysis.ecs_by_transition
-        firing: Dict[ECS, List[str]] = {}
-        for name, invariant in by_name.items():
+        helpers_of: Dict[ECS, int] = {}
+        for column, invariant in enumerate(self.base):
             for transition in invariant:
-                helpers = firing.setdefault(ecs_of[transition], [])
-                if not helpers or helpers[-1] != name:
-                    helpers.append(name)
-        helpers_of = {ecs: frozenset(helpers) for ecs, helpers in firing.items()}
-        rows: List[Tuple[str, FrozenSet[str]]] = []
-        for name, invariant in by_name.items():
-            processes_in_invariant = {process_of.get(t) for t in invariant}
-            for proc in processes_in_invariant:
+                ecs = ecs_of[transition]
+                helpers_of[ecs] = helpers_of.get(ecs, 0) | 1 << column
+        rows: List[Row] = []
+        for column, invariant in enumerate(self.base):
+            offender = 1 << column
+            for proc in {process_of.get(t) for t in invariant}:
                 if proc is None:
                     continue
                 for ecs in ecs_by_process.get(proc, []):
-                    helpers = helpers_of.get(ecs)
-                    if helpers and name not in helpers:
-                        rows.append((name, helpers))
+                    helpers = helpers_of.get(ecs, 0)
+                    if helpers and not helpers & offender:
+                        rows.append((helpers, offender))
         return rows
 
     def source_is_coverable(self) -> bool:

@@ -4,7 +4,8 @@ Given one SS schedule per uncontrollable source transition and a finite
 sequence of environment events, a *run* is the sequence of schedule paths
 traversed to serve the events: each event is served by walking its schedule
 from the await node reached by the previous traversal of that schedule to the
-next await node.  A set of schedules is *executable* (Definition 4.2) when the
+next await node (:meth:`Schedule.reaction
+<repro.scheduling.schedule.Schedule.reaction>`).  A set of schedules is *executable* (Definition 4.2) when the
 concatenated transition sequence of every run is fireable in the original net
 from the initial marking.
 
@@ -22,7 +23,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
-from repro.scheduling.schedule import Schedule, ScheduleNode
+from repro.scheduling.schedule import ReactionError, Schedule, ScheduleNode
 
 
 class RunError(Exception):
@@ -103,9 +104,8 @@ def build_run(
     vec = inet.initial_vec
     tindex = inet.transition_index
 
-    # current await node per schedule (None = the distinguished node, not yet used)
+    # current await node per schedule (the root until its first event)
     positions: Dict[str, int] = {}
-    uncontrollable = set(reference_net.uncontrollable_sources())
 
     run = Run()
     for event in events:
@@ -113,47 +113,29 @@ def build_run(
             raise RunError(f"no schedule for event {event!r}")
         schedule = schedules[event]
         start = positions.get(event, schedule.root)
-        node = schedule.node(start)
         segment = RunSegment(event=event, start_node=start, end_node=start)
 
-        # First edge must be the event itself (property 2 of Definition 4.1).
-        if event not in node.edges:
-            raise RunError(
-                f"schedule for {event!r} cannot serve the event at node {node.index}"
-            )
-        steps = 0
-        transition = event
-        while True:
-            target = node.edges[transition]
-            segment.transitions.append(transition)
-            tid = tindex.get(transition)
-            if tid is None or not inet.is_enabled_vec(tid, vec):
-                raise RunError(
-                    f"run is not fireable: transition {transition!r} not enabled at "
-                    f"{inet.marking_of_vec(vec).pretty()} (event {event!r})"
-                )
-            vec = inet.fire_vec(tid, vec)
-            node = schedule.node(target)
-            steps += 1
-            if steps > max_steps_per_event:
-                raise RunError("run exceeded the step budget for a single event")
-            # Stop when an await node is reached (its outgoing edge is an
-            # uncontrollable source); property 1 of Definition 4.1.
-            outgoing = set(node.edges)
-            if outgoing & uncontrollable:
-                break
-            if not outgoing:
-                raise RunError(f"schedule for {event!r} reached a node with no successors")
-            if len(outgoing) == 1:
-                transition = next(iter(outgoing))
-            else:
-                transition = resolver(schedule, node, inet.marking_of_vec(vec))
-                if transition not in node.edges:
+        def choose(node: ScheduleNode) -> str:
+            return resolver(schedule, node, inet.marking_of_vec(vec))
+
+        # The walk starts with the event's own edge (property 2 of Definition
+        # 4.1) and stops at the next await node (property 1).
+        try:
+            for transition, node in schedule.reaction(
+                start, event, choose, max_steps=max_steps_per_event
+            ):
+                segment.transitions.append(transition)
+                tid = tindex.get(transition)
+                if tid is None or not inet.is_enabled_vec(tid, vec):
                     raise RunError(
-                        f"choice resolver returned {transition!r} which is not an edge of node {node.index}"
+                        f"run is not fireable: transition {transition!r} not enabled at "
+                        f"{inet.marking_of_vec(vec).pretty()} (event {event!r})"
                     )
-        segment.end_node = node.index
-        positions[event] = node.index
+                vec = inet.fire_vec(tid, vec)
+                segment.end_node = node.index
+        except ReactionError as error:
+            raise RunError(f"schedule for {event!r}: {error}") from error
+        positions[event] = segment.end_node
         run.segments.append(segment)
 
     run.final_marking = inet.marking_of_vec(vec)

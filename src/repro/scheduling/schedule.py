@@ -14,13 +14,16 @@ properties:
 
 A node whose outgoing edge carries an uncontrollable source transition is an
 *await node*; a schedule whose await nodes all carry the same source is a
-*single source schedule* (SS schedule).
+*single source schedule* (SS schedule).  The reaction to one event walks the
+schedule from an await node to the next one (:meth:`Schedule.reaction`): a
+segment of a run (Definition 4.1), a thread (Section 6.1) and one
+invocation of the generated ISR (Section 6.4) all follow that walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.indexed import IndexedNet, MarkingVec
@@ -30,6 +33,10 @@ from repro.petrinet.net import PetriNet
 
 class ScheduleValidationError(Exception):
     """Raised when a graph violates one of the five schedule properties."""
+
+
+class ReactionError(Exception):
+    """Raised when a schedule cannot walk the reaction to an event."""
 
 
 class ScheduleNode:
@@ -113,11 +120,23 @@ class ScheduleNode:
     def out_degree(self) -> int:
         return len(self.edges)
 
-    def transitions(self) -> FrozenSet[str]:
-        return frozenset(self.edges)
-
     def __repr__(self) -> str:
         return f"ScheduleNode(index={self.index}, marking={self.marking!r}, edges={self.edges!r})"
+
+
+def _uncontrollable(net: PetriNet) -> FrozenSet[str]:
+    """The net's uncontrollable sources, memoised on its indexed snapshot:
+    every reaction reads them, and listing them sorts every transition."""
+    cache = net.indexed().analysis_cache
+    sources = cache.get("uncontrollable_sources")
+    if sources is None:
+        sources = cache["uncontrollable_sources"] = frozenset(net.uncontrollable_sources())
+    return sources
+
+
+def _awaits(node: ScheduleNode, uncontrollable: FrozenSet[str]) -> bool:
+    """The await test: an edge out of ``node`` carries an uncontrollable source."""
+    return not uncontrollable.isdisjoint(node.edges)
 
 
 @dataclass
@@ -195,21 +214,14 @@ class Schedule:
 
     def await_nodes(self) -> List[ScheduleNode]:
         """Nodes whose outgoing edge carries an uncontrollable source."""
-        uncontrollable = set(self.net.uncontrollable_sources())
-        result = []
-        for node in self.nodes:
-            if any(transition in uncontrollable for transition in node.edges):
-                result.append(node)
-        return result
+        uncontrollable = _uncontrollable(self.net)
+        return [node for node in self.nodes if _awaits(node, uncontrollable)]
 
     def is_single_source(self) -> bool:
         """True if all await nodes use the schedule's own source transition."""
-        uncontrollable = set(self.net.uncontrollable_sources())
-        for node in self.nodes:
-            for transition in node.edges:
-                if transition in uncontrollable and transition != self.source_transition:
-                    return False
-        return True
+        own = {self.source_transition}
+        uncontrollable = _uncontrollable(self.net)
+        return all(uncontrollable.intersection(node.edges) == own for node in self.await_nodes())
 
     def place_bounds(self) -> Dict[str, int]:
         """Maximum token count per place over all nodes of the schedule.
@@ -237,9 +249,53 @@ class Schedule:
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
-    def successors(self, index: int) -> List[int]:
-        """Distinct target node indices of the edges out of ``index``."""
-        return sorted(set(self.nodes[index].edges.values()))
+    def reaction(
+        self,
+        start: int,
+        event: str,
+        choose: Callable[[ScheduleNode], str],
+        *,
+        max_steps: int,
+    ) -> Iterator[Tuple[str, ScheduleNode]]:
+        """Walk the reaction to ``event`` from the await node ``start``.
+
+        Yields ``(transition, node reached)`` for each edge taken: first the
+        edge of ``event`` itself, then the only edge of each node, or at a
+        choice the edge ``choose(node)`` names, up to and including the next
+        await node.  Raises :class:`ReactionError` when ``start`` has no edge
+        for ``event``, a node reached has no edges, ``choose`` names no edge
+        of its node, or the walk takes more than ``max_steps`` edges.
+
+        >>> from repro.apps import paper_nets
+        >>> from repro.scheduling.ep import find_schedule
+        >>> schedule = find_schedule(paper_nets.figure_8(), "a").schedule
+        >>> last = lambda node: max(node.edges)
+        >>> [(t, node.index) for t, node in schedule.reaction(0, "a", last, max_steps=9)]
+        [('a', 1), ('c', 3)]
+        """
+        uncontrollable = _uncontrollable(self.net)
+        node = self.nodes[start]
+        if event not in node.edges:
+            raise ReactionError(f"node {start} has no edge for {event!r}")
+        transition = event
+        steps = 0
+        while True:
+            node = self.nodes[node.edges[transition]]
+            yield transition, node
+            steps += 1
+            if steps > max_steps:
+                raise ReactionError(f"the reaction to {event!r} took more than {max_steps} steps")
+            edges = node.edges
+            if _awaits(node, uncontrollable):
+                return
+            if len(edges) == 1:
+                transition = next(iter(edges))
+            elif not edges:
+                raise ReactionError(f"node {node.index} has no outgoing edges")
+            else:
+                transition = choose(node)
+                if transition not in edges:
+                    raise ReactionError(f"{transition!r} is not an edge of node {node.index}")
 
     def reachable_from_root(self) -> Set[int]:
         """Indices of every node reachable from the root along edges."""

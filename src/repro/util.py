@@ -119,6 +119,22 @@ class ReportError(Exception):
     """The existing report is unreadable; it was left untouched."""
 
 
+def read_report(path: Path) -> Dict[str, object]:
+    """The JSON object of the benchmark report at ``path``; a missing file
+    reads as an empty one.  Raises :class:`ReportError` when the file exists
+    but is not a readable JSON object.  The benchmark CLIs call it before
+    any work, so an unreadable report costs no run."""
+    if not path.exists():
+        return {}
+    try:
+        report = json.loads(path.read_text())
+    except (OSError, ValueError) as error:
+        raise ReportError(f"cannot read the existing report {path}: {error}") from error
+    if not isinstance(report, dict):
+        raise ReportError(f"the existing report {path} is not a JSON object")
+    return report
+
+
 def merge_report(path: Path, sections: Mapping[str, object]) -> Dict[str, object]:
     """Write ``sections`` into the JSON object at ``path`` and return it.
 
@@ -126,18 +142,11 @@ def merge_report(path: Path, sections: Mapping[str, object]) -> Dict[str, object
     which ``benchmarks/bench_scheduler.py``, ``benchmarks/bench_serve.py``
     and ``python -m repro.corpus --bench-output`` all write: a run replaces
     only the top-level sections it produced, in place, and every other
-    section keeps its bytes; new sections are appended.  A missing file
-    starts empty.  Raises :class:`ReportError`, leaving the file untouched,
-    when it exists but is not a readable JSON object.
+    section keeps its bytes; new sections are appended.  The report is read
+    by :func:`read_report`, whose :class:`ReportError` leaves the file
+    untouched.
     """
-    report: Dict[str, object] = {}
-    if path.exists():
-        try:
-            report = json.loads(path.read_text())
-        except (OSError, ValueError) as error:
-            raise ReportError(f"cannot read the existing report {path}: {error}") from error
-        if not isinstance(report, dict):
-            raise ReportError(f"the existing report {path} is not a JSON object")
+    report = read_report(path)
     report.update(sections)
     path.write_text(json.dumps(report, indent=2) + "\n")
     return report

@@ -3,8 +3,9 @@
 ``bench_scheduler.py``, ``bench_serve.py`` and ``python -m repro.corpus
 --bench-output`` share one rule, ``repro.util.merge_report``: a run replaces
 only the sections it produces, every other section of the report keeps its
-bytes, and an unreadable report is refused and left untouched.  The runs
-are stubbed, so these tests time nothing.
+bytes, and an unreadable report is refused before any work and left
+untouched.  The runs are stubbed, so these tests time nothing.  The serve
+benchmark's acceptance criteria are checked on hand-made counts.
 """
 
 from __future__ import annotations
@@ -122,3 +123,61 @@ def test_an_unreadable_report_is_refused_and_left_untouched(
     assert corpus_cli.main(corpus_args + ["--bench-output", str(path)]) == 2
     assert str(path) in capsys.readouterr().err
     assert path.read_text() == text
+
+
+@pytest.mark.parametrize("cli", ["bench_scheduler", "bench_serve", "corpus"])
+def test_an_unreadable_report_is_refused_before_any_work(monkeypatch, tmp_path, capsys, cli):
+    path = tmp_path / "BENCH_scheduler.json"
+    path.write_text("{not json")
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the run started")
+
+    if cli == "corpus":
+        monkeypatch.setattr(corpus_cli, "run_corpus", no_work)
+        main = corpus_cli.main
+        argv = ["--cases", "1", "--seed", "3", "--families", "chain", "--bench-output"]
+    else:
+        module = _bench_module(cli)
+        monkeypatch.setattr(
+            module, "run_cli_bench" if cli == "bench_scheduler" else "build_corpus", no_work
+        )
+        main = module.main
+        argv = ["--output"]
+    assert main(argv + [str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert path.read_text() == "{not json"
+
+
+def _serve_section(*, requests, coalesced, cache_hits, live_searches):
+    """A measured-only ``bench_serve`` section with these daemon counters."""
+    delta = {
+        "requests": requests,
+        "coalesced": coalesced,
+        "cache_hits": cache_hits,
+        "live_searches": live_searches,
+        "memo_hits": 0,
+        "errors": 0,
+        "bad_requests": 0,
+        "timeouts": 0,
+    }
+    return {
+        "phases": {"measured": {"server_delta": delta, "mismatches": [], "client_errors": []}},
+        "final_stats": {"disk_rejected": 0},
+    }
+
+
+def test_the_serve_warm_ratio_counts_source_lookups():
+    """Coalesced waits and cache hits count sources, not request lines: the
+    ratio is over every source lookup, and its criterion gates on it."""
+    evaluate = _bench_module("bench_serve").evaluate
+    # a smoke run's counts: 55 lines asked for 149 sources, 11 searched live
+    section = _serve_section(requests=55, coalesced=76, cache_hits=62, live_searches=11)
+    assert evaluate(section, True, smoke=False) == []
+    assert section["warm_ratio"] == 0.9262
+    # 20 of 158 lookups searched live: the caches did not absorb the load,
+    # though (coalesced + cache_hits) / requests would read 2.5
+    section = _serve_section(requests=55, coalesced=76, cache_hits=62, live_searches=20)
+    (problem,) = evaluate(section, True, smoke=False)
+    assert section["warm_ratio"] == 0.8734
+    assert problem.startswith("warm ratio 0.8734 <= 0.9: 20 of 158 source lookups")

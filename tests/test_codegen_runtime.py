@@ -7,14 +7,14 @@ import pytest
 
 from repro.apps import paper_nets
 from repro.apps.divisors import build_divisors_system, reference_divisors
-from repro.apps.video import reference_coefficient, reference_frame_checksum
-from repro.apps.workloads import build_producer_consumer_network
-from repro.codegen.segments import (
-    ecs_label,
-    extract_code_segments,
-    extract_threads,
-    threads_are_equivalent,
+from repro.apps.video import (
+    VideoAppConfig,
+    build_video_system,
+    reference_coefficient,
+    reference_frame_checksum,
 )
+from repro.apps.workloads import build_producer_consumer_network
+from repro.codegen.segments import ecs_label, extract_code_segments
 from repro.codegen.synthesis import (
     baseline_code_size,
     render_statement,
@@ -29,7 +29,8 @@ from repro.runtime.channels import PortBinding, EnvironmentSource, EnvironmentSi
 from repro.runtime.cost_model import PROFILES, CostModel, CycleCosts
 from repro.runtime.simulation import MultiTaskSimulation, SingleTaskSimulation
 from repro.scheduling.ep import find_all_schedules, find_schedule
-from repro.scheduling.schedule import Schedule
+from repro.scheduling.runs import RunError, build_run
+from repro.scheduling.schedule import ReactionError, Schedule
 
 
 # ---------------------------------------------------------------------------
@@ -44,13 +45,22 @@ def figure8_schedule():
 
 
 def test_threads_of_figure8(figure8_schedule):
-    threads = extract_threads(figure8_schedule)
-    # two await nodes -> two threads (TH1 and TH2 of Figure 15)
-    assert len(threads) == 2
-    for thread in threads:
-        assert thread.start_node in {node.index for node in figure8_schedule.await_nodes()}
-        assert thread.end_nodes
-    assert not threads_are_equivalent(figure8_schedule, threads[0], threads[1]) or True
+    # two await nodes -> two threads (TH1 and TH2 of Figure 15), each ending
+    # on an await node whichever way its {b, c} choice goes
+    assert [node.index for node in figure8_schedule.await_nodes()] == [0, 3]
+    walks = {}
+    for start in (0, 3):
+        for pick in (min, max):
+            steps = list(
+                figure8_schedule.reaction(start, "a", lambda node: pick(node.edges), max_steps=9)
+            )
+            walks[start, pick.__name__] = ([t for t, _node in steps], steps[-1][1].index)
+    assert walks == {
+        (0, "min"): (["a", "b", "d"], 0),
+        (0, "max"): (["a", "c"], 3),
+        (3, "min"): (["a", "b", "d"], 3),
+        (3, "max"): (["a", "c", "e"], 0),
+    }
 
 
 def test_code_segments_of_figure8(figure8_schedule):
@@ -280,6 +290,47 @@ def test_executable_task_run_events_and_counter(divisors_system, divisors_schedu
     assert task.communication_stats().environment_reads == 2
 
 
+REFUSALS = {
+    "no edge for the event": "has no edge for 'src.divisors.in'",
+    "a dead end": "has no outgoing edges",
+    "a choice that is no edge": "'nowhere' is not an edge of node",
+    "the step budget": "took more than 3 steps",
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_both_callers_of_the_reaction_walk_refuse_alike(divisors_system, case):
+    """``build_run`` and the executable task walk one reaction; each turns
+    the walk's refusals into its own error class."""
+    source = "src.divisors.in"
+    schedule = find_schedule(divisors_system.net, source, raise_on_failure=True).schedule
+    after_source = schedule.node(schedule.root_node.edges[source])
+    if case == "no edge for the event":
+        schedule.root_node.edges = {"elsewhere": after_source.index}
+    elif case == "a dead end":
+        after_source.edges.clear()
+    budget = 3 if case == "the step budget" else 1000
+    nowhere = case == "a choice that is no edge"
+
+    with pytest.raises(RunError, match=REFUSALS[case]) as refused:
+        build_run(
+            {source: schedule},
+            [source],
+            resolver=(lambda *_: "nowhere") if nowhere else None,
+            max_steps_per_event=budget,
+        )
+    assert isinstance(refused.value.__cause__, ReactionError)
+
+    task, _binding = _divisors_task(divisors_system, schedule)
+    task.max_steps_per_event = budget
+    if nowhere:
+        task._resolve_choice = lambda node: "nowhere"
+    with pytest.raises(TaskExecutionError, match=REFUSALS[case]) as refused:
+        task.react(12)
+    assert isinstance(refused.value.__cause__, ReactionError)
+    assert task.current_node == schedule.root
+
+
 # ---------------------------------------------------------------------------
 # Simulators
 # ---------------------------------------------------------------------------
@@ -321,6 +372,29 @@ def test_multi_and_single_task_outputs_match_video(small_video_system, small_vid
     # cycles: the single task is faster under every profile
     for profile in PROFILES.values():
         assert single.cycles(profile) < multi.cycles(profile)
+
+
+@pytest.mark.parametrize("lines, pixels", [(2, 3), (4, 5), (10, 10)])
+def test_pfc_frames_sum_to_the_reference_checksum(lines, pixels):
+    """Every frame the display receives sums (mod 65536) to the checksum of
+    the reference filter computation, in both simulators."""
+    config = VideoAppConfig(lines_per_frame=lines, pixels_per_line=pixels)
+    system = build_video_system(config)
+    source = "src.controller.init"
+    schedule = find_schedule(system.net, source, raise_on_failure=True).schedule
+    stimulus = {"init": [0, 1, 1, 0, 1]}
+    expected = [
+        reference_frame_checksum(config, frame, reference_coefficient(frame, cmd))
+        for frame, cmd in enumerate(stimulus["init"])
+    ]
+    multi = MultiTaskSimulation(system, channel_capacity=pixels, stimulus=stimulus).run()
+    single = SingleTaskSimulation(system, schedules={source: schedule}).run(stimulus)
+    size = config.pixels_per_frame
+    for result in (multi, single):
+        display = result.outputs.port("display")
+        assert len(display) == len(expected) * size
+        frames = [display[start:start + size] for start in range(0, len(display), size)]
+        assert [sum(frame) % 65536 for frame in frames] == expected
 
 
 def test_single_task_channel_bounds_and_occupancy(small_video_system, small_video_schedule, small_video_config):

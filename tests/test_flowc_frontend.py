@@ -39,6 +39,7 @@ from repro.flowc.ast_nodes import (
     While,
     WriteData,
     ports_referenced,
+    statement_children,
 )
 from repro.flowc.compiler import (
     CompilationError,
@@ -47,17 +48,11 @@ from repro.flowc.compiler import (
     constant_trip_count,
     evaluate_constant,
 )
-from repro.flowc.leaders import (
-    compute_leaders,
-    contains_port_statement,
-    is_port_statement,
-    leader_statements,
-    split_into_portions,
-)
+from repro.flowc.leaders import contains_port_statement, is_port_statement, portions
 from repro.corpus.generator import generate_spec
 from repro.corpus.topologies import emit_program
 from repro.flowc.lexer import FlowCLexError, Token, position, tokenize
-from repro.flowc.linker import LinkError, link
+from repro.flowc.linker import link
 from repro.flowc.netlist import Network, NetworkError
 from repro.flowc.parser import (
     FlowCParseError,
@@ -343,12 +338,32 @@ def test_parse_program_multiple_processes():
 # ---------------------------------------------------------------------------
 
 
+def _transition_starts(process):
+    """The first statement of every transition of the compiled process that
+    carries code: the leaders of the rule the compiler runs."""
+    net = compile_process(process).net
+    return [transition.code[0] for transition in net.transitions.values() if transition.code]
+
+
+def _portion_starts(statements):
+    """The first statement of every run ``portions`` yields, at every depth
+    the compiler splits (the sequences nested in control statements)."""
+    starts = []
+    for portion in portions(statements):
+        if isinstance(portion, list):
+            starts.append(portion[0])
+        else:
+            for child in statement_children(portion):
+                starts.extend(_portion_starts(child))
+    return starts
+
+
 def test_leader_rules_on_figure_1():
     process = parse_process(DIVISORS_SOURCE)
     loop = process.body[1]
     assert isinstance(loop, While)
     body = loop.body
-    leaders = compute_leaders(body)
+    leaders = {id(statement) for statement in _transition_starts(process)}
     read_stmt = body[0]
     write_max = body[3]
     write_all_first = body[4]
@@ -371,6 +386,36 @@ def test_leader_rules_on_figure_1():
     assert id(write_max) not in leaders
 
 
+def test_a_constant_for_is_split_after_unrolling():
+    """The PFC producer's shape: the compiler unrolls the constant ``for``
+    and splits the copies, so its ``init`` and ``update`` lead transitions
+    and the body's first statement ``p = 0;`` leads none."""
+    process = parse_process(
+        "PROCESS producer (In DPORT req, Out DPORT pix) {"
+        "  int r, line, p, buf[3];"
+        "  while (1) {"
+        "    READ_DATA(req, &r, 1);"
+        "    for (line = 0; line < 2; line++) {"
+        "      p = 0;"
+        "      while (p < 3) { buf[p] = r + p; p++; }"
+        "      WRITE_DATA(pix, buf, 3);"
+        "    }"
+        "  }"
+        "}"
+    )
+    codes = sorted(
+        [str(statement) for statement in transition.code]
+        for transition in compile_process(process).net.transitions.values()
+        if transition.code
+    )
+    body = ["p = 0;", "while ((p < 3)) { ... }", "WRITE_DATA(pix, buf, 3);"]
+    assert codes == [["READ_DATA(req, &r, 1);"], ["line = 0;", *body], ["line++;"],
+                     ["line++;", *body]]
+    # the loop itself is one control statement to split around
+    (loop,) = process.body[1].body[1:]
+    assert list(portions([loop])) == [loop]
+
+
 def test_contains_and_is_port_statement():
     process = parse_process(DIVISORS_SOURCE)
     loop = process.body[1]
@@ -384,17 +429,28 @@ def test_split_into_portions():
     statements = parse_statements(
         "READ_DATA(p, &x, 1); x = x + 1; WRITE_DATA(q, x, 1); WRITE_DATA(q, x, 1); y = 0;"
     )
-    portions = split_into_portions(statements)
-    assert len(portions) == 3
-    assert isinstance(portions[0][0], ReadData)
-    assert isinstance(portions[1][0], WriteData)
+    split = list(portions(statements))
+    assert [len(portion) for portion in split] == [3, 1, 1]
+    assert isinstance(split[0][0], ReadData)
+    assert isinstance(split[1][0], WriteData)
+    # a port-containing control statement stands alone; blocks are flattened
+    statements = parse_statements("{ x = 1; } while (x) { READ_DATA(p, &x, 1); } y = 2;")
+    split = list(portions(statements))
+    assert split == [[statements[0].statements[0]], statements[1], [statements[2]]]
 
 
 def test_leader_statements_in_order():
+    """The leaders ``portions`` finds, in source order, are the first
+    statements of the compiler's transitions on Figure 1."""
     process = parse_process(DIVISORS_SOURCE)
-    loop = process.body[1]
-    leaders = leader_statements(loop.body)
-    assert len(leaders) >= 4
+    leaders = _portion_starts(process.body[1:])
+    assert [str(statement) for statement in leaders] == [
+        "READ_DATA(in, &n, 1);",
+        "WRITE_DATA(all, i, 1);",
+        "i--;",
+        "WRITE_DATA(all, i, 1);",
+    ]
+    assert sorted(map(id, leaders)) == sorted(map(id, _transition_starts(process)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.apps import paper_nets
 from repro.apps.workloads import random_marked_graph
-from repro.petrinet.covering import (
-    BinateCoveringProblem,
-    build_candidate_invariant_problem,
-    solve_binate_covering,
-)
+from repro.petrinet.covering import is_feasible, solve_binate_covering
 from repro.petrinet.invariants import (
     combine_invariants,
     firing_count_vector,
@@ -96,140 +92,113 @@ def test_marked_graph_invariants_property(transitions, seed):
 
 
 # ---------------------------------------------------------------------------
-# binate covering
+# binate covering: rows are (ones, zeros) column masks, a selection one mask
 # ---------------------------------------------------------------------------
+
+A, B, C = 1, 2, 4
+X, Y, Z = A, B, C
 
 
 def test_binate_covering_simple_feasible():
-    problem = BinateCoveringProblem(columns=["x", "y", "z"])
-    problem.add_row({"x": 0, "y": 1})   # picking x requires y
-    problem.add_row({"z": 1})            # z satisfies this row outright
-    solution = solve_binate_covering(problem)
+    rows = [(Y, X), (Z, 0)]  # picking x requires y; z satisfies the second row
+    solution = solve_binate_covering(rows, 3)
     assert solution is not None
-    assert problem.is_feasible(solution)
+    assert is_feasible(rows, solution)
 
 
 def test_binate_covering_respects_initial_selection():
-    problem = BinateCoveringProblem(columns=["a", "b"])
-    problem.add_row({"a": 0, "b": 1})
-    solution = solve_binate_covering(problem, initial={"a"})
+    rows = [(B, A)]
+    solution = solve_binate_covering(rows, 2, initial=A)
     assert solution is not None
-    assert problem.is_feasible(solution)
-
-
-def test_binate_covering_unknown_column_rejected():
-    problem = BinateCoveringProblem(columns=["a"])
-    with pytest.raises(ValueError):
-        problem.add_row({"nope": 1})
-
-
-def test_build_candidate_invariant_problem():
-    problem = build_candidate_invariant_problem(
-        ["inv0", "inv1"], [("inv0", frozenset({"inv1"}))]
-    )
-    assert problem.columns == ["inv0", "inv1"]
-    solution = solve_binate_covering(problem, initial={"inv0"})
-    assert solution is not None
-    # the offending invariant needs the helper to be feasible
-    assert problem.is_feasible(solution)
-
-
-# ---------------------------------------------------------------------------
-# binate covering: bitmask-solver edge cases (pinning the PR 1 rewrite)
-# ---------------------------------------------------------------------------
+    assert is_feasible(rows, solution)
 
 
 def test_binate_covering_empty_clause_set():
     """No rows: everything is feasible and minimisation drops every column."""
-    problem = BinateCoveringProblem(columns=["a", "b", "c"])
-    solution = solve_binate_covering(problem)
-    assert solution == set()
-    assert problem.is_feasible(solution)
+    solution = solve_binate_covering([], 3)
+    assert solution == 0
+    assert is_feasible([], solution)
     # an explicit initial selection is also already feasible and minimises away
-    assert solve_binate_covering(problem, initial={"a"}) == set()
+    assert solve_binate_covering([], 3, initial=A) == 0
 
 
 def test_binate_covering_no_columns():
-    problem = BinateCoveringProblem(columns=[])
-    assert solve_binate_covering(problem) == set()
+    assert solve_binate_covering([], 0) == 0
 
 
 def test_binate_covering_single_positive_literal_rows_are_implications():
-    """Rows are implication clauses: a pure-positive row {x: 1} is satisfied
-    by the *empty* selection (no selected 0-column), it does not force x.
-    Mandatory columns are the caller's job (the ``initial`` selection plus
-    the ``solution & mandatory`` check in the heuristics layer)."""
-    problem = BinateCoveringProblem(columns=["x", "y"])
-    problem.add_row({"x": 1})
-    assert problem.row_satisfied({"x": 1}, set())
-    assert solve_binate_covering(problem, initial=set()) == set()
+    """Rows are implication clauses: a pure-positive row (ones x) is
+    satisfied by the *empty* selection (no selected 0-column), it does not
+    force x.  Mandatory columns are the caller's job (the ``initial``
+    selection plus the ``solution & mandatory`` check in the heuristics
+    layer)."""
+    rows = [(X, 0)]
+    assert is_feasible(rows, 0)
+    assert solve_binate_covering(rows, 2, initial=0) == 0
     # starting from everything selected, minimisation still drops to empty
-    assert solve_binate_covering(problem) == set()
+    assert solve_binate_covering(rows, 2) == 0
 
 
 def test_binate_covering_single_negative_literal_bans_the_column():
-    """A row {x: 0} with no positive literal: x can never stay selected."""
-    problem = BinateCoveringProblem(columns=["x", "y"])
-    problem.add_row({"x": 0})
-    solution = solve_binate_covering(problem)  # default initial selects all
+    """A row (zeros x) with no positive literal: x can never stay selected."""
+    rows = [(0, X)]
+    solution = solve_binate_covering(rows, 2)  # default initial selects all
     assert solution is not None
-    assert "x" not in solution
-    assert problem.is_feasible(solution)
-    assert not problem.is_feasible({"x"})
-    assert not problem.is_feasible({"x", "y"})
+    assert not solution & X
+    assert is_feasible(rows, solution)
+    assert not is_feasible(rows, X)
+    assert not is_feasible(rows, X | Y)
 
 
 def test_binate_covering_unsatisfiable_for_the_greedy_repair():
     """Instances where the repair moves oscillate return None.
 
-    {a: 0, b: 1} (a needs b) plus {b: 0} (b banned): from any selection
-    containing a, move 1 adds b, move 2 removes b, forever -- the iteration
-    cap trips and the solver reports no solution even though the empty
-    selection is trivially feasible.  This pins the *heuristic* nature of
-    the solver; callers must tolerate None on feasible instances.
+    (ones b, zeros a) (a needs b) plus (zeros b) (b banned): from any
+    selection containing a, move 1 adds b, move 2 removes b, forever -- the
+    iteration cap trips and the solver reports no solution even though the
+    empty selection is trivially feasible.  This pins the *heuristic* nature
+    of the solver; callers must tolerate None on feasible instances.
     """
-    problem = BinateCoveringProblem(columns=["a", "b"])
-    problem.add_row({"a": 0, "b": 1})
-    problem.add_row({"b": 0})
-    assert solve_binate_covering(problem, initial={"a"}) is None
-    assert solve_binate_covering(problem) is None
+    rows = [(B, A), (0, B)]
+    assert solve_binate_covering(rows, 2, initial=A) is None
+    assert solve_binate_covering(rows, 2) is None
     # ... although the instance itself is feasible:
-    assert problem.is_feasible(set())
-    assert problem.is_feasible({"b"}) is False  # b stays banned
-    assert solve_binate_covering(problem, initial=set()) == set()
+    assert is_feasible(rows, 0)
+    assert is_feasible(rows, B) is False  # b stays banned
+    assert solve_binate_covering(rows, 2, initial=0) == 0
 
 
 def test_binate_covering_mutual_dependency_survives_minimisation():
     """a needs b and b needs a: starting from {a}, move 1 pulls b in, and
     neither column can be dropped by the minimisation pass (removing either
     violates the other's row)."""
-    problem = BinateCoveringProblem(columns=["a", "b"])
-    problem.add_row({"a": 0, "b": 1})    # a needs b
-    problem.add_row({"b": 0, "a": 1})    # b needs a
-    solution = solve_binate_covering(problem, initial={"a"})
-    assert solution == {"a", "b"}
-    assert problem.is_feasible(solution)
+    rows = [(B, A), (A, B)]  # a needs b, b needs a
+    solution = solve_binate_covering(rows, 2, initial=A)
+    assert solution == A | B
+    assert is_feasible(rows, solution)
 
 
-def test_binate_covering_weights_steer_the_repair_choice():
-    """When two helpers fix the same violated row, the cheaper one is added."""
-
-    def solve_with(weights):
-        problem = BinateCoveringProblem(columns=["a", "b", "c"], weights=weights)
-        problem.add_row({"a": 0, "b": 1, "c": 1})  # a needs b or c
-        problem.add_row({"b": 0, "a": 1})          # interlocks: keep a around
-        problem.add_row({"c": 0, "a": 1})
-        return solve_binate_covering(problem, initial={"a"})
-
-    assert solve_with({"b": 10}) == {"a", "c"}
-    assert solve_with({"c": 10}) == {"a", "b"}
+def test_binate_covering_breaks_ties_in_column_name_order():
+    """The columns were once named inv0, inv1, ...: both repair moves break
+    ties in that name order (``inv10`` before ``inv2``), and minimisation
+    runs in column order."""
+    c0, c2, c10 = 1, 1 << 2, 1 << 10
+    # c0 needs c2 or c10; each of those needs c0, so c0 stays
+    rows = [(c2 | c10, c0), (c0, c2), (c0, c10)]
+    assert solve_binate_covering(rows, 11, initial=c0) == c0 | c10
+    # from all three selected, minimisation meets c2 before c10
+    assert solve_binate_covering(rows, 11, initial=c0 | c2 | c10) == c0 | c10
+    # move 2: c10 needs c2, and neither may stay.  Move 1 adds c2; then
+    # c2 and c10 offend alike and c10 goes first, so c2 can go too.  Had c2
+    # gone first, c10 would pull it back in until the iteration cap.
+    rows = [(c2, c10), (0, c2 | c10)]
+    assert solve_binate_covering(rows, 11, initial=c10) == 0
 
 
 def test_binate_covering_row_satisfaction_semantics():
-    """row_satisfied: a selected 1-column wins, else no selected 0-column."""
-    problem = BinateCoveringProblem(columns=["a", "b"])
-    row = {"a": 0, "b": 1}
-    assert problem.row_satisfied(row, {"b"})
-    assert problem.row_satisfied(row, {"a", "b"})
-    assert problem.row_satisfied(row, set())
-    assert not problem.row_satisfied(row, {"a"})
+    """A selected 1-column wins, else no selected 0-column."""
+    rows = [(B, A)]
+    assert is_feasible(rows, B)
+    assert is_feasible(rows, A | B)
+    assert is_feasible(rows, 0)
+    assert not is_feasible(rows, A)

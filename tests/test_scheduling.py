@@ -562,17 +562,17 @@ def test_invariant_guided_ordering_prefers_promising_transitions():
     assert after_cycle  # guidance never collapses to nothing
 
 
-def _rows_by_rescanning(guide, by_name):
+def _rows_by_rescanning(guide):
     """The covering rows as ``_select_candidate_invariant`` built them before
     each ECS's helpers were computed once: every invariant rescanned for
-    every (invariant, process, ECS) triple."""
+    every (invariant, process, ECS) triple; column ``i`` is bit ``1 << i``."""
     rows = []
     process_of = {t: obj.process for t, obj in guide.net.transitions.items()}
     ecs_by_process = {}
     for ecs in guide.analysis.partition:
         proc = process_of.get(min(ecs))
         ecs_by_process.setdefault(proc, []).append(ecs)
-    for name, invariant in by_name.items():
+    for column, invariant in enumerate(guide.base):
         processes_in_invariant = {process_of.get(t) for t in invariant}
         for proc in processes_in_invariant:
             if proc is None:
@@ -580,13 +580,13 @@ def _rows_by_rescanning(guide, by_name):
             for ecs in ecs_by_process.get(proc, []):
                 if any(t in invariant for t in ecs):
                     continue
-                helpers = frozenset(
-                    other
-                    for other, other_inv in by_name.items()
+                helpers = sum(
+                    1 << other
+                    for other, other_inv in enumerate(guide.base)
                     if any(t in other_inv for t in ecs)
                 )
                 if helpers:
-                    rows.append((name, helpers))
+                    rows.append((helpers, 1 << column))
     return rows
 
 
@@ -602,22 +602,16 @@ def _covering_cases():
 
 
 def test_covering_rows_match_the_rescanning_builder():
-    """Each ECS's helper set, built once, gives the rows of the rescanning
-    builder: the same rows in the same order, duplicates included, and each
-    helper set iterates in the same order, so the covering problem and the
-    candidate invariant it selects are unchanged."""
+    """Each ECS's helper mask, built once, gives the rows of the rescanning
+    builder: the same rows in the same order, duplicates included, so the
+    covering problem and the candidate invariant it selects are unchanged."""
     checked = 0
     for net, sources in _covering_cases():
         analysis = StructuralAnalysis.of(net)
         for source in sources:
             guide = InvariantGuide(net, analysis, source)
-            by_name = {f"inv{i}": invariant for i, invariant in enumerate(guide.base)}
-            rows = guide._covering_rows(by_name)
-            expected = _rows_by_rescanning(guide, by_name)
-            assert rows == expected
-            assert [list(helpers) for _name, helpers in rows] == [
-                list(helpers) for _name, helpers in expected
-            ]
+            rows = guide._covering_rows()
+            assert rows == _rows_by_rescanning(guide)
             checked += bool(rows)
     assert checked >= 10  # most cases have rows to compare
 

@@ -1,21 +1,19 @@
 """Direct unit tests of :mod:`repro.codegen.segments` edge cases.
 
-Hand-built minimal schedules pin the thread extraction and code-segment
-construction at their boundaries -- the empty reaction, single-transition
-reactions, unknown-ECS lookups and await-node placement -- independently of
-the end-to-end codegen tests.
+Hand-built minimal schedules pin the threads (the reactions
+:meth:`Schedule.reaction` walks) and code-segment construction at their
+boundaries -- the empty reaction, single-transition reactions, unknown-ECS
+lookups and await-node placement -- independently of the end-to-end codegen
+tests.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.codegen.segments import (
-    ecs_label,
-    extract_code_segments,
-    extract_threads,
-    threads_are_equivalent,
-)
+from repro.codegen.segments import ecs_label, extract_code_segments
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet, SourceKind
 from repro.scheduling.schedule import Schedule
@@ -55,27 +53,23 @@ def _empty_reaction_schedule() -> Schedule:
     return schedule
 
 
+def _thread(schedule: Schedule, start: int):
+    """The ``(transition, node index)`` steps of the reaction from ``start``
+    (no choices on these schedules)."""
+    steps = schedule.reaction(start, "src", lambda node: None, max_steps=10)
+    return [(transition, node.index) for transition, node in steps]
+
+
 class TestThreads:
     def test_single_reaction_thread(self):
         schedule = _single_reaction_schedule(_minimal_net())
-        threads = extract_threads(schedule)
-        assert len(threads) == 1
-        (thread,) = threads
-        assert thread.start_node == 0
-        assert thread.nodes == {0, 1}
+        assert [node.index for node in schedule.await_nodes()] == [0]
         # the reaction terminates back at the await node
-        assert thread.end_nodes == {0}
+        assert _thread(schedule, 0) == [("src", 1), ("consume", 0)]
 
     def test_empty_reaction_thread(self):
         schedule = _empty_reaction_schedule()
-        (thread,) = extract_threads(schedule)
-        assert thread.nodes == {0}
-        assert thread.end_nodes == {0}
-
-    def test_thread_is_equivalent_to_itself(self):
-        schedule = _single_reaction_schedule(_minimal_net())
-        (thread,) = extract_threads(schedule)
-        assert threads_are_equivalent(schedule, thread, thread)
+        assert _thread(schedule, 0) == [("src", 0)]
 
 
 class TestSegments:
@@ -138,9 +132,28 @@ class TestAwaitPlacement:
         assert set(emitted) == set(segments.node_by_ecs)
 
     def test_threads_start_and_end_on_await_nodes(self, divisors_schedule):
-        await_indices = {node.index for node in divisors_schedule.await_nodes()}
-        threads = extract_threads(divisors_schedule)
-        assert threads, "schedule must have at least one reaction"
-        for thread in threads:
-            assert thread.start_node in await_indices
-            assert thread.end_nodes <= await_indices
+        """Reaction after reaction, each choice taking its least-walked edge,
+        until the reactions have walked every edge of the schedule: each one
+        starts where the last ended, at an await node, and ends at one."""
+        schedule = divisors_schedule
+        await_indices = {node.index for node in schedule.await_nodes()}
+        edges = sum(node.out_degree for node in schedule.nodes)
+        walked = Counter()
+
+        def least_walked(node):
+            return min(sorted(node.edges), key=lambda t: walked[node.index, t])
+
+        start = schedule.root
+        for _reaction in range(1000):
+            if len(walked) == edges:
+                break
+            assert start in await_indices
+            node = schedule.node(start)
+            for transition, reached in schedule.reaction(
+                start, schedule.source_transition, least_walked, max_steps=10_000
+            ):
+                walked[node.index, transition] += 1
+                node = reached
+            assert node.index in await_indices
+            start = node.index
+        assert len(walked) == edges

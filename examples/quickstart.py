@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from repro.apps.divisors import DIVISORS_SOURCE, build_divisors_network
 from repro.codegen.synthesis import synthesize_task
-from repro.codegen.task import ExecutableTask
 from repro.flowc.linker import link
-from repro.runtime.channels import EnvironmentSink, EnvironmentSource, PortBinding
+from repro.runtime.simulation import SingleTaskSimulation
 from repro.scheduling.ep import find_schedule
 
 
@@ -46,15 +45,12 @@ def main() -> None:
     print(task.full_source)
 
     # 4. execute the synthesized task (interpreted) on a few inputs
-    binding = PortBinding()
-    binding.bind_source("in", EnvironmentSource("in"))
-    binding.bind_sink("max", EnvironmentSink("max"))
-    binding.bind_sink("all", EnvironmentSink("all"))
-    executable = ExecutableTask(system, schedule, binding)
+    simulation = SingleTaskSimulation(system, schedules={"src.divisors.in": schedule})
+    executable = simulation.tasks["src.divisors.in"]
     for value in (12, 7, 36):
         executable.react(value)
-        print(f"input {value}: greatest divisor {binding.sinks['max'].values[-1]}")
-    print("all divisors emitted:", binding.sinks["all"].values)
+        print(f"input {value}: greatest divisor {simulation.sinks['max'].values[-1]}")
+    print("all divisors emitted:", simulation.sinks["all"].values)
 
 
 if __name__ == "__main__":

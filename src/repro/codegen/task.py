@@ -1,4 +1,4 @@
-"""Executable form of a synthesized task.
+"""Executable form of a synthesized task, and the process state it runs on.
 
 The paper's flow generates C code that is compiled and run on the target
 processor.  For the reproduction we also need to *execute* the synthesized
@@ -9,23 +9,72 @@ runs the code fragments attached to the transitions through the FlowC
 interpreter, and resolves data-dependent choices at run time -- exactly the
 behaviour of the generated ISR of Section 6.4 (static order of transitions,
 run-time resolution of data choices, state kept between invocations).
+
+:class:`Processes` is the running state of a linked system's processes: one
+variable environment and one interpreter per process, over that process's
+own port binding, initialised once (Section 6.4.2).  Both simulators of
+:mod:`repro.runtime.simulation` build one per run and resolve choices and
+execute fragments through it -- the synthesized tasks here, the baseline's
+process tasks there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.flowc.compiler import Choice, choice_of
 from repro.flowc.interpreter import Environment, Interpreter, OperationCounter, WouldBlock
 from repro.flowc.linker import LinkedSystem
-from repro.petrinet.net import PetriNet, Transition
-from repro.runtime.channels import CommunicationStats, PortBinding
+from repro.runtime.channels import PortBinding
 from repro.scheduling.schedule import ReactionError, Schedule, ScheduleNode
 
 
 class TaskExecutionError(Exception):
     """Raised when the synthesized task cannot make progress correctly."""
+
+
+class Processes:
+    """The variables and interpreters of every process of a linked system.
+
+    ``ports`` maps each process to its own :class:`PortBinding`.  Every
+    interpreter counts into the one :attr:`counter`.  The hoisted
+    initialisation of each process runs once, on construction.
+    """
+
+    def __init__(self, system: LinkedSystem, ports: Mapping[str, PortBinding]):
+        self.net = system.net
+        self.ports = ports
+        self.counter = OperationCounter()
+        self.interpreters: Dict[str, Interpreter] = {
+            name: Interpreter(Environment(name), ports[name], counter=self.counter)
+            for name in system.network.processes
+        }
+        self._choices: Dict[Tuple[str, ...], Optional[Choice]] = {}
+        for name, declarations in system.declarations.items():
+            self.interpreters[name].execute_block(declarations)
+
+    def choice(self, transitions: Tuple[str, ...]) -> Optional[Choice]:
+        """The data-dependent choice among ``transitions``, or ``None``."""
+        if transitions not in self._choices:
+            self._choices[transitions] = choice_of(self.net, transitions)
+        return self._choices[transitions]
+
+    def condition(self, choice: Choice) -> Any:
+        """The value of ``choice``'s condition in the process owning its place.
+
+        A ``SELECT`` none of whose ports can proceed raises :class:`WouldBlock`.
+        """
+        process = self.net.places[choice.place].process
+        if process is None:
+            raise TaskExecutionError(f"choice place {choice.place!r} has no owning process")
+        return self.interpreters[process].evaluate(choice.expression)
+
+    def execute(self, transition: str) -> None:
+        """Run the code fragment of ``transition`` in its process."""
+        obj = self.net.transitions[transition]
+        if obj.code:
+            self.interpreters[obj.process].run(obj.code)
 
 
 @dataclass
@@ -44,72 +93,33 @@ class ExecutableTask:
     Parameters
     ----------
     system:
-        The linked system the schedule was computed for (supplies the per
-        process declarations and port naming).
+        The linked system the schedule was computed for.
     schedule:
         The (single-source) schedule generated for one uncontrollable input.
-    binding:
-        Port binding supplying intra-task buffers, environment sources and
-        sinks.  Multiple tasks of the same system may share one binding.
-    environments:
-        Optional shared per-process variable environments (shared when several
-        tasks are generated for the same system).
+    processes:
+        The process state the task runs on; every task of one system shares
+        it.
     """
 
     def __init__(
         self,
         system: LinkedSystem,
         schedule: Schedule,
-        binding: PortBinding,
+        processes: Processes,
         *,
-        environments: Optional[Dict[str, Environment]] = None,
-        counter: Optional[OperationCounter] = None,
         max_steps_per_event: int = 1_000_000,
     ):
-        self.system = system
         self.schedule = schedule
-        self.binding = binding
-        self.net: PetriNet = schedule.net
-        self.counter = counter if counter is not None else OperationCounter()
+        self.processes = processes
         self.stats = TaskStatistics()
         self.max_steps_per_event = max_steps_per_event
-        self.environments: Dict[str, Environment] = environments if environments is not None else {}
-        self._interpreters: Dict[str, Interpreter] = {}
-        # schedule node index -> the data-dependent choice of its ECS
-        self._choices: Dict[int, Choice] = {}
-        # the environment input port whose latch receives each event's value
-        ports = system.environment_transitions.items()
-        self._input_port: Optional[str] = next(
-            (ref.port for ref, t in ports if t == schedule.source_transition), None
-        )
+        # the environment source that latches each event's value
+        (self._latch,) = [
+            processes.ports[ref.process].sources[ref.port]
+            for ref, transition in system.environment_transitions.items()
+            if transition == schedule.source_transition
+        ]
         self.current_node: int = schedule.root
-        self._initialise_environments()
-
-    # ------------------------------------------------------------------
-    # initialisation (Section 6.4.2)
-    # ------------------------------------------------------------------
-    def _initialise_environments(self) -> None:
-        for process_name in self.system.network.processes:
-            if process_name not in self.environments:
-                self.environments[process_name] = Environment(process_name)
-        for process_name, declarations in self.system.declarations.items():
-            interpreter = self._interpreter_for(process_name)
-            for declaration in declarations:
-                interpreter.execute(declaration)
-
-    def _interpreter_for(self, process: str) -> Interpreter:
-        if process not in self._interpreters:
-            self._interpreters[process] = Interpreter(
-                self.environments[process], self.binding, counter=self.counter
-            )
-        return self._interpreters[process]
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
-    @property
-    def source_transition(self) -> str:
-        return self.schedule.source_transition
 
     def react(self, value: Any = 0) -> None:
         """Serve one occurrence of the task's uncontrollable input.
@@ -120,12 +130,10 @@ class ExecutableTask:
         the current variable values, and execution stops at the next await
         node.
         """
-        source = self.binding.sources.get(self._input_port)
-        if source is not None:
-            source.offer(value)
+        self._latch.offer(value)
         steps = self.schedule.reaction(
             self.current_node,
-            self.source_transition,
+            self.schedule.source_transition,
             self._resolve_choice,
             max_steps=self.max_steps_per_event,
         )
@@ -134,32 +142,30 @@ class ExecutableTask:
             _source, node = next(steps)
             self.stats.events_served += 1
             for transition, node in steps:
-                self._execute_transition(transition)
+                self.stats.transitions_executed += 1
+                self.stats.state_updates += 1
+                self.processes.execute(transition)
         except ReactionError as error:
             raise TaskExecutionError(f"task cannot serve the event: {error}") from error
+        except WouldBlock as error:
+            raise TaskExecutionError(
+                f"synthesized task blocked on port {error.port!r}: the schedule "
+                "guarantees this cannot happen, so the binding is inconsistent"
+            ) from error
         self.current_node = node.index
 
     def run_events(self, values: Sequence[Any]) -> None:
         for value in values:
             self.react(value)
 
-    # ------------------------------------------------------------------
-    # choice resolution
-    # ------------------------------------------------------------------
     def _resolve_choice(self, node: ScheduleNode) -> str:
-        choice = self._choices.get(node.index)
+        choice = self.processes.choice(tuple(node.edges))
         if choice is None:
-            choice = choice_of(self.net, list(node.edges))
-            if choice is None:
-                raise TaskExecutionError(
-                    f"cannot determine the choice place for node {node.index} "
-                    f"(transitions {sorted(node.edges)})"
-                )
-            self._choices[node.index] = choice
-        process = self.net.places[choice.place].process
-        if process is None:
-            raise TaskExecutionError(f"choice place {choice.place!r} has no owning process")
-        value = self._interpreter_for(process).evaluate(choice.expression)
+            raise TaskExecutionError(
+                f"cannot determine the choice place for node {node.index} "
+                f"(transitions {sorted(node.edges)})"
+            )
+        value = self.processes.condition(choice)
         transition = choice.branch(value)
         if transition is None:
             raise TaskExecutionError(
@@ -167,37 +173,6 @@ class ExecutableTask:
             )
         self.stats.data_choices_resolved += 1
         return transition
-
-    # ------------------------------------------------------------------
-    # transition execution
-    # ------------------------------------------------------------------
-    def _execute_transition(self, transition: str) -> None:
-        obj: Transition = self.net.transitions[transition]
-        self.stats.transitions_executed += 1
-        self.stats.state_updates += 1
-        if obj.is_source or obj.is_sink:
-            # environment interactions are realised by the port latches and
-            # sinks; the transition itself carries no code
-            return
-        if not obj.code:
-            return
-        process = obj.process
-        if process is None:
-            return
-        interpreter = self._interpreter_for(process)
-        try:
-            interpreter.run(list(obj.code))
-        except WouldBlock as error:
-            raise TaskExecutionError(
-                f"synthesized task blocked on port {error.port!r}: the schedule "
-                "guarantees this cannot happen, so the binding is inconsistent"
-            ) from error
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def communication_stats(self) -> CommunicationStats:
-        return self.binding.stats
 
     def describe_state(self) -> str:
         node = self.schedule.node(self.current_node)

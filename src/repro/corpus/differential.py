@@ -37,7 +37,7 @@ MAX_NODES = 20_000
 STAGES: Tuple[str, ...] = (
     "build",      # FlowC parse / compile / link / spec validation
     "schedule",   # EP search, serialization round-trip
-    "codegen",    # thread extraction / segment synthesis / task construction
+    "codegen",    # task construction: wiring, hoisted code, one task per source
     "simulate",   # either simulator raised while executing
     "compare",    # trace / output / occupancy disagreement
 )
@@ -183,7 +183,7 @@ def _schedule(
     return schedules, success
 
 
-def run_case(spec: ScenarioSpec, *, max_rounds: int = 1_000_000) -> CaseOutcome:
+def run_case(spec: ScenarioSpec) -> CaseOutcome:
     """Run one scenario spec through the whole pipeline."""
     started = time.perf_counter()
     try:
@@ -235,7 +235,7 @@ def run_case(spec: ScenarioSpec, *, max_rounds: int = 1_000_000) -> CaseOutcome:
         for port in manifest["outputs"]:
             multi.replace_sink(port, TracingSink(port, multi_recorder))
             single.replace_sink(port, TracingSink(port, single_recorder))
-        multi_result = multi.run(max_rounds=max_rounds)
+        multi_result = multi.run()
         single_result = single.run(stimulus)
     except Exception as error:  # noqa: BLE001
         return _fail(

@@ -49,7 +49,6 @@ from repro.flowc.compiler import CompilationError, compile_process
 from repro.flowc.netlist import Channel, EnvironmentPort, Network, PortRef
 from repro.flowc.linker import link
 from repro.flowc.interpreter import (
-    CommunicationHandler,
     Environment,
     Interpreter,
     InterpreterError,
@@ -64,7 +63,6 @@ __all__ = [
     "Call",
     "CaseClause",
     "Channel",
-    "CommunicationHandler",
     "CompilationError",
     "Continue",
     "Declaration",

@@ -7,9 +7,10 @@ by both execution substrates:
 * the baseline multi-task simulator (one task per process, round-robin), and
 * the synthesized single-task executor produced by code generation.
 
-Communication is delegated to a :class:`CommunicationHandler`, so the same
-interpreter works against real FIFO channels (baseline), intra-task circular
-buffers (synthesized task) and latched environment arrays (Section 8.1).
+Each process's interpreter reads and writes its ports through that
+process's own :class:`~repro.runtime.channels.PortBinding`, which binds them
+to FIFO channels (baseline), intra-task buffers (synthesized task) or latched
+environment ports (Section 8.1).
 
 The interpreter also counts abstract operations so the cost model can convert
 an execution into clock cycles.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.flowc.ast_nodes import (
     Assignment,
@@ -50,13 +51,19 @@ from repro.flowc.ast_nodes import (
     WriteData,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - the binding lives in the runtime layer
+    from repro.runtime.channels import PortBinding
+
+#: Iterations after which a ``while`` or ``for`` loop is taken to diverge.
+MAX_LOOP_ITERATIONS = 1_000_000
+
 
 class InterpreterError(Exception):
     """Raised on run-time errors (unknown variable, bad operand...)."""
 
 
 class WouldBlock(Exception):
-    """Raised by a communication handler when a port operation cannot proceed."""
+    """Raised when a port operation cannot proceed (the port would block)."""
 
     def __init__(self, port: str, needed: int, available: int):
         super().__init__(f"port {port!r}: needed {needed}, available {available}")
@@ -131,55 +138,6 @@ class Environment:
             key: list(value) if isinstance(value, list) else value
             for key, value in self.variables.items()
         }
-
-
-class CommunicationHandler:
-    """Interface between the interpreter and the communication substrate."""
-
-    def read(self, port: str, nitems: int) -> List[Any]:
-        """Return ``nitems`` data items from ``port`` or raise :class:`WouldBlock`."""
-        raise NotImplementedError
-
-    def write(self, port: str, values: List[Any], nitems: int) -> None:
-        """Write ``nitems`` data items to ``port`` or raise :class:`WouldBlock`."""
-        raise NotImplementedError
-
-    def available(self, port: str) -> int:
-        """Number of items currently readable on ``port``."""
-        raise NotImplementedError
-
-    def space(self, port: str) -> Optional[int]:
-        """Free positions on ``port`` (``None`` when unbounded)."""
-        raise NotImplementedError
-
-    def select(self, entries: Sequence[Tuple[str, int]]) -> int:
-        """Resolve a SELECT: return the index of a ready entry.
-
-        The default implementation picks the first ready entry (priority =
-        textual order), matching the deterministic priority semantics of
-        Section 7.1; it raises :class:`WouldBlock` when none is ready.
-        """
-        for index, (port, needed) in enumerate(entries):
-            if self.available(port) >= needed:
-                return index
-        port, needed = entries[0]
-        raise WouldBlock(port, needed, self.available(port))
-
-
-class NullCommunicationHandler(CommunicationHandler):
-    """Handler for code fragments that perform no communication."""
-
-    def read(self, port: str, nitems: int) -> List[Any]:
-        raise InterpreterError(f"unexpected READ_DATA on port {port!r}")
-
-    def write(self, port: str, values: List[Any], nitems: int) -> None:
-        raise InterpreterError(f"unexpected WRITE_DATA on port {port!r}")
-
-    def available(self, port: str) -> int:
-        return 0
-
-    def space(self, port: str) -> Optional[int]:
-        return None
 
 
 class _BreakSignal(Exception):
@@ -266,20 +224,22 @@ BUILTIN_FUNCTIONS: Dict[str, Callable[..., Any]] = {
 
 
 class Interpreter:
-    """Executes FlowC statements against an :class:`Environment`."""
+    """Executes FlowC statements against an :class:`Environment`.
+
+    ``ports`` is the process's port binding; code that reads or writes no
+    port may run without one.
+    """
 
     def __init__(
         self,
         environment: Environment,
-        communication: Optional[CommunicationHandler] = None,
+        ports: Optional[PortBinding] = None,
         *,
         counter: Optional[OperationCounter] = None,
-        max_loop_iterations: int = 1_000_000,
     ):
         self.env = environment
-        self.comm = communication or NullCommunicationHandler()
+        self.ports = ports
         self.counter = counter if counter is not None else OperationCounter()
-        self.max_loop_iterations = max_loop_iterations
 
     # ------------------------------------------------------------------
     # statements
@@ -348,7 +308,7 @@ class Interpreter:
             if not self.evaluate(statement.condition):
                 break
             iterations += 1
-            if iterations > self.max_loop_iterations:
+            if iterations > MAX_LOOP_ITERATIONS:
                 raise InterpreterError("while loop exceeded the iteration limit")
             try:
                 self.execute_block(statement.body)
@@ -367,7 +327,7 @@ class Interpreter:
                 if not self.evaluate(statement.condition):
                     break
             iterations += 1
-            if iterations > self.max_loop_iterations:
+            if iterations > MAX_LOOP_ITERATIONS:
                 raise InterpreterError("for loop exceeded the iteration limit")
             try:
                 self.execute_block(statement.body)
@@ -400,7 +360,7 @@ class Interpreter:
 
     def _execute_read(self, statement: ReadData) -> None:
         nitems = int(self.evaluate(statement.nitems))
-        values = self.comm.read(statement.port, nitems)
+        values = self.ports.read(statement.port, nitems)
         self.counter.reads += 1
         self.counter.items_read += nitems
         self._store_read_values(statement.target, values, nitems)
@@ -446,7 +406,7 @@ class Interpreter:
             values = [value]
         else:
             values = [value] * nitems
-        self.comm.write(statement.port, values, nitems)
+        self.ports.write(statement.port, values, nitems)
         self.counter.writes += 1
         self.counter.items_written += nitems
 
@@ -583,4 +543,4 @@ class Interpreter:
     def _evaluate_select(self, expr: SelectExpr) -> int:
         entries = [(port, int(self.evaluate(count))) for port, count in expr.entries]
         self.counter.selects += 1
-        return self.comm.select(entries)
+        return self.ports.select(entries)

@@ -13,8 +13,8 @@ This module provides the dense view every marking-walking layer runs on:
   reproducible and ID order equals name order);
 * a marking is a plain tuple of token counts indexed by place ID -- natively
   hashable with no sorting and cheap to compare;
-* each transition carries precomputed ``consume`` / ``produce`` / ``delta``
-  sparse vectors, so firing is a handful of integer adds on a list copy;
+* each transition carries precomputed ``consume`` / ``delta`` sparse
+  vectors, so firing is a handful of integer adds on a list copy;
 * per-place consumer adjacency supports *incremental* enabled-set maintenance:
   after firing ``t`` only the transitions consuming from a place whose count
   actually changed are re-checked, instead of rescanning the whole net;
@@ -87,12 +87,10 @@ class IndexedNet:
         "transition_names",
         "transition_index",
         "consume",
-        "produce",
         "delta",
         "token_delta",
         "deltas_by_name",
         "consumers_of_place",
-        "producers_of_place",
         "initial_vec",
         "analysis_cache",
     )
@@ -110,7 +108,6 @@ class IndexedNet:
         }
 
         consume: List[SparseVec] = []
-        produce: List[SparseVec] = []
         delta: List[SparseVec] = []
         token_delta: List[int] = []
         deltas_by_name: List[Dict[str, int]] = []
@@ -119,9 +116,6 @@ class IndexedNet:
             post = net.post[name]
             consume.append(
                 tuple(sorted((self.place_index[p], w) for p, w in pre.items()))
-            )
-            produce.append(
-                tuple(sorted((self.place_index[p], w) for p, w in post.items()))
             )
             by_pid: Dict[int, int] = {}
             for p, w in pre.items():
@@ -137,7 +131,6 @@ class IndexedNet:
                 {self.place_names[pid]: d for pid, d in sparse}
             )
         self.consume: Tuple[SparseVec, ...] = tuple(consume)
-        self.produce: Tuple[SparseVec, ...] = tuple(produce)
         self.delta: Tuple[SparseVec, ...] = tuple(delta)
         self.token_delta: Tuple[int, ...] = tuple(token_delta)
         self.deltas_by_name: Tuple[Dict[str, int], ...] = tuple(deltas_by_name)
@@ -146,20 +139,13 @@ class IndexedNet:
             net.initial_tokens.get(name, 0) for name in self.place_names
         )
 
-        # Adjacency (consumers/producers) derived from the sparse form.
+        # Consumer adjacency derived from the sparse form.
         consumers: List[List[Tuple[int, int]]] = [[] for _ in self.place_names]
-        producers: List[List[Tuple[int, int]]] = [[] for _ in self.place_names]
         for tid, vec in enumerate(self.consume):
             for pid, w in vec:
                 consumers[pid].append((tid, w))
-        for tid, vec in enumerate(self.produce):
-            for pid, w in vec:
-                producers[pid].append((tid, w))
         self.consumers_of_place: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
             tuple(entries) for entries in consumers
-        )
-        self.producers_of_place: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
-            tuple(entries) for entries in producers
         )
 
         # Scratch space for analyses keyed to this structural snapshot (e.g.

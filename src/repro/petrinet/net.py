@@ -156,25 +156,6 @@ class PetriNet:
             self._adjacency_dirty = True
 
     # ------------------------------------------------------------------
-    # pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle only the value of the net, never the derived caches.
-
-        The indexed snapshot and the place adjacency are rebuilt lazily on
-        first use after unpickling; shipping them would roughly double the
-        payload and drag the ``analysis_cache`` (structural analyses,
-        invariant bases) along.
-        """
-        state = dict(self.__dict__)
-        state["_indexed"] = None
-        state["_indexed_version"] = -1
-        state["_place_in"] = {}
-        state["_place_out"] = {}
-        state["_adjacency_dirty"] = True
-        return state
-
-    # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
     def invalidate_caches(self) -> None:
@@ -422,10 +403,6 @@ class PetriNet:
     def choice_places(self) -> List[str]:
         """Places with more than one successor transition."""
         return sorted(p for p in self.places if len(self.postset_of_place(p)) > 1)
-
-    def port_places(self) -> List[str]:
-        """Places that model environment ports or inter-process channels."""
-        return sorted(p for p, obj in self.places.items() if obj.is_port)
 
     # ------------------------------------------------------------------
     # utility

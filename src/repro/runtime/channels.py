@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.flowc.interpreter import CommunicationHandler, WouldBlock
+from repro.flowc.interpreter import WouldBlock
 
 
 class ChannelBuffer:
@@ -186,8 +186,8 @@ class CommunicationStats:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
-class PortBinding(CommunicationHandler):
-    """Maps FlowC port names of one process/task to concrete endpoints.
+class PortBinding:
+    """Maps the FlowC port names of one process to concrete endpoints.
 
     Each port is bound to one of: a :class:`ChannelBuffer` (with a role of
     ``reader`` or ``writer``), an :class:`EnvironmentSource`, or an
@@ -222,7 +222,7 @@ class PortBinding(CommunicationHandler):
     def bind_sink(self, port: str, sink: EnvironmentSink) -> None:
         self.sinks[port] = sink
 
-    # -- CommunicationHandler interface ---------------------------------------
+    # -- the interpreter's port operations --------------------------------------
     def read(self, port: str, nitems: int) -> List[Any]:
         if port in self.sources:
             values = self.sources[port].read(nitems)
@@ -263,13 +263,6 @@ class PortBinding(CommunicationHandler):
         if port in self.readers:
             return self.readers[port].occupancy
         return 0
-
-    def space(self, port: str) -> Optional[int]:
-        if port in self.sinks:
-            return None
-        if port in self.writers:
-            return self.writers[port].space()
-        return None
 
     def select(self, entries: Sequence[Tuple[str, int]]) -> int:
         self.stats.selects += 1

@@ -21,8 +21,7 @@ simulation:
 
 The absolute constants are loosely calibrated so that the relative results of
 Section 8.2 (single task 4-5x faster, ratios growing under -O/-O2, code size
-several times smaller) emerge from the model rather than being hard-coded;
-EXPERIMENTS.md records the calibration.
+several times smaller) emerge from the model rather than being hard-coded.
 """
 
 from __future__ import annotations

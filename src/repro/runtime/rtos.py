@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Protocol, Sequence
 
+#: Steps a task may take per dispatch; it runs until it blocks well before.
+QUANTUM = 1_000_000
+
 
 class RunnableTask(Protocol):
     """What the scheduler needs from a task."""
@@ -48,11 +51,10 @@ class RoundRobinScheduler:
     switch.  The loop terminates when no task can make progress.
     """
 
-    def __init__(self, tasks: Sequence[RunnableTask], *, quantum: int = 1_000_000):
+    def __init__(self, tasks: Sequence[RunnableTask]):
         if not tasks:
             raise ValueError("the scheduler needs at least one task")
         self.tasks = list(tasks)
-        self.quantum = quantum
         self.costs = RtosCosts()
         self._last_running: Optional[str] = None
 
@@ -73,7 +75,7 @@ class RoundRobinScheduler:
                     self.costs.context_switches += 1  # initial dispatch
                 self._last_running = task.name
                 self.costs.record_activation(task.name)
-                steps = task.run(self.quantum)
+                steps = task.run(QUANTUM)
                 if steps > 0:
                     progressed = True
             if not progressed:

@@ -7,20 +7,24 @@
   per uncontrollable input executing the quasi-static schedule, intra-task
   channels turned into local buffers.
 
-Both simulators execute the same FlowC code through the same interpreter, so
-they produce identical output data; only the scheduling / communication
-structure (and therefore the cost accounting) differs.
+Both are built from a linked system by one wiring (:class:`_Simulation`):
+every process gets its own :class:`PortBinding`, and one
+:class:`~repro.codegen.task.Processes` holds every process's variables and
+interpreter, runs its hoisted code once, resolves choices and executes code
+fragments for both.  So they produce identical output data; only the
+scheduling / communication structure (and therefore the cost accounting)
+differs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.codegen.task import ExecutableTask
-from repro.flowc.compiler import Choice, choice_of
-from repro.flowc.interpreter import Environment, Interpreter, OperationCounter, WouldBlock
+from repro.codegen.task import ExecutableTask, Processes
+from repro.flowc.interpreter import OperationCounter, WouldBlock
 from repro.flowc.linker import LinkedSystem
+from repro.flowc.netlist import Channel, PortRef
 from repro.petrinet.net import PetriNet
 from repro.runtime.channels import (
     ChannelBuffer,
@@ -30,7 +34,7 @@ from repro.runtime.channels import (
     PortBinding,
 )
 from repro.runtime.cost_model import CompilerProfile, CostModel, PROFILES
-from repro.runtime.rtos import RoundRobinScheduler, RtosCosts
+from repro.runtime.rtos import RoundRobinScheduler
 from repro.scheduling.schedule import Schedule
 
 
@@ -60,12 +64,11 @@ class SimulationResult:
     events_served: int = 0
     channel_max_occupancy: Dict[str, int] = field(default_factory=dict)
 
-    def cycles(self, profile: CompilerProfile | str, cost_model: Optional[CostModel] = None) -> float:
+    def cycles(self, profile: CompilerProfile | str) -> float:
         """Clock cycles of this run under a compiler profile."""
         if isinstance(profile, str):
             profile = PROFILES[profile]
-        model = cost_model or CostModel()
-        return model.execution_cycles(
+        return CostModel().execution_cycles(
             self.operations,
             self.communication,
             profile=profile,
@@ -77,6 +80,91 @@ class SimulationResult:
 
 
 # ---------------------------------------------------------------------------
+# The wiring both simulators share
+# ---------------------------------------------------------------------------
+
+
+def _owners(refs: Iterable[PortRef]) -> Dict[str, str]:
+    """The process owning each environment port, by port name.
+
+    Stimuli and outputs name environment ports bare, so two processes may
+    not declare environment ports of one name.
+    """
+    owners: Dict[str, str] = {}
+    for ref in refs:
+        if ref.port in owners:
+            raise ValueError(
+                f"environment ports {owners[ref.port]}.{ref.port} and {ref} share the "
+                f"name {ref.port!r}"
+            )
+        owners[ref.port] = ref.process
+    return owners
+
+
+class _Simulation:
+    """A linked system wired for execution.
+
+    Each process gets its own :class:`PortBinding`: a channel becomes one
+    :class:`ChannelBuffer` of ``capacity(channel)`` items (``None``:
+    unbounded) between its writer's and its reader's binding, and each
+    environment port an :class:`EnvironmentSource` or
+    :class:`EnvironmentSink` keyed by the port's name.  One
+    :class:`Processes` runs the FlowC code over these bindings.
+    """
+
+    def __init__(
+        self,
+        system: LinkedSystem,
+        capacity: Callable[[Channel], Optional[int]],
+        *,
+        intratask: bool,
+    ):
+        self.system = system
+        self.stats = CommunicationStats()
+        network = system.network
+        ports = {name: PortBinding(stats=self.stats) for name in network.processes}
+        self.channels: Dict[str, ChannelBuffer] = {}
+        for channel in network.channels:
+            buffer = ChannelBuffer(channel.name, capacity(channel))
+            self.channels[channel.name] = buffer
+            writer, reader = channel.source, channel.target
+            ports[writer.process].bind_writer(writer.port, buffer, intratask=intratask)
+            ports[reader.process].bind_reader(reader.port, buffer, intratask=intratask)
+        self.sources: Dict[str, EnvironmentSource] = {}
+        for port, process in _owners(network.environment_inputs).items():
+            self.sources[port] = EnvironmentSource(port)
+            ports[process].bind_source(port, self.sources[port])
+        self._sink_owner = _owners(network.environment_outputs)
+        self.sinks: Dict[str, EnvironmentSink] = {}
+        for port, process in self._sink_owner.items():
+            self.sinks[port] = EnvironmentSink(port)
+            ports[process].bind_sink(port, self.sinks[port])
+        self.processes = Processes(system, ports)
+
+    def replace_sink(self, port: str, sink: EnvironmentSink) -> None:
+        """Swap the sink of one environment output (e.g. for a TracingSink)."""
+        if port not in self.sinks:
+            raise KeyError(f"unknown environment output port {port!r}")
+        self.sinks[port] = sink
+        self.processes.ports[self._sink_owner[port]].bind_sink(port, sink)
+
+    def _result(self, implementation: str, **fields: int) -> SimulationResult:
+        """The fields both simulators fill alike, plus their own ``fields``."""
+        return SimulationResult(
+            implementation=implementation,
+            operations=self.processes.counter,
+            communication=self.stats,
+            outputs=SimulationOutputs(
+                by_port={name: list(sink.values) for name, sink in self.sinks.items()}
+            ),
+            channel_max_occupancy={
+                name: channel.max_occupancy for name, channel in self.channels.items()
+            },
+            **fields,
+        )
+
+
+# ---------------------------------------------------------------------------
 # Baseline: one task per process under a round-robin scheduler
 # ---------------------------------------------------------------------------
 
@@ -84,44 +172,30 @@ class SimulationResult:
 class _ProcessTask:
     """Executes one FlowC process directly over its compiled Petri net."""
 
-    def __init__(
-        self,
-        name: str,
-        system: LinkedSystem,
-        binding: PortBinding,
-        counter: OperationCounter,
-    ):
+    def __init__(self, name: str, system: LinkedSystem, processes: Processes):
         self.name = name
-        self.system = system
         self.net: PetriNet = system.net
-        self.binding = binding
-        self.counter = counter
-        self.environment = Environment(name)
-        self.interpreter = Interpreter(self.environment, binding, counter=counter)
+        self.processes = processes
+        self.ports = processes.ports[name]
         self.current_place = system.initial_places[name]
         self.transitions_executed = 0
-        # execute the hoisted declarations once (initialisation)
-        for declaration in system.declarations.get(name, []):
-            self.interpreter.execute(declaration)
         # port place name -> FlowC port name for this process
-        self._port_of_place: Dict[str, str] = {}
-        for (process, port), place in system.port_place_of.items():
-            if process == name:
-                self._port_of_place[place] = port
+        self._port_of_place: Dict[str, str] = {
+            place: port for (process, port), place in system.port_place_of.items() if process == name
+        }
         # control place -> successor transitions of this process; the net is
         # structurally frozen during simulation, so compute each list once
         # instead of querying the place adjacency on every executed step
-        self._successors_of_place: Dict[str, List[str]] = {}
-        self._choice_at: Dict[str, Optional[Choice]] = {}
+        self._successors_of_place: Dict[str, Tuple[str, ...]] = {}
 
-    def _process_successors(self, place: str) -> List[str]:
+    def _process_successors(self, place: str) -> Tuple[str, ...]:
         cached = self._successors_of_place.get(place)
         if cached is None:
-            cached = [
+            cached = tuple(
                 t
                 for t in sorted(self.net.postset_of_place(place))
                 if self.net.transitions[t].process == self.name
-            ]
+            )
             self._successors_of_place[place] = cached
         return cached
 
@@ -133,20 +207,16 @@ class _ProcessTask:
         to the current control place; SELECT choices consult channel
         availability through the binding.
         """
-        place = self.current_place
-        successors = self._process_successors(place)
+        successors = self._process_successors(self.current_place)
         if len(successors) <= 1:
             return successors[0] if successors else None
-        if place not in self._choice_at:
-            self._choice_at[place] = choice_of(self.net, successors)
-        choice = self._choice_at[place]
+        choice = self.processes.choice(successors)
         if choice is None:
             return successors[0]
         try:
-            value = self.interpreter.evaluate(choice.expression)
+            return choice.branch(self.processes.condition(choice))
         except WouldBlock:
             return None
-        return choice.branch(value)
 
     def _transition_ready(self, transition: str) -> bool:
         """Blocking semantics: all port reads/writes of the transition must be
@@ -157,7 +227,7 @@ class _ProcessTask:
             port = self._port_of_place.get(place)
             if port is None:
                 return False
-            if not self.binding.can_read(port, weight):
+            if not self.ports.can_read(port, weight):
                 return False
         for place, weight in self.net.post[transition].items():
             if not self.net.places[place].is_port:
@@ -165,7 +235,7 @@ class _ProcessTask:
             port = self._port_of_place.get(place)
             if port is None:
                 continue
-            if not self.binding.can_write(port, weight):
+            if not self.ports.can_write(port, weight):
                 return False
         return True
 
@@ -191,17 +261,19 @@ class _ProcessTask:
                 break
             if not self._transition_ready(transition):
                 break
-            code = self.net.transitions[transition].code
-            if code:
-                self.interpreter.run(list(code))
+            self.processes.execute(transition)
             self.current_place = self._next_control_place(transition)
             self.transitions_executed += 1
             steps += 1
         return steps
 
 
-class MultiTaskSimulation:
-    """Baseline implementation: each process is a task over FIFO channels."""
+class MultiTaskSimulation(_Simulation):
+    """Baseline implementation: each process is a task over FIFO channels.
+
+    ``channel_capacity`` sizes the FIFOs: one size for all, sizes by channel
+    name, or ``None`` for each channel's declared bound.
+    """
 
     def __init__(
         self,
@@ -210,84 +282,34 @@ class MultiTaskSimulation:
         channel_capacity: int | Mapping[str, int] | None = None,
         stimulus: Optional[Mapping[str, Sequence[Any]]] = None,
     ):
-        self.system = system
-        self.counter = OperationCounter()
-        self.stats = CommunicationStats()
-        self.channels: Dict[str, ChannelBuffer] = {}
-        self.sources: Dict[str, EnvironmentSource] = {}
-        self.sinks: Dict[str, EnvironmentSink] = {}
-        self._build_channels(channel_capacity)
-        self._bindings = self._build_bindings()
+        def capacity(channel: Channel) -> Optional[int]:
+            if isinstance(channel_capacity, Mapping):
+                return channel_capacity.get(channel.name, channel.bound)
+            if isinstance(channel_capacity, int):
+                return channel_capacity
+            return channel.bound
+
+        super().__init__(system, capacity, intratask=False)
         self.tasks = [
-            _ProcessTask(name, system, self._bindings[name], self.counter)
-            for name in system.network.processes
+            _ProcessTask(name, system, self.processes) for name in system.network.processes
         ]
         if stimulus:
             for port, values in stimulus.items():
                 self.offer_stimulus(port, values)
 
-    # -- construction ---------------------------------------------------------
-    def _build_channels(self, capacity_spec: int | Mapping[str, int] | None) -> None:
-        for channel in self.system.network.channels:
-            if isinstance(capacity_spec, Mapping):
-                capacity = capacity_spec.get(channel.name, channel.bound)
-            elif isinstance(capacity_spec, int):
-                capacity = capacity_spec
-            else:
-                capacity = channel.bound
-            self.channels[channel.name] = ChannelBuffer(channel.name, capacity)
-        for ref in self.system.network.environment_inputs:
-            self.sources[ref.port] = EnvironmentSource(ref.port)
-        for ref in self.system.network.environment_outputs:
-            self.sinks[ref.port] = EnvironmentSink(ref.port)
-
-    def _build_bindings(self) -> Dict[str, PortBinding]:
-        bindings: Dict[str, PortBinding] = {}
-        for name in self.system.network.processes:
-            bindings[name] = PortBinding(stats=self.stats)
-        for channel in self.system.network.channels:
-            buffer = self.channels[channel.name]
-            bindings[channel.source.process].bind_writer(channel.source.port, buffer)
-            bindings[channel.target.process].bind_reader(channel.target.port, buffer)
-        for ref in self.system.network.environment_inputs:
-            bindings[ref.process].bind_source(ref.port, self.sources[ref.port])
-        for ref in self.system.network.environment_outputs:
-            bindings[ref.process].bind_sink(ref.port, self.sinks[ref.port])
-        return bindings
-
-    # -- stimulus / execution ----------------------------------------------------
     def offer_stimulus(self, port: str, values: Sequence[Any]) -> None:
         if port not in self.sources:
             raise KeyError(f"unknown environment input port {port!r}")
         self.sources[port].offer_many(values)
 
-    def replace_sink(self, port: str, sink: EnvironmentSink) -> None:
-        """Swap the sink of one environment output (e.g. for a TracingSink)."""
-        if port not in self.sinks:
-            raise KeyError(f"unknown environment output port {port!r}")
-        self.sinks[port] = sink
-        for binding in self._bindings.values():
-            if port in binding.sinks:
-                binding.bind_sink(port, sink)
-
-    def run(self, *, max_rounds: int = 1_000_000) -> SimulationResult:
-        scheduler = RoundRobinScheduler(self.tasks)
-        costs: RtosCosts = scheduler.run_until_quiescent(max_rounds=max_rounds)
-        outputs = SimulationOutputs(
-            by_port={name: list(sink.values) for name, sink in self.sinks.items()}
-        )
-        return SimulationResult(
-            implementation="multi-task",
-            operations=self.counter,
-            communication=self.stats,
-            outputs=outputs,
+    def run(self) -> SimulationResult:
+        costs = RoundRobinScheduler(self.tasks).run_until_quiescent()
+        return self._result(
+            "multi-task",
             context_switches=costs.context_switches,
             scheduler_decisions=costs.scheduler_decisions,
             transitions_executed=sum(task.transitions_executed for task in self.tasks),
             events_served=sum(source.total_consumed for source in self.sources.values()),
-            channel_max_occupancy={
-                name: channel.max_occupancy for name, channel in self.channels.items()
-            },
         )
 
 
@@ -296,11 +318,12 @@ class MultiTaskSimulation:
 # ---------------------------------------------------------------------------
 
 
-class SingleTaskSimulation:
+class SingleTaskSimulation(_Simulation):
     """The synthesized implementation: one task per uncontrollable input.
 
     ``schedules`` maps each source transition to serve to its schedule
-    (``find_schedule(...).schedule``).
+    (``find_schedule(...).schedule``).  Channels become unbounded local
+    buffers inside the task (Section 6.3).
     """
 
     def __init__(
@@ -309,53 +332,17 @@ class SingleTaskSimulation:
         *,
         schedules: Mapping[str, Schedule],
     ):
-        self.system = system
-        self.counter = OperationCounter()
-        self.stats = CommunicationStats()
-        self.binding = PortBinding(stats=self.stats)
-        self.sources: Dict[str, EnvironmentSource] = {}
-        self.sinks: Dict[str, EnvironmentSink] = {}
-        self.channels: Dict[str, ChannelBuffer] = {}
-        self._build_binding()
+        super().__init__(system, lambda channel: None, intratask=True)
         self.schedules: Dict[str, Schedule] = dict(schedules)
-        environments: Dict[str, Environment] = {}
-        self.tasks: Dict[str, ExecutableTask] = {}
-        for source, schedule in self.schedules.items():
-            self.tasks[source] = ExecutableTask(
-                system,
-                schedule,
-                self.binding,
-                environments=environments,
-                counter=self.counter,
-            )
+        self.tasks: Dict[str, ExecutableTask] = {
+            source: ExecutableTask(system, schedule, self.processes)
+            for source, schedule in self.schedules.items()
+        }
         # map environment input port name -> its source transition
         self._task_of_port: Dict[str, str] = {}
         for ref, transition in system.environment_transitions.items():
             if transition in self.tasks:
                 self._task_of_port[ref.port] = transition
-
-    def _build_binding(self) -> None:
-        # intra-task channels become local circular buffers (Section 6.3)
-        for channel in self.system.network.channels:
-            buffer = ChannelBuffer(channel.name, None)
-            self.channels[channel.name] = buffer
-            self.binding.bind_writer(channel.source.port, buffer, intratask=True)
-            self.binding.bind_reader(channel.target.port, buffer, intratask=True)
-        for ref in self.system.network.environment_inputs:
-            source = EnvironmentSource(ref.port)
-            self.sources[ref.port] = source
-            self.binding.bind_source(ref.port, source)
-        for ref in self.system.network.environment_outputs:
-            sink = EnvironmentSink(ref.port)
-            self.sinks[ref.port] = sink
-            self.binding.bind_sink(ref.port, sink)
-
-    def replace_sink(self, port: str, sink: EnvironmentSink) -> None:
-        """Swap the sink of one environment output (e.g. for a TracingSink)."""
-        if port not in self.sinks:
-            raise KeyError(f"unknown environment output port {port!r}")
-        self.sinks[port] = sink
-        self.binding.bind_sink(port, sink)
 
     # -- execution ---------------------------------------------------------------
     def run_events(self, port: str, values: Sequence[Any]) -> None:
@@ -373,24 +360,14 @@ class SingleTaskSimulation:
         return self.result()
 
     def result(self) -> SimulationResult:
-        outputs = SimulationOutputs(
-            by_port={name: list(sink.values) for name, sink in self.sinks.items()}
-        )
-        events = sum(task.stats.events_served for task in self.tasks.values())
-        return SimulationResult(
-            implementation="single-task",
-            operations=self.counter,
-            communication=self.stats,
-            outputs=outputs,
+        tasks = self.tasks.values()
+        events = sum(task.stats.events_served for task in tasks)
+        return self._result(
+            "single-task",
             isr_dispatches=events,
-            state_updates=sum(task.stats.state_updates for task in self.tasks.values()),
-            transitions_executed=sum(
-                task.stats.transitions_executed for task in self.tasks.values()
-            ),
+            state_updates=sum(task.stats.state_updates for task in tasks),
+            transitions_executed=sum(task.stats.transitions_executed for task in tasks),
             events_served=events,
-            channel_max_occupancy={
-                name: channel.max_occupancy for name, channel in self.channels.items()
-            },
         )
 
     def channel_bounds(self) -> Dict[str, int]:

@@ -21,11 +21,10 @@ from repro.codegen.synthesis import (
     synthesize_task,
     synthesized_code_size,
 )
-from repro.codegen.task import ExecutableTask, TaskExecutionError
+from repro.codegen.task import TaskExecutionError
 from repro.flowc.linker import link
 from repro.flowc.netlist import Network
 from repro.flowc.parser import parse_expression, parse_statements
-from repro.runtime.channels import PortBinding, EnvironmentSource, EnvironmentSink, ChannelBuffer
 from repro.runtime.cost_model import PROFILES, CostModel, CycleCosts
 from repro.runtime.simulation import MultiTaskSimulation, SingleTaskSimulation
 from repro.scheduling.ep import find_all_schedules, find_schedule
@@ -264,30 +263,28 @@ def test_code_size_tells_apart_bodies_that_differ_inside_a_compound_statement():
 
 
 def _divisors_task(system, schedule):
-    binding = PortBinding()
-    binding.bind_source("in", EnvironmentSource("in"))
-    binding.bind_sink("max", EnvironmentSink("max"))
-    binding.bind_sink("all", EnvironmentSink("all"))
-    return ExecutableTask(system, schedule, binding), binding
+    source = "src.divisors.in"
+    simulation = SingleTaskSimulation(system, schedules={source: schedule})
+    return simulation.tasks[source], simulation
 
 
 def test_executable_task_computes_divisors(divisors_system, divisors_schedule):
-    task, binding = _divisors_task(divisors_system, divisors_schedule)
+    task, simulation = _divisors_task(divisors_system, divisors_schedule)
     task.react(12)
     task.react(7)
-    assert binding.sinks["max"].values == [6, 1]
-    assert binding.sinks["all"].values == reference_divisors(12) + reference_divisors(7)
+    assert simulation.sinks["max"].values == [6, 1]
+    assert simulation.sinks["all"].values == reference_divisors(12) + reference_divisors(7)
     assert task.stats.events_served == 2
     assert task.stats.transitions_executed > 0
     assert "await node" in task.describe_state()
 
 
 def test_executable_task_run_events_and_counter(divisors_system, divisors_schedule):
-    task, binding = _divisors_task(divisors_system, divisors_schedule)
+    task, simulation = _divisors_task(divisors_system, divisors_schedule)
     task.run_events([30, 30])
-    assert binding.sinks["max"].values == [15, 15]
-    assert task.counter.total() > 0
-    assert task.communication_stats().environment_reads == 2
+    assert simulation.sinks["max"].values == [15, 15]
+    assert simulation.processes.counter.total() > 0
+    assert simulation.stats.environment_reads == 2
 
 
 REFUSALS = {
@@ -321,7 +318,7 @@ def test_both_callers_of_the_reaction_walk_refuse_alike(divisors_system, case):
         )
     assert isinstance(refused.value.__cause__, ReactionError)
 
-    task, _binding = _divisors_task(divisors_system, schedule)
+    task, _simulation = _divisors_task(divisors_system, schedule)
     task.max_steps_per_event = budget
     if nowhere:
         task._resolve_choice = lambda node: "nowhere"
@@ -408,6 +405,79 @@ def test_single_task_channel_bounds_and_occupancy(small_video_system, small_vide
     result = simulation.result()
     for channel, occupancy in result.channel_max_occupancy.items():
         assert occupancy <= bounds[channel]
+
+
+def _network(source, *, channels=(), inputs, outputs):
+    """Link the processes of ``source`` with channels ``(writer, port,
+    reader, port, name)`` and environment ports ``(process, port)``."""
+    network = Network(name="wired")
+    network.add_processes_from_source(source)
+    for writer, out, reader, into, name in channels:
+        network.connect(writer, out, reader, into, name=name)
+    for process, port in inputs:
+        network.declare_input(process, port, controllable=False)
+    for process, port in outputs:
+        network.declare_output(process, port)
+    return link(network)
+
+
+def _run_both(system, stimulus):
+    multi = MultiTaskSimulation(system, stimulus=stimulus).run()
+    single = SingleTaskSimulation(system, schedules=_schedules(system)).run(stimulus)
+    return multi, single
+
+
+def test_hoisted_code_runs_once_per_process_with_two_sources():
+    # k is undeclared, so it reads 0: the hoisted `k = k + 1;` leaves k = 1
+    # only when it runs once, not once per synthesized task
+    system = _network(
+        "PROCESS A (In DPORT ia, Out DPORT oa) { k = k + 1; int x; "
+        "while (1) { READ_DATA(ia, x, 1); WRITE_DATA(oa, k, 1); } } "
+        "PROCESS B (In DPORT ib, Out DPORT ob) { int y; "
+        "while (1) { READ_DATA(ib, y, 1); WRITE_DATA(ob, y, 1); } }",
+        inputs=[("A", "ia"), ("B", "ib")],
+        outputs=[("A", "oa"), ("B", "ob")],
+    )
+    multi, single = _run_both(system, {"ia": [5, 6], "ib": [7]})
+    assert multi.outputs.by_port == {"oa": [1, 1], "ob": [7]}
+    assert single.outputs.by_port == multi.outputs.by_port
+    assert single.operations == multi.operations
+
+
+def test_processes_reading_ports_of_one_name_get_their_own_channels():
+    # A and B both read a port named `i`, fed by different channels
+    system = _network(
+        "PROCESS S (In DPORT t, Out DPORT x1, Out DPORT x2) { int v; while (1) { "
+        "READ_DATA(t, v, 1); WRITE_DATA(x1, v, 1); WRITE_DATA(x2, v + 1000, 1); } } "
+        "PROCESS A (In DPORT i, Out DPORT ra) { int a; "
+        "while (1) { READ_DATA(i, a, 1); WRITE_DATA(ra, a + 1, 1); } } "
+        "PROCESS B (In DPORT i, Out DPORT rb) { int b; "
+        "while (1) { READ_DATA(i, b, 1); WRITE_DATA(rb, b + 2, 1); } }",
+        channels=[("S", "x1", "A", "i", "X1"), ("S", "x2", "B", "i", "X2")],
+        inputs=[("S", "t")],
+        outputs=[("A", "ra"), ("B", "rb")],
+    )
+    multi, single = _run_both(system, {"t": [1, 2]})
+    assert multi.outputs.by_port == {"ra": [2, 3], "rb": [1003, 1004]}
+    assert single.outputs.by_port == multi.outputs.by_port
+    assert single.operations == multi.operations
+
+
+def test_both_simulators_refuse_environment_ports_of_one_name():
+    # stimuli and outputs name environment ports bare: `inp` would be ambiguous
+    system = _network(
+        "PROCESS A (In DPORT inp, Out DPORT out) { int a; "
+        "while (1) { READ_DATA(inp, a, 1); WRITE_DATA(out, a + 10, 1); } } "
+        "PROCESS B (In DPORT inp, Out DPORT out) { int b; "
+        "while (1) { READ_DATA(inp, b, 1); WRITE_DATA(out, b + 20, 1); } }",
+        inputs=[("A", "inp"), ("B", "inp")],
+        outputs=[("A", "out"), ("B", "out")],
+    )
+    refusal = "environment ports A.inp and B.inp share the name 'inp'"
+    with pytest.raises(ValueError, match=refusal):
+        MultiTaskSimulation(system)
+    with pytest.raises(ValueError, match=refusal):
+        SingleTaskSimulation(system, schedules=_schedules(system))
 
 
 def test_multi_task_buffer_size_changes_context_switches(small_video_system):

@@ -6,12 +6,16 @@ must be used in some Python file under ``src/``, ``tests/``,
 definition: read as a name (a call, a base class, an annotation), as an
 attribute (``module.name``), or named by a string literal that is exactly
 its name.  An import, a package re-export, an ``__all__`` entry or a
-mention in a docstring does not count: each only passes the name on.  A
-method (any non-dunder function defined in a class body) must be read as an
-attribute (``obj.name``) or named by such a string (``getattr(obj,
-"name")``, ``monkeypatch.setattr``) in one of those files, outside its own
-body.  A definition nothing uses is dead code.  Pure ``ast``, so the check
-imports nothing it inspects.
+mention in a docstring does not count: each only passes the name on.
+
+A method (any non-dunder function defined in a class body) must be called
+(``obj.name(...)``) or named by such a string (``getattr(obj, "name")``,
+``monkeypatch.setattr``) in one of those files, outside its own body.  A
+plain attribute read (``obj.name``, a property or a bound method passed on)
+counts only when no library code assigns a data attribute of that name
+(``self.name = ...`` or an annotated class field): otherwise the read may
+well be of the data attribute.  A definition nothing uses is dead code.
+Pure ``ast``, so the check imports nothing it inspects.
 """
 
 from __future__ import annotations
@@ -24,18 +28,31 @@ PACKAGE = ROOT / "src" / "repro"
 SEARCHED = ("src", "tests", "benchmarks", "examples", "perfbench")
 
 
-def _mentions(tree: ast.AST, *, names: bool):
-    """``(name, line)`` of every attribute read, every string literal outside
-    an ``__all__`` list and, with ``names``, every name read or bound."""
-    exported = set()
+def _parsed(folders):
+    for folder in folders:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _mentions(tree: ast.AST, *, names: bool, data=frozenset()):
+    """``(name, line)`` of every string literal outside an ``__all__`` list,
+    every attribute called and every attribute read; without ``names``, a
+    plain read of an attribute named in ``data`` is left out.  With
+    ``names``, also every name read or bound."""
+    exported, called = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             exported.update(map(id, ast.walk(node.value)))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            called.add(id(node.func))
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            if names or id(node) in called or (
+                isinstance(node.ctx, ast.Load) and node.attr not in data
+            ):
+                yield node.attr, node.lineno
         elif names and isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif (
@@ -46,13 +63,34 @@ def _mentions(tree: ast.AST, *, names: bool):
             yield node.value, node.lineno
 
 
-def _mentioned(*, names: bool):
+def _data_attributes():
+    """Names the library assigns as data: ``self.name = ...`` anywhere, and
+    the annotated fields of class bodies."""
+    data = set()
+    for _path, tree in _parsed(("src",)):
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                data.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                data.update(
+                    field.target.id
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                )
+    return frozenset(data)
+
+
+def _mentioned(*, names: bool, data=frozenset()):
     """Every file's mentions, by name: ``{name: [(path, line), ...]}``."""
     mentions = {}
-    for folder in SEARCHED:
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            for name, line in _mentions(ast.parse(path.read_text(encoding="utf-8")), names=names):
-                mentions.setdefault(name, []).append((path, line))
+    for path, tree in _parsed(SEARCHED):
+        for name, line in _mentions(tree, names=names, data=data):
+            mentions.setdefault(name, []).append((path, line))
     return mentions
 
 
@@ -78,7 +116,7 @@ def test_every_module_level_definition_is_named_elsewhere():
 
 
 def test_every_method_is_read_elsewhere():
-    mentions = _mentioned(names=False)
+    mentions = _mentioned(names=False, data=_data_attributes())
     orphans = []
     for path in sorted(PACKAGE.rglob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.flowc import interpreter as flowc_interpreter
+from repro.flowc.ast_nodes import Expression, ExprStatement, Statement
 from repro.flowc.interpreter import (
     Environment,
     Interpreter,
@@ -95,9 +97,10 @@ def test_operation_counter_tracks_work():
     env = Environment("t")
     interpreter = Interpreter(env, counter=counter)
     interpreter.run(parse_statements("int i, s; s = 0; for (i = 0; i < 10; i++) s = s + i;"))
-    assert counter.arithmetic >= 10
-    assert counter.branches >= 10
-    assert counter.assignments >= 12
+    # `s = 0`, `i = 0`, then per iteration `s = s + i` and `i++`; 11 tests of `i < 10`
+    assert counter == OperationCounter(
+        arithmetic=20, comparisons=11, assignments=22, branches=11
+    )
     snapshot = counter.copy()
     snapshot.merge(counter)
     assert snapshot.total() == 2 * counter.total()
@@ -151,6 +154,197 @@ def test_select_blocks_when_nothing_ready():
     env = Environment("p")
     with pytest.raises(WouldBlock):
         Interpreter(env, binding).evaluate(parse_expression("SELECT(a, 1)"))
+
+
+# ---------------------------------------------------------------------------
+# exact operation counts, construct by construct
+# ---------------------------------------------------------------------------
+
+
+def counted(source: str, binding=None, *, raises=None):
+    """Run ``source``; return its environment's variables and the counter.
+
+    With ``raises`` the run must raise that exception, and the counter holds
+    what was counted before it.
+    """
+    env = Environment("test")
+    interpreter = Interpreter(env, binding)
+    if raises is None:
+        interpreter.run(parse_statements(source))
+    else:
+        with pytest.raises(raises):
+            interpreter.run(parse_statements(source))
+    return env.variables, interpreter.counter
+
+
+def _reader(values, port="inp"):
+    binding = PortBinding()
+    channel = ChannelBuffer(port)
+    channel.write(values)
+    binding.bind_reader(port, channel)
+    return binding
+
+
+def test_counts_of_the_ternary_conditional():
+    variables, counter = counted("int a, x, y; a = 3; x = a > 1 ? a : 0 - a; y = a < 1 ? a : 0 - a;")
+    assert (variables["x"], variables["y"]) == (3, -3)
+    assert counter == OperationCounter(arithmetic=1, comparisons=2, assignments=3, branches=2)
+
+
+def test_counts_of_a_builtin_and_an_unknown_call():
+    variables, counter = counted("int x; x = clip255(300);")
+    assert variables["x"] == 255
+    assert counter == OperationCounter(assignments=1, calls=1)
+    # the arguments are evaluated and the call counted before the name is refused
+    _variables, counter = counted("int x; x = mystery(1 + 2, 3);", raises=InterpreterError)
+    assert counter == OperationCounter(arithmetic=1, calls=1)
+
+
+def test_counts_of_a_select_and_a_blocked_select():
+    binding = PortBinding()
+    a, b = ChannelBuffer("a"), ChannelBuffer("b")
+    binding.bind_reader("a", a)
+    binding.bind_reader("b", b)
+    b.write([1, 2])
+    variables, counter = counted("int s; s = SELECT(a, 1, b, 1 + 1);", binding)
+    assert variables["s"] == 1
+    assert counter == OperationCounter(arithmetic=1, assignments=1, selects=1)
+    assert binding.stats.selects == 1
+    # nothing is ready: the select is counted before it blocks
+    b.read(2)
+    _variables, counter = counted("int s; s = SELECT(a, 1, b, 1);", binding, raises=WouldBlock)
+    assert counter == OperationCounter(selects=1)
+    assert binding.stats.selects == 2
+
+
+def test_counts_of_a_data_switch_with_computed_case_labels():
+    # each label is evaluated, with its arithmetic, until one matches
+    source = (
+        "int k, x; k = {k}; switch (k) {{ case 0 - 1: x = 5; break; "
+        "case 1 + 1: x = 6; break; default: x = 7; }}"
+    )
+    variables, counter = counted(source.format(k=2))
+    assert variables["x"] == 6
+    assert counter == OperationCounter(arithmetic=2, assignments=2, branches=1)
+    variables, counter = counted(source.format(k=9))
+    assert variables["x"] == 7
+    assert counter == OperationCounter(arithmetic=2, assignments=2, branches=1)
+
+
+def test_compound_assignment_to_an_element_counts_memory_twice():
+    variables, counter = counted("int buf[3], i; i = 1; buf[i] += 4;")
+    assert variables["buf"] == [0, 4, 0]
+    assert counter == OperationCounter(arithmetic=1, assignments=2, memory=2)
+
+
+def test_counts_of_prefix_and_postfix_increments_of_an_element():
+    variables, counter = counted("int buf[3], i, a; i = 2; a = ++buf[i];")
+    assert (variables["buf"], variables["a"]) == ([0, 0, 1], 1)
+    assert counter == OperationCounter(arithmetic=1, assignments=3, memory=2)
+    variables, counter = counted("int buf[3], i, b; i = 2; b = buf[i]--;")
+    assert (variables["buf"], variables["b"]) == ([0, 0, -1], 0)
+    assert counter == OperationCounter(arithmetic=1, assignments=3, memory=2)
+
+
+def test_counts_of_unary_operators():
+    variables, counter = counted("int a, b, c, d; a = 5; b = -a; c = !a; d = ~a;")
+    assert [variables[name] for name in "bcd"] == [-5, 0, -6]
+    assert counter == OperationCounter(arithmetic=3, assignments=4)
+
+
+def test_logical_operators_count_one_comparison_and_skip_the_right_side():
+    variables, counter = counted(
+        "int a, b, c, d, k; a = (0 && k++); b = (1 || k++); c = (1 && k++); d = (k || 0);"
+    )
+    assert [variables[name] for name in "abcdk"] == [0, 1, 0, 1, 1]
+    # one comparison per operator; only `c`'s right side runs its `k++`
+    assert counter == OperationCounter(arithmetic=1, comparisons=4, assignments=5)
+
+
+def test_counts_of_multi_item_reads_into_an_array_and_an_element():
+    binding = _reader([1, 2, 3, 4, 5])
+    variables, counter = counted("int buf[4], i; READ_DATA(inp, buf, 3);", binding)
+    assert variables["buf"] == [1, 2, 3, 0]
+    assert counter == OperationCounter(assignments=1, memory=3, reads=1, items_read=3)
+    # a block starting at buf[i] is stored item by item, with no assignment
+    variables, counter = counted("int buf[4], i; i = 1; READ_DATA(inp, buf[i], 2);", binding)
+    assert variables["buf"] == [0, 4, 5, 0]
+    assert counter == OperationCounter(assignments=1, memory=2, reads=1, items_read=2)
+
+
+def test_counts_of_writing_an_array_with_padding():
+    binding = PortBinding()
+    sink = EnvironmentSink("out")
+    binding.bind_sink("out", sink)
+    _variables, counter = counted(
+        "int buf[2]; buf[0] = 7; buf[1] = 8; WRITE_DATA(out, buf, 4);", binding
+    )
+    assert sink.values == [7, 8, 0, 0]
+    assert counter == OperationCounter(assignments=2, memory=2, writes=1, items_written=4)
+
+
+def test_counts_of_declarations():
+    variables, counter = counted("int n = 3 + 4, buf[2 * 3], m;")
+    assert (variables["n"], variables["buf"], variables["m"]) == (7, [0] * 6, 0)
+    # the initialiser assigns; the array size is evaluated but not assigned
+    assert counter == OperationCounter(arithmetic=2, assignments=1)
+
+
+def test_division_by_zero_counts_its_arithmetic_first():
+    _variables, counter = counted("int x; x = 1 / 0;", raises=InterpreterError)
+    assert counter == OperationCounter(arithmetic=1)
+
+
+# ---------------------------------------------------------------------------
+# run-time errors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("statement", ["break;", "continue;"])
+def test_break_or_continue_outside_a_loop_is_refused(statement):
+    with pytest.raises(InterpreterError, match="break/continue outside of a loop"):
+        counted(f"int x; x = 1; {statement} x = 2;")
+
+
+@pytest.mark.parametrize(
+    "loop, kind",
+    [("while (1) x++;", "while"), ("for (;;) x++;", "for"), ("for (x = 0; x >= 0; x++) ;", "for")],
+)
+def test_a_loop_past_the_iteration_limit_is_refused(monkeypatch, loop, kind):
+    monkeypatch.setattr(flowc_interpreter, "MAX_LOOP_ITERATIONS", 5)
+    with pytest.raises(InterpreterError, match=f"^{kind} loop exceeded the iteration limit$"):
+        counted(f"int x; {loop}")
+    # the limit is read when the loop runs: five iterations still pass
+    variables, _counter = counted("int x; while (x < 5) x++;")
+    assert variables["x"] == 5
+
+
+def test_indexing_a_non_array_is_refused():
+    with pytest.raises(InterpreterError, match=r"^indexing a non-array value in x\[0\]$"):
+        counted("int x, y; y = x[0];")
+
+
+@pytest.mark.parametrize("source", ["1 = 2;", "(a + b) = 1;", "(a + b)++;"])
+def test_an_invalid_assignment_target_is_refused(source):
+    with pytest.raises(InterpreterError, match="^invalid assignment target: "):
+        counted(f"int a, b; {source}")
+
+
+def test_an_unsupported_read_target_is_refused_after_the_read():
+    binding = _reader([1])
+    with pytest.raises(InterpreterError, match=r"^unsupported READ_DATA target: \(a \+ 1\)$"):
+        counted("int a; READ_DATA(inp, a + 1, 1);", binding)
+    assert binding.stats.intertask_reads == 1
+
+
+def test_bare_statement_and_expression_nodes_are_refused():
+    interpreter = Interpreter(Environment("test"))
+    with pytest.raises(InterpreterError, match=r"^unsupported statement: Statement\(\)$"):
+        interpreter.execute(Statement())
+    with pytest.raises(InterpreterError, match=r"^unsupported expression: Expression\(\)$"):
+        interpreter.evaluate(Expression())
+    with pytest.raises(InterpreterError, match=r"^unsupported expression: Expression\(\)$"):
+        interpreter.run((ExprStatement(Expression()),))
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ class Processes:
             for name in system.network.processes
         }
         self._choices: Dict[Tuple[str, ...], Optional[Choice]] = {}
+        self._fragments: Dict[str, Tuple[Any, Optional[Interpreter]]] = {}
         for name, declarations in system.declarations.items():
             self.interpreters[name].execute_block(declarations)
 
@@ -72,9 +73,12 @@ class Processes:
 
     def execute(self, transition: str) -> None:
         """Run the code fragment of ``transition`` in its process."""
-        obj = self.net.transitions[transition]
-        if obj.code:
-            self.interpreters[obj.process].run(obj.code)
+        if transition not in self._fragments:
+            obj = self.net.transitions[transition]
+            self._fragments[transition] = (obj.code, self.interpreters.get(obj.process))
+        code, interpreter = self._fragments[transition]
+        if code:
+            interpreter.run(code)
 
 
 @dataclass

@@ -12,6 +12,12 @@ process's own :class:`~repro.runtime.channels.PortBinding`, which binds them
 to FIFO channels (baseline), intra-task buffers (synthesized task) or latched
 environment ports (Section 8.1).
 
+Two tables, ``_STATEMENTS`` and ``_EXPRESSIONS``, are the one evaluation rule
+for code fragments, choice conditions and hoisted initialisation alike: they
+map each node class of :mod:`repro.flowc.ast_nodes` (its exact class) to the
+:class:`Interpreter` method that runs it, and every handler looks its
+children up in them directly.
+
 The interpreter also counts abstract operations so the cost model can convert
 an execution into clock cycles.
 """
@@ -130,15 +136,6 @@ class Environment:
             self.variables[name] = 0
         return self.variables[name]
 
-    def set(self, name: str, value: Any) -> None:
-        self.variables[name] = value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            key: list(value) if isinstance(value, list) else value
-            for key, value in self.variables.items()
-        }
-
 
 class _BreakSignal(Exception):
     pass
@@ -241,71 +238,61 @@ class Interpreter:
         self.ports = ports
         self.counter = counter if counter is not None else OperationCounter()
 
-    # ------------------------------------------------------------------
-    # statements
-    # ------------------------------------------------------------------
     def execute_block(self, statements: Sequence[Statement]) -> None:
         for statement in statements:
-            self.execute(statement)
+            _STATEMENTS[type(statement)](self, statement)
 
     def execute(self, statement: Statement) -> None:
-        if isinstance(statement, Declaration):
-            self._execute_declaration(statement)
-        elif isinstance(statement, ExprStatement):
-            self.evaluate(statement.expr)
-        elif isinstance(statement, Block):
-            self.execute_block(statement.statements)
-        elif isinstance(statement, If):
-            self.counter.branches += 1
-            if self.evaluate(statement.condition):
-                self.execute_block(statement.then_body)
-            elif statement.else_body is not None:
-                self.execute_block(statement.else_body)
-        elif isinstance(statement, While):
-            self._execute_while(statement)
-        elif isinstance(statement, For):
-            self._execute_for(statement)
-        elif isinstance(statement, Switch):
-            self._execute_switch(statement)
-        elif isinstance(statement, Break):
-            raise _BreakSignal()
-        elif isinstance(statement, Continue):
-            raise _ContinueSignal()
-        elif isinstance(statement, Return):
-            value = self.evaluate(statement.value) if statement.value is not None else None
-            raise _ReturnSignal(value)
-        elif isinstance(statement, ReadData):
-            self._execute_read(statement)
-        elif isinstance(statement, WriteData):
-            self._execute_write(statement)
-        else:
-            raise InterpreterError(f"unsupported statement: {statement!r}")
+        _STATEMENTS.get(type(statement), Interpreter._refuse_statement)(self, statement)
 
     def run(self, statements: Sequence[Statement]) -> None:
         """Execute a code fragment, swallowing a top-level return."""
         try:
-            self.execute_block(statements)
+            for statement in statements:
+                _STATEMENTS[type(statement)](self, statement)
         except _ReturnSignal:
             pass
         except (_BreakSignal, _ContinueSignal):
             raise InterpreterError("break/continue outside of a loop")
 
+    def evaluate(self, expr: Expression) -> Any:
+        return _EXPRESSIONS.get(type(expr), Interpreter._refuse_expression)(self, expr)
+
+    # ------------------------------------------------------------------
+    # statement handlers (the values of _STATEMENTS)
+    # ------------------------------------------------------------------
+    def _refuse_statement(self, statement: Statement) -> None:
+        raise InterpreterError(f"unsupported statement: {statement!r}")
+
     def _execute_declaration(self, statement: Declaration) -> None:
         for declarator in statement.declarators:
-            if declarator.array_size is not None:
-                size = int(self.evaluate(declarator.array_size))
-                self.env.declare_array(declarator.name, size)
-            elif declarator.init is not None:
-                self.env.declare(declarator.name, self.evaluate(declarator.init))
+            size, init = declarator.array_size, declarator.init
+            if size is not None:
+                self.env.declare_array(declarator.name, int(_EXPRESSIONS[type(size)](self, size)))
+            elif init is not None:
+                self.env.declare(declarator.name, _EXPRESSIONS[type(init)](self, init))
                 self.counter.assignments += 1
             else:
-                self.env.declare(declarator.name, 0)
+                self.env.declare(declarator.name)
+
+    def _execute_expression(self, statement: ExprStatement) -> None:
+        _EXPRESSIONS[type(statement.expr)](self, statement.expr)
+
+    def _execute_compound(self, statement: Block) -> None:
+        self.execute_block(statement.statements)
+
+    def _execute_if(self, statement: If) -> None:
+        self.counter.branches += 1
+        if _EXPRESSIONS[type(statement.condition)](self, statement.condition):
+            self.execute_block(statement.then_body)
+        elif statement.else_body is not None:
+            self.execute_block(statement.else_body)
 
     def _execute_while(self, statement: While) -> None:
         iterations = 0
         while True:
             self.counter.branches += 1
-            if not self.evaluate(statement.condition):
+            if not _EXPRESSIONS[type(statement.condition)](self, statement.condition):
                 break
             iterations += 1
             if iterations > MAX_LOOP_ITERATIONS:
@@ -319,12 +306,12 @@ class Interpreter:
 
     def _execute_for(self, statement: For) -> None:
         if statement.init is not None:
-            self.evaluate(statement.init)
+            _EXPRESSIONS[type(statement.init)](self, statement.init)
         iterations = 0
         while True:
             if statement.condition is not None:
                 self.counter.branches += 1
-                if not self.evaluate(statement.condition):
+                if not _EXPRESSIONS[type(statement.condition)](self, statement.condition):
                     break
             iterations += 1
             if iterations > MAX_LOOP_ITERATIONS:
@@ -336,17 +323,16 @@ class Interpreter:
             except _ContinueSignal:
                 pass
             if statement.update is not None:
-                self.evaluate(statement.update)
+                _EXPRESSIONS[type(statement.update)](self, statement.update)
 
     def _execute_switch(self, statement: Switch) -> None:
-        subject = self.evaluate(statement.subject)
+        subject = _EXPRESSIONS[type(statement.subject)](self, statement.subject)
         self.counter.branches += 1
         default_case = None
         for case in statement.cases:
             if case.value is None:
                 default_case = case
-                continue
-            if self.evaluate(case.value) == subject:
+            elif _EXPRESSIONS[type(case.value)](self, case.value) == subject:
                 self._run_case(case.body)
                 return
         if default_case is not None:
@@ -358,8 +344,18 @@ class Interpreter:
         except _BreakSignal:
             pass
 
+    def _execute_break(self, statement: Break) -> None:
+        raise _BreakSignal()
+
+    def _execute_continue(self, statement: Continue) -> None:
+        raise _ContinueSignal()
+
+    def _execute_return(self, statement: Return) -> None:
+        value = statement.value
+        raise _ReturnSignal(None if value is None else _EXPRESSIONS[type(value)](self, value))
+
     def _execute_read(self, statement: ReadData) -> None:
-        nitems = int(self.evaluate(statement.nitems))
+        nitems = int(_EXPRESSIONS[type(statement.nitems)](self, statement.nitems))
         values = self.ports.read(statement.port, nitems)
         self.counter.reads += 1
         self.counter.items_read += nitems
@@ -377,7 +373,7 @@ class Interpreter:
                     current[offset] = values[offset] if offset < len(values) else 0
                 self.counter.memory += nitems
             else:
-                self.env.set(target.name, values[0] if values else 0)
+                self.env.variables[target.name] = values[0] if values else 0
             self.counter.assignments += 1
             return
         if isinstance(target, Index):
@@ -396,8 +392,8 @@ class Interpreter:
         raise InterpreterError(f"unsupported READ_DATA target: {target}")
 
     def _execute_write(self, statement: WriteData) -> None:
-        nitems = int(self.evaluate(statement.nitems))
-        value = self.evaluate(statement.value)
+        nitems = int(_EXPRESSIONS[type(statement.nitems)](self, statement.nitems))
+        value = _EXPRESSIONS[type(statement.value)](self, statement.value)
         if isinstance(value, list):
             values = list(value[:nitems])
             while len(values) < nitems:
@@ -411,43 +407,26 @@ class Interpreter:
         self.counter.items_written += nitems
 
     # ------------------------------------------------------------------
-    # expressions
+    # expression handlers (the values of _EXPRESSIONS)
     # ------------------------------------------------------------------
-    def evaluate(self, expr: Expression) -> Any:
-        if isinstance(expr, IntLiteral):
-            return expr.value
-        if isinstance(expr, FloatLiteral):
-            return expr.value
-        if isinstance(expr, StringLiteral):
-            return expr.value
-        if isinstance(expr, Identifier):
-            return self.env.get(expr.name)
-        if isinstance(expr, Index):
-            base, index = self._resolve_index(expr)
-            self.counter.memory += 1
-            return base[index]
-        if isinstance(expr, UnaryOp):
-            return self._evaluate_unary(expr)
-        if isinstance(expr, PostfixOp):
-            return self._evaluate_postfix(expr)
-        if isinstance(expr, BinaryOp):
-            return self._evaluate_binary(expr)
-        if isinstance(expr, Assignment):
-            return self._evaluate_assignment(expr)
-        if isinstance(expr, Conditional):
-            self.counter.branches += 1
-            if self.evaluate(expr.condition):
-                return self.evaluate(expr.then)
-            return self.evaluate(expr.other)
-        if isinstance(expr, Call):
-            return self._evaluate_call(expr)
-        if isinstance(expr, SelectExpr):
-            return self._evaluate_select(expr)
+    def _refuse_expression(self, expr: Expression) -> Any:
         raise InterpreterError(f"unsupported expression: {expr!r}")
 
+    def _evaluate_literal(self, expr: IntLiteral | FloatLiteral | StringLiteral) -> Any:
+        return expr.value
+
+    def _evaluate_identifier(self, expr: Identifier) -> Any:
+        # C semantics for our purposes: uninitialised variables read as 0.
+        return self.env.variables.setdefault(expr.name, 0)
+
+    def _evaluate_index(self, expr: Index) -> Any:
+        base, index = self._resolve_index(expr)
+        self.counter.memory += 1
+        return base[index]
+
     def _resolve_index(self, expr: Index) -> Tuple[List[Any], int]:
-        base = self.evaluate(expr.base)
-        index = int(self.evaluate(expr.index))
+        base = _EXPRESSIONS[type(expr.base)](self, expr.base)
+        index = int(_EXPRESSIONS[type(expr.index)](self, expr.index))
         if not isinstance(base, list):
             raise InterpreterError(f"indexing a non-array value in {expr}")
         if index < 0 or index >= len(base):
@@ -455,85 +434,90 @@ class Interpreter:
         return base, index
 
     def _evaluate_unary(self, expr: UnaryOp) -> Any:
-        if expr.op == "&":
+        op, operand = expr.op, expr.operand
+        value = _EXPRESSIONS[type(operand)](self, operand)
+        if op == "&":
             # address-of: the interpreter treats it as the variable itself
-            return self.evaluate(expr.operand)
-        if expr.op in ("++", "--"):
-            delta = 1 if expr.op == "++" else -1
-            value = self.evaluate(expr.operand) + delta
-            self._assign_to(expr.operand, value)
+            return value
+        if op in ("++", "--"):
+            value += 1 if op == "++" else -1
+            self._assign_to(operand, value)
             self.counter.arithmetic += 1
             self.counter.assignments += 1
             return value
-        operand = self.evaluate(expr.operand)
         self.counter.arithmetic += 1
-        if expr.op == "-":
-            return -operand
-        if expr.op == "+":
-            return operand
-        if expr.op == "!":
-            return 0 if operand else 1
-        if expr.op == "~":
-            return ~int(operand)
-        if expr.op == "*":
+        if op == "-":
+            return -value
+        if op == "+":
+            return value
+        if op == "!":
+            return 0 if value else 1
+        if op == "~":
+            return ~int(value)
+        if op == "*":
             # pointer dereference degenerates to the value itself
-            return operand
-        raise InterpreterError(f"unsupported unary operator {expr.op!r}")
+            return value
+        raise InterpreterError(f"unsupported unary operator {op!r}")
 
     def _evaluate_postfix(self, expr: PostfixOp) -> Any:
-        value = self.evaluate(expr.operand)
-        delta = 1 if expr.op == "++" else -1
-        self._assign_to(expr.operand, value + delta)
+        value = _EXPRESSIONS[type(expr.operand)](self, expr.operand)
+        self._assign_to(expr.operand, value + (1 if expr.op == "++" else -1))
         self.counter.arithmetic += 1
         self.counter.assignments += 1
         return value
 
     def _evaluate_binary(self, expr: BinaryOp) -> Any:
-        left = self.evaluate(expr.left)
+        op, right = expr.op, expr.right
+        left = _EXPRESSIONS[type(expr.left)](self, expr.left)
         # short-circuit logical operators
-        if expr.op == "&&":
+        if op == "&&":
             self.counter.comparisons += 1
-            if not left:
-                return 0
-            return 1 if self.evaluate(expr.right) else 0
-        if expr.op == "||":
+            return 1 if left and _EXPRESSIONS[type(right)](self, right) else 0
+        if op == "||":
             self.counter.comparisons += 1
-            if left:
-                return 1
-            return 1 if self.evaluate(expr.right) else 0
-        right = self.evaluate(expr.right)
-        compare = _COMPARISONS.get(expr.op)
+            return 1 if left or _EXPRESSIONS[type(right)](self, right) else 0
+        right = _EXPRESSIONS[type(right)](self, right)
+        compare = _COMPARISONS.get(op)
         if compare is not None:
             self.counter.comparisons += 1
             return 1 if compare(left, right) else 0
         self.counter.arithmetic += 1
-        return arithmetic(expr.op, left, right)
+        return arithmetic(op, left, right)
 
     def _evaluate_assignment(self, expr: Assignment) -> Any:
-        value = self.evaluate(expr.value)
+        target = expr.target
+        value = _EXPRESSIONS[type(expr.value)](self, expr.value)
         if expr.op != "=":
-            current = self.evaluate(expr.target)
+            current = _EXPRESSIONS[type(target)](self, target)
             self.counter.arithmetic += 1
             value = arithmetic(expr.op[:-1], current, value)
-        self._assign_to(expr.target, value)
+        if type(target) is Identifier:
+            self.env.variables[target.name] = value
+        else:
+            self._assign_to(target, value)
         self.counter.assignments += 1
         return value
 
     def _assign_to(self, target: Expression, value: Any) -> None:
-        if isinstance(target, UnaryOp) and target.op in ("&", "*"):
+        if type(target) is UnaryOp and target.op in ("&", "*"):
             target = target.operand
-        if isinstance(target, Identifier):
-            self.env.set(target.name, value)
-            return
-        if isinstance(target, Index):
+        if type(target) is Identifier:
+            self.env.variables[target.name] = value
+        elif type(target) is Index:
             base, index = self._resolve_index(target)
             base[index] = value
             self.counter.memory += 1
-            return
-        raise InterpreterError(f"invalid assignment target: {target}")
+        else:
+            raise InterpreterError(f"invalid assignment target: {target}")
+
+    def _evaluate_conditional(self, expr: Conditional) -> Any:
+        self.counter.branches += 1
+        if _EXPRESSIONS[type(expr.condition)](self, expr.condition):
+            return _EXPRESSIONS[type(expr.then)](self, expr.then)
+        return _EXPRESSIONS[type(expr.other)](self, expr.other)
 
     def _evaluate_call(self, expr: Call) -> Any:
-        args = [self.evaluate(arg) for arg in expr.args]
+        args = [_EXPRESSIONS[type(arg)](self, arg) for arg in expr.args]
         self.counter.calls += 1
         function = BUILTIN_FUNCTIONS.get(expr.name)
         if function is None:
@@ -541,6 +525,43 @@ class Interpreter:
         return function(*args)
 
     def _evaluate_select(self, expr: SelectExpr) -> int:
-        entries = [(port, int(self.evaluate(count))) for port, count in expr.entries]
+        entries = [
+            (port, int(_EXPRESSIONS[type(count)](self, count))) for port, count in expr.entries
+        ]
         self.counter.selects += 1
         return self.ports.select(entries)
+
+
+#: The handler of each statement class, keyed on the node's exact class.
+_STATEMENTS: Dict[type, Callable[[Interpreter, Any], None]] = {
+    Statement: Interpreter._refuse_statement,
+    Declaration: Interpreter._execute_declaration,
+    ExprStatement: Interpreter._execute_expression,
+    Block: Interpreter._execute_compound,
+    If: Interpreter._execute_if,
+    While: Interpreter._execute_while,
+    For: Interpreter._execute_for,
+    Switch: Interpreter._execute_switch,
+    Break: Interpreter._execute_break,
+    Continue: Interpreter._execute_continue,
+    Return: Interpreter._execute_return,
+    ReadData: Interpreter._execute_read,
+    WriteData: Interpreter._execute_write,
+}
+
+#: The handler of each expression class, keyed on the node's exact class.
+_EXPRESSIONS: Dict[type, Callable[[Interpreter, Any], Any]] = {
+    Expression: Interpreter._refuse_expression,
+    IntLiteral: Interpreter._evaluate_literal,
+    FloatLiteral: Interpreter._evaluate_literal,
+    StringLiteral: Interpreter._evaluate_literal,
+    Identifier: Interpreter._evaluate_identifier,
+    Index: Interpreter._evaluate_index,
+    UnaryOp: Interpreter._evaluate_unary,
+    PostfixOp: Interpreter._evaluate_postfix,
+    BinaryOp: Interpreter._evaluate_binary,
+    Assignment: Interpreter._evaluate_assignment,
+    Conditional: Interpreter._evaluate_conditional,
+    Call: Interpreter._evaluate_call,
+    SelectExpr: Interpreter._evaluate_select,
+}

@@ -13,10 +13,9 @@ to FIFO channels (baseline), intra-task buffers (synthesized task) or latched
 environment ports (Section 8.1).
 
 Two tables, ``_STATEMENTS`` and ``_EXPRESSIONS``, are the one evaluation rule
-for code fragments, choice conditions and hoisted initialisation alike: they
-map each node class of :mod:`repro.flowc.ast_nodes` (its exact class) to the
-:class:`Interpreter` method that runs it, and every handler looks its
-children up in them directly.
+for code fragments, choice conditions and hoisted initialisation: they map
+each node class of :mod:`repro.flowc.ast_nodes` (exact, not subclasses) to the
+:class:`Interpreter` method that runs it, which looks its children up in them.
 
 The interpreter also counts abstract operations so the cost model can convert
 an execution into clock cycles.

@@ -178,6 +178,7 @@ class _ProcessTask:
         self.processes = processes
         self.ports = processes.ports[name]
         self.current_place = system.initial_places[name]
+        self._decided: Optional[str] = None
         self.transitions_executed = 0
         # port place name -> FlowC port name for this process
         self._port_of_place: Dict[str, str] = {
@@ -203,10 +204,12 @@ class _ProcessTask:
     def _candidate_transition(self) -> Optional[str]:
         """The next transition of this process, or None if blocked.
 
-        Resolves data-dependent choices by evaluating the condition attached
-        to the current control place; SELECT choices consult channel
-        availability through the binding.
+        Decided once per visit of the current control place, however often
+        the scheduler polls: a choice's condition is evaluated once, except a
+        SELECT none of whose ports can proceed, which decides nothing.
         """
+        if self._decided is not None:
+            return self._decided
         successors = self._process_successors(self.current_place)
         if len(successors) <= 1:
             return successors[0] if successors else None
@@ -214,9 +217,10 @@ class _ProcessTask:
         if choice is None:
             return successors[0]
         try:
-            return choice.branch(self.processes.condition(choice))
+            self._decided = choice.branch(self.processes.condition(choice))
         except WouldBlock:
             return None
+        return self._decided
 
     def _transition_ready(self, transition: str) -> bool:
         """Blocking semantics: all port reads/writes of the transition must be
@@ -263,6 +267,7 @@ class _ProcessTask:
                 break
             self.processes.execute(transition)
             self.current_place = self._next_control_place(transition)
+            self._decided = None
             self.transitions_executed += 1
             steps += 1
         return steps

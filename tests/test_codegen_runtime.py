@@ -463,6 +463,26 @@ def test_processes_reading_ports_of_one_name_get_their_own_channels():
     assert single.operations == multi.operations
 
 
+def test_the_baseline_evaluates_a_choice_once_per_visit():
+    # C's condition has a side effect; the scheduler polls C while it waits
+    # on X, and each poll must not evaluate `k++ >= 0` again
+    system = _network(
+        "PROCESS P (In DPORT t, Out DPORT x) { int v; "
+        "while (1) { READ_DATA(t, v, 1); WRITE_DATA(x, v, 1); } } "
+        "PROCESS C (In DPORT c, Out DPORT o) { int y, k; while (1) { "
+        "if (k++ >= 0) { READ_DATA(c, y, 1); WRITE_DATA(o, y * 100 + k, 1); } "
+        "else { READ_DATA(c, y, 1); WRITE_DATA(o, 0 - y, 1); } } }",
+        channels=[("P", "x", "C", "c", "X")],
+        inputs=[("P", "t")],
+        outputs=[("C", "o")],
+    )
+    multi, single = _run_both(system, {"t": [1, 2, 3]})
+    assert single.outputs.by_port == {"o": [101, 202, 303]}
+    assert multi.outputs.by_port == single.outputs.by_port
+    # one evaluation per event, plus the visit at which C blocks for good
+    assert (multi.operations.comparisons, single.operations.comparisons) == (4, 3)
+
+
 def test_both_simulators_refuse_environment_ports_of_one_name():
     # stimuli and outputs name environment ports bare: `inp` would be ambiguous
     system = _network(

@@ -72,7 +72,7 @@ class Processes:
         return self.interpreters[process].evaluate(choice.expression)
 
     def execute(self, transition: str) -> None:
-        """Run the code fragment of ``transition`` in its process."""
+        """Run the code fragment of ``transition`` in its process (both found once)."""
         if transition not in self._fragments:
             obj = self.net.transitions[transition]
             self._fragments[transition] = (obj.code, self.interpreters.get(obj.process))

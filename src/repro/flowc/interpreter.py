@@ -130,10 +130,8 @@ class Environment:
         self.variables[name] = [fill] * size
 
     def get(self, name: str) -> Any:
-        if name not in self.variables:
-            # C semantics for our purposes: uninitialised variables read as 0.
-            self.variables[name] = 0
-        return self.variables[name]
+        # C semantics for our purposes: uninitialised variables read as 0.
+        return self.variables.setdefault(name, 0)
 
 
 class _BreakSignal(Exception):

@@ -26,6 +26,32 @@ Each minimal support carries one invariant up to scale, so the basis does not
 depend on the column order.  It is complete unless the tableau outgrows
 ``max_rows``; then the cut is reported by a ``RuntimeWarning`` and by
 :attr:`InvariantBasis.complete`.
+
+Most places of a compiled FlowC net are series places (one producer, one
+consumer), and on a chain of them each elimination step costs time in the
+chain's length.  So a contraction first handles every column with at most
+one positive x negative pair, until none is left.  A column that only
+produces or only consumes drops its rows: no semiflow fires them.  A series
+column, row ``i`` with coefficient ``a`` and row ``j`` with ``-b``, replaces
+both by ``(b/g) row_i + (a/g) row_j``, ``g = gcd(a, b)``.  Rows only fuse, so
+their supports stay pairwise disjoint (no subset test is needed), the
+smaller ``x`` map merges into the larger, and a fusion of two primitive rows
+by coprime factors is primitive.  The elimination then runs on what is
+left, and its invariants are expanded through the rows' ``x`` maps.  This is
+exact, whatever order the contraction takes:
+
+* once a set of columns is eliminated uncut, the tableau holds one row per
+  minimal support of those columns' semiflows, whatever the order;
+* a step on a 0- or 1-pair column adds no row and raises no pair count, so
+  every order reaches the same closure, uncut while the tableau starts with
+  at most ``max_rows`` rows;
+* the plain elimination's heap takes those columns first, so the reduced
+  elimination sees the rows and columns, in the order, that the plain one
+  sees after its closure, and is cut at the same step or never.
+
+So a complete basis is the plain one; when the reduced elimination is cut,
+or the tableau starts with more than ``max_rows`` rows, the plain
+elimination runs on the whole tableau and its cut basis is returned.
 """
 
 from __future__ import annotations
@@ -175,10 +201,83 @@ def _eliminate(
     return [x for _c, x, _support in rows.values()], complete
 
 
+def _contract(
+    delta: Sequence[Sequence[Tuple[int, int]]], n_places: int
+) -> Tuple[List[List[Tuple[int, int]]], int, List[Dict[int, int]]]:
+    """Eliminate every column with at most one positive x negative pair (see
+    the module docstring).  Returns the rows left as a ``delta`` over the
+    columns left (renumbered in place ID order), the number of those
+    columns, and each row's ``x`` map over the original tids."""
+    cs: List[Optional[Dict[int, int]]] = [dict(entries) for entries in delta]
+    xs: List[Optional[Dict[int, int]]] = [{tid: 1} for tid in range(len(delta))]
+    positive: List[Set[int]] = [set() for _ in range(n_places)]
+    negative: List[Set[int]] = [set() for _ in range(n_places)]
+    for row_id, c in enumerate(cs):
+        for pid, value in c.items():
+            (positive if value > 0 else negative)[pid].add(row_id)
+    # a column's pair count never rises here, so a column is queued once
+    queued = [len(positive[pid]) * len(negative[pid]) <= 1 for pid in range(n_places)]
+    work = [pid for pid in range(n_places) if queued[pid]]
+    while work:
+        column = work.pop()
+        pos_ids, neg_ids = positive[column], negative[column]
+        if pos_ids and neg_ids:
+            (i,), (j,) = pos_ids, neg_ids
+            a, b = cs[i][column], -cs[j][column]
+            common = gcd(a, b)
+            factor_i, factor_j = b // common, a // common
+            if len(xs[i]) < len(xs[j]):
+                i, j, factor_i, factor_j = j, i, factor_j, factor_i
+            # row i absorbs row j, the smaller x map; a positive factor keeps
+            # the signs of row i's entries, so only row j's columns change
+            c, x = cs[i], xs[i]
+            if factor_i != 1:
+                c = cs[i] = {pid: factor_i * value for pid, value in c.items()}
+                x = xs[i] = {tid: factor_i * count for tid, count in x.items()}
+            for pid, value in cs[j].items():
+                (positive if value > 0 else negative)[pid].discard(j)
+                old = c.get(pid, 0)
+                total = old + factor_j * value
+                if old:
+                    (positive if old > 0 else negative)[pid].discard(i)
+                if total:
+                    c[pid] = total
+                    (positive if total > 0 else negative)[pid].add(i)
+                else:
+                    del c[pid]
+                if not queued[pid] and len(positive[pid]) * len(negative[pid]) <= 1:
+                    queued[pid] = True
+                    work.append(pid)
+            x_j = xs[j]
+            x.update(x_j if factor_j == 1 else {t: factor_j * k for t, k in x_j.items()})
+            cs[j] = xs[j] = None
+            continue
+        for row_id in list(pos_ids or neg_ids):
+            for pid, value in cs[row_id].items():
+                (positive if value > 0 else negative)[pid].discard(row_id)
+                if not queued[pid] and len(positive[pid]) * len(negative[pid]) <= 1:
+                    queued[pid] = True
+                    work.append(pid)
+            cs[row_id] = xs[row_id] = None
+    left = [pid for pid in range(n_places) if not queued[pid]]
+    columns = {pid: index for index, pid in enumerate(left)}
+    live = [row_id for row_id, c in enumerate(cs) if c is not None]
+    reduced = [[(columns[pid], value) for pid, value in cs[row_id].items()] for row_id in live]
+    return reduced, len(columns), [xs[row_id] for row_id in live]
+
+
 def _compute_basis(net: PetriNet, max_rows: int) -> InvariantBasis:
     """The elimination, with a warning when ``max_rows`` cut it."""
     indexed = net.indexed()
-    vectors, complete = _eliminate(indexed.delta, len(indexed.place_names), max_rows)
+    delta, n_places = indexed.delta, len(indexed.place_names)
+    complete = False
+    if len(delta) <= max_rows:
+        reduced, n_columns, xs = _contract(delta, n_places)
+        found, complete = _eliminate(reduced, n_columns, max_rows)
+        if complete:
+            vectors = [{t: k * n for r, k in y.items() for t, n in xs[r].items()} for y in found]
+    if not complete:
+        vectors, complete = _eliminate(delta, n_places, max_rows)
     names = indexed.transition_names
     invariants = [{names[tid]: x[tid] for tid in sorted(x)} for x in vectors]
     invariants.sort(key=lambda inv: (len(inv), sorted(inv.items())))

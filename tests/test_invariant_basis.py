@@ -6,7 +6,9 @@
   out exact instead of wrapping into an empty basis;
 * the ``max_rows`` cap: cutting rows warns, the snapshot memo keeps the cut
   basis flagged incomplete, and the Section 5.5.2 precheck does not trust
-  it.
+  it;
+* the contraction of series places: the basis, cut or not, is the one the
+  elimination alone gives on the whole tableau.
 """
 
 from __future__ import annotations
@@ -20,9 +22,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from golden_bases import PFC_GEOMETRIES
+from repro.apps import paper_nets
+from repro.apps.video import VideoAppConfig, build_video_system
 from repro.apps.workloads import random_choice_net, random_marked_graph
+from repro.corpus.generator import DEFAULT_SEED, generate_spec, make_unschedulable_spec
+from repro.corpus.topologies import build_network
+from repro.flowc.linker import link
+from repro.petrinet import invariants
 from repro.petrinet.analysis import StructuralAnalysis
-from repro.petrinet.invariants import invariant_basis, is_t_invariant, t_invariant_basis
+from repro.petrinet.invariants import (
+    InvariantBasis,
+    _eliminate,
+    invariant_basis,
+    is_t_invariant,
+    t_invariant_basis,
+)
 from repro.petrinet.net import PetriNet, SourceKind
 from repro.scheduling import heuristics
 from repro.scheduling.ep import SchedulerOptions, find_schedule
@@ -282,3 +297,128 @@ def test_caller_supplied_invariants_prove_nothing():
     net = source_beside_ring()
     analysis = StructuralAnalysis.of(net)
     assert not heuristics.InvariantGuide(net, analysis, "a").source_is_coverable()
+
+
+# ---------------------------------------------------------------------------
+# the contraction of series places
+# ---------------------------------------------------------------------------
+
+
+def plain_basis(net: PetriNet, max_rows: int) -> InvariantBasis:
+    """The elimination alone on the whole tableau, expanded and sorted as
+    ``invariant_basis`` returns it: the contraction's oracle."""
+    indexed = net.indexed()
+    vectors, complete = _eliminate(indexed.delta, len(indexed.place_names), max_rows)
+    names = indexed.transition_names
+    basis = [{names[tid]: x[tid] for tid in sorted(x)} for x in vectors]
+    basis.sort(key=lambda inv: (len(inv), sorted(inv.items())))
+    return InvariantBasis(basis, complete)
+
+
+def fan(producers: int, consumers: int) -> PetriNet:
+    """Sources ``a*`` feed a hub that sinks ``b*`` drain, ``a0`` through a
+    series place: ``producers * consumers`` minimal invariants, all made at
+    the hub's column.  When that column is cut, the reduced elimination keeps
+    other invariants than the plain one: the fused row ``{a0, a0_feed}``
+    comes first in the reduced tableau and last in the whole one."""
+    arcs = {"a0_feed": ({}, {"q": 1}), "a0": ({"q": 1}, {"hub": 1})}
+    arcs.update({f"a{k}": ({}, {"hub": 1}) for k in range(1, producers)})
+    arcs.update({f"b{k}": ({"hub": 1}, {}) for k in range(consumers)})
+    return arcs_net(arcs)
+
+
+CONTRACTION_NETS = {
+    **{
+        f"pfc_{lines}x{pixels}": (
+            lambda lines=lines, pixels=pixels: build_video_system(
+                VideoAppConfig(lines, pixels)
+            ).net
+        )
+        for lines, pixels in PFC_GEOMETRIES
+    },
+    "figure_4a": paper_nets.figure_4a,
+    "figure_4b": paper_nets.figure_4b,
+    "figure_5": paper_nets.figure_5,
+    "figure_6": paper_nets.figure_6,
+    "figure_7_k3": lambda: paper_nets.figure_7(3),
+    "figure_7_k6": lambda: paper_nets.figure_7(6),
+    "figure_8": paper_nets.figure_8,
+    # a series place fed 2 and drained 3 at a time: both rows are scaled
+    "weighted_series": lambda: arcs_net({"t0": ({"q": 2}, {"p": 2}), "t1": ({"p": 3}, {"q": 3})}),
+    # the fusion at one place cancels the other two columns
+    "twin_series": lambda: arcs_net({
+        "t0": ({"q": 1}, {"p0": 1, "p1": 1}),
+        "t1": ({"p0": 1, "p1": 1}, {"q": 1}),
+    }),
+    # t0's self-loop is an invariant of its own; t1's adds a token to p
+    "self_loops": lambda: arcs_net({
+        "t0": ({"p": 1}, {"p": 1}),
+        "t1": ({"p": 1}, {"p": 2}),
+        "t2": ({"p": 1}, {}),
+    }),
+    "source_beside_ring": source_beside_ring,
+    # dropping the source's row leaves h a series place
+    "dead_source": lambda: arcs_net({
+        "s": ({}, {"h": 1, "z": 1}),
+        "r0": ({"k": 1}, {"h": 1}),
+        "r1": ({"h": 1}, {"k": 1}),
+    }),
+    "doubling_ring": lambda: doubling_ring(8),
+    # at max_rows=16 the reduced elimination is cut: the fallback runs
+    "fan": lambda: fan(4, 5),
+}
+
+
+@pytest.mark.parametrize("max_rows", [4096, 64, 16])
+@pytest.mark.parametrize("name", sorted(CONTRACTION_NETS))
+def test_contraction_keeps_the_plain_basis(name, max_rows):
+    build = CONTRACTION_NETS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert invariant_basis(build(), max_rows=max_rows) == plain_basis(build(), max_rows)
+
+
+def test_a_cut_reduced_elimination_falls_back_to_the_plain_one(monkeypatch):
+    calls = []
+
+    def spy(delta, n_places, max_rows):
+        vectors, complete = _eliminate(delta, n_places, max_rows)
+        calls.append((len(delta), n_places, complete))
+        return vectors, complete
+
+    monkeypatch.setattr(invariants, "_eliminate", spy)
+    with pytest.warns(RuntimeWarning, match="max_rows=16") as caught:
+        cut = invariant_basis(fan(4, 5), max_rows=16)
+    assert len(caught) == 1
+    # the contraction fused a0_feed with a0 and took q's column; the
+    # reduced tableau was cut at the hub, so the whole one was eliminated
+    assert calls == [(9, 1, False), (10, 2, False)]
+    assert cut == plain_basis(fan(4, 5), 16) and not cut.complete
+    calls.clear()
+    assert invariant_basis(fan(4, 5), max_rows=20).complete
+    assert calls == [(9, 1, True)]
+
+
+def contraction_sweep():
+    """Every PFC geometry, every 5th pool spec and twenty Figure-4b specs."""
+    for lines in range(2, 12):
+        for pixels in range(2, 12):
+            yield f"pfc_{lines}x{pixels}", build_video_system(VideoAppConfig(lines, pixels)).net
+    for seed in range(0, 3000, 5):
+        yield f"pool_{seed}", link(build_network(generate_spec(seed))).net
+    for index in range(20):
+        spec = make_unschedulable_spec(DEFAULT_SEED + index)
+        yield f"figure_4b_{index}", link(build_network(spec)).net
+
+
+@pytest.mark.slow
+def test_contraction_keeps_the_plain_basis_on_the_sweep():
+    mismatched = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for name, net in contraction_sweep():
+            for max_rows in (4096, 64, 16):
+                net.invalidate_caches()
+                if invariant_basis(net, max_rows=max_rows) != plain_basis(net, max_rows):
+                    mismatched.append((name, max_rows))
+    assert not mismatched

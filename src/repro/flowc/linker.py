@@ -62,21 +62,9 @@ def _merge_port_places(
     channel: str,
     bound: Optional[int],
 ) -> None:
-    """Merge place ``remove`` into ``keep`` (arcs and tokens)."""
-    # Snapshot both adjacency views before mutating the raw arc dicts.
-    preset = net.preset_of_place(remove)
-    postset = net.postset_of_place(remove)
-    for transition, weight in preset.items():
-        net.post[transition].pop(remove, None)
-        net.post[transition][keep] = net.post[transition].get(keep, 0) + weight
-    for transition, weight in postset.items():
-        net.pre[transition].pop(remove, None)
-        net.pre[transition][keep] = net.pre[transition].get(keep, 0) + weight
-    tokens = net.initial_tokens.pop(remove, 0)
-    if tokens:
-        net.initial_tokens[keep] = net.initial_tokens.get(keep, 0) + tokens
-    del net.places[remove]
-    net.invalidate_caches()
+    """Merge place ``remove`` into ``keep`` (arcs and tokens), which becomes
+    the channel's place."""
+    net.merge_place(keep, remove)
     place = net.places[keep]
     place.is_port = True
     place.channel = channel

@@ -141,7 +141,8 @@ class PetriNet:
     )
     _indexed_version: int = field(default=-1, init=False, repr=False, compare=False)
     # place -> {transition: weight} adjacency, maintained incrementally by
-    # add_place/add_arc and rebuilt lazily after invalidate_caches().
+    # add_place/add_arc/merge_place and rebuilt lazily after
+    # invalidate_caches().
     _place_in: Dict[str, Dict[str, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -162,9 +163,9 @@ class PetriNet:
         """Declare a structural mutation done outside the ``add_*`` methods.
 
         Code that pokes ``pre``/``post``/``places``/``initial_tokens``
-        directly (the linker's place merging, the compiler's epsilon
-        collapse) must call this afterwards so the indexed view and the
-        place adjacency are rebuilt before their next use.
+        directly (the compiler's epsilon collapse) must call this afterwards
+        so the indexed view and the place adjacency are rebuilt before their
+        next use.
         """
         self._version += 1
         self._indexed = None
@@ -287,6 +288,24 @@ class PetriNet:
                 self._place_in[dst][src] = total
         else:
             raise ArcError(f"arc ({src!r}, {dst!r}) does not connect a place and a transition")
+        self._version += 1
+
+    def merge_place(self, keep: str, remove: str) -> None:
+        """Merge place ``remove`` into ``keep``: its arcs and initial tokens
+        move to ``keep`` (weights add up) and ``remove`` is deleted."""
+        place_in, place_out = self._adjacency()
+        for transition, weight in place_in.pop(remove).items():
+            post = self.post[transition]
+            del post[remove]
+            post[keep] = place_in[keep][transition] = post.get(keep, 0) + weight
+        for transition, weight in place_out.pop(remove).items():
+            pre = self.pre[transition]
+            del pre[remove]
+            pre[keep] = place_out[keep][transition] = pre.get(keep, 0) + weight
+        tokens = self.initial_tokens.pop(remove, 0)
+        if tokens:
+            self.initial_tokens[keep] = self.initial_tokens.get(keep, 0) + tokens
+        del self.places[remove]
         self._version += 1
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from flowc_pins import (
 from flowc_reference_lexer import reference_tokenize
 from repro.apps.divisors import DIVISORS_SOURCE
 from repro.apps.false_paths import CONSTANT_LOOP_SOURCE, SELECT_REWRITE_SOURCE
-from repro.apps.video import VideoAppConfig, video_flowc_source
+from repro.apps.video import VideoAppConfig, build_video_network, video_flowc_source
 from repro.apps.workloads import pipeline_source, producer_consumer_source
 from repro.flowc.ast_nodes import (
     Assignment,
@@ -676,6 +676,16 @@ def test_link_merges_channel_places():
     assert net.transitions["src.prod.trig"].is_uncontrollable_source
     assert system.uncontrollable_source_transitions == ["src.prod.trig"]
     assert system.channel_of_place(channel_place) == "link"
+
+
+def test_link_keeps_the_place_adjacency_current():
+    """Channel places are merged in place (``PetriNet.merge_place``): after
+    ``link`` every place reads the pre- and postset a full rebuild gives."""
+    for network in (_two_process_network(), build_video_network(VideoAppConfig(4, 5))):
+        net = link(network).net
+        linked = {p: (net.preset_of_place(p), net.postset_of_place(p)) for p in net.places}
+        net.invalidate_caches()
+        assert linked == {p: (net.preset_of_place(p), net.postset_of_place(p)) for p in net.places}
 
 
 def test_link_describe_and_port_mapping():

@@ -108,6 +108,25 @@ def test_copy_and_merge():
         merge_nets([net, net])
 
 
+def test_merge_place_moves_arcs_and_tokens():
+    net = PetriNet()
+    net.add_place("keep", 1)
+    net.add_place("gone", 2)
+    for transition in ("t", "u"):
+        net.add_transition(transition)
+    net.add_arc("t", "keep")
+    net.add_arc("t", "gone", 2)
+    net.add_arc("gone", "u", 3)
+    first = net.indexed()
+    net.merge_place("keep", "gone")
+    assert "gone" not in net.places and net.initial_tokens == {"keep": 3}
+    assert net.post["t"] == {"keep": 3} and net.pre["u"] == {"keep": 3}
+    assert net.preset_of_place("keep") == {"t": 3}
+    assert net.postset_of_place("keep") == {"u": 3}
+    # the structural version moved, so the indexed view is rebuilt
+    assert net.indexed() is not first and net.indexed().place_names == ("keep",)
+
+
 def test_source_and_classification_queries():
     net = paper_nets.figure_4a()
     assert set(net.source_transitions()) == {"a", "b"}

@@ -169,6 +169,13 @@ class _Simulation:
 # ---------------------------------------------------------------------------
 
 
+#: A transition's port reads and writes as ``(port, weight)`` pairs in arc
+#: order, and the control place it moves to (``None``: it stays); the reads
+#: are ``None`` when it reads a port place that is no port of its process,
+#: so it never proceeds.
+_Arcs = Tuple[Optional[List[Tuple[str, int]]], List[Tuple[str, int]], Optional[str]]
+
+
 class _ProcessTask:
     """Executes one FlowC process directly over its compiled Petri net."""
 
@@ -184,10 +191,12 @@ class _ProcessTask:
         self._port_of_place: Dict[str, str] = {
             place: port for (process, port), place in system.port_place_of.items() if process == name
         }
-        # control place -> successor transitions of this process; the net is
-        # structurally frozen during simulation, so compute each list once
-        # instead of querying the place adjacency on every executed step
+        # control place -> successor transitions of this process, and
+        # transition -> its port arcs and next control place; the net is
+        # structurally frozen during simulation, so compute each once
+        # instead of scanning the adjacency or the arcs on every step
         self._successors_of_place: Dict[str, Tuple[str, ...]] = {}
+        self._arcs_of: Dict[str, _Arcs] = {}
 
     def _process_successors(self, place: str) -> Tuple[str, ...]:
         cached = self._successors_of_place.get(place)
@@ -222,33 +231,33 @@ class _ProcessTask:
             return None
         return self._decided
 
+    def _arcs(self, transition: str) -> _Arcs:
+        arcs = self._arcs_of.get(transition)
+        if arcs is None:
+            places, ports = self.net.places, self._port_of_place
+            pre, post = self.net.pre[transition], self.net.post[transition]
+            reads = [(ports.get(p), w) for p, w in pre.items() if places[p].is_port]
+            writes = [(ports[p], w) for p, w in post.items() if places[p].is_port and p in ports]
+            following = next(
+                (p for p in post if not places[p].is_port and places[p].process == self.name), None
+            )
+            unread = any(port is None for port, _weight in reads)
+            arcs = self._arcs_of[transition] = (None if unread else reads, writes, following)
+        return arcs
+
     def _transition_ready(self, transition: str) -> bool:
         """Blocking semantics: all port reads/writes of the transition must be
-        able to proceed."""
-        for place, weight in self.net.pre[transition].items():
-            if not self.net.places[place].is_port:
-                continue
-            port = self._port_of_place.get(place)
-            if port is None:
-                return False
+        able to proceed (reads first, each side in arc order)."""
+        reads, writes, _following = self._arcs(transition)
+        if reads is None:
+            return False
+        for port, weight in reads:
             if not self.ports.can_read(port, weight):
                 return False
-        for place, weight in self.net.post[transition].items():
-            if not self.net.places[place].is_port:
-                continue
-            port = self._port_of_place.get(place)
-            if port is None:
-                continue
+        for port, weight in writes:
             if not self.ports.can_write(port, weight):
                 return False
         return True
-
-    def _next_control_place(self, transition: str) -> str:
-        for place in self.net.post[transition]:
-            obj = self.net.places[place]
-            if not obj.is_port and obj.process == self.name:
-                return place
-        return self.current_place
 
     # -- RunnableTask interface -------------------------------------------------
     def can_run(self) -> bool:
@@ -266,7 +275,9 @@ class _ProcessTask:
             if not self._transition_ready(transition):
                 break
             self.processes.execute(transition)
-            self.current_place = self._next_control_place(transition)
+            _reads, _writes, following = self._arcs(transition)
+            if following is not None:
+                self.current_place = following
             self._decided = None
             self.transitions_executed += 1
             steps += 1

@@ -16,6 +16,7 @@ Two tables, ``_STATEMENTS`` and ``_EXPRESSIONS``, are the one evaluation rule
 for code fragments, choice conditions and hoisted initialisation: they map
 each node class of :mod:`repro.flowc.ast_nodes` (exact, not subclasses) to the
 :class:`Interpreter` method that runs it, which looks its children up in them.
+A node of any other class, at any depth, is refused as a bare one is.
 
 The interpreter also counts abstract operations so the cost model can convert
 an execution into clock cycles.
@@ -24,8 +25,8 @@ an execution into clock cycles.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, is_dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.flowc.ast_nodes import (
     Assignment,
@@ -236,11 +237,15 @@ class Interpreter:
         self.counter = counter if counter is not None else OperationCounter()
 
     def execute_block(self, statements: Sequence[Statement]) -> None:
-        for statement in statements:
-            _STATEMENTS[type(statement)](self, statement)
+        try:
+            for statement in statements:
+                _STATEMENTS[type(statement)](self, statement)
+        except KeyError as error:
+            _refuse_unknown_node(error, statements, "statement")
+            raise
 
     def execute(self, statement: Statement) -> None:
-        _STATEMENTS.get(type(statement), Interpreter._refuse_statement)(self, statement)
+        self.execute_block((statement,))
 
     def run(self, statements: Sequence[Statement]) -> None:
         """Execute a code fragment, swallowing a top-level return."""
@@ -251,9 +256,16 @@ class Interpreter:
             pass
         except (_BreakSignal, _ContinueSignal):
             raise InterpreterError("break/continue outside of a loop")
+        except KeyError as error:
+            _refuse_unknown_node(error, statements, "statement")
+            raise
 
     def evaluate(self, expr: Expression) -> Any:
-        return _EXPRESSIONS.get(type(expr), Interpreter._refuse_expression)(self, expr)
+        try:
+            return _EXPRESSIONS.get(type(expr), Interpreter._refuse_expression)(self, expr)
+        except KeyError as error:
+            _refuse_unknown_node(error, expr, "expression")
+            raise
 
     # ------------------------------------------------------------------
     # statement handlers (the values of _STATEMENTS)
@@ -527,6 +539,34 @@ class Interpreter:
         ]
         self.counter.selects += 1
         return self.ports.select(entries)
+
+
+def _refuse_unknown_node(error: KeyError, tree: Any, slot: str) -> None:
+    """Refuse a node of ``tree`` as a bare ``Statement`` or ``Expression`` is
+    refused, when ``error`` is a table lookup of its class and neither table
+    holds that class.  The handlers look children up without a default, so
+    only this error path pays for finding the node."""
+    missing = error.args[0] if error.args else None
+    if isinstance(missing, type) and missing not in _STATEMENTS and missing not in _EXPRESSIONS:
+        for node, where in _slots(tree, slot):
+            if type(node) is missing and where:
+                raise InterpreterError(f"unsupported {where}: {node!r}") from None
+
+
+def _slots(tree: Any, slot: str) -> Iterator[Tuple[Any, str]]:
+    """Pre-order ``(node, slot)`` pairs of a node or node sequence: the slot
+    is ``"statement"`` or ``"expression"`` by the field's annotation, or
+    ``""`` for a part of a node (a ``Declarator``, a ``CaseClause``)."""
+    if isinstance(tree, (tuple, list)):
+        for item in tree:
+            yield from _slots(item, slot)
+        return
+    yield tree, slot
+    if is_dataclass(tree):
+        for child in fields(tree):
+            hint = str(child.type)
+            kind = "statement" if "Statement" in hint else "expression" if "Expression" in hint else ""
+            yield from _slots(getattr(tree, child.name), kind)
 
 
 #: The handler of each statement class, keyed on the node's exact class.

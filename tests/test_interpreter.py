@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.flowc import interpreter as flowc_interpreter
-from repro.flowc.ast_nodes import Expression, ExprStatement, Statement
+from repro.flowc.ast_nodes import (
+    BinaryOp,
+    Block,
+    Declarator,
+    Expression,
+    ExprStatement,
+    If,
+    IntLiteral,
+    Statement,
+)
 from repro.flowc.interpreter import (
     Environment,
     Interpreter,
@@ -341,6 +352,46 @@ def test_bare_statement_and_expression_nodes_are_refused():
         interpreter.evaluate(Expression())
     with pytest.raises(InterpreterError, match=r"^unsupported expression: Expression\(\)$"):
         interpreter.run((ExprStatement(Expression()),))
+
+
+def test_a_nested_expression_of_an_unknown_class_is_refused():
+    """The handlers look children up in the tables directly; a node of a
+    class outside them is refused as a bare ``Expression`` is."""
+    node = Declarator("x")
+    message = f"^{re.escape(f'unsupported expression: {node!r}')}$"
+    with pytest.raises(InterpreterError, match=message):
+        Interpreter(Environment("test")).run((ExprStatement(node),))
+    with pytest.raises(InterpreterError, match=message):
+        Interpreter(Environment("test")).evaluate(BinaryOp("+", IntLiteral(1), node))
+    env = run_code("int y;")
+    with pytest.raises(InterpreterError, match=message):
+        Interpreter(env).run(parse_statements("y = 3;") + (ExprStatement(node),))
+    assert env.get("y") == 3  # the statement before it ran
+
+
+def test_a_nested_statement_of_an_unknown_class_is_refused():
+    node = Declarator("x")
+    message = f"^{re.escape(f'unsupported statement: {node!r}')}$"
+    interpreter = Interpreter(Environment("test"))
+    with pytest.raises(InterpreterError, match=message):
+        interpreter.run((If(IntLiteral(1), (node,)),))
+    with pytest.raises(InterpreterError, match=message):
+        interpreter.execute(Block((ExprStatement(IntLiteral(1)), node)))
+    with pytest.raises(InterpreterError, match=message):
+        interpreter.execute_block((Block((node,)),))
+
+
+@pytest.mark.parametrize("key", [Declarator, "x"])
+def test_any_other_key_error_propagates_unchanged(monkeypatch, key):
+    error = KeyError(key)
+
+    def lookup():
+        raise error
+
+    monkeypatch.setitem(flowc_interpreter.BUILTIN_FUNCTIONS, "lookup", lookup)
+    with pytest.raises(KeyError) as caught:
+        counted("int x; x = lookup();")
+    assert caught.value is error
 
 
 # ---------------------------------------------------------------------------

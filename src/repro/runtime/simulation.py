@@ -169,10 +169,8 @@ class _Simulation:
 # ---------------------------------------------------------------------------
 
 
-#: A transition's port reads and writes as ``(port, weight)`` pairs in arc
-#: order, and the control place it moves to (``None``: it stays); the reads
-#: are ``None`` when it reads a port place that is no port of its process,
-#: so it never proceeds.
+#: A transition's port reads (``None``: it reads a port place of no port of
+#: its process, so it never proceeds), its port writes and its next control place
 _Arcs = Tuple[Optional[List[Tuple[str, int]]], List[Tuple[str, int]], Optional[str]]
 
 
@@ -191,10 +189,9 @@ class _ProcessTask:
         self._port_of_place: Dict[str, str] = {
             place: port for (process, port), place in system.port_place_of.items() if process == name
         }
-        # control place -> successor transitions of this process, and
-        # transition -> its port arcs and next control place; the net is
-        # structurally frozen during simulation, so compute each once
-        # instead of scanning the adjacency or the arcs on every step
+        # control place -> successor transitions of this process, transition
+        # -> its _Arcs; the net is structurally frozen during simulation, so
+        # compute each once instead of scanning on every executed step
         self._successors_of_place: Dict[str, Tuple[str, ...]] = {}
         self._arcs_of: Dict[str, _Arcs] = {}
 
@@ -232,23 +229,30 @@ class _ProcessTask:
         return self._decided
 
     def _arcs(self, transition: str) -> _Arcs:
-        arcs = self._arcs_of.get(transition)
-        if arcs is None:
-            places, ports = self.net.places, self._port_of_place
-            pre, post = self.net.pre[transition], self.net.post[transition]
-            reads = [(ports.get(p), w) for p, w in pre.items() if places[p].is_port]
-            writes = [(ports[p], w) for p, w in post.items() if places[p].is_port and p in ports]
-            following = next(
-                (p for p in post if not places[p].is_port and places[p].process == self.name), None
-            )
-            unread = any(port is None for port, _weight in reads)
-            arcs = self._arcs_of[transition] = (None if unread else reads, writes, following)
-        return arcs
+        places, ports = self.net.places, self._port_of_place
+        reads: Optional[List[Tuple[str, int]]] = []
+        for place, weight in self.net.pre[transition].items():
+            if places[place].is_port:
+                if place not in ports:
+                    reads = None
+                    break
+                reads.append((ports[place], weight))
+        writes, following = [], None
+        for place, weight in self.net.post[transition].items():
+            if places[place].is_port:
+                if place in ports:
+                    writes.append((ports[place], weight))
+            elif following is None and places[place].process == self.name:
+                following = place
+        return reads, writes, following
 
     def _transition_ready(self, transition: str) -> bool:
         """Blocking semantics: all port reads/writes of the transition must be
         able to proceed (reads first, each side in arc order)."""
-        reads, writes, _following = self._arcs(transition)
+        arcs = self._arcs_of.get(transition)
+        if arcs is None:
+            arcs = self._arcs_of[transition] = self._arcs(transition)
+        reads, writes, _following = arcs
         if reads is None:
             return False
         for port, weight in reads:
@@ -275,7 +279,7 @@ class _ProcessTask:
             if not self._transition_ready(transition):
                 break
             self.processes.execute(transition)
-            _reads, _writes, following = self._arcs(transition)
+            following = self._arcs_of[transition][2]  # filled by _transition_ready
             if following is not None:
                 self.current_place = following
             self._decided = None

@@ -542,10 +542,9 @@ class Interpreter:
 
 
 def _refuse_unknown_node(error: KeyError, tree: Any, slot: str) -> None:
-    """Refuse a node of ``tree`` as a bare ``Statement`` or ``Expression`` is
-    refused, when ``error`` is a table lookup of its class and neither table
-    holds that class.  The handlers look children up without a default, so
-    only this error path pays for finding the node."""
+    """Refuse a node of ``tree`` as a bare ``Statement`` or ``Expression`` is,
+    when ``error`` is a table lookup of its class and neither table holds it:
+    handlers look children up without a default, so only this path pays."""
     missing = error.args[0] if error.args else None
     if isinstance(missing, type) and missing not in _STATEMENTS and missing not in _EXPRESSIONS:
         for node, where in _slots(tree, slot):
@@ -565,7 +564,7 @@ def _slots(tree: Any, slot: str) -> Iterator[Tuple[Any, str]]:
     if is_dataclass(tree):
         for child in fields(tree):
             hint = str(child.type)
-            kind = "statement" if "Statement" in hint else "expression" if "Expression" in hint else ""
+            kind = next((k.lower() for k in ("Statement", "Expression") if k in hint), "")
             yield from _slots(getattr(tree, child.name), kind)
 
 

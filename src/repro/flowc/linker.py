@@ -62,8 +62,7 @@ def _merge_port_places(
     channel: str,
     bound: Optional[int],
 ) -> None:
-    """Merge place ``remove`` into ``keep`` (arcs and tokens), which becomes
-    the channel's place."""
+    """Merge place ``remove`` into ``keep`` (arcs and tokens), the channel's place."""
     net.merge_place(keep, remove)
     place = net.places[keep]
     place.is_port = True

@@ -28,17 +28,16 @@ depend on the column order.  It is complete unless the tableau outgrows
 :attr:`InvariantBasis.complete`.
 
 Most places of a compiled FlowC net are series places (one producer, one
-consumer), and on a chain of them each elimination step costs time in the
-chain's length.  So a contraction first handles every column with at most
-one positive x negative pair, until none is left.  A column that only
-produces or only consumes drops its rows: no semiflow fires them.  A series
-column, row ``i`` with coefficient ``a`` and row ``j`` with ``-b``, replaces
-both by ``(b/g) row_i + (a/g) row_j``, ``g = gcd(a, b)``.  Rows only fuse, so
-their supports stay pairwise disjoint (no subset test is needed), the
-smaller ``x`` map merges into the larger, and a fusion of two primitive rows
-by coprime factors is primitive.  The elimination then runs on what is
-left, and its invariants are expanded through the rows' ``x`` maps.  This is
-exact, whatever order the contraction takes:
+consumer), on whose chains each elimination step costs time in the chain's
+length.  So a contraction first takes every column with at most one
+positive x negative pair, until none is left.  A one-sided column drops its
+rows: no semiflow fires them.  A series column, row ``i`` with coefficient
+``a`` and row ``j`` with ``-b``, replaces both by ``(b/g) row_i + (a/g)
+row_j``, ``g = gcd(a, b)``.  Rows only fuse, so their supports stay pairwise
+disjoint (no subset test), the smaller ``x`` map merges into the larger, and
+fusing two primitive rows by coprime factors gives a primitive row.  The
+elimination then runs on what is left, and its invariants are expanded
+through the rows' ``x`` maps.  This is exact, in any contraction order:
 
 * once a set of columns is eliminated uncut, the tableau holds one row per
   minimal support of those columns' semiflows, whatever the order;

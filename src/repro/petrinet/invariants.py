@@ -266,7 +266,7 @@ def _contract(
 
 
 def _compute_basis(net: PetriNet, max_rows: int) -> InvariantBasis:
-    """The elimination, with a warning when ``max_rows`` cut it."""
+    """The contraction and the elimination, with a warning when ``max_rows`` cut it."""
     indexed = net.indexed()
     delta, n_places = indexed.delta, len(indexed.place_names)
     complete = False

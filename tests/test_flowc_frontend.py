@@ -2,8 +2,8 @@
 
 The lexer is diffed against the character-loop scanner it replaced
 (``tests/flowc_reference_lexer.py``) on generated programs and a seeded
-fuzz, and the parser's ASTs and error messages against the pins of
-``tests/flowc_pins.py``.
+fuzz, and the parser's ASTs and error messages, and the linked nets, against
+the pins of ``tests/flowc_pins.py``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ import pytest
 
 from flowc_pins import (
     AST_FIXTURE,
+    NET_FIXTURE,
     PREFIX_FIXTURE,
     ast_digest,
     ast_programs,
+    linked_networks,
+    net_digest,
     prefix_errors,
     prefix_programs,
 )
@@ -264,6 +267,38 @@ def test_prefix_errors_match_the_pin():
         assert len(messages) == len(pinned[name]) == len(source) + 1
         for k, (message, expected) in enumerate(zip(messages, pinned[name])):
             assert message == expected, f"{name}[:{k}]"
+
+
+# ---------------------------------------------------------------------------
+# linked-net pin
+# ---------------------------------------------------------------------------
+
+
+def _assert_links_like_the_pin(select) -> None:
+    pinned = json.loads(NET_FIXTURE.read_text())
+    networks = linked_networks()
+    assert set(networks) == set(pinned)
+    names = [name for name in networks if select(name)]
+    assert names
+    mismatched = [name for name in names if net_digest(link(networks[name]())) != pinned[name]]
+    assert not mismatched
+
+
+def _in_tier_one(name: str) -> bool:
+    """One PFC geometry in ten (lines == pixels) and pool seeds 0-99."""
+    if name.startswith("pfc_"):
+        lines, pixels = name[len("pfc_"):].split("x")
+        return lines == pixels
+    return name.startswith("pool_") and int(name[len("pool_"):]) < 100
+
+
+def test_linked_nets_match_the_pin():
+    _assert_links_like_the_pin(_in_tier_one)
+
+
+@pytest.mark.slow
+def test_linked_nets_match_the_pin_on_the_whole_sweep():
+    _assert_links_like_the_pin(lambda name: True)
 
 
 # ---------------------------------------------------------------------------

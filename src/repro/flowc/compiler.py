@@ -124,6 +124,10 @@ def choice_of(net: PetriNet, transitions: Sequence[str]) -> Optional[Choice]:
 class CompiledProcess:
     """Result of compiling one FlowC process.
 
+    ``port_places`` maps every declared port to its port place: first the
+    ports the statements use, in the order they are first used, then the
+    unused ones, in declaration order, as places with no arcs.
+
     ``declarations`` holds the hoisted initialisation sequence: the leading
     statements of the process (declarations and plain assignments) that
     perform no port operation.  They are executed once at start-up and are not
@@ -322,6 +326,8 @@ class _ProcessCompiler:
                 self.net.add_arc(exit_place, loop)
                 self.net.add_arc(loop, self.initial_place)
         self._simplify()
+        for port in self.process.ports:
+            self._port_place(port.name)
         self.net.validate()
         return CompiledProcess(
             process=self.process,

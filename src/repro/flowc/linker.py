@@ -1,12 +1,14 @@
 """Linking: build a single Petri net from the per-process nets (Section 3.2).
 
-Linking merges each pair of port places connected by a channel into a single
-place (the channel place), records channel bounds as place attributes, and
-attaches environment source / sink transitions to unconnected ports:
+The compiler gives every declared port a place.  Linking unites the process
+nets in one copy (:func:`~repro.petrinet.net.merge_nets`) with each channel's
+reader port place merged into its writer's: a channel's place is its
+writer's port place, carrying the channel name and bound.  Environment ports
+get source / sink transitions:
 
-* an unconnected input port receives a *source* transition, marked
+* an environment input port receives a *source* transition, marked
   controllable or uncontrollable per the netlist declaration;
-* an unconnected output port receives a *sink* transition.
+* an environment output port receives a *sink* transition.
 
 The resulting net, for FlowC specifications without SELECT, is unique-choice
 (Section 3.1).
@@ -30,11 +32,9 @@ class LinkedSystem:
 
     network: Network
     net: PetriNet
-    compiled: Dict[str, CompiledProcess] = field(default_factory=dict)
     # channel name -> place name in the linked net
     channel_places: Dict[str, str] = field(default_factory=dict)
-    # environment port ref -> (place name, source/sink transition name)
-    environment_places: Dict[PortRef, str] = field(default_factory=dict)
+    # environment port ref -> its source/sink transition
     environment_transitions: Dict[PortRef, str] = field(default_factory=dict)
     # process name -> initial control place
     initial_places: Dict[str, str] = field(default_factory=dict)
@@ -54,23 +54,6 @@ class LinkedSystem:
         return None
 
 
-def _merge_port_places(
-    net: PetriNet,
-    keep: str,
-    remove: str,
-    *,
-    channel: str,
-    bound: Optional[int],
-) -> None:
-    """Merge place ``remove`` into ``keep`` (arcs and tokens), the channel's place."""
-    net.merge_place(keep, remove)
-    place = net.places[keep]
-    place.is_port = True
-    place.channel = channel
-    place.bound = bound
-    place.process = None
-
-
 def link(
     network: Network,
     *,
@@ -79,84 +62,56 @@ def link(
     """Compile every process of ``network`` and link them into one net.
 
     ``compiled`` may supply pre-compiled processes (keyed by process name);
-    missing ones are compiled on the fly.
+    missing ones are compiled on the fly.  The compiled nets are copied,
+    never changed.
     """
     network.validate()
-
-    compiled_processes: Dict[str, CompiledProcess] = {}
-    for name, process in network.processes.items():
-        if compiled and name in compiled:
-            compiled_processes[name] = compiled[name]
-        else:
-            compiled_processes[name] = compile_process(process)
-
-    net = merge_nets((cp.net for cp in compiled_processes.values()), name=network.name)
-
-    system = LinkedSystem(network=network, net=net, compiled=compiled_processes)
-    for name, cp in compiled_processes.items():
-        system.initial_places[name] = cp.initial_place
-        system.declarations[name] = list(cp.declarations)
-        for port, place in cp.port_places.items():
-            system.port_place_of[(name, port)] = place
-
-    # -- merge channel port places -----------------------------------------
+    processes = {
+        name: compiled[name] if compiled and name in compiled else compile_process(process)
+        for name, process in network.processes.items()
+    }
+    port_place_of = {
+        (name, port): place
+        for name, cp in processes.items()
+        for port, place in cp.port_places.items()
+    }
+    channel_places: Dict[str, str] = {}
+    identify: Dict[str, str] = {}  # reader port place -> writer port place
     for channel in network.channels:
-        source_key = (channel.source.process, channel.source.port)
-        target_key = (channel.target.process, channel.target.port)
-        source_place = system.port_place_of.get(source_key)
-        target_place = system.port_place_of.get(target_key)
-        if source_place is None and target_place is None:
-            # Neither side ever touches the port: the channel is dead but we
-            # still materialise a place so bounds/diagnostics can refer to it.
-            place_name = f"ch.{channel.name}"
-            net.add_place(place_name, 0, is_port=True, channel=channel.name, bound=channel.bound)
-            system.channel_places[channel.name] = place_name
-            continue
-        if source_place is None or target_place is None:
-            present = source_place or target_place
-            assert present is not None
-            place = net.places[present]
-            place.channel = channel.name
-            place.bound = channel.bound
-            place.process = None
-            system.channel_places[channel.name] = present
-            system.port_place_of[source_key] = present
-            system.port_place_of[target_key] = present
-            continue
-        _merge_port_places(
-            net, source_place, target_place, channel=channel.name, bound=channel.bound
-        )
-        system.channel_places[channel.name] = source_place
-        system.port_place_of[source_key] = source_place
-        system.port_place_of[target_key] = source_place
+        writer = port_place_of[(channel.source.process, channel.source.port)]
+        reader = (channel.target.process, channel.target.port)
+        identify[port_place_of[reader]] = writer
+        port_place_of[reader] = writer
+        channel_places[channel.name] = writer
 
-    # -- environment ports ----------------------------------------------------
+    net = merge_nets((cp.net for cp in processes.values()), network.name, identify=identify)
+    for channel in network.channels:
+        place = net.places[channel_places[channel.name]]
+        place.channel = channel.name
+        place.bound = channel.bound
+        place.process = None
+    system = LinkedSystem(
+        network=network,
+        net=net,
+        channel_places=channel_places,
+        initial_places={name: cp.initial_place for name, cp in processes.items()},
+        declarations={name: list(cp.declarations) for name, cp in processes.items()},
+        port_place_of=port_place_of,
+    )
+
     for ref, env in network.environment_inputs.items():
-        place = system.port_place_of.get((ref.process, ref.port))
-        if place is None:
-            # the process never reads this port; create the place anyway
-            place = f"env.{ref.process}.{ref.port}"
-            net.add_place(place, 0, is_port=True, channel=None, process=ref.process)
-            system.port_place_of[(ref.process, ref.port)] = place
         source_kind = (
             SourceKind.CONTROLLABLE if env.controllable else SourceKind.UNCONTROLLABLE
         )
         transition = f"src.{ref.process}.{ref.port}"
         net.add_transition(transition, source_kind=source_kind, process=None)
-        net.add_arc(transition, place, env.rate)
-        system.environment_places[ref] = place
+        net.add_arc(transition, port_place_of[(ref.process, ref.port)], env.rate)
         system.environment_transitions[ref] = transition
 
     for ref, env in network.environment_outputs.items():
-        place = system.port_place_of.get((ref.process, ref.port))
-        if place is None:
-            place = f"env.{ref.process}.{ref.port}"
-            net.add_place(place, 0, is_port=True, channel=None, process=ref.process)
-            system.port_place_of[(ref.process, ref.port)] = place
         transition = f"sink.{ref.process}.{ref.port}"
         net.add_transition(transition, is_sink=True, process=None)
-        net.add_arc(place, transition, env.rate)
-        system.environment_places[ref] = place
+        net.add_arc(port_place_of[(ref.process, ref.port)], transition, env.rate)
         system.environment_transitions[ref] = transition
 
     net.validate()

@@ -11,8 +11,9 @@ identity, user-defined bounds, condition expressions for choice places).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.petrinet.marking import Marking
 
@@ -141,8 +142,8 @@ class PetriNet:
     )
     _indexed_version: int = field(default=-1, init=False, repr=False, compare=False)
     # place -> {transition: weight} adjacency, maintained incrementally by
-    # add_place/add_arc/merge_place and rebuilt lazily after
-    # invalidate_caches().
+    # add_place/add_arc and rebuilt lazily after invalidate_caches() or
+    # when the constructor was handed the dicts (merge_nets).
     _place_in: Dict[str, Dict[str, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -288,24 +289,6 @@ class PetriNet:
                 self._place_in[dst][src] = total
         else:
             raise ArcError(f"arc ({src!r}, {dst!r}) does not connect a place and a transition")
-        self._version += 1
-
-    def merge_place(self, keep: str, remove: str) -> None:
-        """Merge place ``remove`` into ``keep``: its arcs and initial tokens
-        move to ``keep`` (weights add up) and ``remove`` is deleted."""
-        place_in, place_out = self._adjacency()
-        for transition, weight in place_in.pop(remove).items():
-            post = self.post[transition]
-            del post[remove]
-            post[keep] = place_in[keep][transition] = post.get(keep, 0) + weight
-        for transition, weight in place_out.pop(remove).items():
-            pre = self.pre[transition]
-            del pre[remove]
-            pre[keep] = place_out[keep][transition] = pre.get(keep, 0) + weight
-        tokens = self.initial_tokens.pop(remove, 0)
-        if tokens:
-            self.initial_tokens[keep] = self.initial_tokens.get(keep, 0) + tokens
-        del self.places[remove]
         self._version += 1
 
     # ------------------------------------------------------------------
@@ -481,38 +464,70 @@ class PetriNet:
         return name in self.transitions or name in self.places
 
 
-def merge_nets(nets: Iterable[PetriNet], name: str = "linked") -> PetriNet:
-    """Disjoint union of several nets (no merging of same-named nodes).
+def merge_nets(
+    nets: Iterable[PetriNet],
+    name: str = "linked",
+    *,
+    identify: Optional[Mapping[str, str]] = None,
+) -> PetriNet:
+    """Union of several nets, each copied once, with the places of
+    ``identify`` merged into their targets.
 
-    Raises :class:`PetriNetError` if node names collide; the linker is
-    responsible for prefixing names per process before calling this.
+    The places, transitions, ``pre``, ``post`` and initial tokens of each net
+    are copied in order (fresh :class:`Place` and :class:`Transition`
+    objects, dict order kept).  A place named by a key of ``identify`` is
+    not copied: its arcs and tokens go to the place the key maps to, and
+    weights add up where both reach one transition.  The linker makes each
+    channel's place this way.  The place adjacency is left to be built on
+    first use.
+
+    Raises :class:`PetriNetError` if a name is used twice, or by both a
+    place and a transition; the linker prefixes every name with its process.
     """
-    merged = PetriNet(name=name)
+    nets = list(nets)
+    rename: Mapping[str, str] = identify or {}
+    places: Dict[str, Place] = {}
+    transitions: Dict[str, Transition] = {}
+    pre: Dict[str, Dict[str, int]] = {}
+    post: Dict[str, Dict[str, int]] = {}
+    initial_tokens: Dict[str, int] = {}
+    copied = 0
     for net in nets:
-        for place in net.places.values():
-            merged.add_place(
-                place.name,
-                net.initial_tokens.get(place.name, 0),
-                bound=place.bound,
-                is_port=place.is_port,
-                channel=place.channel,
-                process=place.process,
-                condition=place.condition,
+        tokens = net.initial_tokens
+        for key, p in net.places.items():
+            target = rename.get(key)
+            if target is None:
+                target = key
+                places[key] = Place(p.name, p.bound, p.is_port, p.channel, p.process, p.condition)
+                copied += 1
+            count = tokens.get(key)
+            if count:
+                initial_tokens[target] = initial_tokens.get(target, 0) + count
+        for key, t in net.transitions.items():
+            transitions[key] = Transition(
+                t.name, t.code, t.process, t.source_kind, t.is_sink, t.guard, t.select_priority
             )
-        for transition in net.transitions.values():
-            merged.add_transition(
-                transition.name,
-                code=transition.code,
-                process=transition.process,
-                source_kind=transition.source_kind,
-                is_sink=transition.is_sink,
-                guard=transition.guard,
-                select_priority=transition.select_priority,
-            )
-        for transition, places in net.pre.items():
-            for place, weight in places.items():
-                merged.add_arc(place, transition, weight)
-        for transition, places in net.post.items():
-            for place, weight in places.items():
-                merged.add_arc(transition, place, weight)
-    return merged
+            pre[key] = _renamed(net.pre[key], rename)
+            post[key] = _renamed(net.post[key], rename)
+        copied += len(net.transitions)
+    if len(places) + len(transitions) != copied or not places.keys().isdisjoint(transitions):
+        names = [p for net in nets for p in net.places if p not in rename]
+        names += [t for net in nets for t in net.transitions]
+        clash = next(name for name, count in Counter(names).items() if count > 1)
+        raise PetriNetError(f"name {clash!r} is used twice in the union")
+    return PetriNet(name, places, transitions, pre, post, initial_tokens)
+
+
+def _renamed(arcs: Dict[str, int], rename: Mapping[str, str]) -> Dict[str, int]:
+    """A copy of one transition's arcs with the places of ``rename`` renamed.
+
+    A renamed arc follows the others, unless its target is already there.
+    """
+    if rename.keys().isdisjoint(arcs):
+        return dict(arcs)
+    renamed = {place: weight for place, weight in arcs.items() if place not in rename}
+    for place, weight in arcs.items():
+        if place in rename:
+            target = rename[place]
+            renamed[target] = renamed.get(target, 0) + weight
+    return renamed

@@ -26,7 +26,11 @@ from flowc_pins import (
 )
 from flowc_reference_lexer import reference_tokenize
 from repro.apps.divisors import DIVISORS_SOURCE
-from repro.apps.false_paths import CONSTANT_LOOP_SOURCE, SELECT_REWRITE_SOURCE
+from repro.apps.false_paths import (
+    CONSTANT_LOOP_SOURCE,
+    SELECT_REWRITE_SOURCE,
+    build_select_rewrite_network,
+)
 from repro.apps.video import VideoAppConfig, build_video_network, video_flowc_source
 from repro.apps.workloads import pipeline_source, producer_consumer_source
 from repro.flowc.ast_nodes import (
@@ -65,6 +69,8 @@ from repro.flowc.parser import (
     parse_statements,
 )
 from repro.petrinet.analysis import is_unique_choice_net
+from repro.runtime.simulation import MultiTaskSimulation, SingleTaskSimulation
+from repro.scheduling.ep import find_all_schedules
 
 
 # ---------------------------------------------------------------------------
@@ -714,13 +720,72 @@ def test_link_merges_channel_places():
 
 
 def test_link_keeps_the_place_adjacency_current():
-    """Channel places are merged in place (``PetriNet.merge_place``): after
-    ``link`` every place reads the pre- and postset a full rebuild gives."""
+    """``link`` copies the process nets once (``merge_nets``), then adds the
+    environment transitions: every place reads the pre- and postset a full
+    rebuild of the adjacency gives."""
     for network in (_two_process_network(), build_video_network(VideoAppConfig(4, 5))):
         net = link(network).net
         linked = {p: (net.preset_of_place(p), net.postset_of_place(p)) for p in net.places}
         net.invalidate_caches()
         assert linked == {p: (net.preset_of_place(p), net.postset_of_place(p)) for p in net.places}
+
+
+def test_linking_twice_with_the_same_compiled_processes_gives_equal_nets():
+    for network in (_two_process_network(), build_select_rewrite_network()):
+        compiled = {name: compile_process(p) for name, p in network.processes.items()}
+        before = {name: repr(cp.net) for name, cp in compiled.items()}
+        first = link(network, compiled=compiled)
+        second = link(network, compiled=compiled)
+        assert first.net is not second.net and first.net == second.net
+        assert net_digest(first) == net_digest(second)
+        # the channel places were set up on copies, never on a compiled net
+        assert {name: repr(cp.net) for name, cp in compiled.items()} == before
+
+
+UNUSED_PORTS_SOURCE = """
+PROCESS prod (In DPORT trig, Out DPORT data, Out DPORT dead) {
+    int v;
+    while (1) { READ_DATA(trig, &v, 1); WRITE_DATA(data, v, 1); }
+}
+PROCESS cons (In DPORT data, In DPORT dead, In DPORT spare, Out DPORT res, Out DPORT quiet) {
+    int w;
+    while (1) { READ_DATA(data, &w, 1); WRITE_DATA(res, w * 2, 1); }
+}
+"""
+
+
+def test_link_gives_every_declared_port_a_place():
+    """A channel neither side touches, an input never read and an output never
+    written: each declared port has its process's port place."""
+    network = Network(name="unused")
+    network.add_processes_from_source(UNUSED_PORTS_SOURCE)
+    network.connect("prod", "data", "cons", "data", name="link")
+    network.connect("prod", "dead", "cons", "dead", name="dead", bound=2)
+    network.declare_input("prod", "trig", controllable=False)
+    network.declare_input("cons", "spare", controllable=True)
+    network.declare_output("cons", "res")
+    network.declare_output("cons", "quiet")
+    system = link(network)
+    net = system.net
+    declared = {(name, port.name) for name, p in network.processes.items() for port in p.ports}
+    assert set(system.port_place_of) == declared
+    # the dead channel's place is its writer's port place, with no arcs
+    dead = system.channel_places["dead"]
+    assert dead == system.port_place_of[("cons", "dead")] == "prod.dead"
+    place = net.places[dead]
+    assert (place.is_port, place.channel, place.bound, place.process) == (True, "dead", 2, None)
+    assert not net.preset_of_place(dead) and not net.postset_of_place(dead)
+    assert system.port_place_of[("cons", "spare")] == "cons.spare"
+    assert net.preset_of_place("cons.spare") == {"src.cons.spare": 1}
+    assert net.postset_of_place("cons.quiet") == {"sink.cons.quiet": 1}
+    results = find_all_schedules(net, raise_on_failure=True)
+    schedules = {source: result.schedule for source, result in results.items()}
+    stimulus = {"trig": [3, 5, 7]}
+    multi = MultiTaskSimulation(system, stimulus=stimulus).run()
+    single = SingleTaskSimulation(system, schedules=schedules).run(stimulus)
+    for port in ("res", "quiet"):
+        assert multi.outputs.port(port) == single.outputs.port(port)
+    assert single.outputs.port("res") == [6, 10, 14]
 
 
 def test_link_describe_and_port_mapping():

@@ -108,7 +108,18 @@ def test_copy_and_merge():
         merge_nets([net, net])
 
 
-def test_merge_place_moves_arcs_and_tokens():
+def test_merge_nets_refuses_a_place_named_like_a_transition_of_another_net():
+    first = PetriNet(name="first")
+    first.add_place("x")
+    second = PetriNet(name="second")
+    second.add_transition("x")
+    with pytest.raises(PetriNetError, match="'x'"):
+        merge_nets([first, second])
+    with pytest.raises(PetriNetError, match="'x'"):
+        merge_nets([second, first])
+
+
+def test_merge_nets_identify_moves_arcs_and_tokens():
     net = PetriNet()
     net.add_place("keep", 1)
     net.add_place("gone", 2)
@@ -118,13 +129,28 @@ def test_merge_place_moves_arcs_and_tokens():
     net.add_arc("t", "gone", 2)
     net.add_arc("gone", "u", 3)
     first = net.indexed()
-    net.merge_place("keep", "gone")
-    assert "gone" not in net.places and net.initial_tokens == {"keep": 3}
-    assert net.post["t"] == {"keep": 3} and net.pre["u"] == {"keep": 3}
-    assert net.preset_of_place("keep") == {"t": 3}
-    assert net.postset_of_place("keep") == {"u": 3}
-    # the structural version moved, so the indexed view is rebuilt
-    assert net.indexed() is not first and net.indexed().place_names == ("keep",)
+    merged = merge_nets([net], identify={"gone": "keep"})
+    assert "gone" not in merged.places and merged.initial_tokens == {"keep": 3}
+    assert merged.post["t"] == {"keep": 3} and merged.pre["u"] == {"keep": 3}
+    assert merged.preset_of_place("keep") == {"t": 3}
+    assert merged.postset_of_place("keep") == {"u": 3}
+    assert merged.indexed().place_names == ("keep",)
+    # the source net is copied, not changed
+    assert net.post["t"] == {"keep": 1, "gone": 2} and net.initial_tokens == {"keep": 1, "gone": 2}
+    assert net.indexed() is first
+    # the target may come from a later net, as a reader's process may precede its writer's
+    reader = PetriNet()
+    reader.add_place("in")
+    reader.add_transition("read")
+    reader.add_arc("in", "read")
+    writer = PetriNet()
+    writer.add_place("out")
+    writer.add_transition("write")
+    writer.add_arc("write", "out")
+    linked = merge_nets([reader, writer], identify={"in": "out"})
+    assert list(linked.places) == ["out"] and linked.pre["read"] == {"out": 1}
+    assert linked.preset_of_place("out") == {"write": 1}
+    assert linked.postset_of_place("out") == {"read": 1}
 
 
 def test_source_and_classification_queries():

@@ -517,12 +517,12 @@ def synthesized_code_size(
     costs = costs or CodeSizeCosts()
     net = task.segments.schedule.net
     inet = net.indexed()
-    intra_ports: Set[str] = set()
-    for channel_name in task.intra_task_channels:
-        for channel in system.network.channels:
-            if channel.name == channel_name:
-                intra_ports.add(channel.source.port)
-                intra_ports.add(channel.target.port)
+    # (process, port) of both ends of every channel inside the task
+    intra_ports: Set[Tuple[Optional[str], str]] = set()
+    for channel in system.network.channels:
+        if channel.name in task.intra_task_channels:
+            intra_ports.add((channel.source.process, channel.source.port))
+            intra_ports.add((channel.target.process, channel.target.port))
     total = costs.task_prologue
 
     multiplicity: Dict[FrozenSet[str], int] = {}
@@ -538,10 +538,8 @@ def synthesized_code_size(
         for statement in obj.code:
             comm_ports = set()
             for sub in walk_statements([statement]):
-                if isinstance(sub, ReadData):
-                    comm_ports.add(sub.port)
-                elif isinstance(sub, WriteData):
-                    comm_ports.add(sub.port)
+                if isinstance(sub, (ReadData, WriteData)):
+                    comm_ports.add((obj.process, sub.port))
             if comm_ports and comm_ports <= intra_ports:
                 site_bytes = costs.intratask_comm_site
             elif comm_ports:

@@ -257,6 +257,27 @@ def test_code_size_tells_apart_bodies_that_differ_inside_a_compound_statement():
     assert size("a = 2; b = a * 3 + 1;") > size("a = 1; b = a * 3 + 1;")
 
 
+def test_code_size_of_an_environment_write_ignores_a_channel_port_of_its_name():
+    def size(output):
+        network = Network(name="clash")
+        network.add_processes_from_source(
+            "PROCESS P (In DPORT t, Out DPORT x) { int v; while (1) { READ_DATA(t, &v, 1); "
+            "WRITE_DATA(x, v, 1); } } "
+            f"PROCESS Q (In DPORT i, Out DPORT {output}) {{ int w; while (1) {{ "
+            f"READ_DATA(i, &w, 1); WRITE_DATA({output}, w, 1); }} }}"
+        )
+        network.connect("P", "x", "Q", "i", name="c")
+        network.declare_input("P", "t", controllable=False)
+        network.declare_output("Q", output)
+        system = link(network)
+        (schedule,) = _schedules(system).values()
+        return synthesized_code_size(synthesize_task(system, schedule), system)
+
+    # Q's write to its environment port x is no buffer access, though P's
+    # channel port is also named x
+    assert size("x") == size("y")
+
+
 # ---------------------------------------------------------------------------
 # Executable task
 # ---------------------------------------------------------------------------

@@ -224,10 +224,7 @@ class _TaskSynthesizer:
     def _channel_bound(self, channel: str, place_bounds: Dict[str, int]) -> int:
         """Buffer size of an intra-task channel: its place's bound over the
         schedule (``Schedule.place_bounds``, computed once per task)."""
-        place = self.system.channel_places.get(channel)
-        if place is None:
-            return 1
-        return max(place_bounds.get(place, 1), 1)
+        return max(place_bounds.get(self.system.channel_places[channel], 1), 1)
 
     # -- initialisation ------------------------------------------------------------
     def _initialisation(self) -> str:

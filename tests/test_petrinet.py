@@ -141,14 +141,18 @@ def test_merge_nets_identify_moves_arcs_and_tokens():
     # the target may come from a later net, as a reader's process may precede its writer's
     reader = PetriNet()
     reader.add_place("in")
+    reader.add_place("ctl", 1)
     reader.add_transition("read")
     reader.add_arc("in", "read")
+    reader.add_arc("ctl", "read")
     writer = PetriNet()
     writer.add_place("out")
     writer.add_transition("write")
     writer.add_arc("write", "out")
     linked = merge_nets([reader, writer], identify={"in": "out"})
-    assert list(linked.places) == ["out"] and linked.pre["read"] == {"out": 1}
+    assert list(linked.places) == ["ctl", "out"]
+    # a renamed arc follows the transition's other arcs
+    assert list(linked.pre["read"].items()) == [("ctl", 1), ("out", 1)]
     assert linked.preset_of_place("out") == {"write": 1}
     assert linked.postset_of_place("out") == {"read": 1}
 

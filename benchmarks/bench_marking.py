@@ -16,7 +16,7 @@ import random
 
 from repro.apps import paper_nets
 from repro.apps.video import VideoAppConfig, build_video_system
-from repro.petrinet.analysis import StructuralAnalysis
+from repro.petrinet.analysis import enabled_ecss
 from repro.petrinet.marking import Marking
 
 BENCH_CONFIG = VideoAppConfig(lines_per_frame=4, pixels_per_line=5)
@@ -126,9 +126,8 @@ def test_enabled_incremental_indexed_pfc(benchmark):
 
 def test_enabled_ecss_pfc(benchmark):
     net = _video_net()
-    analysis = StructuralAnalysis.of(net)
     marking = net.fire_sequence(_random_walk(net, 50))
-    benchmark(analysis.enabled_ecss, marking)
+    benchmark(enabled_ecss, net, marking)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.petrinet.analysis import StructuralAnalysis
 from repro.scheduling.ep import SchedulerOptions, SearchCounters
 from repro.scheduling.serialize import schedule_from_dict
 
@@ -229,8 +228,10 @@ def _replay_validates(net, source: str, record: Mapping[str, object]) -> bool:
     """True when the record's schedule replays cleanly against the live net.
 
     Rebuilds the schedule from its canonical dict bound to ``net`` and runs
-    the Section 4.1 validation; any exception (unknown places, ECS mismatch,
-    disabled transitions...) means the entry does not belong to this net.
+    the Section 4.1 validation, which reads the structural analysis memoised
+    on the net's snapshot, so the records of one net's sources share one
+    build; any exception (unknown places, ECS mismatch, disabled
+    transitions...) means the entry does not belong to this net.
     Failure outcomes (``schedule is None``) carry nothing to replay and are
     accepted on the strength of the fingerprint match.
     """
@@ -241,15 +242,7 @@ def _replay_validates(net, source: str, record: Mapping[str, object]) -> bool:
         schedule = schedule_from_dict(net, schedule_data)
         if schedule.source_transition != source:
             return False
-        # memoise on the indexed snapshot: a warm run validating one record
-        # per source must not rebuild the structural analysis (ECS
-        # partition, degrees) once per record
-        snapshot_cache = net.indexed().analysis_cache
-        analysis = snapshot_cache.get("structural_analysis")
-        if analysis is None:
-            analysis = StructuralAnalysis.of(net)
-            snapshot_cache["structural_analysis"] = analysis
-        schedule.validate(analysis)
+        schedule.validate()
     except Exception:
         return False
     return True

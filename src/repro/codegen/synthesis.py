@@ -396,8 +396,9 @@ def synthesize_task(
     """Generate the C source of the task implementing ``schedule``.
 
     The task is named after the source transition it reacts to.  ``analysis``
-    is accepted for callers that pass one and is unused: code generation
-    reads only the schedule and the net.
+    is accepted for callers that pass one and is not read: code generation
+    reads the schedule and the net, and the await test of the schedule reads
+    the analysis memoised on the net (:meth:`StructuralAnalysis.of`).
     """
     return _TaskSynthesizer(system, schedule).synthesize()
 

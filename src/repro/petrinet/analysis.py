@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.petrinet.indexed import IndexedNet
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 
@@ -59,26 +58,14 @@ def compute_ecs_partition(net: PetriNet) -> List[ECS]:
     return partition
 
 
-def ecs_of_transition(net: PetriNet, transition: str, partition: Optional[Sequence[ECS]] = None) -> ECS:
-    """The ECS containing ``transition``."""
-    if partition is None:
-        partition = compute_ecs_partition(net)
-    for ecs in partition:
-        if transition in ecs:
-            return ecs
-    raise KeyError(f"transition {transition!r} not in any ECS")
-
-
-def enabled_ecss(net: PetriNet, marking: Marking, partition: Optional[Sequence[ECS]] = None) -> List[ECS]:
-    """All ECSs enabled at ``marking``.
+def enabled_ecss(net: PetriNet, marking: Marking) -> List[ECS]:
+    """All ECSs enabled at ``marking``, in partition order.
 
     An ECS is enabled iff any (equivalently every, for non-source sets) of its
     transitions is enabled.
     """
-    if partition is None:
-        partition = compute_ecs_partition(net)
     result = []
-    for ecs in partition:
+    for ecs in StructuralAnalysis.of(net).partition:
         representative = next(iter(ecs))
         if net.is_enabled(representative, marking):
             result.append(ecs)
@@ -108,7 +95,6 @@ def all_place_degrees(net: PetriNet) -> Dict[str, int]:
 def classify_choice_place(
     net: PetriNet,
     place: str,
-    partition: Optional[Sequence[ECS]] = None,
     reachable_markings: Optional[Iterable[Marking]] = None,
 ) -> ChoiceKind:
     """Classify a place as non-choice / equal / unique / general.
@@ -124,9 +110,8 @@ def classify_choice_place(
     successors = net.successors_of_place(place)
     if len(successors) <= 1:
         return ChoiceKind.NOT_A_CHOICE
-    if partition is None:
-        partition = compute_ecs_partition(net)
-    ecss = {frozenset(ecs_of_transition(net, t, partition)) for t in successors}
+    ecs_of = StructuralAnalysis.of(net).ecs_by_transition
+    ecss = {ecs_of[t] for t in successors}
     if len(ecss) == 1:
         return ChoiceKind.EQUAL
     if reachable_markings is not None:
@@ -163,9 +148,8 @@ def is_unique_choice_net(
 ) -> bool:
     """True if every choice place of the net is equal or unique (UCPN)."""
     markings = list(reachable_markings) if reachable_markings is not None else None
-    partition = compute_ecs_partition(net)
     for place in net.choice_places():
-        kind = classify_choice_place(net, place, partition, markings)
+        kind = classify_choice_place(net, place, markings)
         if kind is ChoiceKind.GENERAL:
             return False
     return True
@@ -173,10 +157,13 @@ def is_unique_choice_net(
 
 @dataclass
 class StructuralAnalysis:
-    """Bundle of the structural facts the scheduler consumes repeatedly.
+    """Bundle of the structural facts the scheduler consumes repeatedly: the
+    ECS partition, the place degrees and the uncontrollable sources.
 
-    Building this once per net avoids recomputing the ECS partition and place
-    degrees at every node of the scheduling tree.
+    :meth:`of` is the one way to get it: the bundle is memoised on the net's
+    indexed snapshot, so every search, validation and replay of one net
+    version shares one build, and a mutation that starts a new snapshot
+    starts a new bundle.
     """
 
     net: PetriNet
@@ -184,21 +171,29 @@ class StructuralAnalysis:
     ecs_by_transition: Dict[str, ECS] = field(default_factory=dict)
     degrees: Dict[str, int] = field(default_factory=dict)
     uncontrollable: FrozenSet[str] = frozenset()
-    controllable: FrozenSet[str] = frozenset()
     # -- indexed-core view: ECS IDs are indices into ``partition`` ----------
-    indexed_net: Optional[IndexedNet] = None
     ecs_id_by_tid: Tuple[int, ...] = ()
     source_ecs_ids: FrozenSet[int] = frozenset()
 
     @classmethod
     def of(cls, net: PetriNet) -> "StructuralAnalysis":
-        """Compute the bundle for ``net``."""
+        """The bundle for ``net``, memoised on ``net.indexed()``.
+
+        Built on first use and kept in the snapshot's ``analysis_cache``,
+        beside the T-invariant basis.  Every sanctioned mutator
+        (``add_place``, ``add_transition``, ``add_arc``,
+        ``set_initial_tokens``) and :meth:`PetriNet.invalidate_caches` start
+        a new snapshot, so the memo of the old one is never read again."""
+        indexed = net.indexed()
+        cache = indexed.analysis_cache
+        analysis = cache.get("structural_analysis")
+        if analysis is not None:
+            return analysis
         partition = compute_ecs_partition(net)
         by_transition: Dict[str, ECS] = {}
         for ecs in partition:
             for transition in ecs:
                 by_transition[transition] = ecs
-        indexed = net.indexed()
         ecs_id_by_tid = [0] * len(indexed.transition_names)
         source_ecs_ids = set()
         for ecs_id, ecs in enumerate(partition):
@@ -206,17 +201,16 @@ class StructuralAnalysis:
                 ecs_id_by_tid[indexed.transition_index[transition]] = ecs_id
             if any(not net.pre[t] for t in ecs):
                 source_ecs_ids.add(ecs_id)
-        return cls(
+        analysis = cache["structural_analysis"] = cls(
             net=net,
             partition=partition,
             ecs_by_transition=by_transition,
             degrees=all_place_degrees(net),
             uncontrollable=frozenset(net.uncontrollable_sources()),
-            controllable=frozenset(net.controllable_sources()),
-            indexed_net=indexed,
             ecs_id_by_tid=tuple(ecs_id_by_tid),
             source_ecs_ids=frozenset(source_ecs_ids),
         )
+        return analysis
 
     def ecs_of(self, transition: str) -> ECS:
         return self.ecs_by_transition[transition]
@@ -225,22 +219,3 @@ class StructuralAnalysis:
         """ECS IDs containing an enabled transition (ascending = partition order)."""
         by_tid = self.ecs_id_by_tid
         return sorted({by_tid[tid] for tid in enabled_tids})
-
-    def enabled_ecss(self, marking: Marking) -> List[ECS]:
-        """ECSs enabled at ``marking`` (deterministic order)."""
-        indexed = self.indexed_net
-        # net.indexed() rebuilds on structural version changes, so comparing
-        # against it (not the raw _indexed field, which mutators leave in
-        # place) is what actually detects a stale snapshot.
-        if indexed is not None and indexed is self.net.indexed():
-            vec = indexed.vec_of_marking(marking)
-            return [
-                self.partition[ecs_id]
-                for ecs_id in self.enabled_ecs_ids(indexed.enabled_vec(vec))
-            ]
-        result = []
-        for ecs in self.partition:
-            representative = min(ecs)
-            if self.net.is_enabled(representative, marking):
-                result.append(ecs)
-        return result

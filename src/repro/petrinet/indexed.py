@@ -148,8 +148,8 @@ class IndexedNet:
             tuple(entries) for entries in consumers
         )
 
-        # Scratch space for analyses keyed to this structural snapshot (e.g.
-        # the T-invariant basis); dies with the snapshot on net mutation.
+        # The memos of this snapshot, written only by StructuralAnalysis.of
+        # and invariant_basis; they die with the snapshot on net mutation.
         self.analysis_cache: Dict[object, object] = {}
 
     # ------------------------------------------------------------------

@@ -176,7 +176,8 @@ class PetriNet:
         """The cached integer-dense view of this net (see ``petrinet.indexed``).
 
         Rebuilt automatically when the structural version changed; callers
-        must not keep using an old view across mutations.
+        must not keep using an old view across mutations.  The memos kept on
+        a view (``IndexedNet.analysis_cache``) die with it.
         """
         if self._indexed is None or self._indexed_version != self._version:
             from repro.petrinet.indexed import IndexedNet
@@ -329,7 +330,12 @@ class PetriNet:
         return Marking(self.initial_tokens)
 
     def set_initial_tokens(self, place: str, tokens: int) -> None:
-        """Set ``M0(place) = tokens`` (structural mutation: bumps the version)."""
+        """Set ``M0(place) = tokens``.
+
+        Bumps the version like the ``add_*`` mutators: ``M0`` enters the
+        snapshot's ``initial_vec`` and the place degrees of the structural
+        analysis memoised on it, so the next :meth:`indexed` is a new
+        snapshot."""
         if place not in self.places:
             raise PetriNetError(f"unknown place {place!r}")
         if tokens < 0:
@@ -338,13 +344,7 @@ class PetriNet:
             self.initial_tokens[place] = tokens
         else:
             self.initial_tokens.pop(place, None)
-        # Token counts are not arc structure: the indexed snapshot's delta and
-        # adjacency tables stay valid, only its initial vector must refresh.
-        if self._indexed is not None and self._indexed_version == self._version:
-            indexed = self._indexed
-            indexed.initial_vec = tuple(
-                self.initial_tokens.get(name, 0) for name in indexed.place_names
-            )
+        self._version += 1
 
     def is_enabled(self, transition: str, marking: Marking) -> bool:
         """True if ``transition`` is enabled at ``marking``."""

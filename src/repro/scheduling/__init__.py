@@ -37,8 +37,6 @@ from repro.scheduling.serialize import (
     schedule_to_json,
 )
 from repro.scheduling.independence import (
-    involved_places,
-    involved_transitions,
     are_mutually_independent,
     is_independent_set,
 )
@@ -59,8 +57,6 @@ __all__ = [
     "check_executability",
     "find_all_schedules",
     "find_schedule",
-    "involved_places",
-    "involved_transitions",
     "is_independent_set",
     "schedule_fingerprint",
     "schedule_from_dict",

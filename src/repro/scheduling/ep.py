@@ -351,29 +351,21 @@ class _EPSearch:
         net: PetriNet,
         source: str,
         options: SchedulerOptions,
-        analysis: Optional[StructuralAnalysis] = None,
     ):
         self.net = net
         self.source = source
         self.options = options
-        if analysis is None or analysis.indexed_net is not net.indexed():
-            # A caller-supplied analysis built before a structural mutation
-            # carries transition IDs of a dead snapshot; rebuild rather than
-            # silently mixing ID spaces.
-            analysis = StructuralAnalysis.of(net)
-        self.analysis = analysis
+        self.analysis = StructuralAnalysis.of(net)
         self.counters = SearchCounters()
         self.tree = SchedulingTree(net, counters=self.counters)
         self.inet = self.tree.inet
-        self.other_uncontrollable = {
-            t for t in self.analysis.uncontrollable if t != source
-        }
         # ECS IDs excluded under the single-source restriction, and source ECS
         # IDs (deferred by the Section 4.4 pruning rule).
+        others = self.analysis.uncontrollable - {source}
         self._excluded_ecs_ids = frozenset(
             ecs_id
             for ecs_id, ecs in enumerate(self.analysis.partition)
-            if ecs & self.other_uncontrollable
+            if ecs & others
         )
         self._source_ecs_ids = self.analysis.source_ecs_ids
         # per-ECS-ID transition IDs in sorted-name order (the firing order)
@@ -396,7 +388,7 @@ class _EPSearch:
         # the tracker keeps along the path
         self.guide: Optional[InvariantGuide] = None
         if options.use_invariant_heuristic:
-            self.guide = InvariantGuide(net, self.analysis, source)
+            self.guide = InvariantGuide(net, source)
             if self.guide.candidate:
                 self.tree.cycle = CycleTracker(self.guide.candidate, tindex, self._ecs_tids)
         # (place ID, bound) of every channel place whose bound the
@@ -487,7 +479,7 @@ class _EPSearch:
                 counters=self.counters,
             )
         schedule = self._post_process(root)
-        schedule.validate(self.analysis)
+        schedule.validate()
         return SchedulerResult(
             source_transition=self.source,
             schedule=schedule,
@@ -752,11 +744,13 @@ def find_schedule(
     """Find a (single-source) schedule for ``source_transition``.
 
     ``net`` is the linked Petri net, ``source_transition`` the name of the
-    uncontrollable source to react to, ``options`` a
-    :class:`SchedulerOptions` (defaults apply), and ``analysis`` an optional
-    pre-built :class:`StructuralAnalysis` to share across several searches
-    of the same net.  At every node the search ranks the enabled ECSs by
-    one key: the tie-breaks of Section 5.5.2 plus, under
+    uncontrollable source to react to and ``options`` a
+    :class:`SchedulerOptions` (defaults apply).  ``analysis`` is accepted
+    for callers that pass one and is not read: the search reads
+    :meth:`StructuralAnalysis.of`, memoised on the net's current snapshot,
+    so searches of one net version share one analysis and none ever reads
+    an analysis of an older version.  At every node the search ranks the
+    enabled ECSs by one key: the tie-breaks of Section 5.5.2 plus, under
     ``options.use_invariant_heuristic``, the promising vector of a
     candidate T-invariant.
 
@@ -774,7 +768,7 @@ def find_schedule(
     options = options or SchedulerOptions()
     if source_transition not in net.transitions:
         raise KeyError(f"unknown transition {source_transition!r}")
-    result = _EPSearch(net, source_transition, options, analysis=analysis).run()
+    result = _EPSearch(net, source_transition, options).run()
     if raise_on_failure and not result.success:
         raise SchedulingFailure(
             f"no schedule found for {source_transition!r}: {result.failure_reason}"
@@ -793,7 +787,9 @@ def find_all_schedules(
 
     ``sources`` may restrict / extend the set of transitions scheduled (e.g.
     to include initially-enabled transitions per Property 4.3).  Every
-    source is searched, in order, over one shared structural analysis.
+    source is searched, in order, by :func:`find_schedule`; the searches
+    share the structural analysis and the T-invariant basis memoised on the
+    net's snapshot.
 
     Example::
 
@@ -804,15 +800,8 @@ def find_all_schedules(
         [('r0.src', True), ('r1.src', True)]
     """
     options = options or SchedulerOptions()
-    analysis = StructuralAnalysis.of(net)
     targets = list(sources) if sources is not None else net.uncontrollable_sources()
     return {
-        source: find_schedule(
-            net,
-            source,
-            options=options,
-            analysis=analysis,
-            raise_on_failure=raise_on_failure,
-        )
+        source: find_schedule(net, source, options=options, raise_on_failure=raise_on_failure)
         for source in targets
     }

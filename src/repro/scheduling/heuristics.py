@@ -123,12 +123,14 @@ class InvariantGuide:
     of Theorem 5.3 (every pseudo-enabled ECS of a process appearing in the
     vector contributes a transition), chosen by the binate-covering
     formulation.  The search prefers ECSs on which its promising vector is
-    positive.
+    positive.  The guide reads the net's T-invariant basis and its
+    structural analysis from their memos on the net's snapshot
+    (:func:`~repro.petrinet.invariants.invariant_basis`,
+    :meth:`StructuralAnalysis.of`); nothing else can be handed to it.
     """
 
-    def __init__(self, net: PetriNet, analysis: StructuralAnalysis, source_transition: str):
+    def __init__(self, net: PetriNet, source_transition: str):
         self.net = net
-        self.analysis = analysis
         self.source_transition = source_transition
         self.base, self.base_complete = invariant_basis(net)
         #: the candidate invariant (empty when no base invariant fires the source)
@@ -167,12 +169,13 @@ class InvariantGuide:
         from the invariants' supports; an invariant fires a transition of the
         ECS exactly when it is one of the ECS's helpers.
         """
+        analysis = StructuralAnalysis.of(self.net)
         process_of = {t: obj.process for t, obj in self.net.transitions.items()}
         ecs_by_process: Dict[Optional[str], List[ECS]] = {}
-        for ecs in self.analysis.partition:
+        for ecs in analysis.partition:
             proc = process_of.get(min(ecs))
             ecs_by_process.setdefault(proc, []).append(ecs)
-        ecs_of = self.analysis.ecs_by_transition
+        ecs_of = analysis.ecs_by_transition
         helpers_of: Dict[ECS, int] = {}
         for column, invariant in enumerate(self.base):
             for transition in invariant:

@@ -2,10 +2,15 @@
 
 Two single-source schedules are *mutually independent* iff for every place
 involved in one schedule, the token count at that place is the same at every
-await node of the other schedule (Definition 4.3).  An independent set of SS
-schedules is executable (Proposition 4.2): any interleaving of environment
-events can be served by traversing the schedules, and the schedules' node
-markings give tight bounds on channel occupancy.
+await node of the other schedule (Definition 4.3).  The paper calls a place
+involved when an involved transition consumes from it; the check here also
+counts the places an involved transition produces into
+(:meth:`Schedule.involved_places`), the conservative reading: a place whose
+count one schedule modifies must not be relied upon by another.  An
+independent set of SS schedules is executable (Proposition 4.2): any
+interleaving of environment events can be served by traversing the
+schedules, and the schedules' node markings give tight bounds on channel
+occupancy.
 
 Proposition 4.3 states that for nets generated from FlowC every set of SS
 schedules is independent; :func:`is_independent_set` lets tests confirm this
@@ -15,25 +20,9 @@ and guards against misuse of hand-built nets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.scheduling.schedule import Schedule
-
-
-def involved_transitions(schedule: Schedule) -> Set[str]:
-    """Transitions associated with at least one edge of ``schedule``."""
-    return schedule.involved_transitions()
-
-
-def involved_places(schedule: Schedule, *, include_postsets: bool = True) -> Set[str]:
-    """Places whose token count the schedule can observe or modify.
-
-    The paper defines an involved place as a predecessor of an involved
-    transition; for the independence check we conservatively include the
-    postsets as well (a place whose count a schedule modifies must also not be
-    relied upon by another schedule).
-    """
-    return schedule.involved_places(include_postsets=include_postsets)
 
 
 @dataclass
@@ -61,7 +50,7 @@ def find_independence_violation(
     first: Schedule, second: Schedule
 ) -> Optional[IndependenceViolation]:
     """Return a violation of Definition 4.3 between two SS schedules, if any."""
-    for place in involved_places(first):
+    for place in first.involved_places():
         counts = _await_counts(second, place)
         if counts and len(set(counts)) > 1:
             return IndependenceViolation(
@@ -70,7 +59,7 @@ def find_independence_violation(
                 schedule_b=second.source_transition,
                 counts_at_await_nodes=counts,
             )
-    for place in involved_places(second):
+    for place in second.involved_places():
         counts = _await_counts(first, place)
         if counts and len(set(counts)) > 1:
             return IndependenceViolation(
@@ -122,7 +111,7 @@ def combined_place_bounds(schedules: Sequence[Schedule]) -> Dict[str, int]:
     }
     for schedule in schedules:
         node_bounds = schedule.place_bounds()
-        for place in involved_places(schedule):
+        for place in schedule.involved_places():
             bounds[place] = max(bounds[place], node_bounds[place])
     return bounds
 

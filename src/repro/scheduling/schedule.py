@@ -124,16 +124,6 @@ class ScheduleNode:
         return f"ScheduleNode(index={self.index}, marking={self.marking!r}, edges={self.edges!r})"
 
 
-def _uncontrollable(net: PetriNet) -> FrozenSet[str]:
-    """The net's uncontrollable sources, memoised on its indexed snapshot:
-    every reaction reads them, and listing them sorts every transition."""
-    cache = net.indexed().analysis_cache
-    sources = cache.get("uncontrollable_sources")
-    if sources is None:
-        sources = cache["uncontrollable_sources"] = frozenset(net.uncontrollable_sources())
-    return sources
-
-
 def _awaits(node: ScheduleNode, uncontrollable: FrozenSet[str]) -> bool:
     """The await test: an edge out of ``node`` carries an uncontrollable source."""
     return not uncontrollable.isdisjoint(node.edges)
@@ -199,28 +189,30 @@ class Schedule:
             result.add(transition)
         return result
 
-    def involved_places(self, *, include_postsets: bool = False) -> Set[str]:
-        """Places that are predecessors of involved transitions.
+    def involved_places(self) -> Set[str]:
+        """Places whose token count the schedule can observe or modify.
 
-        With ``include_postsets`` the successors of involved transitions are
-        included as well (useful for channel-bound reporting).
+        The paper defines an involved place as a predecessor of an involved
+        transition (Definition 4.3).  The successors count too: a place whose
+        count one schedule modifies must not be relied upon by another, so
+        the independence check (:mod:`repro.scheduling.independence`) reads
+        this conservative set.
         """
         places: Set[str] = set()
         for transition in self.involved_transitions():
             places.update(self.net.pre[transition])
-            if include_postsets:
-                places.update(self.net.post[transition])
+            places.update(self.net.post[transition])
         return places
 
     def await_nodes(self) -> List[ScheduleNode]:
         """Nodes whose outgoing edge carries an uncontrollable source."""
-        uncontrollable = _uncontrollable(self.net)
+        uncontrollable = StructuralAnalysis.of(self.net).uncontrollable
         return [node for node in self.nodes if _awaits(node, uncontrollable)]
 
     def is_single_source(self) -> bool:
         """True if all await nodes use the schedule's own source transition."""
         own = {self.source_transition}
-        uncontrollable = _uncontrollable(self.net)
+        uncontrollable = StructuralAnalysis.of(self.net).uncontrollable
         return all(uncontrollable.intersection(node.edges) == own for node in self.await_nodes())
 
     def place_bounds(self) -> Dict[str, int]:
@@ -273,7 +265,7 @@ class Schedule:
         >>> [(t, node.index) for t, node in schedule.reaction(0, "a", last, max_steps=9)]
         [('a', 1), ('c', 3)]
         """
-        uncontrollable = _uncontrollable(self.net)
+        uncontrollable = StructuralAnalysis.of(self.net).uncontrollable
         node = self.nodes[start]
         if event not in node.edges:
             raise ReactionError(f"node {start} has no edge for {event!r}")
@@ -328,22 +320,39 @@ class Schedule:
     # ------------------------------------------------------------------
     # validation (the five properties of Section 4.1)
     # ------------------------------------------------------------------
-    def validate(self, analysis: Optional[StructuralAnalysis] = None) -> None:
+    def validate(self) -> None:
         """Check the five Section 4.1 schedule properties, raising
         :class:`ScheduleValidationError` on the first violation: root carries
         the initial marking with out-degree 1, the root edge fires the source
         transition, outgoing edges form whole ECSs of enabled transitions,
         edges fire correctly (target = marking after firing), and every node
-        lies on a directed cycle through the root.
+        lies on a directed cycle through the root.  A root that is not a
+        node, or an edge naming a transition the net lacks or a target that
+        is not a node, is refused first, as a violation of the node it
+        belongs to.
 
         The checks read the nodes' marking vectors in the net's current
-        indexed snapshot and its ``consume`` and ``delta`` tables; no
-        name-keyed marking is built unless a message prints one."""
-        if analysis is None:
-            analysis = StructuralAnalysis.of(self.net)
+        indexed snapshot and its ``consume`` and ``delta`` tables, and the
+        ECSs of :meth:`StructuralAnalysis.of`; no name-keyed marking is built
+        unless a message prints one."""
         if not self.nodes:
             raise ScheduleValidationError("schedule has no nodes")
         inet = self.net.indexed()
+        consume, delta, transition_index = inet.consume, inet.delta, inet.transition_index
+        count = len(self.nodes)
+        if not 0 <= self.root < count:
+            raise ScheduleValidationError(f"root {self.root} is not a node of the schedule")
+        for node in self.nodes:
+            for transition, target in node.edges.items():
+                if transition not in transition_index:
+                    raise ScheduleValidationError(
+                        f"node {node.index}: {transition!r} is not a transition of the net"
+                    )
+                if not 0 <= target < count:
+                    raise ScheduleValidationError(
+                        f"node {node.index}: the edge {transition!r} leads to {target}, not a node"
+                    )
+        analysis = StructuralAnalysis.of(self.net)
         vecs = [node.vec_in(inet) for node in self.nodes]
         root = self.root_node
         # property 1: the root carries the initial marking and has out-degree 1
@@ -361,7 +370,6 @@ class Schedule:
             )
         # properties 3 and 4: each edge's transition is enabled at its
         # source vector (consume) and moves it onto its target's (delta)
-        consume, delta, transition_index = inet.consume, inet.delta, inet.transition_index
         foreign = [node.foreign for node in self.nodes]
         for node, vec, own_foreign in zip(self.nodes, vecs, foreign):
             if not node.edges:

@@ -83,7 +83,7 @@ def _path_firings(tree: SchedulingTree):
 def test_cycle_tracker_matches_the_promising_vector_on_random_walks(kind, seed, steps):
     net = _net(kind, seed)
     analysis = StructuralAnalysis.of(net)
-    guide = InvariantGuide(net, analysis, "src")
+    guide = InvariantGuide(net, "src")
     assume(guide.candidate)
     tree = SchedulingTree(net)
     index = tree.inet.transition_index
@@ -114,7 +114,7 @@ def test_cycle_tracker_matches_the_promising_vector_on_random_walks(kind, seed, 
 )
 def test_cycle_tracker_is_exact_for_counts_beyond_int64(counts, steps):
     net = paper_nets.figure_5()
-    guide = InvariantGuide(net, StructuralAnalysis.of(net), "a")
+    guide = InvariantGuide(net, "a")
     names = sorted(net.transitions)[: len(counts)]
     guide.candidate = dict(zip(names, counts))
     index = net.indexed().transition_index

@@ -17,7 +17,8 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro.apps import paper_nets
-from repro.petrinet.analysis import StructuralAnalysis, compute_ecs_partition
+from repro.apps.workloads import random_multi_source_net
+from repro.petrinet.analysis import StructuralAnalysis, compute_ecs_partition, enabled_ecss
 from repro.petrinet.indexed import IndexedNet, MarkingStore
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
@@ -135,15 +136,22 @@ def test_facade_fire_agrees_with_reference(net: PetriNet):
 
 @pytest.mark.parametrize("net", all_figure_nets(), ids=lambda net: net.name)
 def test_enabled_ecss_agree(net: PetriNet):
+    """The search's dense ECS scan (``enabled_ecs_ids`` over the enabled
+    transition IDs) and the name-keyed ``enabled_ecss`` agree with the
+    reference along a random walk."""
     rng = random.Random(99)
     partition = compute_ecs_partition(net)
     analysis = StructuralAnalysis.of(net)
+    inet = net.indexed()
     marking = net.initial_marking
     for _step in range(40):
         expected = [
             ecs for ecs in partition if reference_is_enabled(net, min(ecs), marking)
         ]
-        assert analysis.enabled_ecss(marking) == expected
+        enabled_tids = inet.enabled_vec(inet.vec_of_marking(marking))
+        dense = [analysis.partition[ecs_id] for ecs_id in analysis.enabled_ecs_ids(enabled_tids)]
+        assert dense == expected
+        assert enabled_ecss(net, marking) == expected
         enabled = reference_enabled(net, marking)
         if not enabled:
             break
@@ -230,12 +238,111 @@ def test_find_schedule_rebuilds_stale_analysis():
 
 
 def test_set_initial_tokens_refreshes_indexed_snapshot():
+    """A token change starts a new snapshot, like every sanctioned mutator:
+    its initial vector and the analysis memoised on it hold the tokens."""
     net = paper_nets.figure_5()
     indexed = net.indexed()
+    analysis = StructuralAnalysis.of(net)
     net.set_initial_tokens("p0", 3)
-    assert net.indexed() is indexed  # token change is not structural
-    assert indexed.initial_vec == indexed.vec_of_marking(net.initial_marking)
+    fresh = net.indexed()
+    assert fresh is not indexed
+    assert fresh.initial_vec == fresh.vec_of_marking(net.initial_marking)
     assert net.initial_marking["p0"] == 3
+    assert StructuralAnalysis.of(net) is not analysis
+    assert StructuralAnalysis.of(net).degrees["p0"] == 3
+    assert analysis.degrees["p0"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the structural analysis memo: one per snapshot, read by every search
+# ---------------------------------------------------------------------------
+
+
+def test_structural_analysis_is_memoised_on_the_snapshot():
+    net = paper_nets.figure_8()
+    analysis = StructuralAnalysis.of(net)
+    assert StructuralAnalysis.of(net) is analysis
+    assert net.indexed().analysis_cache["structural_analysis"] is analysis
+
+
+def _add_gate(net: PetriNet) -> None:
+    net.add_place("gate")
+
+
+def _add_sink(net: PetriNet) -> None:
+    net.add_transition("zz_sink")
+
+
+def _feed_p3(net: PetriNet) -> None:
+    net.add_arc("d", "p3", 2)
+
+
+def _more_tokens(net: PetriNet) -> None:
+    net.set_initial_tokens("p2", 2)
+
+
+def _rewire(net: PetriNet) -> None:
+    del net.pre["e"]["p3"]
+    net.pre["e"]["p2"] = 1
+    net.invalidate_caches()
+
+
+@pytest.mark.parametrize(
+    "mutate, reflects",
+    [
+        (_add_gate, lambda analysis: "gate" in analysis.degrees),
+        (_add_sink, lambda analysis: frozenset({"zz_sink"}) in analysis.partition),
+        (_feed_p3, lambda analysis: analysis.degrees["p3"] == 3),
+        (_more_tokens, lambda analysis: analysis.degrees["p2"] == 2),
+        (_rewire, lambda analysis: analysis.ecs_of("e") == frozenset({"d", "e"})),
+    ],
+    ids=["add_place", "add_transition", "add_arc", "set_initial_tokens", "invalidate_caches"],
+)
+def test_every_sanctioned_mutation_starts_a_new_analysis(mutate, reflects):
+    net = paper_nets.figure_8()
+    held = StructuralAnalysis.of(net)
+    assert not reflects(held)
+    mutate(net)
+    fresh = StructuralAnalysis.of(net)
+    assert fresh is not held
+    assert reflects(fresh)
+    assert StructuralAnalysis.of(net) is fresh
+
+
+def test_scheduling_every_source_builds_the_analysis_once(monkeypatch):
+    net = random_multi_source_net(4, 30, seed=7)
+    sources = net.uncontrollable_sources()
+    assert len(sources) == 4
+    builds = []
+    partition = compute_ecs_partition
+
+    def counted(built_net):
+        builds.append(built_net)
+        return partition(built_net)
+
+    monkeypatch.setattr("repro.petrinet.analysis.compute_ecs_partition", counted)
+    for source in sources:
+        find_schedule(net, source)
+    assert builds == [net]
+
+
+@pytest.mark.parametrize("tokens", [2, 3])
+def test_an_analysis_held_across_a_token_change_is_not_read(tokens):
+    """Figure 8 with more tokens on ``p2``: a search handed the analysis of
+    the old initial marking prunes by Definition 4.5 with the new place
+    degrees, exactly as a search of a net built with those tokens does."""
+    net = paper_nets.figure_8()
+    held = StructuralAnalysis.of(net)
+    net.set_initial_tokens("p2", tokens)
+    assert held.degrees["p2"] == 1
+    stale = find_schedule(net, "a", analysis=held)
+    built = paper_nets.figure_8()
+    built.set_initial_tokens("p2", tokens)
+    fresh = find_schedule(built, "a")
+    assert stale.tree_nodes == fresh.tree_nodes
+    assert stale.counters.as_dict() == fresh.counters.as_dict()
+    assert stale.failure_reason == fresh.failure_reason
+    assert fresh.failure_reason is not None
 
 
 def test_search_counters_are_populated():

@@ -265,12 +265,13 @@ class TestFaultInjection:
         analysis = StructuralAnalysis.of(net)
         limit = sys.getrecursionlimit()
         with pytest.raises(RuntimeError, match="failed mid-search"):
-            _FailsAfter(net, "src", SchedulerOptions(), analysis=analysis).run()
+            _FailsAfter(net, "src", SchedulerOptions()).run()
         # the raised recursion limit was restored on the way out, and the
-        # next search of the same net, through the same analysis, comes
-        # back clean
+        # next search of the same net, through the same memoised analysis,
+        # comes back clean
         assert sys.getrecursionlimit() == limit
-        result = find_schedule(net, "src", analysis=analysis)
+        result = find_schedule(net, "src")
+        assert StructuralAnalysis.of(net) is analysis
         assert result_identity(result) == baseline
 
 
@@ -355,15 +356,14 @@ class TestWiring:
         search builds its own incremental checker from the analysis's place
         degrees, so its op counters describe that search alone."""
         net = saturated_pipeline(6)
-        analysis = StructuralAnalysis.of(net)
         options = SchedulerOptions()
-        first = _EPSearch(net, "src", options, analysis=analysis)
+        first = _EPSearch(net, "src", options)
         first_result = first.run()
         checked = first._incremental.children_checked
         assert checked > 0
-        second = _EPSearch(net, "src", options, analysis=analysis)
+        second = _EPSearch(net, "src", options)
         second_result = second.run()
-        assert second.analysis is first.analysis
+        assert second.analysis is first.analysis is StructuralAnalysis.of(net)
         assert second._incremental is not first._incremental
         assert second._incremental.children_checked == checked
         assert result_identity(second_result) == result_identity(first_result)

@@ -30,7 +30,6 @@ from repro.corpus.generator import DEFAULT_SEED, generate_spec, make_unschedulab
 from repro.corpus.topologies import build_network
 from repro.flowc.linker import link
 from repro.petrinet import invariants
-from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.invariants import (
     InvariantBasis,
     _eliminate,
@@ -295,8 +294,7 @@ def test_caller_supplied_invariants_prove_nothing():
     """The precheck reads only the basis the guide computes itself; there is
     no way to hand it invariants."""
     net = source_beside_ring()
-    analysis = StructuralAnalysis.of(net)
-    assert not heuristics.InvariantGuide(net, analysis, "a").source_is_coverable()
+    assert not heuristics.InvariantGuide(net, "a").source_is_coverable()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.petrinet.analysis import (
     all_place_degrees,
     classify_choice_place,
     compute_ecs_partition,
-    ecs_of_transition,
     enabled_ecss,
     is_unique_choice_net,
     place_degree,
@@ -199,7 +198,7 @@ def test_ecs_partition_of_figure_8():
 
 def test_ecs_of_transition_and_enabled_ecss():
     net = paper_nets.figure_8()
-    assert ecs_of_transition(net, "b") == frozenset({"b", "c"})
+    assert StructuralAnalysis.of(net).ecs_of("b") == frozenset({"b", "c"})
     m = net.fire("a", net.initial_marking)
     enabled = {frozenset(e) for e in enabled_ecss(net, m)}
     assert frozenset({"b", "c"}) in enabled
@@ -225,12 +224,9 @@ def test_place_degree_respects_initial_marking():
 
 def test_choice_place_classification_equal_choice(divisors_system):
     net = divisors_system.net
-    analysis = StructuralAnalysis.of(net)
     # the while/if condition places are equal choices
     equal_choices = [
-        p
-        for p in net.choice_places()
-        if classify_choice_place(net, p, analysis.partition) is ChoiceKind.EQUAL
+        p for p in net.choice_places() if classify_choice_place(net, p) is ChoiceKind.EQUAL
     ]
     assert equal_choices, "the divisors net must contain equal choice places"
 
@@ -320,27 +316,6 @@ def test_reachable_markings_wrapper():
     net = paper_nets.figure_5()
     markings = reachable_markings(net, max_nodes=100, max_tokens_per_place=1)
     assert net.initial_marking in markings
-
-
-def test_structural_analysis_enabled_ecss_detects_stale_snapshot():
-    """The enabled_ecss fast path must not trust a snapshot the sanctioned
-    mutators (add_place/add_arc) made stale: they bump the version but leave
-    the old IndexedNet object in place."""
-    from repro.petrinet.analysis import StructuralAnalysis
-
-    net = paper_nets.figure_5()
-    analysis = StructuralAnalysis.of(net)
-    before = [sorted(ecs) for ecs in analysis.enabled_ecss(net.initial_marking)]
-    assert ["a"] in before  # the source is enabled while unguarded
-    net.add_place("gate")
-    net.add_arc("gate", "a")  # now 'a' needs a token the marking lacks
-    after = [sorted(ecs) for ecs in analysis.enabled_ecss(net.initial_marking)]
-    truth = [
-        sorted(ecs)
-        for ecs in StructuralAnalysis.of(net).enabled_ecss(net.initial_marking)
-    ]
-    assert after == truth
-    assert ["a"] not in after
 
 
 def test_bounded_lru_eviction_and_recency():

@@ -20,7 +20,7 @@ from repro.apps.false_paths import (
 from repro.corpus.generator import generate_spec, make_unschedulable_spec
 from repro.corpus.topologies import build_network
 from repro.flowc.linker import link
-from repro.petrinet.analysis import StructuralAnalysis
+from repro.petrinet.analysis import StructuralAnalysis, enabled_ecss
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet, SourceKind
 from repro.scheduling.ep import (
@@ -97,10 +97,11 @@ def test_schedule_root_requirements():
         schedule.validate()
 
 
-def _firing_validate(schedule: Schedule, analysis: StructuralAnalysis) -> None:
+def _firing_validate(schedule: Schedule) -> None:
     """The five checks as ``validate`` made them before it moved onto plain
     dicts: ``PetriNet.is_enabled`` and ``PetriNet.fire`` on every edge."""
     net = schedule.net
+    analysis = StructuralAnalysis.of(net)
     if not schedule.nodes:
         raise ScheduleValidationError("schedule has no nodes")
     root = schedule.root_node
@@ -140,9 +141,9 @@ def _firing_validate(schedule: Schedule, analysis: StructuralAnalysis) -> None:
             )
 
 
-def _validation_outcome(check, schedule: Schedule, analysis: StructuralAnalysis) -> str:
+def _validation_outcome(check, schedule: Schedule) -> str:
     try:
-        check(schedule, analysis)
+        check(schedule)
     except ScheduleValidationError as error:
         return str(error)
     return "valid"
@@ -200,11 +201,10 @@ def test_validate_on_plain_dicts_matches_the_firing_checks():
               "marking mismatch", "not on a directed cycle")
     reached = set()
     for schedule in _validation_cases():
-        analysis = StructuralAnalysis.of(schedule.net)
-        assert _validation_outcome(Schedule.validate, schedule, analysis) == "valid"
+        assert _validation_outcome(Schedule.validate, schedule) == "valid"
         for mutant in _mutants(schedule, rng, 60):
-            expected = _validation_outcome(_firing_validate, mutant, analysis)
-            assert _validation_outcome(Schedule.validate, mutant, analysis) == expected
+            expected = _validation_outcome(_firing_validate, mutant)
+            assert _validation_outcome(Schedule.validate, mutant) == expected
             reached.update(check for check in checks if check in expected)
     assert reached == set(checks)  # every check of properties 3-5 was reached
 
@@ -225,6 +225,33 @@ def test_a_marking_naming_a_place_the_net_lacks_never_validates(node, message):
     net = paper_nets.figure_5()
     data = schedule_to_dict(find_schedule(net, "a", raise_on_failure=True).schedule)
     data["nodes"][node]["marking"].append(["zz_ghost", 1])
+    with pytest.raises(ScheduleValidationError) as error:
+        schedule_from_dict(net, data).validate()
+    assert str(error.value) == message
+
+
+@pytest.mark.parametrize(
+    "root, edges, message",
+    [
+        (None, {"zz": 2}, "node 1: 'zz' is not a transition of the net"),
+        (None, {"b": 7}, "node 1: the edge 'b' leads to 7, not a node"),
+        (None, {"b": -1}, "node 1: the edge 'b' leads to -1, not a node"),
+        (9, None, "root 9 is not a node of the schedule"),
+        (-3, None, "root -3 is not a node of the schedule"),
+    ],
+    ids=["unknown-transition", "target-past-the-end", "negative-target", "root-past-the-end", "negative-root"],
+)
+def test_a_malformed_schedule_is_refused_as_a_violation(root, edges, message):
+    """Figure 5's schedule rebuilt from its canonical form with a root that
+    is not a node, or with node 1's edge naming a transition the net lacks
+    or a target that is not a node, fails validation with the error the
+    contract names, not with a lookup error, and before the ECS check."""
+    net = paper_nets.figure_5()
+    data = schedule_to_dict(find_schedule(net, "a", raise_on_failure=True).schedule)
+    if root is not None:
+        data["root"] = root
+    if edges is not None:
+        data["nodes"][1]["edges"] = edges
     with pytest.raises(ScheduleValidationError) as error:
         schedule_from_dict(net, data).validate()
     assert str(error.value) == message
@@ -525,9 +552,8 @@ def _ranked_after_source(net, source, **options):
 
 def test_heuristic_orderings_agree_on_membership():
     net = paper_nets.figure_8()
-    analysis = StructuralAnalysis.of(net)
     marking = net.fire("a", net.initial_marking)
-    ecss = analysis.enabled_ecss(marking)
+    ecss = enabled_ecss(net, marking)
     for use_invariant_heuristic in (True, False):
         ordered = _ranked_after_source(
             net, "a", use_invariant_heuristic=use_invariant_heuristic
@@ -553,8 +579,7 @@ def test_ecs_ids_follow_sorted_transition_names():
 
 def test_invariant_guided_ordering_prefers_promising_transitions():
     net = paper_nets.figure_8()
-    analysis = StructuralAnalysis.of(net)
-    guide = InvariantGuide(net, analysis, "a")
+    guide = InvariantGuide(net, "a")
     assert guide.source_is_coverable()
     vector = guide.promising_vector({})
     assert vector.get("a", 0) >= 1
@@ -569,7 +594,7 @@ def _rows_by_rescanning(guide):
     rows = []
     process_of = {t: obj.process for t, obj in guide.net.transitions.items()}
     ecs_by_process = {}
-    for ecs in guide.analysis.partition:
+    for ecs in StructuralAnalysis.of(guide.net).partition:
         proc = process_of.get(min(ecs))
         ecs_by_process.setdefault(proc, []).append(ecs)
     for column, invariant in enumerate(guide.base):
@@ -607,9 +632,8 @@ def test_covering_rows_match_the_rescanning_builder():
     covering problem and the candidate invariant it selects are unchanged."""
     checked = 0
     for net, sources in _covering_cases():
-        analysis = StructuralAnalysis.of(net)
         for source in sources:
-            guide = InvariantGuide(net, analysis, source)
+            guide = InvariantGuide(net, source)
             rows = guide._covering_rows()
             assert rows == _rows_by_rescanning(guide)
             checked += bool(rows)

@@ -11,7 +11,8 @@ from somewhere else:
 * a net shipped as a pickle or in the serve wire form schedules byte for
   byte like the original, on every golden net;
 * a stale or foreign :class:`StructuralAnalysis` handed to a search is
-  rebuilt, never mixed into the live net's ID space;
+  never read: the search reads the analysis memoised on the live net's
+  snapshot, never mixing another snapshot's ID space into it;
 * the daemon's record cache evicts in LRU order, and an evicted entry is
   simply searched again.
 
@@ -104,14 +105,15 @@ def test_close_with_escaped_view_defers_the_unmap():
 
 
 def test_attached_net_schedules_identically():
-    """A pickled copy, with one analysis shared across its sources (as
-    ``find_all_schedules`` shares it), schedules like the original."""
+    """A pickled copy, its sources sharing the one analysis memoised on its
+    snapshot, schedules like the original."""
     net = paper_nets.figure_6()
     copy = pickle.loads(pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL))
     analysis = StructuralAnalysis.of(copy)
     for source in net.uncontrollable_sources():
         original = find_schedule(net, source)
-        shipped = find_schedule(copy, source, analysis=analysis)
+        shipped = find_schedule(copy, source)
+        assert StructuralAnalysis.of(copy) is analysis
         assert schedule_to_json(original.schedule) == schedule_to_json(shipped.schedule)
         assert original.counters.as_dict() == shipped.counters.as_dict()
         assert original.tree_nodes == shipped.tree_nodes
@@ -155,7 +157,7 @@ def test_workers_one_skips_the_plane():
 
 
 # ---------------------------------------------------------------------------
-# a stale or foreign analysis is rebuilt
+# a stale or foreign analysis is never read
 # ---------------------------------------------------------------------------
 
 
@@ -169,12 +171,12 @@ def _identity(result):
 
 def test_refcounted_unlink_and_stale_attach():
     """A structural mutation drops the net's snapshot; a search handed the
-    analysis of the dropped snapshot rebuilds it on the live one."""
+    analysis of the dropped snapshot reads the live one's instead."""
     net = paper_nets.figure_4a()
     stale = StructuralAnalysis.of(net)
     old = net.indexed()
     net.add_place("extra")
-    assert net.indexed() is not old and stale.indexed_net is old
+    assert net.indexed() is not old and StructuralAnalysis.of(net) is not stale
     assert len(net.indexed().place_names) == len(old.place_names) + 1
     result = find_schedule(net, "a", analysis=stale)
     assert result.success
@@ -183,12 +185,12 @@ def test_refcounted_unlink_and_stale_attach():
 
 def test_stale_block_name_falls_back_to_pickle():
     """An analysis of an invalidated snapshot is not trusted, even when the
-    structure did not change: the search rebuilds it and agrees."""
+    structure did not change: the search builds a new one and agrees."""
     net = paper_nets.figure_5()
     stale = StructuralAnalysis.of(net)
     reference = find_schedule(net, "a", analysis=stale)
     net.invalidate_caches()
-    assert stale.indexed_net is not net.indexed()
+    assert StructuralAnalysis.of(net) is not stale
     assert _identity(find_schedule(net, "a", analysis=stale)) == _identity(reference)
 
 
